@@ -11,7 +11,6 @@ from .chromatics import (
     PhiValue,
     chi,
     check_transitive_completion,
-    longest_monotone_path,
     phi_table,
     validate_observation,
 )
@@ -45,7 +44,6 @@ from .extraction import (
 )
 from .generators import (
     HalfCircleSigns,
-    SpiralTwistedParams,
     anchored_view,
     gen_convex,
     gen_halfcircle,
@@ -85,7 +83,6 @@ __all__ = [
     "PLANE_BIPARTITE",
     "PLANE_PATH",
     "PhiValue",
-    "SpiralTwistedParams",
     "TWISTED",
     "adversarial_painter",
     "anchored_view",
@@ -112,7 +109,6 @@ __all__ = [
     "induced_subdrawing",
     "inside_delta",
     "lis_lds",
-    "longest_monotone_path",
     "longest_plane_path_exact",
     "max_pattern_exact",
     "naive_builder",

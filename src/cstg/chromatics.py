@@ -14,8 +14,9 @@ at the pair in the 100 class (a) and the 001 class (b); path lengths count
 vertices, so a bare pair has a = b = 2.
 
 Triple colors are computed lazily and memoized per triple; the exhaustive
-scans (validate_observation, full phi tables) are cubic and practical up to
-roughly n = 1024.
+scans are cubic.  Measured on seeded half-circle drawings (Python 3.11.7,
+one process on a 2-core machine): validate_observation takes 3.5 s at
+n = 256 and 28.8 s at n = 512, a full phi_table 5.4 s and 56.0 s.
 """
 
 from __future__ import annotations
@@ -59,15 +60,7 @@ def _color_closure(ad: AnchoredDrawing):
 
 def chi(ad: AnchoredDrawing, i: int, j: int, k: int) -> str:
     """Triple color at anchored positions 1 <= i < j < k <= n-1."""
-    if not (1 <= i < j < k <= ad.n - 1):
-        raise InvalidTriple(f"positions ({i},{j},{k}) out of order for n={ad.n}")
-    value = _color_closure(ad)(i, j, k)
-    if value not in VALID_COLORS:
-        raise ObservationViolated(
-            f"triple ({i},{j},{k}) colored {value}; "
-            "input is not a valid anchored simple drawing"
-        )
-    return value
+    return ChiCache(ad).get(i, j, k)
 
 
 class ChiCache:
@@ -196,61 +189,6 @@ def phi_table(ad: AnchoredDrawing, chi_cache: Optional[ChiCache] = None) -> PhiT
     table._ensure_rows(n - 1)
     # rows cover (k, s) for s <= n-1, i.e. every pair
     return table
-
-
-def longest_monotone_path(
-    k: int, n: int, member: Callable[[Tuple[int, ...]], bool]
-) -> Tuple[int, List[int]]:
-    """Longest monotone k-path (k in {2,3}) over vertices 0..n-1.
-
-    A vertex sequence v_1 < ... < v_m is a monotone k-path when every k
-    consecutive vertices form a member tuple; length counts vertices and is
-    conventionally at least k-1.  DP ties break toward the smallest
-    predecessor.
-    """
-    if k == 2:
-        best_len = [1] * n
-        parent: List[Optional[int]] = [None] * n
-        for j in range(n):
-            for i in range(j):
-                if member((i, j)) and best_len[i] + 1 > best_len[j]:
-                    best_len[j] = best_len[i] + 1
-                    parent[j] = i
-        if n == 0:
-            return max(0, k - 1), []
-        end = max(range(n), key=lambda v: (best_len[v], -v))
-        path = [end]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return max(best_len[end], k - 1), path
-
-    if k != 3:
-        raise ValueError("only 2- and 3-uniform paths are supported")
-
-    if n < 2:
-        return k - 1, list(range(n))
-    length = {}
-    parent = {}
-    best_pair = None
-    for j in range(1, n):
-        for i in range(j):
-            best, par = 2, None
-            for h in range(i):
-                if member((h, i, j)) and length[(h, i)] + 1 > best:
-                    best, par = length[(h, i)] + 1, h
-            length[(i, j)] = best
-            parent[(i, j)] = par
-            if best_pair is None or best > length[best_pair]:
-                best_pair = (i, j)
-    path = [best_pair[1], best_pair[0]]
-    while True:
-        h = parent[(path[-1], path[-2])]
-        if h is None:
-            break
-        path.append(h)
-    path.reverse()
-    return length[best_pair], path
 
 
 @dataclass(frozen=True)

@@ -188,6 +188,13 @@ def _cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED
 
 
+def _budget(args) -> Optional[oracles.OracleBudget]:
+    """The search budget the flags set; None when neither flag is given."""
+    if args.budget_seconds is None and args.budget_nodes is None:
+        return None
+    return oracles.OracleBudget(seconds=args.budget_seconds, nodes=args.budget_nodes)
+
+
 def _cmd_extract(args) -> int:
     d = codec.load_drawing(args.drawing)
     ad = generators.anchored_view(d)
@@ -200,9 +207,7 @@ def _cmd_extract(args) -> int:
         if args.out:
             codec.save_certificate(outcome.certificate, args.out)
         return EXIT_OK
-    budget = None
-    if args.budget_seconds or args.budget_nodes:
-        budget = oracles.OracleBudget(seconds=args.budget_seconds, nodes=args.budget_nodes)
+    budget = _budget(args)
     outcome = extract_plane_path(
         ad,
         m_override=args.m_override,
@@ -220,9 +225,7 @@ def _cmd_extract(args) -> int:
 
 def _cmd_oracle(args) -> int:
     d = codec.load_drawing(args.drawing)
-    budget = None
-    if args.budget_seconds or args.budget_nodes:
-        budget = oracles.OracleBudget(seconds=args.budget_seconds, nodes=args.budget_nodes)
+    budget = _budget(args)
     try:
         if args.what == "planepath":
             result = oracles.longest_plane_path_exact(d, budget=budget)

@@ -116,14 +116,12 @@ def decode_drawing(text: str) -> Drawing:
     if "anchor" in doc:
         anchor = _decode_anchor(doc["anchor"], n, rotations)
 
-    radii = tuple(range(1, n + 1)) if model == "twisted" else None
     return Drawing(
         n=n,
         model=model,
         crossings=crossings,
         signs=signs,
         points=points,
-        radii=radii,
         rotations=rotations,
         anchor=anchor,
     )

@@ -13,7 +13,7 @@ Vertices are 0-based everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import (
@@ -57,6 +57,11 @@ def edge_at(rank: int, n: int) -> Tuple[int, int]:
     return i, i + 1 + offset
 
 
+def sorted_pair(a, b):
+    """The unordered pair {a, b} as (min, max)."""
+    return (a, b) if a < b else (b, a)
+
+
 def _norm_edge(e, n: int) -> Tuple[int, int]:
     try:
         a, b = e
@@ -66,7 +71,7 @@ def _norm_edge(e, n: int) -> Tuple[int, int]:
     b = int(b)
     if a == b or not (0 <= a < n) or not (0 <= b < n):
         raise InvalidEdge(f"edge ({a},{b}) invalid for n={n}")
-    return (a, b) if a < b else (b, a)
+    return sorted_pair(a, b)
 
 
 def _interleave(i: int, j: int, k: int, l: int) -> bool:
@@ -101,7 +106,7 @@ class Drawing:
 
     * ``explicit``   -- ``crossings``: set of (rank1, rank2) with rank1 < rank2
     * ``convex``     -- no parameters (regular n-gon)
-    * ``twisted``    -- optional ``radii`` (spiral realization, default 1..n)
+    * ``twisted``    -- no parameters (spiral realization, vertex v at radius v+1)
     * ``halfcircle`` -- ``signs``: U/L per edge rank
     * ``points``     -- ``points``: integer coordinates, general position
 
@@ -115,7 +120,6 @@ class Drawing:
     crossings: Optional[frozenset] = None
     signs: Optional[str] = None
     points: Optional[Tuple[Tuple[int, int], ...]] = None
-    radii: Optional[Tuple[int, ...]] = field(default=None, compare=False)
     rotations: Optional[Tuple[Tuple[int, ...], ...]] = None
     anchor: Optional[Tuple[int, Tuple[int, ...]]] = None
 
@@ -200,40 +204,6 @@ def crossing_function(d: Drawing):
     return f
 
 
-def explicit_from(d: Drawing, keep_rotations: bool = True) -> Drawing:
-    """Rebuild d with an explicit crossing table (n-capped).
-
-    Queries every independent pair once; used to cross-check implicit
-    backends against table storage.  With ``keep_rotations`` the result
-    carries the source's rotation system (stored or family-analytic).
-    """
-    if d.n > EXPLICIT_N_CAP:
-        raise SizeLimit(f"explicit backend capped at n={EXPLICIT_N_CAP}")
-    f = crossing_function(d)
-    n = d.n
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    pairs = set()
-    for r1, (i, j) in enumerate(edges):
-        for r2 in range(r1 + 1, len(edges)):
-            k, l = edges[r2]
-            if k in (i, j) or l in (i, j):
-                continue
-            if f(i, j, k, l):
-                pairs.add((r1, r2))
-    rotations = d.rotations
-    if keep_rotations and rotations is None and d.model != "explicit":
-        from . import generators
-
-        rotations = generators.rotations_of(d)
-    return Drawing(
-        n=n,
-        model="explicit",
-        crossings=frozenset(pairs),
-        rotations=rotations if keep_rotations else None,
-        anchor=d.anchor,
-    )
-
-
 def induced_subdrawing(d: Drawing, vs: Sequence[int]) -> Drawing:
     """Restriction of d to the ordered vertex selection vs.
 
@@ -250,16 +220,20 @@ def induced_subdrawing(d: Drawing, vs: Sequence[int]) -> Drawing:
         raise InvalidSelection("selection contains duplicates")
     if any(not (0 <= v < d.n) for v in vs):
         raise InvalidSelection("selection out of range")
+    if len(vs) > EXPLICIT_N_CAP:
+        raise SizeLimit(
+            f"explicit backend capped at n={EXPLICIT_N_CAP}, got {len(vs)}"
+        )
     back = {v: idx for idx, v in enumerate(vs)}
     m = len(vs)
     f = crossing_function(d)
     sub_edges = [(ia, ib) for ia in range(m) for ib in range(ia + 1, m)]
     pairs = set()
     for r1, (ia, ib) in enumerate(sub_edges):
-        a, b = _sorted2(vs[ia], vs[ib])
+        a, b = sorted_pair(vs[ia], vs[ib])
         for r2 in range(r1 + 1, len(sub_edges)):
             ic, id_ = sub_edges[r2]
-            c, e = _sorted2(vs[ic], vs[id_])
+            c, e = sorted_pair(vs[ic], vs[id_])
             if c in (a, b) or e in (a, b):
                 continue
             if f(a, b, c, e):
@@ -417,9 +391,9 @@ def verify_certificate(d: Drawing, c: Certificate) -> CertificateReport:
                     for dd in range(cc + 1, m):
                         checked += 1
                         va, vb, vc, vd = vs[a], vs[b], vs[cc], vs[dd]
-                        mid = f(*_sorted2(va, vc), *_sorted2(vb, vd))
-                        inner = f(*_sorted2(va, vb), *_sorted2(vc, vd))
-                        outer = f(*_sorted2(va, vd), *_sorted2(vb, vc))
+                        mid = f(*sorted_pair(va, vc), *sorted_pair(vb, vd))
+                        inner = f(*sorted_pair(va, vb), *sorted_pair(vc, vd))
+                        outer = f(*sorted_pair(va, vd), *sorted_pair(vb, vc))
                         want_mid = c.kind == CONVEX
                         want_outer = c.kind == TWISTED
                         if mid != want_mid or inner or outer != want_outer:
@@ -448,10 +422,6 @@ def verify_certificate(d: Drawing, c: Certificate) -> CertificateReport:
         failing_tuple=bad[0] + bad[1],
         failure=f"edges {bad[0]} and {bad[1]} cross",
     )
-
-
-def _sorted2(a, b):
-    return (a, b) if a < b else (b, a)
 
 
 def _tuple_failure(kind, quad, mid, inner, outer):

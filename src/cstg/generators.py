@@ -5,9 +5,9 @@ a concrete realization, and a canonical anchor vertex that provably lies on
 the unbounded cell:
 
 * convex      -- regular n-gon; any vertex anchors.
-* twisted     -- spiral realization: vertex i at radius r_i on the positive
-                 x-axis, edge {i,j} (i<j) sweeps counterclockwise from r_i at
-                 angle 0 to r_j at angle 2*pi with radius linear in angle.
+* twisted     -- spiral realization: vertex i at radius i+1 on the positive
+                 x-axis, edge {i,j} (i<j) sweeps counterclockwise from radius
+                 i+1 at angle 0 to j+1 at angle 2*pi, linear in angle.
                  Radius differences of two arcs are linear in angle, so
                  nested index pairs cross exactly once and interleaved pairs
                  never, matching the index rule.  Anchor: outermost vertex.
@@ -27,15 +27,17 @@ suite).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import List, Optional, Sequence, Tuple
 
-from .drawing import AnchoredDrawing, Drawing, edge_index, orient
+from .drawing import AnchoredDrawing, Drawing, edge_index, orient, sorted_pair
 from .errors import (
     AnchorUnavailable,
     DegenerateInput,
+    GeometryMissing,
     InvalidSelection,
     InvalidSigns,
     RotationMissing,
@@ -60,33 +62,14 @@ class HalfCircleSigns:
             raise InvalidSigns("sign vector must use only U and L")
 
 
-@dataclass(frozen=True)
-class SpiralTwistedParams:
-    """Strictly increasing positive radii for the twisted spiral realization."""
-
-    m: int
-    radii: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.radii) != self.m:
-            raise InvalidSelection("radii count must equal m")
-        if any(r <= 0 for r in self.radii):
-            raise InvalidSelection("radii must be positive")
-        if any(a >= b for a, b in zip(self.radii, self.radii[1:])):
-            raise InvalidSelection("radii must be strictly increasing")
-
-
 def gen_convex(n: int) -> Drawing:
     """Complete convex geometric graph on a regular n-gon."""
     return Drawing(n=n, model="convex")
 
 
-def gen_twisted(m: int, params: Optional[SpiralTwistedParams] = None) -> Drawing:
+def gen_twisted(m: int) -> Drawing:
     """Complete twisted graph; crossing iff index intervals are nested."""
-    radii = params.radii if params is not None else tuple(range(1, m + 1))
-    if params is not None and params.m != m:
-        raise InvalidSelection("params.m does not match m")
-    return Drawing(n=m, model="twisted", radii=radii)
+    return Drawing(n=m, model="twisted")
 
 
 def gen_halfcircle(n: int, seed=None, signs: Optional[HalfCircleSigns] = None) -> Drawing:
@@ -149,7 +132,22 @@ def gen_horton(k: int) -> List[Tuple[int, int]]:
     return pts
 
 
-# -- twisted spiral geometry ------------------------------------------------
+# -- geometry ---------------------------------------------------------------
+
+
+def vertex_positions(d: Drawing) -> List[Tuple[float, float]]:
+    """Vertex coordinates of the family's realization; half-circle and
+    twisted vertex v sits at (v+1, 0)."""
+    if d.model == "convex":
+        return [
+            (math.cos(2 * math.pi * v / d.n), math.sin(2 * math.pi * v / d.n))
+            for v in range(d.n)
+        ]
+    if d.model == "points":
+        return [(float(x), float(y)) for x, y in d.points]
+    if d.model in ("halfcircle", "twisted"):
+        return [(v + 1.0, 0.0) for v in range(d.n)]
+    raise GeometryMissing(f"model {d.model!r} carries no geometry")
 
 
 def spiral_cross(radii: Sequence[int], e1, e2) -> bool:
@@ -198,9 +196,8 @@ def rotation_at(d: Drawing, v: int) -> Tuple[int, ...]:
         # indices arrive from below-left (angles in (180, 270))
         return tuple(range(n - 1, v, -1)) + tuple(range(v))
     if d.model == "halfcircle":
-        signs = d.signs
-        up = [j for j in range(n) if j != v and signs[edge_index(*_s2(v, j), n)] == "U"]
-        down = [j for j in range(n) if j != v and signs[edge_index(*_s2(v, j), n)] == "L"]
+        up = _upper_run(d, v)
+        down = sorted(set(range(n)).difference(up, (v,)))
         # all upper germs point straight up, lower germs straight down;
         # sharper arcs (closer endpoints) deviate further toward their side
         upper = [j for j in up if j > v] + [j for j in up if j < v]
@@ -228,17 +225,14 @@ def rotation_at(d: Drawing, v: int) -> Tuple[int, ...]:
     raise RotationMissing(f"no rotation rule for model {d.model!r}")
 
 
-def _s2(a, b):
-    return (a, b) if a < b else (b, a)
-
-
 def _upper_run(d: Drawing, v: int) -> List[int]:
+    """Half-circle: the vertices joined to v by an upper arc, increasing."""
     signs = d.signs
     n = d.n
     return [
         j
         for j in range(n)
-        if j != v and signs[edge_index(*_s2(v, j), n)] == "U"
+        if j != v and signs[edge_index(*sorted_pair(v, j), n)] == "U"
     ]
 
 
@@ -316,7 +310,7 @@ def anchored_order(d: Drawing, v0: int) -> Tuple[int, ...]:
                 "only the leftmost vertex is certified on the unbounded cell"
             )
         up = _upper_run(d, 0)
-        down = [j for j in range(1, n) if j not in set(up)]
+        down = set(range(1, n)).difference(up)
         # clockwise from the empty left half-plane: upper germs from the
         # flattest down to the sharpest, then lower germs sharpest first
         return tuple(sorted(up, reverse=True)) + tuple(sorted(down))

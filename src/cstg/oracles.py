@@ -16,12 +16,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .drawing import CONVEX, TWISTED, Drawing, crossing_function, edge_index
-from .errors import (
-    BudgetExhausted,
-    DegenerateInput,
-    GeometryMissing,
-    InvalidSelection,
-)
+from .drawing import sorted_pair as _s2
+from .errors import BudgetExhausted, DegenerateInput, InvalidSelection
+from .generators import vertex_positions
 
 
 @dataclass(frozen=True)
@@ -70,10 +67,6 @@ class _Clock:
         if self.deadline is not None and self.nodes % 1024 == 0:
             return time.monotonic() <= self.deadline
         return True
-
-
-def _s2(a, b):
-    return (a, b) if a < b else (b, a)
 
 
 def max_pattern_exact(
@@ -247,21 +240,6 @@ def longest_plane_path_exact(
 # -- numeric rotation oracle --------------------------------------------------
 
 
-def _vertex_positions(d: Drawing) -> List[Tuple[float, float]]:
-    if d.model == "convex":
-        return [
-            (math.cos(2 * math.pi * v / d.n), math.sin(2 * math.pi * v / d.n))
-            for v in range(d.n)
-        ]
-    if d.model == "points":
-        return [(float(x), float(y)) for x, y in d.points]
-    if d.model == "halfcircle":
-        return [(v + 1.0, 0.0) for v in range(d.n)]
-    if d.model == "twisted":
-        return [(float(r), 0.0) for r in d.radii]
-    raise GeometryMissing(f"model {d.model!r} carries no geometry")
-
-
 def _germ_point(d, pos, v: int, u: int, eps: float) -> Tuple[float, float]:
     """A point on the drawn arc v-u at distance about eps from v."""
     if d.model in ("convex", "points"):
@@ -280,8 +258,8 @@ def _germ_point(d, pos, v: int, u: int, eps: float) -> Tuple[float, float]:
         return (c + r * math.cos(th), y if sign == "U" else -y)
     # twisted spiral: radius linear in sweep angle, arc runs from the
     # smaller-index vertex at angle 0 to the larger at 2*pi
-    i, j = (v, u) if v < u else (u, v)
-    ri, rj = float(d.radii[i]), float(d.radii[j])
+    i, j = _s2(v, u)
+    ri, rj = float(i + 1), float(j + 1)
     span = abs(rj - ri) + 2 * math.pi * max(ri, rj)
     s = eps / span if v == i else 1.0 - eps / span
     rho = ri + (rj - ri) * s
@@ -298,7 +276,7 @@ def numeric_rotation_oracle(
     germs are numerically indistinguishable the distance is halved, up to a
     retry cap, then the input is reported as degenerate.
     """
-    pos = _vertex_positions(d)
+    pos = vertex_positions(d)
     if len(set(pos)) != len(pos):
         raise DegenerateInput("duplicate vertex positions")
     if eps is None:

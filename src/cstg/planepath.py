@@ -28,6 +28,7 @@ from .drawing import (
     AnchoredDrawing,
     Certificate,
     crossing_function,
+    sorted_pair,
     verify_certificate,
 )
 from .errors import (
@@ -304,12 +305,11 @@ def _assert_anchor_edges_clear(ad, path) -> None:
     ids = [ad.vertex_at(p) for p in path]
     for x in range(len(path) - 2):
         a = ids[x]
-        e1 = (v0, a) if v0 < a else (a, v0)
+        e1 = sorted_pair(v0, a)
         for y in range(x + 1, len(path) - 1):
             for z in range(y + 1, len(path)):
                 b, c = ids[y], ids[z]
-                e2 = (b, c) if b < c else (c, b)
-                if f(e2[0], e2[1], e1[0], e1[1]):
+                if f(*sorted_pair(b, c), *e1):
                     raise InternalInvariantBroken(
                         f"anchor edge to {a} crosses path pair ({b},{c})"
                     )

@@ -35,7 +35,6 @@ class GameState:
         self.vertices: List[int] = []
         self.edges: List[Tuple[int, int, str]] = []
         self.colors = {}  # (u, w) -> color
-        self.stage_edge_counts: List[int] = []
         self._best_len = {}  # (v, color) -> path length ending at v
         self._parent = {}  # (v, color) -> predecessor vertex or None
 
@@ -45,7 +44,6 @@ class GameState:
         if self.vertices and label <= self.vertices[-1]:
             raise RuleViolation("vertex labels must strictly increase")
         self.vertices.append(label)
-        self.stage_edge_counts.append(0)
         return label
 
     def add_edge(self, u: int, w: int, color: str) -> None:
@@ -57,7 +55,6 @@ class GameState:
             raise RuleViolation(f"edge ({u},{w}) already built")
         self.colors[(u, w)] = color
         self.edges.append((u, w, color))
-        self.stage_edge_counts[-1] += 1
         ending = self.path_length(u, color) + 1
         if ending > self.path_length(w, color):
             self._best_len[(w, color)] = ending

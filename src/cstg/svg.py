@@ -10,27 +10,12 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Tuple
 
-from .drawing import Certificate, Drawing
-from .errors import GeometryMissing
+from .drawing import Certificate, Drawing, sorted_pair
+from .generators import vertex_positions
 
 CANVAS = 640.0
 MARGIN = 40.0
 SAMPLES_PER_TURN = 96
-
-
-def _positions(d: Drawing) -> List[Tuple[float, float]]:
-    if d.model == "convex":
-        return [
-            (math.cos(2 * math.pi * v / d.n), math.sin(2 * math.pi * v / d.n))
-            for v in range(d.n)
-        ]
-    if d.model == "points":
-        return [(float(x), float(y)) for x, y in d.points]
-    if d.model == "halfcircle":
-        return [(v + 1.0, 0.0) for v in range(d.n)]
-    if d.model == "twisted":
-        return [(float(r), 0.0) for r in d.radii]
-    raise GeometryMissing(f"model {d.model!r} carries no geometry to render")
 
 
 def _edge_polyline(d: Drawing, pos, i: int, j: int) -> List[Tuple[float, float]]:
@@ -48,8 +33,8 @@ def _edge_polyline(d: Drawing, pos, i: int, j: int) -> List[Tuple[float, float]]
             pts.append((c + r * math.cos(th), y if up else -y))
         return pts
     # twisted spiral arc: radius linear in the sweep angle
-    a, b = (i, j) if i < j else (j, i)
-    ra, rb = float(d.radii[a]), float(d.radii[b])
+    a, b = sorted_pair(i, j)
+    ra, rb = float(a + 1), float(b + 1)
     pts = []
     for t in range(SAMPLES_PER_TURN + 1):
         s = t / SAMPLES_PER_TURN
@@ -81,7 +66,7 @@ def render_svg(
     d: Drawing, out_path: Optional[str] = None, overlay: Optional[Certificate] = None
 ) -> str:
     """Render the drawing (and optional certificate overlay) as SVG text."""
-    pos = _positions(d)
+    pos = vertex_positions(d)
     polylines = {}
     for i in range(d.n):
         for j in range(i + 1, d.n):
@@ -105,7 +90,7 @@ def render_svg(
         )
     if overlay is not None:
         for (u, v) in overlay.edges():
-            i, j = (u, v) if u < v else (v, u)
+            i, j = sorted_pair(u, v)
             pts = " ".join(
                 f"{_fmt(x)},{_fmt(y)}"
                 for x, y in (to_svg(p) for p in polylines[(i, j)])

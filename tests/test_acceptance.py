@@ -24,7 +24,7 @@ from cstg.drawing import (
     Certificate,
     check_plane_edges,
     cross,
-    explicit_from,
+    induced_subdrawing,
     verify_certificate,
 )
 from cstg.extraction import embed_tree, extract_pattern, guaranteed_m, required_n
@@ -156,11 +156,12 @@ def test_criterion_03_generator_ground_truth():
         from cstg.generators import spiral_cross
 
         d = gen_twisted(24)
+        radii = tuple(range(1, 25))
         edges = list(itertools.combinations(range(24), 2))
         for e1, e2 in itertools.combinations(edges, 2):
             if set(e1) & set(e2):
                 continue
-            assert cross(d, e1, e2) == spiral_cross(d.radii, e1, e2)
+            assert cross(d, e1, e2) == spiral_cross(radii, e1, e2)
 
 
 def test_criterion_04_extraction_canonical():
@@ -298,7 +299,7 @@ def test_criterion_11_determinism_and_codec(tmp_path, capsys):
             gen_twisted(9),
             gen_halfcircle(8, seed=11),
             gen_straightline(gen_horton(3)),
-            explicit_from(gen_halfcircle(7, seed=5)),
+            induced_subdrawing(gen_halfcircle(7, seed=5), range(7)),
         ]
         for d in corpus:
             text = encode_drawing(d)

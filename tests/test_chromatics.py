@@ -1,7 +1,9 @@
 """Triple/pair colorings, monotone path DP, transitivity checks."""
 
+import dataclasses
 import itertools
 import random
+from typing import Callable, List, Optional, Tuple
 
 import pytest
 
@@ -10,11 +12,10 @@ from cstg.chromatics import (
     PhiValue,
     check_transitive_completion,
     chi,
-    longest_monotone_path,
     phi_table,
     validate_observation,
 )
-from cstg.drawing import AnchoredDrawing, Drawing, edge_index, explicit_from, induced_subdrawing
+from cstg.drawing import AnchoredDrawing, Drawing, edge_index, induced_subdrawing
 from cstg.errors import InvalidTriple, ObservationViolated
 from cstg.generators import (
     anchored_view,
@@ -34,7 +35,9 @@ def triples(n):
 def mirrored_twisted_view(m):
     # same crossing relation as the twisted graph, anchored order reversed:
     # the mirror image swaps the roles of the 100 and 001 classes
-    base = explicit_from(gen_twisted(m), keep_rotations=False)
+    base = dataclasses.replace(
+        induced_subdrawing(gen_twisted(m), range(m)), rotations=None
+    )
     return AnchoredDrawing(base=base, v0=m - 1, order=tuple(range(m - 1)))
 
 
@@ -135,6 +138,63 @@ class TestPhi:
             sub_table = phi_table(sub_ad)
             for i, j in itertools.combinations(range(1, len(keep)), 2):
                 assert sub_table.value(i, j) == table.value(i, j)
+
+
+# Reference DP: a generic copy of the PhiTable and GameState path DPs that
+# the tests compare against.
+def longest_monotone_path(
+    k: int, n: int, member: Callable[[Tuple[int, ...]], bool]
+) -> Tuple[int, List[int]]:
+    """Longest monotone k-path (k in {2,3}) over vertices 0..n-1.
+
+    A vertex sequence v_1 < ... < v_m is a monotone k-path when every k
+    consecutive vertices form a member tuple; length counts vertices and is
+    conventionally at least k-1.  DP ties break toward the smallest
+    predecessor.
+    """
+    if k == 2:
+        best_len = [1] * n
+        parent: List[Optional[int]] = [None] * n
+        for j in range(n):
+            for i in range(j):
+                if member((i, j)) and best_len[i] + 1 > best_len[j]:
+                    best_len[j] = best_len[i] + 1
+                    parent[j] = i
+        if n == 0:
+            return max(0, k - 1), []
+        end = max(range(n), key=lambda v: (best_len[v], -v))
+        path = [end]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        path.reverse()
+        return max(best_len[end], k - 1), path
+
+    if k != 3:
+        raise ValueError("only 2- and 3-uniform paths are supported")
+
+    if n < 2:
+        return k - 1, list(range(n))
+    length = {}
+    parent = {}
+    best_pair = None
+    for j in range(1, n):
+        for i in range(j):
+            best, par = 2, None
+            for h in range(i):
+                if member((h, i, j)) and length[(h, i)] + 1 > best:
+                    best, par = length[(h, i)] + 1, h
+            length[(i, j)] = best
+            parent[(i, j)] = par
+            if best_pair is None or best > length[best_pair]:
+                best_pair = (i, j)
+    path = [best_pair[1], best_pair[0]]
+    while True:
+        h = parent[(path[-1], path[-2])]
+        if h is None:
+            break
+        path.append(h)
+    path.reverse()
+    return length[best_pair], path
 
 
 class TestLongestMonotonePath:

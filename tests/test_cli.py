@@ -107,6 +107,16 @@ class TestOracle:
         assert code == 4
         assert "lower bound" in stdout
 
+    @pytest.mark.parametrize("command", [["oracle", "maxconvex"], ["extract", "planepath"]])
+    @pytest.mark.parametrize("flag", ["--budget-nodes", "--budget-seconds"])
+    def test_zero_budget_exits_3(self, tmp_path, capsys, command, flag):
+        drawing = tmp_path / "hc.cstg"
+        run(capsys, "generate", "--family", "halfcircle", "--n", "14",
+            "--seed", "0", "--out", str(drawing))
+        code, _, err = run(capsys, *command, str(drawing), flag, "0")
+        assert code == 3
+        assert "budget must be positive" in err
+
 
 class TestDeterminism:
     def test_generate_byte_identical(self, tmp_path, capsys):

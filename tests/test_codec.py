@@ -1,5 +1,7 @@
 """Canonical serialization: round trips, determinism, validation."""
 
+import dataclasses
+
 import pytest
 
 from cstg.codec import (
@@ -8,7 +10,7 @@ from cstg.codec import (
     encode_certificate,
     encode_drawing,
 )
-from cstg.drawing import CONVEX, Certificate, edge_index, explicit_from
+from cstg.drawing import CONVEX, Certificate, edge_index, induced_subdrawing
 from cstg.errors import ParseError, ValidationError
 from cstg.generators import (
     anchored_view,
@@ -28,7 +30,7 @@ def corpus():
     yield gen_straightline(gen_horton(3))
     d = gen_halfcircle(7, seed=5)
     ad = anchored_view(d)
-    explicit = explicit_from(d)
+    explicit = induced_subdrawing(d, range(7))
     from cstg.drawing import Drawing
 
     yield Drawing(
@@ -70,7 +72,7 @@ class TestRoundTrip:
         ad = anchored_view(d)
         from cstg.drawing import Drawing
 
-        explicit = explicit_from(d)
+        explicit = induced_subdrawing(d, range(6))
         carrier = Drawing(
             n=6,
             model="explicit",
@@ -102,7 +104,8 @@ class TestGoldenDocuments:
 
     def test_explicit_document_bytes(self):
         # the one crossing of the convex 4-gon: edge ranks (0,2) and (1,3)
-        assert encode_drawing(explicit_from(gen_convex(4), keep_rotations=False)) == (
+        explicit = induced_subdrawing(gen_convex(4), range(4))
+        assert encode_drawing(dataclasses.replace(explicit, rotations=None)) == (
             '{"crossings":[[1,4]],"format":"cstg-1","model":"explicit","n":4}\n'
         )
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import pytest
 
@@ -16,7 +17,6 @@ from cstg.drawing import (
     cross,
     edge_at,
     edge_index,
-    explicit_from,
     induced_subdrawing,
     verify_certificate,
 )
@@ -131,7 +131,7 @@ class TestCross:
             gen_twisted(24),
         ]
         for d in drawings:
-            table = explicit_from(d)
+            table = induced_subdrawing(d, range(d.n))
             for e1, e2 in independent_pairs(d.n):
                 assert cross(table, e1, e2) == cross(d, e1, e2)
 
@@ -203,6 +203,13 @@ class TestInducedSubdrawing:
             induced_subdrawing(d, [0, 9])
         with pytest.raises(InvalidSelection):
             induced_subdrawing(d, [1])
+
+    def test_size_cap_fails_before_the_quartic_loop(self):
+        d = gen_convex(300)
+        t0 = time.monotonic()
+        with pytest.raises(SizeLimit):
+            induced_subdrawing(d, range(257))
+        assert time.monotonic() - t0 < 1.0
 
 
 class TestVerifyCertificate:

@@ -4,7 +4,7 @@ internal assertions armed throughout."""
 from collections import Counter
 
 from cstg.chromatics import ChiCache
-from cstg.drawing import Drawing, explicit_from, verify_certificate
+from cstg.drawing import Drawing, induced_subdrawing, verify_certificate
 from cstg.extraction import extract_pattern
 from cstg.generators import (
     anchored_view,
@@ -18,7 +18,7 @@ from cstg.planepath import extract_plane_path
 
 
 def mirrored_twisted_view(m):
-    base = explicit_from(gen_twisted(m), keep_rotations=False)
+    base = induced_subdrawing(gen_twisted(m), range(m))
     rots = tuple(tuple(reversed(r)) for r in rotations_of(gen_twisted(m)))
     d = Drawing(
         n=m,

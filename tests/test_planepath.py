@@ -9,7 +9,7 @@ from cstg.chromatics import ChiCache
 from cstg.drawing import (
     AnchoredDrawing,
     Drawing,
-    explicit_from,
+    induced_subdrawing,
     verify_certificate,
 )
 from cstg.errors import InvalidTriple, RotationMissing
@@ -25,7 +25,7 @@ from cstg.planepath import (
 
 
 def mirrored_twisted_view(m):
-    base = explicit_from(gen_twisted(m), keep_rotations=False)
+    base = induced_subdrawing(gen_twisted(m), range(m))
     rots = tuple(tuple(reversed(r)) for r in rotations_of(gen_twisted(m)))
     d = Drawing(
         n=m,
