@@ -13,10 +13,18 @@ The pair color phi(i,j) = (a,b) records the longest monotone 3-paths ending
 at the pair in the 100 class (a) and the 001 class (b); path lengths count
 vertices, so a bare pair has a = b = 2.
 
-Triple colors are computed lazily and memoized per triple; the exhaustive
-scans are cubic.  Measured on seeded half-circle drawings (Python 3.11.7,
-one process on a 2-core machine): validate_observation takes 3.5 s at
-n = 256 and 28.8 s at n = 512, a full phi_table 5.4 s and 56.0 s.
+Everything here reads one relation, the anchor crossings, held as Python-int
+position masks: X(a,b) is the set of positions p whose anchor edge crosses
+edge (a,b), and its transpose R(p,a) is the set of positions b with p in
+X(a,b).  The pair (i,j), i < j, carries the three masks R(i,j), R(j,i) and
+X(i,j); bit k > j of them is the color of (i,j,k), and bit k < i is the
+color of (k,i,j) read as (X(i,j), R(i,j), R(j,i)).  A pair's masks cost O(1)
+big-int operations in the canonical convex, twisted and half-circle views;
+any other anchored drawing pays one cubic pass, on first use, that evaluates
+each anchor edge against each edge once.  The scans are quadratic in mask
+operations.  Measured on seeded half-circle drawings (Python 3.11.7, one
+process on a shared 2-core machine): validate_observation takes 0.1 s at
+n = 256 and 2.1 s at n = 1024, a full phi_table 0.2 s and 4.7 s.
 """
 
 from __future__ import annotations
@@ -24,10 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .drawing import AnchoredDrawing, crossing_function
+from .drawing import AnchoredDrawing, crossing_function, edge_index, sorted_pair
 from .errors import InvalidTriple, ObservationViolated
 
 VALID_COLORS = ("000", "001", "010", "100")
+_COLORS = ("000", "001", "010", "011", "100", "101", "110", "111")
+_BITS = str.maketrans("UL", "10")
 
 
 @dataclass(frozen=True)
@@ -36,26 +46,143 @@ class PhiValue:
     b: int
 
 
-def _color_closure(ad: AnchoredDrawing):
-    """Returns color(i, j, k) on anchored positions, unvalidated and fast."""
-    f = crossing_function(ad.base)
-    v0 = ad.v0
-    at = (None,) + ad.order  # 1-based position lookup
+def _color(x: int, y: int, z: int, k: int) -> str:
+    return _COLORS[(x >> k & 1) << 2 | (y >> k & 1) << 1 | (z >> k & 1)]
 
-    def color(i, j, k):
-        vi, vj, vk = at[i], at[j], at[k]
-        a, b = (vj, vk) if vj < vk else (vk, vj)
-        c, d = (v0, vi) if v0 < vi else (vi, v0)
-        x = f(a, b, c, d)
-        a, b = (vi, vk) if vi < vk else (vk, vi)
-        c, d = (v0, vj) if v0 < vj else (vj, v0)
-        y = f(a, b, c, d)
-        a, b = (vi, vj) if vi < vj else (vj, vi)
-        c, d = (v0, vk) if v0 < vk else (vk, v0)
-        z = f(a, b, c, d)
-        return ("1" if x else "0") + ("1" if y else "0") + ("1" if z else "0")
 
-    return color
+def _pair_masks(ad: AnchoredDrawing) -> Callable[[int, int], Tuple[int, int, int]]:
+    """pair(i, j) -> (R(i,j), R(j,i), X(i,j)) for positions 1 <= i < j <= n-1.
+
+    Closed forms serve the canonical views of the implicit families; every
+    other anchored drawing falls back to the generic build.
+    """
+    d = ad.base
+    n = d.n
+    full = 1 << n  # one past the highest position bit
+    if d.model == "convex" and ad.order == tuple((ad.v0 - t) % n for t in range(1, n)):
+        # positions read the polygon cyclically from the anchor, so the
+        # anchor chord to p crosses chord (i,j) iff i < p < j
+        return lambda i, j: ((1 << i) - 2, full - (2 << j), (1 << j) - (2 << i))
+    if d.model == "twisted" and ad.v0 == n - 1 and ad.order == tuple(range(n - 2, -1, -1)):
+        # vertex n-1-p sits at position p; the anchor edge to p nests over
+        # exactly the edges between positions below p
+        return lambda i, j: (0, (1 << j) - 2 - (1 << i), full - (2 << j))
+    if d.model == "halfcircle" and ad.v0 == 0:
+        up = [v for v in range(1, n) if d.signs[v - 1] == "U"]  # edge (0,v) has rank v-1
+        down = [v for v in range(1, n) if d.signs[v - 1] == "L"]
+        if ad.order == tuple(reversed(up)) + tuple(down):
+            return _halfcircle_masks(ad, len(up))
+    return _generic_masks(ad)
+
+
+def _halfcircle_masks(ad: AnchoredDrawing, n_up: int):
+    """Closed forms for the leftmost-vertex view of a half-circle drawing.
+
+    The anchor edge to v crosses edge (a,b), a < b, iff a < v < b and the two
+    arcs lie on the same side.  Upper vertices fill positions 1..n_up in
+    decreasing order and lower vertices the rest in increasing order, so
+    X(a,b) is one contiguous position range per side, and R(p,a) is the
+    same-side neighbours of a beyond the vertex at p.
+    """
+    d = ad.base
+    n = d.n
+    signs = d.signs
+    at = (0,) + ad.order
+    upper = [False] + [s == "U" for s in signs[: n - 1]]
+    # up_bound[v] = 1 << (1 + #upper vertices >= v); low_bound[v] = 1 << (1 +
+    # n_up + #lower vertices in 1..v): differences of these are the ranges
+    up_bound = [0] * (n + 1)
+    count = 0
+    for v in range(n, 0, -1):
+        if v < n and upper[v]:
+            count += 1
+        up_bound[v] = 2 << count
+    up_bound[0] = up_bound[1]
+    low_bound = [0] * n
+    count = n_up
+    for v in range(n):
+        if v and not upper[v]:
+            count += 1
+        low_bound[v] = 2 << count
+    full = 1 << n
+    everything = full - 2
+    offset = [edge_index(a, a + 1, n) - a - 1 for a in range(n - 1)]  # rank(a,b) = offset[a] + b
+    up_nb = {}
+
+    def upper_neighbours(v):
+        # positions w whose edge to v is an upper arc
+        mask = up_nb.get(v)
+        if mask is None:
+            row = "".join(
+                signs[offset[w] + v] if w < v else signs[offset[v] + w] if w > v else "L"
+                for w in ad.order
+            )
+            mask = up_nb[v] = int(row.translate(_BITS)[::-1], 2) << 1
+        return mask
+
+    def r(p, q):
+        # R(p,q): vertices w with vp strictly between vq and w, on vp's side
+        vp, vq = at[p], at[q]
+        nb = upper_neighbours(vq)
+        if not upper[vp]:
+            nb = everything - nb - (1 << q)
+        above = up_bound[vp + 1] - 2 + full - low_bound[vp]
+        if vp > vq:
+            return nb & above
+        return nb & (everything - above - (1 << p))
+
+    def pair(i, j):
+        vi, vj = at[i], at[j]
+        a, b = sorted_pair(vi, vj)
+        if signs[offset[a] + b] == "U":
+            x = up_bound[a + 1] - up_bound[b]
+        else:
+            x = low_bound[b - 1] - low_bound[a]
+        return r(i, j), r(j, i), x
+
+    return pair
+
+
+def _generic_masks(ad: AnchoredDrawing):
+    """Masks from the crossing predicate, built in full on first use.
+
+    One pass evaluates every anchor edge against every edge avoiding it once
+    (about n^3/2 predicate calls) and fills X and R together.
+    """
+    table = []
+
+    def build():
+        f = crossing_function(ad.base)
+        n = ad.n
+        at = (ad.v0,) + ad.order
+        xs = [[0] * n for _ in range(n)]
+        rs = [[0] * n for _ in range(n)]
+        for p in range(1, n):
+            c, e = sorted_pair(ad.v0, at[p])
+            bit = 1 << p
+            row = rs[p]
+            for a in range(1, n - 1):
+                if a == p:
+                    continue
+                va = at[a]
+                xa = xs[a]
+                hits = 0
+                for b in range(a + 1, n):
+                    vb = at[b]
+                    if b != p and (f(va, vb, c, e) if va < vb else f(vb, va, c, e)):
+                        xa[b] |= bit
+                        hits |= 1 << b
+                        row[b] |= 1 << a
+                row[a] |= hits
+        table.extend((rs, xs))
+
+    def pair(i, j):
+        if not table:
+            build()
+        rs, xs = table
+        return rs[i][j], rs[j][i], xs[i][j]
+
+    return pair
 
 
 def chi(ad: AnchoredDrawing, i: int, j: int, k: int) -> str:
@@ -64,28 +191,37 @@ def chi(ad: AnchoredDrawing, i: int, j: int, k: int) -> str:
 
 
 class ChiCache:
-    """Memoized triple colors for one anchored drawing.
+    """Triple colors of one anchored drawing, read from anchor-crossing masks.
 
-    Single-writer cache: build one per run (or guard externally) and share
-    the results freely once populated.
+    ``get`` memoizes the three masks of each pair (i,j) it is asked about, so
+    a color is three bit tests once its pair has been seen.  Single-writer
+    cache: build one per run (or guard externally) and share the results
+    freely once populated.
     """
 
     def __init__(self, ad: AnchoredDrawing):
         self.ad = ad
-        self._color = _color_closure(ad)
-        self._memo = {}
+        self._n = ad.n
+        self._pair = _pair_masks(ad)
+        self._memo = {}  # (i, j) -> (R(i,j), R(j,i), X(i,j))
 
     def get(self, i: int, j: int, k: int) -> str:
-        key = (i, j, k)
-        value = self._memo.get(key)
-        if value is None:
-            if not (1 <= i < j < k <= self.ad.n - 1):
-                raise InvalidTriple(f"positions {key} invalid for n={self.ad.n}")
-            value = self._color(i, j, k)
-            if value not in VALID_COLORS:
-                raise ObservationViolated(f"triple {key} colored {value}")
-            self._memo[key] = value
-        return value
+        masks = self._memo.get((i, j))
+        if masks is None or not j < k < self._n:
+            if not (1 <= i < j < k <= self._n - 1):
+                raise InvalidTriple(f"positions {(i, j, k)} invalid for n={self._n}")
+            masks = self._memo[(i, j)] = self._pair(i, j)
+        ri, rj, x = masks
+        bit = 1 << k
+        if ri & bit:
+            if not (rj | x) & bit:
+                return "100"
+        elif rj & bit:
+            if not x & bit:
+                return "010"
+        else:
+            return "001" if x & bit else "000"
+        raise ObservationViolated(f"triple {(i, j, k)} colored {_color(ri, rj, x, k)}")
 
 
 @dataclass(frozen=True)
@@ -99,18 +235,23 @@ class ObservationReport:
 
 
 def validate_observation(ad: AnchoredDrawing) -> ObservationReport:
-    """Scan all C(n-1,3) triples; pass, or first triple outside the 4-color set."""
-    color = _color_closure(ad)
+    """Scan all C(n-1,3) triples; pass, or first triple outside the 4-color set.
+
+    A triple (i,j,k) is valid iff at most one of the pair (i,j)'s three masks
+    holds k, so each pair is one disjointness test above j.
+    """
+    pair = _pair_masks(ad)
     n = ad.n
     checked = 0
-    valid = set(VALID_COLORS)
     for i in range(1, n - 2):
         for j in range(i + 1, n - 1):
-            for k in range(j + 1, n):
-                checked += 1
-                value = color(i, j, k)
-                if value not in valid:
-                    return ObservationReport(False, checked, (i, j, k, value))
+            ri, rj, x = pair(i, j)
+            bad = ((ri & rj) | ((ri | rj) & x)) >> (j + 1)
+            if bad:
+                k = j + (bad & -bad).bit_length()
+                checked += k - j
+                return ObservationReport(False, checked, (i, j, k, _color(ri, rj, x, k)))
+            checked += n - 1 - j
     return ObservationReport(True, checked)
 
 
@@ -118,63 +259,60 @@ class PhiTable:
     """Pair coloring phi with lazily materialized DP rows.
 
     Row s holds the values for pairs whose second position is s; a(i,j) only
-    consults row i, so rows fill in position order and a query (i,j) costs
-    one O(i) scan once rows up to i exist.  Ties in witness recovery go to
-    the smallest predecessor.
+    consults row i, so rows fill in position order.  A finished row keeps,
+    for each component, the mask of positions k at each level phi(k,s), and
+    a(i,j) is one more than the highest level that meets X(i,j) below i
+    (b(i,j) likewise with R(j,i)).  Ties in witness recovery go to the
+    smallest predecessor, the lowest set bit of that intersection.  Invalid
+    triples (k,i,j) met on the way raise ObservationViolated for the lowest k.
     """
 
     def __init__(self, ad: AnchoredDrawing, chi_cache: Optional[ChiCache] = None):
         self.ad = ad
         self._chi = chi_cache if chi_cache is not None else ChiCache(ad)
-        self._a = {}
-        self._b = {}
-        self._pa = {}
-        self._pb = {}
-        self._rows_done = 1  # rows with second position <= watermark exist
+        self._values = {}  # (i, j) -> (a, b, parent in a, parent in b)
+        # finished rows 1..s -> per component, the positions at each level
+        self._levels = {1: ([], [])}
 
     def _compute(self, i: int, j: int) -> None:
-        get = self._chi.get
-        best_a, best_b = 2, 2
-        par_a = par_b = None
-        for k in range(1, i):
-            c = get(k, i, j)
-            if c == "100":
-                cand = self._a[(k, i)] + 1
-                if cand > best_a:
-                    best_a, par_a = cand, k
-            elif c == "001":
-                cand = self._b[(k, i)] + 1
-                if cand > best_b:
-                    best_b, par_b = cand, k
-        self._a[(i, j)] = best_a
-        self._b[(i, j)] = best_b
-        self._pa[(i, j)] = par_a
-        self._pb[(i, j)] = par_b
+        ri, rj, x = self._chi._pair(i, j)
+        below = (1 << i) - 2
+        bad = ((ri & rj) | ((ri | rj) & x)) & below
+        if bad:
+            k = (bad & -bad).bit_length() - 1
+            raise ObservationViolated(f"triple {(k, i, j)} colored {_color(x, ri, rj, k)}")
+        level_a, level_b = self._levels[i]
+        a, par_a = _extend(level_a, x & below)
+        b, par_b = _extend(level_b, rj & below)
+        self._values[(i, j)] = (a, b, par_a, par_b)
 
     def _ensure_rows(self, upto: int) -> None:
-        for s in range(self._rows_done + 1, upto + 1):
+        values = self._values
+        for s in range(len(self._levels) + 1, upto + 1):
             for k in range(1, s):
-                if (k, s) not in self._a:
+                if (k, s) not in values:
                     self._compute(k, s)
-        if upto > self._rows_done:
-            self._rows_done = upto
+            self._levels[s] = tuple(
+                _level_masks(values[(k, s)][c] for k in range(1, s)) for c in (0, 1)
+            )
 
     def value(self, i: int, j: int) -> PhiValue:
         if not (1 <= i < j <= self.ad.n - 1):
             raise InvalidTriple(f"pair ({i},{j}) invalid for n={self.ad.n}")
-        if (i, j) not in self._a:
+        if (i, j) not in self._values:
             self._ensure_rows(i)
-            if (i, j) not in self._a:
+            if (i, j) not in self._values:
                 self._compute(i, j)
-        return PhiValue(self._a[(i, j)], self._b[(i, j)])
+        a, b, _, _ = self._values[(i, j)]
+        return PhiValue(a, b)
 
     def witness(self, i: int, j: int, component: str) -> List[int]:
         """Monotone 3-path (as positions) realizing the a or b value at (i,j)."""
         self.value(i, j)
-        parents = self._pa if component == "a" else self._pb
+        slot = 2 if component == "a" else 3
         path = [j, i]
         while True:
-            k = parents[(path[-1], path[-2])]
+            k = self._values[(path[-1], path[-2])][slot]
             if k is None:
                 break
             path.append(k)
@@ -182,11 +320,30 @@ class PhiTable:
         return path
 
 
+def _level_masks(values) -> List[int]:
+    """levels[t]: the mask of positions 1, 2, ... whose value is t+2."""
+    levels: List[int] = []
+    for k, value in enumerate(values, 1):
+        t = value - 2
+        if t >= len(levels):
+            levels.extend([0] * (t + 1 - len(levels)))
+        levels[t] |= 1 << k
+    return levels
+
+
+def _extend(levels: List[int], preds: int) -> Tuple[int, Optional[int]]:
+    """Longest extension through the predecessors in ``preds``, and its parent."""
+    for t in range(len(levels) - 1, -1, -1):
+        hits = levels[t] & preds
+        if hits:
+            return t + 3, (hits & -hits).bit_length() - 1
+    return 2, None
+
+
 def phi_table(ad: AnchoredDrawing, chi_cache: Optional[ChiCache] = None) -> PhiTable:
-    """Fully materialized phi table (O(n^3) time, O(n^2) space)."""
+    """Fully materialized phi table (O(n^2) mask operations, O(n^2) space)."""
     table = PhiTable(ad, chi_cache)
-    n = ad.n
-    table._ensure_rows(n - 1)
+    table._ensure_rows(ad.n - 1)
     # rows cover (k, s) for s <= n-1, i.e. every pair
     return table
 

@@ -196,6 +196,12 @@ def _budget(args) -> Optional[oracles.OracleBudget]:
 
 
 def _cmd_extract(args) -> int:
+    if args.what == "pattern":
+        # the pattern pipeline takes no budget; an ignored flag would look honoured
+        for flag, value in (("--budget-seconds", args.budget_seconds),
+                            ("--budget-nodes", args.budget_nodes)):
+            if value is not None:
+                raise UsageError(f"{flag} is not supported by extract pattern")
     d = codec.load_drawing(args.drawing)
     ad = generators.anchored_view(d)
     if args.what == "pattern":

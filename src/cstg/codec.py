@@ -21,8 +21,8 @@ from __future__ import annotations
 import json
 from typing import Tuple
 
-from .drawing import Certificate, Drawing, edge_at, edge_index
-from .errors import ParseError, ValidationError
+from .drawing import Certificate, Drawing, _check_signs, edge_at, edge_index
+from .errors import InvalidSigns, ParseError, ValidationError
 
 FORMAT_TAG = "cstg-1"
 
@@ -75,11 +75,12 @@ def decode_drawing(text: str) -> Drawing:
         signs = params.get("signs") if isinstance(params, dict) else None
         if not isinstance(signs, str):
             raise ParseError("field 'params.signs' missing for halfcircle model")
-        want = n * (n - 1) // 2
-        if len(signs) != want or any(s not in "UL" for s in signs):
+        try:
+            _check_signs(n, signs)
+        except InvalidSigns:
             raise ValidationError(
-                f"sign vector must be {want} symbols from {{U,L}}"
-            )
+                f"sign vector must be {n * (n - 1) // 2} symbols from {{U,L}}"
+            ) from None
     elif model == "points":
         raw = params.get("points") if isinstance(params, dict) else None
         if not isinstance(raw, list) or len(raw) != n:

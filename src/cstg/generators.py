@@ -33,7 +33,14 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import List, Optional, Sequence, Tuple
 
-from .drawing import AnchoredDrawing, Drawing, edge_index, orient, sorted_pair
+from .drawing import (
+    AnchoredDrawing,
+    Drawing,
+    _check_signs,
+    edge_index,
+    orient,
+    sorted_pair,
+)
 from .errors import (
     AnchorUnavailable,
     DegenerateInput,
@@ -53,13 +60,7 @@ class HalfCircleSigns:
     signs: str
 
     def __post_init__(self):
-        want = self.n * (self.n - 1) // 2
-        if len(self.signs) != want:
-            raise InvalidSigns(
-                f"sign vector length {len(self.signs)}, expected C({self.n},2)={want}"
-            )
-        if any(s not in "UL" for s in self.signs):
-            raise InvalidSigns("sign vector must use only U and L")
+        _check_signs(self.n, self.signs)
 
 
 def gen_convex(n: int) -> Drawing:

@@ -3,19 +3,30 @@
 import dataclasses
 import itertools
 import random
+import re
 from typing import Callable, List, Optional, Tuple
 
 import pytest
 
 from cstg.chromatics import (
+    VALID_COLORS,
     ChiCache,
     PhiValue,
+    _generic_masks,
+    _pair_masks,
     check_transitive_completion,
     chi,
     phi_table,
     validate_observation,
 )
-from cstg.drawing import AnchoredDrawing, Drawing, edge_index, induced_subdrawing
+from cstg.drawing import (
+    AnchoredDrawing,
+    Drawing,
+    crossing_function,
+    edge_index,
+    induced_subdrawing,
+    sorted_pair,
+)
 from cstg.errors import InvalidTriple, ObservationViolated
 from cstg.generators import (
     anchored_view,
@@ -301,3 +312,158 @@ class TestPhiPathConsistency:
         assert length >= val.a
         for a, b, c in zip(wit, wit[1:], wit[2:]):
             assert cache.get(a, b, c) == "100"
+
+
+# Reference kernel: the per-triple crossing-predicate closure the mask kernel
+# replaced, and the scans built on it.  The kernel must agree with it on
+# every triple, every report and every phi value.
+def reference_color(ad: AnchoredDrawing):
+    """Returns color(i, j, k) on anchored positions, unvalidated."""
+    f = crossing_function(ad.base)
+    v0 = ad.v0
+    at = (None,) + ad.order
+
+    def color(i, j, k):
+        vi, vj, vk = at[i], at[j], at[k]
+        x = f(*sorted_pair(vj, vk), *sorted_pair(v0, vi))
+        y = f(*sorted_pair(vi, vk), *sorted_pair(v0, vj))
+        z = f(*sorted_pair(vi, vj), *sorted_pair(v0, vk))
+        return ("1" if x else "0") + ("1" if y else "0") + ("1" if z else "0")
+
+    return color
+
+
+def reference_validate(ad: AnchoredDrawing):
+    color = reference_color(ad)
+    checked = 0
+    for i, j, k in triples(ad.n):
+        checked += 1
+        value = color(i, j, k)
+        if value not in VALID_COLORS:
+            return False, checked, (i, j, k, value)
+    return True, checked, None
+
+
+def reference_phi(ad: AnchoredDrawing):
+    """(i, j) -> ((a, b), (parent in a, parent in b)), rows in position
+    order, smallest predecessor on ties; None and the first invalid triple
+    (in the order the rows visit them) when the drawing breaks the
+    observation."""
+    color = reference_color(ad)
+    table = {}
+    for j in range(2, ad.n):
+        for i in range(1, j):
+            best, parent = [2, 2], [None, None]
+            for k in range(1, i):
+                c = color(k, i, j)
+                if c not in VALID_COLORS:
+                    return None, (k, i, j, c)
+                for slot, want in enumerate(("100", "001")):
+                    if c == want and table[(k, i)][0][slot] + 1 > best[slot]:
+                        best[slot], parent[slot] = table[(k, i)][0][slot] + 1, k
+            table[(i, j)] = (tuple(best), tuple(parent))
+    return table, None
+
+
+def reference_witness(table, i, j, slot):
+    path = [j, i]
+    while table[(path[-1], path[-2])][1][slot] is not None:
+        path.append(table[(path[-1], path[-2])][1][slot])
+    return path[::-1]
+
+
+def kernel_views():
+    """(name, view, has a closed form) for every kind of anchored view."""
+    yield "convex", anchored_view(gen_convex(11)), True
+    yield "convex anchored at 4", anchored_view(gen_convex(12), 4), True
+    yield "twisted", anchored_view(gen_twisted(11)), True
+    yield "mirrored twisted", mirrored_twisted_view(11), False
+    for n, seed in ((9, 0), (17, 1), (24, 2), (33, 3), (40, 4), (40, 5)):
+        yield f"half-circle n={n} seed={seed}", anchored_view(gen_halfcircle(n, seed=seed)), True
+    base = gen_halfcircle(15, seed=6)
+    # the identity order is not the drawing's clockwise order around vertex 0
+    yield "half-circle, non-canonical order", AnchoredDrawing(
+        base=base, v0=0, order=tuple(range(1, 15))
+    ), False
+    yield "horton 16", anchored_view(gen_straightline(gen_horton(4))), False
+    yield "horton 32", anchored_view(gen_straightline(gen_horton(5))), False
+    d = gen_halfcircle(30, seed=7)
+    ad = anchored_view(d)
+    keep = (ad.v0,) + ad.order[::2]
+    yield "explicit restriction", AnchoredDrawing(
+        base=induced_subdrawing(d, keep), v0=0, order=tuple(range(1, len(keep)))
+    ), False
+
+
+KERNEL_VIEWS = [pytest.param(ad, id=name) for name, ad, _ in kernel_views()]
+CLOSED_FORM_VIEWS = [pytest.param(ad, id=name) for name, ad, closed in kernel_views() if closed]
+
+
+def random_explicit(rng, n, density=0.3):
+    edges = list(itertools.combinations(range(n), 2))
+    pairs = set()
+    for r1, r2 in itertools.combinations(range(len(edges)), 2):
+        if set(edges[r1]) & set(edges[r2]):
+            continue
+        if rng.random() < density:
+            pairs.add((r1, r2))
+    return Drawing(n=n, model="explicit", crossings=frozenset(pairs))
+
+
+class TestKernelEquivalence:
+    @pytest.mark.parametrize("ad", KERNEL_VIEWS)
+    def test_every_triple_matches_the_reference(self, ad):
+        color = reference_color(ad)
+        cache = ChiCache(ad)
+        for i, j, k in triples(ad.n):
+            want = color(i, j, k)
+            if want in VALID_COLORS:
+                assert cache.get(i, j, k) == want, (i, j, k)
+            else:
+                with pytest.raises(ObservationViolated, match=f"colored {want}"):
+                    cache.get(i, j, k)
+        report = validate_observation(ad)
+        assert (report.ok, report.triples_checked, report.violation) == reference_validate(ad)
+
+    @pytest.mark.parametrize("ad", KERNEL_VIEWS)
+    def test_phi_values_and_witnesses_match_the_reference(self, ad):
+        want, violation = reference_phi(ad)
+        if violation is not None:
+            with pytest.raises(ObservationViolated, match=re.escape(
+                f"triple {violation[:3]} colored {violation[3]}"
+            )):
+                phi_table(ad)
+            return
+        table = phi_table(ad)
+        for (i, j), (values, _) in want.items():
+            assert table.value(i, j) == PhiValue(*values), (i, j)
+            for slot, component in enumerate("ab"):
+                assert table.witness(i, j, component) == reference_witness(want, i, j, slot)
+
+    @pytest.mark.parametrize("ad", CLOSED_FORM_VIEWS)
+    def test_closed_forms_match_the_generic_build(self, ad):
+        closed, generic = _pair_masks(ad), _generic_masks(ad)
+        assert "_generic_masks" not in closed.__qualname__
+        for i, j in itertools.combinations(range(1, ad.n), 2):
+            assert closed(i, j) == generic(i, j), (i, j)
+
+    def test_random_crossing_data_fails_at_the_reference_triple(self):
+        rng = random.Random(2024)
+        rejected = 0
+        for _ in range(80):
+            n = rng.randint(4, 10)
+            d = random_explicit(rng, n, density=rng.choice([0.05, 0.2, 0.5]))
+            order = list(range(1, n))
+            rng.shuffle(order)
+            ad = AnchoredDrawing(base=d, v0=0, order=tuple(order))
+            report = validate_observation(ad)
+            assert (report.ok, report.triples_checked, report.violation) == reference_validate(ad)
+            _, violation = reference_phi(ad)
+            if violation is None:
+                phi_table(ad)
+                continue
+            rejected += 1
+            with pytest.raises(ObservationViolated) as info:
+                phi_table(ad)
+            assert str(info.value) == f"triple {violation[:3]} colored {violation[3]}"
+        assert rejected > 0

@@ -117,6 +117,18 @@ class TestOracle:
         assert code == 3
         assert "budget must be positive" in err
 
+    @pytest.mark.parametrize("flag", ["--budget-nodes", "--budget-seconds"])
+    @pytest.mark.parametrize("value", ["0", "5"])
+    def test_extract_pattern_rejects_budget_flags(self, tmp_path, capsys, flag, value):
+        # the pattern pipeline takes no budget; the flag used to be ignored
+        drawing = tmp_path / "t12.cstg"
+        run(capsys, "generate", "--family", "twisted", "--n", "12", "--out", str(drawing))
+        code, out, err = run(capsys, "extract", "pattern", str(drawing),
+                             "--m1", "3", "--m2", "3", flag, value)
+        assert code == 1
+        assert flag in err
+        assert out == ""
+
 
 class TestDeterminism:
     def test_generate_byte_identical(self, tmp_path, capsys):

@@ -24,6 +24,7 @@ from cstg.errors import (
     InvalidCertificate,
     InvalidEdge,
     InvalidSelection,
+    InvalidSigns,
     NotIndependent,
     SizeLimit,
 )
@@ -138,6 +139,22 @@ class TestCross:
     def test_explicit_cap(self):
         with pytest.raises(SizeLimit):
             Drawing(n=300, model="explicit", crossings=frozenset())
+
+    def test_halfcircle_signs_too_short(self):
+        # used to build, then fail inside cross with a bare IndexError
+        with pytest.raises(InvalidSigns, match="length 1"):
+            Drawing(n=4, model="halfcircle", signs="U")
+
+    def test_halfcircle_signs_outside_alphabet(self):
+        # used to build and report crossings for arcs on side X
+        with pytest.raises(InvalidSigns, match="only U and L"):
+            Drawing(n=4, model="halfcircle", signs="XXXXXX")
+        with pytest.raises(InvalidSigns):
+            Drawing(n=4, model="halfcircle", signs="UULLUu")
+
+    def test_halfcircle_signs_missing(self):
+        with pytest.raises(InvalidSigns, match="missing"):
+            Drawing(n=4, model="halfcircle")
 
 
 class TestInducedSubdrawing:
