@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from typing import Tuple
 
-from .drawing import Certificate, Drawing, _check_signs, edge_at, edge_index
+from .drawing import Certificate, Drawing, _check_signs
 from .errors import InvalidSigns, ParseError, ValidationError
 
 FORMAT_TAG = "cstg-1"
@@ -131,7 +131,8 @@ def decode_drawing(text: str) -> Drawing:
 def _decode_crossings(raw, n: int) -> frozenset:
     if not isinstance(raw, list):
         raise ParseError("field 'crossings' must be a list of rank pairs")
-    ranks = n * (n - 1) // 2
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]  # indexed by rank
+    ranks = len(edges)
     pairs = set()
     for entry in raw:
         if not (isinstance(entry, list) and len(entry) == 2):
@@ -141,8 +142,8 @@ def _decode_crossings(raw, n: int) -> frozenset:
             raise ParseError(f"crossing entry {entry!r} is not integer")
         if not (0 <= r1 < ranks and 0 <= r2 < ranks) or r1 == r2:
             raise ValidationError(f"crossing ranks {entry} out of range for n={n}")
-        i, j = edge_at(r1, n)
-        k, l = edge_at(r2, n)
+        i, j = edges[r1]
+        k, l = edges[r2]
         if k in (i, j) or l in (i, j):
             raise ValidationError(
                 f"crossing pair {entry} joins edges ({i},{j}) and ({k},{l}) "

@@ -50,7 +50,8 @@ def edge_at(rank: int, n: int) -> Tuple[int, int]:
     if rank < 0 or rank >= n * (n - 1) // 2:
         raise InvalidEdge(f"rank {rank} out of range for n={n}")
     i = 0
-    # row i holds n-1-i pairs; walk rows (n is small everywhere we decode)
+    # row i holds n-1-i pairs; walking the rows is O(n) per call, so bulk
+    # decoding builds a rank table instead
     offset = rank
     while offset >= n - 1 - i:
         offset -= n - 1 - i

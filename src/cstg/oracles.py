@@ -1,11 +1,20 @@
 """Brute-force ground truth at desk scale.
 
-Nothing here is clever on purpose: ordered branch-and-bound for maximum
-convex/twisted sub-patterns (weak isomorphism permits relabeling, so the
-search runs over orderings, not just subsets), depth-first search for the
-longest plane path, and a numeric germ-sampling oracle that recomputes
-rotation systems from raw geometry.  Budgets are mandatory in spirit:
-searches carry node and time caps and flag whether they completed.
+Ordered branch-and-bound for maximum convex/twisted sub-patterns (weak
+isomorphism permits relabeling, so the search runs over orderings, not just
+subsets), depth-first search for the longest plane path, and a numeric
+germ-sampling oracle that recomputes rotation systems from raw geometry.
+Budgets are mandatory in spirit: searches carry node and time caps and flag
+whether they completed.
+
+The searches test consistency with Python-int masks, the representation
+:mod:`cstg.chromatics` uses.  The pattern search carries, per depth, the
+mask of vertices that extend the current sequence consistently, and narrows
+it for a child with one mask per pair of the sequence, built from lazily
+memoised crossing masks N(ab, c) = {w : edge ab crosses edge cw}; the path
+search keeps its used edges as a mask over edge ranks.  The candidate order,
+the node count and the bounds are those of the plain scan over 4-tuples, so
+results, witnesses and exhausted budgets are unchanged.
 """
 
 from __future__ import annotations
@@ -74,10 +83,11 @@ def max_pattern_exact(
 ) -> OracleResult:
     """Maximum k and ordered witness whose certificate of the kind verifies.
 
-    Extends ordered sequences one vertex at a time, pruning on the first
-    inconsistent 4-tuple.  For the convex kind any witness can be cycled so
-    its smallest vertex comes first (interleaving is invariant under
-    rotation of the order), so extensions stay above the first element.
+    Extends ordered sequences one vertex at a time, skipping a vertex that
+    would complete an inconsistent 4-tuple.  For the convex kind any witness
+    can be cycled so its smallest vertex comes first (interleaving is
+    invariant under rotation of the order), so extensions stay above the
+    first element.
     """
     if kind not in (CONVEX, TWISTED):
         raise InvalidSelection(f"kind must be {CONVEX!r} or {TWISTED!r}")
@@ -86,26 +96,39 @@ def max_pattern_exact(
     want_mid = kind == CONVEX
     clock = _Clock(budget)
     best: List[int] = []
+    crossers = {}
 
-    def consistent(seq: List[int], v: int) -> bool:
-        L = len(seq)
-        for a in range(L - 2):
-            sa = seq[a]
-            ea_v = _s2(sa, v)
-            for b in range(a + 1, L - 1):
-                sb = seq[b]
-                for c in range(b + 1, L):
-                    sc = seq[c]
-                    mid = f(*_s2(sa, sc), *_s2(sb, v))
-                    if mid != want_mid:
-                        return False
-                    if f(*_s2(sa, sb), *_s2(sc, v)):
-                        return False
-                    if f(*ea_v, *_s2(sb, sc)) == want_mid:
-                        return False
-        return True
+    def crossing(a: int, b: int, c: int) -> int:
+        """N(ab, c): mask of the vertices w whose edge cw crosses edge ab."""
+        i, j = _s2(a, b)
+        key = (i, j, c)
+        mask = crossers.get(key)
+        if mask is None:
+            mask = 0
+            for w in range(n):
+                if w != i and w != j and w != c and (
+                    f(i, j, c, w) if c < w else f(i, j, w, c)
+                ):
+                    mask |= 1 << w
+            crossers[key] = mask
+        return mask
 
-    def dfs(seq: List[int], used: set) -> bool:
+    fits = {}
+
+    def fit(x: int, y: int, v: int) -> int:
+        """Mask of the w for which (x, y, v, w) is the pattern in this order."""
+        key = (x, y, v)
+        mask = fits.get(key)
+        if mask is None:
+            if want_mid:
+                mask = crossing(x, v, y) & ~crossing(x, y, v) & ~crossing(y, v, x)
+            else:
+                mask = crossing(y, v, x) & ~crossing(x, v, y) & ~crossing(x, y, v)
+            fits[key] = mask
+        return mask
+
+    def dfs(seq: List[int], used: set, ok: int) -> bool:
+        # ok: the w for which seq + [w] is consistent
         nonlocal best
         if len(seq) > len(best):
             best = list(seq)
@@ -116,18 +139,24 @@ def max_pattern_exact(
         for v in candidates:
             if not clock.tick():
                 return False
-            if len(seq) >= 3 and not consistent(seq, v):
+            if not (ok >> v) & 1:
                 continue
+            child = ok
+            for b in range(1, len(seq)):
+                y = seq[b]
+                for a in range(b):
+                    child &= fit(seq[a], y, v)
             seq.append(v)
             used.add(v)
-            ok = dfs(seq, used)
+            finished = dfs(seq, used, child)
             seq.pop()
             used.remove(v)
-            if not ok:
+            if not finished:
                 return False
         return True
 
-    completed = dfs([], set())
+    completed = dfs([], set(), (1 << n) - 1)
+    dfs = None  # dfs refers to itself: drop that cycle so the memos go now
     result = OracleResult(
         size=len(best), witness=tuple(best), nodes=clock.nodes, exact=completed
     )
@@ -158,11 +187,12 @@ def longest_plane_path_exact(
 
     conflicts = {}
 
-    def conflicts_of(r: int) -> frozenset:
+    def conflicts_of(r: int) -> int:
+        """Mask over edge ranks of the restricted edges that cross edge r."""
         cached = conflicts.get(r)
         if cached is None:
             a, b = _edge_of[r]
-            bad = set()
+            cached = 0
             for p in range(len(verts)):
                 vp = verts[p]
                 if vp in (a, b):
@@ -172,8 +202,7 @@ def longest_plane_path_exact(
                     if vq in (a, b):
                         continue
                     if f(*_s2(vp, vq), a, b):
-                        bad.add(edge_index(*_s2(vp, vq), n))
-            cached = frozenset(bad)
+                        cached |= 1 << edge_index(*_s2(vp, vq), n)
             conflicts[r] = cached
         return cached
 
@@ -187,7 +216,7 @@ def longest_plane_path_exact(
     best: List[int] = []
     hit_target = False
 
-    def dfs(path: List[int], used: set, used_edges: set) -> bool:
+    def dfs(path: List[int], used: set, used_edges: int) -> bool:
         nonlocal best, hit_target
         if len(path) > len(best):
             best = list(path)
@@ -203,15 +232,13 @@ def longest_plane_path_exact(
             if not clock.tick():
                 return False
             r = edge_index(*_s2(last, w), n)
-            if not conflicts_of(r).isdisjoint(used_edges):
+            if conflicts_of(r) & used_edges:
                 continue
             path.append(w)
             used.add(w)
-            used_edges.add(r)
-            ok = dfs(path, used, used_edges)
+            ok = dfs(path, used, used_edges | 1 << r)
             path.pop()
             used.remove(w)
-            used_edges.remove(r)
             if not ok:
                 return False
         return True
@@ -221,9 +248,10 @@ def longest_plane_path_exact(
         if not clock.tick():
             completed = False
             break
-        if not dfs([start], {start}, set()):
+        if not dfs([start], {start}, 0):
             completed = False
             break
+    dfs = None  # as in max_pattern_exact: free the conflict masks now
     if not best and verts:
         best = [verts[0]]
     result = OracleResult(

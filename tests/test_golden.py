@@ -1,15 +1,21 @@
-"""Byte identity of the chromatics outputs: sha256 digests of the CSV
-tables and of an extraction's report and certificate, fixed before the
-anchor-crossing mask kernel replaced per-triple crossing queries."""
+"""Byte identity of the CLI outputs: sha256 digests of the CSV tables and
+of an extraction's report and certificate, fixed before the anchor-crossing
+mask kernel replaced per-triple crossing queries; of oracle reports and
+witnesses, and of an explicit document's round trip, fixed before the
+oracles' candidate masks and the codec's rank table."""
 
 import hashlib
 
 import pytest
 
-from cstg.cli import dispatch
+from cstg.cli import EXIT_EXHAUSTED, EXIT_OK, dispatch
+from cstg.codec import decode_drawing, encode_drawing
+from cstg.drawing import induced_subdrawing
+from cstg.generators import gen_convex
 
 DRAWINGS = {
     "halfcircle-40-3": ["--family", "halfcircle", "--n", "40", "--seed", "3"],
+    "halfcircle-18-5": ["--family", "halfcircle", "--n", "18", "--seed", "5"],
     "horton-32": ["--family", "horton", "--n", "32"],
 }
 
@@ -32,6 +38,29 @@ EXTRACTIONS = {
         "a6b9e89bda4c6c824e6cb5bae602d90366a28ae28d16a533f4c772663507b19b",
     ),
 }
+
+# oracle on halfcircle-18-5: exit code, report and witness document (None:
+# an exhausted search writes no witness)
+ORACLES = {
+    ("maxconvex",): (
+        EXIT_OK,
+        "355298b6c37cf2cd568594566c175431bc481001bb7a806063d172ad71e0e32c",
+        "bdf96ba4774978e4677bef7ebf5606d1a48ef89a0d8a796734d731680aab2d46",
+    ),
+    ("maxtwisted", "--budget-nodes", "20000"): (
+        EXIT_EXHAUSTED,
+        "0f1158993222abdf01cc0bdca6acc2140b14aa6d09c9e6a1bfa851aba742a28b",
+        None,
+    ),
+    ("maxtwisted",): (
+        EXIT_OK,
+        "85403fbbc78dfa8f74faf65544c5fe53fe1cd31782b2debd5a618f429e85d363",
+        "32ecfe40c5b8a14c5d435356409332064de346b9fdf2b6fd04a7a93929ae74ef",
+    ),
+}
+
+# encode(decode(.)) of the explicit restriction of gen_convex(12) to itself
+EXPLICIT_ROUND_TRIP = "233d9c36a2d9336000d0f005133d7f8acda0cfdb58b0db5951a12acfb2384f0d"
 
 
 def sha256(data: bytes) -> str:
@@ -61,3 +90,18 @@ def test_extract_pattern_digest(tmp_path, capsys, m):
     report = capsys.readouterr().out
     assert code == 0
     assert (sha256(report.encode()), sha256(cert.read_bytes())) == EXTRACTIONS[m]
+
+
+@pytest.mark.parametrize("argv", sorted(ORACLES))
+def test_oracle_digest(tmp_path, capsys, argv):
+    drawing = generate(tmp_path, capsys, "halfcircle-18-5")
+    witness = tmp_path / "witness.json"
+    code = dispatch(["oracle", argv[0], str(drawing), *argv[1:], "--out", str(witness)])
+    report = capsys.readouterr().out
+    digest = sha256(witness.read_bytes()) if witness.exists() else None
+    assert (code, sha256(report.encode()), digest) == ORACLES[argv]
+
+
+def test_explicit_round_trip_digest():
+    doc = encode_drawing(induced_subdrawing(gen_convex(12), range(12)))
+    assert sha256(encode_drawing(decode_drawing(doc)).encode()) == EXPLICIT_ROUND_TRIP

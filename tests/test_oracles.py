@@ -1,20 +1,35 @@
 """Brute-force searches and the numeric rotation oracle."""
 
-import pytest
+import random
 
-from cstg.drawing import CONVEX, TWISTED, Certificate, induced_subdrawing, verify_certificate
+import pytest
+from test_fuzz import random_explicit
+
+from cstg.drawing import (
+    CONVEX,
+    TWISTED,
+    Certificate,
+    crossing_function,
+    edge_index,
+    induced_subdrawing,
+    sorted_pair,
+    verify_certificate,
+)
 from cstg.errors import BudgetExhausted, DegenerateInput
 from cstg.generators import (
     anchored_view,
     cyclic_equal,
     gen_convex,
     gen_halfcircle,
+    gen_horton,
     gen_straightline,
     gen_twisted,
     rotations_of,
 )
 from cstg.oracles import (
     OracleBudget,
+    OracleResult,
+    _Clock,
     longest_plane_path_exact,
     max_pattern_exact,
     numeric_rotation_oracle,
@@ -131,3 +146,203 @@ class TestDominance:
             path_out = extract_plane_path(ad, m_override=2)
             oracle_path = longest_plane_path_exact(d)
             assert path_out.vertex_count <= oracle_path.size
+
+
+# -- reference kernels ---------------------------------------------------------
+#
+# The searches as they were before the mask kernels: one crossing-predicate
+# scan over every triple of the sequence per candidate, and frozenset
+# conflict sets for the plane path.  Same candidate order and clock ticks,
+# so every field of the result must agree, also on exhausted budgets.
+
+
+def reference_max_pattern(d, kind, budget=None):
+    f = crossing_function(d)
+    n = d.n
+    want_mid = kind == CONVEX
+    clock = _Clock(budget)
+    best = []
+
+    def consistent(seq, v):
+        L = len(seq)
+        for a in range(L - 2):
+            sa = seq[a]
+            ea_v = sorted_pair(sa, v)
+            for b in range(a + 1, L - 1):
+                sb = seq[b]
+                for c in range(b + 1, L):
+                    sc = seq[c]
+                    mid = f(*sorted_pair(sa, sc), *sorted_pair(sb, v))
+                    if mid != want_mid:
+                        return False
+                    if f(*sorted_pair(sa, sb), *sorted_pair(sc, v)):
+                        return False
+                    if f(*ea_v, *sorted_pair(sb, sc)) == want_mid:
+                        return False
+        return True
+
+    def dfs(seq, used):
+        nonlocal best
+        if len(seq) > len(best):
+            best = list(seq)
+        floor = seq[0] if (want_mid and seq) else -1
+        candidates = [v for v in range(n) if v not in used and v > floor]
+        if len(seq) + len(candidates) <= len(best):
+            return True
+        for v in candidates:
+            if not clock.tick():
+                return False
+            if len(seq) >= 3 and not consistent(seq, v):
+                continue
+            seq.append(v)
+            used.add(v)
+            ok = dfs(seq, used)
+            seq.pop()
+            used.remove(v)
+            if not ok:
+                return False
+        return True
+
+    completed = dfs([], set())
+    result = OracleResult(len(best), tuple(best), clock.nodes, completed)
+    if not completed:
+        raise BudgetExhausted("reference search exhausted", payload=result)
+    return result
+
+
+def reference_plane_path(d, budget=None, vertices=None, target=None):
+    verts = sorted(vertices) if vertices is not None else list(range(d.n))
+    f = crossing_function(d)
+    n = d.n
+    edge_of = {}
+    for x in range(len(verts)):
+        for y in range(x + 1, len(verts)):
+            a, b = sorted_pair(verts[x], verts[y])
+            edge_of[edge_index(a, b, n)] = (a, b)
+    conflicts = {}
+
+    def conflicts_of(r):
+        if r not in conflicts:
+            a, b = edge_of[r]
+            bad = set()
+            for p in range(len(verts)):
+                for q in range(p + 1, len(verts)):
+                    vp, vq = verts[p], verts[q]
+                    if vp in (a, b) or vq in (a, b):
+                        continue
+                    if f(vp, vq, a, b):
+                        bad.add(edge_index(vp, vq, n))
+            conflicts[r] = frozenset(bad)
+        return conflicts[r]
+
+    clock = _Clock(budget)
+    best = []
+    hit_target = False
+
+    def dfs(path, used, used_edges):
+        nonlocal best, hit_target
+        if len(path) > len(best):
+            best = list(path)
+            if target is not None and len(best) >= target:
+                hit_target = True
+                return False
+        if len(path) + (len(verts) - len(used)) <= len(best):
+            return True
+        for w in verts:
+            if w in used:
+                continue
+            if not clock.tick():
+                return False
+            r = edge_index(*sorted_pair(path[-1], w), n)
+            if not conflicts_of(r).isdisjoint(used_edges):
+                continue
+            path.append(w)
+            used.add(w)
+            used_edges.add(r)
+            ok = dfs(path, used, used_edges)
+            path.pop()
+            used.remove(w)
+            used_edges.remove(r)
+            if not ok:
+                return False
+        return True
+
+    completed = True
+    for start in verts:
+        if not clock.tick() or not dfs([start], {start}, set()):
+            completed = False
+            break
+    if not best and verts:
+        best = [verts[0]]
+    result = OracleResult(len(best), tuple(best), clock.nodes, completed)
+    if not completed and not hit_target:
+        raise BudgetExhausted("reference search exhausted", payload=result)
+    return result
+
+
+def outcome(search, *args, **kwargs):
+    """The result, or the payload of an exhausted budget, tagged by which."""
+    try:
+        return "done", search(*args, **kwargs)
+    except BudgetExhausted as exc:
+        return "exhausted", exc.payload
+
+
+BUDGETS = [None, OracleBudget(nodes=1), OracleBudget(nodes=777)]
+
+
+def search_drawings():
+    for n in range(4, 15):
+        yield f"convex {n}", gen_convex(n)
+        yield f"twisted {n}", gen_twisted(n)
+    for seed in range(30):
+        n = 4 + seed % 11
+        yield f"halfcircle {n} seed {seed}", gen_halfcircle(n, seed=seed)
+    yield "horton 16", gen_straightline(gen_horton(4))
+    order = list(range(14))
+    random.Random(3).shuffle(order)
+    yield "shuffled restriction", induced_subdrawing(gen_halfcircle(16, seed=8), order)
+
+
+SEARCH_DRAWINGS = dict(search_drawings())
+
+
+class TestSearchEquivalence:
+    @pytest.mark.parametrize("name", sorted(SEARCH_DRAWINGS))
+    def test_pattern_search_matches_the_reference(self, name):
+        d = SEARCH_DRAWINGS[name]
+        for kind in (CONVEX, TWISTED):
+            for budget in BUDGETS:
+                assert outcome(max_pattern_exact, d, kind, budget) == outcome(
+                    reference_max_pattern, d, kind, budget
+                ), (kind, budget)
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_DRAWINGS))
+    def test_plane_path_search_matches_the_reference(self, name):
+        d = SEARCH_DRAWINGS[name]
+        restriction = [d.n - 1, *range(0, d.n - 1, 2)]
+        for budget in BUDGETS:
+            assert outcome(longest_plane_path_exact, d, budget) == outcome(
+                reference_plane_path, d, budget
+            ), budget
+            for target in (None, 3):
+                assert outcome(
+                    longest_plane_path_exact, d, budget, restriction, target
+                ) == outcome(reference_plane_path, d, budget, restriction, target), (
+                    budget,
+                    target,
+                )
+
+    def test_random_crossing_data_matches_the_reference(self):
+        rng = random.Random(404)
+        for _ in range(60):
+            n = rng.randint(4, 11)
+            d = random_explicit(rng, n, density=rng.choice([0.05, 0.2, 0.5]))
+            budget = rng.choice(BUDGETS)
+            for kind in (CONVEX, TWISTED):
+                assert outcome(max_pattern_exact, d, kind, budget) == outcome(
+                    reference_max_pattern, d, kind, budget
+                )
+            assert outcome(longest_plane_path_exact, d, budget) == outcome(
+                reference_plane_path, d, budget
+            )
