@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from typing import Tuple
 
-from .drawing import Certificate, Drawing, _check_signs
+from .drawing import Certificate, Drawing, _check_explicit_n, _check_signs
 from .errors import InvalidSigns, ParseError, ValidationError
 
 FORMAT_TAG = "cstg-1"
@@ -131,6 +131,7 @@ def decode_drawing(text: str) -> Drawing:
 def _decode_crossings(raw, n: int) -> frozenset:
     if not isinstance(raw, list):
         raise ParseError("field 'crossings' must be a list of rank pairs")
+    _check_explicit_n(n)  # before the rank table, which has C(n,2) entries
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)]  # indexed by rank
     ranks = len(edges)
     pairs = set()

@@ -64,6 +64,12 @@ def sorted_pair(a, b):
     return (a, b) if a < b else (b, a)
 
 
+def _check_explicit_n(n: int) -> None:
+    """Refuse an explicit drawing with more than EXPLICIT_N_CAP vertices."""
+    if n > EXPLICIT_N_CAP:
+        raise SizeLimit(f"explicit backend capped at n={EXPLICIT_N_CAP}, got {n}")
+
+
 def _check_signs(n: int, signs) -> None:
     """A half-circle sign vector: one U or L per edge rank."""
     want = n * (n - 1) // 2
@@ -142,10 +148,8 @@ class Drawing:
             raise InvalidSelection(f"drawing needs n >= 2, got {self.n}")
         if self.model not in MODELS:
             raise InvalidSelection(f"unknown model {self.model!r}")
-        if self.model == "explicit" and self.n > EXPLICIT_N_CAP:
-            raise SizeLimit(
-                f"explicit backend capped at n={EXPLICIT_N_CAP}, got {self.n}"
-            )
+        if self.model == "explicit":
+            _check_explicit_n(self.n)
         if self.model == "halfcircle":
             _check_signs(self.n, self.signs)
         if self.rotations is not None:
@@ -236,10 +240,7 @@ def induced_subdrawing(d: Drawing, vs: Sequence[int]) -> Drawing:
         raise InvalidSelection("selection contains duplicates")
     if any(not (0 <= v < d.n) for v in vs):
         raise InvalidSelection("selection out of range")
-    if len(vs) > EXPLICIT_N_CAP:
-        raise SizeLimit(
-            f"explicit backend capped at n={EXPLICIT_N_CAP}, got {len(vs)}"
-        )
+    _check_explicit_n(len(vs))
     back = {v: idx for idx, v in enumerate(vs)}
     m = len(vs)
     f = crossing_function(d)

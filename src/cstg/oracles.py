@@ -12,9 +12,10 @@ The searches test consistency with Python-int masks, the representation
 mask of vertices that extend the current sequence consistently, and narrows
 it for a child with one mask per pair of the sequence, built from lazily
 memoised crossing masks N(ab, c) = {w : edge ab crosses edge cw}; the path
-search keeps its used edges as a mask over edge ranks.  The candidate order,
-the node count and the bounds are those of the plain scan over 4-tuples, so
-results, witnesses and exhausted budgets are unchanged.
+search keeps its used edges as a mask over the ranks of the pairs of its
+vertex set.  The candidate order, the node count and the bounds are those of
+the plain scan over 4-tuples, so results, witnesses and exhausted budgets are
+unchanged.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def max_pattern_exact(
             crossers[key] = mask
         return mask
 
-    fits = {}
+    fits = {}  # one lookup per pair of the sequence instead of three
 
     def fit(x: int, y: int, v: int) -> int:
         """Mask of the w for which (x, y, v, w) is the pattern in this order."""
@@ -183,60 +184,48 @@ def longest_plane_path_exact(
     if any(not (0 <= v < d.n) for v in verts) or len(set(verts)) != len(verts):
         raise InvalidSelection("bad vertex restriction")
     f = crossing_function(d)
-    n = d.n
-
+    k = len(verts)
+    # the restricted edges by local rank, so the masks have C(k,2) bits
+    pairs = [(verts[p], verts[q]) for p in range(k) for q in range(p + 1, k)]
     conflicts = {}
 
     def conflicts_of(r: int) -> int:
-        """Mask over edge ranks of the restricted edges that cross edge r."""
+        """Mask over local ranks of the restricted edges that cross edge r."""
         cached = conflicts.get(r)
         if cached is None:
-            a, b = _edge_of[r]
+            a, b = pairs[r]
             cached = 0
-            for p in range(len(verts)):
-                vp = verts[p]
-                if vp in (a, b):
-                    continue
-                for q in range(p + 1, len(verts)):
-                    vq = verts[q]
-                    if vq in (a, b):
-                        continue
-                    if f(*_s2(vp, vq), a, b):
-                        cached |= 1 << edge_index(*_s2(vp, vq), n)
+            for s, (c, e) in enumerate(pairs):
+                if c != a and c != b and e != a and e != b and f(c, e, a, b):
+                    cached |= 1 << s
             conflicts[r] = cached
         return cached
-
-    _edge_of = {}
-    for x in range(len(verts)):
-        for y in range(x + 1, len(verts)):
-            a, b = _s2(verts[x], verts[y])
-            _edge_of[edge_index(a, b, n)] = (a, b)
 
     clock = _Clock(budget)
     best: List[int] = []
     hit_target = False
 
-    def dfs(path: List[int], used: set, used_edges: int) -> bool:
+    def dfs(path: List[int], used: set, used_edges: int, p: int) -> bool:
+        # p: the position of path[-1] in verts
         nonlocal best, hit_target
         if len(path) > len(best):
             best = list(path)
             if target is not None and len(best) >= target:
                 hit_target = True
                 return False
-        if len(path) + (len(verts) - len(used)) <= len(best):
+        if len(path) + (k - len(used)) <= len(best):
             return True
-        last = path[-1]
-        for w in verts:
+        for q, w in enumerate(verts):
             if w in used:
                 continue
             if not clock.tick():
                 return False
-            r = edge_index(*_s2(last, w), n)
+            r = edge_index(p, q, k) if p < q else edge_index(q, p, k)
             if conflicts_of(r) & used_edges:
                 continue
             path.append(w)
             used.add(w)
-            ok = dfs(path, used, used_edges | 1 << r)
+            ok = dfs(path, used, used_edges | 1 << r, q)
             path.pop()
             used.remove(w)
             if not ok:
@@ -244,11 +233,11 @@ def longest_plane_path_exact(
         return True
 
     completed = True
-    for start in verts:
+    for p, start in enumerate(verts):
         if not clock.tick():
             completed = False
             break
-        if not dfs([start], {start}, 0):
+        if not dfs([start], {start}, 0, p):
             completed = False
             break
     dfs = None  # as in max_pattern_exact: free the conflict masks now

@@ -11,7 +11,7 @@ from cstg.codec import (
     encode_drawing,
 )
 from cstg.drawing import CONVEX, Certificate, edge_index, induced_subdrawing
-from cstg.errors import ParseError, ValidationError
+from cstg.errors import ParseError, SizeLimit, ValidationError
 from cstg.generators import (
     anchored_view,
     gen_convex,
@@ -125,6 +125,19 @@ class TestValidation:
         )
         with pytest.raises(ValidationError, match="share a vertex"):
             decode_drawing(doc)
+
+    def test_explicit_over_cap_rejected_before_decoding(self):
+        # the size check comes before any per-rank work, so a short document
+        # naming a huge n fails at once instead of building C(n,2) entries
+        n = 1000000
+        one_pair = "[[%d,%d]]" % (edge_index(0, 1, n), edge_index(2, 3, n))
+        for crossings in ("[]", one_pair):
+            doc = (
+                '{"crossings":%s,"format":"cstg-1","model":"explicit","n":%d}'
+                % (crossings, n)
+            )
+            with pytest.raises(SizeLimit, match="capped at n=256"):
+                decode_drawing(doc)
 
     def test_bad_format_tag(self):
         with pytest.raises(ParseError):
