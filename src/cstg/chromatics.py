@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .drawing import AnchoredDrawing, crossing_function, edge_index, sorted_pair
+from .drawing import AnchoredDrawing, _rank_offsets, crossing_function, sorted_pair
 from .errors import InvalidTriple, ObservationViolated
 
 VALID_COLORS = ("000", "001", "010", "100")
@@ -106,7 +106,7 @@ def _halfcircle_masks(ad: AnchoredDrawing, n_up: int):
         low_bound[v] = 2 << count
     full = 1 << n
     everything = full - 2
-    offset = [edge_index(a, a + 1, n) - a - 1 for a in range(n - 1)]  # rank(a,b) = offset[a] + b
+    offset = _rank_offsets(n)  # rank(a,b) = offset[a] + b
     up_nb = {}
 
     def upper_neighbours(v):

@@ -8,12 +8,21 @@ cyclic order of neighbors around each vertex) and an anchor (a vertex
 certified on the unbounded cell together with the clockwise order of the
 remaining vertices around it).
 
+Hot loops read the crossing relation in one of two ways: the predicate
+``crossing_function`` for one pair of edges, or ``crossing_masks``, N(a, b,
+c) = {w : edge ab crosses edge cw} as a Python int, which the certificate
+check and the pattern oracle share.  A convex or twisted certificate of m
+vertices costs C(m,3) mask tests instead of 3*C(m,4) predicate calls.
+
 Vertices are 0-based everywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
+from math import comb
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import (
@@ -187,7 +196,7 @@ def cross(d: Drawing, e1, e2) -> bool:
 def crossing_function(d: Drawing):
     """Raw crossing predicate f(i, j, k, l) on sorted, independent pairs.
 
-    No validation; used by hot loops (chi scans, certificate checks).
+    No validation; used by hot loops (chi scans, restrictions, plane checks).
     """
     if d.model == "convex":
         return _interleave
@@ -195,14 +204,12 @@ def crossing_function(d: Drawing):
         return _nested
     if d.model == "halfcircle":
         signs = d.signs
-        n = d.n
+        off = _rank_offsets(d.n)
 
-        def f(i, j, k, l, signs=signs, n=n):
+        def f(i, j, k, l, signs=signs, off=off):
             if not ((i < k < j < l) or (k < i < l < j)):
                 return False
-            r1 = i * n - i * (i + 1) // 2 + (j - i - 1)
-            r2 = k * n - k * (k + 1) // 2 + (l - k - 1)
-            return signs[r1] == signs[r2]
+            return signs[off[i] + j] == signs[off[k] + l]
 
         return f
     if d.model == "points":
@@ -214,14 +221,147 @@ def crossing_function(d: Drawing):
         return f
     # explicit
     table = d.crossings
-    n = d.n
+    off = _rank_offsets(d.n)
 
-    def f(i, j, k, l, table=table, n=n):
-        r1 = i * n - i * (i + 1) // 2 + (j - i - 1)
-        r2 = k * n - k * (k + 1) // 2 + (l - k - 1)
+    def f(i, j, k, l, table=table, off=off):
+        r1 = off[i] + j
+        r2 = off[k] + l
         return ((r1, r2) if r1 < r2 else (r2, r1)) in table
 
     return f
+
+
+@lru_cache(maxsize=16)  # cross() builds a predicate per query
+def _rank_offsets(n: int) -> Tuple[int, ...]:
+    """off[i] with edge_index(i, j, n) == off[i] + j for i < j, unchecked."""
+    # off[0] = -1 and off[i+1] - off[i] = n - 2 - i
+    return tuple(accumulate(range(n - 2, -1, -1), initial=-1))
+
+
+def crossing_masks(d: Drawing, vertices: Optional[Iterable[int]] = None):
+    """Crossing masks N(a, b, c) = {w : edge ab crosses edge cw} as Python ints.
+
+    a, b, c are distinct members of ``vertices`` (default: all vertices),
+    and bit w of the result is set iff w is another member and the two
+    edges cross.  Convex, twisted and half-circle drawings answer with O(1)
+    big-int operations (the half-circle reads one sign row per vertex c, all
+    built on first use); points use orientation masks memoised per ordered
+    vertex pair; explicit tables group their crossings by edge in one pass
+    on first use and hold one mask per vertex c for each edge asked about.
+    """
+    n = d.n
+    verts = range(n) if vertices is None else sorted(vertices)
+    dom = (1 << n) - 1 if vertices is None else sum(1 << v for v in verts)
+
+    if d.model == "convex":
+
+        def interleaved(a, b, c):
+            # exactly one of c, w strictly between a and b
+            if a > b:
+                a, b = b, a
+            if a < c < b:
+                return dom & ~((2 << b) - (1 << a))
+            return dom & ((1 << b) - (2 << a))
+
+        return interleaved
+
+    if d.model == "twisted":
+
+        def nested(a, b, c):
+            if a > b:
+                a, b = b, a
+            if a < c < b:  # cw inside ab
+                return dom & ((1 << b) - (2 << a)) & ~(1 << c)
+            if c < a:  # ab inside cw
+                return dom & -(2 << b)
+            return dom & ((1 << a) - 1)
+
+        return nested
+
+    if d.model == "halfcircle":
+        signs = d.signs
+        off = _rank_offsets(n)
+        upper = []  # per vertex v, the w whose arc vw is an upper arc
+
+        def halfcircle(a, b, c):
+            # interleaved as in the convex model, with arc cw on the side of arc ab
+            if not upper:
+                upper.extend([0] * n)
+                for i, v in enumerate(verts):
+                    ov = off[v]
+                    for w in verts[i + 1 :]:
+                        if signs[ov + w] == "U":
+                            upper[v] |= 1 << w
+                            upper[w] |= 1 << v
+            if a > b:
+                a, b = b, a
+            row = upper[c] if signs[off[a] + b] == "U" else dom ^ upper[c]
+            if a < c < b:
+                return row & ~((2 << b) - (1 << a))
+            return row & ((1 << b) - (2 << a))
+
+        return halfcircle
+
+    if d.model == "points":
+        pts = d.points
+        sides = {}
+
+        def left(p, q):
+            # the w with p, q, w counterclockwise
+            mask = sides.get((p, q))
+            if mask is None:
+                pp, pq = pts[p], pts[q]
+                mask = sides[p, q] = sum(
+                    1 << w for w in verts if orient(pp, pq, pts[w]) > 0
+                )
+            return mask
+
+        def straight(a, b, c):
+            # w across line ab from c, and line cw between a and b
+            side = orient(pts[a], pts[b], pts[c])
+            if not side:
+                return 0
+            across = left(b, a) if side > 0 else left(a, b)
+            return across & (left(a, c) & left(c, b) | left(c, a) & left(b, c))
+
+        return straight
+
+    # explicit
+    off = _rank_offsets(n)
+    partners = []  # per edge rank, the edges that cross it
+    rows = {}  # per edge rank, the list of N(ab, c) by c
+    no_crossings = [0] * n  # the row of every edge nothing crosses
+
+    def explicit(a, b, c):
+        r = off[a] + b if a < b else off[b] + a
+        row = rows.get(r)
+        if row is None:
+            if not partners:
+                edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+                partners.extend([] for _ in edges)
+                for r1, r2 in d.crossings:
+                    partners[r1].append(edges[r2])
+                    partners[r2].append(edges[r1])
+            row = rows[r] = [0] * n if partners[r] else no_crossings
+            for k, l in partners[r]:
+                row[k] |= 1 << l
+                row[l] |= 1 << k
+        return row[c] & dom
+
+    return explicit
+
+
+def pattern_fit(crossing_mask, kind: str):
+    """fit(x, y, v): the w for which (x, y, v, w) shows the kind's pattern.
+
+    Convex: the middle pairing {x,v}x{y,w} crosses and the inner {x,y}x{v,w}
+    and outer {x,w}x{y,v} do not.  Twisted: the outer pairing crosses and the
+    other two do not.  ``crossing_mask`` is a :func:`crossing_masks` kernel.
+    """
+    N = crossing_mask
+    if kind == CONVEX:
+        return lambda x, y, v: N(x, v, y) & ~N(x, y, v) & ~N(y, v, x)
+    return lambda x, y, v: N(y, v, x) & ~N(x, v, y) & ~N(x, y, v)
 
 
 def induced_subdrawing(d: Drawing, vs: Sequence[int]) -> Drawing:
@@ -391,42 +531,56 @@ def verify_certificate(d: Drawing, c: Certificate) -> CertificateReport:
     Convex: every 4-tuple of certificate positions a<b<c<d must have the
     middle pairing {a,c}x{b,d} crossing and the other two pairings not.
     Twisted: the outer pairing {a,d}x{b,c} crosses, the other two do not.
-    Plane path / plane bipartite: the asserted edges are pairwise
-    non-crossing.  Reports pass or the first offending tuple.
+    Both are read from crossing masks, one test per position triple; the
+    report counts 4-tuples and names the first offending one in their
+    lexicographic order.  Plane path / plane bipartite: the asserted edges
+    are pairwise non-crossing.  Reports pass or the first offending tuple.
     """
     vs = c.vertices
-    if any(v >= d.n for v in vs):
+    if max(vs) >= d.n:
         raise InvalidCertificate("certificate vertex out of range for drawing")
-    f = crossing_function(d)
 
     if c.kind in (CONVEX, TWISTED):
+        # for positions a < b < cc, the vertices after cc must all lie in
+        # fit(vs[a], vs[b], vs[cc]): C(m,3) mask tests for the C(m,4) tuples
+        N = crossing_masks(d, vs)
+        fit = pattern_fit(N, c.kind)
         m = len(vs)
-        checked = 0
+        after_a = sum(1 << v for v in vs)
         for a in range(m - 3):
+            x = vs[a]
+            after_a ^= 1 << x
+            after_b = after_a
             for b in range(a + 1, m - 2):
+                y = vs[b]
+                after_b ^= 1 << y
+                after = after_b
                 for cc in range(b + 1, m - 1):
-                    for dd in range(cc + 1, m):
-                        checked += 1
-                        va, vb, vc, vd = vs[a], vs[b], vs[cc], vs[dd]
-                        mid = f(*sorted_pair(va, vc), *sorted_pair(vb, vd))
-                        inner = f(*sorted_pair(va, vb), *sorted_pair(vc, vd))
-                        outer = f(*sorted_pair(va, vd), *sorted_pair(vb, vc))
-                        want_mid = c.kind == CONVEX
-                        want_outer = c.kind == TWISTED
-                        if mid != want_mid or inner or outer != want_outer:
-                            return CertificateReport(
-                                ok=False,
-                                kind=c.kind,
-                                checked=checked,
-                                failing_tuple=(a, b, cc, dd),
-                                failure=_tuple_failure(
-                                    c.kind, (va, vb, vc, vd), mid, inner, outer
-                                ),
-                            )
-        return CertificateReport(ok=True, kind=c.kind, checked=checked)
+                    v = vs[cc]
+                    after ^= 1 << v
+                    bad = after & ~fit(x, y, v)
+                    if bad:
+                        dd = next(p for p in range(cc + 1, m) if bad >> vs[p] & 1)
+                        w = vs[dd]
+                        return CertificateReport(
+                            ok=False,
+                            kind=c.kind,
+                            # 4-tuples up to (a, b, cc, dd) in lexicographic order
+                            checked=comb(m, 4) - comb(m - a, 4)
+                            + comb(m - a - 1, 3) - comb(m - b, 3)
+                            + comb(m - b - 1, 2) - comb(m - cc, 2)
+                            + dd - cc,
+                            failing_tuple=(a, b, cc, dd),
+                            failure=_tuple_failure(
+                                c.kind,
+                                (x, y, v, w),
+                                N(x, v, y) >> w & 1,
+                                N(x, y, v) >> w & 1,
+                                N(y, v, x) >> w & 1,
+                            ),
+                        )
+        return CertificateReport(ok=True, kind=c.kind, checked=comb(m, 4))
 
-    if c.kind == PLANE_BIPARTITE and vs[0] == vs[1]:
-        raise InvalidCertificate("bipartite centers must be distinct")
     edges = c.edges()
     bad = check_plane_edges(d, edges)
     pairs = len(edges) * (len(edges) - 1) // 2

@@ -2,9 +2,11 @@
 
 import itertools
 import math
+import random
 import time
 
 import pytest
+from test_fuzz import random_explicit
 
 from cstg.drawing import (
     CONVEX,
@@ -13,11 +15,15 @@ from cstg.drawing import (
     AnchoredDrawing,
     Certificate,
     Drawing,
+    CertificateReport,
     check_plane_edges,
     cross,
+    crossing_function,
+    crossing_masks,
     edge_at,
     edge_index,
     induced_subdrawing,
+    sorted_pair,
     verify_certificate,
 )
 from cstg.errors import (
@@ -28,7 +34,14 @@ from cstg.errors import (
     NotIndependent,
     SizeLimit,
 )
-from cstg.generators import gen_convex, gen_halfcircle, gen_straightline, gen_twisted
+from cstg.generators import (
+    gen_convex,
+    gen_halfcircle,
+    gen_horton,
+    gen_straightline,
+    gen_twisted,
+)
+from cstg.oracles import max_pattern_exact
 
 
 def all_pairs(n):
@@ -313,3 +326,143 @@ class TestAnchoredDrawing:
         assert ad.vertex_at(1) == 1
         assert ad.position_of(4) == 3
         assert ad.position_of(2) == 0
+
+
+# -- crossing masks against the predicate ---------------------------------------
+
+
+def mask_drawings():
+    for n in (4, 7, 10, 14):
+        yield f"convex {n}", gen_convex(n)
+        yield f"twisted {n}", gen_twisted(n)
+    for seed in range(30):
+        n = 4 + seed % 11
+        yield f"halfcircle {n} seed {seed}", gen_halfcircle(n, seed=seed)
+    yield "horton 16", gen_straightline(gen_horton(4))
+    order = list(range(14))
+    random.Random(3).shuffle(order)
+    yield "shuffled restriction", induced_subdrawing(gen_halfcircle(16, seed=8), order)
+    rng = random.Random(505)
+    for t in range(8):
+        yield f"random explicit {t}", random_explicit(
+            rng, rng.randint(4, 11), density=rng.choice([0.05, 0.2, 0.5])
+        )
+
+
+MASK_DRAWINGS = dict(mask_drawings())
+
+
+def predicate_masks(d, vertices):
+    """N(a, b, c) over `vertices`, one predicate call per bit."""
+    f = crossing_function(d)
+    masks = {}
+    for a, b, c in itertools.permutations(vertices, 3):
+        mask = 0
+        for w in vertices:
+            if w not in (a, b, c) and f(*sorted_pair(a, b), *sorted_pair(c, w)):
+                mask |= 1 << w
+        masks[a, b, c] = mask
+    return masks
+
+
+class TestCrossingMasks:
+    @pytest.mark.parametrize("name", sorted(MASK_DRAWINGS))
+    def test_every_ordered_triple_matches_the_predicate(self, name):
+        d = MASK_DRAWINGS[name]
+        N = crossing_masks(d)
+        for key, want in predicate_masks(d, range(d.n)).items():
+            assert N(*key) == want, key
+
+    @pytest.mark.parametrize("name", sorted(MASK_DRAWINGS))
+    def test_a_vertex_subset_restricts_the_masks(self, name):
+        d = MASK_DRAWINGS[name]
+        rng = random.Random(name)
+        vertices = rng.sample(range(d.n), rng.randint(3, d.n))
+        N = crossing_masks(d, vertices)
+        for key, want in predicate_masks(d, vertices).items():
+            assert N(*key) == want, key
+
+
+# -- certificate checks against the 4-tuple scan --------------------------------
+#
+# verify_certificate as it was before the crossing masks: three predicate
+# calls per 4-tuple of positions, in lexicographic order.  Every field of the
+# report, the failure text included, must agree.
+
+
+def reference_verify(d, c):
+    vs = c.vertices
+    f = crossing_function(d)
+    m = len(vs)
+    checked = 0
+    for a, b, cc, dd in itertools.combinations(range(m), 4):
+        checked += 1
+        va, vb, vc, vd = vs[a], vs[b], vs[cc], vs[dd]
+        mid = f(*sorted_pair(va, vc), *sorted_pair(vb, vd))
+        inner = f(*sorted_pair(va, vb), *sorted_pair(vc, vd))
+        outer = f(*sorted_pair(va, vd), *sorted_pair(vb, vc))
+        if mid != (c.kind == CONVEX) or inner or outer != (c.kind == TWISTED):
+            want = "mid" if c.kind == CONVEX else "outer"
+            got = [name for name, val in (("mid", mid), ("inner", inner), ("outer", outer)) if val]
+            return CertificateReport(
+                ok=False,
+                kind=c.kind,
+                checked=checked,
+                failing_tuple=(a, b, cc, dd),
+                failure=f"vertices {(va, vb, vc, vd)}: required crossing pattern {want!r}, "
+                f"observed {got or ['none']}",
+            )
+    return CertificateReport(ok=True, kind=c.kind, checked=checked)
+
+
+def certificate_orders(d, rng):
+    """Witnesses of both kinds, subsequences of them, single transpositions,
+    reversals and random orders."""
+    orders = []
+    for kind in (CONVEX, TWISTED):
+        witness = list(max_pattern_exact(d, kind).witness)
+        orders.append(witness)
+        orders.append(witness[::-1])
+        if len(witness) > 4:
+            keep = sorted(rng.sample(range(len(witness)), len(witness) - 1))
+            orders.append([witness[p] for p in keep])
+        for _ in range(3):
+            swapped = list(witness)
+            p, q = rng.sample(range(len(swapped)), 2)
+            swapped[p], swapped[q] = swapped[q], swapped[p]
+            orders.append(swapped)
+    for _ in range(3):
+        orders.append(rng.sample(range(d.n), rng.randint(1, d.n)))
+    return orders
+
+
+class TestVerifyEquivalence:
+    @pytest.mark.parametrize("name", sorted(MASK_DRAWINGS))
+    def test_reports_match_the_reference(self, name):
+        d = MASK_DRAWINGS[name]
+        rng = random.Random(name)
+        verdicts = set()
+        for order in certificate_orders(d, rng):
+            for kind in (CONVEX, TWISTED):
+                c = Certificate(kind, tuple(order))
+                report = verify_certificate(d, c)
+                assert report == reference_verify(d, c), (kind, order)
+                verdicts.add(report.ok)
+        assert True in verdicts
+        if d.n >= 8:
+            assert False in verdicts
+
+    def test_failures_deep_in_large_certificates(self):
+        # the first bad 4-tuple lies far from the start; its count and text
+        # must still be the scan's
+        rng = random.Random(48)
+        for kind, gen in ((CONVEX, gen_convex), (TWISTED, gen_twisted)):
+            for d in (gen(20), induced_subdrawing(gen(20), range(20))):
+                for _ in range(4):
+                    order = list(range(20))
+                    p = rng.randrange(10, 19)
+                    order[p], order[p + 1] = order[p + 1], order[p]
+                    c = Certificate(kind, tuple(order))
+                    report = verify_certificate(d, c)
+                    assert not report.ok and report.checked > 100
+                    assert report == reference_verify(d, c)

@@ -2,16 +2,17 @@
 of an extraction's report and certificate, fixed before the anchor-crossing
 mask kernel replaced per-triple crossing queries; of oracle reports and
 witnesses, and of an explicit document's round trip, fixed before the
-oracles' candidate masks and the codec's rank table."""
+oracles' candidate masks and the codec's rank table; of `verify` on C48/T48
+certificates, fixed before certificate checks read crossing masks."""
 
 import hashlib
 
 import pytest
 
 from cstg.cli import EXIT_EXHAUSTED, EXIT_OK, dispatch
-from cstg.codec import decode_drawing, encode_drawing
-from cstg.drawing import induced_subdrawing
-from cstg.generators import gen_convex
+from cstg.codec import decode_drawing, encode_certificate, encode_drawing
+from cstg.drawing import CONVEX, TWISTED, Certificate, induced_subdrawing
+from cstg.generators import gen_convex, gen_twisted
 
 DRAWINGS = {
     "halfcircle-40-3": ["--family", "halfcircle", "--n", "40", "--seed", "3"],
@@ -62,6 +63,26 @@ ORACLES = {
 # encode(decode(.)) of the explicit restriction of gen_convex(12) to itself
 EXPLICIT_ROUND_TRIP = "233d9c36a2d9336000d0f005133d7f8acda0cfdb58b0db5951a12acfb2384f0d"
 
+# verify: exit code, stdout and stderr for a certificate on a drawing
+SWAPPED_C48 = Certificate(CONVEX, (1, 0, *range(2, 48)))
+VERIFIES = {
+    "C48 swapped, implicit convex": (
+        lambda: gen_convex(48),
+        SWAPPED_C48,
+        "f60115d1342d4bb887eac5842b15415d4a9b69277cbdac4a382392a1f87d9c76",
+    ),
+    "C48 swapped, explicit convex": (
+        lambda: induced_subdrawing(gen_convex(48), range(48)),
+        SWAPPED_C48,
+        "f60115d1342d4bb887eac5842b15415d4a9b69277cbdac4a382392a1f87d9c76",
+    ),
+    "T48, explicit twisted": (
+        lambda: induced_subdrawing(gen_twisted(48), range(48)),
+        Certificate(TWISTED, tuple(range(48))),
+        "c4ff8cff1c3484eee49fc93796f48151db46fef0ade4efb88a5516f5373c8c31",
+    ),
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -105,3 +126,15 @@ def test_oracle_digest(tmp_path, capsys, argv):
 def test_explicit_round_trip_digest():
     doc = encode_drawing(induced_subdrawing(gen_convex(12), range(12)))
     assert sha256(encode_drawing(decode_drawing(doc)).encode()) == EXPLICIT_ROUND_TRIP
+
+
+@pytest.mark.parametrize("name", sorted(VERIFIES))
+def test_verify_digest(tmp_path, capsys, name):
+    make_drawing, cert, want = VERIFIES[name]
+    drawing = tmp_path / "drawing.json"
+    drawing.write_text(encode_drawing(make_drawing()))
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(encode_certificate(cert))
+    code = dispatch(["verify", str(drawing), str(cert_path)])
+    captured = capsys.readouterr()
+    assert sha256(f"{code}\n{captured.out}\n{captured.err}".encode()) == want
