@@ -340,8 +340,9 @@ def crossing_masks(d: Drawing, vertices: Optional[Iterable[int]] = None):
                 edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
                 partners.extend([] for _ in edges)
                 for r1, r2 in d.crossings:
-                    partners[r1].append(edges[r2])
-                    partners[r2].append(edges[r1])
+                    if 0 <= r1 < r2 < len(edges):  # the pairs the predicate finds
+                        partners[r1].append(edges[r2])
+                        partners[r2].append(edges[r1])
             row = rows[r] = [0] * n if partners[r] else no_crossings
             for k, l in partners[r]:
                 row[k] |= 1 << l

@@ -347,6 +347,12 @@ def mask_drawings():
         yield f"random explicit {t}", random_explicit(
             rng, rng.randint(4, 11), density=rng.choice([0.05, 0.2, 0.5])
         )
+    # entries the predicate never finds: unsorted pairs and an unknown rank
+    table = random_explicit(rng, 9).crossings
+    stray = {(r2, r1) for r1, r2 in random_explicit(rng, 9).crossings - table}
+    yield "explicit with stray entries", Drawing(
+        n=9, model="explicit", crossings=table | stray | {(3, 10**6)}
+    )
 
 
 MASK_DRAWINGS = dict(mask_drawings())
