@@ -18,13 +18,17 @@ position masks: X(a,b) is the set of positions p whose anchor edge crosses
 edge (a,b), and its transpose R(p,a) is the set of positions b with p in
 X(a,b).  The pair (i,j), i < j, carries the three masks R(i,j), R(j,i) and
 X(i,j); bit k > j of them is the color of (i,j,k), and bit k < i is the
-color of (k,i,j) read as (X(i,j), R(i,j), R(j,i)).  A pair's masks cost O(1)
-big-int operations in the canonical convex, twisted and half-circle views;
-any other anchored drawing pays one cubic pass, on first use, that evaluates
-each anchor edge against each edge once.  The scans are quadratic in mask
-operations.  Measured on seeded half-circle drawings (Python 3.11.7, one
-process on a shared 2-core machine): validate_observation takes 0.1 s at
-n = 256 and 2.1 s at n = 1024, a full phi_table 0.2 s and 4.7 s.
+color of (k,i,j) read as (X(i,j), R(i,j), R(j,i)).  They are the drawing's
+crossing masks (:func:`cstg.drawing.crossing_masks`) in anchored order, bit
+p for the vertex at position p, so a pair's masks cost what three kernel
+reads cost: O(1) big-int operations for convex, twisted and half-circle
+drawings in any anchored order, O(n) orientations per new vertex pair for
+points, and one pass over the crossing table, on first use, for explicit
+drawings.  A single color builds only its pair's masks, and the scans are
+quadratic in mask operations.  Measured on seeded half-circle drawings
+(Python 3.11.7, one process on a shared 2-core machine): validate_observation
+takes 0.05-0.08 s at n = 256 and 1.1-1.5 s at n = 1024, a full phi_table
+0.18 s and 2.7-2.8 s (62 MB peak RSS).
 """
 
 from __future__ import annotations
@@ -32,12 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .drawing import AnchoredDrawing, _rank_offsets, crossing_function, sorted_pair
+from .drawing import AnchoredDrawing, crossing_masks
 from .errors import InvalidTriple, ObservationViolated
 
 VALID_COLORS = ("000", "001", "010", "100")
 _COLORS = ("000", "001", "010", "011", "100", "101", "110", "111")
-_BITS = str.maketrans("UL", "10")
 
 
 @dataclass(frozen=True)
@@ -53,134 +56,16 @@ def _color(x: int, y: int, z: int, k: int) -> str:
 def _pair_masks(ad: AnchoredDrawing) -> Callable[[int, int], Tuple[int, int, int]]:
     """pair(i, j) -> (R(i,j), R(j,i), X(i,j)) for positions 1 <= i < j <= n-1.
 
-    Closed forms serve the canonical views of the implicit families; every
-    other anchored drawing falls back to the generic build.
+    The three masks are crossing masks whose bit p stands for the vertex at
+    position p: R(i,j) = N(v0, vi, vj) and X(i,j) = N(vi, vj, v0).
     """
-    d = ad.base
-    n = d.n
-    full = 1 << n  # one past the highest position bit
-    if d.model == "convex" and ad.order == tuple((ad.v0 - t) % n for t in range(1, n)):
-        # positions read the polygon cyclically from the anchor, so the
-        # anchor chord to p crosses chord (i,j) iff i < p < j
-        return lambda i, j: ((1 << i) - 2, full - (2 << j), (1 << j) - (2 << i))
-    if d.model == "twisted" and ad.v0 == n - 1 and ad.order == tuple(range(n - 2, -1, -1)):
-        # vertex n-1-p sits at position p; the anchor edge to p nests over
-        # exactly the edges between positions below p
-        return lambda i, j: (0, (1 << j) - 2 - (1 << i), full - (2 << j))
-    if d.model == "halfcircle" and ad.v0 == 0:
-        up = [v for v in range(1, n) if d.signs[v - 1] == "U"]  # edge (0,v) has rank v-1
-        down = [v for v in range(1, n) if d.signs[v - 1] == "L"]
-        if ad.order == tuple(reversed(up)) + tuple(down):
-            return _halfcircle_masks(ad, len(up))
-    return _generic_masks(ad)
-
-
-def _halfcircle_masks(ad: AnchoredDrawing, n_up: int):
-    """Closed forms for the leftmost-vertex view of a half-circle drawing.
-
-    The anchor edge to v crosses edge (a,b), a < b, iff a < v < b and the two
-    arcs lie on the same side.  Upper vertices fill positions 1..n_up in
-    decreasing order and lower vertices the rest in increasing order, so
-    X(a,b) is one contiguous position range per side, and R(p,a) is the
-    same-side neighbours of a beyond the vertex at p.
-    """
-    d = ad.base
-    n = d.n
-    signs = d.signs
-    at = (0,) + ad.order
-    upper = [False] + [s == "U" for s in signs[: n - 1]]
-    # up_bound[v] = 1 << (1 + #upper vertices >= v); low_bound[v] = 1 << (1 +
-    # n_up + #lower vertices in 1..v): differences of these are the ranges
-    up_bound = [0] * (n + 1)
-    count = 0
-    for v in range(n, 0, -1):
-        if v < n and upper[v]:
-            count += 1
-        up_bound[v] = 2 << count
-    up_bound[0] = up_bound[1]
-    low_bound = [0] * n
-    count = n_up
-    for v in range(n):
-        if v and not upper[v]:
-            count += 1
-        low_bound[v] = 2 << count
-    full = 1 << n
-    everything = full - 2
-    offset = _rank_offsets(n)  # rank(a,b) = offset[a] + b
-    up_nb = {}
-
-    def upper_neighbours(v):
-        # positions w whose edge to v is an upper arc
-        mask = up_nb.get(v)
-        if mask is None:
-            row = "".join(
-                signs[offset[w] + v] if w < v else signs[offset[v] + w] if w > v else "L"
-                for w in ad.order
-            )
-            mask = up_nb[v] = int(row.translate(_BITS)[::-1], 2) << 1
-        return mask
-
-    def r(p, q):
-        # R(p,q): vertices w with vp strictly between vq and w, on vp's side
-        vp, vq = at[p], at[q]
-        nb = upper_neighbours(vq)
-        if not upper[vp]:
-            nb = everything - nb - (1 << q)
-        above = up_bound[vp + 1] - 2 + full - low_bound[vp]
-        if vp > vq:
-            return nb & above
-        return nb & (everything - above - (1 << p))
+    at = (ad.v0,) + ad.order
+    N = crossing_masks(ad.base, at)
+    v0 = ad.v0
 
     def pair(i, j):
         vi, vj = at[i], at[j]
-        a, b = sorted_pair(vi, vj)
-        if signs[offset[a] + b] == "U":
-            x = up_bound[a + 1] - up_bound[b]
-        else:
-            x = low_bound[b - 1] - low_bound[a]
-        return r(i, j), r(j, i), x
-
-    return pair
-
-
-def _generic_masks(ad: AnchoredDrawing):
-    """Masks from the crossing predicate, built in full on first use.
-
-    One pass evaluates every anchor edge against every edge avoiding it once
-    (about n^3/2 predicate calls) and fills X and R together.
-    """
-    table = []
-
-    def build():
-        f = crossing_function(ad.base)
-        n = ad.n
-        at = (ad.v0,) + ad.order
-        xs = [[0] * n for _ in range(n)]
-        rs = [[0] * n for _ in range(n)]
-        for p in range(1, n):
-            c, e = sorted_pair(ad.v0, at[p])
-            bit = 1 << p
-            row = rs[p]
-            for a in range(1, n - 1):
-                if a == p:
-                    continue
-                va = at[a]
-                xa = xs[a]
-                hits = 0
-                for b in range(a + 1, n):
-                    vb = at[b]
-                    if b != p and (f(va, vb, c, e) if va < vb else f(vb, va, c, e)):
-                        xa[b] |= bit
-                        hits |= 1 << b
-                        row[b] |= 1 << a
-                row[a] |= hits
-        table.extend((rs, xs))
-
-    def pair(i, j):
-        if not table:
-            build()
-        rs, xs = table
-        return rs[i][j], rs[j][i], xs[i][j]
+        return N(v0, vi, vj), N(v0, vj, vi), N(vi, vj, v0)
 
     return pair
 
@@ -270,7 +155,8 @@ class PhiTable:
     def __init__(self, ad: AnchoredDrawing, chi_cache: Optional[ChiCache] = None):
         self.ad = ad
         self._chi = chi_cache if chi_cache is not None else ChiCache(ad)
-        self._values = {}  # (i, j) -> (a, b, parent in a, parent in b)
+        # row j: (a, b, parent in a, parent in b) of the pair (i, j) at index i
+        self._rows = [[None] * j for j in range(ad.n)]
         # finished rows 1..s -> per component, the positions at each level
         self._levels = {1: ([], [])}
 
@@ -284,26 +170,27 @@ class PhiTable:
         level_a, level_b = self._levels[i]
         a, par_a = _extend(level_a, x & below)
         b, par_b = _extend(level_b, rj & below)
-        self._values[(i, j)] = (a, b, par_a, par_b)
+        self._rows[j][i] = (a, b, par_a, par_b)
 
     def _ensure_rows(self, upto: int) -> None:
-        values = self._values
         for s in range(len(self._levels) + 1, upto + 1):
+            row = self._rows[s]
             for k in range(1, s):
-                if (k, s) not in values:
+                if row[k] is None:
                     self._compute(k, s)
             self._levels[s] = tuple(
-                _level_masks(values[(k, s)][c] for k in range(1, s)) for c in (0, 1)
+                _level_masks(value[c] for value in row[1:]) for c in (0, 1)
             )
 
     def value(self, i: int, j: int) -> PhiValue:
         if not (1 <= i < j <= self.ad.n - 1):
             raise InvalidTriple(f"pair ({i},{j}) invalid for n={self.ad.n}")
-        if (i, j) not in self._values:
+        row = self._rows[j]
+        if row[i] is None:
             self._ensure_rows(i)
-            if (i, j) not in self._values:
+            if row[i] is None:
                 self._compute(i, j)
-        a, b, _, _ = self._values[(i, j)]
+        a, b, _, _ = row[i]
         return PhiValue(a, b)
 
     def witness(self, i: int, j: int, component: str) -> List[int]:
@@ -312,7 +199,7 @@ class PhiTable:
         slot = 2 if component == "a" else 3
         path = [j, i]
         while True:
-            k = self._values[(path[-1], path[-2])][slot]
+            k = self._rows[path[-2]][path[-1]][slot]
             if k is None:
                 break
             path.append(k)

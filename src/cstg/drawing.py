@@ -10,9 +10,12 @@ remaining vertices around it).
 
 Hot loops read the crossing relation in one of two ways: the predicate
 ``crossing_function`` for one pair of edges, or ``crossing_masks``, N(a, b,
-c) = {w : edge ab crosses edge cw} as a Python int, which the certificate
-check and the pattern oracle share.  A convex or twisted certificate of m
-vertices costs C(m,3) mask tests instead of 3*C(m,4) predicate calls.
+c) = {w : edge ab crosses edge cw} as a Python int whose bit p stands for
+the p-th vertex of a given order.  The certificate check (in certificate
+order), the pattern oracle (in vertex order) and the anchored colorings of
+:mod:`cstg.chromatics` (in anchored order) all read this one kernel.  A
+convex or twisted certificate of m vertices costs C(m,3) mask tests instead
+of 3*C(m,4) predicate calls.
 
 Vertices are 0-based everywhere.
 """
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
+from operator import or_
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import (
@@ -39,6 +43,7 @@ from .errors import (
 EXPLICIT_N_CAP = 256
 
 MODELS = ("explicit", "convex", "twisted", "halfcircle", "points")
+_BITS = str.maketrans("UL", "10")  # half-circle signs as upper-arc bits
 
 CONVEX = "convex"
 TWISTED = "twisted"
@@ -238,20 +243,28 @@ def _rank_offsets(n: int) -> Tuple[int, ...]:
     return tuple(accumulate(range(n - 2, -1, -1), initial=-1))
 
 
-def crossing_masks(d: Drawing, vertices: Optional[Iterable[int]] = None):
+def crossing_masks(d: Drawing, order: Optional[Iterable[int]] = None):
     """Crossing masks N(a, b, c) = {w : edge ab crosses edge cw} as Python ints.
 
-    a, b, c are distinct members of ``vertices`` (default: all vertices),
-    and bit w of the result is set iff w is another member and the two
-    edges cross.  Convex, twisted and half-circle drawings answer with O(1)
-    big-int operations (the half-circle reads one sign row per vertex c, all
+    Bit p of every result stands for vertex ``order[p]`` (default: bit v for
+    vertex v).  a, b, c are distinct members of ``order``, and bit p is set
+    iff ``order[p]`` is another member whose edge to c crosses edge ab.
+    Convex, twisted and half-circle drawings answer with O(1) big-int
+    operations in any order, from ``below[v]``, the bits of the members
+    smaller than v (the half-circle also reads one sign row per vertex c,
     built on first use); points use orientation masks memoised per ordered
     vertex pair; explicit tables group their crossings by edge in one pass
     on first use and hold one mask per vertex c for each edge asked about.
     """
     n = d.n
-    verts = range(n) if vertices is None else sorted(vertices)
-    dom = (1 << n) - 1 if vertices is None else sum(1 << v for v in verts)
+    order = range(n) if order is None else tuple(order)
+    bits = [0] * n  # bits[v]: the bit standing for vertex v, 0 for non-members
+    for p, v in enumerate(order):
+        bits[v] = 1 << p
+
+    # the members strictly between a and b are below[b] ^ below[a + 1]
+    below = tuple(accumulate(bits, or_, initial=0))
+    dom = below[n]
 
     if d.model == "convex":
 
@@ -260,8 +273,8 @@ def crossing_masks(d: Drawing, vertices: Optional[Iterable[int]] = None):
             if a > b:
                 a, b = b, a
             if a < c < b:
-                return dom & ~((2 << b) - (1 << a))
-            return dom & ((1 << b) - (2 << a))
+                return dom ^ below[b + 1] ^ below[a]
+            return below[b] ^ below[a + 1]
 
         return interleaved
 
@@ -271,34 +284,38 @@ def crossing_masks(d: Drawing, vertices: Optional[Iterable[int]] = None):
             if a > b:
                 a, b = b, a
             if a < c < b:  # cw inside ab
-                return dom & ((1 << b) - (2 << a)) & ~(1 << c)
+                return below[b] ^ below[a + 1] ^ bits[c]
             if c < a:  # ab inside cw
-                return dom & -(2 << b)
-            return dom & ((1 << a) - 1)
+                return dom ^ below[b + 1]
+            return below[a]
 
         return nested
 
     if d.model == "halfcircle":
+        # interleaved as in the convex model, with arc cw on the side of arc ab
         signs = d.signs
         off = _rank_offsets(n)
-        upper = []  # per vertex v, the w whose arc vw is an upper arc
+        upper = [None] * n  # per vertex c, the w whose arc cw is an upper arc
+
+        def upper_row(c):
+            oc = off[c]
+            row = "".join(
+                signs[off[w] + c] if w < c else signs[oc + w] if w > c else "L"
+                for w in order
+            )
+            return int(row.translate(_BITS)[::-1], 2)
 
         def halfcircle(a, b, c):
-            # interleaved as in the convex model, with arc cw on the side of arc ab
-            if not upper:
-                upper.extend([0] * n)
-                for i, v in enumerate(verts):
-                    ov = off[v]
-                    for w in verts[i + 1 :]:
-                        if signs[ov + w] == "U":
-                            upper[v] |= 1 << w
-                            upper[w] |= 1 << v
             if a > b:
                 a, b = b, a
-            row = upper[c] if signs[off[a] + b] == "U" else dom ^ upper[c]
+            row = upper[c]
+            if row is None:
+                row = upper[c] = upper_row(c)
+            if signs[off[a] + b] == "L":
+                row ^= dom
             if a < c < b:
-                return row & ~((2 << b) - (1 << a))
-            return row & ((1 << b) - (2 << a))
+                return row & ~(below[b + 1] ^ below[a])
+            return row & (below[b] ^ below[a + 1])
 
         return halfcircle
 
@@ -312,7 +329,7 @@ def crossing_masks(d: Drawing, vertices: Optional[Iterable[int]] = None):
             if mask is None:
                 pp, pq = pts[p], pts[q]
                 mask = sides[p, q] = sum(
-                    1 << w for w in verts if orient(pp, pq, pts[w]) > 0
+                    bits[w] for w in order if orient(pp, pq, pts[w]) > 0
                 )
             return mask
 
@@ -339,15 +356,16 @@ def crossing_masks(d: Drawing, vertices: Optional[Iterable[int]] = None):
             if not partners:
                 edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
                 partners.extend([] for _ in edges)
+                m = len(edges)
                 for r1, r2 in d.crossings:
-                    if 0 <= r1 < r2 < len(edges):  # the pairs the predicate finds
+                    if 0 <= r1 < r2 < m:  # the pairs the predicate finds
                         partners[r1].append(edges[r2])
                         partners[r2].append(edges[r1])
             row = rows[r] = [0] * n if partners[r] else no_crossings
             for k, l in partners[r]:
-                row[k] |= 1 << l
-                row[l] |= 1 << k
-        return row[c] & dom
+                row[k] |= bits[l]
+                row[l] |= bits[k]
+        return row[c]
 
     return explicit
 
@@ -542,27 +560,21 @@ def verify_certificate(d: Drawing, c: Certificate) -> CertificateReport:
         raise InvalidCertificate("certificate vertex out of range for drawing")
 
     if c.kind in (CONVEX, TWISTED):
-        # for positions a < b < cc, the vertices after cc must all lie in
+        # for positions a < b < cc, the positions after cc must all lie in
         # fit(vs[a], vs[b], vs[cc]): C(m,3) mask tests for the C(m,4) tuples
         N = crossing_masks(d, vs)
         fit = pattern_fit(N, c.kind)
         m = len(vs)
-        after_a = sum(1 << v for v in vs)
+        everyone = (1 << m) - 1
         for a in range(m - 3):
             x = vs[a]
-            after_a ^= 1 << x
-            after_b = after_a
             for b in range(a + 1, m - 2):
                 y = vs[b]
-                after_b ^= 1 << y
-                after = after_b
                 for cc in range(b + 1, m - 1):
                     v = vs[cc]
-                    after ^= 1 << v
-                    bad = after & ~fit(x, y, v)
+                    bad = (everyone ^ fit(x, y, v)) >> (cc + 1)
                     if bad:
-                        dd = next(p for p in range(cc + 1, m) if bad >> vs[p] & 1)
-                        w = vs[dd]
+                        dd = cc + (bad & -bad).bit_length()
                         return CertificateReport(
                             ok=False,
                             kind=c.kind,
@@ -574,10 +586,10 @@ def verify_certificate(d: Drawing, c: Certificate) -> CertificateReport:
                             failing_tuple=(a, b, cc, dd),
                             failure=_tuple_failure(
                                 c.kind,
-                                (x, y, v, w),
-                                N(x, v, y) >> w & 1,
-                                N(x, y, v) >> w & 1,
-                                N(y, v, x) >> w & 1,
+                                (x, y, v, vs[dd]),
+                                N(x, v, y) >> dd & 1,
+                                N(x, y, v) >> dd & 1,
+                                N(y, v, x) >> dd & 1,
                             ),
                         )
         return CertificateReport(ok=True, kind=c.kind, checked=comb(m, 4))

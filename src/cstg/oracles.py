@@ -12,11 +12,11 @@ The searches test consistency with Python-int masks, the representation
 mask of vertices that extend the current sequence consistently, and narrows
 it for a child with one mask per pair of the sequence: the ``pattern_fit``
 of the drawing's crossing masks N(ab, c) = {w : edge ab crosses edge cw}
-(:func:`cstg.drawing.crossing_masks`, the kernel certificate checks use),
-memoised per triple.  The path search keeps its used edges as a mask over
-the ranks of the pairs of its vertex set.  The candidate order, the node
-count and the bounds are those of the plain scan over 4-tuples, so results,
-witnesses and exhausted budgets are unchanged.
+(:func:`cstg.drawing.crossing_masks`, the kernel certificate checks and
+the colorings use), memoised per triple.  The path search keeps its used
+edges as a mask over the ranks of the pairs of its vertex set.  The
+candidate order, the node count and the bounds are those of the plain scan
+over 4-tuples, so results, witnesses and exhausted budgets are unchanged.
 """
 
 from __future__ import annotations

@@ -358,17 +358,26 @@ def mask_drawings():
 MASK_DRAWINGS = dict(mask_drawings())
 
 
-def predicate_masks(d, vertices):
-    """N(a, b, c) over `vertices`, one predicate call per bit."""
+def predicate_masks(d, order):
+    """N(a, b, c) over `order`, bit p for order[p], one predicate call per bit."""
     f = crossing_function(d)
     masks = {}
-    for a, b, c in itertools.permutations(vertices, 3):
+    for a, b, c in itertools.permutations(order, 3):
         mask = 0
-        for w in vertices:
+        for p, w in enumerate(order):
             if w not in (a, b, c) and f(*sorted_pair(a, b), *sorted_pair(c, w)):
-                mask |= 1 << w
+                mask |= 1 << p
         masks[a, b, c] = mask
     return masks
+
+
+def mask_orders(d, rng):
+    """(name, order): a certificate order, the reversal, a random permutation
+    and a random subset in random order."""
+    yield "certificate", max_pattern_exact(d, CONVEX).witness
+    yield "reversal", range(d.n - 1, -1, -1)
+    yield "permutation", rng.sample(range(d.n), d.n)
+    yield "subset", rng.sample(range(d.n), rng.randint(3, d.n))
 
 
 class TestCrossingMasks:
@@ -380,13 +389,14 @@ class TestCrossingMasks:
             assert N(*key) == want, key
 
     @pytest.mark.parametrize("name", sorted(MASK_DRAWINGS))
-    def test_a_vertex_subset_restricts_the_masks(self, name):
+    def test_an_order_restricts_and_relabels_the_masks(self, name):
         d = MASK_DRAWINGS[name]
         rng = random.Random(name)
-        vertices = rng.sample(range(d.n), rng.randint(3, d.n))
-        N = crossing_masks(d, vertices)
-        for key, want in predicate_masks(d, vertices).items():
-            assert N(*key) == want, key
+        for kind, order in mask_orders(d, rng):
+            order = tuple(order)
+            N = crossing_masks(d, order)
+            for key, want in predicate_masks(d, order).items():
+                assert N(*key) == want, (kind, key)
 
 
 # -- certificate checks against the 4-tuple scan --------------------------------
