@@ -8,6 +8,7 @@ from typing import Callable, List, Optional, Tuple
 
 import pytest
 
+from cstg import drawing
 from cstg.chromatics import (
     VALID_COLORS,
     ChiCache,
@@ -18,7 +19,6 @@ from cstg.chromatics import (
     phi_table,
     validate_observation,
 )
-from cstg import drawing
 from cstg.drawing import (
     AnchoredDrawing,
     Drawing,
