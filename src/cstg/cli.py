@@ -3,7 +3,8 @@
 Subcommands: generate, verify, extract, oracle, bench, render, tables.
 Exit codes: 0 success, 1 usage error, 2 verification failed, 3 invalid
 drawing or input, 4 budget or candidate pool exhausted.  All outputs are
-deterministic for fixed argv and seed.
+deterministic for fixed argv and seed.  The argument parser is built once
+per process and reused by every dispatch call.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 from typing import List, Optional
 
 from . import codec, generators, oracles, svg
@@ -42,6 +44,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cstg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -339,9 +342,8 @@ _COMMANDS = {
 
 
 def dispatch(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -37,9 +37,8 @@ from .drawing import (
     AnchoredDrawing,
     Drawing,
     _check_signs,
-    edge_index,
+    _rank_offsets,
     orient,
-    sorted_pair,
 )
 from .errors import (
     AnchorUnavailable,
@@ -229,11 +228,9 @@ def rotation_at(d: Drawing, v: int) -> Tuple[int, ...]:
 def _upper_run(d: Drawing, v: int) -> List[int]:
     """Half-circle: the vertices joined to v by an upper arc, increasing."""
     signs = d.signs
-    n = d.n
-    return [
-        j
-        for j in range(n)
-        if j != v and signs[edge_index(*sorted_pair(v, j), n)] == "U"
+    off = _rank_offsets(d.n)
+    return [j for j in range(v) if signs[off[j] + v] == "U"] + [
+        j for j in range(v + 1, d.n) if signs[off[v] + j] == "U"
     ]
 
 

@@ -107,13 +107,14 @@ def lis_lds(seq) -> LisLds:
 
 def find_plane_k2m2(ad: AnchoredDrawing, m: int) -> Optional[Certificate]:
     """Plane star with centers (anchor, v_i) and m^2 leaves, if some theta
-    has an increasing run that long; smallest qualifying i wins."""
+    has an increasing run that long; smallest qualifying i wins.
+
+    Position i has n-1-i successors, so only positions with at least m^2
+    of them are read.
+    """
     need = m * m
-    for i in range(1, ad.n):
-        th = theta(ad, i)
-        if len(th) < need:
-            continue
-        length, witness = _lis(th)
+    for i in range(1, ad.n - need):
+        length, witness = _lis(theta(ad, i))
         if length >= need:
             leaves = witness[:need]
             cert = Certificate(

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cstg import cli
 from cstg.cli import dispatch
 
 
@@ -209,3 +210,39 @@ class TestRenderOverlay:
         code, _, err = run(capsys, "render", str(bare), "--out", str(tmp_path / "x.svg"))
         assert code == 3
         assert "GeometryMissing" in err
+
+
+class TestParserReuse:
+    def test_parser_built_once(self, monkeypatch, capsys):
+        built = []
+        init = cli._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        cli._build_parser.cache_clear()
+        run(capsys, "generate", "--family", "convex")
+        assert built.count("cstg") == 1
+        first = len(built)
+        run(capsys, "generate", "--family", "twisted")
+        assert len(built) == first
+
+    def test_reused_parser_answers_like_a_fresh_one(self, tmp_path, capsys):
+        drawing = tmp_path / "hc.cstg"
+        assert run(capsys, "generate", "--family", "halfcircle", "--n", "8",
+                   "--out", str(drawing))[0] == 0
+        calls = [
+            ("extract", "nonsense", str(drawing)),
+            ("verify", str(drawing), "--self"),
+            ("generate", "--n", "5"),
+        ]
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            code, _, err = run(capsys, *argv)
+            fresh.append((code, err))
+        assert [code for code, _ in fresh] == [1, 0, 1]
+        reused = [run(capsys, *argv)[::2] for argv in calls]
+        assert reused == fresh

@@ -7,10 +7,11 @@ import math
 import pytest
 
 from cstg.chromatics import validate_observation
-from cstg.drawing import cross, edge_index, orient
+from cstg.drawing import cross, edge_index, orient, sorted_pair
 from cstg.errors import AnchorUnavailable, DegenerateInput, InvalidSigns, SizeLimit
 from cstg.generators import (
     HalfCircleSigns,
+    _upper_run,
     anchored_order,
     anchored_view,
     canonical_anchor,
@@ -137,6 +138,30 @@ class TestHalfCircle:
             HalfCircleSigns(5, "UUU")
         with pytest.raises(InvalidSigns):
             HalfCircleSigns(3, "UXL")
+
+    def test_sign_reads_match_edge_index(self):
+        # reference: each sign read through the checked edge_index
+        for n in range(2, 41):
+            for seed in range(5):
+                d = gen_halfcircle(n, seed=seed)
+
+                def up(v):
+                    return [
+                        j for j in range(n)
+                        if j != v and d.signs[edge_index(*sorted_pair(v, j), n)] == "U"
+                    ]
+
+                for v in range(n):
+                    upper = up(v)
+                    lower = [j for j in range(n) if j != v and j not in upper]
+                    assert _upper_run(d, v) == upper
+                    assert rotation_at(d, v) == tuple(
+                        [j for j in upper if j > v] + [j for j in upper if j < v]
+                        + [j for j in lower if j < v][::-1]
+                        + [j for j in lower if j > v][::-1]
+                    )
+                lower0 = [j for j in range(1, n) if j not in up(0)]
+                assert anchored_order(d, 0) == tuple(up(0)[::-1] + lower0)
 
     def test_anchored_order_upper_desc_then_lower_asc(self):
         n = 5

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from cstg import planepath
 from cstg.chromatics import ChiCache
 from cstg.drawing import (
     AnchoredDrawing,
@@ -35,6 +36,18 @@ def mirrored_twisted_view(m):
         anchor=(m - 1, tuple(range(m - 1))),
     )
     return anchored_view(d)
+
+
+def count_theta_calls(monkeypatch):
+    """Positions passed to planepath.theta from here on, in call order."""
+    calls = []
+
+    def counted(ad, i):
+        calls.append(i)
+        return theta(ad, i)
+
+    monkeypatch.setattr(planepath, "theta", counted)
+    return calls
 
 
 class TestTheta:
@@ -146,6 +159,20 @@ class TestFindPlaneStar:
     def test_twisted_has_none(self):
         assert find_plane_k2m2(anchored_view(gen_twisted(20)), 4) is None
 
+    def test_reads_only_positions_with_enough_successors(self, monkeypatch):
+        # mirrored twisted thetas are fully increasing, position i holding
+        # n-1-i successors: with m=4, n=18 just qualifies at position 1 and
+        # n=17 cannot qualify anywhere
+        calls = count_theta_calls(monkeypatch)
+        ad = mirrored_twisted_view(18)
+        cert = find_plane_k2m2(ad, 4)
+        assert cert is not None
+        assert cert.vertices[1] == ad.vertex_at(1)
+        assert calls == [1]
+        calls.clear()
+        assert find_plane_k2m2(mirrored_twisted_view(17), 4) is None
+        assert calls == []
+
     def test_m1_always_found(self):
         for d in (gen_convex(5), gen_twisted(5), gen_halfcircle(5, seed=0)):
             cert = find_plane_k2m2(anchored_view(d), 1)
@@ -230,6 +257,15 @@ class TestExtractPlanePath:
                 sizes = out.stats.candidate_sizes
                 assert sizes == sorted(sizes, reverse=True)
         assert hits > 0
+
+    def test_star_search_skipped_when_no_position_qualifies(self, monkeypatch):
+        # m^2 = 256 exceeds every position's successor count, so theta is
+        # read only by the decreasing branch, once per step
+        ad = anchored_view(gen_halfcircle(64, seed=1))
+        calls = count_theta_calls(monkeypatch)
+        out = extract_plane_path(ad, m_override=16)
+        assert out.stats.branch == "decreasing"
+        assert len(calls) == out.stats.steps
 
     def test_reports_vertex_and_edge_counts(self):
         ad = anchored_view(gen_twisted(16))
