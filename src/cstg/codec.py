@@ -14,6 +14,11 @@ Drawing document (format tag "cstg-1"):
      "anchor":    {"order": [...], "v0": k}}   # optional
 
 Certificate document: {"kind": "...", "vertices": [...]}.
+
+Every integer field (``n``, crossing ranks, rotation and anchor members,
+``v0``, point coordinates, certificate vertices) must be a JSON integer:
+``true``, ``0.9`` and ``"0"`` are parse errors naming the field, not
+values to convert.
 """
 
 from __future__ import annotations
@@ -25,6 +30,13 @@ from .drawing import Certificate, Drawing, _check_explicit_n, _check_signs, edge
 from .errors import InvalidSigns, ParseError, ValidationError
 
 FORMAT_TAG = "cstg-1"
+
+
+def _require_ints(values, field: str) -> None:
+    """ParseError unless every value is a JSON integer (bool is not one)."""
+    for x in values:
+        if type(x) is not int:
+            raise ParseError(f"field {field!r}: {x!r} is not an integer")
 
 
 def _canonical(obj) -> str:
@@ -60,7 +72,8 @@ def decode_drawing(text: str) -> Drawing:
             raise ParseError(f"field {field!r} missing")
     n = doc["n"]
     model = doc["model"]
-    if not isinstance(n, int) or n < 2:
+    _require_ints((n,), "n")
+    if n < 2:
         raise ValidationError(f"n must be an integer >= 2, got {n!r}")
     known = {"format", "n", "model", "params", "crossings", "rotations", "anchor"}
     extra = set(doc) - known
@@ -85,10 +98,11 @@ def decode_drawing(text: str) -> Drawing:
         raw = params.get("points") if isinstance(params, dict) else None
         if not isinstance(raw, list) or len(raw) != n:
             raise ParseError("field 'params.points' must list n integer pairs")
-        try:
-            points = tuple((int(x), int(y)) for x, y in raw)
-        except (TypeError, ValueError) as exc:
-            raise ParseError("field 'params.points' malformed") from exc
+        for p in raw:
+            if not (isinstance(p, list) and len(p) == 2):
+                raise ParseError(f"field 'params.points': {p!r} is not a pair")
+            _require_ints(p, "params.points")
+        points = tuple((x, y) for x, y in raw)
         from .generators import gen_straightline
 
         try:
@@ -139,8 +153,9 @@ def _decode_crossings(raw, n: int) -> frozenset:
         if not (isinstance(entry, list) and len(entry) == 2):
             raise ParseError(f"crossing entry {entry!r} is not a pair")
         r1, r2 = entry
-        if not (isinstance(r1, int) and isinstance(r2, int)):
-            raise ParseError(f"crossing entry {entry!r} is not integer")
+        # _require_ints inlined: this runs once per entry of a quartic table
+        if type(r1) is not int or type(r2) is not int:
+            raise ParseError(f"field 'crossings': entry {entry!r} is not integer")
         if not (0 <= r1 < ranks and 0 <= r2 < ranks) or r1 == r2:
             raise ValidationError(f"crossing ranks {entry} out of range for n={n}")
         if ends[r1] & ends[r2]:
@@ -160,6 +175,7 @@ def _decode_rotations(raw, n: int) -> Tuple[Tuple[int, ...], ...]:
     for v, seq in enumerate(raw):
         if not isinstance(seq, list):
             raise ParseError(f"rotation at vertex {v} is not a list")
+        _require_ints(seq, "rotations")
         if sorted(seq) != [u for u in range(n) if u != v]:
             raise ValidationError(
                 f"rotation at vertex {v} is not a permutation of the other vertices"
@@ -173,9 +189,13 @@ def _decode_anchor(raw, n: int, rotations) -> Tuple[int, Tuple[int, ...]]:
         raise ParseError("field 'anchor' must carry 'v0' and 'order'")
     v0 = raw["v0"]
     order = raw["order"]
-    if not isinstance(v0, int) or not (0 <= v0 < n):
+    _require_ints((v0,), "anchor.v0")
+    if not (0 <= v0 < n):
         raise ValidationError(f"anchor v0 {v0!r} out of range")
-    if not isinstance(order, list) or sorted(order) != [u for u in range(n) if u != v0]:
+    if not isinstance(order, list):
+        raise ParseError("field 'anchor.order' must be a list")
+    _require_ints(order, "anchor.order")
+    if sorted(order) != [u for u in range(n) if u != v0]:
         raise ValidationError("anchor order is not a permutation of V \\ {v0}")
     if rotations is not None:
         from .generators import cyclic_equal
@@ -199,8 +219,9 @@ def decode_certificate(text: str) -> Certificate:
     if not isinstance(doc, dict) or "kind" not in doc or "vertices" not in doc:
         raise ParseError("certificate document must carry 'kind' and 'vertices'")
     vs = doc["vertices"]
-    if not isinstance(vs, list) or any(not isinstance(v, int) for v in vs):
-        raise ParseError("certificate vertices must be integers")
+    if not isinstance(vs, list):
+        raise ParseError("field 'vertices' must be a list")
+    _require_ints(vs, "vertices")
     from .errors import InvalidCertificate
 
     try:

@@ -8,14 +8,16 @@ cyclic order of neighbors around each vertex) and an anchor (a vertex
 certified on the unbounded cell together with the clockwise order of the
 remaining vertices around it).
 
-Hot loops read the crossing relation in one of two ways: the predicate
-``crossing_function`` for one pair of edges, or ``crossing_masks``, N(a, b,
-c) = {w : edge ab crosses edge cw} as a Python int whose bit p stands for
-the p-th vertex of a given order.  The certificate check (in certificate
-order), the pattern oracle (in vertex order) and the anchored colorings of
-:mod:`cstg.chromatics` (in anchored order) all read this one kernel.  A
-convex or twisted certificate of m vertices costs C(m,3) mask tests instead
-of 3*C(m,4) predicate calls.
+Every crossing question reads one kernel, ``crossing_masks``: N(a, b, c) =
+{w : edge ab crosses edge cw} as a Python int whose bit p stands for the
+p-th vertex of a given order.  Certificate checks (in certificate order),
+restrictions (in selection order), the searches of :mod:`cstg.oracles`
+and the anchored colorings of :mod:`cstg.chromatics` (in anchored order)
+all read it; a single query such as :func:`cross` builds a kernel over
+its four vertices and pays O(n) array set-up.  A convex or twisted
+certificate of m vertices costs C(m,3) mask tests instead of 3*C(m,4)
+single-pair tests.  An explicit table is grouped by edge once per drawing,
+on first use, and every kernel on that drawing shares the grouping.
 
 Vertices are 0-based everywhere.
 """
@@ -23,7 +25,7 @@ Vertices are 0-based everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import comb
 from operator import or_
@@ -108,28 +110,10 @@ def _norm_edge(e, n: int) -> Tuple[int, int]:
     return sorted_pair(a, b)
 
 
-def _interleave(i: int, j: int, k: int, l: int) -> bool:
-    # both pairs sorted; strict interleaving of index intervals
-    return (i < k < j < l) or (k < i < l < j)
-
-
-def _nested(i: int, j: int, k: int, l: int) -> bool:
-    # both pairs sorted; one open interval strictly inside the other
-    return (i < k < l < j) or (k < i < j < l)
-
-
 def orient(p, q, r) -> int:
     """Sign of the cross product (q-p) x (r-p); exact on integer input."""
     v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
     return (v > 0) - (v < 0)
-
-
-def segments_cross(p1, p2, q1, q2) -> bool:
-    """Proper crossing of segments with no shared endpoints (general position)."""
-    return (
-        orient(p1, p2, q1) * orient(p1, p2, q2) < 0
-        and orient(q1, q2, p1) * orient(q1, q2, p2) < 0
-    )
 
 
 @dataclass(frozen=True)
@@ -181,12 +165,27 @@ class Drawing:
             ]:
                 raise InvalidSelection("anchor order is not a permutation of V \\ {v0}")
 
-    @property
-    def edge_count(self) -> int:
-        return self.n * (self.n - 1) // 2
-
     def rank(self, i: int, j: int) -> int:
         return edge_index(min(i, j), max(i, j), self.n)
+
+    @cached_property
+    def _partners(self) -> list:
+        """Explicit model: per edge rank, the independent edges that cross it.
+
+        Table entries that name no independent pair in rank order are
+        skipped.  Built on first use and kept with the drawing, so every
+        kernel on it shares one pass over the table.
+        """
+        n = self.n
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        ends = [(1 << i) | (1 << j) for i, j in edges]  # by rank
+        partners = [[] for _ in edges]
+        m = len(edges)
+        for r1, r2 in self.crossings:
+            if 0 <= r1 < r2 < m and not ends[r1] & ends[r2]:
+                partners[r1].append(edges[r2])
+                partners[r2].append(edges[r1])
+        return partners
 
 
 def cross(d: Drawing, e1, e2) -> bool:
@@ -195,48 +194,11 @@ def cross(d: Drawing, e1, e2) -> bool:
     c, e = _norm_edge(e2, d.n)
     if a in (c, e) or b in (c, e):
         raise NotIndependent(f"edges ({a},{b}) and ({c},{e}) share an endpoint")
-    return crossing_function(d)(a, b, c, e)
+    # bit 3 stands for e
+    return bool(crossing_masks(d, (a, b, c, e))(a, b, c) >> 3 & 1)
 
 
-def crossing_function(d: Drawing):
-    """Raw crossing predicate f(i, j, k, l) on sorted, independent pairs.
-
-    No validation; used by hot loops (chi scans, restrictions, plane checks).
-    """
-    if d.model == "convex":
-        return _interleave
-    if d.model == "twisted":
-        return _nested
-    if d.model == "halfcircle":
-        signs = d.signs
-        off = _rank_offsets(d.n)
-
-        def f(i, j, k, l, signs=signs, off=off):
-            if not ((i < k < j < l) or (k < i < l < j)):
-                return False
-            return signs[off[i] + j] == signs[off[k] + l]
-
-        return f
-    if d.model == "points":
-        pts = d.points
-
-        def f(i, j, k, l, pts=pts):
-            return segments_cross(pts[i], pts[j], pts[k], pts[l])
-
-        return f
-    # explicit
-    table = d.crossings
-    off = _rank_offsets(d.n)
-
-    def f(i, j, k, l, table=table, off=off):
-        r1 = off[i] + j
-        r2 = off[k] + l
-        return ((r1, r2) if r1 < r2 else (r2, r1)) in table
-
-    return f
-
-
-@lru_cache(maxsize=16)  # cross() builds a predicate per query
+@lru_cache(maxsize=16)  # cross() builds a kernel per query
 def _rank_offsets(n: int) -> Tuple[int, ...]:
     """off[i] with edge_index(i, j, n) == off[i] + j for i < j, unchecked."""
     # off[0] = -1 and off[i+1] - off[i] = n - 2 - i
@@ -253,8 +215,8 @@ def crossing_masks(d: Drawing, order: Optional[Iterable[int]] = None):
     operations in any order, from ``below[v]``, the bits of the members
     smaller than v (the half-circle also reads one sign row per vertex c,
     built on first use); points use orientation masks memoised per ordered
-    vertex pair; explicit tables group their crossings by edge in one pass
-    on first use and hold one mask per vertex c for each edge asked about.
+    vertex pair; explicit tables read the drawing's grouping of crossings
+    by edge and hold one mask per vertex c for each edge asked about.
     """
     n = d.n
     order = range(n) if order is None else tuple(order)
@@ -345,7 +307,6 @@ def crossing_masks(d: Drawing, order: Optional[Iterable[int]] = None):
 
     # explicit
     off = _rank_offsets(n)
-    partners = []  # per edge rank, the edges that cross it
     rows = {}  # per edge rank, the list of N(ab, c) by c
     no_crossings = [0] * n  # the row of every edge nothing crosses
 
@@ -353,16 +314,9 @@ def crossing_masks(d: Drawing, order: Optional[Iterable[int]] = None):
         r = off[a] + b if a < b else off[b] + a
         row = rows.get(r)
         if row is None:
-            if not partners:
-                edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-                partners.extend([] for _ in edges)
-                m = len(edges)
-                for r1, r2 in d.crossings:
-                    if 0 <= r1 < r2 < m:  # the pairs the predicate finds
-                        partners[r1].append(edges[r2])
-                        partners[r2].append(edges[r1])
-            row = rows[r] = [0] * n if partners[r] else no_crossings
-            for k, l in partners[r]:
+            partners = d._partners[r]
+            row = rows[r] = [0] * n if partners else no_crossings
+            for k, l in partners:
                 row[k] |= bits[l]
                 row[l] |= bits[k]
         return row[c]
@@ -402,18 +356,26 @@ def induced_subdrawing(d: Drawing, vs: Sequence[int]) -> Drawing:
     _check_explicit_n(len(vs))
     back = {v: idx for idx, v in enumerate(vs)}
     m = len(vs)
-    f = crossing_function(d)
-    sub_edges = [(ia, ib) for ia in range(m) for ib in range(ia + 1, m)]
-    pairs = set()
-    for r1, (ia, ib) in enumerate(sub_edges):
-        a, b = sorted_pair(vs[ia], vs[ib])
-        for r2 in range(r1 + 1, len(sub_edges)):
-            ic, id_ = sub_edges[r2]
-            c, e = sorted_pair(vs[ic], vs[id_])
-            if c in (a, b) or e in (a, b):
-                continue
-            if f(a, b, c, e):
-                pairs.add((r1, r2))
+    N = crossing_masks(d, vs)
+    off = _rank_offsets(m)
+    pairs = []
+    # edge (ia, ib) crosses the later-ranked edges (ic, id) with ia < ic < id
+    # whose id is a bit of N(vs[ia], vs[ib], vs[ic]) above ic: about m^3/6
+    # mask reads
+    for ia in range(m - 2):
+        a = vs[ia]
+        for ib in range(ia + 1, m):
+            b = vs[ib]
+            r1 = off[ia] + ib
+            for ic in range(ia + 1, m - 1):
+                if ic == ib:
+                    continue
+                hits = N(a, b, vs[ic]) >> (ic + 1)
+                base = off[ic] + ic + 1  # the rank of (ic, ic + 1)
+                while hits:
+                    low = hits & -hits
+                    pairs.append((r1, base + low.bit_length() - 1))
+                    hits ^= low
 
     rotations = None
     src_rot = d.rotations
@@ -531,15 +493,17 @@ def check_plane_edges(d: Drawing, edges: Iterable[Tuple[int, int]]):
 
     Edge pairs sharing an endpoint are skipped (they cannot cross).
     """
-    f = crossing_function(d)
     es = [_norm_edge(e, d.n) for e in edges]
+    ends = sorted({v for e in es for v in e})
+    N = crossing_masks(d, ends)
+    bit = {v: 1 << p for p, v in enumerate(ends)}
     for x in range(len(es)):
         a, b = es[x]
         for y in range(x + 1, len(es)):
             c, e = es[y]
             if a in (c, e) or b in (c, e):
                 continue
-            if f(a, b, c, e):
+            if N(a, b, c) & bit[e]:
                 return (es[x], es[y])
     return None
 

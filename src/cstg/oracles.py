@@ -14,9 +14,11 @@ it for a child with one mask per pair of the sequence: the ``pattern_fit``
 of the drawing's crossing masks N(ab, c) = {w : edge ab crosses edge cw}
 (:func:`cstg.drawing.crossing_masks`, the kernel certificate checks and
 the colorings use), memoised per triple.  The path search keeps its used
-edges as a mask over the ranks of the pairs of its vertex set.  The
-candidate order, the node count and the bounds are those of the plain scan
-over 4-tuples, so results, witnesses and exhausted budgets are unchanged.
+edges as a mask over the ranks of the pairs of its vertex set, and builds
+the conflict mask of an edge from one kernel row per vertex of that set.
+The candidate order, the node count and the bounds are those of the plain
+scan over 4-tuples, so results, witnesses and exhausted budgets are
+unchanged.
 """
 
 from __future__ import annotations
@@ -30,9 +32,8 @@ from .drawing import (
     CONVEX,
     TWISTED,
     Drawing,
-    crossing_function,
+    _rank_offsets,
     crossing_masks,
-    edge_index,
     pattern_fit,
 )
 from .drawing import sorted_pair as _s2
@@ -173,21 +174,25 @@ def longest_plane_path_exact(
     verts = sorted(vertices) if vertices is not None else list(range(d.n))
     if any(not (0 <= v < d.n) for v in verts) or len(set(verts)) != len(verts):
         raise InvalidSelection("bad vertex restriction")
-    f = crossing_function(d)
     k = len(verts)
-    # the restricted edges by local rank, so the masks have C(k,2) bits
-    pairs = [(verts[p], verts[q]) for p in range(k) for q in range(p + 1, k)]
+    # the restricted edges by local rank, so the masks have C(k,2) bits; the
+    # kernel's bit c stands for verts[c], and local rank off[c] + w for c < w
+    N = crossing_masks(d, verts)
+    off = _rank_offsets(k)
+    pairs = [(p, q) for p in range(k) for q in range(p + 1, k)]
     conflicts = {}
 
     def conflicts_of(r: int) -> int:
         """Mask over local ranks of the restricted edges that cross edge r."""
         cached = conflicts.get(r)
         if cached is None:
-            a, b = pairs[r]
+            p, q = pairs[r]
+            a, b = verts[p], verts[q]
             cached = 0
-            for s, (c, e) in enumerate(pairs):
-                if c != a and c != b and e != a and e != b and f(c, e, a, b):
-                    cached |= 1 << s
+            for c in range(k - 1):
+                if c != p and c != q:
+                    # the edges (c, w) with w > c, moved to ranks off[c] + w
+                    cached |= N(a, b, verts[c]) >> (c + 1) << (off[c] + c + 1)
             conflicts[r] = cached
         return cached
 
@@ -210,7 +215,7 @@ def longest_plane_path_exact(
                 continue
             if not clock.tick():
                 return False
-            r = edge_index(p, q, k) if p < q else edge_index(q, p, k)
+            r = off[p] + q if p < q else off[q] + p
             if conflicts_of(r) & used_edges:
                 continue
             path.append(w)

@@ -27,8 +27,7 @@ from .drawing import (
     PLANE_PATH,
     AnchoredDrawing,
     Certificate,
-    crossing_function,
-    sorted_pair,
+    crossing_masks,
     verify_certificate,
 )
 from .errors import (
@@ -231,7 +230,7 @@ def extract_plane_path(
         leaves = list(star.vertices[2:])
         target = path_target if path_target is not None else max(2, math.ceil(m / 2))
         if budget is None:
-            budget = OracleBudget(seconds=10.0, nodes=500_000)
+            budget = OracleBudget(nodes=500_000)
         try:
             result = longest_plane_path_exact(
                 ad.base, budget=budget, vertices=leaves, target=target
@@ -300,17 +299,23 @@ def _assert_wedge_uniformity(ad, chi, path) -> None:
 
 
 def _assert_anchor_edges_clear(ad, path) -> None:
-    # anchor edge to an earlier path vertex never crosses a later path pair
-    f = crossing_function(ad.base)
+    # anchor edge to an earlier path vertex never crosses a later path pair:
+    # over the order (v0,) + path, bit x + 1 of N(path[y], path[z], v0) is
+    # the anchor edge to path[x]; the first offending x is reported
     v0 = ad.v0
     ids = [ad.vertex_at(p) for p in path]
-    for x in range(len(path) - 2):
-        a = ids[x]
-        e1 = sorted_pair(v0, a)
-        for y in range(x + 1, len(path) - 1):
-            for z in range(y + 1, len(path)):
-                b, c = ids[y], ids[z]
-                if f(*sorted_pair(b, c), *e1):
-                    raise InternalInvariantBroken(
-                        f"anchor edge to {a} crosses path pair ({b},{c})"
-                    )
+    N = crossing_masks(ad.base, (v0, *ids))
+    bad = None
+    for y in range(1, len(ids) - 1):
+        earlier = (1 << (y + 1)) - 2  # bits 1..y: path[0..y-1]
+        for z in range(y + 1, len(ids)):
+            hits = N(ids[y], ids[z], v0) & earlier
+            if hits:
+                x = (hits & -hits).bit_length() - 2
+                if bad is None or x < bad[0]:
+                    bad = (x, y, z)
+    if bad is not None:
+        x, y, z = bad
+        raise InternalInvariantBroken(
+            f"anchor edge to {ids[x]} crosses path pair ({ids[y]},{ids[z]})"
+        )

@@ -7,6 +7,7 @@ import re
 from typing import Callable, List, Optional, Tuple
 
 import pytest
+from test_drawing import crossing_function
 
 from cstg import drawing
 from cstg.chromatics import (
@@ -22,7 +23,6 @@ from cstg.chromatics import (
 from cstg.drawing import (
     AnchoredDrawing,
     Drawing,
-    crossing_function,
     edge_index,
     induced_subdrawing,
     sorted_pair,

@@ -52,6 +52,14 @@ class TestGenerateVerify:
         code, _, _ = run(capsys, "verify", str(bad), "--self")
         assert code == 3
 
+    def test_non_integer_rotation_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "rot.cstg"
+        bad.write_text('{"format":"cstg-1","model":"convex","n":3,'
+                       '"rotations":[[1,"a"],[0,2],[0,1]]}\n')
+        code, _, err = run(capsys, "verify", str(bad), "--self")
+        assert code == 3
+        assert "rotations" in err
+
     def test_unknown_flag_exits_1(self, capsys):
         code, _, _ = run(capsys, "generate", "--family", "convex", "--n", "5",
                          "--frobnicate")

@@ -197,6 +197,45 @@ class TestValidation:
         with pytest.raises(ParseError, match="crossings"):
             decode_drawing('{"crossings":[],"format":"cstg-1","model":"twisted","n":4}')
 
+    def test_rotation_members_must_be_integers(self):
+        # sorting [1, "a"] used to escape as a TypeError
+        with pytest.raises(ParseError, match="'rotations'"):
+            decode_drawing(
+                '{"format":"cstg-1","model":"convex","n":3,'
+                '"rotations":[[1,"a"],[0,2],[0,1]]}'
+            )
+
+    @pytest.mark.parametrize("point", ["[0.9,0]", '["0","0"]', "[true,0]"])
+    def test_point_coordinates_must_be_integers(self, point):
+        # each used to decode silently as (0, 0)
+        doc = (
+            '{"format":"cstg-1","model":"points","n":3,'
+            '"params":{"points":[%s,[5,1],[2,7]]}}' % point
+        )
+        with pytest.raises(ParseError, match="'params.points'"):
+            decode_drawing(doc)
+
+    def test_booleans_are_not_vertices(self):
+        # true used to pass as vertex 1 and be encoded back as true
+        with pytest.raises(ParseError, match="'anchor.v0'"):
+            decode_drawing(
+                '{"anchor":{"order":[0,2],"v0":true},"format":"cstg-1",'
+                '"model":"convex","n":3}'
+            )
+        with pytest.raises(ParseError, match="'anchor.order'"):
+            decode_drawing(
+                '{"anchor":{"order":[false,2],"v0":1},"format":"cstg-1",'
+                '"model":"convex","n":3}'
+            )
+        with pytest.raises(ParseError, match="'vertices'"):
+            decode_certificate('{"kind":"convex","vertices":[true,0]}')
+        with pytest.raises(ParseError, match="'crossings'"):
+            decode_drawing(
+                '{"crossings":[[true,5]],"format":"cstg-1","model":"explicit","n":4}'
+            )
+        with pytest.raises(ParseError, match="'n'"):
+            decode_drawing('{"format":"cstg-1","model":"convex","n":4.0}')
+
     def test_bad_certificate_kind(self):
         with pytest.raises(ValidationError):
             decode_certificate('{"kind":"zigzag","vertices":[0,1]}')

@@ -16,13 +16,14 @@ from cstg.drawing import (
     Certificate,
     Drawing,
     CertificateReport,
+    _rank_offsets,
     check_plane_edges,
     cross,
-    crossing_function,
     crossing_masks,
     edge_at,
     edge_index,
     induced_subdrawing,
+    orient,
     sorted_pair,
     verify_certificate,
 )
@@ -42,6 +43,68 @@ from cstg.generators import (
     gen_twisted,
 )
 from cstg.oracles import max_pattern_exact
+
+# -- the crossing predicate: the reference for the crossing-mask kernel ---------
+#
+# One backend per model, answering for one pair of edges at a time.  The
+# library reads crossings only through crossing_masks; the tests here and in
+# test_oracles / test_chromatics compare it against this predicate.
+
+
+def _interleave(i: int, j: int, k: int, l: int) -> bool:
+    # both pairs sorted; strict interleaving of index intervals
+    return (i < k < j < l) or (k < i < l < j)
+
+
+def _nested(i: int, j: int, k: int, l: int) -> bool:
+    # both pairs sorted; one open interval strictly inside the other
+    return (i < k < l < j) or (k < i < j < l)
+
+
+def segments_cross(p1, p2, q1, q2) -> bool:
+    """Proper crossing of segments with no shared endpoints (general position)."""
+    return (
+        orient(p1, p2, q1) * orient(p1, p2, q2) < 0
+        and orient(q1, q2, p1) * orient(q1, q2, p2) < 0
+    )
+
+
+def crossing_function(d: Drawing):
+    """Raw crossing predicate f(i, j, k, l) on sorted, independent pairs.
+
+    No validation; the reference the kernel tests compare against.
+    """
+    if d.model == "convex":
+        return _interleave
+    if d.model == "twisted":
+        return _nested
+    if d.model == "halfcircle":
+        signs = d.signs
+        off = _rank_offsets(d.n)
+
+        def f(i, j, k, l, signs=signs, off=off):
+            if not ((i < k < j < l) or (k < i < l < j)):
+                return False
+            return signs[off[i] + j] == signs[off[k] + l]
+
+        return f
+    if d.model == "points":
+        pts = d.points
+
+        def f(i, j, k, l, pts=pts):
+            return segments_cross(pts[i], pts[j], pts[k], pts[l])
+
+        return f
+    # explicit
+    table = d.crossings
+    off = _rank_offsets(d.n)
+
+    def f(i, j, k, l, table=table, off=off):
+        r1 = off[i] + j
+        r2 = off[k] + l
+        return ((r1, r2) if r1 < r2 else (r2, r1)) in table
+
+    return f
 
 
 def all_pairs(n):
@@ -149,6 +212,26 @@ class TestCross:
             for e1, e2 in independent_pairs(d.n):
                 assert cross(table, e1, e2) == cross(d, e1, e2)
 
+    def test_every_independent_pair_matches_the_reference(self):
+        # cross() reads one kernel over its four vertices; the predicate
+        # answers per model, so every backend is compared on every pair
+        rng = random.Random(77)
+        drawings = [
+            gen_convex(9),
+            gen_twisted(9),
+            gen_halfcircle(9, seed=5),
+            gen_halfcircle(10, seed=6),
+            gen_straightline(gen_horton(4)),
+            random_explicit(rng, 9, density=0.4),
+            induced_subdrawing(gen_halfcircle(12, seed=2), rng.sample(range(12), 10)),
+        ]
+        for d in drawings:
+            f = crossing_function(d)
+            for e1, e2 in independent_pairs(d.n):
+                want = f(*e1, *e2)
+                assert cross(d, e1, e2) is want, (d.model, e1, e2)
+                assert cross(d, e2[::-1], e1) is want, (d.model, e1, e2)
+
     def test_explicit_cap(self):
         with pytest.raises(SizeLimit):
             Drawing(n=300, model="explicit", crossings=frozenset())
@@ -168,6 +251,40 @@ class TestCross:
     def test_halfcircle_signs_missing(self):
         with pytest.raises(InvalidSigns, match="missing"):
             Drawing(n=4, model="halfcircle")
+
+
+def reference_restriction(d, vs):
+    """The crossing table of induced_subdrawing as the quartic loop built it:
+    one predicate call per independent pair of selected edges."""
+    f = crossing_function(d)
+    m = len(vs)
+    sub_edges = [(ia, ib) for ia in range(m) for ib in range(ia + 1, m)]
+    pairs = set()
+    for r1, (ia, ib) in enumerate(sub_edges):
+        a, b = sorted_pair(vs[ia], vs[ib])
+        for r2 in range(r1 + 1, len(sub_edges)):
+            ic, id_ = sub_edges[r2]
+            c, e = sorted_pair(vs[ic], vs[id_])
+            if c in (a, b) or e in (a, b):
+                continue
+            if f(a, b, c, e):
+                pairs.add((r1, r2))
+    return frozenset(pairs)
+
+
+def restriction_sources():
+    yield "convex 11", gen_convex(11)
+    yield "twisted 11", gen_twisted(11)
+    for seed in range(3):
+        yield f"halfcircle 12 seed {seed}", gen_halfcircle(12, seed=seed)
+    yield "horton 16", gen_straightline(gen_horton(4))
+    rng = random.Random(91)
+    yield "random explicit", random_explicit(rng, 10, density=0.3)
+    order = rng.sample(range(13), 13)
+    yield "explicit restriction", induced_subdrawing(gen_halfcircle(13, seed=4), order)
+
+
+RESTRICTION_SOURCES = dict(restriction_sources())
 
 
 class TestInducedSubdrawing:
@@ -233,6 +350,14 @@ class TestInducedSubdrawing:
             induced_subdrawing(d, [0, 9])
         with pytest.raises(InvalidSelection):
             induced_subdrawing(d, [1])
+
+    @pytest.mark.parametrize("name", sorted(RESTRICTION_SOURCES))
+    def test_matches_the_quartic_loop(self, name):
+        d = RESTRICTION_SOURCES[name]
+        rng = random.Random(name)
+        for _ in range(6):
+            vs = rng.sample(range(d.n), rng.randint(2, d.n))
+            assert induced_subdrawing(d, vs).crossings == reference_restriction(d, vs), vs
 
     def test_size_cap_fails_before_the_quartic_loop(self):
         d = gen_convex(300)
@@ -310,6 +435,25 @@ class TestCheckPlaneEdges:
         assert bad == ((0, 2), (1, 3))
         assert check_plane_edges(d, [(0, 1), (1, 2), (2, 3)]) is None
 
+    @pytest.mark.parametrize("name", sorted(RESTRICTION_SOURCES))
+    def test_first_pair_matches_the_reference(self, name):
+        # the first crossing pair in the order the edges are given, or None
+        d = RESTRICTION_SOURCES[name]
+        f = crossing_function(d)
+        rng = random.Random(name)
+        pairs = all_pairs(d.n)
+        for _ in range(20):
+            edges = [e[::-1] if rng.random() < 0.5 else e for e in rng.sample(pairs, 6)]
+            want = next(
+                (
+                    (sorted_pair(*e1), sorted_pair(*e2))
+                    for e1, e2 in itertools.combinations(edges, 2)
+                    if not set(e1) & set(e2) and f(*sorted_pair(*e1), *sorted_pair(*e2))
+                ),
+                None,
+            )
+            assert check_plane_edges(d, edges) == want, edges
+
 
 class TestAnchoredDrawing:
     def test_order_must_be_permutation(self):
@@ -352,6 +496,15 @@ def mask_drawings():
     stray = {(r2, r1) for r1, r2 in random_explicit(rng, 9).crossings - table}
     yield "explicit with stray entries", Drawing(
         n=9, model="explicit", crossings=table | stray | {(3, 10**6)}
+    )
+    # and pairs of edges that share a vertex, which no query of it asks about
+    adjacent = {
+        (edge_index(*e1, 9), edge_index(*e2, 9))
+        for e1, e2 in itertools.combinations(all_pairs(9), 2)
+        if set(e1) & set(e2) and rng.random() < 0.3
+    }
+    yield "explicit with adjacent entries", Drawing(
+        n=9, model="explicit", crossings=table | adjacent
     )
 
 

@@ -3,13 +3,14 @@
 import random
 
 import pytest
+from test_drawing import crossing_function
 from test_fuzz import random_explicit
 
 from cstg.drawing import (
     CONVEX,
     TWISTED,
     Certificate,
-    crossing_function,
+    Drawing,
     edge_index,
     induced_subdrawing,
     sorted_pair,
@@ -93,6 +94,25 @@ class TestLongestPlanePath:
         assert result.size >= 3
         assert set(result.witness) <= {0, 2, 4, 6}
         assert not result.exact  # stopped at the target
+
+    @pytest.mark.parametrize(
+        "crossing, witness",
+        [
+            # local edges (0,1) x (2,3): read from the row of local vertex 0
+            (((1, 3), (4, 6)), (1, 3, 4, 7, 6, 8)),
+            # local edges (1,2) x (3,4): read from the row of local vertex 1
+            (((3, 4), (6, 7)), (1, 3, 4, 6, 8, 7)),
+        ],
+    )
+    def test_conflict_rows_land_on_local_ranks(self, crossing, witness):
+        # one crossing pair among the restricted vertices 1, 3, 4, 6, 7, 8:
+        # the witness is the first path in search order that avoids using
+        # both edges, so a conflict moved to another local rank changes it
+        (e1, e2) = crossing
+        pair = (edge_index(*e1, 9), edge_index(*e2, 9))
+        d = Drawing(n=9, model="explicit", crossings=frozenset({pair}))
+        result = longest_plane_path_exact(d, vertices=[8, 1, 3, 4, 6, 7])
+        assert result.exact and result.witness == witness
 
     def test_witness_always_plane(self):
         for seed in range(6):

@@ -1,19 +1,23 @@
 """Successor sequences, subsequence search, and the path pipeline."""
 
+import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 
-from cstg import planepath
+from cstg import oracles, planepath
 from cstg.chromatics import ChiCache
 from cstg.drawing import (
     AnchoredDrawing,
     Drawing,
+    edge_index,
     induced_subdrawing,
+    sorted_pair,
     verify_certificate,
 )
-from cstg.errors import InvalidTriple, RotationMissing
+from cstg.errors import InternalInvariantBroken, InvalidTriple, RotationMissing
 from cstg.generators import anchored_view, gen_convex, gen_halfcircle, gen_twisted, rotations_of
 from cstg.planepath import (
     default_m,
@@ -273,3 +277,62 @@ class TestExtractPlanePath:
         assert out.edge_count == out.vertex_count - 1
         lines = "\n".join(out.report_lines())
         assert "vertices" in lines and "edges" in lines
+
+    def test_default_budget_counts_nodes_not_seconds(self, monkeypatch):
+        # the star's leaves are 1..16; every independent pair of leaf edges
+        # crosses unless both lie among 12..16, so the longest plane path
+        # among the leaves is 12..16 and turns up only after 11 start
+        # vertices' worth of nodes
+        ad = mirrored_twisted_view(20)
+        late = set(range(12, 17))
+        edges = list(itertools.combinations(range(1, 17), 2))
+        extra = {
+            sorted_pair(ad.base.rank(*e1), ad.base.rank(*e2))
+            for e1, e2 in itertools.combinations(edges, 2)
+            if not set(e1) & set(e2) and not set(e1 + e2) <= late
+        }
+        d = dataclasses.replace(ad.base, crossings=ad.base.crossings | extra)
+        ad = AnchoredDrawing(d, ad.v0, ad.order)
+        search = oracles.longest_plane_path_exact(d, vertices=range(1, 17), target=99)
+        assert search.nodes > 1024
+        want = extract_plane_path(ad, m_override=4, path_target=99)
+        assert want.stats.branch == "increasing"
+        assert want.path.vertices == (12, 13, 14, 15, 16)
+        # a clock that jumps 11 s per reading would end a 10 s budget at
+        # the first time check, after 1024 nodes
+        ticks = itertools.count(0.0, 11.0)
+        monkeypatch.setattr(oracles.time, "monotonic", lambda: next(ticks))
+        got = extract_plane_path(ad, m_override=4, path_target=99)
+        assert got.path == want.path
+
+
+def explicit_view(n, crossing_edges):
+    """Anchored at 0 in the order 1..n-1, with the given edge pairs crossing."""
+    pairs = {
+        sorted_pair(edge_index(*e1, n), edge_index(*e2, n)) for e1, e2 in crossing_edges
+    }
+    d = Drawing(n=n, model="explicit", crossings=frozenset(pairs))
+    return AnchoredDrawing(d, 0, tuple(range(1, n)))
+
+
+class TestAnchorEdgesClear:
+    def test_clear_path_passes(self):
+        ad = explicit_view(6, [((1, 3), (2, 4))])
+        planepath._assert_anchor_edges_clear(ad, [1, 2, 3, 4, 5])
+
+    def test_names_the_first_anchor_edge_and_pair(self):
+        # three offending (x, y, z): the anchor edge to the earliest path
+        # vertex is named, with its first later pair
+        ad = explicit_view(6, [((0, 2), (3, 4)), ((0, 1), (3, 5)), ((0, 1), (4, 5))])
+        message = "anchor edge to 1 crosses path pair (3,5)"
+        with pytest.raises(InternalInvariantBroken, match=re.escape(message)):
+            planepath._assert_anchor_edges_clear(ad, [1, 2, 3, 4, 5])
+
+    def test_reads_path_positions_through_the_anchored_order(self):
+        # positions 1, 3, 4 are vertices 5, 1, 2 in this order
+        d = explicit_view(6, [((0, 5), (1, 2))]).base
+        ad = AnchoredDrawing(d, 0, (5, 4, 1, 2, 3))
+        message = "anchor edge to 5 crosses path pair (1,2)"
+        with pytest.raises(InternalInvariantBroken, match=re.escape(message)):
+            planepath._assert_anchor_edges_clear(ad, [1, 3, 4])
+        planepath._assert_anchor_edges_clear(ad, [3, 4, 1])
