@@ -315,10 +315,13 @@ def _cmd_tables(args) -> int:
     if args.what == "chi":
         cache = ChiCache(ad)
         lines.append("# cstg-chi-1\ni,j,k,color\n")
+        ks = [f"{k}," for k in range(n)]
+        # one block of rows "i,j,k,color" per pair, its colors read at once
         for i in range(1, n - 2):
             for j in range(i + 1, n - 1):
-                for k in range(j + 1, n):
-                    lines.append(f"{i},{j},{k},{cache.get(i, j, k)}\n")
+                head = f"{i},{j},"
+                cells = map(str.__add__, ks[j + 1:], cache.row(i, j))
+                lines.append(head + f"\n{head}".join(cells) + "\n")
     else:
         table = phi_table(ad)
         lines.append("# cstg-phi-1\ni,j,a,b\n")

@@ -17,7 +17,9 @@ all read it; a single query such as :func:`cross` builds a kernel over
 its four vertices and pays O(n) array set-up.  A convex or twisted
 certificate of m vertices costs C(m,3) mask tests instead of 3*C(m,4)
 single-pair tests.  An explicit table is grouped by edge once per drawing,
-on first use, and every kernel on that drawing shares the grouping.
+on first use, and every kernel on that drawing shares the grouping; an
+entry that names no independent pair in rank order raises ValidationError
+there.
 
 Vertices are 0-based everywhere.
 """
@@ -38,6 +40,7 @@ from .errors import (
     InvalidSigns,
     NotIndependent,
     SizeLimit,
+    ValidationError,
 )
 
 # Explicit crossing tables are quartic in n; past this they do not fit in
@@ -172,19 +175,32 @@ class Drawing:
     def _partners(self) -> list:
         """Explicit model: per edge rank, the independent edges that cross it.
 
-        Table entries that name no independent pair in rank order are
-        skipped.  Built on first use and kept with the drawing, so every
-        kernel on it shares one pass over the table.
+        Built on first use and kept with the drawing, so every kernel on it
+        shares one pass over the table.  A table entry that names no
+        independent pair in rank order raises ValidationError for the
+        smallest such entry.
         """
         n = self.n
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
         ends = [(1 << i) | (1 << j) for i, j in edges]  # by rank
         partners = [[] for _ in edges]
         m = len(edges)
+        stray = []
         for r1, r2 in self.crossings:
             if 0 <= r1 < r2 < m and not ends[r1] & ends[r2]:
                 partners[r1].append(edges[r2])
                 partners[r2].append(edges[r1])
+            else:
+                stray.append((r1, r2))
+        if stray:
+            r1, r2 = entry = min(stray)
+            if not (0 <= r1 < m and 0 <= r2 < m) or r1 == r2:
+                raise ValidationError(f"crossing ranks {list(entry)} out of range for n={n}")
+            (i, j), (k, l) = edges[r1], edges[r2]
+            why = "which share a vertex" if ends[r1] & ends[r2] else "out of rank order"
+            raise ValidationError(
+                f"crossing pair {list(entry)} joins edges ({i},{j}) and ({k},{l}) {why}"
+            )
         return partners
 
 

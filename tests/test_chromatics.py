@@ -529,3 +529,62 @@ class TestKernelEquivalence:
                 phi_table(ad)
             assert str(info.value) == f"triple {violation[:3]} colored {violation[3]}"
         assert rejected > 0
+
+
+def rows_by_get(ad: AnchoredDrawing):
+    """(i, j) -> [get(i, j, k) for k > j], or the message of the get that raises."""
+    cache = ChiCache(ad)
+    rows = {}
+    for i, j in itertools.combinations(range(1, ad.n), 2):
+        try:
+            rows[i, j] = [cache.get(i, j, k) for k in range(j + 1, ad.n)]
+        except ObservationViolated as exc:
+            rows[i, j] = str(exc)
+    return rows
+
+
+def rows_by_row(ad: AnchoredDrawing):
+    cache = ChiCache(ad)
+    rows = {}
+    for i, j in itertools.combinations(range(1, ad.n), 2):
+        try:
+            rows[i, j] = cache.row(i, j)
+        except ObservationViolated as exc:
+            rows[i, j] = str(exc)
+    assert not cache._memo
+    return rows
+
+
+def random_anchored_views(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(4, 11)
+        d = random_explicit(rng, n, density=rng.choice([0.05, 0.2, 0.5]))
+        order = list(range(1, n))
+        rng.shuffle(order)
+        yield AnchoredDrawing(base=d, v0=0, order=tuple(order))
+
+
+class TestChiRow:
+    @pytest.mark.parametrize("ad", KERNEL_VIEWS)
+    def test_row_equals_the_gets_of_its_pair(self, ad):
+        assert rows_by_row(ad) == rows_by_get(ad)
+
+    def test_random_explicit_views(self):
+        raised = kept = 0
+        for ad in random_anchored_views(40, 1010):
+            want = rows_by_get(ad)
+            assert rows_by_row(ad) == want
+            raised += sum(isinstance(row, str) for row in want.values())
+            kept += sum(isinstance(row, list) for row in want.values())
+        assert raised > 0 and kept > 0
+
+    def test_last_pair_has_an_empty_row(self):
+        ad = anchored_view(gen_convex(6))
+        assert ChiCache(ad).row(2, 5) == []
+        assert ChiCache(ad).row(1, 2) == ["010"] * 3
+
+    @pytest.mark.parametrize("pair", [(0, 1), (2, 2), (3, 2), (1, 6)])
+    def test_bad_pair(self, pair):
+        with pytest.raises(InvalidTriple):
+            ChiCache(anchored_view(gen_convex(6))).row(*pair)

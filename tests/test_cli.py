@@ -1,11 +1,17 @@
 """CLI contract: subcommands, exit codes, byte determinism."""
 
+import dataclasses
+import itertools
 import json
+import random
 
 import pytest
+from test_fuzz import random_explicit
 
-from cstg import cli
+from cstg import cli, codec, drawing, generators
+from cstg.chromatics import ChiCache, validate_observation
 from cstg.cli import dispatch
+from cstg.errors import ObservationViolated
 
 
 def run(capsys, *argv):
@@ -183,6 +189,72 @@ class TestDeterminism:
         assert all(row.endswith("001") for row in chi_rows[2:])
         phi_rows = phi_csv.read_text().splitlines()
         assert len(phi_rows) == 2 + 15  # header + C(6,2) pairs
+
+
+def reference_chi_table(path):
+    """`tables chi` one triple at a time: one ChiCache.get and one line per row."""
+    ad = generators.anchored_view(codec.load_drawing(path))
+    cache = ChiCache(ad)
+    lines = ["# cstg-chi-1\ni,j,k,color\n"]
+    for i, j, k in itertools.combinations(range(1, ad.n), 3):
+        lines.append(f"{i},{j},{k},{cache.get(i, j, k)}\n")
+    return "".join(lines)
+
+
+def anchored_restriction(d):
+    """The explicit restriction of d to its anchored order, anchor declared."""
+    ad = generators.anchored_view(d)
+    x = drawing.induced_subdrawing(d, (ad.v0,) + ad.order)
+    return dataclasses.replace(x, anchor=(0, tuple(range(1, d.n))))
+
+
+def violating_documents():
+    # the n=4 table of test_chromatics' injected violation: (1,2,3) colors 011
+    n = 4
+    crossings = frozenset({
+        drawing.sorted_pair(drawing.edge_index(1, 3, n), drawing.edge_index(0, 2, n)),
+        drawing.sorted_pair(drawing.edge_index(1, 2, n), drawing.edge_index(0, 3, n)),
+    })
+    yield "n=4", drawing.Drawing(n=n, model="explicit", crossings=crossings,
+                                 anchor=(0, (1, 2, 3)))
+    # a random table that violates only after some valid pairs
+    rng = random.Random(7)
+    while True:
+        d = random_explicit(rng, 10, density=0.05)
+        d = dataclasses.replace(d, anchor=(0, tuple(range(1, 10))))
+        report = validate_observation(generators.anchored_view(d))
+        if not report.ok and report.violation[:2] != (1, 2):
+            yield "n=10", d
+            return
+
+
+class TestTablesChi:
+    @pytest.mark.parametrize("name, d", [
+        ("convex 9", generators.gen_convex(9)),
+        ("twisted 9", generators.gen_twisted(9)),
+        ("half-circle 24", generators.gen_halfcircle(24, seed=3)),
+        ("horton 16", generators.gen_straightline(generators.gen_horton(4))),
+        ("anchored explicit restriction",
+         anchored_restriction(generators.gen_halfcircle(16, seed=3))),
+    ])
+    def test_equals_the_per_triple_table(self, tmp_path, capsys, name, d):
+        path = tmp_path / "d.cstg"
+        codec.save_drawing(d, str(path))
+        out = tmp_path / "chi.csv"
+        assert run(capsys, "tables", "chi", str(path), "--out", str(out)) == (0, "", "")
+        assert out.read_text() == reference_chi_table(str(path))
+
+    @pytest.mark.parametrize("name, d", list(violating_documents()))
+    def test_violation_exits_3_and_writes_nothing(self, tmp_path, capsys, name, d):
+        path = tmp_path / "bad.cstg"
+        codec.save_drawing(d, str(path))
+        with pytest.raises(ObservationViolated) as info:
+            reference_chi_table(str(path))
+        out = tmp_path / "chi.csv"
+        code, stdout, err = run(capsys, "tables", "chi", str(path), "--out", str(out))
+        assert (code, stdout) == (3, "")
+        assert err == f"invalid input: ObservationViolated: {info.value}\n"
+        assert not out.exists()
 
 
 class TestRenderOverlay:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 import time
 
 import pytest
@@ -34,6 +35,7 @@ from cstg.errors import (
     InvalidSigns,
     NotIndependent,
     SizeLimit,
+    ValidationError,
 )
 from cstg.generators import (
     gen_convex,
@@ -231,6 +233,37 @@ class TestCross:
                 want = f(*e1, *e2)
                 assert cross(d, e1, e2) is want, (d.model, e1, e2)
                 assert cross(d, e2[::-1], e1) is want, (d.model, e1, e2)
+
+    # entries that name no independent pair in rank order used to be skipped,
+    # so cross() answered False on the (4, 1) table, whose entry says it is True
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ((4, 1), "crossing pair [4, 1] joins edges (1,3) and (0,2) out of rank order"),
+            ((1, 6), "crossing ranks [1, 6] out of range for n=4"),
+            ((0, 1), "crossing pair [0, 1] joins edges (0,1) and (0,2) which share a vertex"),
+        ],
+        ids=["unsorted", "rank out of range", "shared vertex"],
+    )
+    def test_explicit_stray_entry_is_rejected(self, entry, message):
+        d = Drawing(n=4, model="explicit", crossings=frozenset({entry}))
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            cross(d, (0, 2), (1, 3))
+
+    def test_explicit_names_the_smallest_stray_entry(self):
+        rng = random.Random(505)
+        table = random_explicit(rng, 9).crossings
+        unsorted = {(r2, r1) for r1, r2 in random_explicit(rng, 9).crossings - table}
+        adjacent = {
+            (edge_index(*e1, 9), edge_index(*e2, 9))
+            for e1, e2 in itertools.combinations(all_pairs(9), 2)
+            if set(e1) & set(e2) and rng.random() < 0.3
+        }
+        for stray in (unsorted | {(3, 10**6)}, adjacent):
+            d = Drawing(n=9, model="explicit", crossings=table | stray)
+            r1, r2 = min(stray)
+            with pytest.raises(ValidationError, match=re.escape(f"[{r1}, {r2}]")):
+                crossing_masks(d)(0, 1, 2)
 
     def test_explicit_cap(self):
         with pytest.raises(SizeLimit):
@@ -491,21 +524,6 @@ def mask_drawings():
         yield f"random explicit {t}", random_explicit(
             rng, rng.randint(4, 11), density=rng.choice([0.05, 0.2, 0.5])
         )
-    # entries the predicate never finds: unsorted pairs and an unknown rank
-    table = random_explicit(rng, 9).crossings
-    stray = {(r2, r1) for r1, r2 in random_explicit(rng, 9).crossings - table}
-    yield "explicit with stray entries", Drawing(
-        n=9, model="explicit", crossings=table | stray | {(3, 10**6)}
-    )
-    # and pairs of edges that share a vertex, which no query of it asks about
-    adjacent = {
-        (edge_index(*e1, 9), edge_index(*e2, 9))
-        for e1, e2 in itertools.combinations(all_pairs(9), 2)
-        if set(e1) & set(e2) and rng.random() < 0.3
-    }
-    yield "explicit with adjacent entries", Drawing(
-        n=9, model="explicit", crossings=table | adjacent
-    )
 
 
 MASK_DRAWINGS = dict(mask_drawings())
