@@ -448,11 +448,6 @@ class AnchoredDrawing:
         """Base vertex at anchored position p (p=0 is the anchor)."""
         return self.v0 if p == 0 else self.order[p - 1]
 
-    def position_of(self, v: int) -> int:
-        if v == self.v0:
-            return 0
-        return self.order.index(v) + 1
-
 
 @dataclass(frozen=True)
 class Certificate:

@@ -150,22 +150,6 @@ def vertex_positions(d: Drawing) -> List[Tuple[float, float]]:
     raise GeometryMissing(f"model {d.model!r} carries no geometry")
 
 
-def spiral_cross(radii: Sequence[int], e1, e2) -> bool:
-    """Crossing of two spiral arcs, decided from the realization itself.
-
-    Arc {i,j} (i<j) has radius rho(s) = r_i + (r_j - r_i) * s over sweep
-    parameter s in [0,1].  Two arcs meet where their radius difference
-    vanishes; with linear radii that happens at s* = u / (u - v) for
-    u = rho1(0)-rho2(0), v = rho1(1)-rho2(1), and the crossing is interior
-    (0 < s* < 1) exactly when u and v have strictly opposite signs.
-    """
-    i, j = min(e1), max(e1)
-    k, l = min(e2), max(e2)
-    u = radii[i] - radii[k]
-    v = radii[j] - radii[l]
-    return u * v < 0
-
-
 # -- rotation systems -------------------------------------------------------
 
 

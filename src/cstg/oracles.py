@@ -16,9 +16,13 @@ of the drawing's crossing masks N(ab, c) = {w : edge ab crosses edge cw}
 the colorings use), memoised per triple.  The path search keeps its used
 edges as a mask over the ranks of the pairs of its vertex set, and builds
 the conflict mask of an edge from one kernel row per vertex of that set.
-The candidate order, the node count and the bounds are those of the plain
-scan over 4-tuples, so results, witnesses and exhausted budgets are
-unchanged.
+A pattern node is one consistent extension: the search walks the set bits
+of the candidate mask in ascending order and stops a node once the sequence
+plus the popcount of that mask cannot beat the best sequence, the
+colouring-free bound of Carraghan and Pardalos (1990) for maximum clique.
+The path search's candidate order, node count and bounds are those of the
+plain scan over its edges, so its results, witnesses and exhausted budgets
+do not depend on the masks.
 """
 
 from __future__ import annotations
@@ -94,11 +98,15 @@ def max_pattern_exact(
 ) -> OracleResult:
     """Maximum k and ordered witness whose certificate of the kind verifies.
 
-    Extends ordered sequences one vertex at a time, skipping a vertex that
-    would complete an inconsistent 4-tuple.  For the convex kind any witness
-    can be cycled so its smallest vertex comes first (interleaving is
-    invariant under rotation of the order), so extensions stay above the
-    first element.
+    Extends ordered sequences one vertex at a time, in ascending order of
+    the vertices that complete no inconsistent 4-tuple; each such extension
+    is one node of the count and of a node budget.  For the convex kind any
+    witness can be cycled so its smallest vertex comes first (interleaving
+    is invariant under rotation of the order), so extensions stay above the
+    first element.  A node stops once its length plus the number of its
+    consistent extensions cannot exceed the best length found, and ``best``
+    changes only on a strict gain, so the witness is the first maximum
+    sequence in that order.
     """
     if kind not in (CONVEX, TWISTED):
         raise InvalidSelection(f"kind must be {CONVEX!r} or {TWISTED!r}")
@@ -108,46 +116,46 @@ def max_pattern_exact(
     best: List[int] = []
     shape = pattern_fit(crossing_masks(d), kind)
     # one lookup per pair of the sequence instead of three masks; without it
-    # 28 searches on half-circle n = 16..22 (125,000 nodes each) took
-    # 1.8-2.3 s against 1.5-1.75 s
+    # 47 searches (half-circle n = 16..22, convex and twisted n = 8..12)
+    # took 2.5-3.1 s against 1.3-1.8 s
     fits = {}
 
-    def fit(x: int, y: int, v: int) -> int:
-        key = (x, y, v)
-        mask = fits.get(key)
-        if mask is None:
-            mask = fits[key] = shape(x, y, v)
-        return mask
-
-    def dfs(seq: List[int], used: set, ok: int) -> bool:
-        # ok: the w for which seq + [w] is consistent
+    def dfs(seq: List[int], free: int, ok: int) -> bool:
+        # ok: the w for which seq + [w] is consistent; free: the unused w
         nonlocal best
         if len(seq) > len(best):
             best = list(seq)
         floor = seq[0] if (want_mid and seq) else -1
-        candidates = [v for v in range(n) if v not in used and v > floor]
-        if len(seq) + len(candidates) <= len(best):
-            return True
-        for v in candidates:
+        cand = ok & free & (-1 << (floor + 1))
+        # the whole of cand, not the bits left: a child may still use a
+        # lower candidate that this loop has already visited
+        bound = len(seq) + cand.bit_count()
+        rest = cand
+        while rest:
+            if bound <= len(best):
+                return True
+            low = rest & -rest
+            rest ^= low
             if not clock.tick():
                 return False
-            if not (ok >> v) & 1:
-                continue
+            v = low.bit_length() - 1
             child = ok
             for b in range(1, len(seq)):
                 y = seq[b]
                 for a in range(b):
-                    child &= fit(seq[a], y, v)
+                    key = (seq[a], y, v)
+                    mask = fits.get(key)
+                    if mask is None:
+                        mask = fits[key] = shape(*key)
+                    child &= mask
             seq.append(v)
-            used.add(v)
-            finished = dfs(seq, used, child)
+            finished = dfs(seq, free ^ low, child)
             seq.pop()
-            used.remove(v)
             if not finished:
                 return False
         return True
 
-    completed = dfs([], set(), (1 << n) - 1)
+    completed = dfs([], (1 << n) - 1, (1 << n) - 1)
     dfs = None  # dfs refers to itself: drop that cycle so the memos go now
     result = OracleResult(
         size=len(best), witness=tuple(best), nodes=clock.nodes, exact=completed

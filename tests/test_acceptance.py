@@ -153,7 +153,7 @@ def test_criterion_03_generator_ground_truth():
         _twisted_sweep_m200()
         _convex_sweep_n64()
         # scalar library routes on a small size, exhaustively
-        from cstg.generators import spiral_cross
+        from test_generators import spiral_cross
 
         d = gen_twisted(24)
         radii = tuple(range(1, 25))

@@ -488,6 +488,11 @@ class TestCheckPlaneEdges:
             assert check_plane_edges(d, edges) == want, edges
 
 
+def position_of(ad, v):
+    """Anchored position of base vertex v: the inverse of ``vertex_at``."""
+    return 0 if v == ad.v0 else ad.order.index(v) + 1
+
+
 class TestAnchoredDrawing:
     def test_order_must_be_permutation(self):
         d = gen_convex(5)
@@ -501,8 +506,8 @@ class TestAnchoredDrawing:
         ad = AnchoredDrawing(base=d, v0=2, order=(1, 0, 4, 3))
         assert ad.vertex_at(0) == 2
         assert ad.vertex_at(1) == 1
-        assert ad.position_of(4) == 3
-        assert ad.position_of(2) == 0
+        assert position_of(ad, 4) == 3
+        assert position_of(ad, 2) == 0
 
 
 # -- crossing masks against the predicate ---------------------------------------

@@ -24,9 +24,24 @@ from cstg.generators import (
     hull_vertices,
     rotation_at,
     rotations_of,
-    spiral_cross,
 )
 from cstg.oracles import numeric_rotation_oracle
+
+
+def spiral_cross(radii, e1, e2):
+    """Crossing of two spiral arcs, decided from the realization itself.
+
+    Arc {i,j} (i<j) has radius rho(s) = r_i + (r_j - r_i) * s over sweep
+    parameter s in [0,1].  Two arcs meet where their radius difference
+    vanishes; with linear radii that happens at s* = u / (u - v) for
+    u = rho1(0)-rho2(0), v = rho1(1)-rho2(1), and the crossing is interior
+    (0 < s* < 1) exactly when u and v have strictly opposite signs.
+    """
+    i, j = min(e1), max(e1)
+    k, l = min(e2), max(e2)
+    u = radii[i] - radii[k]
+    v = radii[j] - radii[l]
+    return u * v < 0
 
 
 def independent_pairs(n):

@@ -76,6 +76,30 @@ class TestMaxPattern:
         assert not payload.exact
         assert payload.size >= 1
 
+    def test_whole_pattern_costs_one_node_per_vertex(self):
+        # the identity order is found first; after it every node's bound
+        # len(seq) + |consistent candidates| equals n, so nothing else ticks
+        for n in (5, 9, 13):
+            assert max_pattern_exact(gen_convex(n), CONVEX).nodes == n
+            assert max_pattern_exact(gen_twisted(n), TWISTED).nodes == n
+
+    @pytest.mark.parametrize(
+        "d",
+        [gen_halfcircle(12, seed=1), gen_halfcircle(16, seed=4), gen_convex(9), gen_twisted(9)],
+        ids=["halfcircle-12-1", "halfcircle-16-4", "convex-9", "twisted-9"],
+    )
+    def test_budget_of_exactly_the_node_count(self, d):
+        # one tick per consistent extension: a budget of N nodes finishes a
+        # search that expands N, and N - 1 stops on the N-th tick
+        for kind in (CONVEX, TWISTED):
+            full = max_pattern_exact(d, kind)
+            assert full.exact and full.nodes >= 2
+            assert max_pattern_exact(d, kind, OracleBudget(nodes=full.nodes)) == full
+            with pytest.raises(BudgetExhausted) as info:
+                max_pattern_exact(d, kind, OracleBudget(nodes=full.nodes - 1))
+            assert info.value.payload.nodes == full.nodes
+            assert not info.value.payload.exact
+
 
 class TestLongestPlanePath:
     def test_small_families(self):
@@ -170,10 +194,13 @@ class TestDominance:
 
 # -- reference kernels ---------------------------------------------------------
 #
-# The searches as they were before the mask kernels: one crossing-predicate
-# scan over every triple of the sequence per candidate, and frozenset
-# conflict sets for the plane path.  Same candidate order and clock ticks,
-# so every field of the result must agree, also on exhausted budgets.
+# The searches without the mask kernels: one crossing-predicate scan over
+# every triple of the sequence per candidate, and frozenset conflict sets
+# for the plane path.  The pattern search lists the unused vertices above
+# the floor that extend the sequence consistently, ticks once per listed
+# vertex and stops a node once the sequence plus the whole list cannot beat
+# the best.  Same candidate order, clock ticks and bounds as the kernels, so
+# every field of the result must agree, also on exhausted budgets.
 
 
 def reference_max_pattern(d, kind, budget=None):
@@ -206,14 +233,16 @@ def reference_max_pattern(d, kind, budget=None):
         if len(seq) > len(best):
             best = list(seq)
         floor = seq[0] if (want_mid and seq) else -1
-        candidates = [v for v in range(n) if v not in used and v > floor]
-        if len(seq) + len(candidates) <= len(best):
-            return True
+        candidates = [
+            v
+            for v in range(n)
+            if v not in used and v > floor and (len(seq) < 3 or consistent(seq, v))
+        ]
         for v in candidates:
+            if len(seq) + len(candidates) <= len(best):
+                return True
             if not clock.tick():
                 return False
-            if len(seq) >= 3 and not consistent(seq, v):
-                continue
             seq.append(v)
             used.add(v)
             ok = dfs(seq, used)
