@@ -62,7 +62,6 @@ from .ramsey import (
     GameState,
     GameTranscript,
     adversarial_painter,
-    halving_painter,
     naive_builder,
     run_game,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "gen_straightline",
     "gen_twisted",
     "guaranteed_m",
-    "halving_painter",
     "induced_subdrawing",
     "inside_delta",
     "lis_lds",

@@ -32,6 +32,11 @@ takes 0.05-0.08 s at n = 256 and 1.1-1.5 s at n = 1024, a full phi_table
 each pair's masks once (``ChiCache.row``): at n = 160 (seed 5) building its
 657,359 rows takes 0.25-0.29 s at a 19 MB tracemalloc peak, against
 0.71-0.88 s and 59 MB one triple at a time.
+
+Only ``chi()`` and callers outside the package read ``ChiCache.get``.
+``PhiTable``, extraction and plane paths read whole color classes from one
+pair's masks (``ChiCache._pair``, ``_checked_pair``), and ``tables chi``
+reads ``ChiCache.row``.
 """
 
 from __future__ import annotations
@@ -116,6 +121,16 @@ class ChiCache:
             return "001" if x & bit else "000"
         raise ObservationViolated(f"triple {(i, j, k)} colored {_color(ri, rj, x, k)}")
 
+    def _checked_pair(self, i: int, j: int, ks: int) -> Tuple[int, int, int]:
+        """The masks of pair (i, j); raises get's ObservationViolated for the
+        lowest k in the mask ``ks`` (positions above j) with (i, j, k) invalid."""
+        ri, rj, x = self._pair(i, j)
+        bad = _clash(ri, rj, x) & ks
+        if bad:
+            k = (bad & -bad).bit_length() - 1
+            raise ObservationViolated(f"triple {(i, j, k)} colored {_color(ri, rj, x, k)}")
+        return ri, rj, x
+
     def row(self, i: int, j: int) -> List[str]:
         """Colors of (i, j, k) for k = j+1 .. n-1, from one read of the masks.
 
@@ -127,11 +142,7 @@ class ChiCache:
         n = self._n
         if not (1 <= i < j <= n - 1):
             raise InvalidTriple(f"pair ({i},{j}) invalid for n={n}")
-        ri, rj, x = self._pair(i, j)
-        bad = _clash(ri, rj, x) >> (j + 1)
-        if bad:
-            k = j + (bad & -bad).bit_length()
-            raise ObservationViolated(f"triple {(i, j, k)} colored {_color(ri, rj, x, k)}")
+        ri, rj, x = self._checked_pair(i, j, -1 << (j + 1))
         width = n - 1 - j
         if not width:
             return []

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 from typing import List, Optional
 
@@ -91,7 +90,6 @@ def _build_parser() -> _Parser:
     ben.add_argument("--seed", type=int, default=0, help="base seed")
     ben.add_argument("--m1", type=int, default=4)
     ben.add_argument("--m2", type=int, default=4)
-    ben.add_argument("--jobs", type=int, default=1)
     ben.add_argument("--out", required=True)
 
     ren = sub.add_parser("render", help="render a geometric drawing as SVG")
@@ -121,8 +119,11 @@ def _parse_points(raw: str):
         chunk = chunk.strip()
         if not chunk:
             continue
-        x, y = chunk.split(",")
-        pts.append((int(x), int(y)))
+        try:
+            x, y = chunk.split(",")
+            pts.append((int(x), int(y)))
+        except ValueError:
+            raise UsageError(f"--points chunk {chunk!r} is not 'x,y' in integers") from None
     return pts
 
 
@@ -254,8 +255,7 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _bench_trial(task):
-    n, seed, m1, m2 = task
+def _bench_trial(n, seed, m1, m2):
     d = generators.gen_halfcircle(n, seed=seed)
     ad = generators.anchored_view(d)
     outcome = extract_pattern(ad, m1, m2)
@@ -282,12 +282,10 @@ BENCH_HEADER = "# cstg-bench-1\ntrial,seed,family,n,m1,m2,outcome,kind,size,stag
 
 
 def _cmd_bench(args) -> int:
-    tasks = [(args.n, args.seed + t, args.m1, args.m2) for t in range(args.trials)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_bench_trial, tasks))
-    else:
-        rows = [_bench_trial(task) for task in tasks]
+    rows = [
+        _bench_trial(args.n, args.seed + t, args.m1, args.m2)
+        for t in range(args.trials)
+    ]
     reference = math.ceil(8 * math.log2(args.n))
     lines = [BENCH_HEADER]
     for trial, row in enumerate(rows):
@@ -359,6 +357,9 @@ def dispatch(argv: Optional[List[str]] = None) -> int:
         return EXIT_INVALID
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except CstgError as exc:
         print(f"invalid input: {exc.__class__.__name__}: {exc}", file=sys.stderr)

@@ -175,10 +175,10 @@ class Drawing:
     def _partners(self) -> list:
         """Explicit model: per edge rank, the independent edges that cross it.
 
-        Built on first use and kept with the drawing, so every kernel on it
-        shares one pass over the table.  A table entry that names no
-        independent pair in rank order raises ValidationError for the
-        smallest such entry.
+        Built on first use (the codec's decode is one) and kept with the
+        drawing, so every kernel on it shares one pass over the table.  A
+        table entry that names no independent pair in rank order raises
+        ValidationError for the smallest such entry.
         """
         n = self.n
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)]

@@ -3,12 +3,13 @@
 Each stage takes the least remaining candidate w, colors its pairs with phi,
 and either (a) finds a phi component at the twisted threshold and returns
 the recovered monotone 3-path as a twisted certificate, or (b) files w into
-the largest phi-class, plays one online-game round there (naive builder,
-halving painter), and checks every class for a monochromatic monotone
+the largest phi-class, plays one online-game round there (naive builder;
+each edge keeps the larger triple-color class of the candidates, read from
+one pair's masks), and checks every class for a monochromatic monotone
 2-path long enough to certify a convex pattern.
 
 The candidate set loses at least a 1/(m2^2 * 2^edges) fraction per stage;
-that one-step recurrence, the painter's color restriction, and the final
+that one-step recurrence, the edge colors' restriction, and the final
 certificates are all asserted, never trusted.  Running out of candidates is
 a legitimate desk-scale outcome reported with statistics.
 """
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .chromatics import ChiCache, PhiTable
+from .chromatics import ChiCache, PhiTable, _color
 from .drawing import (
     CONVEX,
     TWISTED,
@@ -28,7 +29,7 @@ from .drawing import (
     verify_certificate,
 )
 from .errors import InternalInvariantBroken, InvalidSelection, NotATree, SizeLimit
-from .ramsey import GameState, HalvingContext, halving_painter
+from .ramsey import GameState
 
 
 @dataclass
@@ -138,15 +139,13 @@ def extract_pattern(
             chosen_key, kept = (2, 2), []
 
         cls = classes.setdefault(chosen_key, _ClassState())
-        context = HalvingContext(chi=chi.get, candidates=kept)
-        paint = halving_painter(context)
         game = cls.game
         game.add_vertex(w)
-        edges_built = 0
+        pool = sum(1 << v for v in kept)  # distinct bits: the mask of kept
         for u in cls.members:  # naive builder: all prior members, ascending
-            color = paint(game, (u, w))
+            color, pool = _halve(chi, u, w, pool)
             game.add_edge(u, w, color)
-            edges_built += 1
+        edges_built = len(cls.members)
         cls.members.append(w)
         stats.edge_counts.append(edges_built)
         if edges_built == 0:
@@ -156,7 +155,7 @@ def extract_pattern(
                     "more zero-edge stages than phi classes"
                 )
 
-        survivors = context.candidates
+        survivors = [v for v in kept if pool >> v & 1]
         if (
             len(survivors) * (m2 * m2) * (1 << edges_built)
             < len(candidates) - 1
@@ -174,6 +173,30 @@ def extract_pattern(
     stats.outcome = "exhausted"
     _snapshot(stats, classes, [])
     return ExtractionOutcome(certificate=None, exhausted=True, stats=stats)
+
+
+def _halve(chi: ChiCache, u: int, w: int, pool: int) -> Tuple[str, int]:
+    """Color of the built edge (u, w) and the candidates it keeps.
+
+    Of the candidate mask ``pool``, the 010 class is the part in R(w,u) and
+    the 000 class the rest; the larger survives, ties going to 000.  A
+    candidate in R(u,w) or X(u,w) colors 100 or 001 and breaks the
+    invariant.  No triple (u, w, v) is invalid here: phi.value(w, v) has
+    checked every (k, w, v) with k < w.
+    """
+    ri, rj, x = chi._pair(u, w)
+    bad = pool & (ri | x)
+    if bad:
+        v = (bad & -bad).bit_length() - 1
+        raise InternalInvariantBroken(
+            f"candidate {v} colors chi({u},{w},{v})={_color(ri, rj, x, v)}, "
+            "expected 000 or 010"
+        )
+    tens = pool & rj
+    zeros = pool ^ tens
+    if zeros.bit_count() >= tens.bit_count():
+        return "000", zeros
+    return "010", tens
 
 
 def _snapshot(stats, classes, candidates):
@@ -197,19 +220,18 @@ def _convex_success(ad, chi, stats, classes, hit, m1, survivors):
     key, end, color = hit
     game = classes[key].game
     wstar = game.path_witness(end, color)[-m1:]
-    seen = set()
-    for a in range(len(wstar) - 2):
-        for b in range(a + 1, len(wstar) - 1):
-            for c in range(b + 1, len(wstar)):
-                seen.add(chi.get(wstar[a], wstar[b], wstar[c]))
-    if not seen <= {"000", "010"}:
-        raise InternalInvariantBroken(
-            f"convex witness triples outside {{000,010}}: {sorted(seen)}"
-        )
-    if len(seen) > 1:
-        raise InternalInvariantBroken(
-            f"convex witness triples not constant: {sorted(seen)}"
-        )
+    # every witness triple (p, q, v) has the path's color: v in R(q,p) alone
+    # for 010, in none of the pair's masks for 000
+    for s, q in enumerate(wstar[1:-1], 1):
+        later = sum(1 << v for v in wstar[s + 1:])
+        for p in wstar[:s]:
+            ri, rj, x = chi._pair(p, q)
+            bad = later & (ri | x | (rj if color == "000" else ~rj))
+            if bad:
+                v = (bad & -bad).bit_length() - 1
+                raise InternalInvariantBroken(
+                    f"convex witness triple {(p, q, v)} colored {_color(ri, rj, x, v)}"
+                )
     cert = Certificate(CONVEX, tuple(ad.vertex_at(p) for p in wstar))
     report = verify_certificate(ad.base, cert)
     if not report.ok:

@@ -140,7 +140,13 @@ def inside_delta(
     if not (1 <= a < b < v <= ad.n - 1):
         raise InvalidTriple(f"need a < b < v in anchored positions, got ({a},{b},{v})")
     chi = chi_cache if chi_cache is not None else ChiCache(ad)
-    return chi.get(a, b, v) == "001"
+    return bool(_inside(chi, a, b, 1 << v))
+
+
+def _inside(chi: ChiCache, a: int, b: int, vs: int) -> int:
+    """The positions of mask ``vs`` (above b) inside Delta(a, b): those in
+    X(a,b).  An invalid (a, b, v) raises ChiCache.get's error for the lowest v."""
+    return chi._checked_pair(a, b, vs)[2] & vs
 
 
 @dataclass
@@ -261,18 +267,19 @@ def extract_plane_path(
                 "decreasing run shorter than |S|/m^2 despite no long increasing run"
             )
         u_next = dec[-1]  # least element: the run decreases along theta order
-        rest = [p for p in dec if p != u_next]
-        inner = [p for p in rest if chi.get(path[-1], u_next, p) == "001"]
-        outer = [p for p in rest if chi.get(path[-1], u_next, p) != "001"]
-        kept = inner if len(inner) >= len(outer) else outer
-        if 2 * len(kept) < len(rest):
+        rest = sum(1 << p for p in dec[:-1])  # distinct bits: dec less u_next
+        inner = _inside(chi, path[-1], u_next, rest)
+        outer = rest ^ inner
+        kept = inner if inner.bit_count() >= outer.bit_count() else outer
+        size = kept.bit_count()
+        if 2 * size < len(dec) - 1:
             raise InternalInvariantBroken("kept class smaller than half")
-        if len(candidates) > m_sq and 4 * m_sq * len(kept) < len(candidates):
+        if len(candidates) > m_sq and 4 * m_sq * size < len(candidates):
             raise InternalInvariantBroken(
                 "step recurrence |S'| >= |S|/(2m)^2 violated"
             )
         path.append(u_next)
-        candidates = sorted(kept)
+        candidates = sorted(p for p in dec if kept >> p & 1)
 
     _assert_wedge_uniformity(ad, chi, path)
     _assert_anchor_edges_clear(ad, path)
@@ -289,13 +296,14 @@ def _check_path(d, cert: Certificate) -> None:
 
 def _assert_wedge_uniformity(ad, chi, path) -> None:
     # every later path vertex sits on the same side of each consecutive wedge
+    later = sum(1 << v for v in path[2:])
     for t in range(len(path) - 2):
         a, b = path[t], path[t + 1]
-        sides = {chi.get(a, b, v) == "001" for v in path[t + 2 :]}
-        if len(sides) > 1:
+        if _inside(chi, a, b, later) not in (0, later):
             raise InternalInvariantBroken(
                 f"wedge ({a},{b}) separates later path vertices"
             )
+        later ^= 1 << path[t + 2]
 
 
 def _assert_anchor_edges_clear(ad, path) -> None:

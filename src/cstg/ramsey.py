@@ -6,8 +6,9 @@ colors each edge the moment it is created.  The driver stops as soon as a
 monochromatic monotone path of the target length exists.
 
 The engine is agnostic about the two color labels: the standalone game uses
-"red"/"blue", while the extraction pipeline runs class games colored by the
-triple-color labels "000"/"010".
+"red"/"blue", while the extraction pipeline keeps one GameState per phi
+class and adds its edges itself, colored by the triple-color labels
+"000"/"010" that it reads from the pair masks of ``cstg.chromatics``.
 """
 
 from __future__ import annotations
@@ -131,53 +132,6 @@ def naive_builder() -> BuilderStrategy:
         return [u for u in state.vertices if u != w]
 
     return build
-
-
-@dataclass
-class HalvingContext:
-    """Live side context for the halving painter.
-
-    ``chi`` maps anchored positions (i, j, k) to a triple color;
-    ``candidates`` is the surviving candidate set (positions after the
-    current stage vertex), shrunk in place as edges get colored.
-    """
-
-    chi: Callable[[int, int, int], str]
-    candidates: List[int]
-
-
-def halving_painter(context: HalvingContext) -> PainterStrategy:
-    """Painter that colors edge (u, w) by the majority triple color
-    chi(u, w, .) over the surviving candidates and keeps that class.
-
-    Every candidate must color 000 or 010 (anything else means the input
-    drawing is invalid or an upstream bookkeeping bug); the kept class has
-    at least half the candidates, ties going to 000.
-    """
-
-    def paint(state: GameState, edge: Tuple[int, int]) -> str:
-        from .errors import InternalInvariantBroken
-
-        u, w = edge
-        zeros, tens = [], []
-        for v in context.candidates:
-            c = context.chi(u, w, v)
-            if c == "000":
-                zeros.append(v)
-            elif c == "010":
-                tens.append(v)
-            else:
-                raise InternalInvariantBroken(
-                    f"candidate {v} colors chi({u},{w},{v})={c}, "
-                    "expected 000 or 010"
-                )
-        if len(zeros) >= len(tens):
-            context.candidates = zeros
-            return "000"
-        context.candidates = tens
-        return "010"
-
-    return paint
 
 
 def adversarial_painter() -> PainterStrategy:

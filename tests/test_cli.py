@@ -326,3 +326,66 @@ class TestParserReuse:
         assert [code for code, _ in fresh] == [1, 0, 1]
         reused = [run(capsys, *argv)[::2] for argv in calls]
         assert reused == fresh
+
+
+class TestInputErrors:
+    """Bad input exits with a named message, never a traceback."""
+
+    def test_non_utf8_document_is_a_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cstg"
+        bad.write_bytes(b'{"format":"cstg-1","model":"convex","n":4}\xff\n')
+        for argv in (("verify", str(bad), "--self"),
+                     ("extract", "pattern", str(bad))):
+            code, stdout, err = run(capsys, *argv)
+            assert (code, stdout) == (3, "")
+            assert err == f"parse error: {bad}: not UTF-8 text (byte 42)\n"
+
+    def test_non_utf8_certificate_is_a_parse_error(self, tmp_path, capsys):
+        drawing = tmp_path / "c.cstg"
+        run(capsys, "generate", "--family", "convex", "--n", "5", "--out", str(drawing))
+        cert = tmp_path / "c.json"
+        cert.write_bytes(b'\xfe{"kind":"convex","vertices":[0,1,2,3,4]}\n')
+        code, _, err = run(capsys, "verify", str(drawing), str(cert))
+        assert code == 3
+        assert err == f"parse error: {cert}: not UTF-8 text (byte 0)\n"
+
+    def test_directory_as_document_exits_3(self, tmp_path, capsys):
+        code, stdout, err = run(capsys, "verify", str(tmp_path), "--self")
+        assert (code, stdout) == (3, "")
+        assert err.startswith("file error: ") and str(tmp_path) in err
+
+    def test_missing_document_exits_3(self, tmp_path, capsys):
+        missing = tmp_path / "nope.cstg"
+        code, stdout, err = run(capsys, "tables", "phi", str(missing),
+                                "--out", str(tmp_path / "phi.csv"))
+        assert (code, stdout) == (3, "")
+        assert err.startswith("missing file: ") and str(missing) in err
+
+    @pytest.mark.parametrize("points, chunk", [
+        ("0,0;1,2,3", "'1,2,3'"),
+        ("a,1;2,3;4,0", "'a,1'"),
+        ("0,0;1", "'1'"),
+    ])
+    def test_bad_points_chunk_is_a_usage_error(self, capsys, points, chunk):
+        code, stdout, err = run(capsys, "generate", "--family", "points",
+                                "--points", points)
+        assert (code, stdout) == (1, "")
+        assert err == f"usage error: --points chunk {chunk} is not 'x,y' in integers\n"
+
+    def test_extract_pattern_on_an_invalid_triple_exits_3(self, tmp_path, capsys):
+        _, d = next(violating_documents())  # (1, 2, 3) colors 011
+        path = tmp_path / "bad4.cstg"
+        codec.save_drawing(d, str(path))
+        code, stdout, err = run(capsys, "extract", "pattern", str(path))
+        assert (code, stdout) == (3, "")
+        assert err == "invalid input: ObservationViolated: triple (1, 2, 3) colored 011\n"
+
+
+class TestBench:
+    def test_jobs_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        code, _, err = run(capsys, "bench", "--n", "12", "--trials", "3",
+                           "--m1", "3", "--m2", "3", "--jobs", "2", "--out", str(out))
+        assert code == 1
+        assert err == "usage error: unrecognized arguments: --jobs 2\n"
+        assert not out.exists()

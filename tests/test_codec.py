@@ -126,6 +126,19 @@ class TestValidation:
         with pytest.raises(ValidationError, match="share a vertex"):
             decode_drawing(doc)
 
+    def test_several_bad_entries_name_the_smallest(self):
+        # the table's entries are checked in rank order, not document order:
+        # [9, 8] comes first in the document, [0, 1] is the smallest pair
+        doc = (
+            '{"crossings":[[9,8],[3,99],[0,1],[2,6]],'
+            '"format":"cstg-1","model":"explicit","n":5}'
+        )
+        with pytest.raises(ValidationError) as info:
+            decode_drawing(doc)
+        assert str(info.value) == (
+            "crossing pair [0, 1] joins edges (0,1) and (0,2) which share a vertex"
+        )
+
     def test_explicit_over_cap_rejected_before_decoding(self):
         # the size check comes before any per-rank work, so a short document
         # naming a huge n fails at once instead of building C(n,2) entries

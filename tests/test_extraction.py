@@ -5,9 +5,12 @@ import math
 import random
 
 import pytest
+from test_cli import anchored_restriction
 
+from cstg import extraction
+from cstg.chromatics import ChiCache
 from cstg.drawing import CONVEX, TWISTED, Certificate, check_plane_edges, verify_certificate
-from cstg.errors import NotATree, SizeLimit
+from cstg.errors import InternalInvariantBroken, NotATree, SizeLimit
 from cstg.extraction import (
     embed_tree,
     extract_pattern,
@@ -121,6 +124,81 @@ class TestStageStateProperties:
                     for u3 in members:
                         if u3 > u2:
                             assert cache.get(u1, u2, u3) == psi
+
+
+def reference_halve(chi, u, w, candidates):
+    """The per-candidate halving painter: one ChiCache.get per candidate,
+    the larger of the 000 and 010 classes kept, ties going to 000."""
+    zeros, tens = [], []
+    for v in candidates:
+        c = chi.get(u, w, v)
+        if c == "000":
+            zeros.append(v)
+        elif c == "010":
+            tens.append(v)
+        else:
+            raise InternalInvariantBroken(
+                f"candidate {v} colors chi({u},{w},{v})={c}, expected 000 or 010"
+            )
+    return ("000", zeros) if len(zeros) >= len(tens) else ("010", tens)
+
+
+def positions(mask):
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def split_or_error(split, *args):
+    try:
+        return split(*args)
+    except InternalInvariantBroken as exc:
+        return str(exc)
+
+
+class TestMaskSplit:
+    """extraction._halve against the per-candidate painter it replaced."""
+
+    @pytest.mark.parametrize("name, d, m1, m2", [
+        *((f"half-circle 24 seed {s}", gen_halfcircle(24, seed=s), 4, 4) for s in range(6)),
+        ("half-circle 40 seed 1", gen_halfcircle(40, seed=1), 5, 5),
+        ("convex 20", gen_convex(20), 5, 5),
+        ("twisted 20", gen_twisted(20), 3, 30),  # no twisted T30 in 20 vertices
+        ("anchored explicit", anchored_restriction(gen_halfcircle(24, seed=3)), 4, 4),
+    ])
+    def test_every_built_edge(self, monkeypatch, name, d, m1, m2):
+        calls = []
+        halve = extraction._halve
+
+        def spy(chi, u, w, pool):
+            calls.append((u, w, pool))
+            return halve(chi, u, w, pool)
+
+        monkeypatch.setattr(extraction, "_halve", spy)
+        ad = anchored_view(d)
+        out = extract_pattern(ad, m1, m2)
+        assert len(calls) == out.stats.total_edges > 0
+        chi = ChiCache(ad)
+        for u, w, pool in calls:
+            color, kept = halve(chi, u, w, pool)
+            assert (color, positions(kept)) == reference_halve(chi, u, w, positions(pool))
+
+    @pytest.mark.parametrize("name, d", [
+        *((f"half-circle 24 seed {s}", gen_halfcircle(24, seed=s)) for s in range(4)),
+        ("convex 20", gen_convex(20)),
+        ("twisted 20", gen_twisted(20)),
+    ])
+    def test_random_pools(self, name, d):
+        # pools that sit in no phi class: twisted and half-circle candidates
+        # color 001 or 100 too, and both splits name the lowest of them
+        rng = random.Random(name)
+        ad = anchored_view(d)
+        chi = ChiCache(ad)
+        for _ in range(200):
+            u, w = sorted(rng.sample(range(1, ad.n - 1), 2))
+            pool = rng.getrandbits(ad.n) >> (w + 1) << (w + 1)
+            got = split_or_error(extraction._halve, chi, u, w, pool)
+            if not isinstance(got, str):
+                got = (got[0], positions(got[1]))
+            assert got == split_or_error(reference_halve, chi, u, w, positions(pool))
 
 
 class TestThresholds:

@@ -6,6 +6,7 @@ import random
 import re
 
 import pytest
+from test_cli import anchored_restriction, violating_documents
 
 from cstg import oracles, planepath
 from cstg.chromatics import ChiCache
@@ -17,7 +18,12 @@ from cstg.drawing import (
     sorted_pair,
     verify_certificate,
 )
-from cstg.errors import InternalInvariantBroken, InvalidTriple, RotationMissing
+from cstg.errors import (
+    InternalInvariantBroken,
+    InvalidTriple,
+    ObservationViolated,
+    RotationMissing,
+)
 from cstg.generators import anchored_view, gen_convex, gen_halfcircle, gen_twisted, rotations_of
 from cstg.planepath import (
     default_m,
@@ -203,6 +209,66 @@ class TestInsideDelta:
             inside_delta(ad, 3, 2, 5)
         with pytest.raises(InvalidTriple):
             inside_delta(ad, 2, 5, 5)
+
+
+def inside_or_error(chi, a, b, vs):
+    """Reference for planepath._inside: one ChiCache.get per position of vs,
+    ascending, so an invalid triple raises get's message for the lowest v."""
+    try:
+        return sum(1 << v for v in range(b + 1, chi.ad.n)
+                   if vs >> v & 1 and chi.get(a, b, v) == "001")
+    except ObservationViolated as exc:
+        return str(exc)
+
+
+class TestInsideSplit:
+    """planepath._inside against chi.get(a, b, v) == "001"."""
+
+    @pytest.mark.parametrize("name, d, m", [
+        *((f"half-circle 40 seed {s}", gen_halfcircle(40, seed=s), 7) for s in range(4)),
+        ("half-circle 64 seed 1", gen_halfcircle(64, seed=1), 16),
+        ("convex 20", gen_convex(20), 5),
+        ("twisted 20", gen_twisted(20), 5),
+        ("anchored explicit", anchored_restriction(gen_halfcircle(24, seed=3)), 5),
+    ])
+    def test_every_decreasing_step_and_wedge(self, monkeypatch, name, d, m):
+        calls = []
+        inside = planepath._inside
+
+        def spy(chi, a, b, vs):
+            calls.append((a, b, vs))
+            return inside(chi, a, b, vs)
+
+        monkeypatch.setattr(planepath, "_inside", spy)
+        ad = anchored_view(d)
+        out = extract_plane_path(ad, m_override=m)
+        assert out.stats.branch == "decreasing"
+        # one split per step, one wedge check per path pair but the last
+        assert len(calls) == out.stats.steps + out.vertex_count - 2
+        chi = ChiCache(ad)
+        for a, b, vs in calls:
+            assert inside(chi, a, b, vs) == inside_or_error(chi, a, b, vs)
+
+    @pytest.mark.parametrize("name, d", list(violating_documents()))
+    def test_invalid_triple_names_the_lowest(self, name, d):
+        ad = anchored_view(d)
+        chi = ChiCache(ad)
+        raised = 0
+        for a, b in itertools.combinations(range(1, ad.n - 1), 2):
+            vs = (1 << ad.n) - (2 << b)  # every position above b
+            try:
+                got = planepath._inside(chi, a, b, vs)
+            except ObservationViolated as exc:
+                got = str(exc)
+                raised += 1
+            assert got == inside_or_error(ChiCache(ad), a, b, vs)
+        assert raised
+
+    def test_inside_delta_raises_gets_message(self):
+        _, d = next(violating_documents())  # (1, 2, 3) colors 011
+        ad = anchored_view(d)
+        with pytest.raises(ObservationViolated, match=re.escape("triple (1, 2, 3) colored 011")):
+            inside_delta(ad, 1, 2, 3)
 
 
 class TestDefaultM:

@@ -124,48 +124,36 @@ class TestNaiveBuilder:
 
 
 class TestHalvingPainter:
+    """Extraction's halving split: one pair's masks per built edge."""
+
     def test_convex_input_never_shrinks_candidates(self):
         from cstg.chromatics import ChiCache
+        from cstg.extraction import _halve
         from cstg.generators import anchored_view, gen_convex
-        from cstg.ramsey import HalvingContext, halving_painter
 
         ad = anchored_view(gen_convex(12))
-        context = HalvingContext(chi=ChiCache(ad).get, candidates=list(range(4, 12)))
-        paint = halving_painter(context)
-        state = GameState()
-        state.add_vertex(1)
-        state.add_vertex(3)
+        pool = sum(1 << v for v in range(4, 12))
         # every candidate colors 010, so the 000 side is empty and the
-        # whole set survives each edge
-        for u, w in [(1, 3)]:
-            color = paint(state, (u, w))
-            assert color == "010"
-        assert context.candidates == list(range(4, 12))
+        # whole pool survives the edge
+        assert _halve(ChiCache(ad), 1, 3, pool) == ("010", pool)
 
     def test_out_of_class_candidate_breaks_invariant(self):
         from cstg.chromatics import ChiCache
         from cstg.errors import InternalInvariantBroken
+        from cstg.extraction import _halve
         from cstg.generators import anchored_view, gen_twisted
-        from cstg.ramsey import HalvingContext, halving_painter
 
-        # twisted triples color 001, which the painter must refuse
+        # twisted triples color 001, which the split must refuse
         ad = anchored_view(gen_twisted(8))
-        context = HalvingContext(chi=ChiCache(ad).get, candidates=[5, 6])
-        paint = halving_painter(context)
-        state = GameState()
-        state.add_vertex(2)
-        state.add_vertex(3)
-        with pytest.raises(InternalInvariantBroken):
-            paint(state, (2, 3))
+        with pytest.raises(InternalInvariantBroken, match=r"candidate 5 colors chi\(2,3,5\)=001"):
+            _halve(ChiCache(ad), 2, 3, 1 << 5 | 1 << 6)
 
     def test_empty_candidates_tie_to_000(self):
-        from cstg.ramsey import HalvingContext, halving_painter
+        from cstg.chromatics import ChiCache
+        from cstg.extraction import _halve
+        from cstg.generators import anchored_view, gen_convex
 
-        context = HalvingContext(chi=lambda i, j, k: "000", candidates=[])
-        state = GameState()
-        state.add_vertex(1)
-        state.add_vertex(2)
-        assert halving_painter(context)(state, (1, 2)) == "000"
+        assert _halve(ChiCache(anchored_view(gen_convex(4))), 1, 2, 0) == ("000", 0)
 
 
 class TestMeasuredCost:
