@@ -65,16 +65,19 @@ def _build_parser() -> _Parser:
     ver.add_argument("--self", dest="self_check", action="store_true")
 
     ext = sub.add_parser("extract", help="run an extraction pipeline")
-    ext.add_argument("what", choices=["pattern", "planepath"])
-    ext.add_argument("drawing")
-    ext.add_argument("--m1", type=int, default=4)
-    ext.add_argument("--m2", type=int, default=4)
-    ext.add_argument("--m-override", type=int)
-    ext.add_argument("--path-target", type=int)
-    ext.add_argument("--budget-seconds", type=float)
-    ext.add_argument("--budget-nodes", type=int)
-    ext.add_argument("--out", help="write the certificate document here")
-    ext.add_argument("--star-out", help="write the bipartite star document here")
+    pipes = ext.add_subparsers(dest="what", required=True)
+    pat = pipes.add_parser("pattern", help="convex or twisted pattern")
+    pat.add_argument("--m1", type=int, default=4)
+    pat.add_argument("--m2", type=int, default=4)
+    path = pipes.add_parser("planepath", help="plane path or two-center star")
+    path.add_argument("--m-override", type=int)
+    path.add_argument("--path-target", type=int)
+    path.add_argument("--budget-seconds", type=float)
+    path.add_argument("--budget-nodes", type=int)
+    path.add_argument("--star-out", help="write the bipartite star document here")
+    for pipe in (pat, path):
+        pipe.add_argument("drawing")
+        pipe.add_argument("--out", help="write the certificate document here")
 
     orc = sub.add_parser("oracle", help="run a brute-force search")
     orc.add_argument("what", choices=["maxconvex", "maxtwisted", "planepath"])
@@ -178,11 +181,11 @@ def _self_check(d) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.self_check == (args.certificate is not None):
+        raise UsageError("verify takes exactly one of a certificate document and --self")
     d = codec.load_drawing(args.drawing)
     if args.self_check:
         return _self_check(d)
-    if args.certificate is None:
-        raise UsageError("verify needs a certificate document or --self")
     cert = codec.load_certificate(args.certificate)
     report = verify_certificate(d, cert)
     if report.ok:
@@ -200,12 +203,6 @@ def _budget(args) -> Optional[oracles.OracleBudget]:
 
 
 def _cmd_extract(args) -> int:
-    if args.what == "pattern":
-        # the pattern pipeline takes no budget; an ignored flag would look honoured
-        for flag, value in (("--budget-seconds", args.budget_seconds),
-                            ("--budget-nodes", args.budget_nodes)):
-            if value is not None:
-                raise UsageError(f"{flag} is not supported by extract pattern")
     d = codec.load_drawing(args.drawing)
     ad = generators.anchored_view(d)
     if args.what == "pattern":

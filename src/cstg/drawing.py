@@ -21,6 +21,11 @@ on first use, and every kernel on that drawing shares the grouping; an
 entry that names no independent pair in rank order raises ValidationError
 there.
 
+Every other invariant is checked when a ``Drawing`` is built: n, the model
+and its one payload, the size cap, the signs, the point set (distinct int
+pairs, no collinear triple), rotations and anchor as permutations, and the
+anchor as a clockwise reading of a stored rotation at v0.
+
 Vertices are 0-based everywhere.
 """
 
@@ -34,6 +39,7 @@ from operator import or_
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import (
+    DegenerateInput,
     InvalidCertificate,
     InvalidEdge,
     InvalidSelection,
@@ -48,6 +54,7 @@ from .errors import (
 EXPLICIT_N_CAP = 256
 
 MODELS = ("explicit", "convex", "twisted", "halfcircle", "points")
+_PAYLOADS = (("crossings", "explicit"), ("signs", "halfcircle"), ("points", "points"))
 _BITS = str.maketrans("UL", "10")  # half-circle signs as upper-arc bits
 
 CONVEX = "convex"
@@ -101,6 +108,41 @@ def _check_signs(n: int, signs) -> None:
         raise InvalidSigns("sign vector must use only U and L")
 
 
+def _check_points(n: int, points) -> None:
+    """n pairs of Python ints, pairwise distinct, no three on a line."""
+    if not (type(points) is tuple and len(points) == n):
+        raise InvalidSelection(f"points must be a tuple of n={n} integer pairs")
+    seen = {}
+    for idx, p in enumerate(points):
+        if not (type(p) is tuple and len(p) == 2 and type(p[0]) is type(p[1]) is int):
+            raise InvalidSelection(f"point {idx} {p!r} is not a pair of integers")
+        if p in seen:
+            raise DegenerateInput(f"duplicate point {p} at indices {seen[p]} and {idx}")
+        seen[p] = idx
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
+                if orient(points[a], points[b], points[c]) == 0:
+                    raise DegenerateInput(f"collinear triple ({a},{b},{c})")
+
+
+def _is_order(seq, n: int, v: int) -> bool:
+    """seq is a tuple of Python ints listing every vertex but v once."""
+    return (
+        type(seq) is tuple and len(seq) == n - 1 and set(map(type, seq)) == {int}
+        and sorted(seq) == [u for u in range(n) if u != v]
+    )
+
+
+def cyclic_equal(a: Sequence, b: Sequence) -> bool:
+    """Equality of cyclic sequences (same length, some rotation matches)."""
+    la, lb = list(a), list(b)
+    if not la or len(la) != len(lb) or la[0] not in lb:
+        return la == lb
+    start = lb.index(la[0])
+    return la == lb[start:] + lb[:start]
+
+
 def _norm_edge(e, n: int) -> Tuple[int, int]:
     try:
         a, b = e
@@ -145,28 +187,43 @@ class Drawing:
     anchor: Optional[Tuple[int, Tuple[int, ...]]] = None
 
     def __post_init__(self):
-        if self.n < 2:
-            raise InvalidSelection(f"drawing needs n >= 2, got {self.n}")
+        n = self.n
+        if type(n) is not int or n < 2:
+            raise InvalidSelection(f"drawing needs an integer n >= 2, got {n!r}")
         if self.model not in MODELS:
             raise InvalidSelection(f"unknown model {self.model!r}")
+        for field, owner in _PAYLOADS:
+            if getattr(self, field) is not None and self.model != owner:
+                raise InvalidSelection(f"a {self.model} drawing takes no {field}")
         if self.model == "explicit":
-            _check_explicit_n(self.n)
-        if self.model == "halfcircle":
-            _check_signs(self.n, self.signs)
-        if self.rotations is not None:
-            if len(self.rotations) != self.n:
-                raise InvalidSelection("rotations must hold one sequence per vertex")
-            for v, rot in enumerate(self.rotations):
-                if sorted(rot) != [u for u in range(self.n) if u != v]:
+            _check_explicit_n(n)
+            if self.crossings is None:
+                raise InvalidSelection("an explicit drawing needs a crossings table")
+        elif self.model == "halfcircle":
+            _check_signs(n, self.signs)
+        elif self.model == "points":
+            _check_points(n, self.points)
+        rotations = self.rotations
+        if rotations is not None:
+            if not (type(rotations) is tuple and len(rotations) == n):
+                raise InvalidSelection("rotations must hold one tuple per vertex")
+            for v, rot in enumerate(rotations):
+                if not _is_order(rot, n, v):
                     raise InvalidSelection(
                         f"rotation at vertex {v} is not a permutation of the others"
                     )
         if self.anchor is not None:
+            if not (type(self.anchor) is tuple and len(self.anchor) == 2):
+                raise InvalidSelection("anchor must be a pair (v0, order)")
             v0, order = self.anchor
-            if not (0 <= v0 < self.n) or sorted(order) != [
-                u for u in range(self.n) if u != v0
-            ]:
+            if type(v0) is not int or not 0 <= v0 < n:
+                raise InvalidSelection(f"anchor v0 {v0!r} out of range")
+            if not _is_order(order, n, v0):
                 raise InvalidSelection("anchor order is not a permutation of V \\ {v0}")
+            if rotations is not None and not cyclic_equal(order[::-1], rotations[v0]):
+                raise InvalidSelection(
+                    "anchor order is not a clockwise reading of the rotation at v0"
+                )
 
     def rank(self, i: int, j: int) -> int:
         return edge_index(min(i, j), max(i, j), self.n)

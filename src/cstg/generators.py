@@ -38,11 +38,11 @@ from .drawing import (
     Drawing,
     _check_signs,
     _rank_offsets,
+    cyclic_equal,
     orient,
 )
 from .errors import (
     AnchorUnavailable,
-    DegenerateInput,
     GeometryMissing,
     InvalidSelection,
     InvalidSigns,
@@ -85,22 +85,10 @@ def gen_halfcircle(n: int, seed=None, signs: Optional[HalfCircleSigns] = None) -
 
 
 def gen_straightline(points: Sequence[Tuple[int, int]]) -> Drawing:
-    """Complete geometric graph on integer points in general position."""
+    """Complete geometric graph on integer points in general position
+    (``Drawing`` names a duplicate point or a collinear triple)."""
     pts = tuple((int(x), int(y)) for x, y in points)
-    if len(pts) < 2:
-        raise InvalidSelection("need at least 2 points")
-    seen = {}
-    for idx, p in enumerate(pts):
-        if p in seen:
-            raise DegenerateInput(f"duplicate point {p} at indices {seen[p]} and {idx}")
-        seen[p] = idx
-    n = len(pts)
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                if orient(pts[a], pts[b], pts[c]) == 0:
-                    raise DegenerateInput(f"collinear triple ({a},{b},{c})")
-    return Drawing(n=n, model="points", points=pts)
+    return Drawing(n=len(pts), model="points", points=pts)
 
 
 HORTON_K_CAP = 12  # 2^12 = 4096 points
@@ -216,21 +204,6 @@ def _upper_run(d: Drawing, v: int) -> List[int]:
     return [j for j in range(v) if signs[off[j] + v] == "U"] + [
         j for j in range(v + 1, d.n) if signs[off[v] + j] == "U"
     ]
-
-
-def cyclic_equal(a: Sequence, b: Sequence) -> bool:
-    """Equality of cyclic sequences (same length, some rotation matches)."""
-    if len(a) != len(b):
-        return False
-    if len(a) == 0:
-        return True
-    la = list(a)
-    lb = list(b)
-    try:
-        start = lb.index(la[0])
-    except ValueError:
-        return False
-    return la == lb[start:] + lb[:start]
 
 
 # -- anchors ----------------------------------------------------------------

@@ -36,14 +36,14 @@ from .errors import (
     InvalidSelection,
     InvalidTriple,
 )
+from .generators import rotation_at
+from .oracles import OracleBudget, longest_plane_path_exact
 
 
 def theta(ad: AnchoredDrawing, i: int) -> List[int]:
     """Successors of position i in ccw edge order after the anchor edge."""
     if not (1 <= i <= ad.n - 1):
         raise InvalidSelection(f"position {i} out of range")
-    from .generators import rotation_at
-
     v = ad.vertex_at(i)
     rot = list(rotation_at(ad.base, v))
     cut = rot.index(ad.v0)
@@ -231,8 +231,6 @@ def extract_plane_path(
     star = find_plane_k2m2(ad, m)
     if star is not None:
         stats.branch = "increasing"
-        from .oracles import OracleBudget, longest_plane_path_exact
-
         leaves = list(star.vertices[2:])
         target = path_target if path_target is not None else max(2, math.ceil(m / 2))
         if budget is None:

@@ -1,6 +1,7 @@
 """Canonical serialization: round trips, determinism, validation."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -10,8 +11,16 @@ from cstg.codec import (
     encode_certificate,
     encode_drawing,
 )
-from cstg.drawing import CONVEX, Certificate, edge_index, induced_subdrawing
-from cstg.errors import ParseError, SizeLimit, ValidationError
+from cstg.drawing import CONVEX, Certificate, Drawing, edge_index, induced_subdrawing
+from cstg.errors import (
+    CstgError,
+    DegenerateInput,
+    InvalidSelection,
+    InvalidSigns,
+    ParseError,
+    SizeLimit,
+    ValidationError,
+)
 from cstg.generators import (
     anchored_view,
     gen_convex,
@@ -252,3 +261,197 @@ class TestValidation:
     def test_bad_certificate_kind(self):
         with pytest.raises(ValidationError):
             decode_certificate('{"kind":"zigzag","vertices":[0,1]}')
+
+
+# -- one home for the drawing invariants ---------------------------------------
+
+ROTATIONS4 = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+
+# (id, Drawing keywords, error at Drawing(...), its message,
+#  the same input as a document, error at decode, its message)
+# A document that is well-formed JSON of the right shape fails at decode
+# with ValidationError and Drawing's message verbatim; one whose shape or
+# integer types are wrong fails earlier, with ParseError naming the field.
+INVALID = [
+    (
+        "collinear points",
+        dict(n=3, model="points", points=((0, 0), (1, 1), (2, 2))),
+        DegenerateInput,
+        "collinear triple (0,1,2)",
+        '{"format":"cstg-1","model":"points","n":3,'
+        '"params":{"points":[[0,0],[1,1],[2,2]]}}',
+        ValidationError,
+        "collinear triple (0,1,2)",
+    ),
+    (
+        "duplicate point",
+        dict(n=3, model="points", points=((0, 0), (1, 2), (0, 0))),
+        DegenerateInput,
+        "duplicate point (0, 0) at indices 0 and 2",
+        '{"format":"cstg-1","model":"points","n":3,'
+        '"params":{"points":[[0,0],[1,2],[0,0]]}}',
+        ValidationError,
+        "duplicate point (0, 0) at indices 0 and 2",
+    ),
+    (
+        "float point",
+        dict(n=3, model="points", points=((0.5, 0), (5, 1), (2, 7))),
+        InvalidSelection,
+        "point 0 (0.5, 0) is not a pair of integers",
+        '{"format":"cstg-1","model":"points","n":3,'
+        '"params":{"points":[[0.5,0],[5,1],[2,7]]}}',
+        ParseError,
+        "field 'params.points': 0.5 is not an integer",
+    ),
+    (
+        "short point list",
+        dict(n=5, model="points", points=((0, 0),)),
+        InvalidSelection,
+        "points must be a tuple of n=5 integer pairs",
+        '{"format":"cstg-1","model":"points","n":5,"params":{"points":[[0,0]]}}',
+        ParseError,
+        "field 'params.points' must list n integer pairs",
+    ),
+    (
+        "explicit without crossings",
+        dict(n=4, model="explicit"),
+        InvalidSelection,
+        "an explicit drawing needs a crossings table",
+        '{"format":"cstg-1","model":"explicit","n":4}',
+        ParseError,
+        "field 'crossings' missing for explicit model",
+    ),
+    (
+        "payload for another model",
+        dict(n=4, model="convex", signs="UUUUUU"),
+        InvalidSelection,
+        "a convex drawing takes no signs",
+        '{"format":"cstg-1","model":"convex","n":4,"params":{"signs":"UUUUUU"}}',
+        ParseError,
+        "convex model takes no 'params'",
+    ),
+    (
+        "anchor v0 out of range",
+        dict(n=4, model="convex", anchor=(9, (1, 2, 3))),
+        InvalidSelection,
+        "anchor v0 9 out of range",
+        '{"anchor":{"order":[1,2,3],"v0":9},"format":"cstg-1","model":"convex","n":4}',
+        ValidationError,
+        "anchor v0 9 out of range",
+    ),
+    (
+        "anchor against rotations",
+        # ccw rotation (1,2,3) at v0: its clockwise readings are the cyclic
+        # cuts of (3,2,1), and the ascending order is none of them
+        dict(n=4, model="explicit", crossings=frozenset(), rotations=ROTATIONS4,
+             anchor=(0, (1, 2, 3))),
+        InvalidSelection,
+        "anchor order is not a clockwise reading of the rotation at v0",
+        '{"anchor":{"order":[1,2,3],"v0":0},"crossings":[],"format":"cstg-1",'
+        '"model":"explicit","n":4,"rotations":[[1,2,3],[0,2,3],[0,1,3],[0,1,2]]}',
+        ValidationError,
+        "anchor order is not a clockwise reading of the rotation at v0",
+    ),
+    (
+        "n below 2",
+        dict(n=1, model="convex"),
+        InvalidSelection,
+        "drawing needs an integer n >= 2, got 1",
+        '{"format":"cstg-1","model":"convex","n":1}',
+        ValidationError,
+        "drawing needs an integer n >= 2, got 1",
+    ),
+    (
+        "short sign vector",
+        dict(n=4, model="halfcircle", signs="UL"),
+        InvalidSigns,
+        "sign vector length 2, expected C(4,2)=6",
+        '{"format":"cstg-1","model":"halfcircle","n":4,"params":{"signs":"UL"}}',
+        ValidationError,
+        "sign vector length 2, expected C(4,2)=6",
+    ),
+    (
+        "rotation not a permutation",
+        dict(n=3, model="convex", rotations=((1, 2), (0, 2), (0, 0))),
+        InvalidSelection,
+        "rotation at vertex 2 is not a permutation of the others",
+        '{"format":"cstg-1","model":"convex","n":3,"rotations":[[1,2],[0,2],[0,0]]}',
+        ValidationError,
+        "rotation at vertex 2 is not a permutation of the others",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "kwargs, error, message, doc, doc_error, doc_message",
+    [row[1:] for row in INVALID],
+    ids=[row[0] for row in INVALID],
+)
+class TestInvalidInputTable:
+    def test_rejected_at_construction(self, kwargs, error, message, doc, doc_error,
+                                      doc_message):
+        with pytest.raises(error) as info:
+            Drawing(**kwargs)
+        assert str(info.value) == message
+
+    def test_document_rejected_at_decode(self, kwargs, error, message, doc, doc_error,
+                                         doc_message):
+        with pytest.raises(doc_error) as info:
+            decode_drawing(doc)
+        assert type(info.value) is doc_error
+        assert str(info.value) == doc_message
+
+
+def round_trip_candidates(rng):
+    """Drawing keywords on every model; the random ones often break an
+    invariant (a collinear triple, an anchor against the rotations)."""
+    for n in (2, 3, 7, 12):
+        yield dict(n=n, model="convex")
+        yield dict(n=n, model="twisted")
+    yield dict(n=5, model="convex", signs="U" * 10)
+    yield dict(n=5, model="twisted", points=tuple((v, v * v) for v in range(5)))
+    for seed in range(6):
+        d = gen_halfcircle(9, seed=seed)
+        ad = anchored_view(d)
+        yield dict(n=9, model="halfcircle", signs=d.signs)
+        yield dict(n=9, model="halfcircle", signs=d.signs, rotations=rotations_of(d),
+                   anchor=(ad.v0, ad.order))
+    for k in range(1, 6):
+        pts = tuple(gen_horton(k))
+        yield dict(n=len(pts), model="points", points=pts)
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        pts = tuple((rng.randrange(6), rng.randrange(6)) for _ in range(n))
+        yield dict(n=n, model="points", points=pts)
+        yield dict(n=n, model="points", points=pts, anchor=(0, tuple(range(1, n))))
+    for seed in range(20):
+        source = gen_halfcircle(11, seed=seed) if seed % 2 else gen_twisted(11)
+        vs = rng.sample(range(11), rng.randint(2, 11))
+        x = induced_subdrawing(source, vs)
+        m = len(vs)
+        v0 = rng.randrange(m)
+        order = [u for u in range(m) if u != v0]
+        if seed % 3:
+            clockwise = x.rotations[v0][::-1]
+            cut = rng.randrange(m - 1)
+            order = clockwise[cut:] + clockwise[:cut]
+        else:
+            rng.shuffle(order)
+        yield dict(n=m, model="explicit", crossings=x.crossings, rotations=x.rotations,
+                   anchor=(v0, tuple(order)))
+        yield dict(n=m, model="explicit", crossings=x.crossings, anchor=(v0, tuple(order)))
+
+
+class TestRoundTripProperty:
+    def test_decode_inverts_encode_on_every_drawing_that_constructs(self):
+        built = rejected = 0
+        for kwargs in round_trip_candidates(random.Random(1313)):
+            try:
+                d = Drawing(**kwargs)
+            except CstgError:
+                rejected += 1
+                continue
+            built += 1
+            assert decode_drawing(encode_drawing(d)) == d, kwargs
+        # both sides of the property are exercised
+        assert built >= 60 and rejected >= 20, (built, rejected)

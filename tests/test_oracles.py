@@ -160,11 +160,15 @@ class TestNumericRotations:
             assert all(cyclic_equal(a, b) for a, b in zip(numeric, analytic))
 
     def test_duplicate_positions_degenerate(self):
-        from cstg.drawing import Drawing
-
-        d = Drawing(n=2, model="points", points=((0, 0), (0, 0)))
-        with pytest.raises(DegenerateInput):
+        # distinct integer points that round to one float position: the
+        # drawing is valid, its float realisation is not
+        d = Drawing(n=2, model="points", points=((2**60, 0), (2**60 + 1, 0)))
+        with pytest.raises(DegenerateInput, match="duplicate vertex positions"):
             numeric_rotation_oracle(d)
+
+    def test_exact_duplicate_fails_at_construction(self):
+        with pytest.raises(DegenerateInput, match=r"duplicate point \(0, 0\)"):
+            Drawing(n=2, model="points", points=((0, 0), (0, 0)))
 
     def test_geometry_missing_for_explicit(self):
         from cstg.drawing import Drawing
