@@ -43,7 +43,6 @@ from .extraction import (
     required_n,
 )
 from .generators import (
-    HalfCircleSigns,
     anchored_view,
     gen_convex,
     gen_halfcircle,
@@ -77,7 +76,6 @@ __all__ = [
     "Drawing",
     "GameState",
     "GameTranscript",
-    "HalfCircleSigns",
     "OracleBudget",
     "PLANE_BIPARTITE",
     "PLANE_PATH",

@@ -110,16 +110,9 @@ class ChiCache:
                 raise InvalidTriple(f"positions {(i, j, k)} invalid for n={self._n}")
             masks = self._memo[(i, j)] = self._pair(i, j)
         ri, rj, x = masks
-        bit = 1 << k
-        if ri & bit:
-            if not (rj | x) & bit:
-                return "100"
-        elif rj & bit:
-            if not x & bit:
-                return "010"
-        else:
-            return "001" if x & bit else "000"
-        raise ObservationViolated(f"triple {(i, j, k)} colored {_color(ri, rj, x, k)}")
+        if _clash(ri, rj, x) >> k & 1:
+            raise ObservationViolated(f"triple {(i, j, k)} colored {_color(ri, rj, x, k)}")
+        return _color(ri, rj, x, k)
 
     def _checked_pair(self, i: int, j: int, ks: int) -> Tuple[int, int, int]:
         """The masks of pair (i, j); raises get's ObservationViolated for the
@@ -185,10 +178,11 @@ class PhiTable:
     """Pair coloring phi with lazily materialized DP rows.
 
     Row s holds the values for pairs whose second position is s; a(i,j) only
-    consults row i, so rows fill in position order.  A finished row keeps,
-    for each component, the mask of positions k at each level phi(k,s), and
-    a(i,j) is one more than the highest level that meets X(i,j) below i
-    (b(i,j) likewise with R(j,i)).  Ties in witness recovery go to the
+    consults row i, so rows fill in position order.  Each row keeps, for each
+    component, the mask of positions k at each level phi(k,s), set as each
+    cell is computed (``value`` may compute cells of a row out of order), and
+    a(i,j) is one more than the highest level of row i that meets X(i,j)
+    below i (b(i,j) likewise with R(j,i)).  Ties in witness recovery go to the
     smallest predecessor, the lowest set bit of that intersection.  Invalid
     triples (k,i,j) met on the way raise ObservationViolated for the lowest k.
     """
@@ -198,8 +192,9 @@ class PhiTable:
         self._chi = chi_cache if chi_cache is not None else ChiCache(ad)
         # row j: (a, b, parent in a, parent in b) of the pair (i, j) at index i
         self._rows = [[None] * j for j in range(ad.n)]
-        # finished rows 1..s -> per component, the positions at each level
-        self._levels = {1: ([], [])}
+        # row j: per component, levels[t] = the positions i with phi(i,j) = t+2
+        self._levels = [([], []) for _ in range(ad.n)]
+        self._finished = 1  # rows 1.._finished hold every cell
 
     def _compute(self, i: int, j: int) -> None:
         ri, rj, x = self._chi._pair(i, j)
@@ -212,16 +207,18 @@ class PhiTable:
         a, par_a = _extend(level_a, x & below)
         b, par_b = _extend(level_b, rj & below)
         self._rows[j][i] = (a, b, par_a, par_b)
+        level_a, level_b = self._levels[j]
+        bit = 1 << i
+        _mark(level_a, a - 2, bit)
+        _mark(level_b, b - 2, bit)
 
     def _ensure_rows(self, upto: int) -> None:
-        for s in range(len(self._levels) + 1, upto + 1):
+        for s in range(self._finished + 1, upto + 1):
             row = self._rows[s]
             for k in range(1, s):
                 if row[k] is None:
                     self._compute(k, s)
-            self._levels[s] = tuple(
-                _level_masks(value[c] for value in row[1:]) for c in (0, 1)
-            )
+            self._finished = s
 
     def value(self, i: int, j: int) -> PhiValue:
         if not (1 <= i < j <= self.ad.n - 1):
@@ -248,15 +245,11 @@ class PhiTable:
         return path
 
 
-def _level_masks(values) -> List[int]:
-    """levels[t]: the mask of positions 1, 2, ... whose value is t+2."""
-    levels: List[int] = []
-    for k, value in enumerate(values, 1):
-        t = value - 2
-        if t >= len(levels):
-            levels.extend([0] * (t + 1 - len(levels)))
-        levels[t] |= 1 << k
-    return levels
+def _mark(levels: List[int], t: int, bit: int) -> None:
+    """Add ``bit`` to level t; an out-of-order cell can skip levels."""
+    if t >= len(levels):
+        levels.extend([0] * (t + 1 - len(levels)))
+    levels[t] |= bit
 
 
 def _extend(levels: List[int], preds: int) -> Tuple[int, Optional[int]]:

@@ -9,7 +9,7 @@ Drawing document (format tag "cstg-1"):
     {"format": "cstg-1", "model": "...", "n": ...,
      "params":    {...}               # halfcircle: {"signs": "UL..."}
                                       # points: {"points": [[x, y], ...]}
-     "crossings": [[r1, r2], ...]     # explicit model only, sorted ranks
+     "crossings": [[r1, r2], ...]     # explicit only, ranks r1 < r2, each once
      "rotations": [[...], ...]        # optional, ccw, one list per vertex
      "anchor":    {"order": [...], "v0": k}}   # optional
 
@@ -30,6 +30,7 @@ which names its smallest bad entry.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Tuple
 
 from .drawing import Certificate, Drawing, _check_explicit_n
@@ -139,7 +140,10 @@ def _decode_crossings(raw, n: int) -> frozenset:
         # _require_ints inlined: this runs once per entry of a quartic table
         if type(r1) is not int or type(r2) is not int:
             raise ParseError(f"field 'crossings': entry {entry!r} is not integer")
-        pairs.add((r1, r2) if r1 < r2 else (r2, r1))
+        pairs.add((r1, r2))  # as written: Drawing rejects one out of rank order
+    if len(pairs) != len(raw):
+        entry = next(e for e, count in Counter(map(tuple, raw)).items() if count > 1)
+        raise ParseError(f"field 'crossings': entry {list(entry)} is repeated")
     return frozenset(pairs)
 
 

@@ -6,7 +6,8 @@ the recovered monotone 3-path as a twisted certificate, or (b) files w into
 the largest phi-class, plays one online-game round there (naive builder;
 each edge keeps the larger triple-color class of the candidates, read from
 one pair's masks), and checks every class for a monochromatic monotone
-2-path long enough to certify a convex pattern.
+2-path long enough to certify a convex pattern.  Each phi class is one
+``GameState``: its vertices are the class members, in stage order.
 
 The candidate set loses at least a 1/(m2^2 * 2^edges) fraction per stage;
 that one-step recurrence, the edge colors' restriction, and the final
@@ -37,8 +38,6 @@ class ExtractionStats:
     stages: int = 0
     edge_counts: List[int] = field(default_factory=list)
     zero_edge_stages: int = 0
-    class_histogram: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    candidates_remaining: int = 0
     outcome: str = "exhausted"
     # final state snapshots (anchored positions), for audits and reports
     class_members: Dict[Tuple[int, int], List[int]] = field(default_factory=dict)
@@ -51,13 +50,24 @@ class ExtractionStats:
     def total_edges(self) -> int:
         return sum(self.edge_counts)
 
+    @property
+    def class_histogram(self) -> Dict[Tuple[int, int], int]:
+        return {k: len(members) for k, members in self.class_members.items()}
+
+    @property
+    def candidates_remaining(self) -> int:
+        return len(self.final_candidates)
+
 
 @dataclass
 class ExtractionOutcome:
     certificate: Optional[Certificate]
-    exhausted: bool
     stats: ExtractionStats
     witness_positions: Optional[List[int]] = None
+
+    @property
+    def exhausted(self) -> bool:
+        return self.certificate is None
 
     def report_lines(self) -> List[str]:
         s = self.stats
@@ -84,14 +94,6 @@ class ExtractionOutcome:
         return lines
 
 
-class _ClassState:
-    __slots__ = ("members", "game")
-
-    def __init__(self):
-        self.members: List[int] = []
-        self.game = GameState()
-
-
 def extract_pattern(
     ad: AnchoredDrawing,
     m1: int,
@@ -109,7 +111,7 @@ def extract_pattern(
     phi = PhiTable(ad, chi)
     n = ad.n
     stats = ExtractionStats()
-    classes: Dict[Tuple[int, int], _ClassState] = {}
+    classes: Dict[Tuple[int, int], GameState] = {}
     candidates = list(range(1, n))
 
     while candidates:
@@ -138,15 +140,14 @@ def extract_pattern(
             # last candidate: any class absorbs it (vacuously consistent)
             chosen_key, kept = (2, 2), []
 
-        cls = classes.setdefault(chosen_key, _ClassState())
-        game = cls.game
+        game = classes.setdefault(chosen_key, GameState())
         game.add_vertex(w)
         pool = sum(1 << v for v in kept)  # distinct bits: the mask of kept
-        for u in cls.members:  # naive builder: all prior members, ascending
+        members = game.vertices[:-1]  # naive builder: all prior members, ascending
+        for u in members:
             color, pool = _halve(chi, u, w, pool)
             game.add_edge(u, w, color)
-        edges_built = len(cls.members)
-        cls.members.append(w)
+        edges_built = len(members)
         stats.edge_counts.append(edges_built)
         if edges_built == 0:
             stats.zero_edge_stages += 1
@@ -172,7 +173,7 @@ def extract_pattern(
 
     stats.outcome = "exhausted"
     _snapshot(stats, classes, [])
-    return ExtractionOutcome(certificate=None, exhausted=True, stats=stats)
+    return ExtractionOutcome(certificate=None, stats=stats)
 
 
 def _halve(chi: ChiCache, u: int, w: int, pool: int) -> Tuple[str, int]:
@@ -200,17 +201,14 @@ def _halve(chi: ChiCache, u: int, w: int, pool: int) -> Tuple[str, int]:
 
 
 def _snapshot(stats, classes, candidates):
-    stats.candidates_remaining = len(candidates)
     stats.final_candidates = list(candidates)
-    stats.class_histogram = {k: len(c.members) for k, c in classes.items()}
-    stats.class_members = {k: list(c.members) for k, c in classes.items()}
-    stats.class_edges = {k: list(c.game.edges) for k, c in classes.items()}
+    stats.class_members = {k: list(g.vertices) for k, g in classes.items()}
+    stats.class_edges = {k: list(g.edges) for k, g in classes.items()}
 
 
 def _convex_ready(classes, m1):
     for key in sorted(classes):
-        game = classes[key].game
-        length, end, color = game.best()
+        length, end, color = classes[key].best()
         if color is not None and length >= m1:
             return key, end, color
     return None
@@ -218,8 +216,7 @@ def _convex_ready(classes, m1):
 
 def _convex_success(ad, chi, stats, classes, hit, m1, survivors):
     key, end, color = hit
-    game = classes[key].game
-    wstar = game.path_witness(end, color)[-m1:]
+    wstar = classes[key].path_witness(end, color)[-m1:]
     # every witness triple (p, q, v) has the path's color: v in R(q,p) alone
     # for 010, in none of the pair's masks for 000
     for s, q in enumerate(wstar[1:-1], 1):
@@ -238,9 +235,7 @@ def _convex_success(ad, chi, stats, classes, hit, m1, survivors):
         raise InternalInvariantBroken(f"convex certificate failed: {report.failure}")
     stats.outcome = "convex"
     _snapshot(stats, classes, survivors)
-    return ExtractionOutcome(
-        certificate=cert, exhausted=False, stats=stats, witness_positions=wstar
-    )
+    return ExtractionOutcome(certificate=cert, stats=stats, witness_positions=wstar)
 
 
 def _twisted_success(ad, phi, stats, classes, w, u, component, m2, rest):
@@ -249,17 +244,10 @@ def _twisted_success(ad, phi, stats, classes, w, u, component, m2, rest):
     cert = Certificate(TWISTED, vertices)
     report = verify_certificate(ad.base, cert)
     if not report.ok:
-        cert = Certificate(TWISTED, tuple(reversed(vertices)))
-        report = verify_certificate(ad.base, cert)
-    if not report.ok:
-        raise InternalInvariantBroken(
-            f"twisted certificate failed both orientations: {report.failure}"
-        )
+        raise InternalInvariantBroken(f"twisted certificate failed: {report.failure}")
     stats.outcome = "twisted"
     _snapshot(stats, classes, rest)
-    return ExtractionOutcome(
-        certificate=cert, exhausted=False, stats=stats, witness_positions=witness
-    )
+    return ExtractionOutcome(certificate=cert, stats=stats, witness_positions=witness)
 
 
 # -- threshold arithmetic ----------------------------------------------------

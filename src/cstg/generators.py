@@ -29,14 +29,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import List, Optional, Sequence, Tuple
 
 from .drawing import (
     AnchoredDrawing,
     Drawing,
-    _check_signs,
     _rank_offsets,
     cyclic_equal,
     orient,
@@ -45,21 +43,9 @@ from .errors import (
     AnchorUnavailable,
     GeometryMissing,
     InvalidSelection,
-    InvalidSigns,
     RotationMissing,
     SizeLimit,
 )
-
-
-@dataclass(frozen=True)
-class HalfCircleSigns:
-    """One U/L symbol per edge rank; length C(n,2)."""
-
-    n: int
-    signs: str
-
-    def __post_init__(self):
-        _check_signs(self.n, self.signs)
 
 
 def gen_convex(n: int) -> Drawing:
@@ -72,16 +58,13 @@ def gen_twisted(m: int) -> Drawing:
     return Drawing(n=m, model="twisted")
 
 
-def gen_halfcircle(n: int, seed=None, signs: Optional[HalfCircleSigns] = None) -> Drawing:
-    """Random half-circle drawing; seeded generation is bit-reproducible."""
-    if signs is not None:
-        if signs.n != n:
-            raise InvalidSigns(f"signs built for n={signs.n}, drawing has n={n}")
-        vector = signs.signs
-    else:
-        rng = random.Random(seed)
-        vector = "".join("U" if rng.getrandbits(1) else "L" for _ in range(n * (n - 1) // 2))
-    return Drawing(n=n, model="halfcircle", signs=vector)
+def gen_halfcircle(n: int, seed=None) -> Drawing:
+    """Random half-circle drawing; seeded generation is bit-reproducible.
+
+    A given sign string is ``Drawing(n=n, model="halfcircle", signs=s)``."""
+    rng = random.Random(seed)
+    signs = "".join("U" if rng.getrandbits(1) else "L" for _ in range(n * (n - 1) // 2))
+    return Drawing(n=n, model="halfcircle", signs=signs)
 
 
 def gen_straightline(points: Sequence[Tuple[int, int]]) -> Drawing:
@@ -143,10 +126,6 @@ def vertex_positions(d: Drawing) -> List[Tuple[float, float]]:
 
 def rotations_of(d: Drawing) -> Tuple[Tuple[int, ...], ...]:
     """Counterclockwise rotation at every vertex (stored or analytic)."""
-    if d.rotations is not None:
-        return d.rotations
-    if d.model == "explicit":
-        raise RotationMissing("explicit drawing carries no rotation data")
     return tuple(rotation_at(d, v) for v in range(d.n))
 
 
@@ -154,7 +133,8 @@ def rotation_at(d: Drawing, v: int) -> Tuple[int, ...]:
     """Counterclockwise cyclic order of the other vertices around v.
 
     Returned as a tuple with a family-specific (documented) starting germ;
-    callers comparing rotations should use cyclic_equal.
+    callers comparing rotations should use cyclic_equal.  Stored rotations
+    come first; an explicit drawing without them has none.
     """
     if d.rotations is not None:
         return d.rotations[v]
@@ -194,7 +174,7 @@ def rotation_at(d: Drawing, v: int) -> Tuple[int, ...]:
 
         others.sort(key=cmp_to_key(cmp))
         return tuple(others)
-    raise RotationMissing(f"no rotation rule for model {d.model!r}")
+    raise RotationMissing("explicit drawing carries no rotation data")
 
 
 def _upper_run(d: Drawing, v: int) -> List[int]:
@@ -301,11 +281,10 @@ def anchored_view(d: Drawing, v0: Optional[int] = None) -> AnchoredDrawing:
     if v0 is None:
         v0 = canonical_anchor(d)
     order = anchored_order(d, v0)
-    rot = None
-    if d.rotations is not None:
-        rot = d.rotations[v0]
-    elif d.model != "explicit":
+    try:
         rot = rotation_at(d, v0)
+    except RotationMissing:
+        rot = None
     if rot is not None and not cyclic_equal(tuple(reversed(order)), rot):
         raise AnchorUnavailable(
             "anchored order is not a clockwise reading of the rotation at v0"

@@ -208,18 +208,18 @@ def longest_plane_path_exact(
     best: List[int] = []
     hit_target = False
 
-    def dfs(path: List[int], used: set, used_edges: int, p: int) -> bool:
-        # p: the position of path[-1] in verts
+    def dfs(path: List[int], on: int, used_edges: int, p: int) -> bool:
+        # p: the position of path[-1] in verts; on: the positions on the path
         nonlocal best, hit_target
         if len(path) > len(best):
             best = list(path)
             if target is not None and len(best) >= target:
                 hit_target = True
                 return False
-        if len(path) + (k - len(used)) <= len(best):
+        if k <= len(best):  # no path is longer than all k vertices
             return True
         for q, w in enumerate(verts):
-            if w in used:
+            if on >> q & 1:
                 continue
             if not clock.tick():
                 return False
@@ -227,10 +227,8 @@ def longest_plane_path_exact(
             if conflicts_of(r) & used_edges:
                 continue
             path.append(w)
-            used.add(w)
-            ok = dfs(path, used, used_edges | 1 << r, q)
+            ok = dfs(path, on | 1 << q, used_edges | 1 << r, q)
             path.pop()
-            used.remove(w)
             if not ok:
                 return False
         return True
@@ -240,7 +238,7 @@ def longest_plane_path_exact(
         if not clock.tick():
             completed = False
             break
-        if not dfs([start], {start}, 0, p):
+        if not dfs([start], 1 << p, 0, p):
             completed = False
             break
     dfs = None  # as in max_pattern_exact: free the conflict masks now
@@ -287,29 +285,28 @@ def _germ_point(d, pos, v: int, u: int, eps: float) -> Tuple[float, float]:
     return (rho * math.cos(th), rho * math.sin(th))
 
 
-def numeric_rotation_oracle(
-    d: Drawing, eps: Optional[float] = None, retries: int = 40
-) -> Tuple[Tuple[int, ...], ...]:
+_GERM_RETRIES = 40
+
+
+def numeric_rotation_oracle(d: Drawing) -> Tuple[Tuple[int, ...], ...]:
     """Rotation system recovered by sampling each arc near its endpoints.
 
-    Germs are sorted by angle at a small fixed sampling distance; when two
-    germs are numerically indistinguishable the distance is halved, up to a
-    retry cap, then the input is reported as degenerate.
+    Germs are sorted by angle at a quarter of the closest vertex gap; when
+    two germs are numerically indistinguishable the distance is halved, up
+    to a retry cap, then the input is reported as degenerate.
     """
     pos = vertex_positions(d)
     if len(set(pos)) != len(pos):
         raise DegenerateInput("duplicate vertex positions")
-    if eps is None:
-        min_gap = min(
-            math.hypot(ax - bx, ay - by)
-            for idx, (ax, ay) in enumerate(pos)
-            for bx, by in pos[idx + 1 :]
-        )
-        eps = 0.25 * min_gap
+    eps = 0.25 * min(
+        math.hypot(ax - bx, ay - by)
+        for idx, (ax, ay) in enumerate(pos)
+        for bx, by in pos[idx + 1 :]
+    )
     rotations = []
     for v in range(d.n):
         scale = eps
-        for attempt in range(retries):
+        for _ in range(_GERM_RETRIES):
             germs = []
             for u in range(d.n):
                 if u == v:
@@ -329,6 +326,6 @@ def numeric_rotation_oracle(
             scale /= 2.0
         else:
             raise DegenerateInput(
-                f"germs at vertex {v} remain indistinguishable after {retries} retries"
+                f"germs at vertex {v} remain indistinguishable after {_GERM_RETRIES} retries"
             )
     return tuple(rotations)

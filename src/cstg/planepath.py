@@ -239,10 +239,9 @@ def extract_plane_path(
             result = longest_plane_path_exact(
                 ad.base, budget=budget, vertices=leaves, target=target
             )
-            witness = result.witness
         except BudgetExhausted as exc:
-            witness = exc.payload.witness if exc.payload is not None else leaves[:2]
-        cert = Certificate(PLANE_PATH, tuple(witness))
+            result = exc.payload
+        cert = Certificate(PLANE_PATH, result.witness)
         _check_path(ad.base, cert)
         return PlanePathOutcome(path=cert, bipartite=star, stats=stats)
 

@@ -103,9 +103,7 @@ class TestGoldenDocuments:
         assert encode_drawing(gen_convex(4)) == '{"format":"cstg-1","model":"convex","n":4}\n'
 
     def test_halfcircle_document_bytes(self):
-        from cstg.generators import HalfCircleSigns
-
-        d = gen_halfcircle(3, signs=HalfCircleSigns(3, "ULU"))
+        d = Drawing(n=3, model="halfcircle", signs="ULU")
         assert encode_drawing(d) == (
             '{"format":"cstg-1","model":"halfcircle","n":3,'
             '"params":{"signs":"ULU"}}\n'
@@ -147,6 +145,38 @@ class TestValidation:
         assert str(info.value) == (
             "crossing pair [0, 1] joins edges (0,1) and (0,2) which share a vertex"
         )
+
+    def test_reversed_entry_is_read_as_written(self):
+        # [4, 1] is not sorted into [1, 4]: it names edges (1,3) and (0,2)
+        # out of rank order, also next to its sorted twin
+        for crossings in ("[[4,1]]", "[[4,1],[1,4]]"):
+            doc = (
+                '{"crossings":%s,"format":"cstg-1","model":"explicit","n":4}'
+                % crossings
+            )
+            with pytest.raises(ValidationError) as info:
+                decode_drawing(doc)
+            assert str(info.value) == (
+                "crossing pair [4, 1] joins edges (1,3) and (0,2) out of rank order"
+            )
+
+    def test_repeated_entry_is_a_parse_error(self):
+        doc = (
+            '{"crossings":[[1,4],[2,5],[1,4]],'
+            '"format":"cstg-1","model":"explicit","n":5}'
+        )
+        with pytest.raises(ParseError) as info:
+            decode_drawing(doc)
+        assert str(info.value) == "field 'crossings': entry [1, 4] is repeated"
+
+    def test_reversed_table_does_not_decode_to_another_drawing(self):
+        # the drawing constructs (table entries wait for the first grouping)
+        # and its document fails at decode instead of meaning {(1, 4)}
+        d = Drawing(n=4, model="explicit", crossings=frozenset({(4, 1)}))
+        doc = encode_drawing(d)
+        assert '"crossings":[[4,1]]' in doc
+        with pytest.raises(ValidationError, match="out of rank order"):
+            decode_drawing(doc)
 
     def test_explicit_over_cap_rejected_before_decoding(self):
         # the size check comes before any per-rank work, so a short document

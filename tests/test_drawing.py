@@ -177,14 +177,12 @@ class TestCross:
         assert cross(gen_twisted(5), (0, 2), (1, 3)) is False
 
     def test_halfcircle_opposite_sides_never_cross(self):
-        from cstg.generators import HalfCircleSigns
-
         # edges (1,3) U and (2,4) L on n=5
         n = 5
         signs = ["L"] * (n * (n - 1) // 2)
         signs[edge_index(1, 3, n)] = "U"
         signs[edge_index(2, 4, n)] = "L"
-        d = gen_halfcircle(n, signs=HalfCircleSigns(n, "".join(signs)))
+        d = Drawing(n=n, model="halfcircle", signs="".join(signs))
         assert cross(d, (1, 3), (2, 4)) is False
 
     def test_symmetry_in_edge_arguments(self):
@@ -422,7 +420,6 @@ class TestVerifyCertificate:
 
     def test_plane_bipartite(self):
         from cstg.drawing import PLANE_BIPARTITE
-        from cstg.generators import HalfCircleSigns
 
         # half-circle star: center 0 uses upper arcs, center 1 lower arcs;
         # opposite half-planes never cross, same-center edges share a vertex
@@ -430,7 +427,7 @@ class TestVerifyCertificate:
         signs = ["U"] * (n * (n - 1) // 2)
         for leaf in range(2, n):
             signs[edge_index(1, leaf, n)] = "L"
-        d = gen_halfcircle(n, signs=HalfCircleSigns(n, "".join(signs)))
+        d = Drawing(n=n, model="halfcircle", signs="".join(signs))
         cert = Certificate(PLANE_BIPARTITE, (0, 1, 2, 3, 4, 5))
         assert verify_certificate(d, cert).ok
 
@@ -643,6 +640,37 @@ class TestVerifyEquivalence:
         assert True in verdicts
         if d.n >= 8:
             assert False in verdicts
+
+    # Reversal maps positions a<b<c<d to d'<c'<b'<a' and each of the mid,
+    # inner and outer pairings onto itself, so a certificate and its reverse
+    # pass or fail together; extraction verifies a twisted witness once.
+
+    def test_reversal_keeps_the_verdict_on_halfcircle_sequences(self):
+        rng = random.Random(1414)
+        verdicts = set()
+        for seed in range(12):
+            d = gen_halfcircle(12, seed=seed)
+            orders = [list(max_pattern_exact(d, kind).witness) for kind in (CONVEX, TWISTED)]
+            orders += [rng.sample(range(12), rng.randint(4, 12)) for _ in range(40)]
+            for order in orders:
+                for kind in (CONVEX, TWISTED):
+                    ok = verify_certificate(d, Certificate(kind, tuple(order))).ok
+                    assert verify_certificate(d, Certificate(kind, tuple(order[::-1]))).ok == ok
+                    verdicts.add(ok)
+        assert verdicts == {True, False}
+
+    def test_reversal_keeps_the_verdict_on_every_5_permutation(self):
+        # each permutation is met once as p or as its reverse; the drawing's
+        # own kind passes on some of them (1,260 convex and 252 twisted pairs)
+        for d in (gen_convex(10), gen_twisted(10)):
+            passed = 0
+            for kind in (CONVEX, TWISTED):
+                for p in itertools.permutations(range(10), 5):
+                    if p < p[::-1]:
+                        ok = verify_certificate(d, Certificate(kind, p)).ok
+                        assert verify_certificate(d, Certificate(kind, p[::-1])).ok == ok, p
+                        passed += ok
+            assert passed == (1260 if d.model == CONVEX else 252)
 
     def test_failures_deep_in_large_certificates(self):
         # the first bad 4-tuple lies far from the start; its count and text

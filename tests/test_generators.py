@@ -7,10 +7,9 @@ import math
 import pytest
 
 from cstg.chromatics import validate_observation
-from cstg.drawing import cross, edge_index, orient, sorted_pair
+from cstg.drawing import Drawing, cross, edge_index, orient, sorted_pair
 from cstg.errors import AnchorUnavailable, DegenerateInput, InvalidSigns, SizeLimit
 from cstg.generators import (
-    HalfCircleSigns,
     _upper_run,
     anchored_order,
     anchored_view,
@@ -123,7 +122,7 @@ def circles_intersect_strictly(c1, r1, c2, r2):
 class TestHalfCircle:
     def test_same_side_interleaving_crosses(self):
         n = 6
-        d = gen_halfcircle(n, signs=HalfCircleSigns(n, "U" * 15))
+        d = Drawing(n=n, model="halfcircle", signs="U" * 15)
         # labels 1,3 and 2,4 (0-based: x positions 2,4 and 3,5)
         assert cross(d, (1, 3), (2, 4)) is True
         assert cross(d, (0, 3), (1, 2)) is False  # nested same side
@@ -150,9 +149,9 @@ class TestHalfCircle:
 
     def test_sign_length_validation(self):
         with pytest.raises(InvalidSigns):
-            HalfCircleSigns(5, "UUU")
+            Drawing(n=5, model="halfcircle", signs="UUU")
         with pytest.raises(InvalidSigns):
-            HalfCircleSigns(3, "UXL")
+            Drawing(n=3, model="halfcircle", signs="UXL")
 
     def test_sign_reads_match_edge_index(self):
         # reference: each sign read through the checked edge_index
@@ -183,7 +182,7 @@ class TestHalfCircle:
         signs = ["L"] * 10
         for j in (1, 3):  # edges 0-1 and 0-3 upper, 0-2 and 0-4 lower
             signs[edge_index(0, j, n)] = "U"
-        d = gen_halfcircle(n, signs=HalfCircleSigns(n, "".join(signs)))
+        d = Drawing(n=n, model="halfcircle", signs="".join(signs))
         assert anchored_order(d, 0) == (3, 1, 2, 4)
         with pytest.raises(AnchorUnavailable):
             anchored_order(d, 1)
