@@ -22,21 +22,22 @@ color of (k,i,j) read as (X(i,j), R(i,j), R(j,i)).  They are the drawing's
 crossing masks (:func:`cstg.drawing.crossing_masks`) in anchored order, bit
 p for the vertex at position p, so a pair's masks cost what three kernel
 reads cost: O(1) big-int operations for convex, twisted and half-circle
-drawings in any anchored order, O(n) orientations per new vertex pair for
-points, and one pass over the crossing table, on first use, for explicit
-drawings.  A single color builds only its pair's masks, and the scans are
-quadratic in mask operations.  Measured on seeded half-circle drawings
+drawings in any anchored order, one packed big-int half-plane mask per new
+ordered vertex pair for points, and one pass over the crossing table, on
+first use, for explicit drawings.  A single color builds only its pair's
+masks, and the scans are quadratic in mask operations.  Measured on seeded half-circle drawings
 (Python 3.11.7, one process on a shared 2-core machine): validate_observation
 takes 0.05-0.08 s at n = 256 and 1.1-1.5 s at n = 1024, a full phi_table
 0.18 s and 2.7-2.8 s (62 MB peak RSS).  The ``tables chi`` export reads
-each pair's masks once (``ChiCache.row``): at n = 160 (seed 5) building its
-657,359 rows takes 0.25-0.29 s at a 19 MB tracemalloc peak, against
-0.71-0.88 s and 59 MB one triple at a time.
+each pair's masks once and turns them into one color-code byte per row
+(``ChiCache._codes``): at n = 160 (seed 5) the whole command, 657,359 rows
+with the document read and the file written, takes 0.18-0.21 s at a 27 MB
+tracemalloc peak, against 0.25-0.29 s with one color string per row.
 
 Only ``chi()`` and callers outside the package read ``ChiCache.get``.
 ``PhiTable``, extraction and plane paths read whole color classes from one
 pair's masks (``ChiCache._pair``, ``_checked_pair``), and ``tables chi``
-reads ``ChiCache.row``.
+reads a pair's color codes (``ChiCache._codes``, which ``row`` reads too).
 """
 
 from __future__ import annotations
@@ -129,8 +130,19 @@ class ChiCache:
 
         Equals ``[self.get(i, j, k) for k in range(j + 1, n)]``, raising the
         same ObservationViolated for the lowest invalid k, and leaves the
-        memo alone.  Bit k of a mask is character k - j - 1 of its reversed
-        binary string above j, so the color of k is those three characters.
+        memo alone.
+        """
+        return list(map(_COLORS.__getitem__, self._codes(i, j)))
+
+    def _codes(self, i: int, j: int) -> bytes:
+        """Byte k - j - 1 is the color code of (i, j, k), for k = j+1 .. n-1,
+        as an index into ``_COLORS``; invalid pairs and triples raise as
+        ``row`` says.
+
+        Each mask above j is spread into one byte per position: its binary
+        string, highest k first, read as a big-endian int, less the ASCII
+        zeros.  4*R(i,j) + 2*R(j,i) + X(i,j) then carries nothing between
+        bytes, and written little-endian it lists k in increasing order.
         """
         n = self._n
         if not (1 <= i < j <= n - 1):
@@ -138,9 +150,13 @@ class ChiCache:
         ri, rj, x = self._checked_pair(i, j, -1 << (j + 1))
         width = n - 1 - j
         if not width:
-            return []
-        r, c, z = (f"{mask >> (j + 1):0{width}b}"[::-1] for mask in (ri, rj, x))
-        return list(map("".join, zip(r, c, z)))
+            return b""
+        zeros = int.from_bytes(b"0" * width, "big")
+        r, c, z = (
+            int.from_bytes(f"{mask >> (j + 1):0{width}b}".encode(), "big") - zeros
+            for mask in (ri, rj, x)
+        )
+        return (4 * r + 2 * c + z).to_bytes(width, "little")
 
 
 @dataclass(frozen=True)

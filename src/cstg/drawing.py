@@ -16,15 +16,19 @@ and the anchored colorings of :mod:`cstg.chromatics` (in anchored order)
 all read it; a single query such as :func:`cross` builds a kernel over
 its four vertices and pays O(n) array set-up.  A convex or twisted
 certificate of m vertices costs C(m,3) mask tests instead of 3*C(m,4)
-single-pair tests.  An explicit table is grouped by edge once per drawing,
-on first use, and every kernel on that drawing shares the grouping; an
-entry that names no independent pair in rank order raises ValidationError
-there.
+single-pair tests.  Each kernel row is built by a few whole-row operations,
+not a loop over its vertices: a half-circle row is two slices of the
+drawing's sign square and one gather into the order, a points half-plane
+mask is one big-int expression over the members' packed coordinates.  An
+explicit table is grouped by edge once per drawing, on first use, and
+every kernel on that drawing shares the grouping; an entry that names no
+independent pair in rank order raises ValidationError there.
 
 Every other invariant is checked when a ``Drawing`` is built: n, the model
 and its one payload, the size cap, the signs, the point set (distinct int
-pairs, no collinear triple), rotations and anchor as permutations, and the
-anchor as a clockwise reading of a stored rotation at v0.
+pairs, no collinear triple, found in O(n^2) gcds), rotations and anchor as
+permutations, and the anchor as a clockwise reading of a stored rotation
+at v0.
 
 Vertices are 0-based everywhere.
 """
@@ -34,8 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from math import comb
-from operator import or_
+from math import comb, gcd
+from operator import itemgetter, or_
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import (
@@ -56,6 +60,7 @@ EXPLICIT_N_CAP = 256
 MODELS = ("explicit", "convex", "twisted", "halfcircle", "points")
 _PAYLOADS = (("crossings", "explicit"), ("signs", "halfcircle"), ("points", "points"))
 _BITS = str.maketrans("UL", "10")  # half-circle signs as upper-arc bits
+_TOP = bytes.maketrans(bytes(range(256)), b"0" * 128 + b"1" * 128)  # a byte's top bit
 
 CONVEX = "convex"
 TWISTED = "twisted"
@@ -119,11 +124,23 @@ def _check_points(n: int, points) -> None:
         if p in seen:
             raise DegenerateInput(f"duplicate point {p} at indices {seen[p]} and {idx}")
         seen[p] = idx
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                if orient(points[a], points[b], points[c]) == 0:
-                    raise DegenerateInput(f"collinear triple ({a},{b},{c})")
+    # a, b, c are collinear iff the directions a->b and a->c reduce to the
+    # same primitive vector up to sign: O(n^2) gcds instead of O(n^3)
+    # orientations.  The first a with a repeated direction, then the class
+    # with the smallest first member, name the lexicographically first triple.
+    for a, (ax, ay) in enumerate(points):
+        first = {}
+        found = None
+        for b, (bx, by) in enumerate(points[a + 1:], a + 1):
+            dx, dy = bx - ax, by - ay
+            g = gcd(dx, dy)
+            if dx < 0 or not dx and dy < 0:
+                g = -g
+            b0 = first.setdefault((dx // g, dy // g), b)
+            if b0 != b and (found is None or b0 < found[0]):
+                found = b0, b
+        if found:
+            raise DegenerateInput(f"collinear triple ({a},{found[0]},{found[1]})")
 
 
 def _is_order(seq, n: int, v: int) -> bool:
@@ -260,6 +277,18 @@ class Drawing:
             )
         return partners
 
+    @cached_property
+    def _sign_square(self) -> str:
+        """Half-circle model: n rows of n characters, row v holding L up to
+        column v and then the signs of (v, w) for w > v.
+
+        Built on first use and kept with the drawing, so every kernel on it
+        reads a vertex's signs with two slices.
+        """
+        n, signs = self.n, self.signs
+        off = _rank_offsets(n)
+        return "".join("L" * (v + 1) + signs[off[v] + v + 1:off[v] + n] for v in range(n))
+
 
 def cross(d: Drawing, e1, e2) -> bool:
     """True iff the two independent edges cross in the drawing."""
@@ -287,9 +316,13 @@ def crossing_masks(d: Drawing, order: Optional[Iterable[int]] = None):
     Convex, twisted and half-circle drawings answer with O(1) big-int
     operations in any order, from ``below[v]``, the bits of the members
     smaller than v (the half-circle also reads one sign row per vertex c,
-    built on first use); points use orientation masks memoised per ordered
-    vertex pair; explicit tables read the drawing's grouping of crossings
-    by edge and hold one mask per vertex c for each edge asked about.
+    built on first use from two slices of the drawing's sign square and one
+    gather into the order); points use half-plane masks memoised per
+    ordered vertex pair, each one big-int expression over the members'
+    coordinates packed one field per position, with the sign of every
+    field read from its top bit; explicit tables read the drawing's
+    grouping of crossings by edge and hold one mask per vertex c for each
+    edge asked about.
     """
     n = d.n
     order = range(n) if order is None else tuple(order)
@@ -331,14 +364,15 @@ def crossing_masks(d: Drawing, order: Optional[Iterable[int]] = None):
         signs = d.signs
         off = _rank_offsets(n)
         upper = [None] * n  # per vertex c, the w whose arc cw is an upper arc
+        # the characters of a row in reversed order, so bit p is order[p]
+        gather = itemgetter(*order[::-1]) if order else None
 
         def upper_row(c):
-            oc = off[c]
-            row = "".join(
-                signs[off[w] + c] if w < c else signs[oc + w] if w > c else "L"
-                for w in order
-            )
-            return int(row.translate(_BITS)[::-1], 2)
+            # the signs of (w, c) for w < c are column c of the square, those
+            # of (c, w) for w > c the tail of its row c
+            square = d._sign_square
+            row = square[c::n][:c] + "L" + square[c * n + c + 1:(c + 1) * n]
+            return int("".join(gather(row)).translate(_BITS), 2)
 
         def halfcircle(a, b, c):
             if a > b:
@@ -357,15 +391,33 @@ def crossing_masks(d: Drawing, order: Optional[Iterable[int]] = None):
     if d.model == "points":
         pts = d.points
         sides = {}
+        # The members' coordinates packed into X and Y, one field of
+        # F = shift bits per position p.  orient(p, q, w) = dx*wy - dy*wx -
+        # (dx*py - dy*px) is linear in w and at most 8*M*M in magnitude for
+        # coordinates up to M, so each field of dx*Y - dy*X +
+        # (2**(F-1) - 1 - dx*py + dy*px) * ones lies in [0, 2**F) and has
+        # its top bit set iff the orientation is positive.
+        big = max((abs(z) for v in order for z in pts[v]), default=0)
+        width = ((8 * big * big + 1).bit_length() + 8) // 8  # bytes per field
+        shift = 8 * width
+        X = Y = 0
+        for v in reversed(order):
+            X = (X << shift) + pts[v][0]
+            Y = (Y << shift) + pts[v][1]
+        ones = int.from_bytes(b"\1".rjust(width, b"\0") * len(order), "big")
+        bias = (1 << (shift - 1)) - 1
+        size = width * len(order)
 
         def left(p, q):
             # the w with p, q, w counterclockwise
             mask = sides.get((p, q))
             if mask is None:
-                pp, pq = pts[p], pts[q]
-                mask = sides[p, q] = sum(
-                    bits[w] for w in order if orient(pp, pq, pts[w]) > 0
-                )
+                (px, py), (qx, qy) = pts[p], pts[q]
+                dx, dy = qx - px, qy - py
+                t = dx * Y - dy * X + (bias - dx * py + dy * px) * ones
+                # the first byte of every field, highest position first
+                tops = t.to_bytes(size, "big")[::width].translate(_TOP)
+                mask = sides[p, q] = int(tops, 2)
             return mask
 
         def straight(a, b, c):

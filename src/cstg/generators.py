@@ -265,11 +265,8 @@ def anchored_order(d: Drawing, v0: int) -> Tuple[int, ...]:
                 break
         ccw = ccw[cut:] + ccw[:cut]
         return tuple(reversed(ccw))
-    if d.rotations is not None:
-        raise AnchorUnavailable(
-            f"vertex {v0} is not certified on the unbounded cell"
-        )
-    raise RotationMissing("drawing has no rotation data")
+    rotation_at(d, v0)  # raises RotationMissing when there is no rotation data
+    raise AnchorUnavailable(f"vertex {v0} is not certified on the unbounded cell")
 
 
 def anchored_view(d: Drawing, v0: Optional[int] = None) -> AnchoredDrawing:

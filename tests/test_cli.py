@@ -234,6 +234,9 @@ class TestTablesChi:
         ("twisted 9", generators.gen_twisted(9)),
         ("half-circle 24", generators.gen_halfcircle(24, seed=3)),
         ("horton 16", generators.gen_straightline(generators.gen_horton(4))),
+        ("horton 64", generators.gen_straightline(generators.gen_horton(6))),
+        # k reaches three digits
+        ("half-circle 104", generators.gen_halfcircle(104, seed=9)),
         ("anchored explicit restriction",
          anchored_restriction(generators.gen_halfcircle(16, seed=3))),
     ])

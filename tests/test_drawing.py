@@ -29,6 +29,7 @@ from cstg.drawing import (
     verify_certificate,
 )
 from cstg.errors import (
+    DegenerateInput,
     InvalidCertificate,
     InvalidEdge,
     InvalidSelection,
@@ -107,6 +108,15 @@ def crossing_function(d: Drawing):
         return ((r1, r2) if r1 < r2 else (r2, r1)) in table
 
     return f
+
+
+def reference_collinear(points):
+    """The cubic orientation scan Drawing used to run: the message for the
+    first collinear triple in lexicographic order, or None."""
+    for a, b, c in itertools.combinations(range(len(points)), 3):
+        if orient(points[a], points[b], points[c]) == 0:
+            return f"collinear triple ({a},{b},{c})"
+    return None
 
 
 def all_pairs(n):
@@ -517,7 +527,15 @@ def mask_drawings():
     for seed in range(30):
         n = 4 + seed % 11
         yield f"halfcircle {n} seed {seed}", gen_halfcircle(n, seed=seed)
-    yield "horton 16", gen_straightline(gen_horton(4))
+    horton = gen_horton(4)
+    yield "horton 16", gen_straightline(horton)
+    yield "horton 16 negative", gen_straightline([(x - 1000, y - 999) for x, y in horton])
+    yield "horton 16 mixed signs", gen_straightline([(x - 7, 3 * y - 40) for x, y in horton])
+    yield "horton 16 beyond 2**64", gen_straightline(
+        [(x * 2**66 - 5, y * 2**67 + 2**65) for x, y in horton]
+    )
+    for seed, bound in ((11, 50), (12, 10**12)):
+        yield f"random points seed {seed}", random_points(random.Random(seed), 11, bound)
     order = list(range(14))
     random.Random(3).shuffle(order)
     yield "shuffled restriction", induced_subdrawing(gen_halfcircle(16, seed=8), order)
@@ -526,6 +544,14 @@ def mask_drawings():
         yield f"random explicit {t}", random_explicit(
             rng, rng.randint(4, 11), density=rng.choice([0.05, 0.2, 0.5])
         )
+
+
+def random_points(rng, n, bound):
+    """n distinct random points in general position, coordinates in [-bound, bound]."""
+    while True:
+        pts = {(rng.randint(-bound, bound), rng.randint(-bound, bound)) for _ in range(n)}
+        if len(pts) == n and reference_collinear(sorted(pts)) is None:
+            return gen_straightline(sorted(pts))
 
 
 MASK_DRAWINGS = dict(mask_drawings())
@@ -545,12 +571,16 @@ def predicate_masks(d, order):
 
 
 def mask_orders(d, rng):
-    """(name, order): a certificate order, the reversal, a random permutation
-    and a random subset in random order."""
+    """(name, order): a certificate order, the reversal, a random permutation,
+    and random subsets in random order: of any size, and of no, one and four
+    vertices (cross() builds four-vertex kernels)."""
     yield "certificate", max_pattern_exact(d, CONVEX).witness
     yield "reversal", range(d.n - 1, -1, -1)
     yield "permutation", rng.sample(range(d.n), d.n)
     yield "subset", rng.sample(range(d.n), rng.randint(3, d.n))
+    yield "empty", ()
+    yield "single", rng.sample(range(d.n), 1)
+    yield "quadruple", rng.sample(range(d.n), 4)
 
 
 class TestCrossingMasks:
@@ -570,6 +600,56 @@ class TestCrossingMasks:
             N = crossing_masks(d, order)
             for key, want in predicate_masks(d, order).items():
                 assert N(*key) == want, (kind, key)
+
+
+# -- collinearity against the cubic scan ----------------------------------------
+
+
+def planted_points(rng, n, bound, lines):
+    """n distinct random points with `lines` collinear triples planted on
+    horizontal, vertical and negative-slope lines."""
+    while True:
+        pts = [(rng.randint(-bound, bound), rng.randint(-bound, bound)) for _ in range(n)]
+        for _ in range(lines):
+            dx, dy = rng.choice([(1, 0), (0, 1), (rng.randint(1, 9), -rng.randint(1, 9))])
+            x0, y0 = rng.randint(-bound, bound), rng.randint(-bound, bound)
+            for idx, t in zip(rng.sample(range(n), 3), rng.sample(range(-9, 10), 3)):
+                pts[idx] = (x0 + t * dx, y0 + t * dy)
+        if len(set(pts)) == n:
+            return tuple(pts)
+
+
+def collinear_message(pts):
+    try:
+        Drawing(n=len(pts), model="points", points=pts)
+    except DegenerateInput as exc:
+        return str(exc)
+    return None
+
+
+class TestCollinearity:
+    @pytest.mark.parametrize("bound", [3, 1000, 10**12, 2**70])
+    def test_names_the_reference_triple(self, bound):
+        rng = random.Random(bound)
+        named = 0
+        for _ in range(400):
+            pts = planted_points(rng, rng.randint(3, 12), bound, rng.randint(0, 3))
+            want = reference_collinear(pts)
+            assert collinear_message(pts) == want, pts
+            named += want is not None
+        assert 100 < named < 400
+
+    def test_smallest_class_first_not_first_repeat(self):
+        # from vertex 0, direction class {2, 3} repeats first (at 3), but
+        # (0, 1, 5) comes first lexicographically
+        pts = ((0, 0), (1, 0), (0, 1), (0, 2), (3, 7), (2, 0))
+        assert reference_collinear(pts) == "collinear triple (0,1,5)"
+        assert collinear_message(pts) == "collinear triple (0,1,5)"
+
+    def test_opposite_directions_are_one_line(self):
+        # 1 and 2 lie on either side of 0 on a line of slope -1
+        pts = ((0, 0), (4, -4), (-3, 3), (5, 1))
+        assert collinear_message(pts) == "collinear triple (0,1,2)"
 
 
 # -- certificate checks against the 4-tuple scan --------------------------------

@@ -223,9 +223,8 @@ class TestHorton:
         with pytest.raises(SizeLimit):
             gen_horton(13)
 
-    def test_general_position_up_to_k8(self):
-        # the cubic collinearity scan makes larger k impractical to check here
-        for k in range(1, 9):
+    def test_general_position_up_to_k10(self):
+        for k in range(1, 11):
             pts = gen_horton(k)
             gen_straightline(pts)  # validates pairwise distinct + no collinear
 
@@ -296,3 +295,19 @@ class TestAnchoredViews:
         d = Drawing(n=4, model="explicit", crossings=frozenset())
         with pytest.raises(RotationMissing):
             anchored_view(d, 0)
+
+    def test_bare_explicit_reports_the_rotation_rule(self):
+        # anchored_order has no rotation rule of its own: rotation_at's
+        # message, or AnchorUnavailable when rotations exist
+        from cstg.errors import RotationMissing
+
+        d = Drawing(n=4, model="explicit", crossings=frozenset())
+        for call in (anchored_view, anchored_order, rotation_at):
+            with pytest.raises(RotationMissing) as info:
+                call(d, 0)
+            assert str(info.value) == "explicit drawing carries no rotation data"
+        rotated = Drawing(
+            n=4, model="explicit", crossings=frozenset(), rotations=rotations_of(gen_convex(4))
+        )
+        with pytest.raises(AnchorUnavailable, match="vertex 0 is not certified"):
+            anchored_view(rotated, 0)
