@@ -11,7 +11,8 @@ i < j < k the color has three bits
 and a valid anchored simple drawing only ever produces 000, 001, 010, 100.
 The pair color phi(i,j) = (a,b) records the longest monotone 3-paths ending
 at the pair in the 100 class (a) and the 001 class (b); path lengths count
-vertices, so a bare pair has a = b = 2.
+vertices, so a bare pair has a = b = 2.  ``PhiTable`` holds it by columns:
+column i is the pairs (i,j), j > i, as one position mask per phi level.
 
 Everything here reads one relation, the anchor crossings, held as Python-int
 position masks: X(a,b) is the set of positions p whose anchor edge crosses
@@ -25,11 +26,11 @@ reads cost: O(1) big-int operations for convex, twisted and half-circle
 drawings in any anchored order, one packed big-int half-plane mask per new
 ordered vertex pair for points, and one pass over the crossing table, on
 first use, for explicit drawings.  A single color builds only its pair's
-masks, and the scans are quadratic in mask operations.  Measured on seeded half-circle drawings
-(Python 3.11.7, one process on a shared 2-core machine): validate_observation
-takes 0.05-0.08 s at n = 256 and 1.1-1.5 s at n = 1024, a full phi_table
-0.18 s and 2.7-2.8 s (62 MB peak RSS).  The ``tables chi`` export reads
-each pair's masks once and turns them into one color-code byte per row
+masks, and the scans are quadratic in mask operations.  Measured on seeded
+half-circle drawings (Python 3.11.7, one process on a shared 2-core machine):
+validate_observation takes 0.05-0.08 s at n = 256 and 1.1-1.5 s at n = 1024, a
+full phi_table 0.08-0.14 s and 1.9-2.5 s (23 MB peak RSS).  ``tables chi``
+reads each pair's masks once and turns them into one color-code byte per row
 (``ChiCache._codes``): at n = 160 (seed 5) the whole command, 657,359 rows
 with the document read and the file written, takes 0.18-0.21 s at a 27 MB
 tracemalloc peak, against 0.25-0.29 s with one color string per row.
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .drawing import AnchoredDrawing, crossing_masks
-from .errors import InvalidTriple, ObservationViolated
+from .errors import InvalidSelection, InvalidTriple, ObservationViolated
 
 VALID_COLORS = ("000", "001", "010", "100")
 _COLORS = ("000", "001", "010", "011", "100", "101", "110", "111")
@@ -191,97 +192,88 @@ def validate_observation(ad: AnchoredDrawing) -> ObservationReport:
 
 
 class PhiTable:
-    """Pair coloring phi with lazily materialized DP rows.
+    """Pair coloring phi, built one column of level masks at a time.
 
-    Row s holds the values for pairs whose second position is s; a(i,j) only
-    consults row i, so rows fill in position order.  Each row keeps, for each
-    component, the mask of positions k at each level phi(k,s), set as each
-    cell is computed (``value`` may compute cells of a row out of order), and
-    a(i,j) is one more than the highest level of row i that meets X(i,j)
-    below i (b(i,j) likewise with R(j,i)).  Ties in witness recovery go to the
-    smallest predecessor, the lowest set bit of that intersection.  Invalid
-    triples (k,i,j) met on the way raise ObservationViolated for the lowest k.
+    Column i holds, per component, ``levels[t]`` = the positions j > i with
+    phi(i,j) = t+2 in that component; the levels are disjoint and cover
+    every j > i.  For k < i < j the triple (k,i,j) colors 100 iff j is in
+    R(k,i) and 001 iff j is in X(k,i), so a(i,j) is one more than the
+    highest a(k,i) over the k < i with j in R(k,i), or 2 when there is none
+    (b likewise with X(k,i)).  Column i thus reads the pairs (k,i) and the
+    level of bit i in each earlier column; columns fill in position order,
+    lazily, up to the highest one asked for.  Invalid triples (k,i,j) met by
+    column i raise ObservationViolated for the lowest k, then the lowest j.
     """
 
     def __init__(self, ad: AnchoredDrawing, chi_cache: Optional[ChiCache] = None):
         self.ad = ad
         self._chi = chi_cache if chi_cache is not None else ChiCache(ad)
-        # row j: (a, b, parent in a, parent in b) of the pair (i, j) at index i
-        self._rows = [[None] * j for j in range(ad.n)]
-        # row j: per component, levels[t] = the positions i with phi(i,j) = t+2
-        self._levels = [([], []) for _ in range(ad.n)]
-        self._finished = 1  # rows 1.._finished hold every cell
+        self._columns: List[Tuple[List[int], List[int]]] = []  # column i at i-1
 
-    def _compute(self, i: int, j: int) -> None:
-        ri, rj, x = self._chi._pair(i, j)
-        below = (1 << i) - 2
-        bad = _clash(ri, rj, x) & below
-        if bad:
-            k = (bad & -bad).bit_length() - 1
-            raise ObservationViolated(f"triple {(k, i, j)} colored {_color(x, ri, rj, k)}")
-        level_a, level_b = self._levels[i]
-        a, par_a = _extend(level_a, x & below)
-        b, par_b = _extend(level_b, rj & below)
-        self._rows[j][i] = (a, b, par_a, par_b)
-        level_a, level_b = self._levels[j]
-        bit = 1 << i
-        _mark(level_a, a - 2, bit)
-        _mark(level_b, b - 2, bit)
+    def column(self, i: int) -> Tuple[List[int], List[int]]:
+        """(levels_a, levels_b) of column i; builds the columns up to i."""
+        if not 1 <= i <= self.ad.n - 1:
+            raise InvalidTriple(f"column {i} invalid for n={self.ad.n}")
+        while len(self._columns) < i:
+            self._columns.append(self._build(len(self._columns) + 1))
+        return self._columns[i - 1]
 
-    def _ensure_rows(self, upto: int) -> None:
-        for s in range(self._finished + 1, upto + 1):
-            row = self._rows[s]
-            for k in range(1, s):
-                if row[k] is None:
-                    self._compute(k, s)
-            self._finished = s
+    def _build(self, i: int) -> Tuple[List[int], List[int]]:
+        above = (1 << self.ad.n) - (2 << i)
+        # lifts[t]: the positions j > i that some k < i raises to level t;
+        # phi(k,i) <= k+1, so no lift passes i
+        lifts_a, lifts_b = [above] + [0] * i, [above] + [0] * i
+        for k in range(1, i):
+            ri, _, x = self._chi._checked_pair(k, i, above)
+            levels_a, levels_b = self._columns[k - 1]
+            lifts_a[_level(levels_a, i) + 1] |= ri & above
+            lifts_b[_level(levels_b, i) + 1] |= x & above
+        # each j sits at the highest lift holding it; empty top lifts go
+        for lifts in (lifts_a, lifts_b):
+            while not lifts[-1] and len(lifts) > 1:
+                lifts.pop()
+            seen = 0
+            for t in range(len(lifts) - 1, -1, -1):
+                lifts[t], seen = lifts[t] & ~seen, seen | lifts[t]
+        return lifts_a, lifts_b
 
     def value(self, i: int, j: int) -> PhiValue:
         if not (1 <= i < j <= self.ad.n - 1):
             raise InvalidTriple(f"pair ({i},{j}) invalid for n={self.ad.n}")
-        row = self._rows[j]
-        if row[i] is None:
-            self._ensure_rows(i)
-            if row[i] is None:
-                self._compute(i, j)
-        a, b, _, _ = row[i]
-        return PhiValue(a, b)
+        levels_a, levels_b = self.column(i)
+        return PhiValue(_level(levels_a, j) + 2, _level(levels_b, j) + 2)
 
     def witness(self, i: int, j: int, component: str) -> List[int]:
-        """Monotone 3-path (as positions) realizing the a or b value at (i,j)."""
-        self.value(i, j)
-        slot = 2 if component == "a" else 3
+        """Monotone 3-path (as positions) realizing the a or b value at (i,j);
+        each step back takes the smallest k < i with (k,i,j) in the class and
+        phi(k,i) one level lower."""
+        if component not in ("a", "b"):
+            raise InvalidSelection(f"component must be 'a' or 'b', not {component!r}")
+        slot = "ab".index(component)
+        columns = self._columns
         path = [j, i]
-        while True:
-            k = self._rows[path[-2]][path[-1]][slot]
-            if k is None:
-                break
+        for t in range(getattr(self.value(i, j), component) - 3, -1, -1):
+            preds = self._chi._pair(i, j)[2 - slot]  # X(i,j) or R(j,i)
+            k = next(
+                k for k in range(1, i) if preds >> k & 1 and _level(columns[k - 1][slot], i) == t
+            )
             path.append(k)
+            i, j = k, i
         path.reverse()
         return path
 
 
-def _mark(levels: List[int], t: int, bit: int) -> None:
-    """Add ``bit`` to level t; an out-of-order cell can skip levels."""
-    if t >= len(levels):
-        levels.extend([0] * (t + 1 - len(levels)))
-    levels[t] |= bit
-
-
-def _extend(levels: List[int], preds: int) -> Tuple[int, Optional[int]]:
-    """Longest extension through the predecessors in ``preds``, and its parent."""
+def _level(levels: List[int], j: int) -> int:
+    """The t whose level holds j, searched top down: complete classes sit there."""
     for t in range(len(levels) - 1, -1, -1):
-        hits = levels[t] & preds
-        if hits:
-            return t + 3, (hits & -hits).bit_length() - 1
-    return 2, None
+        if levels[t] >> j & 1:
+            return t
 
 
 def phi_table(ad: AnchoredDrawing, chi_cache: Optional[ChiCache] = None) -> PhiTable:
-    """Fully materialized phi table (O(n^2) mask operations, O(n^2) space)."""
+    """Fully built phi table (O(n^2) mask operations, every column)."""
     table = PhiTable(ad, chi_cache)
-    table._ensure_rows(ad.n - 1)
-    # rows cover (k, s) for s <= n-1, i.e. every pair
+    table.column(ad.n - 1)
     return table
 
 

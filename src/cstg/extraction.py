@@ -1,13 +1,13 @@
 """Pattern extraction: stage construction driving the class games.
 
-Each stage takes the least remaining candidate w, colors its pairs with phi,
-and either (a) finds a phi component at the twisted threshold and returns
-the recovered monotone 3-path as a twisted certificate, or (b) files w into
-the largest phi-class, plays one online-game round there (naive builder;
-each edge keeps the larger triple-color class of the candidates, read from
-one pair's masks), and checks every class for a monochromatic monotone
-2-path long enough to certify a convex pattern.  Each phi class is one
-``GameState``: its vertices are the class members, in stage order.
+Each stage takes the least remaining candidate w, reads phi(w,u) for all
+later u as the level masks of column w, and either (a) finds a candidate at
+the twisted threshold and returns the recovered monotone 3-path as a twisted
+certificate, or (b) files w into the largest phi-class of the candidate mask,
+plays one online-game round there (naive builder; each edge keeps the larger
+triple-color class of the candidates, read from one pair's masks), and checks
+every class for a monochromatic monotone 2-path of m1 vertices, a convex
+pattern.  Each phi class is a ``GameState`` on its members, in stage order.
 
 The candidate set loses at least a 1/(m2^2 * 2^edges) fraction per stage;
 that one-step recurrence, the edge colors' restriction, and the final
@@ -109,40 +109,26 @@ def extract_pattern(
         raise InvalidSelection("pattern targets must be at least 2")
     chi = chi_cache if chi_cache is not None else ChiCache(ad)
     phi = PhiTable(ad, chi)
-    n = ad.n
     stats = ExtractionStats()
     classes: Dict[Tuple[int, int], GameState] = {}
-    candidates = list(range(1, n))
+    candidates = (1 << ad.n) - 2  # positions 1..n-1
 
     while candidates:
         stats.stages += 1
-        w = candidates[0]
-        rest = candidates[1:]
+        w = (candidates & -candidates).bit_length() - 1
+        rest = candidates ^ (1 << w)
+        column = phi.column(w) if rest else ([0], [0])  # the last candidate reads no pairs
+        twisted = _twisted_hit(column, rest, m2)
+        if twisted is not None:
+            return _twisted_success(ad, phi, stats, classes, w, *twisted, m2, rest)
 
-        groups: Dict[Tuple[int, int], List[int]] = {}
-        for u in rest:
-            val = phi.value(w, u)
-            if val.a >= m2:
-                return _twisted_success(ad, phi, stats, classes, w, u, "a", m2, rest)
-            if val.b >= m2:
-                return _twisted_success(ad, phi, stats, classes, w, u, "b", m2, rest)
-            groups.setdefault((val.a, val.b), []).append(u)
-
-        if groups:
-            chosen_key, kept = max(
-                groups.items(), key=lambda kv: (len(kv[1]), (-kv[0][0], -kv[0][1]))
-            )
-            if len(kept) * m2 * m2 < len(candidates) - 1:
-                raise InternalInvariantBroken(
-                    "pigeonhole class smaller than (|S|-1)/m2^2"
-                )
-        else:
-            # last candidate: any class absorbs it (vacuously consistent)
-            chosen_key, kept = (2, 2), []
+        chosen_key, pool = _largest_class(column, rest)
+        remaining = rest.bit_count()
+        if pool.bit_count() * m2 * m2 < remaining:
+            raise InternalInvariantBroken("pigeonhole class smaller than (|S|-1)/m2^2")
 
         game = classes.setdefault(chosen_key, GameState())
         game.add_vertex(w)
-        pool = sum(1 << v for v in kept)  # distinct bits: the mask of kept
         members = game.vertices[:-1]  # naive builder: all prior members, ascending
         for u in members:
             color, pool = _halve(chi, u, w, pool)
@@ -156,24 +142,41 @@ def extract_pattern(
                     "more zero-edge stages than phi classes"
                 )
 
-        survivors = [v for v in kept if pool >> v & 1]
-        if (
-            len(survivors) * (m2 * m2) * (1 << edges_built)
-            < len(candidates) - 1
-        ):
+        if pool.bit_count() * (m2 * m2) * (1 << edges_built) < remaining:
             raise InternalInvariantBroken(
                 "stage recurrence |S'| >= (|S|-1)/(m2^2 2^e) violated"
             )
 
         hit = _convex_ready(classes, m1)
         if hit is not None:
-            return _convex_success(ad, chi, stats, classes, hit, m1, survivors)
+            return _convex_success(ad, chi, stats, classes, hit, m1, pool)
 
-        candidates = survivors
+        candidates = pool
 
     stats.outcome = "exhausted"
-    _snapshot(stats, classes, [])
+    _snapshot(stats, classes, 0)
     return ExtractionOutcome(certificate=None, stats=stats)
+
+
+def _twisted_hit(column, rest, m2):
+    """The lowest u in the mask ``rest`` with phi(w,u) >= m2 in column w,
+    and its component ("a" before "b"); None when there is none."""
+    # levels are disjoint, so their sum is their union
+    hits_a, hits_b = (rest & sum(levels[m2 - 2:]) for levels in column)
+    hits = hits_a | hits_b
+    if hits:
+        u = (hits & -hits).bit_length() - 1
+        return u, "a" if hits_a >> u & 1 else "b"
+
+
+def _largest_class(column, rest):
+    """The key (a, b) and the mask of the largest phi class in ``rest``, read
+    from column w; ties, and an empty ``rest``, go to the smallest key."""
+    return max(
+        (((t + 2, s + 2), rest & level_a & level_b)
+         for t, level_a in enumerate(column[0]) for s, level_b in enumerate(column[1])),
+        key=lambda cls: cls[1].bit_count(),
+    )
 
 
 def _halve(chi: ChiCache, u: int, w: int, pool: int) -> Tuple[str, int]:
@@ -182,7 +185,7 @@ def _halve(chi: ChiCache, u: int, w: int, pool: int) -> Tuple[str, int]:
     Of the candidate mask ``pool``, the 010 class is the part in R(w,u) and
     the 000 class the rest; the larger survives, ties going to 000.  A
     candidate in R(u,w) or X(u,w) colors 100 or 001 and breaks the
-    invariant.  No triple (u, w, v) is invalid here: phi.value(w, v) has
+    invariant.  No triple (u, w, v) is invalid here: phi.column(w) has
     checked every (k, w, v) with k < w.
     """
     ri, rj, x = chi._pair(u, w)
@@ -201,7 +204,7 @@ def _halve(chi: ChiCache, u: int, w: int, pool: int) -> Tuple[str, int]:
 
 
 def _snapshot(stats, classes, candidates):
-    stats.final_candidates = list(candidates)
+    stats.final_candidates = [v for v in range(candidates.bit_length()) if candidates >> v & 1]
     stats.class_members = {k: list(g.vertices) for k, g in classes.items()}
     stats.class_edges = {k: list(g.edges) for k, g in classes.items()}
 

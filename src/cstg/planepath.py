@@ -218,6 +218,10 @@ def extract_plane_path(
     n = ad.n
     if n < 3:
         raise InvalidSelection("plane path extraction needs n >= 3")
+    if m_override is not None and m_override < 1:
+        raise InvalidSelection(f"m override must be at least 1, got {m_override}")
+    if path_target is not None and path_target < 2:
+        raise InvalidSelection(f"path target must be at least 2, got {path_target}")
     m = m_override if m_override is not None else default_m(n)
     stats = PlanePathStats(m=m)
     chi = chi_cache if chi_cache is not None else ChiCache(ad)

@@ -14,6 +14,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from test_chromatics import mirrored_twisted_view
 
 from cstg.chromatics import ChiCache, check_transitive_completion, validate_observation
 from cstg.cli import dispatch
@@ -69,7 +70,12 @@ def test_criterion_01_observation():
 
 def test_criterion_02_transitivity():
     with criterion(2, 60, "100/001 classes transitive on every 4-tuple"):
-        for ad in corpus_32():
+        # the half-circle and Horton drawings hold no 2-chain in either
+        # class; twisted has them in 001 and its mirror in 100, where the
+        # class is complete on the whole window
+        corpus = [(ad, None) for ad in corpus_32()]
+        corpus += [(anchored_view(gen_twisted(16)), "001"), (mirrored_twisted_view(16), "100")]
+        for ad, complete in corpus:
             cache = ChiCache(ad)
             window = list(range(1, ad.n))
             for color in ("100", "001"):
@@ -77,6 +83,7 @@ def test_criterion_02_transitivity():
                     ad.n, lambda t, c=color: cache.get(*t) == c, window
                 )
                 assert report.ok, (color, report)
+                assert report.completion_checked == (color == complete), (color, report)
 
 
 def _twisted_sweep_m200():

@@ -13,6 +13,7 @@ from cstg import drawing
 from cstg.chromatics import (
     VALID_COLORS,
     ChiCache,
+    PhiTable,
     PhiValue,
     _pair_masks,
     check_transitive_completion,
@@ -27,7 +28,7 @@ from cstg.drawing import (
     induced_subdrawing,
     sorted_pair,
 )
-from cstg.errors import InvalidTriple, ObservationViolated
+from cstg.errors import InvalidSelection, InvalidTriple, ObservationViolated
 from cstg.generators import (
     anchored_view,
     gen_convex,
@@ -134,6 +135,11 @@ class TestPhi:
         assert len(wit) == table.value(6, 9).b
         for a, b, c in zip(wit, wit[1:], wit[2:]):
             assert cache.get(a, b, c) == "001"
+
+    def test_witness_rejects_an_unknown_component(self):
+        table = phi_table(anchored_view(gen_twisted(8)))
+        with pytest.raises(InvalidSelection, match="'x'"):
+            table.witness(2, 4, "x")
 
     def test_restriction_keeps_phi_on_surviving_pairs(self):
         # deleting the last anchored vertex never changes phi on earlier pairs
@@ -345,19 +351,22 @@ def reference_validate(ad: AnchoredDrawing):
 
 
 def reference_phi(ad: AnchoredDrawing):
-    """(i, j) -> ((a, b), (parent in a, parent in b)), rows in position
+    """(i, j) -> ((a, b), (parent in a, parent in b)), columns i in position
     order, smallest predecessor on ties; None and the first invalid triple
-    (in the order the rows visit them) when the drawing breaks the
-    observation."""
+    (k, i, j) when the drawing breaks the observation, in the order the
+    columns visit them: lowest i, then lowest k, then lowest j."""
     color = reference_color(ad)
     table = {}
-    for j in range(2, ad.n):
-        for i in range(1, j):
-            best, parent = [2, 2], [None, None]
-            for k in range(1, i):
+    for i in range(1, ad.n):
+        for k in range(1, i):
+            for j in range(i + 1, ad.n):
                 c = color(k, i, j)
                 if c not in VALID_COLORS:
                     return None, (k, i, j, c)
+        for j in range(i + 1, ad.n):
+            best, parent = [2, 2], [None, None]
+            for k in range(1, i):
+                c = color(k, i, j)
                 for slot, want in enumerate(("100", "001")):
                     if c == want and table[(k, i)][0][slot] + 1 > best[slot]:
                         best[slot], parent[slot] = table[(k, i)][0][slot] + 1, k
@@ -484,6 +493,32 @@ class TestKernelEquivalence:
             assert table.value(i, j) == PhiValue(*values), (i, j)
             for slot, component in enumerate("ab"):
                 assert table.witness(i, j, component) == reference_witness(want, i, j, slot)
+
+    @pytest.mark.parametrize("ad", KERNEL_VIEWS)
+    def test_columns_partition_the_later_positions(self, ad):
+        # column i's levels are disjoint, cover exactly the positions above
+        # i, end at the highest phi value, and put each j at the reference's
+        # phi(i,j); a drawing that breaks the observation is checked up to
+        # the column that raises
+        want, violation = reference_phi(ad)
+        table = PhiTable(ad)
+        last = ad.n if violation is None else violation[1]
+        for i in range(1, last):
+            for slot, levels in enumerate(table.column(i)):
+                union = 0
+                for t, level in enumerate(levels):
+                    assert not union & level, (i, t)
+                    union |= level
+                    for j in range(i + 1, ad.n):
+                        if want is not None and level >> j & 1:
+                            assert want[(i, j)][0][slot] == t + 2, (i, j)
+                assert union == (1 << ad.n) - (2 << i), i
+                assert levels[-1] or levels == [0], i
+        if violation is not None:
+            with pytest.raises(ObservationViolated, match=re.escape(
+                f"triple {violation[:3]} colored {violation[3]}"
+            )):
+                table.column(violation[1])
 
     @pytest.mark.parametrize("ad", KERNEL_VIEWS)
     def test_pair_masks_match_the_reference_build(self, ad):

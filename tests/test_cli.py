@@ -103,6 +103,26 @@ class TestExtract:
         assert code == 0
         assert run(capsys, "verify", str(drawing), str(path_cert))[0] == 0
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--m-override", "0"], "m override must be at least 1, got 0"),
+        (["--m-override", "-3"], "m override must be at least 1, got -3"),
+        (["--m-override", "2", "--path-target", "0"], "path target must be at least 2, got 0"),
+        (["--m-override", "2", "--path-target", "-5"], "path target must be at least 2, got -5"),
+        (["--m-override", "2", "--path-target", "1"], "path target must be at least 2, got 1"),
+    ])
+    def test_planepath_out_of_range_selection_exits_3(self, tmp_path, capsys, flags, named):
+        # these used to take the trivial branch or write a one-vertex path
+        drawing = tmp_path / "hc64.cstg"
+        path_cert = tmp_path / "path.json"
+        run(capsys, "generate", "--family", "halfcircle", "--n", "64",
+            "--seed", "1", "--out", str(drawing))
+        code, out, err = run(capsys, "extract", "planepath", str(drawing), *flags,
+                             "--out", str(path_cert))
+        assert code == 3
+        assert named in err
+        assert out == ""
+        assert not path_cert.exists()
+
 
 class TestOracle:
     def test_maxconvex_report(self, tmp_path, capsys):

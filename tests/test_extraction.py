@@ -5,12 +5,13 @@ import math
 import random
 
 import pytest
+from test_chromatics import mirrored_twisted_view, random_anchored_views
 from test_cli import anchored_restriction
 
 from cstg import extraction
-from cstg.chromatics import ChiCache
+from cstg.chromatics import ChiCache, PhiTable
 from cstg.drawing import CONVEX, TWISTED, Certificate, check_plane_edges, verify_certificate
-from cstg.errors import InternalInvariantBroken, NotATree, SizeLimit
+from cstg.errors import InternalInvariantBroken, NotATree, ObservationViolated, SizeLimit
 from cstg.extraction import (
     embed_tree,
     extract_pattern,
@@ -199,6 +200,68 @@ class TestMaskSplit:
             if not isinstance(got, str):
                 got = (got[0], positions(got[1]))
             assert got == split_or_error(reference_halve, chi, u, w, positions(pool))
+
+
+def reference_stage(phi, w, candidates, m2):
+    """The per-candidate stage rule: the first candidate u whose phi(w,u)
+    reaches m2 in a, then in b, is a twisted hit ((u, component), None);
+    otherwise (None, (key, members)) for the largest group of equal phi
+    values, ties going to the smallest key, or ((2, 2), []) when there
+    are no candidates."""
+    groups = {}
+    for u in candidates:
+        val = phi.value(w, u)
+        if val.a >= m2:
+            return (u, "a"), None
+        if val.b >= m2:
+            return (u, "b"), None
+        groups.setdefault((val.a, val.b), []).append(u)
+    if not groups:
+        return None, ((2, 2), [])
+    return None, max(groups.items(), key=lambda kv: (len(kv[1]), (-kv[0][0], -kv[0][1])))
+
+
+def stage_views():
+    for n in range(8, 17):
+        yield f"twisted {n}", [anchored_view(gen_twisted(n))]
+    yield "mirrored twisted 16", [mirrored_twisted_view(16)]
+    for n, seed in ((24, 0), (32, 1), (48, 2), (64, 3)):
+        yield f"half-circle {n} seed {seed}", [anchored_view(gen_halfcircle(n, seed=seed))]
+    yield "random explicit views", list(random_anchored_views(12, 1616))
+
+
+class TestStageByMasks:
+    """The stage's twisted hit and kept class, read from column w as masks,
+    against the per-candidate rule they replaced."""
+
+    @pytest.mark.parametrize("name, views", [
+        pytest.param(name, views, id=name) for name, views in stage_views()
+    ])
+    def test_every_column_matches_the_per_candidate_rule(self, name, views):
+        rng = random.Random(name)
+        columns = 0
+        for ad in views:
+            phi = PhiTable(ad)
+            for w in range(1, ad.n):
+                try:
+                    column = phi.column(w)
+                except ObservationViolated:
+                    break
+                columns += 1
+                above = (1 << ad.n) - (2 << w)
+                for rest in (above, above & rng.getrandbits(ad.n), 0):
+                    for m2 in range(2, ad.n + 2):
+                        twisted, kept = reference_stage(phi, w, positions(rest), m2)
+                        assert extraction._twisted_hit(column, rest, m2) == twisted, (w, m2)
+                        if twisted is None:
+                            key, mask = extraction._largest_class(column, rest)
+                            assert (key, positions(mask)) == kept, (w, m2)
+        assert columns > 0
+
+    def test_ties_go_to_the_smallest_key(self):
+        # of the candidates 4..7, 4 and 5 have phi (2,3) and 6 and 7 (3,2)
+        column = ([0b00110000, 0b11000000], [0b11000000, 0b00110000])
+        assert extraction._largest_class(column, 0b11110000) == ((2, 3), 0b00110000)
 
 
 class TestThresholds:
