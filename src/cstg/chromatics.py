@@ -12,7 +12,8 @@ and a valid anchored simple drawing only ever produces 000, 001, 010, 100.
 The pair color phi(i,j) = (a,b) records the longest monotone 3-paths ending
 at the pair in the 100 class (a) and the 001 class (b); path lengths count
 vertices, so a bare pair has a = b = 2.  ``PhiTable`` holds it by columns:
-column i is the pairs (i,j), j > i, as one position mask per phi level.
+column i is the pairs (i,j), j > i, as one position mask per phi level and
+one value code per position.
 
 Everything here reads one relation, the anchor crossings, held as Python-int
 position masks: X(a,b) is the set of positions p whose anchor edge crosses
@@ -29,7 +30,13 @@ first use, for explicit drawings.  A single color builds only its pair's
 masks, and the scans are quadratic in mask operations.  Measured on seeded
 half-circle drawings (Python 3.11.7, one process on a shared 2-core machine):
 validate_observation takes 0.05-0.08 s at n = 256 and 1.1-1.5 s at n = 1024, a
-full phi_table 0.08-0.14 s and 1.9-2.5 s (23 MB peak RSS).  ``tables chi``
+full phi_table 0.05-0.10 s and 0.9-1.7 s (20.5 MB peak RSS), against
+0.10-0.15 s and 1.5-2.4 s (24.4 MB) when every read scanned a column's
+levels; on twisted n = 512 it takes 0.20-0.25 s, against 0.26-0.41 s.
+``tables phi`` writes each column's rows as one block from its value codes:
+at n = 160 (seed 5) the whole command, 12,561 rows with the document read and
+the file written, takes 0.037-0.050 s, against 0.054-0.111 s with one
+``value`` call per row.  ``tables chi``
 reads each pair's masks once and turns them into one color-code byte per row
 (``ChiCache._codes``): at n = 160 (seed 5) the whole command, 657,359 rows
 with the document read and the file written, takes 0.18-0.21 s at a 27 MB
@@ -37,8 +44,9 @@ tracemalloc peak, against 0.25-0.29 s with one color string per row.
 
 Only ``chi()`` and callers outside the package read ``ChiCache.get``.
 ``PhiTable``, extraction and plane paths read whole color classes from one
-pair's masks (``ChiCache._pair``, ``_checked_pair``), and ``tables chi``
-reads a pair's color codes (``ChiCache._codes``, which ``row`` reads too).
+pair's masks (``ChiCache._pair``, ``_checked_pair``), ``tables chi``
+reads a pair's color codes (``ChiCache._codes``, which ``row`` reads too),
+and ``tables phi`` a column's value codes (``PhiTable._codes``).
 """
 
 from __future__ import annotations
@@ -192,7 +200,7 @@ def validate_observation(ad: AnchoredDrawing) -> ObservationReport:
 
 
 class PhiTable:
-    """Pair coloring phi, built one column of level masks at a time.
+    """Pair coloring phi, built one column at a time.
 
     Column i holds, per component, ``levels[t]`` = the positions j > i with
     phi(i,j) = t+2 in that component; the levels are disjoint and cover
@@ -200,34 +208,53 @@ class PhiTable:
     R(k,i) and 001 iff j is in X(k,i), so a(i,j) is one more than the
     highest a(k,i) over the k < i with j in R(k,i), or 2 when there is none
     (b likewise with X(k,i)).  Column i thus reads the pairs (k,i) and the
-    level of bit i in each earlier column; columns fill in position order,
+    value of each earlier column at i; columns fill in position order,
     lazily, up to the highest one asked for.  Invalid triples (k,i,j) met by
     column i raise ObservationViolated for the lowest k, then the lowest j.
+
+    Next to its levels, column i keeps per component one value code per
+    position, ``codes[j]`` = phi(i,j) - 2 (0 at j <= i), spread from the
+    levels once when the column is built, so reading a value is one index.
+    The codes are ``n`` bytes while every level fits a byte (t <= 255, so
+    always for i <= 255) and a list of ``n`` ints beyond that, as in the b
+    columns of twisted drawings, where b(i,j) = i+1.
     """
 
     def __init__(self, ad: AnchoredDrawing, chi_cache: Optional[ChiCache] = None):
         self.ad = ad
         self._chi = chi_cache if chi_cache is not None else ChiCache(ad)
         self._columns: List[Tuple[List[int], List[int]]] = []  # column i at i-1
+        self._column_codes: List[Tuple[Sequence[int], Sequence[int]]] = []  # likewise
+        self._height = (0, 0)  # the most levels a built column has, per component
 
     def column(self, i: int) -> Tuple[List[int], List[int]]:
         """(levels_a, levels_b) of column i; builds the columns up to i."""
+        self._fill(i)
+        return self._columns[i - 1]
+
+    def _codes(self, i: int) -> Tuple[Sequence[int], Sequence[int]]:
+        """(codes_a, codes_b) of column i; builds the columns up to i."""
+        self._fill(i)
+        return self._column_codes[i - 1]
+
+    def _fill(self, i: int) -> None:
         if not 1 <= i <= self.ad.n - 1:
             raise InvalidTriple(f"column {i} invalid for n={self.ad.n}")
         while len(self._columns) < i:
-            self._columns.append(self._build(len(self._columns) + 1))
-        return self._columns[i - 1]
+            self._build(len(self._columns) + 1)
 
-    def _build(self, i: int) -> Tuple[List[int], List[int]]:
-        above = (1 << self.ad.n) - (2 << i)
+    def _build(self, i: int) -> None:
+        n = self.ad.n
+        above = (1 << n) - (2 << i)
         # lifts[t]: the positions j > i that some k < i raises to level t;
-        # phi(k,i) <= k+1, so no lift passes i
-        lifts_a, lifts_b = [above] + [0] * i, [above] + [0] * i
+        # no column k < i has more levels than the height, so no lift passes it
+        height_a, height_b = self._height
+        lifts_a, lifts_b = [above] + [0] * height_a, [above] + [0] * height_b
         for k in range(1, i):
             ri, _, x = self._chi._checked_pair(k, i, above)
-            levels_a, levels_b = self._columns[k - 1]
-            lifts_a[_level(levels_a, i) + 1] |= ri & above
-            lifts_b[_level(levels_b, i) + 1] |= x & above
+            codes_a, codes_b = self._column_codes[k - 1]
+            lifts_a[codes_a[i] + 1] |= ri & above
+            lifts_b[codes_b[i] + 1] |= x & above
         # each j sits at the highest lift holding it; empty top lifts go
         for lifts in (lifts_a, lifts_b):
             while not lifts[-1] and len(lifts) > 1:
@@ -235,13 +262,15 @@ class PhiTable:
             seen = 0
             for t in range(len(lifts) - 1, -1, -1):
                 lifts[t], seen = lifts[t] & ~seen, seen | lifts[t]
-        return lifts_a, lifts_b
+        self._columns.append((lifts_a, lifts_b))
+        self._height = (max(height_a, len(lifts_a)), max(height_b, len(lifts_b)))
+        self._column_codes.append((_value_codes(lifts_a, n), _value_codes(lifts_b, n)))
 
     def value(self, i: int, j: int) -> PhiValue:
         if not (1 <= i < j <= self.ad.n - 1):
             raise InvalidTriple(f"pair ({i},{j}) invalid for n={self.ad.n}")
-        levels_a, levels_b = self.column(i)
-        return PhiValue(_level(levels_a, j) + 2, _level(levels_b, j) + 2)
+        codes_a, codes_b = self._codes(i)
+        return PhiValue(codes_a[j] + 2, codes_b[j] + 2)
 
     def witness(self, i: int, j: int, component: str) -> List[int]:
         """Monotone 3-path (as positions) realizing the a or b value at (i,j);
@@ -250,24 +279,42 @@ class PhiTable:
         if component not in ("a", "b"):
             raise InvalidSelection(f"component must be 'a' or 'b', not {component!r}")
         slot = "ab".index(component)
-        columns = self._columns
+        codes = self._column_codes
         path = [j, i]
         for t in range(getattr(self.value(i, j), component) - 3, -1, -1):
             preds = self._chi._pair(i, j)[2 - slot]  # X(i,j) or R(j,i)
-            k = next(
-                k for k in range(1, i) if preds >> k & 1 and _level(columns[k - 1][slot], i) == t
-            )
+            k = next(k for k in range(1, i) if preds >> k & 1 and codes[k - 1][slot][i] == t)
             path.append(k)
             i, j = k, i
         path.reverse()
         return path
 
 
-def _level(levels: List[int], j: int) -> int:
-    """The t whose level holds j, searched top down: complete classes sit there."""
-    for t in range(len(levels) - 1, -1, -1):
-        if levels[t] >> j & 1:
-            return t
+def _value_codes(levels: List[int], n: int) -> Sequence[int]:
+    """codes[j] = t for every j in levels[t], 0 elsewhere, for j < n.
+
+    While t fits a byte, each level t >= 1 is spread into one byte per
+    position (its binary string read as a big-endian int, less the ASCII
+    zeros, as in ``ChiCache._codes``); the levels are disjoint, so the sum
+    of t times the spreads carries nothing between bytes, and written
+    little-endian it lists j in increasing order.  Wider codes walk the
+    bits of each level into a list.
+    """
+    if len(levels) <= 256:
+        zeros = int.from_bytes(b"0" * n, "big")
+        total = 0
+        for t in range(1, len(levels)):
+            if levels[t]:
+                total += t * (int.from_bytes(f"{levels[t]:0{n}b}".encode(), "big") - zeros)
+        return total.to_bytes(n, "little")
+    codes = [0] * n
+    for t in range(1, len(levels)):
+        level = levels[t]
+        while level:
+            low = level & -level
+            codes[low.bit_length() - 1] = t
+            level ^= low
+    return codes
 
 
 def phi_table(ad: AnchoredDrawing, chi_cache: Optional[ChiCache] = None) -> PhiTable:

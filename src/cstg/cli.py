@@ -321,10 +321,17 @@ def _cmd_tables(args) -> int:
     else:
         table = phi_table(ad)
         lines.append("# cstg-phi-1\ni,j,a,b\n")
+        # the pieces "j,", "a," and "b\n" of a row, a and b by value code
+        js = [f"{j}," for j in range(n)]
+        a_of = [f"{t + 2}," for t in range(n)]
+        b_of = [f"{t + 2}\n" for t in range(n)]
+        # one block of rows "i,j,a,b" per column, its value codes read at once
         for i in range(1, n - 1):
-            for j in range(i + 1, n):
-                value = table.value(i, j)
-                lines.append(f"{i},{j},{value.a},{value.b}\n")
+            head = f"{i},"
+            codes_a, codes_b = table._codes(i)
+            rows = zip(js[i + 1:], map(a_of.__getitem__, codes_a[i + 1:]),
+                       map(b_of.__getitem__, codes_b[i + 1:]))
+            lines.append(head + head.join(map("".join, rows)))
     _emit("".join(lines), args.out)
     return EXIT_OK
 

@@ -156,6 +156,7 @@ class PlanePathStats:
     candidate_sizes: List[int] = field(default_factory=list)
     lds_lengths: List[int] = field(default_factory=list)
     steps: int = 0
+    unused: List[str] = field(default_factory=list)  # given, not read by the branch
 
 
 @dataclass
@@ -191,6 +192,9 @@ class PlanePathOutcome:
             lines.append(
                 "lds lengths: " + " ".join(str(s) for s in self.stats.lds_lengths)
             )
+        if self.stats.unused:
+            unused = ", ".join(self.stats.unused)
+            lines.append(f"unused on the {self.stats.branch} branch: {unused}")
         return lines
 
 
@@ -213,7 +217,10 @@ def extract_plane_path(
 
     With the increasing branch, the returned path comes from a bounded exact
     search among the star leaves (target length configurable, default
-    max(2, ceil(m/2))); the star certificate is returned alongside.
+    max(2, ceil(m/2))); the star certificate is returned alongside.  Only
+    that branch reads ``path_target`` and ``budget``: given with m <= 1 they
+    raise InvalidSelection, and the decreasing branch names them in its
+    report as unused.
     """
     n = ad.n
     if n < 3:
@@ -225,8 +232,12 @@ def extract_plane_path(
     m = m_override if m_override is not None else default_m(n)
     stats = PlanePathStats(m=m)
     chi = chi_cache if chi_cache is not None else ChiCache(ad)
+    given = [name for name, value in (("path target", path_target), ("budget", budget))
+             if value is not None]
 
     if m <= 1:
+        if given:
+            raise InvalidSelection(f"{given[0]} unused: m = {m} takes the trivial branch")
         stats.branch = "trivial"
         cert = Certificate(PLANE_PATH, (ad.vertex_at(1), ad.vertex_at(2)))
         _check_path(ad.base, cert)
@@ -250,6 +261,7 @@ def extract_plane_path(
         return PlanePathOutcome(path=cert, bipartite=star, stats=stats)
 
     stats.branch = "decreasing"
+    stats.unused = given
     path = [1]
     candidates = list(range(2, n))
     m_sq = m * m

@@ -453,6 +453,20 @@ def kernel_views():
 KERNEL_VIEWS = [pytest.param(ad, id=name) for name, ad in kernel_views()]
 
 
+def twisted_phi(ad: AnchoredDrawing):
+    """reference_phi's values on an anchored gen_twisted view in closed form,
+    phi(i,j) = (2, i+1), without parents."""
+    pairs = itertools.combinations(range(1, ad.n), 2)
+    return {(i, j): ((2, i + 1), None) for i, j in pairs}, None
+
+
+# the kernel views against the reference build, and twisted 300, whose b
+# values pass one byte from column 256 on
+COLUMN_VIEWS = [pytest.param(ad, reference_phi, id=name) for name, ad in kernel_views()] + [
+    pytest.param(anchored_view(gen_twisted(300)), twisted_phi, id="twisted 300")
+]
+
+
 def random_explicit(rng, n, density=0.3):
     edges = list(itertools.combinations(range(n), 2))
     pairs = set()
@@ -494,26 +508,27 @@ class TestKernelEquivalence:
             for slot, component in enumerate("ab"):
                 assert table.witness(i, j, component) == reference_witness(want, i, j, slot)
 
-    @pytest.mark.parametrize("ad", KERNEL_VIEWS)
-    def test_columns_partition_the_later_positions(self, ad):
+    @pytest.mark.parametrize("ad, reference", COLUMN_VIEWS)
+    def test_columns_partition_the_later_positions(self, ad, reference):
         # column i's levels are disjoint, cover exactly the positions above
-        # i, end at the highest phi value, and put each j at the reference's
-        # phi(i,j); a drawing that breaks the observation is checked up to
-        # the column that raises
-        want, violation = reference_phi(ad)
+        # i and end at the highest phi value; its value codes put each j in
+        # the level that holds it, at the reference's phi(i,j); a drawing
+        # that breaks the observation is checked up to the column that raises
+        want, violation = reference(ad)
         table = PhiTable(ad)
         last = ad.n if violation is None else violation[1]
         for i in range(1, last):
-            for slot, levels in enumerate(table.column(i)):
+            for slot, (levels, codes) in enumerate(zip(table.column(i), table._codes(i))):
                 union = 0
                 for t, level in enumerate(levels):
                     assert not union & level, (i, t)
                     union |= level
-                    for j in range(i + 1, ad.n):
-                        if want is not None and level >> j & 1:
-                            assert want[(i, j)][0][slot] == t + 2, (i, j)
                 assert union == (1 << ad.n) - (2 << i), i
                 assert levels[-1] or levels == [0], i
+                for j in range(i + 1, ad.n):
+                    t = codes[j]
+                    assert t < len(levels) and levels[t] >> j & 1, (i, j)
+                    assert want[(i, j)][0][slot] == t + 2, (i, j)
         if violation is not None:
             with pytest.raises(ObservationViolated, match=re.escape(
                 f"triple {violation[:3]} colored {violation[3]}"

@@ -9,7 +9,7 @@ import pytest
 from test_fuzz import random_explicit
 
 from cstg import cli, codec, drawing, generators
-from cstg.chromatics import ChiCache, validate_observation
+from cstg.chromatics import ChiCache, phi_table, validate_observation
 from cstg.cli import dispatch
 from cstg.errors import ObservationViolated
 
@@ -91,6 +91,20 @@ class TestExtract:
         assert code == 4
         assert "exhausted" in stdout
 
+    def test_planepath_decreasing_branch_names_unused_flags(self, tmp_path, capsys):
+        drawing = tmp_path / "hc64.cstg"
+        run(capsys, "generate", "--family", "halfcircle", "--n", "64",
+            "--seed", "1", "--out", str(drawing))
+        code, plain, _ = run(capsys, "extract", "planepath", str(drawing),
+                             "--m-override", "16")
+        assert code == 0 and "branch: decreasing\n" in plain
+        assert "unused" not in plain
+        code, stdout, _ = run(capsys, "extract", "planepath", str(drawing),
+                              "--m-override", "16", "--path-target", "40",
+                              "--budget-nodes", "5")
+        assert code == 0
+        assert stdout == plain + "unused on the decreasing branch: path target, budget\n"
+
     def test_planepath_with_star_output(self, tmp_path, capsys):
         drawing = tmp_path / "hc.cstg"
         path_cert = tmp_path / "path.json"
@@ -109,6 +123,12 @@ class TestExtract:
         (["--m-override", "2", "--path-target", "0"], "path target must be at least 2, got 0"),
         (["--m-override", "2", "--path-target", "-5"], "path target must be at least 2, got -5"),
         (["--m-override", "2", "--path-target", "1"], "path target must be at least 2, got 1"),
+        # m <= 1 takes the trivial branch, which reads neither a path
+        # target nor a budget
+        (["--m-override", "1", "--path-target", "40"], "path target unused: m = 1"),
+        (["--path-target", "40"], "path target unused: m = 1"),
+        (["--m-override", "1", "--budget-nodes", "10"], "budget unused: m = 1"),
+        (["--budget-seconds", "5"], "budget unused: m = 1"),
     ])
     def test_planepath_out_of_range_selection_exits_3(self, tmp_path, capsys, flags, named):
         # these used to take the trivial branch or write a one-vertex path
@@ -275,6 +295,60 @@ class TestTablesChi:
             reference_chi_table(str(path))
         out = tmp_path / "chi.csv"
         code, stdout, err = run(capsys, "tables", "chi", str(path), "--out", str(out))
+        assert (code, stdout) == (3, "")
+        assert err == f"invalid input: ObservationViolated: {info.value}\n"
+        assert not out.exists()
+
+
+def reference_phi_table(path):
+    """`tables phi` one pair at a time: one PhiTable.value and one line per row."""
+    ad = generators.anchored_view(codec.load_drawing(path))
+    table = phi_table(ad)
+    lines = ["# cstg-phi-1\ni,j,a,b\n"]
+    for i, j in itertools.combinations(range(1, ad.n), 2):
+        value = table.value(i, j)
+        lines.append(f"{i},{j},{value.a},{value.b}\n")
+    return "".join(lines)
+
+
+class TestTablesPhi:
+    @pytest.mark.parametrize("name, d", [
+        ("convex 9", generators.gen_convex(9)),
+        ("twisted 9", generators.gen_twisted(9)),
+        ("half-circle 24", generators.gen_halfcircle(24, seed=3)),
+        # j reaches three digits
+        ("half-circle 104", generators.gen_halfcircle(104, seed=9)),
+        ("horton 64", generators.gen_straightline(generators.gen_horton(6))),
+        ("anchored explicit restriction",
+         anchored_restriction(generators.gen_halfcircle(16, seed=3))),
+        # b reaches 299: the value codes of columns 256 on pass one byte
+        ("twisted 300", generators.gen_twisted(300)),
+    ])
+    def test_equals_the_per_pair_table(self, tmp_path, capsys, name, d):
+        path = tmp_path / "d.cstg"
+        codec.save_drawing(d, str(path))
+        out = tmp_path / "phi.csv"
+        assert run(capsys, "tables", "phi", str(path), "--out", str(out)) == (0, "", "")
+        assert out.read_text() == reference_phi_table(str(path))
+
+    def test_twisted_rows_count_predecessors(self, tmp_path, capsys):
+        # on twisted drawings phi(i,j) = (2, i+1), past one byte at n = 300
+        path = tmp_path / "t300.cstg"
+        codec.save_drawing(generators.gen_twisted(300), str(path))
+        out = tmp_path / "phi.csv"
+        assert run(capsys, "tables", "phi", str(path), "--out", str(out))[0] == 0
+        rows = out.read_text().splitlines()[2:]
+        pairs = itertools.combinations(range(1, 300), 2)
+        assert rows == [f"{i},{j},2,{i + 1}" for i, j in pairs]
+
+    @pytest.mark.parametrize("name, d", list(violating_documents()))
+    def test_violation_exits_3_and_writes_nothing(self, tmp_path, capsys, name, d):
+        path = tmp_path / "bad.cstg"
+        codec.save_drawing(d, str(path))
+        with pytest.raises(ObservationViolated) as info:
+            reference_phi_table(str(path))
+        out = tmp_path / "phi.csv"
+        code, stdout, err = run(capsys, "tables", "phi", str(path), "--out", str(out))
         assert (code, stdout) == (3, "")
         assert err == f"invalid input: ObservationViolated: {info.value}\n"
         assert not out.exists()

@@ -20,6 +20,7 @@ from cstg.drawing import (
 )
 from cstg.errors import (
     InternalInvariantBroken,
+    InvalidSelection,
     InvalidTriple,
     ObservationViolated,
     RotationMissing,
@@ -336,6 +337,39 @@ class TestExtractPlanePath:
         out = extract_plane_path(ad, m_override=16)
         assert out.stats.branch == "decreasing"
         assert len(calls) == out.stats.steps
+
+    @pytest.mark.parametrize("kwargs, named", [
+        pytest.param({"m_override": 1, "path_target": 40}, "path target unused: m = 1",
+                     id="m 1, path target"),
+        pytest.param({"path_target": 40}, "path target unused: m = 1",
+                     id="default m, path target"),  # default m is 1 at n = 64
+        pytest.param({"m_override": 1, "budget": oracles.OracleBudget(nodes=10)},
+                     "budget unused: m = 1", id="m 1, budget"),
+        pytest.param({"budget": oracles.OracleBudget(seconds=5.0)},
+                     "budget unused: m = 1", id="default m, budget"),
+    ])
+    def test_trivial_branch_rejects_the_increasing_branch_parameters(self, kwargs, named):
+        # m <= 1 fixes the branch before any work, so a path target or a
+        # budget there could only be dropped
+        ad = anchored_view(gen_halfcircle(64, seed=1))
+        with pytest.raises(InvalidSelection, match=named):
+            extract_plane_path(ad, **kwargs)
+
+    def test_decreasing_branch_reports_the_parameters_it_leaves(self):
+        ad = anchored_view(gen_halfcircle(64, seed=1))
+        plain = extract_plane_path(ad, m_override=16)
+        assert plain.stats.branch == "decreasing"
+        for kwargs, unused in (
+            ({"path_target": 40}, "path target"),
+            ({"budget": oracles.OracleBudget(nodes=5)}, "budget"),
+            ({"path_target": 40, "budget": oracles.OracleBudget(seconds=3.0)},
+             "path target, budget"),
+        ):
+            out = extract_plane_path(ad, m_override=16, **kwargs)
+            assert out.path == plain.path
+            assert out.report_lines() == plain.report_lines() + [
+                f"unused on the decreasing branch: {unused}"
+            ]
 
     def test_reports_vertex_and_edge_counts(self):
         ad = anchored_view(gen_twisted(16))
