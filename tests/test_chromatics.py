@@ -461,7 +461,7 @@ def twisted_phi(ad: AnchoredDrawing):
 
 
 # the kernel views against the reference build, and twisted 300, whose b
-# values pass one byte from column 256 on
+# columns have more than 256 levels from column 257 on
 COLUMN_VIEWS = [pytest.param(ad, reference_phi, id=name) for name, ad in kernel_views()] + [
     pytest.param(anchored_view(gen_twisted(300)), twisted_phi, id="twisted 300")
 ]
@@ -528,7 +528,8 @@ class TestKernelEquivalence:
                 for j in range(i + 1, ad.n):
                     t = codes[j]
                     assert t < len(levels) and levels[t] >> j & 1, (i, j)
-                    assert want[(i, j)][0][slot] == t + 2, (i, j)
+                    if want is not None:
+                        assert want[(i, j)][0][slot] == t + 2, (i, j)
         if violation is not None:
             with pytest.raises(ObservationViolated, match=re.escape(
                 f"triple {violation[:3]} colored {violation[3]}"
