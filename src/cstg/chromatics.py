@@ -30,17 +30,14 @@ first use, for explicit drawings.  A single color builds only its pair's
 masks, and the scans are quadratic in mask operations.  Measured on seeded
 half-circle drawings (Python 3.11.7, one process on a shared 2-core machine):
 validate_observation takes 0.05-0.08 s at n = 256 and 1.1-1.5 s at n = 1024, a
-full phi_table 0.05-0.10 s and 0.9-1.7 s (20.5 MB peak RSS), against
-0.10-0.15 s and 1.5-2.4 s (24.4 MB) when every read scanned a column's
-levels; on twisted n = 512 it takes 0.20-0.25 s, against 0.26-0.41 s.
-``tables phi`` writes each column's rows as one block from its value codes:
-at n = 160 (seed 5) the whole command, 12,561 rows with the document read and
-the file written, takes 0.037-0.050 s, against 0.054-0.111 s with one
-``value`` call per row.  ``tables chi``
-reads each pair's masks once and turns them into one color-code byte per row
-(``ChiCache._codes``): at n = 160 (seed 5) the whole command, 657,359 rows
-with the document read and the file written, takes 0.18-0.21 s at a 27 MB
-tracemalloc peak, against 0.25-0.29 s with one color string per row.
+full phi_table 0.05-0.10 s and 0.9-1.7 s (20.5 MB peak RSS); on twisted
+n = 512 it takes 0.20-0.25 s.  ``tables phi`` writes each column's rows as
+one block from its value codes: at n = 160 (seed 5) the whole command,
+12,561 rows with the document read and the file written, takes
+0.037-0.050 s.  ``tables chi`` reads each pair's masks once and turns them
+into one color-code byte per row (``ChiCache._codes``): at n = 160 (seed 5)
+the whole command, 657,359 rows with the document read and the file
+written, takes 0.18-0.21 s at a 27 MB tracemalloc peak.
 
 Only ``chi()`` and callers outside the package read ``ChiCache.get``.
 ``PhiTable``, extraction and plane paths read whole color classes from one
@@ -52,9 +49,11 @@ and ``tables phi`` a column's value codes (``PhiTable._codes``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .drawing import AnchoredDrawing, crossing_masks
+from .drawing import AnchoredDrawing, _quadruples_up_to, crossing_masks
 from .errors import InvalidSelection, InvalidTriple, ObservationViolated
 
 VALID_COLORS = ("000", "001", "010", "100")
@@ -309,11 +308,8 @@ def _value_codes(levels: List[int], n: int) -> Sequence[int]:
         return total.to_bytes(n, "little")
     codes = [0] * n
     for t in range(1, len(levels)):
-        level = levels[t]
-        while level:
-            low = level & -level
-            codes[low.bit_length() - 1] = t
-            level ^= low
+        for j in _members(levels[t]):
+            codes[j] = t
     return codes
 
 
@@ -337,49 +333,50 @@ class TransitivityReport:
 
 
 def check_transitive_completion(
-    n: int,
-    member: Callable[[Tuple[int, int, int]], bool],
-    window: Sequence[int],
+    n: int, cls: Callable[[int, int], int], window: Sequence[int]
 ) -> TransitivityReport:
     """Transitivity of a triple class on a window, plus completion.
 
-    Checks every 4-tuple p<q<r<s of the window: membership of (p,q,r) and
-    (q,r,s) must force (p,q,s) and (p,r,s).  When the window's consecutive
-    triples form a spanning monotone path, additionally checks that the
-    class is complete on the window.
+    ``cls(p, q)`` is the class as a mask C(p,q): bit r > q is set iff (p,q,r)
+    is in the class, other bits are ignored.  On a drawing's pair masks
+    (``_pair_masks``) the 100 class is R(p,q) without R(q,p) and X(p,q), the
+    001 class X(p,q) without the two R masks.  For every 4-tuple p<q<r<s of
+    the window, (p,q,r) and (q,r,s) must force (p,q,s) and (p,r,s): C(q,r)
+    lies in C(p,q) & C(p,r) for each r in C(p,q).  The report names the
+    first failing 4-tuple in lexicographic order and counts the 4-tuples up
+    to it.  When the window's consecutive triples form a spanning monotone
+    path, additionally checks that the class is complete on the window.
     """
     w = list(window)
     if any(a >= b for a, b in zip(w, w[1:])):
         raise InvalidTriple("window must be strictly increasing")
     if any(not (0 <= v < n) for v in w):
         raise InvalidTriple("window out of range")
-    checked = 0
-    t = len(w)
-    for p in range(t - 3):
-        for q in range(p + 1, t - 2):
-            for r in range(q + 1, t - 1):
-                for s in range(r + 1, t):
-                    checked += 1
-                    if member((w[p], w[q], w[r])) and member((w[q], w[r], w[s])):
-                        if not (
-                            member((w[p], w[q], w[s])) and member((w[p], w[r], w[s]))
-                        ):
-                            return TransitivityReport(
-                                False, checked, counterexample=(w[p], w[q], w[r], w[s])
-                            )
-    spanning = t >= 3 and all(
-        member((w[i], w[i + 1], w[i + 2])) for i in range(t - 2)
-    )
-    if spanning:
-        for p in range(t - 2):
-            for q in range(p + 1, t - 1):
-                for r in range(q + 1, t):
-                    if not member((w[p], w[q], w[r])):
-                        return TransitivityReport(
-                            False,
-                            checked,
-                            missing_triple=(w[p], w[q], w[r]),
-                            completion_checked=True,
-                        )
+    inside = sum(1 << v for v in w)
+    above = {v: inside & (-1 << (v + 1)) for v in w}  # the window above v
+    C = {(p, q): cls(p, q) & above[q] for p, q in combinations(w, 2)}
+    for (p, q), pq in C.items():  # pairs in window order
+        for r in _members(pq):
+            bad = C[q, r] & ~(pq & C[p, r])
+            if bad:
+                s = next(_members(bad))
+                checked = _quadruples_up_to(len(w), *map(w.index, (p, q, r, s)))
+                return TransitivityReport(False, checked, counterexample=(p, q, r, s))
+    checked = comb(len(w), 4)
+    if len(w) >= 3 and all(C[p, q] >> r & 1 for p, q, r in zip(w, w[1:], w[2:])):
+        for (p, q), pq in C.items():
+            if pq != above[q]:
+                r = next(_members(above[q] ^ pq))
+                return TransitivityReport(
+                    False, checked, missing_triple=(p, q, r), completion_checked=True
+                )
         return TransitivityReport(True, checked, completion_checked=True)
     return TransitivityReport(True, checked)
+
+
+def _members(mask: int):
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low

@@ -161,10 +161,8 @@ def _self_check(d) -> int:
     if codec.encode_drawing(codec.decode_drawing(text)) != text:
         print("self-check: codec round-trip failed", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    if d.model == "convex":
-        report = verify_certificate(d, Certificate(CONVEX, tuple(range(d.n))))
-    elif d.model == "twisted":
-        report = verify_certificate(d, Certificate(TWISTED, tuple(range(d.n))))
+    if d.model in ("convex", "twisted"):  # the whole drawing is the pattern
+        report = verify_certificate(d, Certificate(d.model, tuple(range(d.n))))
     else:
         ad = generators.anchored_view(d)
         obs = validate_observation(ad)

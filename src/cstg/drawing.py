@@ -279,15 +279,19 @@ class Drawing:
 
     @cached_property
     def _sign_square(self) -> str:
-        """Half-circle model: n rows of n characters, row v holding L up to
-        column v and then the signs of (v, w) for w > v.
-
-        Built on first use and kept with the drawing, so every kernel on it
-        reads a vertex's signs with two slices.
-        """
+        """Half-circle model, built on first use and kept with the drawing: n
+        rows of n characters, row v holding L up to column v and then the
+        signs of (v, w) for w > v, so ``_sign_row`` is two slices."""
         n, signs = self.n, self.signs
         off = _rank_offsets(n)
         return "".join("L" * (v + 1) + signs[off[v] + v + 1:off[v] + n] for v in range(n))
+
+    def _sign_row(self, v: int) -> str:
+        """Half-circle model: character w is the sign of edge (v, w), L at v."""
+        n, square = self.n, self._sign_square
+        # the signs of (w, v) for w < v are column v of the square, those of
+        # (v, w) for w > v the tail of its row v
+        return square[v::n][:v] + "L" + square[v * n + v + 1:(v + 1) * n]
 
 
 def cross(d: Drawing, e1, e2) -> bool:
@@ -367,19 +371,12 @@ def crossing_masks(d: Drawing, order: Optional[Iterable[int]] = None):
         # the characters of a row in reversed order, so bit p is order[p]
         gather = itemgetter(*order[::-1]) if order else None
 
-        def upper_row(c):
-            # the signs of (w, c) for w < c are column c of the square, those
-            # of (c, w) for w > c the tail of its row c
-            square = d._sign_square
-            row = square[c::n][:c] + "L" + square[c * n + c + 1:(c + 1) * n]
-            return int("".join(gather(row)).translate(_BITS), 2)
-
         def halfcircle(a, b, c):
             if a > b:
                 a, b = b, a
             row = upper[c]
             if row is None:
-                row = upper[c] = upper_row(c)
+                row = upper[c] = int("".join(gather(d._sign_row(c))).translate(_BITS), 2)
             if signs[off[a] + b] == "L":
                 row ^= dom
             if a < c < b:
@@ -546,7 +543,7 @@ class AnchoredDrawing:
         n = self.base.n
         if not (0 <= self.v0 < n):
             raise InvalidSelection(f"anchor {self.v0} out of range")
-        if sorted(self.order) != [v for v in range(n) if v != self.v0]:
+        if not _is_order(self.order, n, self.v0):
             raise InvalidSelection("anchored order is not a permutation of V \\ {v0}")
 
     @property
@@ -662,11 +659,7 @@ def verify_certificate(d: Drawing, c: Certificate) -> CertificateReport:
                         return CertificateReport(
                             ok=False,
                             kind=c.kind,
-                            # 4-tuples up to (a, b, cc, dd) in lexicographic order
-                            checked=comb(m, 4) - comb(m - a, 4)
-                            + comb(m - a - 1, 3) - comb(m - b, 3)
-                            + comb(m - b - 1, 2) - comb(m - cc, 2)
-                            + dd - cc,
+                            checked=_quadruples_up_to(m, a, b, cc, dd),
                             failing_tuple=(a, b, cc, dd),
                             failure=_tuple_failure(
                                 c.kind,
@@ -690,6 +683,13 @@ def verify_certificate(d: Drawing, c: Certificate) -> CertificateReport:
         failing_tuple=bad[0] + bad[1],
         failure=f"edges {bad[0]} and {bad[1]} cross",
     )
+
+
+def _quadruples_up_to(m: int, a: int, b: int, c: int, e: int) -> int:
+    """The number of 4-tuples of range(m) up to (a, b, c, e) in lexicographic
+    order, that one included."""
+    return (comb(m, 4) - comb(m - a, 4) + comb(m - a - 1, 3) - comb(m - b, 3)
+            + comb(m - b - 1, 2) - comb(m - c, 2) + e - c)
 
 
 def _tuple_failure(kind, quad, mid, inner, outer):

@@ -37,7 +37,6 @@ from .ramsey import GameState
 class ExtractionStats:
     stages: int = 0
     edge_counts: List[int] = field(default_factory=list)
-    zero_edge_stages: int = 0
     outcome: str = "exhausted"
     # final state snapshots (anchored positions), for audits and reports
     class_members: Dict[Tuple[int, int], List[int]] = field(default_factory=dict)
@@ -49,6 +48,10 @@ class ExtractionStats:
     @property
     def total_edges(self) -> int:
         return sum(self.edge_counts)
+
+    @property
+    def zero_edge_stages(self) -> int:
+        return self.edge_counts.count(0)
 
     @property
     def class_histogram(self) -> Dict[Tuple[int, int], int]:
@@ -135,12 +138,8 @@ def extract_pattern(
             game.add_edge(u, w, color)
         edges_built = len(members)
         stats.edge_counts.append(edges_built)
-        if edges_built == 0:
-            stats.zero_edge_stages += 1
-            if m2 > 2 and stats.zero_edge_stages > (m2 - 2) ** 2:
-                raise InternalInvariantBroken(
-                    "more zero-edge stages than phi classes"
-                )
+        if edges_built == 0 and m2 > 2 and stats.zero_edge_stages > (m2 - 2) ** 2:
+            raise InternalInvariantBroken("more zero-edge stages than phi classes")
 
         if pool.bit_count() * (m2 * m2) * (1 << edges_built) < remaining:
             raise InternalInvariantBroken(

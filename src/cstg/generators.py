@@ -20,6 +20,11 @@ the unbounded cell:
                  position; everything by exact orientation predicates.
                  Anchor: any hull vertex.
 
+The curved arcs have one parametrisation, ``arc_points``: a half-circle arc
+is swept by the angle from its right end, a twisted arc by the fraction of
+its turn from its smaller end.  The SVG renderer samples whole arcs through
+it and the numeric oracle one germ point near an end.
+
 The derived rotation rules are validated against the numeric germ-sampling
 oracle, never trusted (see cstg.oracles.numeric_rotation_oracle and the test
 suite).
@@ -35,9 +40,9 @@ from typing import List, Optional, Sequence, Tuple
 from .drawing import (
     AnchoredDrawing,
     Drawing,
-    _rank_offsets,
     cyclic_equal,
     orient,
+    sorted_pair,
 )
 from .errors import (
     AnchorUnavailable,
@@ -121,6 +126,31 @@ def vertex_positions(d: Drawing) -> List[Tuple[float, float]]:
     raise GeometryMissing(f"model {d.model!r} carries no geometry")
 
 
+def arc_points(
+    d: Drawing, pos, u: int, w: int, sweeps: Sequence[float]
+) -> List[Tuple[float, float]]:
+    """Points of the half-circle or twisted arc of edge (u, w), one per sweep.
+
+    ``pos`` is ``vertex_positions(d)``.  On a half-circle arc a sweep is the
+    angle from the right end, 0 to pi; on a twisted arc it is the fraction of
+    the turn from the smaller end, 0 to 1.  The arc's constants are computed
+    once per call.
+    """
+    if d.model == "halfcircle":
+        xu, xw = pos[u][0], pos[w][0]
+        c = (xu + xw) / 2.0
+        r = abs(xw - xu) / 2.0
+        h = r if d.signs[d.rank(u, w)] == "U" else -r  # (-r) * y is -(r * y) exactly
+        return [(c + r * math.cos(th), h * math.sin(th)) for th in sweeps]
+    a, b = sorted_pair(u, w)
+    ra, rb = float(a + 1), float(b + 1)
+    pts = []
+    for s in sweeps:
+        rho, th = ra + (rb - ra) * s, 2 * math.pi * s
+        pts.append((rho * math.cos(th), rho * math.sin(th)))
+    return pts
+
+
 # -- rotation systems -------------------------------------------------------
 
 
@@ -179,11 +209,7 @@ def rotation_at(d: Drawing, v: int) -> Tuple[int, ...]:
 
 def _upper_run(d: Drawing, v: int) -> List[int]:
     """Half-circle: the vertices joined to v by an upper arc, increasing."""
-    signs = d.signs
-    off = _rank_offsets(d.n)
-    return [j for j in range(v) if signs[off[j] + v] == "U"] + [
-        j for j in range(v + 1, d.n) if signs[off[v] + j] == "U"
-    ]
+    return [w for w, sign in enumerate(d._sign_row(v)) if sign == "U"]
 
 
 # -- anchors ----------------------------------------------------------------
@@ -244,11 +270,11 @@ def anchored_order(d: Drawing, v0: int) -> Tuple[int, ...]:
             raise AnchorUnavailable(
                 "only the leftmost vertex is certified on the unbounded cell"
             )
-        up = _upper_run(d, 0)
-        down = set(range(1, n)).difference(up)
+        row = d._sign_row(0)
         # clockwise from the empty left half-plane: upper germs from the
         # flattest down to the sharpest, then lower germs sharpest first
-        return tuple(sorted(up, reverse=True)) + tuple(sorted(down))
+        upper = [w for w in range(n - 1, 0, -1) if row[w] == "U"]
+        return tuple(upper) + tuple(w for w in range(1, n) if row[w] == "L")
     if d.model == "points":
         pts = d.points
         if v0 not in hull_vertices(pts):

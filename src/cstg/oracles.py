@@ -42,7 +42,7 @@ from .drawing import (
 )
 from .drawing import sorted_pair as _s2
 from .errors import BudgetExhausted, DegenerateInput, InvalidSelection
-from .generators import vertex_positions
+from .generators import arc_points, vertex_positions
 
 
 @dataclass(frozen=True)
@@ -266,23 +266,18 @@ def _germ_point(d, pos, v: int, u: int, eps: float) -> Tuple[float, float]:
         norm = math.hypot(qx - px, qy - py)
         return (px + eps * (qx - px) / norm, py + eps * (qy - py) / norm)
     if d.model == "halfcircle":
+        # the chord of length eps from v subtends the sweep delta
         xv, xu = pos[v][0], pos[u][0]
         r = abs(xu - xv) / 2.0
-        c = (xu + xv) / 2.0
         delta = 2.0 * math.asin(min(1.0, eps / (2.0 * r)))
-        th = (0.0 + delta) if xv > xu else (math.pi - delta)
-        y = r * math.sin(th)
-        sign = d.signs[d.rank(v, u)]
-        return (c + r * math.cos(th), y if sign == "U" else -y)
-    # twisted spiral: radius linear in sweep angle, arc runs from the
-    # smaller-index vertex at angle 0 to the larger at 2*pi
-    i, j = _s2(v, u)
-    ri, rj = float(i + 1), float(j + 1)
-    span = abs(rj - ri) + 2 * math.pi * max(ri, rj)
-    s = eps / span if v == i else 1.0 - eps / span
-    rho = ri + (rj - ri) * s
-    th = 2.0 * math.pi * s
-    return (rho * math.cos(th), rho * math.sin(th))
+        sweep = (0.0 + delta) if xv > xu else (math.pi - delta)
+    else:
+        # twisted: eps over about the length of the arc, from the end at v
+        i, j = _s2(v, u)
+        ri, rj = float(i + 1), float(j + 1)
+        span = abs(rj - ri) + 2 * math.pi * max(ri, rj)
+        sweep = eps / span if v == i else 1.0 - eps / span
+    return arc_points(d, pos, v, u, [sweep])[0]
 
 
 _GERM_RETRIES = 40

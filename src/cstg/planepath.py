@@ -155,8 +155,11 @@ class PlanePathStats:
     m: int = 0
     candidate_sizes: List[int] = field(default_factory=list)
     lds_lengths: List[int] = field(default_factory=list)
-    steps: int = 0
     unused: List[str] = field(default_factory=list)  # given, not read by the branch
+
+    @property
+    def steps(self) -> int:
+        return len(self.candidate_sizes)
 
 
 @dataclass
@@ -199,7 +202,7 @@ class PlanePathOutcome:
 
 
 def default_m(n: int) -> int:
-    """floor(log n / (2 log log n)), floored at 1; yields 1 for n <= 2^12."""
+    """floor(log n / (2 log log n)), floored at 1; yields 1 for n < 2^16."""
     if n < 3:
         return 1
     log_n = math.log2(n)
@@ -266,7 +269,6 @@ def extract_plane_path(
     candidates = list(range(2, n))
     m_sq = m * m
     while candidates:
-        stats.steps += 1
         stats.candidate_sizes.append(len(candidates))
         live = set(candidates)
         th = [p for p in theta(ad, path[-1]) if p in live]

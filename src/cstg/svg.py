@@ -11,37 +11,22 @@ import math
 from typing import List, Optional, Tuple
 
 from .drawing import Certificate, Drawing, sorted_pair
-from .generators import vertex_positions
+from .generators import arc_points, vertex_positions
 
 CANVAS = 640.0
 MARGIN = 40.0
 SAMPLES_PER_TURN = 96
 
 
+# the sweeps of a half-circle arc (angles) and of a twisted arc (fractions)
+_HALF_TURN = [math.pi * t / SAMPLES_PER_TURN for t in range(SAMPLES_PER_TURN + 1)]
+_FULL_TURN = [t / SAMPLES_PER_TURN for t in range(SAMPLES_PER_TURN + 1)]
+
+
 def _edge_polyline(d: Drawing, pos, i: int, j: int) -> List[Tuple[float, float]]:
     if d.model in ("convex", "points"):
         return [pos[i], pos[j]]
-    if d.model == "halfcircle":
-        xi, xj = pos[i][0], pos[j][0]
-        c = (xi + xj) / 2.0
-        r = abs(xj - xi) / 2.0
-        up = d.signs[d.rank(i, j)] == "U"
-        pts = []
-        for t in range(SAMPLES_PER_TURN + 1):
-            th = math.pi * t / SAMPLES_PER_TURN
-            y = r * math.sin(th)
-            pts.append((c + r * math.cos(th), y if up else -y))
-        return pts
-    # twisted spiral arc: radius linear in the sweep angle
-    a, b = sorted_pair(i, j)
-    ra, rb = float(a + 1), float(b + 1)
-    pts = []
-    for t in range(SAMPLES_PER_TURN + 1):
-        s = t / SAMPLES_PER_TURN
-        rho = ra + (rb - ra) * s
-        th = 2 * math.pi * s
-        pts.append((rho * math.cos(th), rho * math.sin(th)))
-    return pts
+    return arc_points(d, pos, i, j, _HALF_TURN if d.model == "halfcircle" else _FULL_TURN)
 
 
 def _transform(all_points):
@@ -67,10 +52,9 @@ def render_svg(
 ) -> str:
     """Render the drawing (and optional certificate overlay) as SVG text."""
     pos = vertex_positions(d)
-    polylines = {}
-    for i in range(d.n):
-        for j in range(i + 1, d.n):
-            polylines[(i, j)] = _edge_polyline(d, pos, i, j)
+    polylines = {
+        (i, j): _edge_polyline(d, pos, i, j) for i in range(d.n) for j in range(i + 1, d.n)
+    }
     everything = [p for line in polylines.values() for p in line]
     to_svg = _transform(everything)
 
@@ -81,23 +65,20 @@ def render_svg(
         f'viewBox="0 0 {CANVAS:.0f} {CANVAS:.0f}">\n',
         f'<rect width="{CANVAS:.0f}" height="{CANVAS:.0f}" fill="white"/>\n',
     ]
-    for (i, j) in sorted(polylines):
-        pts = " ".join(
-            f"{_fmt(x)},{_fmt(y)}" for x, y in (to_svg(p) for p in polylines[(i, j)])
-        )
+    # each edge's points formatted once, in rank order
+    points = {
+        e: " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in map(to_svg, line))
+        for e, line in polylines.items()
+    }
+    for pts in points.values():
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="#888888" stroke-width="1"/>\n'
         )
     if overlay is not None:
         for (u, v) in overlay.edges():
-            i, j = sorted_pair(u, v)
-            pts = " ".join(
-                f"{_fmt(x)},{_fmt(y)}"
-                for x, y in (to_svg(p) for p in polylines[(i, j)])
-            )
             parts.append(
-                f'<polyline points="{pts}" fill="none" stroke="#cc2222" '
-                f'stroke-width="2.5"/>\n'
+                f'<polyline points="{points[sorted_pair(u, v)]}" fill="none" '
+                f'stroke="#cc2222" stroke-width="2.5"/>\n'
             )
     for v in range(d.n):
         x, y = to_svg(pos[v])

@@ -14,9 +14,9 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from test_chromatics import mirrored_twisted_view
+from test_chromatics import class_masks, mirrored_twisted_view
 
-from cstg.chromatics import ChiCache, check_transitive_completion, validate_observation
+from cstg.chromatics import check_transitive_completion, validate_observation
 from cstg.cli import dispatch
 from cstg.codec import decode_drawing, encode_drawing
 from cstg.drawing import (
@@ -76,12 +76,9 @@ def test_criterion_02_transitivity():
         corpus = [(ad, None) for ad in corpus_32()]
         corpus += [(anchored_view(gen_twisted(16)), "001"), (mirrored_twisted_view(16), "100")]
         for ad, complete in corpus:
-            cache = ChiCache(ad)
             window = list(range(1, ad.n))
             for color in ("100", "001"):
-                report = check_transitive_completion(
-                    ad.n, lambda t, c=color: cache.get(*t) == c, window
-                )
+                report = check_transitive_completion(ad.n, class_masks(ad, color), window)
                 assert report.ok, (color, report)
                 assert report.completion_checked == (color == complete), (color, report)
 

@@ -1,5 +1,6 @@
 """Triple/pair colorings, monotone path DP, transitivity checks."""
 
+import collections
 import dataclasses
 import itertools
 import random
@@ -15,6 +16,7 @@ from cstg.chromatics import (
     ChiCache,
     PhiTable,
     PhiValue,
+    TransitivityReport,
     _pair_masks,
     check_transitive_completion,
     chi,
@@ -257,21 +259,111 @@ class TestLongestMonotonePath:
         assert length == 2
 
 
+# a pair's 100 and 001 classes from its masks (R(p,q), R(q,p), X(p,q))
+CLASS_OF_MASKS = {
+    "100": lambda rp, rq, x: rp & ~(rq | x),
+    "001": lambda rp, rq, x: x & ~(rp | rq),
+}
+
+
+def class_masks(ad: AnchoredDrawing, color: str) -> Callable[[int, int], int]:
+    """cls(p, q) for check_transitive_completion: the color class of the
+    anchored drawing, read from the pair masks."""
+    pair = _pair_masks(ad)
+    pick = CLASS_OF_MASKS[color]
+    return lambda p, q: pick(*pair(p, q))
+
+
+def masks_of(members) -> Callable[[int, int], int]:
+    """cls(p, q) of a set of triples."""
+    masks = {}
+    for p, q, r in members:
+        masks[p, q] = masks.get((p, q), 0) | 1 << r
+    return lambda p, q: masks.get((p, q), 0)
+
+
+def reference_transitive_completion(n, member, window):
+    """check_transitive_completion by a scan of every 4-tuple, with
+    ``member(triple)`` in place of the class masks."""
+    w = list(window)
+    if any(a >= b for a, b in zip(w, w[1:])):
+        raise InvalidTriple("window must be strictly increasing")
+    if any(not (0 <= v < n) for v in w):
+        raise InvalidTriple("window out of range")
+    checked = 0
+    t = len(w)
+    for p in range(t - 3):
+        for q in range(p + 1, t - 2):
+            for r in range(q + 1, t - 1):
+                for s in range(r + 1, t):
+                    checked += 1
+                    if member((w[p], w[q], w[r])) and member((w[q], w[r], w[s])):
+                        if not (
+                            member((w[p], w[q], w[s])) and member((w[p], w[r], w[s]))
+                        ):
+                            return TransitivityReport(
+                                False, checked, counterexample=(w[p], w[q], w[r], w[s])
+                            )
+    spanning = t >= 3 and all(
+        member((w[i], w[i + 1], w[i + 2])) for i in range(t - 2)
+    )
+    if spanning:
+        for p in range(t - 2):
+            for q in range(p + 1, t - 1):
+                for r in range(q + 1, t):
+                    if not member((w[p], w[q], w[r])):
+                        return TransitivityReport(
+                            False,
+                            checked,
+                            missing_triple=(w[p], w[q], w[r]),
+                            completion_checked=True,
+                        )
+        return TransitivityReport(True, checked, completion_checked=True)
+    return TransitivityReport(True, checked)
+
+
+def check_against_reference(n, cls, window):
+    """Both checks' report on the class; the reference reads each pair's
+    mask once, through a memo."""
+    memo = {}
+
+    def member(t):
+        p, q, r = t
+        mask = memo.get((p, q))
+        if mask is None:
+            mask = memo[p, q] = cls(p, q)
+        return mask >> r & 1
+
+    report = check_transitive_completion(n, cls, window)
+    assert report == reference_transitive_completion(n, member, window), (window, report)
+    return report
+
+
+def criterion_02_corpus():
+    """The drawings of acceptance criterion 02."""
+    for seed in range(200):
+        yield anchored_view(gen_halfcircle(32, seed=seed))
+    yield anchored_view(gen_straightline(gen_horton(4)))
+    yield anchored_view(gen_twisted(16))
+    yield mirrored_twisted_view(16)
+
+
+def dropped(cls, triple):
+    """cls without the one triple."""
+    p0, q0, r0 = triple
+    return lambda p, q: cls(p, q) & ~(1 << r0) if (p, q) == (p0, q0) else cls(p, q)
+
+
 class TestTransitivity:
     def test_complete_class_passes_with_completion(self):
         ad = anchored_view(gen_twisted(8))
-        cache = ChiCache(ad)
-        report = check_transitive_completion(
-            8, lambda t: cache.get(*t) == "001", list(range(1, 8))
-        )
+        report = check_transitive_completion(8, class_masks(ad, "001"), list(range(1, 8)))
         assert report.ok
         assert report.completion_checked
 
     def test_missing_tuple_is_reported(self):
         members = {(1, 2, 3), (2, 3, 4)}
-        report = check_transitive_completion(
-            5, lambda t: t in members, [1, 2, 3, 4]
-        )
+        report = check_transitive_completion(5, masks_of(members), [1, 2, 3, 4])
         assert not report.ok
         # the chain 123,234 spans the window but 124 is missing
         assert report.counterexample == (1, 2, 3, 4)
@@ -279,12 +371,9 @@ class TestTransitivity:
     def test_generated_halfcircle_classes_are_transitive(self):
         for seed in range(10):
             ad = anchored_view(gen_halfcircle(14, seed=seed))
-            cache = ChiCache(ad)
             window = list(range(1, 14))
             for color in ("100", "001"):
-                report = check_transitive_completion(
-                    14, lambda t, c=color: cache.get(*t) == c, window
-                )
+                report = check_transitive_completion(14, class_masks(ad, color), window)
                 assert report.ok, (seed, color, report)
 
     def test_consecutive_triples_force_the_other_two(self):
@@ -300,7 +389,61 @@ class TestTransitivity:
 
     def test_window_must_increase(self):
         with pytest.raises(InvalidTriple):
-            check_transitive_completion(5, lambda t: True, [2, 1, 3])
+            check_transitive_completion(5, lambda p, q: 0, [2, 1, 3])
+
+    def test_random_classes_match_the_reference(self):
+        # the masks carry bits below q and outside the window, which the
+        # check must ignore
+        rng = random.Random(2)
+        outcomes = collections.Counter()
+        for _ in range(3000):
+            n = rng.randint(0, 9)
+            density = rng.choice((0.3, 0.8, 0.97, 1.0))
+            members = masks_of(
+                t for t in itertools.combinations(range(n), 3) if rng.random() < density
+            )
+            noise = {pq: rng.getrandbits(n) for pq in itertools.combinations(range(n), 2)}
+
+            def cls(p, q):
+                return members(p, q) | noise[p, q] & ((1 << (q + 1)) - 1)
+
+            window = sorted(rng.sample(range(n), rng.randint(0, n)))
+            report = check_against_reference(n, cls, window)
+            outcomes[report.ok, report.completion_checked, report.counterexample is None] += 1
+        # passes with and without completion, and broken transitivity; no
+        # missing triple, since a transitive class holding the consecutive
+        # triples holds (p,q,r) once it holds (p,p+1,q) and (p+1,q,r), or
+        # (p,p+1,r-1) and (p+1,r-1,r), by induction on r - p
+        assert set(outcomes) == {
+            (True, False, True), (True, True, True), (False, False, False)
+        }, outcomes
+
+    def test_criterion_02_corpus_matches_the_reference(self):
+        for ad in criterion_02_corpus():
+            for color in ("100", "001"):
+                check_against_reference(ad.n, class_masks(ad, color), range(1, ad.n))
+
+    @pytest.mark.parametrize(
+        "triple,counterexample,checked",
+        [((3, 7, 12), (3, 4, 7, 12), 674), ((1, 8, 15), (1, 2, 8, 15), 57)],
+        ids=["drop 3,7,12", "drop 1,8,15"],
+    )
+    def test_planted_break_is_found(self, triple, counterexample, checked):
+        cls = dropped(class_masks(anchored_view(gen_twisted(16)), "001"), triple)
+        report = check_against_reference(16, cls, range(1, 16))
+        assert (report.ok, report.counterexample) == (False, counterexample)
+        assert report.quadruples_checked == checked
+
+    def test_dropped_chain_link_leaves_completion_unchecked(self):
+        # no 4-tuple concludes (1,2,3), so the class stays transitive, but it
+        # no longer spans the window: criterion 02's completion_checked
+        # assertion, which expects completion on this class, fails
+        cls = dropped(class_masks(anchored_view(gen_twisted(16)), "001"), (1, 2, 3))
+        report = check_against_reference(16, cls, range(1, 16))
+        assert report.ok
+        # criterion 02 asserts completion_checked == (color == complete),
+        # True for twisted 16's 001 class, so it catches the drop
+        assert report.completion_checked is False
 
 
 class TestPhiPathConsistency:

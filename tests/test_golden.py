@@ -5,7 +5,9 @@ of an explicit document's round trip, fixed before the oracles' candidate
 masks and the codec's rank table; of oracle reports, whose node counts are
 those of the pattern search that ticks once per consistent extension and
 prunes on the popcount of its candidate mask; of `verify` on C48/T48
-certificates, fixed before certificate checks read crossing masks."""
+certificates, fixed before certificate checks read crossing masks; of
+`render` with and without a certificate overlay, and of the numeric rotation
+oracle, fixed before the arcs were sampled through one parametrisation."""
 
 import hashlib
 
@@ -13,13 +15,23 @@ import pytest
 
 from cstg.cli import EXIT_OK, dispatch
 from cstg.codec import decode_drawing, encode_certificate, encode_drawing
-from cstg.drawing import CONVEX, TWISTED, Certificate, induced_subdrawing
-from cstg.generators import gen_convex, gen_twisted
+from cstg.drawing import (
+    CONVEX,
+    PLANE_BIPARTITE,
+    PLANE_PATH,
+    TWISTED,
+    Certificate,
+    induced_subdrawing,
+)
+from cstg.generators import gen_convex, gen_halfcircle, gen_twisted
+from cstg.oracles import numeric_rotation_oracle
 
 DRAWINGS = {
     "halfcircle-40-3": ["--family", "halfcircle", "--n", "40", "--seed", "3"],
     "halfcircle-18-5": ["--family", "halfcircle", "--n", "18", "--seed", "5"],
     "horton-32": ["--family", "horton", "--n", "32"],
+    "twisted-12": ["--family", "twisted", "--n", "12"],
+    "convex-12": ["--family", "convex", "--n", "12"],
 }
 
 TABLES = {
@@ -86,6 +98,42 @@ VERIFIES = {
     ),
 }
 
+# render: the SVG digest without an overlay, then with the certificate as one
+RENDERS = {
+    "halfcircle-18-5": (
+        Certificate(PLANE_PATH, (0, 17, 3, 9, 12)),
+        "15434ebaa9922b512e71456cb2c2282cc7c4f113978631cbf5bf660af470fad5",
+        "5de50858e83d2fadfb5f982a71a783f7f3f3074acfd719561faae0df39e50066",
+    ),
+    "twisted-12": (
+        Certificate(TWISTED, tuple(range(12))),
+        "4f268ddd139dad7591f8872f02ee90cc308ff42259f4c443e0d5ab032abd2657",
+        "2af88e004e329bc8d6c59aa3689a3fe9d0b95362e8b9793d92a9de8018d0e891",
+    ),
+    "convex-12": (
+        Certificate(CONVEX, (0, 2, 5, 7, 11)),
+        "018dc47c46ca155dcfb1d0536ed4050388aa0ea30d83db16fa9af89611438815",
+        "621ca0fb38b8eef478227981b83ce08d0186ffed2bcd28e47bf8db871ec6a0f1",
+    ),
+    "horton-32": (
+        Certificate(PLANE_BIPARTITE, (0, 31, 4, 9, 20)),
+        "a8b4baf498468dbff7e25e7ce33c18559a354e91baf50d34166b0ac77f7fb85a",
+        "2e35b36964aa9d8d446a05b6ac5d2962149740a597f7838e842d1937a488cde9",
+    ),
+}
+
+# repr of the rotation system the numeric germ-sampling oracle recovers
+ROTATION_ORACLE = {
+    "halfcircle-12-5": (
+        lambda: gen_halfcircle(12, seed=5),
+        "ca3c1d67f80a3bbeab6a23911c6bace19c7407ab53662a0e7369b21a74672e9e",
+    ),
+    "twisted-12": (
+        lambda: gen_twisted(12),
+        "8f31440e1193cef8da1ae41424189f19ad0189587d097a97c8995467ff5d43c9",
+    ),
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -141,3 +189,23 @@ def test_verify_digest(tmp_path, capsys, name):
     code = dispatch(["verify", str(drawing), str(cert_path)])
     captured = capsys.readouterr()
     assert sha256(f"{code}\n{captured.out}\n{captured.err}".encode()) == want
+
+
+@pytest.mark.parametrize("key", sorted(RENDERS))
+def test_render_digest(tmp_path, capsys, key):
+    cert, plain, overlaid = RENDERS[key]
+    drawing = generate(tmp_path, capsys, key)
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(encode_certificate(cert))
+    digests = []
+    for extra in ([], ["--overlay", str(cert_path)]):
+        out = tmp_path / "drawing.svg"
+        assert dispatch(["render", str(drawing), "--out", str(out), *extra]) == EXIT_OK
+        digests.append(sha256(out.read_bytes()))
+    assert tuple(digests) == (plain, overlaid)
+
+
+@pytest.mark.parametrize("name", sorted(ROTATION_ORACLE))
+def test_rotation_oracle_digest(name):
+    make_drawing, want = ROTATION_ORACLE[name]
+    assert sha256(repr(numeric_rotation_oracle(make_drawing())).encode()) == want

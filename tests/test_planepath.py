@@ -276,6 +276,7 @@ class TestDefaultM:
     def test_desk_scale_values(self):
         assert default_m(3) == 1
         assert default_m(4096) == 1
+        assert default_m(2**16 - 1) == 1
         assert default_m(2**16) == 2
 
 
