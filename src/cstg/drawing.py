@@ -636,10 +636,8 @@ def verify_certificate(d: Drawing, c: Certificate) -> CertificateReport:
     lexicographic order.  Plane path / plane bipartite: the asserted edges
     are pairwise non-crossing.  Reports pass or the first offending tuple.
     """
+    _check_certificate_range(d, c)
     vs = c.vertices
-    if max(vs) >= d.n:
-        raise InvalidCertificate("certificate vertex out of range for drawing")
-
     if c.kind in (CONVEX, TWISTED):
         # for positions a < b < cc, the positions after cc must all lie in
         # fit(vs[a], vs[b], vs[cc]): C(m,3) mask tests for the C(m,4) tuples
@@ -683,6 +681,12 @@ def verify_certificate(d: Drawing, c: Certificate) -> CertificateReport:
         failing_tuple=bad[0] + bad[1],
         failure=f"edges {bad[0]} and {bad[1]} cross",
     )
+
+
+def _check_certificate_range(d: Drawing, c: Certificate) -> None:
+    """InvalidCertificate unless every certificate vertex is one of d's."""
+    if max(c.vertices) >= d.n:
+        raise InvalidCertificate("certificate vertex out of range for drawing")
 
 
 def _quadruples_up_to(m: int, a: int, b: int, c: int, e: int) -> int:

@@ -146,9 +146,11 @@ def extract_pattern(
                 "stage recurrence |S'| >= (|S|-1)/(m2^2 2^e) violated"
             )
 
-        hit = _convex_ready(classes, m1)
-        if hit is not None:
-            return _convex_success(ad, chi, stats, classes, hit, m1, pool)
+        # only this stage's class changed, and every earlier stage found
+        # every class short of m1
+        length, end, color = game.best()
+        if color is not None and length >= m1:
+            return _convex_success(ad, chi, stats, classes, game, end, color, m1, pool)
 
         candidates = pool
 
@@ -208,17 +210,8 @@ def _snapshot(stats, classes, candidates):
     stats.class_edges = {k: list(g.edges) for k, g in classes.items()}
 
 
-def _convex_ready(classes, m1):
-    for key in sorted(classes):
-        length, end, color = classes[key].best()
-        if color is not None and length >= m1:
-            return key, end, color
-    return None
-
-
-def _convex_success(ad, chi, stats, classes, hit, m1, survivors):
-    key, end, color = hit
-    wstar = classes[key].path_witness(end, color)[-m1:]
+def _convex_success(ad, chi, stats, classes, game, end, color, m1, survivors):
+    wstar = game.path_witness(end, color)[-m1:]
     # every witness triple (p, q, v) has the path's color: v in R(q,p) alone
     # for 010, in none of the pair's masks for 000
     for s, q in enumerate(wstar[1:-1], 1):

@@ -20,6 +20,12 @@ the unbounded cell:
                  position; everything by exact orientation predicates.
                  Anchor: any hull vertex.
 
+An anchored order is the drawn rotation at the anchor cut at the gap facing
+the unbounded cell and read backwards (clockwise).  The gap comes before the
+first germ on convex and twisted drawings, after the upper germs at the
+leftmost half-circle vertex, and at the one pair of consecutive germs that
+turns by at least pi at a point, which only a hull vertex has.
+
 The curved arcs have one parametrisation, ``arc_points``: a half-circle arc
 is swept by the angle from its right end, a twisted arc by the fraction of
 its turn from its smaller end.  The SVG renderer samples whole arcs through
@@ -83,7 +89,11 @@ HORTON_K_CAP = 12  # 2^12 = 4096 points
 
 
 def gen_horton(k: int) -> List[Tuple[int, int]]:
-    """2^k integer points in general position with no large convex subset.
+    """2^k integer points in general position, Horton's construction.
+
+    A Horton set has no empty convex 7-gon (Horton 1983), but it does have
+    large subsets in convex position: the exact oracle finds 6, 10 and 14
+    of them for k = 3, 4, 5.
 
     Recursive doubling: the even-x half is a stretched copy of the previous
     set, the odd-x half is another copy lifted high enough that any line
@@ -168,6 +178,11 @@ def rotation_at(d: Drawing, v: int) -> Tuple[int, ...]:
     """
     if d.rotations is not None:
         return d.rotations[v]
+    return _drawn_rotation(d, v)
+
+
+def _drawn_rotation(d: Drawing, v: int) -> Tuple[int, ...]:
+    """The family's rotation at v, read from its realization."""
     n = d.n
     if d.model == "convex":
         # all germs point into the polygon; ccw order is increasing label
@@ -178,13 +193,13 @@ def rotation_at(d: Drawing, v: int) -> Tuple[int, ...]:
         # indices arrive from below-left (angles in (180, 270))
         return tuple(range(n - 1, v, -1)) + tuple(range(v))
     if d.model == "halfcircle":
-        up = _upper_run(d, v)
-        down = sorted(set(range(n)).difference(up, (v,)))
         # all upper germs point straight up, lower germs straight down;
         # sharper arcs (closer endpoints) deviate further toward their side
-        upper = [j for j in up if j > v] + [j for j in up if j < v]
-        lower = [j for j in down if j < v][::-1] + [j for j in down if j > v][::-1]
-        return tuple(upper) + tuple(lower)
+        row = d._sign_row(v)
+        ccw = [*range(v + 1, n), *range(v)]
+        return tuple(j for j in ccw if row[j] == "U") + tuple(
+            j for j in reversed(ccw) if row[j] == "L"
+        )
     if d.model == "points":
         pts = d.points
         origin = pts[v]
@@ -207,31 +222,7 @@ def rotation_at(d: Drawing, v: int) -> Tuple[int, ...]:
     raise RotationMissing("explicit drawing carries no rotation data")
 
 
-def _upper_run(d: Drawing, v: int) -> List[int]:
-    """Half-circle: the vertices joined to v by an upper arc, increasing."""
-    return [w for w, sign in enumerate(d._sign_row(v)) if sign == "U"]
-
-
 # -- anchors ----------------------------------------------------------------
-
-
-def hull_vertices(pts: Sequence[Tuple[int, int]]) -> List[int]:
-    """Indices of convex hull vertices (general position), ccw order."""
-    idx = sorted(range(len(pts)), key=lambda i: pts[i])
-    if len(idx) <= 2:
-        return idx
-
-    def build(seq):
-        out = []
-        for i in seq:
-            while len(out) >= 2 and orient(pts[out[-2]], pts[out[-1]], pts[i]) <= 0:
-                out.pop()
-            out.append(i)
-        return out
-
-    lower = build(idx)
-    upper = build(reversed(idx))
-    return lower[:-1] + upper[:-1]
 
 
 def canonical_anchor(d: Drawing) -> int:
@@ -250,65 +241,48 @@ def canonical_anchor(d: Drawing) -> int:
 
 
 def anchored_order(d: Drawing, v0: int) -> Tuple[int, ...]:
-    """Clockwise order of the remaining vertices around v0, cut at the
-    unbounded-cell gap."""
-    n = d.n
+    """Clockwise order of the remaining vertices around v0: the drawn
+    rotation at v0 cut at the unbounded-cell gap and read backwards."""
     if d.anchor is not None and d.anchor[0] == v0:
         return tuple(d.anchor[1])
-    if d.model == "convex":
-        # every vertex is on the outer face; reading clockwise from the
-        # outside gap walks the hull backwards
-        return tuple((v0 - t) % n for t in range(1, n))
-    if d.model == "twisted":
-        if v0 != n - 1:
-            raise AnchorUnavailable(
-                "only the outermost spiral vertex is certified on the unbounded cell"
-            )
-        return tuple(range(n - 2, -1, -1))
+    if d.model == "explicit":
+        rotation_at(d, v0)  # raises RotationMissing when there is no rotation data
+        raise AnchorUnavailable(f"vertex {v0} is not certified on the unbounded cell")
+    if d.model == "twisted" and v0 != d.n - 1:
+        raise AnchorUnavailable(
+            "only the outermost spiral vertex is certified on the unbounded cell"
+        )
+    if d.model == "halfcircle" and v0 != 0:
+        raise AnchorUnavailable(
+            "only the leftmost vertex is certified on the unbounded cell"
+        )
+    # the realization's rotation, not a stored copy: anchored_view checks
+    # the stored one against this order
+    ccw = _drawn_rotation(d, v0)
+    cut = 0  # convex and twisted: the gap comes right before ccw[0]
     if d.model == "halfcircle":
-        if v0 != 0:
-            raise AnchorUnavailable(
-                "only the leftmost vertex is certified on the unbounded cell"
-            )
-        row = d._sign_row(0)
-        # clockwise from the empty left half-plane: upper germs from the
-        # flattest down to the sharpest, then lower germs sharpest first
-        upper = [w for w in range(n - 1, 0, -1) if row[w] == "U"]
-        return tuple(upper) + tuple(w for w in range(1, n) if row[w] == "L")
-    if d.model == "points":
-        pts = d.points
-        if v0 not in hull_vertices(pts):
+        cut = d._sign_row(0).count("U")  # after the upper germs
+    elif d.model == "points":
+        # the gap is the consecutive ccw pair turning by at least pi; only a
+        # hull vertex has one (with two points the pair is (u, u), turn 0)
+        p, turns = d.points, enumerate(zip(ccw, ccw[1:] + ccw[:1]), 1)
+        cut = next((t for t, (u, w) in turns if orient(p[v0], p[u], p[w]) <= 0), None)
+        if cut is None:
             raise AnchorUnavailable(f"point {v0} is not a hull vertex")
-        ccw = list(rotation_at(d, v0))
-        # at a hull vertex all germs span less than a half turn; the single
-        # gap is the consecutive ccw pair turning by more than pi
-        k = len(ccw)
-        cut = 0
-        for t in range(k):
-            u, w = ccw[t], ccw[(t + 1) % k]
-            if orient(pts[v0], pts[u], pts[w]) < 0:
-                cut = (t + 1) % k
-                break
-        ccw = ccw[cut:] + ccw[:cut]
-        return tuple(reversed(ccw))
-    rotation_at(d, v0)  # raises RotationMissing when there is no rotation data
-    raise AnchorUnavailable(f"vertex {v0} is not certified on the unbounded cell")
+    return tuple(reversed(ccw[cut:] + ccw[:cut]))
 
 
 def anchored_view(d: Drawing, v0: Optional[int] = None) -> AnchoredDrawing:
     """Anchored drawing at v0 (family canonical anchor when omitted).
 
-    When rotation data is available the order is checked to be consistent
-    with it: the clockwise order must be a cyclic reading of the rotation.
+    On the geometric families the order must be a clockwise reading of the
+    rotation at v0, stored or drawn; an explicit drawing's stored anchor was
+    checked against its stored rotations, if any, when it was built.
     """
     if v0 is None:
         v0 = canonical_anchor(d)
     order = anchored_order(d, v0)
-    try:
-        rot = rotation_at(d, v0)
-    except RotationMissing:
-        rot = None
-    if rot is not None and not cyclic_equal(tuple(reversed(order)), rot):
+    if d.model != "explicit" and not cyclic_equal(order[::-1], rotation_at(d, v0)):
         raise AnchorUnavailable(
             "anchored order is not a clockwise reading of the rotation at v0"
         )

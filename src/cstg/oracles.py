@@ -51,7 +51,7 @@ class OracleBudget:
     nodes: Optional[int] = None
 
     def __post_init__(self):
-        if self.seconds is not None and self.seconds <= 0:
+        if self.seconds is not None and not self.seconds > 0:  # NaN too; inf is no limit
             raise InvalidSelection("time budget must be positive")
         if self.nodes is not None and self.nodes <= 0:
             raise InvalidSelection("node budget must be positive")

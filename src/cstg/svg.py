@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Tuple
 
-from .drawing import Certificate, Drawing, sorted_pair
+from .drawing import Certificate, Drawing, _check_certificate_range, sorted_pair
 from .generators import arc_points, vertex_positions
 
 CANVAS = 640.0
@@ -51,6 +51,8 @@ def render_svg(
     d: Drawing, out_path: Optional[str] = None, overlay: Optional[Certificate] = None
 ) -> str:
     """Render the drawing (and optional certificate overlay) as SVG text."""
+    if overlay is not None:
+        _check_certificate_range(d, overlay)
     pos = vertex_positions(d)
     polylines = {
         (i, j): _edge_polyline(d, pos, i, j) for i in range(d.n) for j in range(i + 1, d.n)

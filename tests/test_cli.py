@@ -163,12 +163,15 @@ class TestOracle:
         assert "lower bound" in stdout
 
     @pytest.mark.parametrize("command", [["oracle", "maxconvex"], ["extract", "planepath"]])
-    @pytest.mark.parametrize("flag", ["--budget-nodes", "--budget-seconds"])
-    def test_zero_budget_exits_3(self, tmp_path, capsys, command, flag):
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--budget-nodes", "0"), ("--budget-seconds", "0"), ("--budget-seconds", "nan")],
+    )
+    def test_zero_budget_exits_3(self, tmp_path, capsys, command, flag, value):
         drawing = tmp_path / "hc.cstg"
         run(capsys, "generate", "--family", "halfcircle", "--n", "14",
             "--seed", "0", "--out", str(drawing))
-        code, _, err = run(capsys, *command, str(drawing), flag, "0")
+        code, _, err = run(capsys, *command, str(drawing), flag, value)
         assert code == 3
         assert "budget must be positive" in err
 
@@ -365,6 +368,20 @@ class TestRenderOverlay:
                    "--overlay", str(cert))[0] == 0
         text = out.read_text()
         assert text.count("#cc2222") == 3  # three path edges highlighted
+
+    def test_out_of_range_overlay_exits_3_without_svg(self, tmp_path, capsys):
+        # the same check and message as verify, before any drawing work
+        drawing = tmp_path / "c12.cstg"
+        run(capsys, "generate", "--family", "convex", "--n", "12", "--out", str(drawing))
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"kind": "plane_path", "vertices": [0, 20]}) + "\n")
+        out = tmp_path / "o.svg"
+        for argv in (["render", str(drawing), "--out", str(out), "--overlay", str(cert)],
+                     ["verify", str(drawing), str(cert)]):
+            code, stdout, err = run(capsys, *argv)
+            assert (code, stdout) == (3, "")
+            assert "InvalidCertificate: certificate vertex out of range for drawing" in err
+        assert not out.exists()
 
     def test_halfcircle_renders_one_arc_per_edge(self, tmp_path, capsys):
         drawing = tmp_path / "hc.cstg"

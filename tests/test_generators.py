@@ -1,16 +1,17 @@
 """Family generators: crossing rules vs independent geometry, rotations,
 anchors, reproducibility."""
 
+import dataclasses
 import itertools
 import math
+import random
 
 import pytest
 
 from cstg.chromatics import validate_observation
-from cstg.drawing import Drawing, cross, edge_index, orient, sorted_pair
+from cstg.drawing import CONVEX, Drawing, cross, edge_index, orient, sorted_pair
 from cstg.errors import AnchorUnavailable, DegenerateInput, InvalidSigns, SizeLimit
 from cstg.generators import (
-    _upper_run,
     anchored_order,
     anchored_view,
     canonical_anchor,
@@ -20,11 +21,10 @@ from cstg.generators import (
     gen_horton,
     gen_straightline,
     gen_twisted,
-    hull_vertices,
     rotation_at,
     rotations_of,
 )
-from cstg.oracles import numeric_rotation_oracle
+from cstg.oracles import max_pattern_exact, numeric_rotation_oracle
 
 
 def spiral_cross(radii, e1, e2):
@@ -168,7 +168,6 @@ class TestHalfCircle:
                 for v in range(n):
                     upper = up(v)
                     lower = [j for j in range(n) if j != v and j not in upper]
-                    assert _upper_run(d, v) == upper
                     assert rotation_at(d, v) == tuple(
                         [j for j in upper if j > v] + [j for j in upper if j < v]
                         + [j for j in lower if j < v][::-1]
@@ -208,6 +207,42 @@ class TestStraightLine:
         with pytest.raises(DegenerateInput, match="duplicate"):
             gen_straightline([(0, 0), (1, 2), (0, 0)])
 
+    def test_anchors_exactly_at_hull_vertices(self):
+        # reference: a point is on the hull iff it lies in no triangle of
+        # three other points
+        def in_triangle(p, a, b, c):
+            signs = {orient(a, b, p) > 0, orient(b, c, p) > 0, orient(c, a, p) > 0}
+            return len(signs) == 1
+
+        rng = random.Random(19)
+        drawn = 0
+        while drawn < 300:
+            n = rng.randint(2, 12)
+            pts = [(rng.randint(-30, 30), rng.randint(-30, 30)) for _ in range(n)]
+            try:
+                d = gen_straightline(pts)
+            except DegenerateInput:
+                continue
+            drawn += 1
+            for v in range(n):
+                others = [pts[u] for u in range(n) if u != v]
+                inside = any(
+                    in_triangle(pts[v], *tri) for tri in itertools.combinations(others, 3)
+                )
+                if inside:
+                    with pytest.raises(AnchorUnavailable, match=f"point {v} is not a hull vertex"):
+                        anchored_order(d, v)
+                else:
+                    ad = anchored_view(d, v)
+                    assert cyclic_equal(ad.order[::-1], rotation_at(d, v))
+
+    def test_two_and_three_points_anchor(self):
+        assert anchored_order(gen_straightline([(0, 0), (1, 0)]), 0) == (1,)
+        assert anchored_order(gen_straightline([(0, 0), (1, 0)]), 1) == (0,)
+        triangle = gen_straightline([(0, 0), (4, 0), (1, 3)])
+        # clockwise around each corner, from the outside
+        assert [anchored_order(triangle, v) for v in range(3)] == [(2, 1), (0, 2), (1, 0)]
+
     def test_anchor_must_be_on_hull(self):
         d = gen_straightline([(0, 0), (10, 0), (5, 9), (5, 3)])
         assert canonical_anchor(d) == 0
@@ -228,20 +263,12 @@ class TestHorton:
             pts = gen_horton(k)
             gen_straightline(pts)  # validates pairwise distinct + no collinear
 
-    def test_max_convex_subset_of_h8(self):
-        # exhaustive convex-position search on the 8 points
-        pts = gen_horton(3)
-
-        def in_convex_position(sub):
-            return len(hull_vertices([pts[i] for i in sub])) == len(sub)
-
-        best = 0
-        for size in range(3, 9):
-            for sub in itertools.combinations(range(8), size):
-                if in_convex_position(sub):
-                    best = size
-                    break
-        assert best <= 6
+    @pytest.mark.parametrize("k,size,nodes", [(3, 6, 126), (4, 10, 2655)])
+    def test_max_convex_subset(self, k, size, nodes):
+        # exact search: a Horton set has no empty convex 7-gon, but it does
+        # have large subsets in convex position
+        result = max_pattern_exact(gen_straightline(gen_horton(k)), CONVEX)
+        assert (result.size, result.exact, result.nodes) == (size, True, nodes)
 
 
 class TestRotations:
@@ -287,6 +314,24 @@ class TestAnchoredViews:
             assert cyclic_equal(
                 tuple(reversed(ad.order)), rotation_at(d, ad.v0)
             )
+
+    def test_stored_rotations_do_not_move_the_gap(self):
+        # the order is cut from the realization's rotation: a stored rotation
+        # starting at another germ gives the same order, and anchored_view
+        # refuses one that is not a cyclic reading of it, in every family
+        points = gen_straightline([(0, 0), (9, 1), (4, 8), (3, 3), (7, 3)])
+        for d in (gen_convex(6), gen_twisted(6), gen_halfcircle(6, seed=4), points):
+            v0 = canonical_anchor(d)
+            order = anchored_order(d, v0)
+            rots = rotations_of(d)
+            shifted = dataclasses.replace(d, rotations=tuple(r[1:] + r[:1] for r in rots))
+            assert anchored_view(shifted, v0).order == order
+            r = rots[v0]
+            swapped = rots[:v0] + ((r[1], r[0]) + r[2:],) + rots[v0 + 1:]
+            bad = dataclasses.replace(d, rotations=swapped)
+            assert anchored_order(bad, v0) == order
+            with pytest.raises(AnchorUnavailable, match="not a clockwise reading"):
+                anchored_view(bad, v0)
 
     def test_rotation_missing_for_bare_explicit(self):
         from cstg.drawing import Drawing

@@ -76,6 +76,13 @@ class TestMaxPattern:
         assert not payload.exact
         assert payload.size >= 1
 
+    def test_infinite_time_budget_is_no_limit(self):
+        # the positivity check must let inf through (NaN is refused)
+        d = gen_twisted(8)
+        assert max_pattern_exact(d, CONVEX, OracleBudget(seconds=float("inf"))) == (
+            max_pattern_exact(d, CONVEX)
+        )
+
     def test_whole_pattern_costs_one_node_per_vertex(self):
         # the identity order is found first; after it every node's bound
         # len(seq) + |consistent candidates| equals n, so nothing else ticks
