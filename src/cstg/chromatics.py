@@ -40,10 +40,11 @@ the whole command, 657,359 rows with the document read and the file
 written, takes 0.18-0.21 s at a 27 MB tracemalloc peak.
 
 Only ``chi()`` and callers outside the package read ``ChiCache.get``.
-``PhiTable``, extraction and plane paths read whole color classes from one
-pair's masks (``ChiCache._pair``, ``_checked_pair``), ``tables chi``
-reads a pair's color codes (``ChiCache._codes``, which ``row`` reads too),
-and ``tables phi`` a column's value codes (``PhiTable._codes``).
+Everything else reads one pair reader, ``ChiCache._pair``, which checks the
+triples it is asked to: ``PhiTable``, extraction and plane paths read whole
+color classes from one pair's masks, ``tables chi`` a pair's color codes
+(``ChiCache._codes``) and ``tables phi`` a column's value codes
+(``PhiTable._codes``).
 """
 
 from __future__ import annotations
@@ -75,19 +76,27 @@ def _clash(ri: int, rj: int, x: int) -> int:
     return (ri & rj) | ((ri | rj) & x)
 
 
-def _pair_masks(ad: AnchoredDrawing) -> Callable[[int, int], Tuple[int, int, int]]:
-    """pair(i, j) -> (R(i,j), R(j,i), X(i,j)) for positions 1 <= i < j <= n-1.
+def _pair_masks(ad: AnchoredDrawing) -> Callable[..., Tuple[int, int, int]]:
+    """pair(i, j, ks=0) -> (R(i,j), R(j,i), X(i,j)) for positions 1 <= i < j <= n-1.
 
     The three masks are crossing masks whose bit p stands for the vertex at
-    position p: R(i,j) = N(v0, vi, vj) and X(i,j) = N(vi, vj, v0).
+    position p: R(i,j) = N(v0, vi, vj) and X(i,j) = N(vi, vj, v0).  For the
+    lowest k in the mask ``ks`` (positions above j) with (i, j, k) invalid,
+    pair raises ``ChiCache.get``'s ObservationViolated.
     """
     at = (ad.v0,) + ad.order
     N = crossing_masks(ad.base, at)
     v0 = ad.v0
 
-    def pair(i, j):
+    def pair(i, j, ks=0):
         vi, vj = at[i], at[j]
-        return N(v0, vi, vj), N(v0, vj, vi), N(vi, vj, v0)
+        ri, rj, x = N(v0, vi, vj), N(v0, vj, vi), N(vi, vj, v0)
+        if ks:
+            bad = _clash(ri, rj, x) & ks
+            if bad:
+                k = (bad & -bad).bit_length() - 1
+                raise ObservationViolated(f"triple {(i, j, k)} colored {_color(ri, rj, x, k)}")
+        return ri, rj, x
 
     return pair
 
@@ -123,29 +132,11 @@ class ChiCache:
             raise ObservationViolated(f"triple {(i, j, k)} colored {_color(ri, rj, x, k)}")
         return _color(ri, rj, x, k)
 
-    def _checked_pair(self, i: int, j: int, ks: int) -> Tuple[int, int, int]:
-        """The masks of pair (i, j); raises get's ObservationViolated for the
-        lowest k in the mask ``ks`` (positions above j) with (i, j, k) invalid."""
-        ri, rj, x = self._pair(i, j)
-        bad = _clash(ri, rj, x) & ks
-        if bad:
-            k = (bad & -bad).bit_length() - 1
-            raise ObservationViolated(f"triple {(i, j, k)} colored {_color(ri, rj, x, k)}")
-        return ri, rj, x
-
-    def row(self, i: int, j: int) -> List[str]:
-        """Colors of (i, j, k) for k = j+1 .. n-1, from one read of the masks.
-
-        Equals ``[self.get(i, j, k) for k in range(j + 1, n)]``, raising the
-        same ObservationViolated for the lowest invalid k, and leaves the
-        memo alone.
-        """
-        return list(map(_COLORS.__getitem__, self._codes(i, j)))
-
     def _codes(self, i: int, j: int) -> bytes:
         """Byte k - j - 1 is the color code of (i, j, k), for k = j+1 .. n-1,
-        as an index into ``_COLORS``; invalid pairs and triples raise as
-        ``row`` says.
+        as an index into ``_COLORS``, from one read of the masks that leaves
+        the memo alone.  A bad pair raises InvalidTriple, an invalid triple
+        ``get``'s ObservationViolated for the lowest such k.
 
         Each mask above j is spread into one byte per position: its binary
         string, highest k first, read as a big-endian int, less the ASCII
@@ -155,7 +146,7 @@ class ChiCache:
         n = self._n
         if not (1 <= i < j <= n - 1):
             raise InvalidTriple(f"pair ({i},{j}) invalid for n={n}")
-        ri, rj, x = self._checked_pair(i, j, -1 << (j + 1))
+        ri, rj, x = self._pair(i, j, -1 << (j + 1))
         width = n - 1 - j
         if not width:
             return b""
@@ -250,7 +241,7 @@ class PhiTable:
         height_a, height_b = self._height
         lifts_a, lifts_b = [above] + [0] * height_a, [above] + [0] * height_b
         for k in range(1, i):
-            ri, _, x = self._chi._checked_pair(k, i, above)
+            ri, _, x = self._chi._pair(k, i, above)
             codes_a, codes_b = self._column_codes[k - 1]
             lifts_a[codes_a[i] + 1] |= ri & above
             lifts_b[codes_b[i] + 1] |= x & above

@@ -419,10 +419,8 @@ def crossing_masks(d: Drawing, order: Optional[Iterable[int]] = None):
 
         def straight(a, b, c):
             # w across line ab from c, and line cw between a and b
-            side = orient(pts[a], pts[b], pts[c])
-            if not side:
-                return 0
-            across = left(b, a) if side > 0 else left(a, b)
+            # a, b, c are distinct and no three points are collinear
+            across = left(b, a) if orient(pts[a], pts[b], pts[c]) > 0 else left(a, b)
             return across & (left(a, c) & left(c, b) | left(c, a) & left(b, c))
 
         return straight

@@ -66,7 +66,6 @@ class ExtractionStats:
 class ExtractionOutcome:
     certificate: Optional[Certificate]
     stats: ExtractionStats
-    witness_positions: Optional[List[int]] = None
 
     @property
     def exhausted(self) -> bool:
@@ -230,7 +229,7 @@ def _convex_success(ad, chi, stats, classes, game, end, color, m1, survivors):
         raise InternalInvariantBroken(f"convex certificate failed: {report.failure}")
     stats.outcome = "convex"
     _snapshot(stats, classes, survivors)
-    return ExtractionOutcome(certificate=cert, stats=stats, witness_positions=wstar)
+    return ExtractionOutcome(certificate=cert, stats=stats)
 
 
 def _twisted_success(ad, phi, stats, classes, w, u, component, m2, rest):
@@ -242,7 +241,7 @@ def _twisted_success(ad, phi, stats, classes, w, u, component, m2, rest):
         raise InternalInvariantBroken(f"twisted certificate failed: {report.failure}")
     stats.outcome = "twisted"
     _snapshot(stats, classes, rest)
-    return ExtractionOutcome(certificate=cert, stats=stats, witness_positions=witness)
+    return ExtractionOutcome(certificate=cert, stats=stats)
 
 
 # -- threshold arithmetic ----------------------------------------------------

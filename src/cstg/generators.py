@@ -276,13 +276,16 @@ def anchored_view(d: Drawing, v0: Optional[int] = None) -> AnchoredDrawing:
     """Anchored drawing at v0 (family canonical anchor when omitted).
 
     On the geometric families the order must be a clockwise reading of the
-    rotation at v0, stored or drawn; an explicit drawing's stored anchor was
-    checked against its stored rotations, if any, when it was built.
+    rotation at v0, stored or drawn (a drawn order reads the drawn rotation,
+    so only stored rotations or a stored anchor are checked); an explicit
+    drawing's stored anchor was checked against its stored rotations, if
+    any, when it was built.
     """
     if v0 is None:
         v0 = canonical_anchor(d)
     order = anchored_order(d, v0)
-    if d.model != "explicit" and not cyclic_equal(order[::-1], rotation_at(d, v0)):
+    stored = d.rotations is not None or d.anchor is not None
+    if stored and d.model != "explicit" and not cyclic_equal(order[::-1], rotation_at(d, v0)):
         raise AnchorUnavailable(
             "anchored order is not a clockwise reading of the rotation at v0"
         )

@@ -22,7 +22,7 @@ plus the popcount of that mask cannot beat the best sequence, the
 colouring-free bound of Carraghan and Pardalos (1990) for maximum clique.
 The path search's candidate order, node count and bounds are those of the
 plain scan over its edges, so its results, witnesses and exhausted budgets
-do not depend on the masks.
+do not depend on the masks; it stops at a path through every vertex.
 """
 
 from __future__ import annotations
@@ -177,7 +177,8 @@ def longest_plane_path_exact(
     """Longest simple path with pairwise non-crossing drawn edges.
 
     Optionally restricted to a vertex subset; stops early once ``target``
-    vertices are reached (the result is then flagged as a lower bound).
+    vertices are reached (the result is then flagged as a lower bound), and
+    once a path runs through every vertex, which no path can beat (exact).
     """
     verts = sorted(vertices) if vertices is not None else list(range(d.n))
     if any(not (0 <= v < d.n) for v in verts) or len(set(verts)) != len(verts):
@@ -216,8 +217,6 @@ def longest_plane_path_exact(
             if target is not None and len(best) >= target:
                 hit_target = True
                 return False
-        if k <= len(best):  # no path is longer than all k vertices
-            return True
         for q, w in enumerate(verts):
             if on >> q & 1:
                 continue
@@ -231,19 +230,18 @@ def longest_plane_path_exact(
             path.pop()
             if not ok:
                 return False
+            if len(best) == k:  # no path is longer than all k vertices
+                return True
         return True
 
     completed = True
     for p, start in enumerate(verts):
-        if not clock.tick():
+        if not clock.tick() or not dfs([start], 1 << p, 0, p):
             completed = False
             break
-        if not dfs([start], 1 << p, 0, p):
-            completed = False
+        if len(best) == k:
             break
     dfs = None  # as in max_pattern_exact: free the conflict masks now
-    if not best and verts:
-        best = [verts[0]]
     result = OracleResult(
         size=len(best), witness=tuple(best), nodes=clock.nodes, exact=completed
     )

@@ -27,7 +27,6 @@ from .drawing import (
     PLANE_PATH,
     AnchoredDrawing,
     Certificate,
-    crossing_masks,
     verify_certificate,
 )
 from .errors import (
@@ -146,7 +145,7 @@ def inside_delta(
 def _inside(chi: ChiCache, a: int, b: int, vs: int) -> int:
     """The positions of mask ``vs`` (above b) inside Delta(a, b): those in
     X(a,b).  An invalid (a, b, v) raises ChiCache.get's error for the lowest v."""
-    return chi._checked_pair(a, b, vs)[2] & vs
+    return chi._pair(a, b, vs)[2] & vs
 
 
 @dataclass
@@ -297,7 +296,7 @@ def extract_plane_path(
         candidates = sorted(p for p in dec if kept >> p & 1)
 
     _assert_wedge_uniformity(ad, chi, path)
-    _assert_anchor_edges_clear(ad, path)
+    _assert_anchor_edges_clear(ad, chi, path)
     cert = Certificate(PLANE_PATH, tuple(ad.vertex_at(p) for p in path))
     _check_path(ad.base, cert)
     return PlanePathOutcome(path=cert, bipartite=None, stats=stats)
@@ -321,24 +320,20 @@ def _assert_wedge_uniformity(ad, chi, path) -> None:
         later ^= 1 << path[t + 2]
 
 
-def _assert_anchor_edges_clear(ad, path) -> None:
+def _assert_anchor_edges_clear(ad, chi, path) -> None:
     # anchor edge to an earlier path vertex never crosses a later path pair:
-    # over the order (v0,) + path, bit x + 1 of N(path[y], path[z], v0) is
-    # the anchor edge to path[x]; the first offending x is reported
-    v0 = ad.v0
-    ids = [ad.vertex_at(p) for p in path]
-    N = crossing_masks(ad.base, (v0, *ids))
+    # X(path[y], path[z]), symmetric in y and z, holds the anchor edges that
+    # cross the pair; the first offending x is reported
     bad = None
-    for y in range(1, len(ids) - 1):
-        earlier = (1 << (y + 1)) - 2  # bits 1..y: path[0..y-1]
-        for z in range(y + 1, len(ids)):
-            hits = N(ids[y], ids[z], v0) & earlier
+    earlier = 1 << path[0]  # the positions path[0..y-1]
+    for y in range(1, len(path) - 1):
+        for z in range(y + 1, len(path)):
+            hits = chi._pair(path[y], path[z])[2] & earlier
             if hits:
-                x = (hits & -hits).bit_length() - 2
+                x = next(x for x in range(y) if hits >> path[x] & 1)
                 if bad is None or x < bad[0]:
                     bad = (x, y, z)
+        earlier |= 1 << path[y]
     if bad is not None:
-        x, y, z = bad
-        raise InternalInvariantBroken(
-            f"anchor edge to {ids[x]} crosses path pair ({ids[y]},{ids[z]})"
-        )
+        x, y, z = (ad.vertex_at(path[t]) for t in bad)
+        raise InternalInvariantBroken(f"anchor edge to {x} crosses path pair ({y},{z})")

@@ -12,6 +12,7 @@ from test_drawing import crossing_function
 
 from cstg import drawing
 from cstg.chromatics import (
+    _COLORS,
     VALID_COLORS,
     ChiCache,
     PhiTable,
@@ -732,12 +733,17 @@ def rows_by_get(ad: AnchoredDrawing):
     return rows
 
 
+def codes_row(cache: ChiCache, i: int, j: int) -> List[str]:
+    """The colors of (i, j, k) for k > j, from the pair's color codes."""
+    return [_COLORS[code] for code in cache._codes(i, j)]
+
+
 def rows_by_row(ad: AnchoredDrawing):
     cache = ChiCache(ad)
     rows = {}
     for i, j in itertools.combinations(range(1, ad.n), 2):
         try:
-            rows[i, j] = cache.row(i, j)
+            rows[i, j] = codes_row(cache, i, j)
         except ObservationViolated as exc:
             rows[i, j] = str(exc)
     assert not cache._memo
@@ -770,10 +776,10 @@ class TestChiRow:
 
     def test_last_pair_has_an_empty_row(self):
         ad = anchored_view(gen_convex(6))
-        assert ChiCache(ad).row(2, 5) == []
-        assert ChiCache(ad).row(1, 2) == ["010"] * 3
+        assert codes_row(ChiCache(ad), 2, 5) == []
+        assert codes_row(ChiCache(ad), 1, 2) == ["010"] * 3
 
     @pytest.mark.parametrize("pair", [(0, 1), (2, 2), (3, 2), (1, 6)])
     def test_bad_pair(self, pair):
         with pytest.raises(InvalidTriple):
-            ChiCache(anchored_view(gen_convex(6))).row(*pair)
+            codes_row(ChiCache(anchored_view(gen_convex(6))), *pair)

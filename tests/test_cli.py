@@ -66,6 +66,15 @@ class TestGenerateVerify:
         assert code == 3
         assert "rotations" in err
 
+    def test_self_check_names_the_violating_triple(self, tmp_path, capsys):
+        # the CI smoke document: an anchored explicit n=4 whose (1,2,3) colors 011
+        bad = tmp_path / "bad4.cstg"
+        bad.write_text('{"anchor":{"order":[1,2,3],"v0":0},"crossings":[[1,4],[2,3]],'
+                       '"format":"cstg-1","model":"explicit","n":4}\n')
+        code, _, err = run(capsys, "verify", str(bad), "--self")
+        assert code == 3
+        assert err == "self-check: observation violated at (1, 2, 3, '011')\n"
+
     def test_unknown_flag_exits_1(self, capsys):
         code, _, _ = run(capsys, "generate", "--family", "convex", "--n", "5",
                          "--frobnicate")
@@ -152,6 +161,25 @@ class TestOracle:
         assert code == 0
         assert "size: 4" in stdout
         assert "exact: yes" in stdout
+
+    def test_planepath_certificate_verifies(self, tmp_path, capsys):
+        drawing, cert = tmp_path / "t12.cstg", tmp_path / "p12.json"
+        run(capsys, "generate", "--family", "twisted", "--n", "12", "--out", str(drawing))
+        code, stdout, _ = run(capsys, "oracle", "planepath", str(drawing), "--out", str(cert))
+        assert code == 0
+        lines = stdout.splitlines()
+        assert "size: 12" in lines and "exact: yes" in lines
+        assert run(capsys, "verify", str(drawing), str(cert))[0] == 0
+
+    def test_planepath_through_every_vertex_is_exact(self, tmp_path, capsys):
+        # the 12-vertex path is found at node 12, and the search stops there
+        drawing = tmp_path / "c12.cstg"
+        run(capsys, "generate", "--family", "convex", "--n", "12", "--out", str(drawing))
+        code, stdout, _ = run(capsys, "oracle", "planepath", str(drawing),
+                              "--budget-nodes", "12")
+        assert code == 0
+        lines = stdout.splitlines()
+        assert "nodes expanded: 12" in lines and "exact: yes" in lines
 
     def test_budget_exhausted_exits_4(self, tmp_path, capsys):
         drawing = tmp_path / "hc.cstg"
@@ -496,6 +524,14 @@ class TestInputErrors:
 
 
 class TestBench:
+    def test_exhausted_trial(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        code, _, _ = run(capsys, "bench", "--n", "16", "--trials", "6",
+                         "--m1", "5", "--m2", "5", "--out", str(out))
+        assert code == 0
+        rows = out.read_text().splitlines()[2:]
+        assert rows[1].startswith("1,1,halfcircle,16,5,5,exhausted,none,0,")
+
     def test_jobs_is_a_usage_error(self, tmp_path, capsys):
         out = tmp_path / "b.csv"
         code, _, err = run(capsys, "bench", "--n", "12", "--trials", "3",

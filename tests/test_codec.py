@@ -292,6 +292,86 @@ class TestValidation:
         with pytest.raises(ValidationError):
             decode_certificate('{"kind":"zigzag","vertices":[0,1]}')
 
+    @pytest.mark.parametrize(
+        "decode, text, message",
+        [
+            (decode_drawing, "[]", "document is not an object"),
+            (decode_drawing, '{"format":"cstg-1","model":"convex"}', "field 'n' missing"),
+            (
+                decode_drawing,
+                '{"format":"cstg-1","model":"halfcircle","n":4}',
+                "field 'params.signs' missing for halfcircle model",
+            ),
+            (
+                decode_drawing,
+                '{"format":"cstg-1","model":"points","n":3,'
+                '"params":{"points":[[0,0],[1,2,3],[2,7]]}}',
+                "field 'params.points': [1, 2, 3] is not a pair",
+            ),
+            (
+                decode_drawing,
+                '{"crossings":[],"format":"cstg-1","model":"explicit","n":4,"params":{}}',
+                "explicit model takes no 'params'",
+            ),
+            (
+                decode_drawing,
+                '{"crossings":{},"format":"cstg-1","model":"explicit","n":4}',
+                "field 'crossings' must be a list of rank pairs",
+            ),
+            (
+                decode_drawing,
+                '{"crossings":[[1,2,3]],"format":"cstg-1","model":"explicit","n":4}',
+                "crossing entry [1, 2, 3] is not a pair",
+            ),
+            (
+                decode_drawing,
+                '{"format":"cstg-1","model":"convex","n":3,"rotations":[[1,2],[0,2]]}',
+                "field 'rotations' must hold one list per vertex",
+            ),
+            (
+                decode_drawing,
+                '{"format":"cstg-1","model":"convex","n":3,"rotations":[[1,2],[0,2],5]}',
+                "rotation at vertex 2 is not a list",
+            ),
+            (
+                decode_drawing,
+                '{"anchor":{"v0":0},"format":"cstg-1","model":"convex","n":3}',
+                "field 'anchor' must carry 'v0' and 'order'",
+            ),
+            (
+                decode_drawing,
+                '{"anchor":{"order":5,"v0":0},"format":"cstg-1","model":"convex","n":3}',
+                "field 'anchor.order' must be a list",
+            ),
+            (
+                decode_certificate,
+                '{"kind":"convex",',
+                "line 1, column 18: Expecting property name enclosed in double quotes",
+            ),
+            (
+                decode_certificate,
+                '{"kind":"convex"}',
+                "certificate document must carry 'kind' and 'vertices'",
+            ),
+            (
+                decode_certificate,
+                '{"kind":"convex","vertices":5}',
+                "field 'vertices' must be a list",
+            ),
+        ],
+        ids=[
+            "not-an-object", "no-n", "halfcircle-without-signs", "point-triple",
+            "explicit-with-params", "crossings-not-a-list", "crossing-triple",
+            "rotations-too-few", "rotation-not-a-list", "anchor-without-order",
+            "anchor-order-not-a-list", "certificate-bad-json",
+            "certificate-without-vertices", "certificate-vertices-not-a-list",
+        ],
+    )
+    def test_parse_error_messages(self, decode, text, message):
+        with pytest.raises(ParseError) as info:
+            decode(text)
+        assert str(info.value) == message
+
 
 # -- one home for the drawing invariants ---------------------------------------
 

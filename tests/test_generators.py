@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from cstg import generators
 from cstg.chromatics import validate_observation
 from cstg.drawing import CONVEX, Drawing, cross, edge_index, orient, sorted_pair
 from cstg.errors import AnchorUnavailable, DegenerateInput, InvalidSigns, SizeLimit
@@ -332,6 +333,29 @@ class TestAnchoredViews:
             assert anchored_order(bad, v0) == order
             with pytest.raises(AnchorUnavailable, match="not a clockwise reading"):
                 anchored_view(bad, v0)
+
+    def test_bare_drawing_draws_the_rotation_at_v0_once(self, monkeypatch):
+        # the drawn order reads the drawn rotation by construction, so a
+        # drawing that stores neither rotations nor an anchor is not checked
+        calls = []
+        drawn = generators._drawn_rotation
+
+        def counted(d, v):
+            calls.append(v)
+            return drawn(d, v)
+
+        monkeypatch.setattr(generators, "_drawn_rotation", counted)
+        d = gen_halfcircle(96, seed=1)
+        assert anchored_view(d).order == anchored_order(d, 0)
+        assert calls == [0, 0]  # one for anchored_view, one for anchored_order
+
+    def test_stored_anchor_is_checked_against_the_drawn_rotation(self):
+        # no stored rotations: a stored anchor must still read the drawn one
+        assert anchored_view(Drawing(n=4, model="convex", anchor=(0, (3, 2, 1)))).order == (
+            3, 2, 1
+        )
+        with pytest.raises(AnchorUnavailable, match="not a clockwise reading"):
+            anchored_view(Drawing(n=4, model="convex", anchor=(0, (1, 2, 3))))
 
     def test_rotation_missing_for_bare_explicit(self):
         from cstg.drawing import Drawing

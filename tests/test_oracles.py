@@ -1,11 +1,13 @@
 """Brute-force searches and the numeric rotation oracle."""
 
+import itertools
 import random
 
 import pytest
 from test_drawing import crossing_function
 from test_fuzz import random_explicit
 
+from cstg import oracles
 from cstg.drawing import (
     CONVEX,
     TWISTED,
@@ -108,7 +110,36 @@ class TestMaxPattern:
             assert not info.value.payload.exact
 
 
+    def test_time_budget_ends_at_the_first_clock_reading(self, monkeypatch):
+        # the clock is read every 1024 nodes; one that jumps 11 s per
+        # reading ends a 10 s budget there, long before the 10,483 nodes
+        # of the full search
+        d = gen_halfcircle(16, seed=0)
+        assert max_pattern_exact(d, TWISTED).nodes == 10483
+        ticks = itertools.count(0.0, 11.0)
+        monkeypatch.setattr(oracles.time, "monotonic", lambda: next(ticks))
+        with pytest.raises(BudgetExhausted) as info:
+            max_pattern_exact(d, TWISTED, OracleBudget(seconds=10))
+        assert info.value.payload.nodes == 1024
+        assert not info.value.payload.exact
+
+
 class TestLongestPlanePath:
+    @pytest.mark.parametrize(
+        "d, budget",
+        [
+            (gen_convex(12), None),
+            (gen_convex(12), OracleBudget(nodes=12)),
+            (gen_halfcircle(64, seed=1), None),
+        ],
+        ids=["convex-12", "convex-12-budget-12", "halfcircle-64-1"],
+    )
+    def test_stops_at_a_path_through_every_vertex(self, d, budget):
+        # the first start's greedy path uses every vertex: one tick per
+        # vertex, and no further candidate or start is ticked
+        result = longest_plane_path_exact(d, budget)
+        assert result.size == d.n and result.nodes == d.n and result.exact
+
     def test_small_families(self):
         assert longest_plane_path_exact(gen_convex(5)).size == 5
         assert longest_plane_path_exact(gen_twisted(5)).size == 5
@@ -325,12 +356,16 @@ def reference_plane_path(d, budget=None, vertices=None, target=None):
             used_edges.remove(r)
             if not ok:
                 return False
+            if len(best) == len(verts):  # a path through every vertex
+                return True
         return True
 
     completed = True
     for start in verts:
         if not clock.tick() or not dfs([start], {start}, set()):
             completed = False
+            break
+        if len(best) == len(verts):
             break
     if not best and verts:
         best = [verts[0]]

@@ -419,7 +419,7 @@ def explicit_view(n, crossing_edges):
 class TestAnchorEdgesClear:
     def test_clear_path_passes(self):
         ad = explicit_view(6, [((1, 3), (2, 4))])
-        planepath._assert_anchor_edges_clear(ad, [1, 2, 3, 4, 5])
+        planepath._assert_anchor_edges_clear(ad, ChiCache(ad), [1, 2, 3, 4, 5])
 
     def test_names_the_first_anchor_edge_and_pair(self):
         # three offending (x, y, z): the anchor edge to the earliest path
@@ -427,7 +427,14 @@ class TestAnchorEdgesClear:
         ad = explicit_view(6, [((0, 2), (3, 4)), ((0, 1), (3, 5)), ((0, 1), (4, 5))])
         message = "anchor edge to 1 crosses path pair (3,5)"
         with pytest.raises(InternalInvariantBroken, match=re.escape(message)):
-            planepath._assert_anchor_edges_clear(ad, [1, 2, 3, 4, 5])
+            planepath._assert_anchor_edges_clear(ad, ChiCache(ad), [1, 2, 3, 4, 5])
+
+    def test_names_a_later_anchor_edge(self):
+        # only the anchor edge to the second path vertex crosses a later pair
+        ad = explicit_view(6, [((0, 2), (3, 4))])
+        message = "anchor edge to 2 crosses path pair (3,4)"
+        with pytest.raises(InternalInvariantBroken, match=re.escape(message)):
+            planepath._assert_anchor_edges_clear(ad, ChiCache(ad), [1, 2, 3, 4, 5])
 
     def test_reads_path_positions_through_the_anchored_order(self):
         # positions 1, 3, 4 are vertices 5, 1, 2 in this order
@@ -435,5 +442,5 @@ class TestAnchorEdgesClear:
         ad = AnchoredDrawing(d, 0, (5, 4, 1, 2, 3))
         message = "anchor edge to 5 crosses path pair (1,2)"
         with pytest.raises(InternalInvariantBroken, match=re.escape(message)):
-            planepath._assert_anchor_edges_clear(ad, [1, 3, 4])
-        planepath._assert_anchor_edges_clear(ad, [3, 4, 1])
+            planepath._assert_anchor_edges_clear(ad, ChiCache(ad), [1, 3, 4])
+        planepath._assert_anchor_edges_clear(ad, ChiCache(ad), [3, 4, 1])
