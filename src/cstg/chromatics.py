@@ -34,16 +34,19 @@ full phi_table 0.05-0.10 s and 0.9-1.7 s (20.5 MB peak RSS); on twisted
 n = 512 it takes 0.20-0.25 s.  ``tables phi`` writes each column's rows as
 one block from its value codes: at n = 160 (seed 5) the whole command,
 12,561 rows with the document read and the file written, takes
-0.037-0.050 s.  ``tables chi`` reads each pair's masks once and turns them
-into one color-code byte per row (``ChiCache._codes``): at n = 160 (seed 5)
-the whole command, 657,359 rows with the document read and the file
-written, takes 0.18-0.21 s at a 27 MB tracemalloc peak.
+0.037-0.050 s.  ``tables chi`` writes each anchor row i's rows as one block
+(``_chi_blocks``): the masks of the pairs (i, j) stacked into three ints,
+whose binary strings fill the color characters of a fixed-width row
+template by strided slice assignment.  At n = 160 (seed 5) the whole
+command, 657,359 rows with the document read and the file written, takes
+0.057-0.100 s at a 28 MB tracemalloc peak (0.22-0.24 s with one block per
+pair).
 
 Only ``chi()`` and callers outside the package read ``ChiCache.get``.
 Everything else reads one pair reader, ``ChiCache._pair``, which checks the
 triples it is asked to: ``PhiTable``, extraction and plane paths read whole
-color classes from one pair's masks, ``tables chi`` a pair's color codes
-(``ChiCache._codes``) and ``tables phi`` a column's value codes
+color classes from one pair's masks, ``tables chi`` an anchor row's pairs
+(``_chi_blocks``) and ``tables phi`` a column's value codes
 (``PhiTable._codes``).
 """
 
@@ -52,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .drawing import AnchoredDrawing, _quadruples_up_to, crossing_masks
 from .errors import InvalidSelection, InvalidTriple, ObservationViolated
@@ -132,30 +135,45 @@ class ChiCache:
             raise ObservationViolated(f"triple {(i, j, k)} colored {_color(ri, rj, x, k)}")
         return _color(ri, rj, x, k)
 
-    def _codes(self, i: int, j: int) -> bytes:
-        """Byte k - j - 1 is the color code of (i, j, k), for k = j+1 .. n-1,
-        as an index into ``_COLORS``, from one read of the masks that leaves
-        the memo alone.  A bad pair raises InvalidTriple, an invalid triple
-        ``get``'s ObservationViolated for the lowest such k.
 
-        Each mask above j is spread into one byte per position: its binary
-        string, highest k first, read as a big-endian int, less the ASCII
-        zeros.  4*R(i,j) + 2*R(j,i) + X(i,j) then carries nothing between
-        bytes, and written little-endian it lists k in increasing order.
-        """
-        n = self._n
-        if not (1 <= i < j <= n - 1):
-            raise InvalidTriple(f"pair ({i},{j}) invalid for n={n}")
-        ri, rj, x = self._pair(i, j, -1 << (j + 1))
-        width = n - 1 - j
-        if not width:
-            return b""
-        zeros = int.from_bytes(b"0" * width, "big")
-        r, c, z = (
-            int.from_bytes(f"{mask >> (j + 1):0{width}b}".encode(), "big") - zeros
-            for mask in (ri, rj, x)
-        )
-        return (4 * r + 2 * c + z).to_bytes(width, "little")
+def _chi_blocks(pair: Callable[..., Tuple[int, int, int]], n: int) -> Iterator[str]:
+    """The rows "i,j,k,color" of every triple i < j < k <= n-1, one str per i.
+
+    ``pair`` is ``ChiCache._pair``, asked for every pair (i, j) in
+    lexicographic order with the check of all k > j, so the first invalid
+    triple raises ``get``'s ObservationViolated before its block is made.
+
+    Every block is cut from one template: the rows "j,k,000\n" of all pairs
+    j < k, each right-aligned in a slot of one fixed width, with NUL bytes
+    in front.  Block i is the template from j = i+1 on.  The masks of the
+    pairs (i, j) are shifted down by j+1 and stacked at the block's running
+    row offset into one int per mask, whose binary string, reversed, has
+    character r = the color bit of row r; as the slots have one width, one
+    strided slice assignment per color character fills a whole block, and
+    one per character of "i," writes the rows' heads into their leading
+    NULs.  Deleting the NULs that are left gives the rows.
+    """
+    width = len(f"{n - 3},{n - 2},{n - 1},000\n")  # the longest row, head included
+    template = b"".join(
+        f"{j},{k},000\n".encode().rjust(width, b"\0") for j, k in combinations(range(1, n), 2)
+    )
+    start = 0  # the first template row of block i: the pair (i+1, i+2)
+    for i in range(1, n - 2):
+        start += n - 1 - i
+        r_ij = r_ji = x_ij = size = 0
+        for j in range(i + 1, n - 1):
+            ri, rj, x = pair(i, j, -1 << (j + 1))
+            r_ij |= ri >> (j + 1) << size
+            r_ji |= rj >> (j + 1) << size
+            x_ij |= x >> (j + 1) << size
+            size += n - 1 - j
+        block = bytearray(memoryview(template)[start * width:])
+        for c, bits in enumerate((r_ij, r_ji, x_ij)):
+            block[width - 4 + c::width] = f"{bits:0{size}b}"[::-1].encode()
+        head = f"{i},".encode()
+        for c in range(len(head)):
+            block[c::width] = head[c:c + 1] * size
+        yield block.translate(None, b"\0").decode()
 
 
 @dataclass(frozen=True)
@@ -285,10 +303,9 @@ def _value_codes(levels: List[int], n: int) -> Sequence[int]:
 
     While t fits a byte, each level t >= 1 is spread into one byte per
     position (its binary string read as a big-endian int, less the ASCII
-    zeros, as in ``ChiCache._codes``); the levels are disjoint, so the sum
-    of t times the spreads carries nothing between bytes, and written
-    little-endian it lists j in increasing order.  Wider codes walk the
-    bits of each level into a list.
+    zeros); the levels are disjoint, so the sum of t times the spreads
+    carries nothing between bytes, and written little-endian it lists j in
+    increasing order.  Wider codes walk the bits of each level into a list.
     """
     if len(levels) <= 256:
         zeros = int.from_bytes(b"0" * n, "big")

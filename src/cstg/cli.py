@@ -16,7 +16,7 @@ from functools import cache
 from typing import List, Optional
 
 from . import codec, generators, oracles, svg
-from .chromatics import _COLORS, ChiCache, phi_table, validate_observation
+from .chromatics import ChiCache, _chi_blocks, phi_table, validate_observation
 from .drawing import CONVEX, TWISTED, Certificate, verify_certificate
 from .errors import (
     BudgetExhausted,
@@ -308,14 +308,7 @@ def _cmd_tables(args) -> int:
     if args.what == "chi":
         cache = ChiCache(ad)
         lines.append("# cstg-chi-1\ni,j,k,color\n")
-        # tails[k][code]: the end "k,color\n" of a row
-        tails = [tuple(f"{k},{color}\n" for color in _COLORS) for k in range(n)]
-        # one block of rows "i,j,k,color" per pair, its color codes read at once
-        for i in range(1, n - 2):
-            for j in range(i + 1, n - 1):
-                head = f"{i},{j},"
-                codes = cache._codes(i, j)
-                lines.append(head + head.join(map(tuple.__getitem__, tails[j + 1:], codes)))
+        lines.extend(_chi_blocks(cache._pair, n))
     else:
         table = phi_table(ad)
         lines.append("# cstg-phi-1\ni,j,a,b\n")

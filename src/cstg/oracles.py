@@ -176,9 +176,10 @@ def longest_plane_path_exact(
 ) -> OracleResult:
     """Longest simple path with pairwise non-crossing drawn edges.
 
-    Optionally restricted to a vertex subset; stops early once ``target``
-    vertices are reached (the result is then flagged as a lower bound), and
-    once a path runs through every vertex, which no path can beat (exact).
+    Optionally restricted to a vertex subset; stops early once a path runs
+    through every vertex, which no path can beat (exact, even when it also
+    meets ``target``), and once ``target`` vertices are reached (the result
+    is then flagged as a lower bound).
     """
     verts = sorted(vertices) if vertices is not None else list(range(d.n))
     if any(not (0 <= v < d.n) for v in verts) or len(set(verts)) != len(verts):
@@ -214,6 +215,8 @@ def longest_plane_path_exact(
         nonlocal best, hit_target
         if len(path) > len(best):
             best = list(path)
+            if len(best) == k:  # no path is longer than all k vertices
+                return True
             if target is not None and len(best) >= target:
                 hit_target = True
                 return False
@@ -230,7 +233,7 @@ def longest_plane_path_exact(
             path.pop()
             if not ok:
                 return False
-            if len(best) == k:  # no path is longer than all k vertices
+            if len(best) == k:
                 return True
         return True
 

@@ -12,12 +12,12 @@ from test_drawing import crossing_function
 
 from cstg import drawing
 from cstg.chromatics import (
-    _COLORS,
     VALID_COLORS,
     ChiCache,
     PhiTable,
     PhiValue,
     TransitivityReport,
+    _chi_blocks,
     _pair_masks,
     check_transitive_completion,
     chi,
@@ -733,21 +733,32 @@ def rows_by_get(ad: AnchoredDrawing):
     return rows
 
 
-def codes_row(cache: ChiCache, i: int, j: int) -> List[str]:
-    """The colors of (i, j, k) for k > j, from the pair's color codes."""
-    return [_COLORS[code] for code in cache._codes(i, j)]
+def blocks_by_get(ad: AnchoredDrawing):
+    """What ``_chi_blocks`` must yield, from ``rows_by_get``: i -> the rows
+    "i,j,k,color" of anchor row i, for every row before the first pair that
+    raises, and that pair's message (None when no pair raises)."""
+    blocks = {}
+    for (i, j), row in rows_by_get(ad).items():
+        if isinstance(row, str):
+            blocks.pop(i, None)
+            return blocks, row
+        rows = "".join(f"{i},{j},{k},{color}\n" for k, color in enumerate(row, j + 1))
+        if rows:
+            blocks[i] = blocks.get(i, "") + rows
+    return blocks, None
 
 
-def rows_by_row(ad: AnchoredDrawing):
+def blocks_by_writer(ad: AnchoredDrawing):
+    """i -> ``_chi_blocks``' block of anchor row i, and its message if it raises."""
     cache = ChiCache(ad)
-    rows = {}
-    for i, j in itertools.combinations(range(1, ad.n), 2):
-        try:
-            rows[i, j] = codes_row(cache, i, j)
-        except ObservationViolated as exc:
-            rows[i, j] = str(exc)
+    blocks, message = {}, None
+    try:
+        for i, block in enumerate(_chi_blocks(cache._pair, ad.n), 1):
+            blocks[i] = block
+    except ObservationViolated as exc:
+        message = str(exc)
     assert not cache._memo
-    return rows
+    return blocks, message
 
 
 def random_anchored_views(count, seed):
@@ -760,26 +771,38 @@ def random_anchored_views(count, seed):
         yield AnchoredDrawing(base=d, v0=0, order=tuple(order))
 
 
-class TestChiRow:
+class TestChiBlocks:
     @pytest.mark.parametrize("ad", KERNEL_VIEWS)
-    def test_row_equals_the_gets_of_its_pair(self, ad):
-        assert rows_by_row(ad) == rows_by_get(ad)
+    def test_blocks_equal_the_gets_of_their_pairs(self, ad):
+        assert blocks_by_writer(ad) == blocks_by_get(ad)
 
     def test_random_explicit_views(self):
         raised = kept = 0
         for ad in random_anchored_views(40, 1010):
-            want = rows_by_get(ad)
-            assert rows_by_row(ad) == want
-            raised += sum(isinstance(row, str) for row in want.values())
-            kept += sum(isinstance(row, list) for row in want.values())
+            want = blocks_by_get(ad)
+            assert blocks_by_writer(ad) == want
+            raised += want[1] is not None
+            kept += len(want[0])
         assert raised > 0 and kept > 0
 
-    def test_last_pair_has_an_empty_row(self):
+    def test_rows_of_convex_6(self):
+        # pairs (i, n-1) have no rows; the last block is the one triple (3,4,5)
         ad = anchored_view(gen_convex(6))
-        assert codes_row(ChiCache(ad), 2, 5) == []
-        assert codes_row(ChiCache(ad), 1, 2) == ["010"] * 3
+        blocks = list(_chi_blocks(ChiCache(ad)._pair, ad.n))
+        assert len(blocks) == 3
+        assert blocks[0].startswith("1,2,3,010\n1,2,4,010\n1,2,5,010\n1,3,4,")
+        assert blocks[-1] == "3,4,5,010\n"
 
-    @pytest.mark.parametrize("pair", [(0, 1), (2, 2), (3, 2), (1, 6)])
-    def test_bad_pair(self, pair):
-        with pytest.raises(InvalidTriple):
-            codes_row(ChiCache(anchored_view(gen_convex(6))), *pair)
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_reads_each_pair_once_in_order(self, n):
+        ad = anchored_view(gen_convex(n))
+        pair = ChiCache(ad)._pair
+        calls = []
+
+        def recording(i, j, ks=0):
+            calls.append((i, j, ks))
+            return pair(i, j, ks)
+
+        assert len(list(_chi_blocks(recording, n))) == max(0, n - 3)
+        assert calls == [(i, j, -1 << (j + 1))
+                         for i, j in itertools.combinations(range(1, n - 1), 2)]

@@ -51,6 +51,16 @@ class TestGenerateVerify:
         assert code == 2
         assert "fail" in err
 
+    def test_certificate_naming_vertex_n_exits_3(self, tmp_path, capsys):
+        # vertex n is the first one past the drawing, not only a far one
+        drawing = tmp_path / "c12.cstg"
+        run(capsys, "generate", "--family", "convex", "--n", "12", "--out", str(drawing))
+        cert = tmp_path / "cert.json"
+        cert.write_text('{"kind":"convex","vertices":[0,1,2,12]}\n')
+        code, stdout, err = run(capsys, "verify", str(drawing), str(cert))
+        assert (code, stdout) == (3, "")
+        assert err == "invalid input: InvalidCertificate: certificate vertex out of range for drawing\n"
+
     def test_malformed_drawing_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.cstg"
         bad.write_text('{"format":"cstg-1","model":"halfcircle","n":5,'
@@ -306,6 +316,16 @@ class TestTablesChi:
         ("half-circle 24", generators.gen_halfcircle(24, seed=3)),
         ("horton 16", generators.gen_straightline(generators.gen_horton(4))),
         ("horton 64", generators.gen_straightline(generators.gen_horton(6))),
+        # the header only, then one row
+        ("half-circle 3", generators.gen_halfcircle(3, seed=1)),
+        ("half-circle 4", generators.gen_halfcircle(4, seed=1)),
+        # k goes from 9 to 10 inside a block
+        ("half-circle 11", generators.gen_halfcircle(11, seed=2)),
+        # j = 10 only in the last row; then i = 10 only in the last row
+        ("twisted 12", generators.gen_twisted(12)),
+        ("twisted 13", generators.gen_twisted(13)),
+        # k = 100 only in the last row of each pair
+        ("half-circle 101", generators.gen_halfcircle(101, seed=4)),
         # k reaches three digits
         ("half-circle 104", generators.gen_halfcircle(104, seed=9)),
         ("anchored explicit restriction",

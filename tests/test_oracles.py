@@ -157,6 +157,13 @@ class TestLongestPlanePath:
         assert set(result.witness) <= {0, 2, 4, 6}
         assert not result.exact  # stopped at the target
 
+    @pytest.mark.parametrize("target", [4, 5])
+    def test_target_met_by_a_path_through_every_vertex_is_exact(self, target):
+        # no path beats one through all allowed vertices, target or not
+        result = longest_plane_path_exact(gen_convex(10), vertices=[0, 2, 4, 6], target=target)
+        assert (result.size, result.witness, result.nodes) == (4, (0, 2, 4, 6), 4)
+        assert result.exact
+
     @pytest.mark.parametrize(
         "crossing, witness",
         [
@@ -334,6 +341,8 @@ def reference_plane_path(d, budget=None, vertices=None, target=None):
         nonlocal best, hit_target
         if len(path) > len(best):
             best = list(path)
+            if len(best) == len(verts):  # exact, whatever the target
+                return True
             if target is not None and len(best) >= target:
                 hit_target = True
                 return False
