@@ -44,6 +44,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import (
     DegenerateInput,
+    InternalInvariantBroken,
     InvalidCertificate,
     InvalidEdge,
     InvalidSelection,
@@ -679,6 +680,21 @@ def verify_certificate(d: Drawing, c: Certificate) -> CertificateReport:
         failing_tuple=bad[0] + bad[1],
         failure=f"edges {bad[0]} and {bad[1]} cross",
     )
+
+
+def _certified(d: Drawing, kind: str, vertices: Sequence[int]) -> Certificate:
+    """The certificate of ``kind`` on ``vertices``, once ``verify_certificate``
+    passes it on d.
+
+    Every certificate the library hands out leaves through here.  A failure
+    is the library's own fault, not the input's, so it raises
+    InternalInvariantBroken("<kind> certificate failed: <failure>").
+    """
+    cert = Certificate(kind, tuple(vertices))
+    report = verify_certificate(d, cert)
+    if not report.ok:
+        raise InternalInvariantBroken(f"{kind} certificate failed: {report.failure}")
+    return cert
 
 
 def _check_certificate_range(d: Drawing, c: Certificate) -> None:

@@ -10,9 +10,12 @@ every class for a monochromatic monotone 2-path of m1 vertices, a convex
 pattern.  Each phi class is a ``GameState`` on its members, in stage order.
 
 The candidate set loses at least a 1/(m2^2 * 2^edges) fraction per stage;
-that one-step recurrence, the edge colors' restriction, and the final
-certificates are all asserted, never trusted.  Running out of candidates is
-a legitimate desk-scale outcome reported with statistics.
+that one-step recurrence, the edge colors' restriction, and the convex
+witness's triple colors are all asserted, never trusted.  Every run ends in
+one tail: a convex or twisted witness leaves through
+``drawing._certified``, which verifies it or raises InternalInvariantBroken,
+and running out of candidates, a legitimate desk-scale outcome, is reported
+with statistics.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .drawing import (
     TWISTED,
     AnchoredDrawing,
     Certificate,
-    verify_certificate,
+    _certified,
 )
 from .errors import InternalInvariantBroken, InvalidSelection, NotATree, SizeLimit
 from .ramsey import GameState
@@ -122,7 +125,8 @@ def extract_pattern(
         column = phi.column(w) if rest else ([0], [0])  # the last candidate reads no pairs
         twisted = _twisted_hit(column, rest, m2)
         if twisted is not None:
-            return _twisted_success(ad, phi, stats, classes, w, *twisted, m2, rest)
+            witness = phi.witness(w, *twisted)[-m2:]
+            return _finish(ad, stats, classes, rest, TWISTED, witness)
 
         chosen_key, pool = _largest_class(column, rest)
         remaining = rest.bit_count()
@@ -153,9 +157,7 @@ def extract_pattern(
 
         candidates = pool
 
-    stats.outcome = "exhausted"
-    _snapshot(stats, classes, 0)
-    return ExtractionOutcome(certificate=None, stats=stats)
+    return _finish(ad, stats, classes, 0)
 
 
 def _twisted_hit(column, rest, m2):
@@ -203,12 +205,6 @@ def _halve(chi: ChiCache, u: int, w: int, pool: int) -> Tuple[str, int]:
     return "010", tens
 
 
-def _snapshot(stats, classes, candidates):
-    stats.final_candidates = [v for v in range(candidates.bit_length()) if candidates >> v & 1]
-    stats.class_members = {k: list(g.vertices) for k, g in classes.items()}
-    stats.class_edges = {k: list(g.edges) for k, g in classes.items()}
-
-
 def _convex_success(ad, chi, stats, classes, game, end, color, m1, survivors):
     wstar = game.path_witness(end, color)[-m1:]
     # every witness triple (p, q, v) has the path's color: v in R(q,p) alone
@@ -223,24 +219,18 @@ def _convex_success(ad, chi, stats, classes, game, end, color, m1, survivors):
                 raise InternalInvariantBroken(
                     f"convex witness triple {(p, q, v)} colored {_color(ri, rj, x, v)}"
                 )
-    cert = Certificate(CONVEX, tuple(ad.vertex_at(p) for p in wstar))
-    report = verify_certificate(ad.base, cert)
-    if not report.ok:
-        raise InternalInvariantBroken(f"convex certificate failed: {report.failure}")
-    stats.outcome = "convex"
-    _snapshot(stats, classes, survivors)
-    return ExtractionOutcome(certificate=cert, stats=stats)
+    return _finish(ad, stats, classes, survivors, CONVEX, wstar)
 
 
-def _twisted_success(ad, phi, stats, classes, w, u, component, m2, rest):
-    witness = phi.witness(w, u, component)[-m2:]
-    vertices = tuple(ad.vertex_at(p) for p in witness)
-    cert = Certificate(TWISTED, vertices)
-    report = verify_certificate(ad.base, cert)
-    if not report.ok:
-        raise InternalInvariantBroken(f"twisted certificate failed: {report.failure}")
-    stats.outcome = "twisted"
-    _snapshot(stats, classes, rest)
+def _finish(ad, stats, classes, candidates, kind=None, witness=()):
+    """The outcome of a run that ends here: with the certificate of ``kind``
+    on the anchored positions ``witness``, verified, or exhausted when
+    ``kind`` is None; the final classes and the candidate mask go to stats."""
+    cert = _certified(ad.base, kind, map(ad.vertex_at, witness)) if kind else None
+    stats.outcome = kind or "exhausted"
+    stats.final_candidates = [v for v in range(candidates.bit_length()) if candidates >> v & 1]
+    stats.class_members = {k: list(g.vertices) for k, g in classes.items()}
+    stats.class_edges = {k: list(g.edges) for k, g in classes.items()}
     return ExtractionOutcome(certificate=cert, stats=stats)
 
 

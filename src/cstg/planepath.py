@@ -9,9 +9,11 @@ a 1/(2m)^2 fraction of the candidates.
 
 All structural facts the construction relies on are asserted afterwards on
 the finished path: the inside/outside class of every consecutive wedge is
-uniform over the later path vertices, anchor edges to earlier path vertices
-never cross later path edges, and the final edge set is verified pairwise
-non-crossing.
+uniform over the later path vertices, and anchor edges to earlier path
+vertices never cross later path edges.  The star, and the path of every
+branch (trivial, increasing, decreasing) in one tail, leave through
+``drawing._certified``, which verifies each pairwise non-crossing or raises
+InternalInvariantBroken.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .drawing import (
     PLANE_PATH,
     AnchoredDrawing,
     Certificate,
-    verify_certificate,
+    _certified,
 )
 from .errors import (
     BudgetExhausted,
@@ -114,17 +116,8 @@ def find_plane_k2m2(ad: AnchoredDrawing, m: int) -> Optional[Certificate]:
     for i in range(1, ad.n - need):
         length, witness = _lis(theta(ad, i))
         if length >= need:
-            leaves = witness[:need]
-            cert = Certificate(
-                PLANE_BIPARTITE,
-                (ad.v0, ad.vertex_at(i)) + tuple(ad.vertex_at(p) for p in leaves),
-            )
-            report = verify_certificate(ad.base, cert)
-            if not report.ok:
-                raise InternalInvariantBroken(
-                    f"bipartite star certificate failed: {report.failure}"
-                )
-            return cert
+            leaves = [ad.vertex_at(p) for p in witness[:need]]
+            return _certified(ad.base, PLANE_BIPARTITE, [ad.v0, ad.vertex_at(i)] + leaves)
     return None
 
 
@@ -237,16 +230,13 @@ def extract_plane_path(
     given = [name for name, value in (("path target", path_target), ("budget", budget))
              if value is not None]
 
+    star = find_plane_k2m2(ad, m) if m > 1 else None
     if m <= 1:
         if given:
             raise InvalidSelection(f"{given[0]} unused: m = {m} takes the trivial branch")
         stats.branch = "trivial"
-        cert = Certificate(PLANE_PATH, (ad.vertex_at(1), ad.vertex_at(2)))
-        _check_path(ad.base, cert)
-        return PlanePathOutcome(path=cert, bipartite=None, stats=stats)
-
-    star = find_plane_k2m2(ad, m)
-    if star is not None:
+        path = (ad.vertex_at(1), ad.vertex_at(2))
+    elif star is not None:
         stats.branch = "increasing"
         leaves = list(star.vertices[2:])
         target = path_target if path_target is not None else max(2, math.ceil(m / 2))
@@ -258,54 +248,46 @@ def extract_plane_path(
             )
         except BudgetExhausted as exc:
             result = exc.payload
-        cert = Certificate(PLANE_PATH, result.witness)
-        _check_path(ad.base, cert)
-        return PlanePathOutcome(path=cert, bipartite=star, stats=stats)
+        path = result.witness
+    else:
+        stats.branch = "decreasing"
+        stats.unused = given
+        path = [1]
+        candidates = list(range(2, n))
+        m_sq = m * m
+        while candidates:
+            stats.candidate_sizes.append(len(candidates))
+            live = set(candidates)
+            th = [p for p in theta(ad, path[-1]) if p in live]
+            if len(th) != len(candidates):
+                raise InternalInvariantBroken("theta missed candidates above the tip")
+            _, dec = _lis([-p for p in th])
+            dec = [-p for p in dec]
+            stats.lds_lengths.append(len(dec))
+            if len(dec) * m_sq < len(candidates):
+                raise InternalInvariantBroken(
+                    "decreasing run shorter than |S|/m^2 despite no long increasing run"
+                )
+            u_next = dec[-1]  # least element: the run decreases along theta order
+            rest = sum(1 << p for p in dec[:-1])  # distinct bits: dec less u_next
+            inner = _inside(chi, path[-1], u_next, rest)
+            outer = rest ^ inner
+            kept = inner if inner.bit_count() >= outer.bit_count() else outer
+            size = kept.bit_count()
+            if 2 * size < len(dec) - 1:
+                raise InternalInvariantBroken("kept class smaller than half")
+            if len(candidates) > m_sq and 4 * m_sq * size < len(candidates):
+                raise InternalInvariantBroken(
+                    "step recurrence |S'| >= |S|/(2m)^2 violated"
+                )
+            path.append(u_next)
+            candidates = sorted(p for p in dec if kept >> p & 1)
 
-    stats.branch = "decreasing"
-    stats.unused = given
-    path = [1]
-    candidates = list(range(2, n))
-    m_sq = m * m
-    while candidates:
-        stats.candidate_sizes.append(len(candidates))
-        live = set(candidates)
-        th = [p for p in theta(ad, path[-1]) if p in live]
-        if len(th) != len(candidates):
-            raise InternalInvariantBroken("theta missed candidates above the tip")
-        _, dec = _lis([-p for p in th])
-        dec = [-p for p in dec]
-        stats.lds_lengths.append(len(dec))
-        if len(dec) * m_sq < len(candidates):
-            raise InternalInvariantBroken(
-                "decreasing run shorter than |S|/m^2 despite no long increasing run"
-            )
-        u_next = dec[-1]  # least element: the run decreases along theta order
-        rest = sum(1 << p for p in dec[:-1])  # distinct bits: dec less u_next
-        inner = _inside(chi, path[-1], u_next, rest)
-        outer = rest ^ inner
-        kept = inner if inner.bit_count() >= outer.bit_count() else outer
-        size = kept.bit_count()
-        if 2 * size < len(dec) - 1:
-            raise InternalInvariantBroken("kept class smaller than half")
-        if len(candidates) > m_sq and 4 * m_sq * size < len(candidates):
-            raise InternalInvariantBroken(
-                "step recurrence |S'| >= |S|/(2m)^2 violated"
-            )
-        path.append(u_next)
-        candidates = sorted(p for p in dec if kept >> p & 1)
-
-    _assert_wedge_uniformity(ad, chi, path)
-    _assert_anchor_edges_clear(ad, chi, path)
-    cert = Certificate(PLANE_PATH, tuple(ad.vertex_at(p) for p in path))
-    _check_path(ad.base, cert)
-    return PlanePathOutcome(path=cert, bipartite=None, stats=stats)
-
-
-def _check_path(d, cert: Certificate) -> None:
-    report = verify_certificate(d, cert)
-    if not report.ok:
-        raise InternalInvariantBroken(f"plane path verification failed: {report.failure}")
+        _assert_wedge_uniformity(ad, chi, path)
+        _assert_anchor_edges_clear(ad, chi, path)
+        path = [ad.vertex_at(p) for p in path]
+    cert = _certified(ad.base, PLANE_PATH, path)
+    return PlanePathOutcome(path=cert, bipartite=star, stats=stats)
 
 
 def _assert_wedge_uniformity(ad, chi, path) -> None:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from test_chromatics import mirrored_twisted_view, random_anchored_views
@@ -21,6 +22,7 @@ from cstg.extraction import (
     required_n,
 )
 from cstg.generators import anchored_view, gen_convex, gen_halfcircle, gen_twisted
+from cstg.ramsey import GameState
 
 
 class TestExtractPattern:
@@ -262,6 +264,77 @@ class TestStageByMasks:
         # of the candidates 4..7, 4 and 5 have phi (2,3) and 6 and 7 (3,2)
         column = ([0b00110000, 0b11000000], [0b11000000, 0b00110000])
         assert extraction._largest_class(column, 0b11110000) == ((2, 3), 0b00110000)
+
+
+def cut_to(mask, size):
+    """The ``size`` highest members of ``mask``."""
+    while mask.bit_count() > size:
+        mask &= mask - 1
+    return mask
+
+
+class TestStageGuards:
+    """Faults injected where a stage asserts what the proof promises."""
+
+    cases = pytest.mark.parametrize("name, d, m1, m2", [
+        # |S|-1 = 10 is one past m2^2 = 9 at the first stage: a guard that
+        # is off by one in either operand lets a one-member class through
+        ("convex 12", gen_convex(12), 4, 3),
+        ("twisted 12", gen_twisted(12), 4, 3),
+        # the floor is 2 at the first stage
+        ("half-circle 24 seed 3", gen_halfcircle(24, seed=3), 4, 4),
+    ])
+
+    @staticmethod
+    def cut_classes(monkeypatch, m2, short):
+        # every stage keeps its largest class cut to the pigeonhole floor
+        # ceil((|S|-1)/m2^2), less ``short`` members
+        largest = extraction._largest_class
+
+        def cut(column, rest):
+            key, pool = largest(column, rest)
+            return key, cut_to(pool, -(-rest.bit_count() // (m2 * m2)) - short)
+
+        monkeypatch.setattr(extraction, "_largest_class", cut)
+
+    @cases
+    def test_class_below_the_pigeonhole_floor_raises(self, monkeypatch, name, d, m1, m2):
+        self.cut_classes(monkeypatch, m2, 1)
+        message = "pigeonhole class smaller than (|S|-1)/m2^2"
+        with pytest.raises(InternalInvariantBroken, match=re.escape(message)):
+            extract_pattern(anchored_view(d), m1, m2)
+
+    @cases
+    def test_class_at_the_pigeonhole_floor_passes(self, monkeypatch, name, d, m1, m2):
+        self.cut_classes(monkeypatch, m2, 0)
+        assert extract_pattern(anchored_view(d), m1, m2).stats.stages >= 1
+
+    def test_convex_witness_triple_colored_000(self, monkeypatch):
+        # convex 12 colors every triple 010; once the game holds its path,
+        # v leaves R(q,p) for the witness's first triple (p, q, v)
+        ad = anchored_view(gen_convex(12))
+        chi = ChiCache(ad)
+        witness = []
+        path_witness = GameState.path_witness
+
+        def held(game, v, color):
+            path = path_witness(game, v, color)
+            witness.extend(path[-4:])
+            return path
+
+        pair = chi._pair
+
+        def cleared(i, j, ks=0):
+            ri, rj, x = pair(i, j, ks)
+            if witness and (i, j) == tuple(witness[:2]):
+                rj &= ~(1 << witness[2])
+            return ri, rj, x
+
+        monkeypatch.setattr(GameState, "path_witness", held)
+        monkeypatch.setattr(chi, "_pair", cleared)
+        with pytest.raises(InternalInvariantBroken) as info:
+            extract_pattern(ad, 4, 4, chi_cache=chi)
+        assert str(info.value) == f"convex witness triple {tuple(witness[:3])} colored 000"
 
 
 class TestThresholds:

@@ -3,11 +3,17 @@ internal assertions armed throughout."""
 
 from collections import Counter
 
+import pytest
+from test_cli import run
+
+from cstg import codec, drawing
 from cstg.chromatics import ChiCache
-from cstg.drawing import Drawing, induced_subdrawing, verify_certificate
+from cstg.drawing import CertificateReport, Drawing, induced_subdrawing, verify_certificate
+from cstg.errors import InternalInvariantBroken
 from cstg.extraction import extract_pattern
 from cstg.generators import (
     anchored_view,
+    gen_convex,
     gen_halfcircle,
     gen_horton,
     gen_straightline,
@@ -99,3 +105,64 @@ class TestPlanePathStress:
             assert verify_certificate(d, out.bipartite).ok
             assert verify_certificate(d, out.path).ok
             assert out.vertex_count >= 2
+
+
+def fail_kind(monkeypatch, kind):
+    """verify_certificate fails every certificate of ``kind`` with the
+    failure "injected" and checks the others as before."""
+    def verify(d, c):
+        if c.kind == kind:
+            return CertificateReport(ok=False, kind=kind, checked=0, failure="injected")
+        return verify_certificate(d, c)
+
+    monkeypatch.setattr(drawing, "verify_certificate", verify)
+
+
+class TestCertificateGate:
+    """Every certificate the library hands out, and the oracle witness the
+    CLI writes, passes verify_certificate first or raises."""
+
+    @pytest.mark.parametrize("kind, d, m1, m2", [
+        ("convex", gen_convex(12), 4, 4),
+        ("twisted", gen_twisted(12), 6, 6),
+    ])
+    def test_pattern_exit_raises(self, monkeypatch, kind, d, m1, m2):
+        ad = anchored_view(d)
+        assert extract_pattern(ad, m1, m2).stats.outcome == kind
+        fail_kind(monkeypatch, kind)
+        with pytest.raises(InternalInvariantBroken) as info:
+            extract_pattern(ad, m1, m2)
+        assert str(info.value) == f"{kind} certificate failed: injected"
+
+    @pytest.mark.parametrize("kind, m, branch", [
+        ("plane_path", None, "trivial"),
+        ("plane_bipartite", 2, "increasing"),  # the star, before its path
+        ("plane_path", 2, "increasing"),
+        ("plane_path", 16, "decreasing"),
+    ])
+    def test_plane_path_exit_raises(self, monkeypatch, kind, m, branch):
+        ad = anchored_view(gen_halfcircle(64, seed=1))
+        assert extract_plane_path(ad, m_override=m).stats.branch == branch
+        fail_kind(monkeypatch, kind)
+        with pytest.raises(InternalInvariantBroken) as info:
+            extract_plane_path(ad, m_override=m)
+        assert str(info.value) == f"{kind} certificate failed: injected"
+
+    @pytest.mark.parametrize("kind, d, argv", [
+        ("convex", gen_convex(12), ["extract", "pattern", "--m1", "4", "--m2", "4"]),
+        ("plane_path", gen_halfcircle(64, seed=1), ["extract", "planepath", "--m-override", "16"]),
+        ("convex", gen_twisted(12), ["oracle", "maxconvex"]),
+    ])
+    def test_cli_exit_writes_nothing(self, tmp_path, capsys, monkeypatch, kind, d, argv):
+        path = tmp_path / "d.cstg"
+        codec.save_drawing(d, str(path))
+        command = argv[:2] + [str(path)] + argv[2:]
+        out = tmp_path / "cert.json"
+        assert run(capsys, *command, "--out", str(out))[0] == 0
+        out.unlink()
+        fail_kind(monkeypatch, kind)
+        code, _, err = run(capsys, *command, "--out", str(out))
+        assert (code, err) == (
+            3, f"invalid input: InternalInvariantBroken: {kind} certificate failed: injected\n"
+        )
+        assert not out.exists()

@@ -407,6 +407,43 @@ class TestExtractPlanePath:
         assert got.path == want.path
 
 
+class TestDecreasingRunGuard:
+    """At m = 16 and n < 257 the star search reads no theta, so every _lis
+    call is a step of the decreasing branch; at each step in turn the run is
+    cut to the floor ceil(|S|/m^2) = 1, or one below it."""
+
+    @staticmethod
+    def steps(monkeypatch, short):
+        ad = anchored_view(gen_halfcircle(64, seed=1))
+        sizes = extract_plane_path(ad, m_override=16).stats.candidate_sizes
+        # |S| = 1 at the last step: a guard that subtracts one from |S| is
+        # caught there
+        assert sizes[-1] == 1
+        lis = planepath._lis
+        for size in sizes:
+            def cut(seq, size=size):
+                _, run = lis(seq)
+                if len(seq) == size:
+                    run = run[:1 - short]
+                return len(run), run
+
+            with monkeypatch.context() as patch:
+                patch.setattr(planepath, "_lis", cut)
+                yield size, lambda: extract_plane_path(ad, m_override=16)
+
+    def test_run_below_the_floor_raises(self, monkeypatch):
+        message = "decreasing run shorter than |S|/m^2 despite no long increasing run"
+        for size, extract in self.steps(monkeypatch, 1):
+            with pytest.raises(InternalInvariantBroken, match=re.escape(message)):
+                extract()
+
+    def test_run_at_the_floor_passes(self, monkeypatch):
+        for size, extract in self.steps(monkeypatch, 0):
+            out = extract()
+            assert out.stats.candidate_sizes[-1] == size
+            assert out.stats.lds_lengths[-1] == 1
+
+
 def explicit_view(n, crossing_edges):
     """Anchored at 0 in the order 1..n-1, with the given edge pairs crossing."""
     pairs = {
