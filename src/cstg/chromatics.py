@@ -29,25 +29,22 @@ ordered vertex pair for points, and one pass over the crossing table, on
 first use, for explicit drawings.  A single color builds only its pair's
 masks, and the scans are quadratic in mask operations.  Measured on seeded
 half-circle drawings (Python 3.11.7, one process on a shared 2-core machine):
-validate_observation takes 0.05-0.08 s at n = 256 and 1.1-1.5 s at n = 1024, a
-full phi_table 0.05-0.10 s and 0.9-1.7 s (20.5 MB peak RSS); on twisted
-n = 512 it takes 0.20-0.25 s.  ``tables phi`` writes each column's rows as
-one block from its value codes: at n = 160 (seed 5) the whole command,
-12,561 rows with the document read and the file written, takes
-0.037-0.050 s.  ``tables chi`` writes each anchor row i's rows as one block
-(``_chi_blocks``): the masks of the pairs (i, j) stacked into three ints,
-whose binary strings fill the color characters of a fixed-width row
-template by strided slice assignment.  At n = 160 (seed 5) the whole
-command, 657,359 rows with the document read and the file written, takes
-0.057-0.100 s at a 28 MB tracemalloc peak (0.22-0.24 s with one block per
-pair).
+validate_observation takes 0.032-0.037 s at n = 256 and 0.56-0.81 s at
+n = 1024, a full phi_table 0.046-0.050 s and 0.90-1.41 s (22.5 MB peak RSS);
+on twisted n = 512 it takes 0.23-0.32 s.  At n = 160 (seed 5) the whole
+``tables phi`` command, 12,561 rows with the document read and the file
+written, takes 0.022-0.028 s, and ``tables chi`` (657,359 rows, written one
+anchor row at a time by ``_chi_blocks``) 0.074-0.080 s at a 28 MB
+tracemalloc peak.
 
-Only ``chi()`` and callers outside the package read ``ChiCache.get``.
-Everything else reads one pair reader, ``ChiCache._pair``, which checks the
-triples it is asked to: ``PhiTable``, extraction and plane paths read whole
-color classes from one pair's masks, ``tables chi`` an anchor row's pairs
-(``_chi_blocks``) and ``tables phi`` a column's value codes
-(``PhiTable._codes``).
+Only ``chi()`` and callers outside the package read ``ChiCache.get``; the
+rest reads its two mask readers, which raise ``get``'s error for an invalid
+triple.  Extraction, plane paths and phi witnesses read whole color classes
+from one pair's masks (``ChiCache._pair``).  The scans read the pairs of
+one position with a run of others at once (``ChiCache._star``), and a
+half-circle star reads what depends on that position once:
+``validate_observation`` and ``tables chi`` read anchor row i as star(i,
+range(i+1, n-1)), ``PhiTable`` column i as star(i, range(1, i)).
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ from itertools import combinations
 from math import comb
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from .drawing import AnchoredDrawing, _quadruples_up_to, crossing_masks
+from .drawing import AnchoredDrawing, _kernels, _quadruples_up_to
 from .errors import InvalidSelection, InvalidTriple, ObservationViolated
 
 VALID_COLORS = ("000", "001", "010", "100")
@@ -79,29 +76,40 @@ def _clash(ri: int, rj: int, x: int) -> int:
     return (ri & rj) | ((ri | rj) & x)
 
 
-def _pair_masks(ad: AnchoredDrawing) -> Callable[..., Tuple[int, int, int]]:
-    """pair(i, j, ks=0) -> (R(i,j), R(j,i), X(i,j)) for positions 1 <= i < j <= n-1.
+def _pair_masks(ad: AnchoredDrawing):
+    """(pair, star): readers of the crossing masks of anchored positions.
 
-    The three masks are crossing masks whose bit p stands for the vertex at
-    position p: R(i,j) = N(v0, vi, vj) and X(i,j) = N(vi, vj, v0).  For the
-    lowest k in the mask ``ks`` (positions above j) with (i, j, k) invalid,
-    pair raises ``ChiCache.get``'s ObservationViolated.
+    pair(i, j, ks=0) -> (R(i,j), R(j,i), X(i,j)) for 1 <= i < j <= n-1, bit p
+    for position p, R(i,j) = N(v0, vi, vj) and X(i,j) = N(vi, vj, v0), raises
+    ``ChiCache.get``'s error for the lowest k in ``ks`` with (i, j, k) invalid.
+    star(f, gs) lists, unchecked, the masks of (g, f) for each g < f in gs and
+    those of (f, g), with R(f,g) and R(g,f) swapped, for each g > f.
     """
     at = (ad.v0,) + ad.order
-    N = crossing_masks(ad.base, at)
+    N, star = _kernels(ad.base, at)
     v0 = ad.v0
 
     def pair(i, j, ks=0):
         vi, vj = at[i], at[j]
         ri, rj, x = N(v0, vi, vj), N(v0, vj, vi), N(vi, vj, v0)
-        if ks:
-            bad = _clash(ri, rj, x) & ks
-            if bad:
-                k = (bad & -bad).bit_length() - 1
-                raise ObservationViolated(f"triple {(i, j, k)} colored {_color(ri, rj, x, k)}")
+        if ks and _clash(ri, rj, x) & ks:
+            raise _violated(i, j, ri, rj, x, ks)
         return ri, rj, x
 
-    return pair
+    if star is None:
+
+        def star(f, gs):
+            vf = at[f]
+            return [(N(v0, at[g], vf), N(v0, vf, at[g]), N(at[g], vf, v0)) for g in gs]
+
+    return pair, star
+
+
+def _violated(i: int, j: int, ri: int, rj: int, x: int, ks: int) -> ObservationViolated:
+    """The error for the lowest k in ``ks`` with (i, j, k) invalid under (i, j)'s masks."""
+    bad = _clash(ri, rj, x) & ks
+    k = (bad & -bad).bit_length() - 1
+    return ObservationViolated(f"triple {(i, j, k)} colored {_color(ri, rj, x, k)}")
 
 
 def chi(ad: AnchoredDrawing, i: int, j: int, k: int) -> str:
@@ -121,7 +129,7 @@ class ChiCache:
     def __init__(self, ad: AnchoredDrawing):
         self.ad = ad
         self._n = ad.n
-        self._pair = _pair_masks(ad)
+        self._pair, self._star = _pair_masks(ad)
         self._memo = {}  # (i, j) -> (R(i,j), R(j,i), X(i,j))
 
     def get(self, i: int, j: int, k: int) -> str:
@@ -132,16 +140,16 @@ class ChiCache:
             masks = self._memo[(i, j)] = self._pair(i, j)
         ri, rj, x = masks
         if _clash(ri, rj, x) >> k & 1:
-            raise ObservationViolated(f"triple {(i, j, k)} colored {_color(ri, rj, x, k)}")
+            raise _violated(i, j, ri, rj, x, 1 << k)
         return _color(ri, rj, x, k)
 
 
-def _chi_blocks(pair: Callable[..., Tuple[int, int, int]], n: int) -> Iterator[str]:
+def _chi_blocks(star: Callable[..., List[Tuple[int, int, int]]], n: int) -> Iterator[str]:
     """The rows "i,j,k,color" of every triple i < j < k <= n-1, one str per i.
 
-    ``pair`` is ``ChiCache._pair``, asked for every pair (i, j) in
-    lexicographic order with the check of all k > j, so the first invalid
-    triple raises ``get``'s ObservationViolated before its block is made.
+    ``star`` is ``ChiCache._star``, read once per anchor row i; its pairs (i, j)
+    are checked in order for every k > j, so the first invalid triple raises
+    ``get``'s ObservationViolated before its block is made.
 
     Every block is cut from one template: the rows "j,k,000\n" of all pairs
     j < k, each right-aligned in a slot of one fixed width, with NUL bytes
@@ -161,8 +169,9 @@ def _chi_blocks(pair: Callable[..., Tuple[int, int, int]], n: int) -> Iterator[s
     for i in range(1, n - 2):
         start += n - 1 - i
         r_ij = r_ji = x_ij = size = 0
-        for j in range(i + 1, n - 1):
-            ri, rj, x = pair(i, j, -1 << (j + 1))
+        for j, (rj, ri, x) in enumerate(star(i, range(i + 1, n - 1)), i + 1):
+            if _clash(ri, rj, x) >> (j + 1):
+                raise _violated(i, j, ri, rj, x, -1 << (j + 1))
             r_ij |= ri >> (j + 1) << size
             r_ji |= rj >> (j + 1) << size
             x_ij |= x >> (j + 1) << size
@@ -192,12 +201,11 @@ def validate_observation(ad: AnchoredDrawing) -> ObservationReport:
     A triple (i,j,k) is valid iff at most one of the pair (i,j)'s three masks
     holds k, so each pair is one disjointness test above j.
     """
-    pair = _pair_masks(ad)
+    star = _pair_masks(ad)[1]
     n = ad.n
     checked = 0
     for i in range(1, n - 2):
-        for j in range(i + 1, n - 1):
-            ri, rj, x = pair(i, j)
+        for j, (rj, ri, x) in enumerate(star(i, range(i + 1, n - 1)), i + 1):
             bad = _clash(ri, rj, x) >> (j + 1)
             if bad:
                 k = j + (bad & -bad).bit_length()
@@ -258,10 +266,11 @@ class PhiTable:
         # no column k < i has more levels than the height, so no lift passes it
         height_a, height_b = self._height
         lifts_a, lifts_b = [above] + [0] * height_a, [above] + [0] * height_b
-        for k in range(1, i):
-            ri, _, x = self._chi._pair(k, i, above)
+        for k, (r_ki, r_ik, x) in enumerate(self._chi._star(i, range(1, i)), 1):
+            if _clash(r_ki, r_ik, x) & above:
+                raise _violated(k, i, r_ki, r_ik, x, above)
             codes_a, codes_b = self._column_codes[k - 1]
-            lifts_a[codes_a[i] + 1] |= ri & above
+            lifts_a[codes_a[i] + 1] |= r_ki & above
             lifts_b[codes_b[i] + 1] |= x & above
         # each j sits at the highest lift holding it; empty top lifts go
         for lifts in (lifts_a, lifts_b):

@@ -304,7 +304,7 @@ def _cmd_tables(args) -> int:
     if args.what == "chi":
         cache = ChiCache(ad)
         lines.append("# cstg-chi-1\ni,j,k,color\n")
-        lines.extend(_chi_blocks(cache._pair, n))
+        lines.extend(_chi_blocks(cache._star, n))
     else:
         table = phi_table(ad)
         lines.append("# cstg-phi-1\ni,j,a,b\n")

@@ -13,9 +13,9 @@ Every crossing question reads one kernel, ``crossing_masks``: N(a, b, c) =
 p-th vertex of a given order.  Certificate checks (in certificate order),
 restrictions (in selection order), the searches of :mod:`cstg.oracles`
 and the anchored colorings of :mod:`cstg.chromatics` (in anchored order)
-all read it; a single query such as :func:`cross` builds a kernel over
-its four vertices and pays O(n) array set-up.  A convex or twisted
-certificate of m vertices costs C(m,3) mask tests instead of 3*C(m,4)
+all read it; a single :func:`cross` query looks an explicit table up, or
+builds a kernel over its four vertices and pays O(n) array set-up.  Convex
+or twisted certificates of m vertices cost C(m,3) mask tests, not 3*C(m,4)
 single-pair tests.  Each kernel row is built by a few whole-row operations,
 not a loop over its vertices: a half-circle row is two slices of the
 drawing's sign square and one gather into the order, a points half-plane
@@ -301,11 +301,14 @@ def cross(d: Drawing, e1, e2) -> bool:
     c, e = _norm_edge(e2, d.n)
     if a in (c, e) or b in (c, e):
         raise NotIndependent(f"edges ({a},{b}) and ({c},{e}) share an endpoint")
+    if d.model == "explicit":
+        d._partners  # a table with a stray entry raises its ValidationError
+        return sorted_pair(d.rank(a, b), d.rank(c, e)) in d.crossings
     # bit 3 stands for e
     return bool(crossing_masks(d, (a, b, c, e))(a, b, c) >> 3 & 1)
 
 
-@lru_cache(maxsize=16)  # cross() builds a kernel per query
+@lru_cache(maxsize=16)  # cross() builds a half-circle kernel per query
 def _rank_offsets(n: int) -> Tuple[int, ...]:
     """off[i] with edge_index(i, j, n) == off[i] + j for i < j, unchecked."""
     # off[0] = -1 and off[i+1] - off[i] = n - 2 - i
@@ -329,6 +332,13 @@ def crossing_masks(d: Drawing, order: Optional[Iterable[int]] = None):
     grouping of crossings by edge and hold one mask per vertex c for each
     edge asked about.
     """
+    return _kernels(d, order)[0]
+
+
+def _kernels(d: Drawing, order: Optional[Iterable[int]] = None):
+    """(N, star): the kernel of ``crossing_masks`` and, for half-circle
+    drawings (else None), star(f, gs): for each position g in gs the masks
+    (N(h, vg, vf), N(h, vf, vg), N(vg, vf, h)), h = order[0], vp = order[p]."""
     n = d.n
     order = range(n) if order is None else tuple(order)
     bits = [0] * n  # bits[v]: the bit standing for vertex v, 0 for non-members
@@ -349,7 +359,7 @@ def crossing_masks(d: Drawing, order: Optional[Iterable[int]] = None):
                 return dom ^ below[b + 1] ^ below[a]
             return below[b] ^ below[a + 1]
 
-        return interleaved
+        return interleaved, None
 
     if d.model == "twisted":
 
@@ -362,29 +372,59 @@ def crossing_masks(d: Drawing, order: Optional[Iterable[int]] = None):
                 return dom ^ below[b + 1]
             return below[a]
 
-        return nested
+        return nested, None
 
     if d.model == "halfcircle":
-        # interleaved as in the convex model, with arc cw on the side of arc ab
+        # interleaved as in the convex model, with arc cw on the side of arc
+        # ab: N(a, b, c) is c's row of upper arcs (lower if ab is lower) within
+        # the members strictly outside a..b if c is strictly inside, else inside
         signs = d.signs
         off = _rank_offsets(n)
-        upper = [None] * n  # per vertex c, the w whose arc cw is an upper arc
+        gt = [dom ^ m for m in below[1:]]  # per vertex v, the members above v
+        rows = [None] * n  # per vertex c, the w whose arc cw is upper, lower
         # the characters of a row in reversed order, so bit p is order[p]
         gather = itemgetter(*order[::-1]) if order else None
+
+        def row(c):
+            r = int("".join(gather(d._sign_row(c))).translate(_BITS), 2)
+            rows[c] = r, r ^ dom
+            return rows[c]
 
         def halfcircle(a, b, c):
             if a > b:
                 a, b = b, a
-            row = upper[c]
-            if row is None:
-                row = upper[c] = int("".join(gather(d._sign_row(c))).translate(_BITS), 2)
-            if signs[off[a] + b] == "L":
-                row ^= dom
-            if a < c < b:
-                return row & ~(below[b + 1] ^ below[a])
-            return row & (below[b] ^ below[a + 1])
+            r = (rows[c] or row(c))[signs[off[a] + b] == "L"]
+            return r & (gt[b] | below[a] if a < c < b else below[b] & gt[a])
 
-        return halfcircle
+        spokes = []  # per vertex v, arc hub-v as the kernel reads it: (lower, inside, outside)
+
+        def star(f, gs):
+            # Of h, vf, vg one lies between the others; arc h-vg spans its outside
+            # if vf does, arc h-vf if vg does, arc vg-vf (signed in vf's row) the
+            # outside of both spokes if h does, else the longer minus the shorter
+            hub, vf = order[0], order[f]
+            if not spokes:  # the hub's own entry is never read
+                for a, b in (sorted_pair(hub, v) for v in range(n)):
+                    spokes.append((signs[off[a] + b] == "L", below[b] & gt[a], gt[b] | below[a]))
+            lower_f, in_f, out_f = spokes[vf]
+            lo, hi = sorted_pair(hub, vf)
+            vf_low = vf < hub
+            rows_f, rows_h, signs_f = rows[vf] or row(vf), rows[hub] or row(hub), d._sign_row(vf)
+            out = []
+            for g in gs:
+                vg = order[g]
+                lower_g, in_g, out_g = spokes[vg]
+                r_f, r_h = rows_f[lower_g], rows_h[signs_f[vg] == "L"]
+                r_g = (rows[vg] or row(vg))[lower_f]
+                if lo < vg < hi:  # vg in the middle
+                    out.append((r_f & in_g, r_g & out_f, r_h & in_f & out_g))
+                elif (vg < lo) == vf_low:  # vf in the middle
+                    out.append((r_f & out_g, r_g & in_f, r_h & in_g & out_f))
+                else:  # the hub in the middle
+                    out.append((r_f & in_g, r_g & in_f, r_h & out_g & out_f))
+            return out
+
+        return halfcircle, star
 
     if d.model == "points":
         pts = d.points
@@ -424,7 +464,7 @@ def crossing_masks(d: Drawing, order: Optional[Iterable[int]] = None):
             across = left(b, a) if orient(pts[a], pts[b], pts[c]) > 0 else left(a, b)
             return across & (left(a, c) & left(c, b) | left(c, a) & left(b, c))
 
-        return straight
+        return straight, None
 
     # explicit
     off = _rank_offsets(n)
@@ -442,7 +482,7 @@ def crossing_masks(d: Drawing, order: Optional[Iterable[int]] = None):
                 row[l] |= bits[k]
         return row[c]
 
-    return explicit
+    return explicit, None
 
 
 def pattern_fit(crossing_mask, kind: str):

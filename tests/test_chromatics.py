@@ -10,7 +10,7 @@ from typing import Callable, List, Optional, Tuple
 import pytest
 from test_drawing import crossing_function
 
-from cstg import drawing
+from cstg import chromatics, cli, codec, drawing
 from cstg.chromatics import (
     VALID_COLORS,
     ChiCache,
@@ -270,7 +270,7 @@ CLASS_OF_MASKS = {
 def class_masks(ad: AnchoredDrawing, color: str) -> Callable[[int, int], int]:
     """cls(p, q) for check_transitive_completion: the color class of the
     anchored drawing, read from the pair masks."""
-    pair = _pair_masks(ad)
+    pair = _pair_masks(ad)[0]
     pick = CLASS_OF_MASKS[color]
     return lambda p, q: pick(*pair(p, q))
 
@@ -677,7 +677,7 @@ class TestKernelEquivalence:
 
     @pytest.mark.parametrize("ad", KERNEL_VIEWS)
     def test_pair_masks_match_the_reference_build(self, ad):
-        kernel, reference = _pair_masks(ad), reference_masks(ad)
+        kernel, reference = _pair_masks(ad)[0], reference_masks(ad)
         for i, j in itertools.combinations(range(1, ad.n), 2):
             assert kernel(i, j) == reference(i, j), (i, j)
 
@@ -753,7 +753,7 @@ def blocks_by_writer(ad: AnchoredDrawing):
     cache = ChiCache(ad)
     blocks, message = {}, None
     try:
-        for i, block in enumerate(_chi_blocks(cache._pair, ad.n), 1):
+        for i, block in enumerate(_chi_blocks(cache._star, ad.n), 1):
             blocks[i] = block
     except ObservationViolated as exc:
         message = str(exc)
@@ -788,21 +788,113 @@ class TestChiBlocks:
     def test_rows_of_convex_6(self):
         # pairs (i, n-1) have no rows; the last block is the one triple (3,4,5)
         ad = anchored_view(gen_convex(6))
-        blocks = list(_chi_blocks(ChiCache(ad)._pair, ad.n))
+        blocks = list(_chi_blocks(ChiCache(ad)._star, ad.n))
         assert len(blocks) == 3
         assert blocks[0].startswith("1,2,3,010\n1,2,4,010\n1,2,5,010\n1,3,4,")
         assert blocks[-1] == "3,4,5,010\n"
 
     @pytest.mark.parametrize("n", [3, 4, 7])
-    def test_reads_each_pair_once_in_order(self, n):
+    def test_reads_each_anchor_row_once_in_order(self, n):
         ad = anchored_view(gen_convex(n))
-        pair = ChiCache(ad)._pair
+        star = ChiCache(ad)._star
         calls = []
 
-        def recording(i, j, ks=0):
-            calls.append((i, j, ks))
-            return pair(i, j, ks)
+        def recording(f, gs):
+            calls.append((f, gs))
+            return star(f, gs)
 
         assert len(list(_chi_blocks(recording, n))) == max(0, n - 3)
-        assert calls == [(i, j, -1 << (j + 1))
-                         for i, j in itertools.combinations(range(1, n - 1), 2)]
+        assert calls == [(i, range(i + 1, n - 1)) for i in range(1, n - 2)]
+
+    def test_a_bad_row_raises_before_its_block(self, monkeypatch):
+        # (2, 3, 5) colors 011: row 1 is yielded, row 2 is read and raises
+        ad = anchored_view(gen_convex(7))
+        flip_x_bit(monkeypatch, 2, 3, 5)
+        star = ChiCache(ad)._star
+        calls = []
+
+        def recording(f, gs):
+            calls.append(f)
+            return star(f, gs)
+
+        blocks = _chi_blocks(recording, ad.n)
+        assert next(blocks).startswith("1,2,3,010\n")
+        with pytest.raises(ObservationViolated, match=re.escape("triple (2, 3, 5) colored 011")):
+            next(blocks)
+        assert calls == [1, 2]
+
+
+def flip_x_bit(monkeypatch, k, i, j):
+    """Flips bit j of X(k,i) in every mask reader that chromatics builds from
+    here on: in the crossing kernel, whose N(a, b, c) is symmetric in a and
+    b, and in the star reader of models that have their own."""
+    kernels = chromatics._kernels
+
+    def flipped(d, order):
+        N, star = kernels(d, order)
+        edge, hub = {order[k], order[i]}, order[0]
+
+        def kernel(a, b, c):
+            mask = N(a, b, c)
+            return mask ^ 1 << j if c == hub and {a, b} == edge else mask
+
+        def flipped_star(f, gs):
+            return [(r1, r2, x ^ 1 << j if {f, g} == {k, i} else x)
+                    for g, (r1, r2, x) in zip(gs, star(f, gs))]
+
+        return kernel, (flipped_star if star is not None else None)
+
+    monkeypatch.setattr(chromatics, "_kernels", flipped)
+
+
+class TestStarReader:
+    @staticmethod
+    def assert_star_reads_the_pairs(ad, seed):
+        # star(f, gs) holds the masks of (g, f) for g < f, and those of (f, g)
+        # with the two R masks swapped for g > f, in the order of gs
+        pair, star = _pair_masks(ad)
+        for f in range(1, ad.n):
+            gs = [g for g in range(1, ad.n) if g != f]
+            random.Random(seed + f).shuffle(gs)
+            masks = star(f, gs)
+            assert len(masks) == len(gs)
+            for g, got in zip(gs, masks):
+                r_lo, r_hi, x = pair(min(f, g), max(f, g))  # R(lo,hi), R(hi,lo), X
+                assert got == ((r_lo, r_hi, x) if g < f else (r_hi, r_lo, x)), (f, g)
+            assert star(f, []) == []
+
+    @pytest.mark.parametrize("ad", KERNEL_VIEWS)
+    def test_star_equals_pair_both_ways(self, ad):
+        self.assert_star_reads_the_pairs(ad, 0)
+
+    def test_random_anchored_orders(self):
+        rng = random.Random(2323)
+        for seed in range(24):
+            n = rng.randint(3, 30)
+            d = rng.choice([gen_halfcircle(n, seed=seed), gen_convex(n), gen_twisted(n)])
+            self.assert_star_reads_the_pairs(shuffled_view(d, seed), seed)
+        for seed, ad in enumerate(random_anchored_views(16, 2324)):
+            self.assert_star_reads_the_pairs(ad, seed)
+
+    @pytest.mark.parametrize("d", [gen_convex(9), gen_halfcircle(24, seed=3)],
+                             ids=["convex 9", "half-circle 24"])
+    def test_every_scan_names_a_flipped_triple_as_get_does(self, monkeypatch, tmp_path,
+                                                           capsys, d):
+        ad = anchored_view(d)
+        cache = ChiCache(ad)
+        k, i, j = [t for t in triples(ad.n) if t[0] > 1 and cache.get(*t) == "010"][-1]
+        flip_x_bit(monkeypatch, k, i, j)
+        message = f"triple {(k, i, j)} colored 011"
+        with pytest.raises(ObservationViolated, match=re.escape(message)):
+            ChiCache(ad).get(k, i, j)
+        table = PhiTable(ad)
+        table.column(i - 1)
+        with pytest.raises(ObservationViolated, match=re.escape(message)):
+            table.column(i)
+        assert validate_observation(ad).violation == (k, i, j, "011")
+        path, out = tmp_path / "d.cstg", tmp_path / "chi.csv"
+        codec.save_drawing(d, str(path))
+        capsys.readouterr()
+        assert cli.dispatch(["tables", "chi", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"invalid input: ObservationViolated: {message}\n"
+        assert not out.exists()

@@ -9,6 +9,7 @@ import time
 import pytest
 from test_fuzz import random_explicit
 
+from cstg import drawing
 from cstg.drawing import (
     CONVEX,
     PLANE_PATH,
@@ -223,8 +224,9 @@ class TestCross:
                 assert cross(table, e1, e2) == cross(d, e1, e2)
 
     def test_every_independent_pair_matches_the_reference(self):
-        # cross() reads one kernel over its four vertices; the predicate
-        # answers per model, so every backend is compared on every pair
+        # cross() reads one kernel over its four vertices, or an explicit
+        # table; the predicate answers per model, so every backend is
+        # compared on every pair
         rng = random.Random(77)
         drawings = [
             gen_convex(9),
@@ -257,6 +259,22 @@ class TestCross:
         d = Drawing(n=4, model="explicit", crossings=frozenset({entry}))
         with pytest.raises(ValidationError, match=re.escape(message)):
             cross(d, (0, 2), (1, 3))
+
+    def test_explicit_looks_its_pair_up_without_a_kernel(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an explicit cross() built a crossing kernel")
+
+        monkeypatch.setattr(drawing, "crossing_masks", refuse)
+        monkeypatch.setattr(drawing, "_kernels", refuse)
+        d = random_explicit(random.Random(79), 9, density=0.4)
+        f = crossing_function(d)
+        for e1, e2 in independent_pairs(d.n):
+            assert cross(d, e1, e2) is f(*e1, *e2), (e1, e2)
+            assert cross(d, e2[::-1], e1) is f(*e1, *e2), (e1, e2)
+        # the grouping still runs first, so a stray entry is still rejected
+        bad = Drawing(n=4, model="explicit", crossings=frozenset({(4, 1)}))
+        with pytest.raises(ValidationError, match=re.escape("[4, 1]")):
+            cross(bad, (0, 2), (1, 3))
 
     def test_explicit_names_the_smallest_stray_entry(self):
         rng = random.Random(505)
