@@ -326,9 +326,10 @@ def crossing_masks(d: Drawing, order: Optional[Iterable[int]] = None):
     smaller than v (the half-circle also reads one sign row per vertex c,
     built on first use from two slices of the drawing's sign square and one
     gather into the order); points use half-plane masks memoised per
-    ordered vertex pair, each one big-int expression over the members'
-    coordinates packed one field per position, with the sign of every
-    field read from its top bit; explicit tables read the drawing's
+    vertex pair, one big-int expression over the members' coordinates
+    packed one field per position, relative to the pair's first vertex,
+    with the sign of every field read from its top bit, and the other
+    side of the pair as its complement; explicit tables read the drawing's
     grouping of crossings by edge and hold one mask per vertex c for each
     edge asked about.
     """
@@ -337,8 +338,9 @@ def crossing_masks(d: Drawing, order: Optional[Iterable[int]] = None):
 
 def _kernels(d: Drawing, order: Optional[Iterable[int]] = None):
     """(N, star): the kernel of ``crossing_masks`` and, for half-circle
-    drawings (else None), star(f, gs): for each position g in gs the masks
-    (N(h, vg, vf), N(h, vf, vg), N(vg, vf, h)), h = order[0], vp = order[p]."""
+    and points drawings (else None), star(f, gs): for each position g in gs
+    the masks (N(h, vg, vf), N(h, vf, vg), N(vg, vf, h)), h = order[0],
+    vp = order[p], read from what depends on h and vf once per call."""
     n = d.n
     order = range(n) if order is None else tuple(order)
     bits = [0] * n  # bits[v]: the bit standing for vertex v, 0 for non-members
@@ -429,33 +431,38 @@ def _kernels(d: Drawing, order: Optional[Iterable[int]] = None):
     if d.model == "points":
         pts = d.points
         sides = {}
+        rel = {}  # per vertex p, the packings X - px*ones and Y - py*ones
         # The members' coordinates packed into X and Y, one field of
-        # F = shift bits per position p.  orient(p, q, w) = dx*wy - dy*wx -
-        # (dx*py - dy*px) is linear in w and at most 8*M*M in magnitude for
-        # coordinates up to M, so each field of dx*Y - dy*X +
-        # (2**(F-1) - 1 - dx*py + dy*px) * ones lies in [0, 2**F) and has
-        # its top bit set iff the orientation is positive.
-        big = max((abs(z) for v in order for z in pts[v]), default=0)
-        width = ((8 * big * big + 1).bit_length() + 8) // 8  # bytes per field
+        # F = shift bits per position.  orient(p, q, w) = dx*(wy - py) -
+        # dy*(wx - px) is at most 2*W*H in magnitude for members spanning a
+        # W x H box, so each field of dx*(Y - py*ones) - dy*(X - px*ones) +
+        # (2**(F-1) - 1) * ones lies in [0, 2**F) and has its top bit set
+        # iff the orientation is positive.
+        xs, ys = [pts[v][0] for v in order], [pts[v][1] for v in order]
+        span = 2 * (max(xs) - min(xs)) * (max(ys) - min(ys)) if order else 0
+        width = (span.bit_length() + 8) // 8  # bytes per field
         shift = 8 * width
         X = Y = 0
-        for v in reversed(order):
-            X = (X << shift) + pts[v][0]
-            Y = (Y << shift) + pts[v][1]
+        for x, y in zip(reversed(xs), reversed(ys)):
+            X = (X << shift) + x
+            Y = (Y << shift) + y
         ones = int.from_bytes(b"\1".rjust(width, b"\0") * len(order), "big")
-        bias = (1 << (shift - 1)) - 1
+        bias = ((1 << (shift - 1)) - 1) * ones
         size = width * len(order)
 
         def left(p, q):
-            # the w with p, q, w counterclockwise
+            # the w with p, q, w counterclockwise; no three points are
+            # collinear, so every other member lies right of pq and one
+            # build fills both directions of the pair
             mask = sides.get((p, q))
             if mask is None:
                 (px, py), (qx, qy) = pts[p], pts[q]
-                dx, dy = qx - px, qy - py
-                t = dx * Y - dy * X + (bias - dx * py + dy * px) * ones
+                Xp, Yp = rel.get(p) or rel.setdefault(p, (X - px * ones, Y - py * ones))
+                t = (qx - px) * Yp - (qy - py) * Xp + bias
                 # the first byte of every field, highest position first
                 tops = t.to_bytes(size, "big")[::width].translate(_TOP)
                 mask = sides[p, q] = int(tops, 2)
+                sides[q, p] = dom & ~(mask | bits[p] | bits[q])
             return mask
 
         def straight(a, b, c):
@@ -464,7 +471,26 @@ def _kernels(d: Drawing, order: Optional[Iterable[int]] = None):
             across = left(b, a) if orient(pts[a], pts[b], pts[c]) > 0 else left(a, b)
             return across & (left(a, c) & left(c, b) | left(c, a) & left(b, c))
 
-        return straight, None
+        def star(f, gs):
+            # straight's three calls with no orient: N(a, b, c) is the side of
+            # ab away from c met with at_c, the w whose line cw passes between
+            # a and b, and bit f of hg, orient(h, vg, vf) > 0, tells each
+            # edge of the triangle which side its third vertex is on
+            hub, vf = order[0], order[f]
+            hf, fh = left(hub, vf), sides[vf, hub]
+            out = []
+            for g in gs:
+                vg = order[g]
+                hg, fg = left(hub, vg), left(vf, vg)
+                gh, gf = sides[vg, hub], sides[vg, vf]
+                at_vf, at_vg, at_h = hf & fg | fh & gf, hg & gf | gh & fg, gh & hf | hg & fh
+                if hg >> f & 1:
+                    out.append((gh & at_vf, hf & at_vg, fg & at_h))
+                else:
+                    out.append((hg & at_vf, fh & at_vg, gf & at_h))
+            return out
+
+        return straight, star
 
     # explicit
     off = _rank_offsets(n)

@@ -3,12 +3,15 @@
 import collections
 import dataclasses
 import itertools
+import math
 import random
 import re
+import sys
+import tracemalloc
 from typing import Callable, List, Optional, Tuple
 
 import pytest
-from test_drawing import crossing_function
+from test_drawing import MASK_DRAWINGS, crossing_function, random_points
 
 from cstg import chromatics, cli, codec, drawing
 from cstg.chromatics import (
@@ -561,6 +564,13 @@ def shuffled_view(d, seed):
     return AnchoredDrawing(base=d, v0=v0, order=tuple(order))
 
 
+def shuffled_horton(k, seed):
+    """The 2**k points of gen_horton(k) in a seeded random order."""
+    points = gen_horton(k)
+    random.Random(seed).shuffle(points)
+    return points
+
+
 def kernel_views():
     """(name, view) for every kind of anchored view."""
     yield "convex", anchored_view(gen_convex(11))
@@ -875,9 +885,41 @@ class TestStarReader:
             self.assert_star_reads_the_pairs(shuffled_view(d, seed), seed)
         for seed, ad in enumerate(random_anchored_views(16, 2324)):
             self.assert_star_reads_the_pairs(ad, seed)
+        for seed in range(24):
+            n = rng.randint(3, 30)
+            d = random_points(rng, n, rng.choice([1000, 10**12]))
+            self.assert_star_reads_the_pairs(shuffled_view(d, seed), seed)
+        for name in ("horton 16 negative", "horton 16 mixed signs", "horton 16 beyond 2**64"):
+            for seed in range(3):
+                self.assert_star_reads_the_pairs(shuffled_view(MASK_DRAWINGS[name], seed), seed)
 
-    @pytest.mark.parametrize("d", [gen_convex(9), gen_halfcircle(24, seed=3)],
-                             ids=["convex 9", "half-circle 24"])
+    def test_a_points_star_builds_each_vertex_pair_once(self):
+        # each hull edge has an empty side, so a half-plane mask of 0 must
+        # count as built; the other side of a pair is the complement of the
+        # side built, less the pair itself
+        points = [(0, 0), (9, 1), (10, 10), (1, 9), (3, 4), (6, 2), (4, 7), (7, 6)]
+        hull = [(0, 1), (1, 2), (2, 3), (3, 0)]
+        assert all(drawing.orient(points[q], points[p], w) < 0
+                   for p, q in hull for w in points if w not in (points[p], points[q]))
+        builds = 0
+
+        def counting(frame, event, arg):
+            nonlocal builds
+            builds += event == "c_call" and arg.__name__ == "to_bytes"
+
+        for seed in range(4):
+            ad = shuffled_view(gen_straightline(points), seed)
+            builds = 0
+            sys.setprofile(counting)
+            try:
+                self.assert_star_reads_the_pairs(ad, seed)
+            finally:
+                sys.setprofile(None)
+            assert builds == math.comb(len(points), 2), seed
+
+    @pytest.mark.parametrize("d", [gen_convex(9), gen_halfcircle(24, seed=3),
+                                   gen_straightline(shuffled_horton(4, 16))],
+                             ids=["convex 9", "half-circle 24", "shuffled horton 16"])
     def test_every_scan_names_a_flipped_triple_as_get_does(self, monkeypatch, tmp_path,
                                                            capsys, d):
         ad = anchored_view(d)
@@ -898,3 +940,36 @@ class TestStarReader:
         assert cli.dispatch(["tables", "chi", str(path), "--out", str(out)]) == 3
         assert capsys.readouterr().err == f"invalid input: ObservationViolated: {message}\n"
         assert not out.exists()
+
+
+class TestPointsStarCost:
+    def test_scans_read_no_orientation(self, monkeypatch):
+        # the star reads one bit of a half-plane mask where the pair reader
+        # asks orient: every scan finishes with orient raising
+        ad = anchored_view(gen_straightline(shuffled_horton(6, 24)))
+
+        def scans():
+            table = phi_table(ad)
+            return (validate_observation(ad), [table.column(i) for i in range(1, ad.n)],
+                    list(_chi_blocks(ChiCache(ad)._star, ad.n)))
+
+        want = scans()
+
+        def raising(p, q, r):
+            raise AssertionError("orient called")
+
+        monkeypatch.setattr(drawing, "orient", raising)
+        assert scans() == want
+        assert want[0].ok
+
+    def test_one_cross_allocates_no_square_table(self):
+        # a kernel per query: its memo holds the pairs asked, not n*n masks
+        d = gen_straightline(gen_horton(10))
+        drawing.cross(d, (0, 1), (2, 3))
+        tracemalloc.start()
+        try:
+            drawing.cross(d, (5, 700), (3, 1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
