@@ -25,8 +25,8 @@ crossing masks (:func:`cstg.drawing.crossing_masks`) in anchored order, bit
 p for the vertex at position p, so a pair's masks cost what three kernel
 reads cost: O(1) big-int operations for convex, twisted and half-circle
 drawings in any anchored order, one packed big-int half-plane mask per new
-ordered vertex pair for points, and one pass over the crossing table, on
-first use, for explicit drawings.  A single color builds only its pair's
+vertex pair for points (its complement is the other side), and one pass
+over the crossing table, on first use, for explicit drawings.  A single color builds only its pair's
 masks, and the scans are quadratic in mask operations.  Measured on seeded
 half-circle drawings (Python 3.11.7, one process on a shared 2-core machine):
 validate_observation takes 0.032-0.037 s at n = 256 and 0.56-0.81 s at
@@ -42,7 +42,8 @@ rest reads its two mask readers, which raise ``get``'s error for an invalid
 triple.  Extraction, plane paths and phi witnesses read whole color classes
 from one pair's masks (``ChiCache._pair``).  The scans read the pairs of
 one position with a run of others at once (``ChiCache._star``), and a
-half-circle star reads what depends on that position once:
+half-circle or points star reads what depends on that position once (a
+points star reads half-planes and no orientation):
 ``validate_observation`` and ``tables chi`` read anchor row i as star(i,
 range(i+1, n-1)), ``PhiTable`` column i as star(i, range(1, i)).
 """
