@@ -23,17 +23,18 @@ values to convert.
 Decoding only parses: shape, fields and integer types fail here with
 ParseError (and the explicit size cap before any crossing entry is read).
 Every drawing invariant is ``Drawing``'s own check, re-raised here as
-ValidationError with its message; decoding then groups an explicit table,
-which names its smallest bad entry.
+ValidationError with its message; decoding then groups an explicit table
+by edge, in document order, which names its smallest bad entry.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
+from itertools import chain, repeat
 from typing import Tuple
 
-from .drawing import Certificate, Drawing, _check_explicit_n
+from .drawing import Certificate, Drawing, _check_explicit_n, _seed_partners
 from .errors import CstgError, InvalidCertificate, ParseError, SizeLimit, ValidationError
 
 FORMAT_TAG = "cstg-1"
@@ -57,7 +58,7 @@ def encode_drawing(d: Drawing) -> str:
     elif d.model == "points":
         doc["params"] = {"points": [list(p) for p in d.points]}
     elif d.model == "explicit":
-        doc["crossings"] = sorted(list(p) for p in d.crossings)
+        doc["crossings"] = sorted(d.crossings)  # json writes a tuple as a list
     if d.rotations is not None:
         doc["rotations"] = [list(r) for r in d.rotations]
     if d.anchor is not None:
@@ -104,7 +105,7 @@ def decode_drawing(text: str) -> Drawing:
         raw = doc.get("crossings")
         if raw is None:
             raise ParseError("field 'crossings' missing for explicit model")
-        crossings = _decode_crossings(raw, n)
+        entries, crossings = _decode_crossings(raw, n)
         if "params" in doc:
             raise ParseError("explicit model takes no 'params'")
     elif model in ("convex", "twisted"):
@@ -124,27 +125,39 @@ def decode_drawing(text: str) -> Drawing:
     except CstgError as exc:
         raise ValidationError(str(exc)) from exc
     if model == "explicit":
-        d._partners  # group the table once: rejects its smallest bad entry
+        _seed_partners(d, entries)
+        d._partners  # group the table once, in document order: rejects its smallest bad entry
     return d
 
 
-def _decode_crossings(raw, n: int) -> frozenset:
+def _decode_crossings(raw, n: int) -> Tuple[list, frozenset]:
+    """The table's entries as tuples in document order, and their set."""
     if not isinstance(raw, list):
         raise ParseError("field 'crossings' must be a list of rank pairs")
     _check_explicit_n(n)  # a huge n fails before its entries are read
-    pairs = set()
-    for entry in raw:
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise ParseError(f"crossing entry {entry!r} is not a pair")
-        r1, r2 = entry
-        # _require_ints inlined: this runs once per entry of a quartic table
-        if type(r1) is not int or type(r2) is not int:
-            raise ParseError(f"field 'crossings': entry {entry!r} is not integer")
-        pairs.add((r1, r2))  # as written: Drawing rejects one out of rank order
-    if len(pairs) != len(raw):
-        entry = next(e for e, count in Counter(map(tuple, raw)).items() if count > 1)
+    # one C-level pass per check over a quartic table (type() of a bool is
+    # not int); the loop below only runs to name the first bad entry
+    if not (
+        set(map(type, raw)) <= {list}
+        and set(map(len, raw)) <= {2}
+        and set(map(type, chain.from_iterable(raw))) <= {int}
+    ):
+        for entry in raw:
+            if not (isinstance(entry, list) and len(entry) == 2):
+                raise ParseError(f"crossing entry {entry!r} is not a pair")
+            r1, r2 = entry
+            if type(r1) is not int or type(r2) is not int:
+                raise ParseError(f"field 'crossings': entry {entry!r} is not integer")
+    # as written (Drawing rejects an entry out of rank order), in document
+    # order: popping each parsed list as its tuple is built frees the lists
+    # one at a time, not after the last tuple
+    raw.reverse()
+    entries = list(map(tuple, map(raw.pop, repeat(-1, len(raw)))))
+    crossings = frozenset(entries)
+    if len(crossings) != len(entries):
+        entry = next(e for e, count in Counter(entries).items() if count > 1)
         raise ParseError(f"field 'crossings': entry {list(entry)} is repeated")
-    return frozenset(pairs)
+    return entries, crossings
 
 
 def _decode_rotations(raw, n: int) -> Tuple[Tuple[int, ...], ...]:

@@ -22,7 +22,10 @@ drawing's sign square and one gather into the order, a points half-plane
 mask is one big-int expression over the members' packed coordinates.  An
 explicit table is grouped by edge once per drawing, on first use, and
 every kernel on that drawing shares the grouping; an entry that names no
-independent pair in rank order raises ValidationError there.
+independent pair in rank order raises ValidationError there.  Decoding
+groups in document order and a restriction in rank order, each in one
+pass over its entries as they were read or built; a table built by hand
+is grouped from its set.
 
 Every other invariant is checked when a ``Drawing`` is built: n, the model
 and its one payload, the size cap, the signs, the point set (distinct int
@@ -250,10 +253,12 @@ class Drawing:
     def _partners(self) -> list:
         """Explicit model: per edge rank, the independent edges that cross it.
 
-        Built on first use (the codec's decode is one) and kept with the
-        drawing, so every kernel on it shares one pass over the table.  A
-        table entry that names no independent pair in rank order raises
-        ValidationError for the smallest such entry.
+        Built on first use and kept with the drawing, so every kernel on it
+        shares one pass over the table: over the entries in the order
+        ``_seed_partners`` recorded (decoding and ``induced_subdrawing`` do),
+        else over the frozenset in hash order.  A table entry that names no
+        independent pair in rank order raises ValidationError for the
+        smallest such entry.
         """
         n = self.n
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -261,7 +266,7 @@ class Drawing:
         partners = [[] for _ in edges]
         m = len(edges)
         stray = []
-        for r1, r2 in self.crossings:
+        for r1, r2 in self.__dict__.pop("_entries", self.crossings):
             if 0 <= r1 < r2 < m and not ends[r1] & ends[r2]:
                 partners[r1].append(edges[r2])
                 partners[r2].append(edges[r1])
@@ -293,6 +298,14 @@ class Drawing:
         # the signs of (w, v) for w < v are column v of the square, those of
         # (v, w) for w > v the tail of its row v
         return square[v::n][:v] + "L" + square[v * n + v + 1:(v + 1) * n]
+
+
+def _seed_partners(d: Drawing, entries: Sequence[Tuple[int, int]]) -> None:
+    """Have explicit drawing d group its table, on first use, from
+    ``entries``: the entries of ``d.crossings`` in the caller's order.  In
+    document or rank order the grouping reads them in sequence; the
+    frozenset's hash order scatters the reads across memory."""
+    d.__dict__["_entries"] = entries
 
 
 def cross(d: Drawing, e1, e2) -> bool:
@@ -582,13 +595,15 @@ def induced_subdrawing(d: Drawing, vs: Sequence[int]) -> Drawing:
         keep = set(vs)
         anchor = (back[v0], tuple(back[u] for u in order if u in keep))
 
-    return Drawing(
+    sub = Drawing(
         n=m,
         model="explicit",
         crossings=frozenset(pairs),
         rotations=rotations,
         anchor=anchor,
     )
+    _seed_partners(sub, pairs)  # built in rank order
+    return sub
 
 
 @dataclass(frozen=True)

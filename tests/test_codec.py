@@ -1,9 +1,13 @@
 """Canonical serialization: round trips, determinism, validation."""
 
 import dataclasses
+import itertools
+import json
 import random
+from collections import Counter
 
 import pytest
+from test_fuzz import random_explicit
 
 from cstg.codec import (
     decode_certificate,
@@ -11,7 +15,17 @@ from cstg.codec import (
     encode_certificate,
     encode_drawing,
 )
-from cstg.drawing import CONVEX, Certificate, Drawing, edge_index, induced_subdrawing
+from cstg.drawing import (
+    CONVEX,
+    EXPLICIT_N_CAP,
+    TWISTED,
+    Certificate,
+    Drawing,
+    cross,
+    edge_index,
+    induced_subdrawing,
+    verify_certificate,
+)
 from cstg.errors import (
     CstgError,
     DegenerateInput,
@@ -565,3 +579,76 @@ class TestRoundTripProperty:
             assert decode_drawing(encode_drawing(d)) == d, kwargs
         # both sides of the property are exercised
         assert built >= 60 and rejected >= 20, (built, rejected)
+
+
+def canonical(doc) -> str:
+    """A document as the codec writes it, for documents built by hand."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+class TestExplicitTables:
+    def test_shuffled_entries_group_in_document_order(self):
+        rng = random.Random(2531)
+        order = list(range(14))
+        rng.shuffle(order)
+        for x in (
+            induced_subdrawing(gen_twisted(12), range(12)),
+            induced_subdrawing(gen_halfcircle(14, seed=3), order),
+        ):
+            doc = json.loads(encode_drawing(x))
+            rng.shuffle(doc["crossings"])
+            d = decode_drawing(canonical(doc))
+            assert d == x
+            # the grouping lists each edge's partners in document order ...
+            edges = list(itertools.combinations(range(d.n), 2))
+            want = [[] for _ in edges]
+            for r1, r2 in doc["crossings"]:
+                want[r1].append(edges[r2])
+                want[r2].append(edges[r1])
+            assert d._partners == want
+            # ... and holds, rank by rank, what grouping the set itself holds
+            by_set = Drawing(n=d.n, model="explicit", crossings=d.crossings)._partners
+            assert len(by_set) == len(edges)
+            for r, (group, other) in enumerate(zip(d._partners, by_set)):
+                assert Counter(group) == Counter(other), r
+            for kind in (CONVEX, TWISTED):
+                cert = Certificate(kind, tuple(range(d.n)))
+                by_set = Drawing(n=d.n, model="explicit", crossings=d.crossings)
+                assert verify_certificate(d, cert) == verify_certificate(by_set, cert)
+
+    def test_a_boolean_rank_is_not_integer(self):
+        doc = '{"crossings":[[1,4],[true,3]],"format":"cstg-1","model":"explicit","n":4}'
+        with pytest.raises(ParseError) as info:
+            decode_drawing(doc)
+        assert str(info.value) == "field 'crossings': entry [True, 3] is not integer"
+
+    def test_drawing_invariants_come_before_the_entries(self):
+        # vertex 3's rotation repeats 1, and [0, 1] joins edges that share
+        # vertex 0: the drawing's own check speaks first
+        doc = (
+            '{"crossings":[[0,1]],"format":"cstg-1","model":"explicit","n":4,'
+            '"rotations":[[1,2,3],[0,2,3],[0,1,3],[0,1,1]]}'
+        )
+        with pytest.raises(ValidationError) as info:
+            decode_drawing(doc)
+        assert str(info.value) == "rotation at vertex 3 is not a permutation of the others"
+
+    @pytest.mark.parametrize("n", [4, EXPLICIT_N_CAP])
+    def test_empty_table_decodes(self, n):
+        text = '{"crossings":[],"format":"cstg-1","model":"explicit","n":%d}\n' % n
+        d = decode_drawing(text)
+        assert d.crossings == frozenset()
+        assert len(d._partners) == n * (n - 1) // 2
+        assert not cross(d, (0, 2), (1, 3))
+        assert encode_drawing(d) == text
+
+    def test_encoding_equals_the_sorted_list_form(self):
+        rng = random.Random(2533)
+        for n in (4, 9, 16, 23):
+            d = random_explicit(rng, n, density=0.4)
+            # entries out of rank order or range are written as they are
+            stray = Drawing(n=n, model="explicit", crossings=d.crossings | {(9, 2), (-1, 40)})
+            for x in (d, stray):
+                old = {"crossings": sorted(list(p) for p in x.crossings),
+                       "format": "cstg-1", "model": "explicit", "n": n}
+                assert encode_drawing(x) == canonical(old)

@@ -418,6 +418,18 @@ class TestInducedSubdrawing:
             vs = rng.sample(range(d.n), rng.randint(2, d.n))
             assert induced_subdrawing(d, vs).crossings == reference_restriction(d, vs), vs
 
+    def test_groups_its_table_in_rank_order(self):
+        # a restriction groups the pairs it built in rank order, not its
+        # set's hash order: each edge's partners come out sorted by rank
+        rng = random.Random(2537)
+        vs = rng.sample(range(16), 13)
+        sub = induced_subdrawing(gen_halfcircle(16, seed=8), vs)
+        by_set = Drawing(n=sub.n, model="explicit", crossings=sub.crossings)._partners
+        assert len(sub._partners) == len(by_set) == math.comb(13, 2)
+        for group, other in zip(sub._partners, by_set):
+            assert group == sorted(other)
+        assert "_entries" not in vars(sub)  # the pair list goes once grouped
+
     def test_size_cap_fails_before_the_quartic_loop(self):
         d = gen_convex(300)
         t0 = time.monotonic()
