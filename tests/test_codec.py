@@ -130,6 +130,22 @@ class TestGoldenDocuments:
             '{"crossings":[[1,4]],"format":"cstg-1","model":"explicit","n":4}\n'
         )
 
+    def test_points_document_bytes(self):
+        d = gen_straightline([(0, 0), (5, -2), (1, 3)])
+        assert encode_drawing(d) == (
+            '{"format":"cstg-1","model":"points","n":3,'
+            '"params":{"points":[[0,0],[5,-2],[1,3]]}}\n'
+        )
+
+    def test_explicit_document_with_rotations_and_anchor_bytes(self):
+        explicit = induced_subdrawing(gen_convex(4), range(4))
+        d = dataclasses.replace(explicit, anchor=(0, (3, 2, 1)))
+        assert encode_drawing(d) == (
+            '{"anchor":{"order":[3,2,1],"v0":0},"crossings":[[1,4]],'
+            '"format":"cstg-1","model":"explicit","n":4,'
+            '"rotations":[[1,2,3],[2,3,0],[3,0,1],[0,1,2]]}\n'
+        )
+
     def test_certificate_document_bytes(self):
         cert = Certificate(CONVEX, (2, 0, 1))
         assert encode_certificate(cert) == '{"kind":"convex","vertices":[2,0,1]}\n'
