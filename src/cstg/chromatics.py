@@ -97,12 +97,6 @@ def _pair_masks(ad: AnchoredDrawing):
             raise _violated(i, j, ri, rj, x, ks)
         return ri, rj, x
 
-    if star is None:
-
-        def star(f, gs):
-            vf = at[f]
-            return [(N(v0, at[g], vf), N(v0, vf, at[g]), N(at[g], vf, v0)) for g in gs]
-
     return pair, star
 
 

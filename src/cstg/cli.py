@@ -17,7 +17,7 @@ from typing import List, Optional
 
 from . import codec, generators, oracles, svg
 from .chromatics import ChiCache, _chi_blocks, phi_table, validate_observation
-from .drawing import CONVEX, TWISTED, Certificate, _certified, verify_certificate
+from .drawing import CONVEX, MODELS, TWISTED, Certificate, _certified, verify_certificate
 from .errors import (
     BudgetExhausted,
     CstgError,
@@ -160,8 +160,9 @@ def _self_check(d) -> int:
     if codec.encode_drawing(codec.decode_drawing(text)) != text:
         print("self-check: codec round-trip failed", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    if d.model in ("convex", "twisted"):  # the whole drawing is the pattern
-        report = verify_certificate(d, Certificate(d.model, tuple(range(d.n))))
+    pattern = MODELS[d.model].pattern
+    if pattern:  # the whole drawing is the pattern
+        report = verify_certificate(d, Certificate(pattern, tuple(range(d.n))))
     else:
         ad = generators.anchored_view(d)
         obs = validate_observation(ad)

@@ -34,7 +34,7 @@ from collections import Counter
 from itertools import chain, repeat
 from typing import Tuple
 
-from .drawing import Certificate, Drawing, _check_explicit_n, _seed_partners
+from .drawing import MODELS, Certificate, Drawing, _check_explicit_n, _seed_partners
 from .errors import CstgError, InvalidCertificate, ParseError, SizeLimit, ValidationError
 
 FORMAT_TAG = "cstg-1"
@@ -51,14 +51,37 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _parse(text: str):
+    """The JSON value of a document; ParseError for anything ``json.loads``
+    refuses (a syntax error, an integer literal past Python's digit limit,
+    nesting past the recursion limit) and for a repeated key."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError:  # the only other ValueError json.loads raises
+        raise ParseError("an integer literal has too many digits") from None
+    except RecursionError:
+        raise ParseError("document nested too deeply") from None
+
+
+def _unique_keys(pairs) -> dict:
+    """One JSON object; a key given twice would be read last-wins."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        key = next(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
+        raise ParseError(f"field {key!r} is repeated")
+    return obj
+
+
 def encode_drawing(d: Drawing) -> str:
     doc = {"format": FORMAT_TAG, "model": d.model, "n": d.n}
-    if d.model == "halfcircle":
-        doc["params"] = {"signs": d.signs}
-    elif d.model == "points":
-        doc["params"] = {"points": [list(p) for p in d.points]}
-    elif d.model == "explicit":
-        doc["crossings"] = sorted(d.crossings)  # json writes a tuple as a list
+    field = MODELS[d.model].payload
+    # json writes a tuple as a list
+    if field == "crossings":
+        doc["crossings"] = sorted(d.crossings)
+    elif field is not None:
+        doc["params"] = {field: getattr(d, field)}
     if d.rotations is not None:
         doc["rotations"] = [list(r) for r in d.rotations]
     if d.anchor is not None:
@@ -67,10 +90,7 @@ def encode_drawing(d: Drawing) -> str:
 
 
 def decode_drawing(text: str) -> Drawing:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    doc = _parse(text)
     if not isinstance(doc, dict):
         raise ParseError("document is not an object")
     if doc.get("format") != FORMAT_TAG:
@@ -86,45 +106,44 @@ def decode_drawing(text: str) -> Drawing:
     if extra:
         raise ParseError(f"unknown fields {sorted(extra)}")
 
+    # an unknown model reads no payload here, and Drawing names it
+    spec = MODELS[model] if isinstance(model, str) and model in MODELS else None
+    payload = spec and spec.payload
     params = doc.get("params", {})
-    signs = points = crossings = None
-    if model == "halfcircle":
-        signs = params.get("signs") if isinstance(params, dict) else None
-        if not isinstance(signs, str):
+    raw = params.get(payload) if isinstance(params, dict) else None
+    fields = {}
+    if payload == "signs":
+        if not isinstance(raw, str):
             raise ParseError("field 'params.signs' missing for halfcircle model")
-    elif model == "points":
-        raw = params.get("points") if isinstance(params, dict) else None
+        fields["signs"] = raw
+    elif payload == "points":
         if not isinstance(raw, list) or len(raw) != n:
             raise ParseError("field 'params.points' must list n integer pairs")
         for p in raw:
             if not (isinstance(p, list) and len(p) == 2):
                 raise ParseError(f"field 'params.points': {p!r} is not a pair")
             _require_ints(p, "params.points")
-        points = tuple((x, y) for x, y in raw)
-    elif model == "explicit":
+        fields["points"] = tuple((x, y) for x, y in raw)
+    elif payload == "crossings":
         raw = doc.get("crossings")
         if raw is None:
             raise ParseError("field 'crossings' missing for explicit model")
-        entries, crossings = _decode_crossings(raw, n)
-        if "params" in doc:
-            raise ParseError("explicit model takes no 'params'")
-    elif model in ("convex", "twisted"):
-        if "params" in doc:
-            raise ParseError(f"{model} model takes no 'params'")
-    if model != "explicit" and "crossings" in doc:
+        entries, fields["crossings"] = _decode_crossings(raw, n)
+    if spec and payload in (None, "crossings") and "params" in doc:
+        raise ParseError(f"{model} model takes no 'params'")
+    if payload != "crossings" and "crossings" in doc:
         raise ParseError("'crossings' is only valid for the explicit model")
 
     rotations = _decode_rotations(doc["rotations"], n) if "rotations" in doc else None
     anchor = _decode_anchor(doc["anchor"]) if "anchor" in doc else None
 
     try:
-        d = Drawing(n=n, model=model, crossings=crossings, signs=signs, points=points,
-                    rotations=rotations, anchor=anchor)
+        d = Drawing(n=n, model=model, rotations=rotations, anchor=anchor, **fields)
     except (ValidationError, SizeLimit):
         raise
     except CstgError as exc:
         raise ValidationError(str(exc)) from exc
-    if model == "explicit":
+    if payload == "crossings":
         _seed_partners(d, entries)
         d._partners  # group the table once, in document order: rejects its smallest bad entry
     return d
@@ -186,10 +205,7 @@ def encode_certificate(c: Certificate) -> str:
 
 
 def decode_certificate(text: str) -> Certificate:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    doc = _parse(text)
     if not isinstance(doc, dict) or "kind" not in doc or "vertices" not in doc:
         raise ParseError("certificate document must carry 'kind' and 'vertices'")
     vs = doc["vertices"]

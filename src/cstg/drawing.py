@@ -2,11 +2,12 @@
 
 A drawing is fully described by its crossing relation on independent edge
 pairs.  The relation is either stored explicitly (set of crossing edge-rank
-pairs) or given implicitly by a family rule (convex / twisted / half-circle /
-straight-line points).  Optional payloads: a rotation system (counterclockwise
-cyclic order of neighbors around each vertex) and an anchor (a vertex
-certified on the unbounded cell together with the clockwise order of the
-remaining vertices around it).
+pairs) or given implicitly by a family rule.  What a model is (its payload,
+crossing kernel, drawn rotation, unbounded-cell anchor and geometry) is
+decided in one class per model, found by name in ``MODELS``.  Optional
+payloads: a rotation system (counterclockwise cyclic order of neighbors
+around each vertex) and an anchor (a vertex certified on the unbounded cell
+together with the clockwise order of the remaining vertices around it).
 
 Every crossing question reads one kernel, ``crossing_masks``: N(a, b, c) =
 {w : edge ab crosses edge cw} as a Python int whose bit p stands for the
@@ -17,15 +18,12 @@ all read it; a single :func:`cross` query looks an explicit table up, or
 builds a kernel over its four vertices and pays O(n) array set-up.  Convex
 or twisted certificates of m vertices cost C(m,3) mask tests, not 3*C(m,4)
 single-pair tests.  Each kernel row is built by a few whole-row operations,
-not a loop over its vertices: a half-circle row is two slices of the
-drawing's sign square and one gather into the order, a points half-plane
-mask is one big-int expression over the members' packed coordinates.  An
-explicit table is grouped by edge once per drawing, on first use, and
-every kernel on that drawing shares the grouping; an entry that names no
-independent pair in rank order raises ValidationError there.  Decoding
-groups in document order and a restriction in rank order, each in one
-pass over its entries as they were read or built; a table built by hand
-is grouped from its set.
+not a loop over its vertices.  An explicit table is grouped by edge once
+per drawing, on first use, and every kernel on that drawing shares the
+grouping; an entry that names no independent pair in rank order raises
+ValidationError there.  Decoding groups in document order and a
+restriction in rank order, each in one pass over its entries as they were
+read or built; a table built by hand is grouped from its set.
 
 Every other invariant is checked when a ``Drawing`` is built: n, the model
 and its one payload, the size cap, the signs, the point set (distinct int
@@ -38,21 +36,25 @@ Vertices are 0-based everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, cmp_to_key, lru_cache
 from itertools import accumulate
 from math import comb, gcd
 from operator import itemgetter, or_
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import (
+    AnchorUnavailable,
     DegenerateInput,
+    GeometryMissing,
     InternalInvariantBroken,
     InvalidCertificate,
     InvalidEdge,
     InvalidSelection,
     InvalidSigns,
     NotIndependent,
+    RotationMissing,
     SizeLimit,
     ValidationError,
 )
@@ -61,8 +63,7 @@ from .errors import (
 # memory and only implicit families are allowed.
 EXPLICIT_N_CAP = 256
 
-MODELS = ("explicit", "convex", "twisted", "halfcircle", "points")
-_PAYLOADS = (("crossings", "explicit"), ("signs", "halfcircle"), ("points", "points"))
+SAMPLES_PER_TURN = 96  # points per rendered arc
 _BITS = str.maketrans("UL", "10")  # half-circle signs as upper-arc bits
 _TOP = bytes.maketrans(bytes(range(256)), b"0" * 128 + b"1" * 128)  # a byte's top bit
 
@@ -105,48 +106,6 @@ def _check_explicit_n(n: int) -> None:
         raise SizeLimit(f"explicit backend capped at n={EXPLICIT_N_CAP}, got {n}")
 
 
-def _check_signs(n: int, signs) -> None:
-    """A half-circle sign vector: one U or L per edge rank."""
-    want = n * (n - 1) // 2
-    if not isinstance(signs, str):
-        raise InvalidSigns(f"sign vector missing, expected C({n},2)={want} symbols")
-    if len(signs) != want:
-        raise InvalidSigns(f"sign vector length {len(signs)}, expected C({n},2)={want}")
-    # one table-driven pass over the bytes; str.count was ~15x slower at n=160
-    if not signs.isascii() or signs.encode().translate(None, b"UL"):
-        raise InvalidSigns("sign vector must use only U and L")
-
-
-def _check_points(n: int, points) -> None:
-    """n pairs of Python ints, pairwise distinct, no three on a line."""
-    if not (type(points) is tuple and len(points) == n):
-        raise InvalidSelection(f"points must be a tuple of n={n} integer pairs")
-    seen = {}
-    for idx, p in enumerate(points):
-        if not (type(p) is tuple and len(p) == 2 and type(p[0]) is type(p[1]) is int):
-            raise InvalidSelection(f"point {idx} {p!r} is not a pair of integers")
-        if p in seen:
-            raise DegenerateInput(f"duplicate point {p} at indices {seen[p]} and {idx}")
-        seen[p] = idx
-    # a, b, c are collinear iff the directions a->b and a->c reduce to the
-    # same primitive vector up to sign: O(n^2) gcds instead of O(n^3)
-    # orientations.  The first a with a repeated direction, then the class
-    # with the smallest first member, name the lexicographically first triple.
-    for a, (ax, ay) in enumerate(points):
-        first = {}
-        found = None
-        for b, (bx, by) in enumerate(points[a + 1:], a + 1):
-            dx, dy = bx - ax, by - ay
-            g = gcd(dx, dy)
-            if dx < 0 or not dx and dy < 0:
-                g = -g
-            b0 = first.setdefault((dx // g, dy // g), b)
-            if b0 != b and (found is None or b0 < found[0]):
-                found = b0, b
-        if found:
-            raise DegenerateInput(f"collinear triple ({a},{found[0]},{found[1]})")
-
-
 def _is_order(seq, n: int, v: int) -> bool:
     """seq is a tuple of Python ints listing every vertex but v once."""
     return (
@@ -186,17 +145,11 @@ def orient(p, q, r) -> int:
 class Drawing:
     """Complete simple topological graph on n vertices.
 
-    Exactly one backend is populated according to ``model``:
-
-    * ``explicit``   -- ``crossings``: set of (rank1, rank2) with rank1 < rank2
-    * ``convex``     -- no parameters (regular n-gon)
-    * ``twisted``    -- no parameters (spiral realization, vertex v at radius v+1)
-    * ``halfcircle`` -- ``signs``: U/L per edge rank
-    * ``points``     -- ``points``: integer coordinates, general position
-
+    ``model`` names an entry of ``MODELS``; of ``crossings``, ``signs`` and
+    ``points``, only the field that model takes (its ``payload``) is set.
     ``rotations`` and ``anchor`` are stored payloads (decoded documents or
-    induced drawings); for implicit families they are derived on demand by
-    :mod:`cstg.generators`.
+    induced drawings); for implicit families the model derives them on
+    demand.
     """
 
     n: int
@@ -211,19 +164,13 @@ class Drawing:
         n = self.n
         if type(n) is not int or n < 2:
             raise InvalidSelection(f"drawing needs an integer n >= 2, got {n!r}")
-        if self.model not in MODELS:
+        if not isinstance(self.model, str) or self.model not in MODELS:
             raise InvalidSelection(f"unknown model {self.model!r}")
-        for field, owner in _PAYLOADS:
-            if getattr(self, field) is not None and self.model != owner:
+        model = MODELS[self.model]
+        for field in ("crossings", "signs", "points"):
+            if getattr(self, field) is not None and field != model.payload:
                 raise InvalidSelection(f"a {self.model} drawing takes no {field}")
-        if self.model == "explicit":
-            _check_explicit_n(n)
-            if self.crossings is None:
-                raise InvalidSelection("an explicit drawing needs a crossings table")
-        elif self.model == "halfcircle":
-            _check_signs(n, self.signs)
-        elif self.model == "points":
-            _check_points(n, self.points)
+        model.check(self)
         rotations = self.rotations
         if rotations is not None:
             if not (type(rotations) is tuple and len(rotations) == n):
@@ -334,26 +281,16 @@ def crossing_masks(d: Drawing, order: Optional[Iterable[int]] = None):
     Bit p of every result stands for vertex ``order[p]`` (default: bit v for
     vertex v).  a, b, c are distinct members of ``order``, and bit p is set
     iff ``order[p]`` is another member whose edge to c crosses edge ab.
-    Convex, twisted and half-circle drawings answer with O(1) big-int
-    operations in any order, from ``below[v]``, the bits of the members
-    smaller than v (the half-circle also reads one sign row per vertex c,
-    built on first use from two slices of the drawing's sign square and one
-    gather into the order); points use half-plane masks memoised per
-    vertex pair, one big-int expression over the members' coordinates
-    packed one field per position, relative to the pair's first vertex,
-    with the sign of every field read from its top bit, and the other
-    side of the pair as its complement; explicit tables read the drawing's
-    grouping of crossings by edge and hold one mask per vertex c for each
-    edge asked about.
+    The drawing's model builds the kernel (see its class).
     """
     return _kernels(d, order)[0]
 
 
 def _kernels(d: Drawing, order: Optional[Iterable[int]] = None):
-    """(N, star): the kernel of ``crossing_masks`` and, for half-circle
-    and points drawings (else None), star(f, gs): for each position g in gs
-    the masks (N(h, vg, vf), N(h, vf, vg), N(vg, vf, h)), h = order[0],
-    vp = order[p], read from what depends on h and vf once per call."""
+    """(N, star): the kernel of ``crossing_masks`` and star(f, gs): for each
+    position g in gs the masks (N(h, vg, vf), N(h, vf, vg), N(vg, vf, h)),
+    h = order[0], vp = order[p].  A model's own star reads what depends on h
+    and vf once per call; the default calls N three times per g."""
     n = d.n
     order = range(n) if order is None else tuple(order)
     bits = [0] * n  # bits[v]: the bit standing for vertex v, 0 for non-members
@@ -362,10 +299,47 @@ def _kernels(d: Drawing, order: Optional[Iterable[int]] = None):
 
     # the members strictly between a and b are below[b] ^ below[a + 1]
     below = tuple(accumulate(bits, or_, initial=0))
-    dom = below[n]
+    N, star = MODELS[d.model].kernel(d, order, bits, below, below[n])
+    if star is None:
 
-    if d.model == "convex":
+        def star(f, gs):
+            hub, vf = order[0], order[f]
+            return [(N(hub, order[g], vf), N(hub, vf, order[g]), N(order[g], vf, hub))
+                    for g in gs]
 
+    return N, star
+
+
+class _Model:
+    """What one drawing model decides.  ``payload`` is the ``Drawing`` field it
+    takes, and ``check(d)`` checks it; ``kernel`` gives ``_kernels`` its (N,
+    star or None); ``rotation(d, v)`` is the drawn ccw rotation at v,
+    ``anchor(d)`` the default vertex on the unbounded cell, and ``cut(d, v0,
+    ccw)`` the position in ccw of the germ after that cell's gap at v0 (else
+    AnchorUnavailable); ``turn`` holds the sweeps of a whole arc (None for
+    straight edges), which ``arc`` and ``germ_sweep`` take; ``pattern`` is
+    CONVEX or TWISTED when the whole drawing is that pattern.
+    """
+
+    payload = None
+    pattern = None
+    turn = None
+
+    def check(self, d: Drawing) -> None:
+        pass
+
+    def cut(self, d: Drawing, v0: int, ccw: Tuple[int, ...]) -> int:
+        return 0
+
+
+class _Convex(_Model):
+    """Regular n-gon.  Edges ab and cw cross iff exactly one of c, w lies
+    strictly between a and b.  Any vertex anchors, its gap right before the
+    first germ."""
+
+    pattern = CONVEX
+
+    def kernel(self, d, order, bits, below, dom):
         def interleaved(a, b, c):
             # exactly one of c, w strictly between a and b
             if a > b:
@@ -376,8 +350,30 @@ def _kernels(d: Drawing, order: Optional[Iterable[int]] = None):
 
         return interleaved, None
 
-    if d.model == "twisted":
+    def rotation(self, d, v):
+        # all germs point into the polygon; ccw order is increasing label
+        return tuple((v + t) % d.n for t in range(1, d.n))
 
+    def anchor(self, d):
+        return 0
+
+    def positions(self, d):
+        angles = [2 * math.pi * v / d.n for v in range(d.n)]
+        return [(math.cos(t), math.sin(t)) for t in angles]
+
+
+class _Twisted(_Model):
+    """Spiral realization: vertex i at radius i+1 on the positive x-axis, edge
+    {i,j} (i<j) sweeps counterclockwise from radius i+1 at angle 0 to j+1 at
+    angle 2*pi, linear in angle, so nested index pairs cross exactly once
+    and interleaved pairs never.  Only the outermost vertex anchors, its gap
+    right before the first germ.  An arc is swept by the fraction of its
+    turn from its smaller end."""
+
+    pattern = TWISTED
+    turn = [t / SAMPLES_PER_TURN for t in range(SAMPLES_PER_TURN + 1)]
+
+    def kernel(self, d, order, bits, below, dom):
         def nested(a, b, c):
             if a > b:
                 a, b = b, a
@@ -389,11 +385,70 @@ def _kernels(d: Drawing, order: Optional[Iterable[int]] = None):
 
         return nested, None
 
-    if d.model == "halfcircle":
+    def rotation(self, d, v):
+        # arcs to larger indices start here going up-right (angles in
+        # (0, 90): sharper slope = closer to the axis), arcs from smaller
+        # indices arrive from below-left (angles in (180, 270))
+        return tuple(range(d.n - 1, v, -1)) + tuple(range(v))
+
+    def anchor(self, d):
+        return d.n - 1  # outermost spiral vertex
+
+    def cut(self, d, v0, ccw):
+        if v0 != d.n - 1:
+            raise AnchorUnavailable(
+                "only the outermost spiral vertex is certified on the unbounded cell"
+            )
+        return 0
+
+    def positions(self, d):
+        return [(v + 1.0, 0.0) for v in range(d.n)]
+
+    def arc(self, d, pos, u, w, sweeps):
+        a, b = sorted_pair(u, w)
+        ra, rb = float(a + 1), float(b + 1)
+        pts = []
+        for s in sweeps:
+            rho, th = ra + (rb - ra) * s, 2 * math.pi * s
+            pts.append((rho * math.cos(th), rho * math.sin(th)))
+        return pts
+
+    def germ_sweep(self, pos, v, u, eps):
+        # eps over about the length of the arc, from the end at v
+        i, j = sorted_pair(v, u)
+        ri, rj = float(i + 1), float(j + 1)
+        span = abs(rj - ri) + 2 * math.pi * max(ri, rj)
+        return eps / span if v == i else 1.0 - eps / span
+
+
+class _HalfCircle(_Twisted):
+    """Vertex v at (v+1, 0), edge e a semicircle above (U) or below (L) by
+    ``signs[e]``; same-side strictly interleaving edges cross.  Germs leave
+    vertically, ordered by curvature 2/|x_j - x_i| (sharper arcs deviate
+    further).  Only the leftmost vertex anchors, its gap after its upper
+    germs.  An arc is swept by the angle from its right end.  A kernel row is
+    two slices of the sign square and one gather into the order."""
+
+    payload = "signs"
+    pattern = None
+    turn = [math.pi * t / SAMPLES_PER_TURN for t in range(SAMPLES_PER_TURN + 1)]
+
+    def check(self, d):
+        n, signs = d.n, d.signs
+        want = n * (n - 1) // 2
+        if not isinstance(signs, str):
+            raise InvalidSigns(f"sign vector missing, expected C({n},2)={want} symbols")
+        if len(signs) != want:
+            raise InvalidSigns(f"sign vector length {len(signs)}, expected C({n},2)={want}")
+        # one table-driven pass over the bytes; str.count was ~15x slower at n=160
+        if not signs.isascii() or signs.encode().translate(None, b"UL"):
+            raise InvalidSigns("sign vector must use only U and L")
+
+    def kernel(self, d, order, bits, below, dom):
         # interleaved as in the convex model, with arc cw on the side of arc
         # ab: N(a, b, c) is c's row of upper arcs (lower if ab is lower) within
         # the members strictly outside a..b if c is strictly inside, else inside
-        signs = d.signs
+        n, signs = d.n, d.signs
         off = _rank_offsets(n)
         gt = [dom ^ m for m in below[1:]]  # per vertex v, the members above v
         rows = [None] * n  # per vertex c, the w whose arc cw is upper, lower
@@ -441,7 +496,77 @@ def _kernels(d: Drawing, order: Optional[Iterable[int]] = None):
 
         return halfcircle, star
 
-    if d.model == "points":
+    def rotation(self, d, v):
+        # all upper germs point straight up, lower germs straight down;
+        # sharper arcs (closer endpoints) deviate further toward their side
+        row = d._sign_row(v)
+        ccw = [*range(v + 1, d.n), *range(v)]
+        return tuple(j for j in ccw if row[j] == "U") + tuple(
+            j for j in reversed(ccw) if row[j] == "L"
+        )
+
+    def anchor(self, d):
+        return 0  # leftmost vertex; nothing of the drawing lies left of it
+
+    def cut(self, d, v0, ccw):
+        if v0 != 0:
+            raise AnchorUnavailable("only the leftmost vertex is certified on the unbounded cell")
+        return d._sign_row(0).count("U")  # after the upper germs
+
+    def arc(self, d, pos, u, w, sweeps):
+        xu, xw = pos[u][0], pos[w][0]
+        c = (xu + xw) / 2.0
+        r = abs(xw - xu) / 2.0
+        h = r if d.signs[d.rank(u, w)] == "U" else -r  # (-r) * y is -(r * y) exactly
+        return [(c + r * math.cos(th), h * math.sin(th)) for th in sweeps]
+
+    def germ_sweep(self, pos, v, u, eps):
+        # the chord of length eps from v subtends the sweep delta
+        xv, xu = pos[v][0], pos[u][0]
+        r = abs(xu - xv) / 2.0
+        delta = 2.0 * math.asin(min(1.0, eps / (2.0 * r)))
+        return (0.0 + delta) if xv > xu else (math.pi - delta)
+
+
+class _Points(_Model):
+    """Straight-line segments on ``points``, n distinct integer pairs with no
+    three on a line, decided by exact orientations.  A hull vertex anchors,
+    its gap at the one pair of consecutive germs turning by at least pi.  A
+    half-plane mask per vertex pair is one big-int expression over the
+    members' packed coordinates, the other side its complement."""
+
+    payload = "points"
+
+    def check(self, d):
+        n, points = d.n, d.points
+        if not (type(points) is tuple and len(points) == n):
+            raise InvalidSelection(f"points must be a tuple of n={n} integer pairs")
+        seen = {}
+        for idx, p in enumerate(points):
+            if not (type(p) is tuple and len(p) == 2 and type(p[0]) is type(p[1]) is int):
+                raise InvalidSelection(f"point {idx} {p!r} is not a pair of integers")
+            if p in seen:
+                raise DegenerateInput(f"duplicate point {p} at indices {seen[p]} and {idx}")
+            seen[p] = idx
+        # a, b, c are collinear iff the directions a->b and a->c reduce to the
+        # same primitive vector up to sign: O(n^2) gcds instead of O(n^3)
+        # orientations.  The first a with a repeated direction, then the class
+        # with the smallest first member, name the lexicographically first triple.
+        for a, (ax, ay) in enumerate(points):
+            first = {}
+            found = None
+            for b, (bx, by) in enumerate(points[a + 1:], a + 1):
+                dx, dy = bx - ax, by - ay
+                g = gcd(dx, dy)
+                if dx < 0 or not dx and dy < 0:
+                    g = -g
+                b0 = first.setdefault((dx // g, dy // g), b)
+                if b0 != b and (found is None or b0 < found[0]):
+                    found = b0, b
+            if found:
+                raise DegenerateInput(f"collinear triple ({a},{found[0]},{found[1]})")
+
+    def kernel(self, d, order, bits, below, dom):
         pts = d.points
         sides = {}
         rel = {}  # per vertex p, the packings X - px*ones and Y - py*ones
@@ -505,23 +630,103 @@ def _kernels(d: Drawing, order: Optional[Iterable[int]] = None):
 
         return straight, star
 
-    # explicit
-    off = _rank_offsets(n)
-    rows = {}  # per edge rank, the list of N(ab, c) by c
-    no_crossings = [0] * n  # the row of every edge nothing crosses
+    def rotation(self, d, v):
+        pts = d.points
+        origin = pts[v]
+        others = [u for u in range(d.n) if u != v]
 
-    def explicit(a, b, c):
-        r = off[a] + b if a < b else off[b] + a
-        row = rows.get(r)
-        if row is None:
-            partners = d._partners[r]
-            row = rows[r] = [0] * n if partners else no_crossings
-            for k, l in partners:
-                row[k] |= bits[l]
-                row[l] |= bits[k]
-        return row[c]
+        def half(u):
+            dx = pts[u][0] - origin[0]
+            dy = pts[u][1] - origin[1]
+            return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
 
-    return explicit, None
+        def cmp(u, w):
+            hu, hw = half(u), half(w)
+            if hu != hw:
+                return -1 if hu < hw else 1
+            s = orient(origin, pts[u], pts[w])
+            return -s  # u before w iff w is ccw of u
+
+        others.sort(key=cmp_to_key(cmp))
+        return tuple(others)
+
+    def anchor(self, d):
+        return min(range(d.n), key=lambda i: d.points[i])  # lexicographic min is on the hull
+
+    def cut(self, d, v0, ccw):
+        # the gap is the consecutive ccw pair turning by at least pi; only a
+        # hull vertex has one (with two points the pair is (u, u), turn 0)
+        p, turns = d.points, enumerate(zip(ccw, ccw[1:] + ccw[:1]), 1)
+        cut = next((t for t, (u, w) in turns if orient(p[v0], p[u], p[w]) <= 0), None)
+        if cut is None:
+            raise AnchorUnavailable(f"point {v0} is not a hull vertex")
+        return cut
+
+    def positions(self, d):
+        pos = []
+        for v, (x, y) in enumerate(d.points):
+            try:
+                pos.append((float(x), float(y)))
+            except OverflowError:
+                raise SizeLimit(f"point {v} has a coordinate past the float range") from None
+        return pos
+
+
+class _Explicit(_Model):
+    """The crossing edge-rank pairs, no geometry, and a rotation or anchor
+    only where stored.  The kernel reads the drawing's grouping of crossings
+    by edge into one row of masks per edge asked about."""
+
+    payload = "crossings"
+
+    def check(self, d):
+        _check_explicit_n(d.n)
+        if d.crossings is None:
+            raise InvalidSelection("an explicit drawing needs a crossings table")
+
+    def kernel(self, d, order, bits, below, dom):
+        n = d.n
+        off = _rank_offsets(n)
+        rows = {}  # per edge rank, the list of N(ab, c) by c
+        no_crossings = [0] * n  # the row of every edge nothing crosses
+
+        def explicit(a, b, c):
+            r = off[a] + b if a < b else off[b] + a
+            row = rows.get(r)
+            if row is None:
+                partners = d._partners[r]
+                row = rows[r] = [0] * n if partners else no_crossings
+                for k, l in partners:
+                    row[k] |= bits[l]
+                    row[l] |= bits[k]
+            return row[c]
+
+        return explicit, None
+
+    def rotation(self, d, v):
+        if d.rotations is None:
+            raise RotationMissing("explicit drawing carries no rotation data")
+        return d.rotations[v]
+
+    def anchor(self, d):
+        if d.anchor is None:
+            raise AnchorUnavailable("explicit drawing without a declared anchor")
+        return d.anchor[0]
+
+    def cut(self, d, v0, ccw):
+        raise AnchorUnavailable(f"vertex {v0} is not certified on the unbounded cell")
+
+    def positions(self, d):
+        raise GeometryMissing(f"model {d.model!r} carries no geometry")
+
+
+MODELS = {
+    "explicit": _Explicit(),
+    "convex": _Convex(),
+    "twisted": _Twisted(),
+    "halfcircle": _HalfCircle(),
+    "points": _Points(),
+}
 
 
 def pattern_fit(crossing_mask, kind: str):
@@ -580,9 +785,7 @@ def induced_subdrawing(d: Drawing, vs: Sequence[int]) -> Drawing:
     rotations = None
     src_rot = d.rotations
     if src_rot is None and d.model != "explicit":
-        from . import generators  # deferred: generators imports this module
-
-        src_rot = generators.rotations_of(d)
+        src_rot = [MODELS[d.model].rotation(d, v) for v in range(d.n)]
     if src_rot is not None:
         keep = set(vs)
         rotations = tuple(

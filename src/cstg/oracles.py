@@ -34,15 +34,14 @@ from typing import List, Optional, Sequence, Tuple
 
 from .drawing import (
     CONVEX,
+    MODELS,
     TWISTED,
     Drawing,
     _rank_offsets,
     crossing_masks,
     pattern_fit,
 )
-from .drawing import sorted_pair as _s2
 from .errors import BudgetExhausted, DegenerateInput, InvalidSelection
-from .generators import arc_points, vertex_positions
 
 
 @dataclass(frozen=True)
@@ -259,26 +258,14 @@ def longest_plane_path_exact(
 # -- numeric rotation oracle --------------------------------------------------
 
 
-def _germ_point(d, pos, v: int, u: int, eps: float) -> Tuple[float, float]:
-    """A point on the drawn arc v-u at distance about eps from v."""
-    if d.model in ("convex", "points"):
+def _germ_point(model, d, pos, v: int, u: int, eps: float) -> Tuple[float, float]:
+    """A point on the drawn arc v-u of d's model at distance about eps from v."""
+    if model.turn is None:  # a straight edge
         px, py = pos[v]
         qx, qy = pos[u]
         norm = math.hypot(qx - px, qy - py)
         return (px + eps * (qx - px) / norm, py + eps * (qy - py) / norm)
-    if d.model == "halfcircle":
-        # the chord of length eps from v subtends the sweep delta
-        xv, xu = pos[v][0], pos[u][0]
-        r = abs(xu - xv) / 2.0
-        delta = 2.0 * math.asin(min(1.0, eps / (2.0 * r)))
-        sweep = (0.0 + delta) if xv > xu else (math.pi - delta)
-    else:
-        # twisted: eps over about the length of the arc, from the end at v
-        i, j = _s2(v, u)
-        ri, rj = float(i + 1), float(j + 1)
-        span = abs(rj - ri) + 2 * math.pi * max(ri, rj)
-        sweep = eps / span if v == i else 1.0 - eps / span
-    return arc_points(d, pos, v, u, [sweep])[0]
+    return model.arc(d, pos, v, u, [model.germ_sweep(pos, v, u, eps)])[0]
 
 
 _GERM_RETRIES = 40
@@ -291,7 +278,8 @@ def numeric_rotation_oracle(d: Drawing) -> Tuple[Tuple[int, ...], ...]:
     two germs are numerically indistinguishable the distance is halved, up
     to a retry cap, then the input is reported as degenerate.
     """
-    pos = vertex_positions(d)
+    model = MODELS[d.model]
+    pos = model.positions(d)
     if len(set(pos)) != len(pos):
         raise DegenerateInput("duplicate vertex positions")
     eps = 0.25 * min(
@@ -307,7 +295,7 @@ def numeric_rotation_oracle(d: Drawing) -> Tuple[Tuple[int, ...], ...]:
             for u in range(d.n):
                 if u == v:
                     continue
-                gx, gy = _germ_point(d, pos, v, u, scale)
+                gx, gy = _germ_point(model, d, pos, v, u, scale)
                 ang = math.atan2(gy - pos[v][1], gx - pos[v][0]) % (2 * math.pi)
                 germs.append((ang, u))
             germs.sort()

@@ -7,26 +7,12 @@ re-strokes the pattern edges on top.
 
 from __future__ import annotations
 
-import math
-from typing import List, Optional, Tuple
+from typing import Optional
 
-from .drawing import Certificate, Drawing, _check_certificate_range, sorted_pair
-from .generators import arc_points, vertex_positions
+from .drawing import MODELS, Certificate, Drawing, _check_certificate_range, sorted_pair
 
 CANVAS = 640.0
 MARGIN = 40.0
-SAMPLES_PER_TURN = 96
-
-
-# the sweeps of a half-circle arc (angles) and of a twisted arc (fractions)
-_HALF_TURN = [math.pi * t / SAMPLES_PER_TURN for t in range(SAMPLES_PER_TURN + 1)]
-_FULL_TURN = [t / SAMPLES_PER_TURN for t in range(SAMPLES_PER_TURN + 1)]
-
-
-def _edge_polyline(d: Drawing, pos, i: int, j: int) -> List[Tuple[float, float]]:
-    if d.model in ("convex", "points"):
-        return [pos[i], pos[j]]
-    return arc_points(d, pos, i, j, _HALF_TURN if d.model == "halfcircle" else _FULL_TURN)
 
 
 def _transform(all_points):
@@ -53,9 +39,13 @@ def render_svg(
     """Render the drawing (and optional certificate overlay) as SVG text."""
     if overlay is not None:
         _check_certificate_range(d, overlay)
-    pos = vertex_positions(d)
+    model = MODELS[d.model]
+    pos = model.positions(d)
+    turn = model.turn
     polylines = {
-        (i, j): _edge_polyline(d, pos, i, j) for i in range(d.n) for j in range(i + 1, d.n)
+        (i, j): [pos[i], pos[j]] if turn is None else model.arc(d, pos, i, j, turn)
+        for i in range(d.n)
+        for j in range(i + 1, d.n)
     }
     everything = [p for line in polylines.values() for p in line]
     to_svg = _transform(everything)
@@ -69,7 +59,7 @@ def render_svg(
     ]
     # each edge's points formatted once, in rank order
     points = {
-        e: " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in map(to_svg, line))
+        e: " ".join(["%.3f,%.3f" % to_svg(p) for p in line])
         for e, line in polylines.items()
     }
     for pts in points.values():

@@ -6,6 +6,7 @@ import json
 import random
 
 import pytest
+import test_codec
 from test_fuzz import random_explicit
 
 from cstg import cli, codec, drawing, generators
@@ -551,6 +552,35 @@ class TestInputErrors:
         code, stdout, err = run(capsys, "extract", "pattern", str(path))
         assert (code, stdout) == (3, "")
         assert err == "invalid input: ObservationViolated: triple (1, 2, 3) colored 011\n"
+
+    @pytest.mark.parametrize("decode, text, message",
+                             [row[1:] for row in test_codec.BOUNDARY],
+                             ids=[row[0] for row in test_codec.BOUNDARY])
+    def test_unreadable_document_is_a_parse_error(self, tmp_path, capsys, decode, text,
+                                                   message):
+        drawing = tmp_path / "c.cstg"
+        run(capsys, "generate", "--family", "convex", "--n", "4", "--out", str(drawing))
+        doc = tmp_path / "doc"
+        doc.write_text(text)
+        if decode is codec.decode_drawing:
+            argv = ("verify", str(doc), "--self")
+        else:
+            argv = ("verify", str(drawing), str(doc))
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (3, "")
+        assert err == f"parse error: {message}\n"
+
+    def test_render_refuses_a_point_past_the_float_range(self, tmp_path, capsys):
+        # the kernels read exact integers, so the drawing itself is valid
+        path = tmp_path / "far.cstg"
+        far = generators.gen_straightline([(0, 0), (10**400, 1), (2, 5)])
+        codec.save_drawing(far, str(path))
+        assert run(capsys, "verify", str(path), "--self")[0] == 0
+        svg = tmp_path / "far.svg"
+        code, stdout, err = run(capsys, "render", str(path), "--out", str(svg))
+        assert (code, stdout) == (3, "")
+        assert err == "invalid input: SizeLimit: point 1 has a coordinate past the float range\n"
+        assert not svg.exists()
 
 
 class TestBench:

@@ -668,3 +668,47 @@ class TestExplicitTables:
                 old = {"crossings": sorted(list(p) for p in x.crossings),
                        "format": "cstg-1", "model": "explicit", "n": n}
                 assert encode_drawing(x) == canonical(old)
+
+
+# documents that json.loads cannot read as they stand, or that it would read
+# last-wins: each is a ParseError naming what is wrong
+LONG_INT = "1" * 5001  # past Python's 4,300-digit limit for int("...")
+DEEP = "[" * 200_000 + "]" * 200_000
+
+BOUNDARY = [
+    ("drawing-long-n", decode_drawing,
+     '{"format":"cstg-1","model":"convex","n":%s}' % LONG_INT,
+     "an integer literal has too many digits"),
+    ("drawing-deep-rotations", decode_drawing,
+     '{"format":"cstg-1","model":"convex","n":3,"rotations":%s}' % DEEP,
+     "document nested too deeply"),
+    ("drawing-repeated-n", decode_drawing,
+     '{"format":"cstg-1","model":"convex","n":4,"n":5}',
+     "field 'n' is repeated"),
+    ("drawing-repeated-v0", decode_drawing,
+     '{"anchor":{"order":[3,2,1],"v0":0,"v0":1},"format":"cstg-1","model":"convex","n":4}',
+     "field 'v0' is repeated"),
+    ("certificate-long-vertex", decode_certificate,
+     '{"kind":"convex","vertices":[0,%s]}' % LONG_INT,
+     "an integer literal has too many digits"),
+    ("certificate-deep-vertices", decode_certificate,
+     '{"kind":"convex","vertices":%s}' % DEEP,
+     "document nested too deeply"),
+    ("certificate-repeated-kind", decode_certificate,
+     '{"kind":"convex","kind":"twisted","vertices":[0,1,2,3]}',
+     "field 'kind' is repeated"),
+]
+
+
+class TestDocumentBoundary:
+    @pytest.mark.parametrize("decode, text, message", [row[1:] for row in BOUNDARY],
+                             ids=[row[0] for row in BOUNDARY])
+    def test_is_a_parse_error(self, decode, text, message):
+        with pytest.raises(ParseError) as info:
+            decode(text)
+        assert str(info.value) == message
+
+    def test_a_key_given_once_per_object_is_no_repeat(self):
+        # the same key in two different objects is not a repeat
+        doc = '{"anchor":{"order":[3,2,1],"v0":0},"format":"cstg-1","model":"convex","n":4}'
+        assert decode_drawing(doc).anchor == (0, (3, 2, 1))
