@@ -21,7 +21,8 @@ Every integer field (``n``, crossing ranks, rotation and anchor members,
 values to convert.
 
 Decoding only parses: shape, fields and integer types fail here with
-ParseError (and the explicit size cap before any crossing entry is read).
+ParseError (and the explicit size cap before any crossing entry is read), as
+does any text ``json.loads`` refuses and a key given twice in one object.
 Every drawing invariant is ``Drawing``'s own check, re-raised here as
 ValidationError with its message; decoding then groups an explicit table
 by edge, in document order, which names its smallest bad entry.
@@ -59,7 +60,7 @@ def _parse(text: str):
         return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except ValueError:  # the only other ValueError json.loads raises
+    except ValueError:  # int() of a literal past the interpreter's digit limit
         raise ParseError("an integer literal has too many digits") from None
     except RecursionError:
         raise ParseError("document nested too deeply") from None

@@ -281,7 +281,6 @@ def crossing_masks(d: Drawing, order: Optional[Iterable[int]] = None):
     Bit p of every result stands for vertex ``order[p]`` (default: bit v for
     vertex v).  a, b, c are distinct members of ``order``, and bit p is set
     iff ``order[p]`` is another member whose edge to c crosses edge ab.
-    The drawing's model builds the kernel (see its class).
     """
     return _kernels(d, order)[0]
 
@@ -316,9 +315,10 @@ class _Model:
     star or None); ``rotation(d, v)`` is the drawn ccw rotation at v,
     ``anchor(d)`` the default vertex on the unbounded cell, and ``cut(d, v0,
     ccw)`` the position in ccw of the germ after that cell's gap at v0 (else
-    AnchorUnavailable); ``turn`` holds the sweeps of a whole arc (None for
-    straight edges), which ``arc`` and ``germ_sweep`` take; ``pattern`` is
-    CONVEX or TWISTED when the whole drawing is that pattern.
+    AnchorUnavailable); ``positions(d)`` places the vertices, and ``turn``
+    holds the sweeps of a whole arc for ``arc`` and ``germ_sweep`` (None for
+    straight edges); ``pattern`` is CONVEX or TWISTED when the whole drawing
+    is that pattern.
     """
 
     payload = None

@@ -100,7 +100,7 @@ def rotation_at(d: Drawing, v: int) -> Tuple[int, ...]:
 
 
 def _drawn_rotation(d: Drawing, v: int) -> Tuple[int, ...]:
-    """The family's rotation at v, read from its realization."""
+    """The model's drawn rotation at v (an explicit drawing's stored one)."""
     return MODELS[d.model].rotation(d, v)
 
 
