@@ -24,8 +24,9 @@ Decoding only parses: shape, fields and integer types fail here with
 ParseError (and the explicit size cap before any crossing entry is read), as
 does any text ``json.loads`` refuses and a key given twice in one object.
 Every drawing invariant is ``Drawing``'s own check, re-raised here as
-ValidationError with its message; decoding then groups an explicit table
-by edge, in document order, which names its smallest bad entry.
+ValidationError with its message; decoding then builds an explicit
+table's rank bitsets in one pass over its entries, which names its smallest
+bad entry.  Encoding lists the entries in rank order from the bitsets.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from collections import Counter
 from itertools import chain, repeat
 from typing import Tuple
 
-from .drawing import MODELS, Certificate, Drawing, _check_explicit_n, _seed_partners
+from .drawing import MODELS, Certificate, Drawing, _check_explicit_n, _crossing_bits, _later_partners
 from .errors import CstgError, InvalidCertificate, ParseError, SizeLimit, ValidationError
 
 FORMAT_TAG = "cstg-1"
@@ -78,16 +79,34 @@ def _unique_keys(pairs) -> dict:
 def encode_drawing(d: Drawing) -> str:
     doc = {"format": FORMAT_TAG, "model": d.model, "n": d.n}
     field = MODELS[d.model].payload
-    # json writes a tuple as a list
+    # json writes a tuple as a list; an explicit table's text goes in for []
     if field == "crossings":
-        doc["crossings"] = sorted(d.crossings)
+        doc["crossings"] = []
     elif field is not None:
         doc["params"] = {field: getattr(d, field)}
     if d.rotations is not None:
         doc["rotations"] = [list(r) for r in d.rotations]
     if d.anchor is not None:
         doc["anchor"] = {"v0": d.anchor[0], "order": list(d.anchor[1])}
-    return _canonical(doc)
+    text = _canonical(doc)
+    if field == "crossings":
+        text = text.replace('"crossings":[]', '"crossings":' + _crossings_text(d), 1)
+    return text
+
+
+def _crossings_text(d: Drawing) -> str:
+    """The table as json writes its sorted entries, read in rank order from
+    the drawing's bitsets; a table with a stray entry has no bitsets and is
+    sorted as it is."""
+    try:
+        X = d._bits
+    except ValidationError:
+        return json.dumps(sorted(d.crossings), separators=(",", ":"))
+    tails = [f"{r}]" for r in range(len(X))]
+    # one string per edge, so only one edge's entries are held apart at a time
+    rows = (",".join(map(f"[{r1},".__add__, map(tails.__getitem__, later)))
+            for r1, later in _later_partners(X))
+    return "[" + ",".join(rows) + "]"
 
 
 def decode_drawing(text: str) -> Drawing:
@@ -145,8 +164,8 @@ def decode_drawing(text: str) -> Drawing:
     except CstgError as exc:
         raise ValidationError(str(exc)) from exc
     if payload == "crossings":
-        _seed_partners(d, entries)
-        d._partners  # group the table once, in document order: rejects its smallest bad entry
+        # the bitsets, in one pass over the entries: rejects the smallest bad one
+        vars(d)["_bits"] = _crossing_bits(n, entries)
     return d
 
 

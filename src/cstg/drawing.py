@@ -14,16 +14,16 @@ Every crossing question reads one kernel, ``crossing_masks``: N(a, b, c) =
 p-th vertex of a given order.  Certificate checks (in certificate order),
 restrictions (in selection order), the searches of :mod:`cstg.oracles`
 and the anchored colorings of :mod:`cstg.chromatics` (in anchored order)
-all read it; a single :func:`cross` query looks an explicit table up, or
-builds a kernel over its four vertices and pays O(n) array set-up.  Convex
-or twisted certificates of m vertices cost C(m,3) mask tests, not 3*C(m,4)
-single-pair tests.  Each kernel row is built by a few whole-row operations,
-not a loop over its vertices.  An explicit table is grouped by edge once
-per drawing, on first use, and every kernel on that drawing shares the
-grouping; an entry that names no independent pair in rank order raises
-ValidationError there.  Decoding groups in document order and a
-restriction in rank order, each in one pass over its entries as they were
-read or built; a table built by hand is grouped from its set.
+all read it; a single :func:`cross` query tests one bit of an explicit
+table, or builds a kernel over its four vertices and pays O(n) array
+set-up.  Convex or twisted certificates of m vertices cost C(m,3) mask
+tests, not 3*C(m,4) single-pair tests.  Each kernel row is built by a few
+whole-row operations, not a loop over its vertices.  An explicit table is
+held as rank bitsets, one int per edge (``_bit_layout``), built once per
+drawing and shared by every kernel on it; an entry that names no
+independent pair in rank order raises ValidationError there.  Decoding
+builds them in one pass over the entries, in any order, a restriction from
+its kernel rows, and a table built by hand from its set on first use.
 
 Every other invariant is checked when a ``Drawing`` is built: n, the model
 and its one payload, the size cap, the signs, the point set (distinct int
@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key, lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain, combinations, compress, repeat
 from math import comb, gcd
 from operator import itemgetter, or_
 from typing import Iterable, Optional, Sequence, Tuple
@@ -197,38 +197,12 @@ class Drawing:
         return edge_index(min(i, j), max(i, j), self.n)
 
     @cached_property
-    def _partners(self) -> list:
-        """Explicit model: per edge rank, the independent edges that cross it.
-
-        Built on first use and kept with the drawing, so every kernel on it
-        shares one pass over the table: over the entries in the order
-        ``_seed_partners`` recorded (decoding and ``induced_subdrawing`` do),
-        else over the frozenset in hash order.  A table entry that names no
-        independent pair in rank order raises ValidationError for the
-        smallest such entry.
-        """
-        n = self.n
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        ends = [(1 << i) | (1 << j) for i, j in edges]  # by rank
-        partners = [[] for _ in edges]
-        m = len(edges)
-        stray = []
-        for r1, r2 in self.__dict__.pop("_entries", self.crossings):
-            if 0 <= r1 < r2 < m and not ends[r1] & ends[r2]:
-                partners[r1].append(edges[r2])
-                partners[r2].append(edges[r1])
-            else:
-                stray.append((r1, r2))
-        if stray:
-            r1, r2 = entry = min(stray)
-            if not (0 <= r1 < m and 0 <= r2 < m) or r1 == r2:
-                raise ValidationError(f"crossing ranks {list(entry)} out of range for n={n}")
-            (i, j), (k, l) = edges[r1], edges[r2]
-            why = "which share a vertex" if ends[r1] & ends[r2] else "out of rank order"
-            raise ValidationError(
-                f"crossing pair {list(entry)} joins edges ({i},{j}) and ({k},{l}) {why}"
-            )
-        return partners
+    def _bits(self) -> list:
+        """Explicit model: the table as rank bitsets, one int per edge rank
+        (see ``_bit_layout``), built on first use from ``crossings`` and kept
+        with the drawing, so every kernel on it shares them.  Decoding and
+        ``induced_subdrawing`` store the bitsets they built."""
+        return _crossing_bits(self.n, self.crossings)
 
     @cached_property
     def _sign_square(self) -> str:
@@ -247,14 +221,6 @@ class Drawing:
         return square[v::n][:v] + "L" + square[v * n + v + 1:(v + 1) * n]
 
 
-def _seed_partners(d: Drawing, entries: Sequence[Tuple[int, int]]) -> None:
-    """Have explicit drawing d group its table, on first use, from
-    ``entries``: the entries of ``d.crossings`` in the caller's order.  In
-    document or rank order the grouping reads them in sequence; the
-    frozenset's hash order scatters the reads across memory."""
-    d.__dict__["_entries"] = entries
-
-
 def cross(d: Drawing, e1, e2) -> bool:
     """True iff the two independent edges cross in the drawing."""
     a, b = _norm_edge(e1, d.n)
@@ -262,8 +228,8 @@ def cross(d: Drawing, e1, e2) -> bool:
     if a in (c, e) or b in (c, e):
         raise NotIndependent(f"edges ({a},{b}) and ({c},{e}) share an endpoint")
     if d.model == "explicit":
-        d._partners  # a table with a stray entry raises its ValidationError
-        return sorted_pair(d.rank(a, b), d.rank(c, e)) in d.crossings
+        # a table with a stray entry has no bitsets: it raises ValidationError
+        return bool(d._bits[d.rank(a, b)] >> d.rank(c, e) + 1 & 1)
     # bit 3 stands for e
     return bool(crossing_masks(d, (a, b, c, e))(a, b, c) >> 3 & 1)
 
@@ -273,6 +239,88 @@ def _rank_offsets(n: int) -> Tuple[int, ...]:
     """off[i] with edge_index(i, j, n) == off[i] + j for i < j, unchecked."""
     # off[0] = -1 and off[i+1] - off[i] = n - 2 - i
     return tuple(accumulate(range(n - 2, -1, -1), initial=-1))
+
+
+@lru_cache(maxsize=16)
+def _bit_layout(n: int):
+    """(col, s_shift, s_mask, t_shift, t_mask) of an explicit table's rank
+    bitsets over n vertices, one int per edge: bit r + 1 stands for the
+    crossing edge of rank r, and bit C(n,2) + 1 + col[r] for it at its
+    column-major rank (edges ordered by their larger end).  Row c of the
+    edge's kernel is ``x >> s_shift[c] & s_mask[c] | x >> t_shift[c] &
+    t_mask[c]``: the edges (c, w), w > c, then the edges (w, c), w < c.
+    """
+    half = n * (n - 1) // 2 + 1
+    col = [j * (j - 1) // 2 + i for i, j in combinations(range(n), 2)]
+    s_shift = [o + 1 for o in _rank_offsets(n)]
+    s_mask = [(1 << n) - (2 << c) for c in range(n)]
+    t_shift = [half + c * (c - 1) // 2 for c in range(n)]
+    t_mask = [(1 << c) - 1 for c in range(n)]
+    return col, s_shift, s_mask, t_shift, t_mask
+
+
+def _crossing_bits(n: int, entries) -> list:
+    """An explicit table's rank bitsets (``_bit_layout``), from its entries in
+    any order.  An entry that names no independent pair in rank order raises
+    ValidationError, which names the smallest such entry."""
+    m = n * (n - 1) // 2
+    col, s_shift, s_mask, t_shift, t_mask = _bit_layout(n)
+    # an edge's bits in both halves, looked up twice per entry; a table with
+    # fewer entries than edges builds only the ranks it names
+    bit = [0] * m
+    for r in range(m) if len(entries) >= m else {r for e in entries for r in e if 0 <= r < m}:
+        bit[r] = 2 << r | 1 << m + 1 + col[r]
+    X = [0] * m
+    in_order = True
+    for r1, r2 in entries:
+        if 0 <= r1 < r2 < m:
+            X[r1] |= bit[r2]
+            X[r2] |= bit[r1]
+        else:
+            in_order = False
+    # an entry joining edges that share a vertex v is a bit of row v of
+    # either edge's kernel
+    edges = list(combinations(range(n), 2))
+    if not in_order or any(x >> s_shift[v] & s_mask[v] | x >> t_shift[v] & t_mask[v]
+                           for x, e in zip(X, edges) if x for v in e):
+        r1, r2 = entry = min(e for e in entries
+                             if not 0 <= e[0] < e[1] < m or {*edges[e[0]]} & {*edges[e[1]]})
+        if not (0 <= r1 < m and 0 <= r2 < m) or r1 == r2:
+            raise ValidationError(f"crossing ranks {list(entry)} out of range for n={n}")
+        (i, j), (k, l) = edges[r1], edges[r2]
+        why = "which share a vertex" if {i, j} & {k, l} else "out of rank order"
+        raise ValidationError(
+            f"crossing pair {list(entry)} joins edges ({i},{j}) and ({k},{l}) {why}"
+        )
+    return X
+
+
+def _relabel(d: Drawing, order: Sequence[int]) -> list:
+    """The rank bitsets of explicit drawing d restricted to ``order``, vertex
+    order[p] at position p: per member edge, one gather of the binary text
+    of its row-major half."""
+    m, big = len(order), d.n * (d.n - 1) // 2
+    src = [d.rank(order[p], order[q]) for p, q in combinations(range(m), 2)]
+    by_col = [src[r] for r in sorted(range(len(src)), key=_bit_layout(m)[0].__getitem__)]
+    # character big - 1 - x of the text is the bit of source rank x, and the
+    # last one the unused bit 0; the new int is read from its top bit down
+    pick = itemgetter(*[big - 1 - x for x in by_col[::-1] + src[::-1]], big)
+    X, fmt, half = d._bits, f"0{big + 1}b", (2 << big) - 1
+    return [int("".join(pick(format(X[r] & half, fmt))), 2) for r in src]
+
+
+_SELECT = bytes.maketrans(b"01", b"\0\1")
+
+
+def _later_partners(X: list):
+    """Per edge rank r1 of rank bitsets X, in rank order, the ranks r2 > r1
+    of the edges that cross it, in rank order: (r1, iterator of r2)."""
+    m = len(X)
+    for r1, x in enumerate(X):
+        later = x >> r1 + 2 & (1 << m - r1 - 1) - 1  # bit k stands for rank r1 + 1 + k
+        if later:
+            picks = format(later, "b").encode()[::-1].translate(_SELECT)
+            yield r1, compress(range(r1 + 1, m), picks)
 
 
 def crossing_masks(d: Drawing, order: Optional[Iterable[int]] = None):
@@ -674,8 +722,9 @@ class _Points(_Model):
 
 class _Explicit(_Model):
     """The crossing edge-rank pairs, no geometry, and a rotation or anchor
-    only where stored.  The kernel reads the drawing's grouping of crossings
-    by edge into one row of masks per edge asked about."""
+    only where stored.  The kernel reads a row of an edge as two windows of
+    the drawing's rank bitsets, relabelled once per kernel for any order but
+    the identity."""
 
     payload = "crossings"
 
@@ -685,21 +734,16 @@ class _Explicit(_Model):
             raise InvalidSelection("an explicit drawing needs a crossings table")
 
     def kernel(self, d, order, bits, below, dom):
-        n = d.n
-        off = _rank_offsets(n)
-        rows = {}  # per edge rank, the list of N(ab, c) by c
-        no_crossings = [0] * n  # the row of every edge nothing crosses
+        m = len(order)
+        X = d._bits if list(order) == list(range(d.n)) else _relabel(d, order)
+        pos = [bit.bit_length() - 1 for bit in bits]  # bit p stands for order[p]
+        off = _rank_offsets(m)
+        _, s_shift, s_mask, t_shift, t_mask = _bit_layout(m)
 
         def explicit(a, b, c):
-            r = off[a] + b if a < b else off[b] + a
-            row = rows.get(r)
-            if row is None:
-                partners = d._partners[r]
-                row = rows[r] = [0] * n if partners else no_crossings
-                for k, l in partners:
-                    row[k] |= bits[l]
-                    row[l] |= bits[k]
-            return row[c]
+            a, b, c = pos[a], pos[b], pos[c]
+            x = X[off[a] + b if a < b else off[b] + a]
+            return x >> s_shift[c] & s_mask[c] | x >> t_shift[c] & t_mask[c]
 
         return explicit, None
 
@@ -762,34 +806,30 @@ def induced_subdrawing(d: Drawing, vs: Sequence[int]) -> Drawing:
     back = {v: idx for idx, v in enumerate(vs)}
     m = len(vs)
     N = crossing_masks(d, vs)
-    off = _rank_offsets(m)
-    pairs = []
-    # edge (ia, ib) crosses the later-ranked edges (ic, id) with ia < ic < id
-    # whose id is a bit of N(vs[ia], vs[ib], vs[ic]) above ic: about m^3/6
-    # mask reads
-    for ia in range(m - 2):
-        a = vs[ia]
-        for ib in range(ia + 1, m):
-            b = vs[ib]
-            r1 = off[ia] + ib
-            for ic in range(ia + 1, m - 1):
-                if ic == ib:
-                    continue
-                hits = N(a, b, vs[ic]) >> (ic + 1)
-                base = off[ic] + ic + 1  # the rank of (ic, ic + 1)
-                while hits:
-                    low = hits & -hits
-                    pairs.append((r1, base + low.bit_length() - 1))
-                    hits ^= low
+    _, s_shift, s_mask, t_shift, t_mask = _bit_layout(m)
+    X = []
+    # row c of edge (ia, ib), N(vs[ia], vs[ib], vs[c]), holds the edges (c, w)
+    # above c and (w, c) below it: m^3/2 mask reads
+    for ia, ib in combinations(range(m), 2):
+        a, b = vs[ia], vs[ib]
+        x = 0
+        for c, vc in enumerate(vs):
+            if c != ia and c != ib:
+                row = N(a, b, vc)
+                x |= (row & s_mask[c]) << s_shift[c] | (row & t_mask[c]) << t_shift[c]
+        X.append(x)
+    crossings = frozenset(
+        chain.from_iterable(zip(repeat(r1), later) for r1, later in _later_partners(X))
+    )
 
     rotations = None
-    src_rot = d.rotations
-    if src_rot is None and d.model != "explicit":
-        src_rot = [MODELS[d.model].rotation(d, v) for v in range(d.n)]
-    if src_rot is not None:
+    if d.rotations is not None or d.model != "explicit":
         keep = set(vs)
+        drawn = MODELS[d.model].rotation
         rotations = tuple(
-            tuple(back[u] for u in src_rot[v] if u in keep) for v in vs
+            tuple(back[u] for u in (drawn(d, v) if d.rotations is None else d.rotations[v])
+                  if u in keep)
+            for v in vs
         )
 
     anchor = None
@@ -798,14 +838,8 @@ def induced_subdrawing(d: Drawing, vs: Sequence[int]) -> Drawing:
         keep = set(vs)
         anchor = (back[v0], tuple(back[u] for u in order if u in keep))
 
-    sub = Drawing(
-        n=m,
-        model="explicit",
-        crossings=frozenset(pairs),
-        rotations=rotations,
-        anchor=anchor,
-    )
-    _seed_partners(sub, pairs)  # built in rank order
+    sub = Drawing(n=m, model="explicit", crossings=crossings, rotations=rotations, anchor=anchor)
+    vars(sub)["_bits"] = X  # built here, not again from the set
     return sub
 
 

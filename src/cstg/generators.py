@@ -115,6 +115,8 @@ def canonical_anchor(d: Drawing) -> int:
 def anchored_order(d: Drawing, v0: int) -> Tuple[int, ...]:
     """Clockwise order of the remaining vertices around v0: the drawn
     rotation at v0 cut at the unbounded-cell gap and read backwards."""
+    if not 0 <= v0 < d.n:
+        raise InvalidSelection(f"anchor {v0} out of range")
     if d.anchor is not None and d.anchor[0] == v0:
         return tuple(d.anchor[1])
     # the realization's rotation, not a stored copy: anchored_view checks

@@ -603,7 +603,7 @@ def canonical(doc) -> str:
 
 
 class TestExplicitTables:
-    def test_shuffled_entries_group_in_document_order(self):
+    def test_shuffled_entries_give_the_same_bits(self):
         rng = random.Random(2531)
         order = list(range(14))
         rng.shuffle(order)
@@ -611,26 +611,33 @@ class TestExplicitTables:
             induced_subdrawing(gen_twisted(12), range(12)),
             induced_subdrawing(gen_halfcircle(14, seed=3), order),
         ):
-            doc = json.loads(encode_drawing(x))
+            text = encode_drawing(x)
+            doc = json.loads(text)
             rng.shuffle(doc["crossings"])
             d = decode_drawing(canonical(doc))
             assert d == x
-            # the grouping lists each edge's partners in document order ...
-            edges = list(itertools.combinations(range(d.n), 2))
-            want = [[] for _ in edges]
-            for r1, r2 in doc["crossings"]:
-                want[r1].append(edges[r2])
-                want[r2].append(edges[r1])
-            assert d._partners == want
-            # ... and holds, rank by rank, what grouping the set itself holds
-            by_set = Drawing(n=d.n, model="explicit", crossings=d.crossings)._partners
-            assert len(by_set) == len(edges)
-            for r, (group, other) in enumerate(zip(d._partners, by_set)):
-                assert Counter(group) == Counter(other), r
+            # the bitsets do not depend on the order of the entries: the
+            # document's, the restriction's and the hand-built set's agree,
+            # and all three encode to the same bytes
+            by_set = Drawing(n=d.n, model="explicit", rotations=d.rotations, crossings=frozenset(
+                tuple(entry) for entry in doc["crossings"]))
+            assert d._bits == x._bits == by_set._bits
+            assert encode_drawing(d) == encode_drawing(by_set) == text
             for kind in (CONVEX, TWISTED):
                 cert = Certificate(kind, tuple(range(d.n)))
-                by_set = Drawing(n=d.n, model="explicit", crossings=d.crossings)
                 assert verify_certificate(d, cert) == verify_certificate(by_set, cert)
+                assert verify_certificate(d, cert) == verify_certificate(x, cert)
+            # a stray entry is named wherever the document puts it: the
+            # smallest of [5, 2] (out of rank order) and [0, 1] (edges (0,1)
+            # and (0,2) share vertex 0)
+            for at in (0, len(doc["crossings"]) // 2, len(doc["crossings"])):
+                bad = dict(doc, crossings=doc["crossings"][:at] + [[5, 2], [0, 1]]
+                           + doc["crossings"][at:])
+                with pytest.raises(ValidationError) as info:
+                    decode_drawing(canonical(bad))
+                assert str(info.value) == (
+                    "crossing pair [0, 1] joins edges (0,1) and (0,2) which share a vertex"
+                )
 
     def test_a_boolean_rank_is_not_integer(self):
         doc = '{"crossings":[[1,4],[true,3]],"format":"cstg-1","model":"explicit","n":4}'
@@ -654,7 +661,7 @@ class TestExplicitTables:
         text = '{"crossings":[],"format":"cstg-1","model":"explicit","n":%d}\n' % n
         d = decode_drawing(text)
         assert d.crossings == frozenset()
-        assert len(d._partners) == n * (n - 1) // 2
+        assert d._bits == [0] * (n * (n - 1) // 2)
         assert not cross(d, (0, 2), (1, 3))
         assert encode_drawing(d) == text
 

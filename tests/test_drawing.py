@@ -1,6 +1,8 @@
 """Core drawing model: ranks, crossing queries, restrictions, certificates."""
 
+import dataclasses
 import itertools
+import json
 import math
 import random
 import re
@@ -10,7 +12,9 @@ import pytest
 from test_fuzz import random_explicit
 
 from cstg import drawing
+from cstg.codec import encode_drawing
 from cstg.drawing import (
+    MODELS,
     CONVEX,
     PLANE_PATH,
     TWISTED,
@@ -418,17 +422,40 @@ class TestInducedSubdrawing:
             vs = rng.sample(range(d.n), rng.randint(2, d.n))
             assert induced_subdrawing(d, vs).crossings == reference_restriction(d, vs), vs
 
-    def test_groups_its_table_in_rank_order(self):
-        # a restriction groups the pairs it built in rank order, not its
-        # set's hash order: each edge's partners come out sorted by rank
+    def test_keeps_the_bits_its_table_builds(self):
+        # a restriction keeps the rank bitsets it built from its masks: they
+        # equal the bitsets a copy builds from the set, and both encode to
+        # the same bytes as that set sorted
         rng = random.Random(2537)
         vs = rng.sample(range(16), 13)
         sub = induced_subdrawing(gen_halfcircle(16, seed=8), vs)
-        by_set = Drawing(n=sub.n, model="explicit", crossings=sub.crossings)._partners
-        assert len(sub._partners) == len(by_set) == math.comb(13, 2)
-        for group, other in zip(sub._partners, by_set):
-            assert group == sorted(other)
-        assert "_entries" not in vars(sub)  # the pair list goes once grouped
+        by_set = dataclasses.replace(sub)
+        assert "_bits" in vars(sub) and "_bits" not in vars(by_set)
+        assert len(sub._bits) == len(by_set._bits) == math.comb(13, 2)
+        assert sub._bits == by_set._bits
+        sorted_text = json.dumps(sorted(sub.crossings), separators=(",", ":"))
+        assert f'"crossings":{sorted_text},' in encode_drawing(sub)
+        assert encode_drawing(sub) == encode_drawing(by_set)
+
+    def test_draws_rotations_at_the_selected_vertices_only(self, monkeypatch):
+        # a source that stores no rotations has them drawn at the vertices
+        # the restriction keeps, not at every vertex of the source
+        calls = []
+        points = MODELS["points"]
+        drawn = points.rotation
+
+        def counted(d, v):
+            calls.append(v)
+            return drawn(d, v)
+
+        monkeypatch.setattr(points, "rotation", counted)
+        d = gen_straightline(gen_horton(6))
+        vs = [63, 5, 17, 40, 2]
+        sub = induced_subdrawing(d, vs)
+        assert sorted(calls) == sorted(vs)
+        keep = set(vs)
+        for v, rot in zip(vs, sub.rotations):
+            assert rot == tuple(vs.index(u) for u in drawn(d, v) if u in keep)
 
     def test_size_cap_fails_before_the_quartic_loop(self):
         d = gen_convex(300)
@@ -630,6 +657,60 @@ class TestCrossingMasks:
             N = crossing_masks(d, order)
             for key, want in predicate_masks(d, order).items():
                 assert N(*key) == want, (kind, key)
+
+
+def bitset_sources():
+    """Explicit restrictions at small n, and the drawings they restrict."""
+    rng = random.Random(4201)
+    for name, d in (
+        ("convex 9", gen_convex(9)),
+        ("twisted 9", gen_twisted(9)),
+        ("halfcircle 10", gen_halfcircle(10, seed=6)),
+        ("horton 16", gen_straightline(gen_horton(4))),
+    ):
+        vs = rng.sample(range(d.n), rng.randint(7, min(d.n, 10)))
+        yield name, (d, vs, induced_subdrawing(d, vs))
+
+
+BITSET_SOURCES = dict(bitset_sources())
+
+
+class TestRankBitsets:
+    @pytest.mark.parametrize("name", sorted(BITSET_SOURCES))
+    def test_every_order_reads_the_source_kernel(self, name):
+        # under the identity and random non-identity orders, the bitset
+        # kernel of a restriction answers as the source's kernel does on the
+        # same vertices, on every ordered triple
+        d, vs, x = BITSET_SOURCES[name]
+        rng = random.Random(name)
+        orders = [range(x.n), range(x.n - 1, -1, -1)]
+        orders += [rng.sample(range(x.n), k) for k in (x.n, x.n, x.n - 1, 5, 3)]
+        for order in orders:
+            order = tuple(order)
+            N = crossing_masks(x, order)
+            M = crossing_masks(d, [vs[v] for v in order])
+            for a, b, c in itertools.permutations(order, 3):
+                assert N(a, b, c) == M(vs[a], vs[b], vs[c]), (order, a, b, c)
+
+    @pytest.mark.parametrize("name", sorted(BITSET_SOURCES))
+    def test_cross_is_membership_in_the_table(self, name):
+        _, _, x = BITSET_SOURCES[name]
+        tables = [x, random_explicit(random.Random(name), 9, density=0.4)]
+        for t in tables:
+            for e1, e2 in independent_pairs(t.n):
+                want = sorted_pair(t.rank(*e1), t.rank(*e2)) in t.crossings
+                assert cross(t, e1, e2) is want, (e1, e2)
+                assert cross(t, e2, e1[::-1]) is want, (e1, e2)
+
+    def test_the_bits_are_the_same_in_any_entry_order(self):
+        # the bitsets of a table built from its set, from its entries in rank
+        # order and from its entries shuffled are equal
+        x = BITSET_SOURCES["halfcircle 10"][2]
+        entries = sorted(x.crossings)
+        want = drawing._crossing_bits(x.n, entries)
+        random.Random(7).shuffle(entries)
+        assert drawing._crossing_bits(x.n, entries) == want == x._bits
+        assert Drawing(n=x.n, model="explicit", crossings=x.crossings)._bits == want
 
 
 # -- collinearity against the cubic scan ----------------------------------------

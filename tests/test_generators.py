@@ -10,8 +10,23 @@ import pytest
 
 from cstg import generators
 from cstg.chromatics import validate_observation
-from cstg.drawing import CONVEX, Drawing, cross, edge_index, orient, sorted_pair
-from cstg.errors import AnchorUnavailable, DegenerateInput, InvalidSigns, SizeLimit
+from cstg.drawing import (
+    CONVEX,
+    MODELS,
+    Drawing,
+    cross,
+    edge_index,
+    induced_subdrawing,
+    orient,
+    sorted_pair,
+)
+from cstg.errors import (
+    AnchorUnavailable,
+    DegenerateInput,
+    InvalidSelection,
+    InvalidSigns,
+    SizeLimit,
+)
 from cstg.generators import (
     anchored_order,
     anchored_view,
@@ -296,6 +311,26 @@ class TestRotations:
 
 
 class TestAnchoredViews:
+    @pytest.mark.parametrize("v0", [-1, 8, 999])
+    def test_an_anchor_out_of_range_is_named(self, v0):
+        # in every model, an explicit drawing with and without rotations
+        # included, before any rotation is read
+        points = gen_straightline(gen_horton(3))
+        drawings = [
+            gen_convex(8),
+            gen_twisted(8),
+            gen_halfcircle(8, seed=2),
+            points,
+            induced_subdrawing(points, range(8)),
+            Drawing(n=8, model="explicit", crossings=frozenset()),
+        ]
+        assert {d.model for d in drawings} == set(MODELS)
+        for d in drawings:
+            for call in (anchored_order, anchored_view):
+                with pytest.raises(InvalidSelection) as info:
+                    call(d, v0)
+                assert str(info.value) == f"anchor {v0} out of range", (d.model, call)
+
     def test_observation_holds_for_every_generator(self):
         drawings = [
             gen_convex(32),

@@ -7,7 +7,9 @@ those of the pattern search that ticks once per consistent extension and
 prunes on the popcount of its candidate mask; of `verify` on C48/T48
 certificates, fixed before certificate checks read crossing masks; of
 `render` with and without a certificate overlay, and of the numeric rotation
-oracle, fixed before the arcs were sampled through one parametrisation."""
+oracle, fixed before the arcs were sampled through one parametrisation; of
+the C48/T48 explicit documents, fixed before explicit tables were held as
+rank bitsets."""
 
 import hashlib
 
@@ -77,6 +79,13 @@ ORACLES = {
 
 # encode(decode(.)) of the explicit restriction of gen_convex(12) to itself
 EXPLICIT_ROUND_TRIP = "233d9c36a2d9336000d0f005133d7f8acda0cfdb58b0db5951a12acfb2384f0d"
+
+# encode of the explicit restriction of convex 48 and twisted 48 to
+# themselves: 194,580 entries each
+EXPLICIT_48 = {
+    "convex": (gen_convex, "825688817476d9626d76f3a81ed5cc78660b8975a799dfb9d2866efb869de4de"),
+    "twisted": (gen_twisted, "241fce23420dea0fb65ade56dbf48517777876ef4894678560f9e6288ce2cbc2"),
+}
 
 # verify: exit code, stdout and stderr for a certificate on a drawing
 SWAPPED_C48 = Certificate(CONVEX, (1, 0, *range(2, 48)))
@@ -177,6 +186,13 @@ def test_oracle_digest(tmp_path, capsys, argv):
 def test_explicit_round_trip_digest():
     doc = encode_drawing(induced_subdrawing(gen_convex(12), range(12)))
     assert sha256(encode_drawing(decode_drawing(doc)).encode()) == EXPLICIT_ROUND_TRIP
+
+
+@pytest.mark.parametrize("name", sorted(EXPLICIT_48))
+def test_explicit_48_digest(name):
+    make_drawing, want = EXPLICIT_48[name]
+    doc = encode_drawing(induced_subdrawing(make_drawing(48), range(48)))
+    assert sha256(doc.encode()) == want
 
 
 @pytest.mark.parametrize("name", sorted(VERIFIES))
