@@ -824,19 +824,17 @@ def induced_subdrawing(d: Drawing, vs: Sequence[int]) -> Drawing:
 
     rotations = None
     if d.rotations is not None or d.model != "explicit":
-        keep = set(vs)
         drawn = MODELS[d.model].rotation
         rotations = tuple(
             tuple(back[u] for u in (drawn(d, v) if d.rotations is None else d.rotations[v])
-                  if u in keep)
+                  if u in back)
             for v in vs
         )
 
     anchor = None
     if d.anchor is not None and d.anchor[0] in back:
         v0, order = d.anchor
-        keep = set(vs)
-        anchor = (back[v0], tuple(back[u] for u in order if u in keep))
+        anchor = (back[v0], tuple(back[u] for u in order if u in back))
 
     sub = Drawing(n=m, model="explicit", crossings=crossings, rotations=rotations, anchor=anchor)
     vars(sub)["_bits"] = X  # built here, not again from the set

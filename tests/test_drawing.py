@@ -702,16 +702,6 @@ class TestRankBitsets:
                 assert cross(t, e1, e2) is want, (e1, e2)
                 assert cross(t, e2, e1[::-1]) is want, (e1, e2)
 
-    def test_the_bits_are_the_same_in_any_entry_order(self):
-        # the bitsets of a table built from its set, from its entries in rank
-        # order and from its entries shuffled are equal
-        x = BITSET_SOURCES["halfcircle 10"][2]
-        entries = sorted(x.crossings)
-        want = drawing._crossing_bits(x.n, entries)
-        random.Random(7).shuffle(entries)
-        assert drawing._crossing_bits(x.n, entries) == want == x._bits
-        assert Drawing(n=x.n, model="explicit", crossings=x.crossings)._bits == want
-
 
 # -- collinearity against the cubic scan ----------------------------------------
 
