@@ -295,20 +295,6 @@ def _crossing_bits(n: int, entries) -> list:
     return X
 
 
-def _relabel(d: Drawing, order: Sequence[int]) -> list:
-    """The rank bitsets of explicit drawing d restricted to ``order``, vertex
-    order[p] at position p: per member edge, one gather of the binary text
-    of its row-major half."""
-    m, big = len(order), d.n * (d.n - 1) // 2
-    src = [d.rank(order[p], order[q]) for p, q in combinations(range(m), 2)]
-    by_col = [src[r] for r in sorted(range(len(src)), key=_bit_layout(m)[0].__getitem__)]
-    # character big - 1 - x of the text is the bit of source rank x, and the
-    # last one the unused bit 0; the new int is read from its top bit down
-    pick = itemgetter(*[big - 1 - x for x in by_col[::-1] + src[::-1]], big)
-    X, fmt, half = d._bits, f"0{big + 1}b", (2 << big) - 1
-    return [int("".join(pick(format(X[r] & half, fmt))), 2) for r in src]
-
-
 _SELECT = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -723,8 +709,8 @@ class _Points(_Model):
 class _Explicit(_Model):
     """The crossing edge-rank pairs, no geometry, and a rotation or anchor
     only where stored.  The kernel reads a row of an edge as two windows of
-    the drawing's rank bitsets, relabelled once per kernel for any order but
-    the identity."""
+    the drawing's rank bitsets; any order but the identity moves each row it
+    reads to positions through byte tables built once per kernel."""
 
     payload = "crossings"
 
@@ -734,16 +720,31 @@ class _Explicit(_Model):
             raise InvalidSelection("an explicit drawing needs a crossings table")
 
     def kernel(self, d, order, bits, below, dom):
-        m = len(order)
-        X = d._bits if list(order) == list(range(d.n)) else _relabel(d, order)
-        pos = [bit.bit_length() - 1 for bit in bits]  # bit p stands for order[p]
-        off = _rank_offsets(m)
-        _, s_shift, s_mask, t_shift, t_mask = _bit_layout(m)
+        n, X = d.n, d._bits
+        off = _rank_offsets(n)
+        _, s_shift, s_mask, t_shift, t_mask = _bit_layout(n)
 
-        def explicit(a, b, c):
-            a, b, c = pos[a], pos[b], pos[c]
+        def by_vertex(a, b, c):
             x = X[off[a] + b if a < b else off[b] + a]
             return x >> s_shift[c] & s_mask[c] | x >> t_shift[c] & t_mask[c]
+
+        if list(order) == list(range(n)):
+            return by_vertex, None
+        # any other order moves a row from vertex bits to position bits a
+        # byte at a time: tables[k // 8][v] holds the position bits of the
+        # members among the vertices k + j, j a set bit of v
+        padded, tables = bits + [0] * 7, []
+        for k in range(0, n, 8):
+            table = [0] * 256
+            for v in range(1, 256):
+                low = v & -v
+                table[v] = table[v ^ low] | padded[k + low.bit_length() - 1]
+            tables.append(table)
+        width = len(tables)
+
+        def explicit(a, b, c):
+            row = by_vertex(a, b, c).to_bytes(width, "little")
+            return sum(map(list.__getitem__, tables, row))
 
         return explicit, None
 
