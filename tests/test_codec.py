@@ -4,7 +4,6 @@ import dataclasses
 import itertools
 import json
 import random
-from collections import Counter
 
 import pytest
 from test_fuzz import random_explicit
@@ -619,8 +618,8 @@ class TestExplicitTables:
             # the bitsets do not depend on the order of the entries: the
             # document's, the restriction's and the hand-built set's agree,
             # and all three encode to the same bytes
-            by_set = Drawing(n=d.n, model="explicit", rotations=d.rotations, crossings=frozenset(
-                tuple(entry) for entry in doc["crossings"]))
+            entries = frozenset(tuple(entry) for entry in doc["crossings"])
+            by_set = Drawing(n=d.n, model="explicit", crossings=entries, rotations=d.rotations)
             assert d._bits == x._bits == by_set._bits
             assert encode_drawing(d) == encode_drawing(by_set) == text
             for kind in (CONVEX, TWISTED):

@@ -14,8 +14,8 @@ from test_fuzz import random_explicit
 from cstg import drawing
 from cstg.codec import encode_drawing
 from cstg.drawing import (
-    MODELS,
     CONVEX,
+    MODELS,
     PLANE_PATH,
     TWISTED,
     AnchoredDrawing,
