@@ -274,6 +274,8 @@ BENCH_HEADER = "# cstg-bench-1\ntrial,seed,family,n,m1,m2,outcome,kind,size,stag
 
 
 def _cmd_bench(args) -> int:
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     rows = [
         _bench_trial(args.n, args.seed + t, args.m1, args.m2)
         for t in range(args.trials)

@@ -24,19 +24,20 @@ Decoding only parses: shape, fields and integer types fail here with
 ParseError (and the explicit size cap before any crossing entry is read), as
 does any text ``json.loads`` refuses and a key given twice in one object.
 Every drawing invariant is ``Drawing``'s own check, re-raised here as
-ValidationError with its message; decoding then builds an explicit
-table's rank bitsets in one pass over its entries, which names its smallest
-bad entry.  Encoding lists the entries in rank order from the bitsets.
+ValidationError with its message.  ``Drawing`` takes an explicit table's
+entry lists as parsed; a repeated entry is looked for only when the table
+holds fewer pairs than the document lists or a later step fails, and is
+named first.  Encoding lists the entries in rank order from the bitsets.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import chain, repeat
+from itertools import chain
 from typing import Tuple
 
-from .drawing import MODELS, Certificate, Drawing, _check_explicit_n, _crossing_bits, _later_partners
+from .drawing import MODELS, Certificate, Drawing, _check_explicit_n, _later_partners
 from .errors import CstgError, InvalidCertificate, ParseError, SizeLimit, ValidationError
 
 FORMAT_TAG = "cstg-1"
@@ -96,12 +97,8 @@ def encode_drawing(d: Drawing) -> str:
 
 def _crossings_text(d: Drawing) -> str:
     """The table as json writes its sorted entries, read in rank order from
-    the drawing's bitsets; a table with a stray entry has no bitsets and is
-    sorted as it is."""
-    try:
-        X = d._bits
-    except ValidationError:
-        return json.dumps(sorted(d.crossings), separators=(",", ":"))
+    the drawing's bitsets."""
+    X = d.crossings.bits
     tails = [f"{r}]" for r in range(len(X))]
     # one string per edge, so only one edge's entries are held apart at a time
     rows = (",".join(map(f"[{r1},".__add__, map(tails.__getitem__, later)))
@@ -148,29 +145,30 @@ def decode_drawing(text: str) -> Drawing:
         raw = doc.get("crossings")
         if raw is None:
             raise ParseError("field 'crossings' missing for explicit model")
-        entries, fields["crossings"] = _decode_crossings(raw, n)
-    if spec and payload in (None, "crossings") and "params" in doc:
-        raise ParseError(f"{model} model takes no 'params'")
-    if payload != "crossings" and "crossings" in doc:
-        raise ParseError("'crossings' is only valid for the explicit model")
-
-    rotations = _decode_rotations(doc["rotations"], n) if "rotations" in doc else None
-    anchor = _decode_anchor(doc["anchor"]) if "anchor" in doc else None
-
+        _check_crossings(raw, n)
+        fields["crossings"] = raw
     try:
+        if spec and payload in (None, "crossings") and "params" in doc:
+            raise ParseError(f"{model} model takes no 'params'")
+        if payload != "crossings" and "crossings" in doc:
+            raise ParseError("'crossings' is only valid for the explicit model")
+        rotations = _decode_rotations(doc["rotations"], n) if "rotations" in doc else None
+        anchor = _decode_anchor(doc["anchor"]) if "anchor" in doc else None
         d = Drawing(n=n, model=model, rotations=rotations, anchor=anchor, **fields)
-    except (ValidationError, SizeLimit):
-        raise
     except CstgError as exc:
+        if payload == "crossings":
+            _refuse_repeats(raw)
+        if isinstance(exc, (ParseError, ValidationError, SizeLimit)):
+            raise
         raise ValidationError(str(exc)) from exc
-    if payload == "crossings":
-        # the bitsets, in one pass over the entries: rejects the smallest bad one
-        vars(d)["_bits"] = _crossing_bits(n, entries)
+    if payload == "crossings" and len(d.crossings) < len(raw):
+        _refuse_repeats(raw)
     return d
 
 
-def _decode_crossings(raw, n: int) -> Tuple[list, frozenset]:
-    """The table's entries as tuples in document order, and their set."""
+def _check_crossings(raw, n: int) -> None:
+    """ParseError unless the table is a list of integer pairs, and SizeLimit
+    past the explicit cap before any entry is read."""
     if not isinstance(raw, list):
         raise ParseError("field 'crossings' must be a list of rank pairs")
     _check_explicit_n(n)  # a huge n fails before its entries are read
@@ -187,16 +185,14 @@ def _decode_crossings(raw, n: int) -> Tuple[list, frozenset]:
             r1, r2 = entry
             if type(r1) is not int or type(r2) is not int:
                 raise ParseError(f"field 'crossings': entry {entry!r} is not integer")
-    # as written (Drawing rejects an entry out of rank order), in document
-    # order: popping each parsed list as its tuple is built frees the lists
-    # one at a time, not after the last tuple
-    raw.reverse()
-    entries = list(map(tuple, map(raw.pop, repeat(-1, len(raw)))))
-    crossings = frozenset(entries)
-    if len(crossings) != len(entries):
-        entry = next(e for e, count in Counter(entries).items() if count > 1)
+
+
+def _refuse_repeats(raw) -> None:
+    """ParseError naming the first entry the table lists twice, if any."""
+    counts = Counter(map(tuple, raw))
+    if len(counts) < len(raw):
+        entry = next(e for e, count in counts.items() if count > 1)
         raise ParseError(f"field 'crossings': entry {list(entry)} is repeated")
-    return entries, crossings
 
 
 def _decode_rotations(raw, n: int) -> Tuple[Tuple[int, ...], ...]:

@@ -19,17 +19,16 @@ table, or builds a kernel over its four vertices and pays O(n) array
 set-up.  Convex or twisted certificates of m vertices cost C(m,3) mask
 tests, not 3*C(m,4) single-pair tests.  Each kernel row is built by a few
 whole-row operations, not a loop over its vertices.  An explicit table is
-held as rank bitsets, one int per edge (``_bit_layout``), built once per
-drawing and shared by every kernel on it; an entry that names no
-independent pair in rank order raises ValidationError there.  Decoding
-builds them in one pass over the entries, in any order, a restriction from
-its kernel rows, and a table built by hand from its set on first use.
+held once, as rank bitsets (one int per edge, ``_bit_layout``) that every
+kernel on the drawing shares; ``crossings`` is a set view over them.
 
-Every other invariant is checked when a ``Drawing`` is built: n, the model
-and its one payload, the size cap, the signs, the point set (distinct int
+Every invariant is checked when a ``Drawing`` is built: n, the model and
+its one payload, the size cap, the signs, the point set (distinct int
 pairs, no collinear triple, found in O(n^2) gcds), rotations and anchor as
-permutations, and the anchor as a clockwise reading of a stored rotation
-at v0.
+permutations, the anchor as a clockwise reading of a stored rotation at
+v0, and last an explicit table's entries, in one pass in the given order;
+an entry that names no independent pair in rank order raises
+ValidationError.
 
 Vertices are 0-based everywhere.
 """
@@ -37,6 +36,7 @@ Vertices are 0-based everywhere.
 from __future__ import annotations
 
 import math
+from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key, lru_cache
 from itertools import accumulate, chain, combinations, compress, repeat
@@ -147,14 +147,14 @@ class Drawing:
 
     ``model`` names an entry of ``MODELS``; of ``crossings``, ``signs`` and
     ``points``, only the field that model takes (its ``payload``) is set.
-    ``rotations`` and ``anchor`` are stored payloads (decoded documents or
-    induced drawings); for implicit families the model derives them on
-    demand.
+    ``crossings`` takes any collection of rank pairs and holds a ``_Crossings``
+    view.  ``rotations`` and ``anchor`` are stored payloads (decoded documents
+    or induced drawings); for implicit families the model derives them.
     """
 
     n: int
     model: str
-    crossings: Optional[frozenset] = None
+    crossings: Optional[Set] = None
     signs: Optional[str] = None
     points: Optional[Tuple[Tuple[int, int], ...]] = None
     rotations: Optional[Tuple[Tuple[int, ...], ...]] = None
@@ -192,17 +192,14 @@ class Drawing:
                 raise InvalidSelection(
                     "anchor order is not a clockwise reading of the rotation at v0"
                 )
+        # a view of the same n (a restriction's, or a copy's) is valid as it is
+        table = self.crossings
+        trusted = type(table) is _Crossings and len(table.bits) == comb(n, 2)
+        if model.payload == "crossings" and not trusted:
+            object.__setattr__(self, "crossings", _Crossings(_crossing_bits(n, table)))
 
     def rank(self, i: int, j: int) -> int:
         return edge_index(min(i, j), max(i, j), self.n)
-
-    @cached_property
-    def _bits(self) -> list:
-        """Explicit model: the table as rank bitsets, one int per edge rank
-        (see ``_bit_layout``), built on first use from ``crossings`` and kept
-        with the drawing, so every kernel on it shares them.  Decoding and
-        ``induced_subdrawing`` store the bitsets they built."""
-        return _crossing_bits(self.n, self.crossings)
 
     @cached_property
     def _sign_square(self) -> str:
@@ -228,8 +225,8 @@ def cross(d: Drawing, e1, e2) -> bool:
     if a in (c, e) or b in (c, e):
         raise NotIndependent(f"edges ({a},{b}) and ({c},{e}) share an endpoint")
     if d.model == "explicit":
-        # a table with a stray entry has no bitsets: it raises ValidationError
-        return bool(d._bits[d.rank(a, b)] >> d.rank(c, e) + 1 & 1)
+        # one bit of the table's bitsets, no kernel
+        return bool(d.crossings.bits[d.rank(a, b)] >> d.rank(c, e) + 1 & 1)
     # bit 3 stands for e
     return bool(crossing_masks(d, (a, b, c, e))(a, b, c) >> 3 & 1)
 
@@ -307,6 +304,37 @@ def _later_partners(X: list):
         if later:
             picks = format(later, "b").encode()[::-1].translate(_SELECT)
             yield r1, compress(range(r1 + 1, m), picks)
+
+
+class _Crossings(Set):
+    """An explicit table's crossing rank pairs (r1, r2), r1 < r2, as a
+    read-only set over the rank bitsets ``bits`` it holds and trusts.  It
+    iterates in rank order; set operations with it give frozensets."""
+
+    __slots__ = ("bits",)
+
+    def __init__(self, bits: list):
+        self.bits = bits
+
+    def __contains__(self, pair) -> bool:
+        r1, r2 = pair
+        return 0 <= r1 < r2 < len(self.bits) and self.bits[r1] >> r2 + 1 & 1 == 1
+
+    def __iter__(self):
+        rows = _later_partners(self.bits)
+        return chain.from_iterable(zip(repeat(r1), later) for r1, later in rows)
+
+    def __len__(self) -> int:
+        return sum(map(int.bit_count, self.bits)) // 4  # four bits per pair
+
+    def __eq__(self, other):
+        return self.bits == other.bits if type(other) is _Crossings else Set.__eq__(self, other)
+
+    __hash__ = Set._hash  # a frozenset's hash of the same pairs
+
+    @classmethod
+    def _from_iterable(cls, pairs):
+        return frozenset(pairs)
 
 
 def crossing_masks(d: Drawing, order: Optional[Iterable[int]] = None):
@@ -720,7 +748,7 @@ class _Explicit(_Model):
             raise InvalidSelection("an explicit drawing needs a crossings table")
 
     def kernel(self, d, order, bits, below, dom):
-        n, X = d.n, d._bits
+        n, X = d.n, d.crossings.bits
         off = _rank_offsets(n)
         _, s_shift, s_mask, t_shift, t_mask = _bit_layout(n)
 
@@ -819,9 +847,6 @@ def induced_subdrawing(d: Drawing, vs: Sequence[int]) -> Drawing:
                 row = N(a, b, vc)
                 x |= (row & s_mask[c]) << s_shift[c] | (row & t_mask[c]) << t_shift[c]
         X.append(x)
-    crossings = frozenset(
-        chain.from_iterable(zip(repeat(r1), later) for r1, later in _later_partners(X))
-    )
 
     rotations = None
     if d.rotations is not None or d.model != "explicit":
@@ -837,9 +862,8 @@ def induced_subdrawing(d: Drawing, vs: Sequence[int]) -> Drawing:
         v0, order = d.anchor
         anchor = (back[v0], tuple(back[u] for u in order if u in back))
 
-    sub = Drawing(n=m, model="explicit", crossings=crossings, rotations=rotations, anchor=anchor)
-    vars(sub)["_bits"] = X  # built here, not again from the set
-    return sub
+    return Drawing(n=m, model="explicit", crossings=_Crossings(X), rotations=rotations,
+                   anchor=anchor)
 
 
 @dataclass(frozen=True)
@@ -899,14 +923,10 @@ class Certificate:
         """Drawn edges the certificate asserts to be present/plane."""
         vs = self.vertices
         if self.kind in (CONVEX, TWISTED):
-            return [
-                (vs[a], vs[b]) for a in range(len(vs)) for b in range(a + 1, len(vs))
-            ]
+            return list(combinations(vs, 2))
         if self.kind == PLANE_PATH:
-            return [(vs[i], vs[i + 1]) for i in range(len(vs) - 1)]
-        c1, c2 = vs[0], vs[1]
-        leaves = vs[2:]
-        return [(c1, u) for u in leaves] + [(c2, u) for u in leaves]
+            return list(zip(vs, vs[1:]))
+        return [(center, u) for center in vs[:2] for u in vs[2:]]
 
 
 @dataclass(frozen=True)
@@ -930,14 +950,9 @@ def check_plane_edges(d: Drawing, edges: Iterable[Tuple[int, int]]):
     ends = sorted({v for e in es for v in e})
     N = crossing_masks(d, ends)
     bit = {v: 1 << p for p, v in enumerate(ends)}
-    for x in range(len(es)):
-        a, b = es[x]
-        for y in range(x + 1, len(es)):
-            c, e = es[y]
-            if a in (c, e) or b in (c, e):
-                continue
-            if N(a, b, c) & bit[e]:
-                return (es[x], es[y])
+    for (a, b), (c, e) in combinations(es, 2):
+        if a not in (c, e) and b not in (c, e) and N(a, b, c) & bit[e]:
+            return (a, b), (c, e)
     return None
 
 
@@ -970,18 +985,16 @@ def verify_certificate(d: Drawing, c: Certificate) -> CertificateReport:
                     bad = (everyone ^ fit(x, y, v)) >> (cc + 1)
                     if bad:
                         dd = cc + (bad & -bad).bit_length()
+                        seen = {"mid": N(x, v, y), "inner": N(x, y, v), "outer": N(y, v, x)}
+                        got = [name for name, mask in seen.items() if mask >> dd & 1]
+                        want = "mid" if c.kind == CONVEX else "outer"
                         return CertificateReport(
                             ok=False,
                             kind=c.kind,
                             checked=_quadruples_up_to(m, a, b, cc, dd),
                             failing_tuple=(a, b, cc, dd),
-                            failure=_tuple_failure(
-                                c.kind,
-                                (x, y, v, vs[dd]),
-                                N(x, v, y) >> dd & 1,
-                                N(x, y, v) >> dd & 1,
-                                N(y, v, x) >> dd & 1,
-                            ),
+                            failure=f"vertices {(x, y, v, vs[dd])}: required crossing pattern "
+                                    f"{want!r}, observed {got or ['none']}",
                         )
         return CertificateReport(ok=True, kind=c.kind, checked=comb(m, 4))
 
@@ -1026,15 +1039,3 @@ def _quadruples_up_to(m: int, a: int, b: int, c: int, e: int) -> int:
     return (comb(m, 4) - comb(m - a, 4) + comb(m - a - 1, 3) - comb(m - b, 3)
             + comb(m - b - 1, 2) - comb(m - c, 2) + e - c)
 
-
-def _tuple_failure(kind, quad, mid, inner, outer):
-    want = "mid" if kind == CONVEX else "outer"
-    got = [
-        name
-        for name, val in (("mid", mid), ("inner", inner), ("outer", outer))
-        if val
-    ]
-    return (
-        f"vertices {quad}: required crossing pattern {want!r}, "
-        f"observed {got or ['none']}"
-    )

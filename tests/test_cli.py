@@ -599,3 +599,14 @@ class TestBench:
         assert code == 1
         assert err == "usage error: unrecognized arguments: --jobs 2\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("n, trials", [("0", "0"), ("12", "-2")])
+    def test_trials_below_one_is_a_usage_error(self, tmp_path, capsys, n, trials):
+        # no trial would run: --n 0 reached log2(0), and --n 12 wrote a CSV
+        # with only its header
+        out = tmp_path / "b.csv"
+        code, stdout, err = run(capsys, "bench", "--n", n, "--trials", trials,
+                                "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == f"usage error: --trials must be at least 1, got {trials}\n"
+        assert not out.exists()

@@ -8,6 +8,8 @@ import random
 import pytest
 from test_fuzz import random_explicit
 
+from cstg import drawing
+from cstg.chromatics import validate_observation
 from cstg.codec import (
     decode_certificate,
     decode_drawing,
@@ -198,12 +200,31 @@ class TestValidation:
             decode_drawing(doc)
         assert str(info.value) == "field 'crossings': entry [1, 4] is repeated"
 
+    @pytest.mark.parametrize("crossings, extra", [
+        ("[[4,1],[2,5],[4,1]]", ""),
+        ("[[0,1],[0,1]]", ""),
+        ("[[1,4],[1,4]]", ',"rotations":[[1,2,3],[0,2,3],[0,1,3],[0,1,1]]'),
+        ("[[1,4],[1,4]]", ',"rotations":[[1,2,3]]'),
+        ("[[1,4],[1,4]]", ',"anchor":{"order":[1,2],"v0":0}'),
+        ("[[1,4],[1,4]]", ',"params":{}'),
+    ], ids=["stray", "shared vertex", "bad rotation", "short rotations", "bad anchor",
+            "params"])
+    def test_a_repeated_entry_is_named_first(self, crossings, extra):
+        # the repeat is named before the stray entry itself, and before a
+        # later field's parse or invariant error
+        doc = '{"crossings":%s,"format":"cstg-1","model":"explicit","n":4%s}' % (
+            crossings, extra)
+        with pytest.raises(ParseError) as info:
+            decode_drawing(doc)
+        entry = json.loads(crossings)[0]
+        assert str(info.value) == f"field 'crossings': entry {entry} is repeated"
+
     def test_reversed_table_does_not_decode_to_another_drawing(self):
-        # the drawing constructs (table entries wait for the first grouping)
-        # and its document fails at decode instead of meaning {(1, 4)}
-        d = Drawing(n=4, model="explicit", crossings=frozenset({(4, 1)}))
-        doc = encode_drawing(d)
-        assert '"crossings":[[4,1]]' in doc
+        # the table {(4, 1)} is refused when the drawing is built, and its
+        # document fails at decode instead of meaning {(1, 4)}
+        with pytest.raises(ValidationError, match="out of rank order"):
+            Drawing(n=4, model="explicit", crossings=frozenset({(4, 1)}))
+        doc = '{"crossings":[[4,1]],"format":"cstg-1","model":"explicit","n":4}\n'
         with pytest.raises(ValidationError, match="out of rank order"):
             decode_drawing(doc)
 
@@ -620,7 +641,7 @@ class TestExplicitTables:
             # and all three encode to the same bytes
             entries = frozenset(tuple(entry) for entry in doc["crossings"])
             by_set = Drawing(n=d.n, model="explicit", crossings=entries, rotations=d.rotations)
-            assert d._bits == x._bits == by_set._bits
+            assert d.crossings.bits == x.crossings.bits == by_set.crossings.bits
             assert encode_drawing(d) == encode_drawing(by_set) == text
             for kind in (CONVEX, TWISTED):
                 cert = Certificate(kind, tuple(range(d.n)))
@@ -660,7 +681,7 @@ class TestExplicitTables:
         text = '{"crossings":[],"format":"cstg-1","model":"explicit","n":%d}\n' % n
         d = decode_drawing(text)
         assert d.crossings == frozenset()
-        assert d._bits == [0] * (n * (n - 1) // 2)
+        assert d.crossings.bits == [0] * (n * (n - 1) // 2)
         assert not cross(d, (0, 2), (1, 3))
         assert encode_drawing(d) == text
 
@@ -668,12 +689,37 @@ class TestExplicitTables:
         rng = random.Random(2533)
         for n in (4, 9, 16, 23):
             d = random_explicit(rng, n, density=0.4)
-            # entries out of rank order or range are written as they are
-            stray = Drawing(n=n, model="explicit", crossings=d.crossings | {(9, 2), (-1, 40)})
-            for x in (d, stray):
-                old = {"crossings": sorted(list(p) for p in x.crossings),
-                       "format": "cstg-1", "model": "explicit", "n": n}
-                assert encode_drawing(x) == canonical(old)
+            old = {"crossings": sorted(list(p) for p in d.crossings),
+                   "format": "cstg-1", "model": "explicit", "n": n}
+            assert encode_drawing(d) == canonical(old)
+            # entries out of rank order or range are refused when the
+            # drawing is built, the smallest named
+            with pytest.raises(ValidationError) as info:
+                Drawing(n=n, model="explicit", crossings=d.crossings | {(9, 2), (-1, 40)})
+            assert str(info.value) == f"crossing ranks [-1, 40] out of range for n={n}"
+
+    def test_a_replace_copy_keeps_the_table(self, monkeypatch):
+        # dataclasses.replace passes the table view on as it is, so a copy
+        # of a decoded drawing or of an anchored restriction builds nothing:
+        # it holds the same table, encodes to the same bytes and validates
+        # as its source
+        d = gen_halfcircle(16, seed=3)
+        ad = anchored_view(d)
+        carrier = Drawing(n=16, model="halfcircle", signs=d.signs, anchor=(ad.v0, ad.order))
+        x = induced_subdrawing(carrier, (ad.v0,) + ad.order)
+        assert x.anchor == (0, tuple(range(1, 16)))
+        sources = (x, decode_drawing(encode_drawing(x)))
+
+        def refuse(*args):
+            raise AssertionError("a dataclasses.replace copy built its table again")
+
+        monkeypatch.setattr(drawing, "_crossing_bits", refuse)
+        for source in sources:
+            copy = dataclasses.replace(source, anchor=(0, tuple(range(1, 16))))
+            assert copy.crossings is source.crossings
+            assert encode_drawing(copy) == encode_drawing(source)
+            report = validate_observation(anchored_view(source))
+            assert report.ok and validate_observation(anchored_view(copy)) == report
 
 
 # documents that json.loads cannot read as they stand, or that it would read

@@ -249,7 +249,8 @@ class TestCross:
                 assert cross(d, e2[::-1], e1) is want, (d.model, e1, e2)
 
     # entries that name no independent pair in rank order used to be skipped,
-    # so cross() answered False on the (4, 1) table, whose entry says it is True
+    # so cross() answered False on the (4, 1) table, whose entry says it is
+    # True; now the drawing is not built
     @pytest.mark.parametrize(
         "entry, message",
         [
@@ -260,9 +261,8 @@ class TestCross:
         ids=["unsorted", "rank out of range", "shared vertex"],
     )
     def test_explicit_stray_entry_is_rejected(self, entry, message):
-        d = Drawing(n=4, model="explicit", crossings=frozenset({entry}))
         with pytest.raises(ValidationError, match=re.escape(message)):
-            cross(d, (0, 2), (1, 3))
+            Drawing(n=4, model="explicit", crossings=frozenset({entry}))
 
     def test_explicit_looks_its_pair_up_without_a_kernel(self, monkeypatch):
         def refuse(*args):
@@ -275,10 +275,9 @@ class TestCross:
         for e1, e2 in independent_pairs(d.n):
             assert cross(d, e1, e2) is f(*e1, *e2), (e1, e2)
             assert cross(d, e2[::-1], e1) is f(*e1, *e2), (e1, e2)
-        # the grouping still runs first, so a stray entry is still rejected
-        bad = Drawing(n=4, model="explicit", crossings=frozenset({(4, 1)}))
+        # a stray entry is rejected when the drawing is built
         with pytest.raises(ValidationError, match=re.escape("[4, 1]")):
-            cross(bad, (0, 2), (1, 3))
+            Drawing(n=4, model="explicit", crossings=frozenset({(4, 1)}))
 
     def test_explicit_names_the_smallest_stray_entry(self):
         rng = random.Random(505)
@@ -290,10 +289,9 @@ class TestCross:
             if set(e1) & set(e2) and rng.random() < 0.3
         }
         for stray in (unsorted | {(3, 10**6)}, adjacent):
-            d = Drawing(n=9, model="explicit", crossings=table | stray)
             r1, r2 = min(stray)
             with pytest.raises(ValidationError, match=re.escape(f"[{r1}, {r2}]")):
-                crossing_masks(d)(0, 1, 2)
+                Drawing(n=9, model="explicit", crossings=table | stray)
 
     def test_explicit_cap(self):
         with pytest.raises(SizeLimit):
@@ -348,6 +346,21 @@ def restriction_sources():
 
 
 RESTRICTION_SOURCES = dict(restriction_sources())
+
+
+def assert_reads_as(d, ref):
+    """d's crossings answer as the frozenset ref of its rank pairs: len,
+    iteration in rank order, ==, hash, and ``in`` and cross() on every
+    independent pair."""
+    table = d.crossings
+    assert len(table) == len(ref)
+    assert list(table) == sorted(ref)
+    assert table == ref and ref == table and hash(table) == hash(ref)
+    for e1, e2 in independent_pairs(d.n):
+        pair = sorted_pair(d.rank(*e1), d.rank(*e2))
+        assert (pair in table) is (pair in ref), pair
+        assert pair[::-1] not in table, pair
+        assert cross(d, e1, e2) is (pair in ref), pair
 
 
 class TestInducedSubdrawing:
@@ -420,22 +433,40 @@ class TestInducedSubdrawing:
         rng = random.Random(name)
         for _ in range(6):
             vs = rng.sample(range(d.n), rng.randint(2, d.n))
-            assert induced_subdrawing(d, vs).crossings == reference_restriction(d, vs), vs
+            x = induced_subdrawing(d, vs)
+            want = reference_restriction(d, vs)
+            assert x.crossings == want, vs
+            # the table reads as the set of its pairs, on the restriction
+            # and on a random table built by hand from a frozenset, a set
+            # and a shuffled list
+            n = rng.randint(4, 9)
+            pairs = [
+                sorted_pair(edge_index(*e1, n), edge_index(*e2, n))
+                for e1, e2 in independent_pairs(n) if rng.random() < 0.4
+            ]
+            ref = frozenset(pairs)
+            rng.shuffle(pairs)
+            assert_reads_as(x, want)
+            for given in (ref, set(pairs), pairs):
+                assert_reads_as(Drawing(n=n, model="explicit", crossings=given), ref)
 
     def test_keeps_the_bits_its_table_builds(self):
-        # a restriction keeps the rank bitsets it built from its masks: they
-        # equal the bitsets a copy builds from the set, and both encode to
-        # the same bytes as that set sorted
+        # a restriction's table is a view over the rank bitsets it built from
+        # its masks: a dataclasses.replace copy keeps that view, a drawing
+        # built from the set of its pairs builds equal bitsets, and all three
+        # encode to the same bytes as that set sorted
         rng = random.Random(2537)
         vs = rng.sample(range(16), 13)
         sub = induced_subdrawing(gen_halfcircle(16, seed=8), vs)
-        by_set = dataclasses.replace(sub)
-        assert "_bits" in vars(sub) and "_bits" not in vars(by_set)
-        assert len(sub._bits) == len(by_set._bits) == math.comb(13, 2)
-        assert sub._bits == by_set._bits
+        copy = dataclasses.replace(sub)
+        by_set = Drawing(n=13, model="explicit", crossings=frozenset(sub.crossings),
+                         rotations=sub.rotations)
+        assert copy.crossings is sub.crossings
+        assert len(sub.crossings.bits) == len(by_set.crossings.bits) == math.comb(13, 2)
+        assert sub.crossings.bits == by_set.crossings.bits
         sorted_text = json.dumps(sorted(sub.crossings), separators=(",", ":"))
         assert f'"crossings":{sorted_text},' in encode_drawing(sub)
-        assert encode_drawing(sub) == encode_drawing(by_set)
+        assert encode_drawing(sub) == encode_drawing(copy) == encode_drawing(by_set)
 
     def test_draws_rotations_at_the_selected_vertices_only(self, monkeypatch):
         # a source that stores no rotations has them drawn at the vertices
