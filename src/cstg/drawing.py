@@ -36,7 +36,7 @@ Vertices are 0-based everywhere.
 from __future__ import annotations
 
 import math
-from collections.abc import Set
+from collections.abc import Collection, Set
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key, lru_cache
 from itertools import accumulate, chain, combinations, compress, repeat
@@ -196,7 +196,12 @@ class Drawing:
         table = self.crossings
         trusted = type(table) is _Crossings and len(table.bits) == comb(n, 2)
         if model.payload == "crossings" and not trusted:
-            object.__setattr__(self, "crossings", _Crossings(_crossing_bits(n, table)))
+            try:
+                bits = _crossing_bits(n, table)
+            except (TypeError, ValueError):
+                _refuse_non_pairs(table)  # names the entry; else the error stands
+                raise
+            object.__setattr__(self, "crossings", _Crossings(bits))
 
     def rank(self, i: int, j: int) -> int:
         return edge_index(min(i, j), max(i, j), self.n)
@@ -292,6 +297,17 @@ def _crossing_bits(n: int, entries) -> list:
     return X
 
 
+def _refuse_non_pairs(entries) -> None:
+    """ValidationError naming a crossing table that is no collection, or its
+    first entry that is not a pair of integers (as the codec refuses them)."""
+    if not isinstance(entries, Collection):
+        raise ValidationError(f"crossings {entries!r} is not a collection of rank pairs")
+    for entry in entries:
+        if not (isinstance(entry, (tuple, list)) and len(entry) == 2
+                and type(entry[0]) is int and type(entry[1]) is int):
+            raise ValidationError(f"crossing entry {entry!r} is not a pair of integers")
+
+
 _SELECT = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -311,10 +327,11 @@ class _Crossings(Set):
     read-only set over the rank bitsets ``bits`` it holds and trusts.  It
     iterates in rank order; set operations with it give frozensets."""
 
-    __slots__ = ("bits",)
+    __slots__ = ("bits", "_hash")
 
     def __init__(self, bits: list):
         self.bits = bits
+        self._hash = None
 
     def __contains__(self, pair) -> bool:
         r1, r2 = pair
@@ -330,7 +347,11 @@ class _Crossings(Set):
     def __eq__(self, other):
         return self.bits == other.bits if type(other) is _Crossings else Set.__eq__(self, other)
 
-    __hash__ = Set._hash  # a frozenset's hash of the same pairs
+    def __hash__(self) -> int:
+        # a frozenset's hash of the same pairs; it walks every pair, so once
+        if self._hash is None:
+            self._hash = Set._hash(self)
+        return self._hash
 
     @classmethod
     def _from_iterable(cls, pairs):

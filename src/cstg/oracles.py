@@ -9,17 +9,21 @@ whether they completed.
 
 The searches test consistency with Python-int masks, the representation
 :mod:`cstg.chromatics` uses.  The pattern search carries, per depth, the
-mask of vertices that extend the current sequence consistently, and narrows
-it for a child with one mask per pair of the sequence: the ``pattern_fit``
-of the drawing's crossing masks N(ab, c) = {w : edge ab crosses edge cw}
+mask of vertices that extend the current sequence consistently, and the
+rows of the sequence's pairs: the row of a pair (a, b) lists, for every v,
+the ``pattern_fit`` mask of (a, b, v), read from the drawing's crossing
+masks N(ab, c) = {w : edge ab crosses edge cw}
 (:func:`cstg.drawing.crossing_masks`, the kernel certificate checks and
-the colorings use), memoised per triple.  The path search keeps its used
-edges as a mask over the ranks of the pairs of its vertex set, and builds
-the conflict mask of an edge from one kernel row per vertex of that set.
-A pattern node is one consistent extension: the search walks the set bits
-of the candidate mask in ascending order and stops a node once the sequence
-plus the popcount of that mask cannot beat the best sequence, the
-colouring-free bound of Carraghan and Pardalos (1990) for maximum clique.
+the colorings use), and is built the first time a sequence holds that
+pair.  A child's mask is the node's mask and one entry of each row.  The
+path search keeps its used edges as a mask over the ranks of the pairs of
+its vertex set, and builds the conflict mask of an edge from one kernel row
+per vertex of that set.  A pattern node is one consistent extension: the
+search walks the set bits of the candidate mask in ascending order and
+stops a node once the sequence plus the popcount of that mask cannot beat
+the best sequence, the colouring-free bound of Carraghan and Pardalos
+(1990) for maximum clique.  A child that this bound would stop at once is
+counted in the node and not called.
 The path search's candidate order, node count and bounds are those of the
 plain scan over its edges, so its results, witnesses and exhausted budgets
 do not depend on the masks; it stops at a path through every vertex.
@@ -114,21 +118,27 @@ def max_pattern_exact(
     clock = _Clock(budget)
     best: List[int] = []
     shape = pattern_fit(crossing_masks(d), kind)
-    # one lookup per pair of the sequence instead of three masks; without it
-    # 47 searches (half-circle n = 16..22, convex and twisted n = 8..12)
-    # took 2.5-3.1 s against 1.3-1.8 s
-    fits = {}
+    # rows[a][b][w]: shape(a, b, w), the row of the pair (a, b), built the
+    # first time a sequence holds a before b; w in {a, b} is never a candidate
+    rows = [[None] * n for _ in range(n)]
 
-    def dfs(seq: List[int], free: int, ok: int) -> bool:
-        # ok: the w for which seq + [w] is consistent; free: the unused w
+    def row(a: int, b: int) -> List[int]:
+        r = rows[a][b]
+        if r is None:
+            r = rows[a][b] = [0 if w == a or w == b else shape(a, b, w) for w in range(n)]
+        return r
+
+    def dfs(seq: List[int], cand: int, fits: List[List[int]]) -> bool:
+        # cand: the unused w (for the convex kind above seq[0]) for which
+        # seq + [w] is consistent; fits: the rows of the pairs of seq
         nonlocal best
         if len(seq) > len(best):
-            best = list(seq)
-        floor = seq[0] if (want_mid and seq) else -1
-        cand = ok & free & (-1 << (floor + 1))
+            best = seq
+        first = want_mid and not seq  # convex: a sequence from v goes on above v
         # the whole of cand, not the bits left: a child may still use a
         # lower candidate that this loop has already visited
         bound = len(seq) + cand.bit_count()
+        grown = len(seq) + 1  # a child's length
         rest = cand
         while rest:
             if bound <= len(best):
@@ -138,24 +148,18 @@ def max_pattern_exact(
             if not clock.tick():
                 return False
             v = low.bit_length() - 1
-            child = ok
-            for b in range(1, len(seq)):
-                y = seq[b]
-                for a in range(b):
-                    key = (seq[a], y, v)
-                    mask = fits.get(key)
-                    if mask is None:
-                        mask = fits[key] = shape(*key)
-                    child &= mask
-            seq.append(v)
-            finished = dfs(seq, free ^ low, child)
-            seq.pop()
-            if not finished:
-                return False
+            child = cand & -(low << 1) if first else cand ^ low
+            for r in fits:
+                child &= r[v]
+            # a child that cannot beat best would return at once: no call (a
+            # longer child beats it, so best is recorded where it was)
+            if grown + child.bit_count() > len(best):
+                if not dfs(seq + [v], child, fits + [row(u, v) for u in seq]):
+                    return False
         return True
 
-    completed = dfs([], (1 << n) - 1, (1 << n) - 1)
-    dfs = None  # dfs refers to itself: drop that cycle so the memos go now
+    completed = dfs([], (1 << n) - 1, [])
+    dfs = None  # dfs refers to itself: drop that cycle so the rows go now
     result = OracleResult(
         size=len(best), witness=tuple(best), nodes=clock.nodes, exact=completed
     )

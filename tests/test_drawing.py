@@ -264,6 +264,22 @@ class TestCross:
         with pytest.raises(ValidationError, match=re.escape(message)):
             Drawing(n=4, model="explicit", crossings=frozenset({entry}))
 
+    # a table that is not a collection of integer pairs is refused as the
+    # codec refuses one, not with a bare TypeError or ValueError
+    @pytest.mark.parametrize(
+        "crossings, message",
+        [
+            (5, "crossings 5 is not a collection of rank pairs"),
+            ([(1, 4, 5)], "crossing entry (1, 4, 5) is not a pair of integers"),
+            ([("a", 4)], "crossing entry ('a', 4) is not a pair of integers"),
+            ([(1.0, 4)], "crossing entry (1.0, 4) is not a pair of integers"),
+        ],
+        ids=["not a collection", "three ranks", "string rank", "float rank"],
+    )
+    def test_explicit_table_of_non_integer_pairs_is_rejected(self, crossings, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            Drawing(n=4, model="explicit", crossings=crossings)
+
     def test_explicit_looks_its_pair_up_without_a_kernel(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("an explicit cross() built a crossing kernel")
@@ -732,6 +748,14 @@ class TestRankBitsets:
                 want = sorted_pair(t.rank(*e1), t.rank(*e2)) in t.crossings
                 assert cross(t, e1, e2) is want, (e1, e2)
                 assert cross(t, e2, e1[::-1]) is want, (e1, e2)
+
+    def test_hash_is_a_frozensets_and_computed_once(self, monkeypatch):
+        table = random_explicit(random.Random(80), 9, density=0.4).crossings
+        want = hash(frozenset(table))
+        assert hash(table) == want
+        # a second hash walks no pair
+        monkeypatch.setattr(drawing, "_later_partners", None)
+        assert hash(table) == want
 
 
 # -- collinearity against the cubic scan ----------------------------------------

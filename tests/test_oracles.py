@@ -421,6 +421,20 @@ class TestSearchEquivalence:
                     reference_max_pattern, d, kind, budget
                 ), (kind, budget)
 
+    # each budget stops the search at another tick, among them the ticks of
+    # the children that it counts without a call
+    @pytest.mark.parametrize("kind", [CONVEX, TWISTED])
+    @pytest.mark.parametrize(
+        "d", [gen_halfcircle(10, seed=2), gen_twisted(9)], ids=["halfcircle 10 seed 2", "twisted 9"]
+    )
+    def test_every_node_budget_stops_as_the_reference(self, d, kind):
+        nodes = max_pattern_exact(d, kind).nodes
+        for cap in range(1, nodes + 1):
+            budget = OracleBudget(nodes=cap)
+            assert outcome(max_pattern_exact, d, kind, budget) == outcome(
+                reference_max_pattern, d, kind, budget
+            ), cap
+
     @pytest.mark.parametrize("name", sorted(SEARCH_DRAWINGS))
     def test_plane_path_search_matches_the_reference(self, name):
         d = SEARCH_DRAWINGS[name]
