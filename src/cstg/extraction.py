@@ -9,13 +9,14 @@ triple-color class of the candidates, read from one pair's masks), and checks
 every class for a monochromatic monotone 2-path of m1 vertices, a convex
 pattern.  Each phi class is a ``GameState`` on its members, in stage order.
 
-The candidate set loses at least a 1/(m2^2 * 2^edges) fraction per stage;
-that one-step recurrence, the edge colors' restriction, and the convex
-witness's triple colors are all asserted, never trusted.  Every run ends in
-one tail: a convex or twisted witness leaves through
-``drawing._certified``, which verifies it or raises InternalInvariantBroken,
-and running out of candidates, a legitimate desk-scale outcome, is reported
-with statistics.
+The candidate set keeps at least a 1/(m2^2 * 2^edges) share per stage.
+Its pigeonhole floor, the edge colors' restriction, and the convex witness's
+triple colors are asserted, never trusted; the halving (each edge keeps the
+larger half) and the (m2-2)^2 bound on zero-edge stages (each opens a class)
+hold by construction and are checked in tests.  Every run ends in one tail:
+a convex or twisted witness leaves through ``drawing._certified``, which
+verifies it or raises InternalInvariantBroken, and running out of
+candidates, a legitimate desk-scale outcome, is reported with statistics.
 """
 
 from __future__ import annotations
@@ -129,8 +130,7 @@ def extract_pattern(
             return _finish(ad, stats, classes, rest, TWISTED, witness)
 
         chosen_key, pool = _largest_class(column, rest)
-        remaining = rest.bit_count()
-        if pool.bit_count() * m2 * m2 < remaining:
+        if pool.bit_count() * m2 * m2 < rest.bit_count():
             raise InternalInvariantBroken("pigeonhole class smaller than (|S|-1)/m2^2")
 
         game = classes.setdefault(chosen_key, GameState())
@@ -139,15 +139,7 @@ def extract_pattern(
         for u in members:
             color, pool = _halve(chi, u, w, pool)
             game.add_edge(u, w, color)
-        edges_built = len(members)
-        stats.edge_counts.append(edges_built)
-        if edges_built == 0 and m2 > 2 and stats.zero_edge_stages > (m2 - 2) ** 2:
-            raise InternalInvariantBroken("more zero-edge stages than phi classes")
-
-        if pool.bit_count() * (m2 * m2) * (1 << edges_built) < remaining:
-            raise InternalInvariantBroken(
-                "stage recurrence |S'| >= (|S|-1)/(m2^2 2^e) violated"
-            )
+        stats.edge_counts.append(len(members))
 
         # only this stage's class changed, and every earlier stage found
         # every class short of m1

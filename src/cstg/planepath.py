@@ -7,10 +7,12 @@ star (two centers, the subsequence as leaves); otherwise repeated decreasing
 subsequences drive an inductive path construction whose step keeps at least
 a 1/(2m)^2 fraction of the candidates.
 
-All structural facts the construction relies on are asserted afterwards on
-the finished path: the inside/outside class of every consecutive wedge is
-uniform over the later path vertices, and anchor edges to earlier path
-vertices never cross later path edges.  The star, and the path of every
+Each step asserts that theta lists every candidate above the tip and that
+the decreasing run reaches |S|/m^2, and the finished path that anchor edges
+to earlier path vertices never cross later path edges.  By construction, and
+checked in tests, a step keeps the larger side of its wedge (hence the
+1/(2m)^2 share), so each consecutive wedge has every later path vertex on
+one side.  The star, and the path of every
 branch (trivial, increasing, decreasing) in one tail, leave through
 ``drawing._certified``, which verifies each pairwise non-crossing or raises
 InternalInvariantBroken.
@@ -254,7 +256,6 @@ def extract_plane_path(
         stats.unused = given
         path = [1]
         candidates = list(range(2, n))
-        m_sq = m * m
         while candidates:
             stats.candidate_sizes.append(len(candidates))
             live = set(candidates)
@@ -264,7 +265,7 @@ def extract_plane_path(
             _, dec = _lis([-p for p in th])
             dec = [-p for p in dec]
             stats.lds_lengths.append(len(dec))
-            if len(dec) * m_sq < len(candidates):
+            if len(dec) * m * m < len(candidates):
                 raise InternalInvariantBroken(
                     "decreasing run shorter than |S|/m^2 despite no long increasing run"
                 )
@@ -273,33 +274,13 @@ def extract_plane_path(
             inner = _inside(chi, path[-1], u_next, rest)
             outer = rest ^ inner
             kept = inner if inner.bit_count() >= outer.bit_count() else outer
-            size = kept.bit_count()
-            if 2 * size < len(dec) - 1:
-                raise InternalInvariantBroken("kept class smaller than half")
-            if len(candidates) > m_sq and 4 * m_sq * size < len(candidates):
-                raise InternalInvariantBroken(
-                    "step recurrence |S'| >= |S|/(2m)^2 violated"
-                )
             path.append(u_next)
             candidates = sorted(p for p in dec if kept >> p & 1)
 
-        _assert_wedge_uniformity(ad, chi, path)
         _assert_anchor_edges_clear(ad, chi, path)
         path = [ad.vertex_at(p) for p in path]
     cert = _certified(ad.base, PLANE_PATH, path)
     return PlanePathOutcome(path=cert, bipartite=star, stats=stats)
-
-
-def _assert_wedge_uniformity(ad, chi, path) -> None:
-    # every later path vertex sits on the same side of each consecutive wedge
-    later = sum(1 << v for v in path[2:])
-    for t in range(len(path) - 2):
-        a, b = path[t], path[t + 1]
-        if _inside(chi, a, b, later) not in (0, later):
-            raise InternalInvariantBroken(
-                f"wedge ({a},{b}) separates later path vertices"
-            )
-        later ^= 1 << path[t + 2]
 
 
 def _assert_anchor_edges_clear(ad, chi, path) -> None:

@@ -78,7 +78,7 @@ class TestExtractPattern:
 
 
 class TestStageStateProperties:
-    """The four structural facts the stage construction maintains, checked
+    """The five structural facts the stage construction maintains, checked
     post-hoc from the final state snapshot."""
 
     @staticmethod
@@ -94,6 +94,12 @@ class TestStageStateProperties:
             assigned = sum(len(v) for v in out.stats.class_members.values())
             expected = out.stats.stages - (1 if out.stats.outcome == "twisted" else 0)
             assert assigned == expected
+
+    def test_zero_edge_stages_open_the_classes(self):
+        # a zero-edge stage opens a class, and with no twisted hit at m2 = 5
+        # every class key lies in {2..4}^2
+        for ad, out in self.runs():
+            assert out.stats.zero_edge_stages == len(out.stats.class_members) <= (5 - 2) ** 2
 
     def test_members_precede_survivors(self):
         for ad, out in self.runs():

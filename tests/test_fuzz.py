@@ -28,6 +28,28 @@ def random_explicit(rng, n, density=0.3):
     return Drawing(n=n, model="explicit", crossings=frozenset(pairs))
 
 
+def random_rotation_views(rng, count):
+    """Random crossing data on 4 to 9 vertices with random rotations,
+    anchored at 0 in a clockwise reading of the rotation there."""
+    for _ in range(count):
+        n = rng.randint(4, 9)
+        d = random_explicit(rng, n, density=0.25)
+        rots = []
+        for v in range(n):
+            others = [u for u in range(n) if u != v]
+            rng.shuffle(others)
+            rots.append(tuple(others))
+        order = tuple(reversed(rots[0]))
+        d = Drawing(
+            n=n,
+            model="explicit",
+            crossings=d.crossings,
+            rotations=tuple(rots),
+            anchor=(0, order),
+        )
+        yield AnchoredDrawing(base=d, v0=0, order=order)
+
+
 class TestFailClosed:
     def test_extraction_on_random_crossing_data(self):
         rng = random.Random(99)
@@ -48,31 +70,12 @@ class TestFailClosed:
         assert rejected > 0 and completed > 0
 
     def test_plane_path_on_random_crossing_data(self):
-        rng = random.Random(7)
-        for _ in range(40):
-            n = rng.randint(4, 9)
-            d = random_explicit(rng, n, density=0.25)
-            rots = []
-            for v in range(n):
-                others = [u for u in range(n) if u != v]
-                rng.shuffle(others)
-                rots.append(tuple(others))
-            order = tuple(
-                reversed(rots[0])
-            )  # a clockwise reading of the rotation at 0
-            d = Drawing(
-                n=n,
-                model="explicit",
-                crossings=d.crossings,
-                rotations=tuple(rots),
-                anchor=(0, order),
-            )
-            ad = AnchoredDrawing(base=d, v0=0, order=order)
+        for ad in random_rotation_views(random.Random(7), 40):
             try:
                 out = extract_plane_path(ad, m_override=2)
             except (ObservationViolated, InternalInvariantBroken):
                 continue
-            assert verify_certificate(d, out.path).ok
+            assert verify_certificate(ad.base, out.path).ok
 
 
 class TestSvgWellFormed:

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 from test_cli import run
+from test_planepath import assert_step_shares, assert_wedges_uniform
 
 from cstg import codec, drawing
 from cstg.chromatics import ChiCache
@@ -93,6 +94,8 @@ class TestPlanePathStress:
         assert out.stats.branch == "decreasing"
         assert out.vertex_count == 95  # candidate pool shrinks by one per step
         assert verify_certificate(d, out.path).ok
+        assert_step_shares(out.stats)
+        assert_wedges_uniform(ad, out)
 
     def test_increasing_branch_star_and_path_both_verify(self):
         for seed in range(6):

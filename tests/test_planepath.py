@@ -7,6 +7,7 @@ import re
 
 import pytest
 from test_cli import anchored_restriction, violating_documents
+from test_fuzz import random_rotation_views
 
 from cstg import oracles, planepath
 from cstg.chromatics import ChiCache
@@ -47,6 +48,31 @@ def mirrored_twisted_view(m):
         anchor=(m - 1, tuple(range(m - 1))),
     )
     return anchored_view(d)
+
+
+def path_positions(ad, out):
+    """The anchored positions of the path's vertices, in path order."""
+    return [ad.order.index(v) + 1 for v in out.path.vertices]
+
+
+def assert_step_shares(stats):
+    """Each decreasing step keeps at least half its run less the run's end,
+    and, while |S| > m^2, at least |S|/(2m)^2 candidates; the last step keeps
+    none."""
+    m_sq = stats.m * stats.m
+    sizes = stats.candidate_sizes
+    for size, lds, kept in zip(sizes, stats.lds_lengths, sizes[1:] + [0]):
+        assert 2 * kept >= lds - 1
+        assert size <= m_sq or 4 * m_sq * kept >= size
+
+
+def assert_wedges_uniform(ad, out):
+    """Every later path vertex sits on one side of each consecutive wedge."""
+    chi = ChiCache(ad)
+    path = path_positions(ad, out)
+    for t in range(len(path) - 2):
+        later = sum(1 << p for p in path[t + 2:])
+        assert planepath._inside(chi, path[t], path[t + 1], later) in (0, later)
 
 
 def count_theta_calls(monkeypatch):
@@ -232,7 +258,7 @@ class TestInsideSplit:
         ("twisted 20", gen_twisted(20), 5),
         ("anchored explicit", anchored_restriction(gen_halfcircle(24, seed=3)), 5),
     ])
-    def test_every_decreasing_step_and_wedge(self, monkeypatch, name, d, m):
+    def test_every_decreasing_step(self, monkeypatch, name, d, m):
         calls = []
         inside = planepath._inside
 
@@ -244,8 +270,8 @@ class TestInsideSplit:
         ad = anchored_view(d)
         out = extract_plane_path(ad, m_override=m)
         assert out.stats.branch == "decreasing"
-        # one split per step, one wedge check per path pair but the last
-        assert len(calls) == out.stats.steps + out.vertex_count - 2
+        # one split per step
+        assert len(calls) == out.stats.steps
         chi = ChiCache(ad)
         for a, b, vs in calls:
             assert inside(chi, a, b, vs) == inside_or_error(chi, a, b, vs)
@@ -328,7 +354,34 @@ class TestExtractPlanePath:
                 assert verify_certificate(d, out.path).ok
                 sizes = out.stats.candidate_sizes
                 assert sizes == sorted(sizes, reverse=True)
+                assert_step_shares(out.stats)
+                assert_wedges_uniform(ad, out)
         assert hits > 0
+
+    def test_random_rotations_keep_the_step_facts(self, monkeypatch):
+        # the families above never split a run across a wedge; random
+        # crossing data does, in some of the runs that return a path
+        splits = []
+        inside = planepath._inside
+
+        def spy(chi, a, b, vs):
+            got = inside(chi, a, b, vs)
+            splits.append(got not in (0, vs))
+            return got
+
+        monkeypatch.setattr(planepath, "_inside", spy)
+        split_runs = 0
+        for ad in random_rotation_views(random.Random(7), 200):
+            splits.clear()
+            try:
+                out = extract_plane_path(ad, m_override=2)
+            except (ObservationViolated, InternalInvariantBroken):
+                continue
+            if out.stats.branch == "decreasing":
+                split_runs += any(splits)
+                assert_step_shares(out.stats)
+                assert_wedges_uniform(ad, out)
+        assert split_runs > 0
 
     def test_star_search_skipped_when_no_position_qualifies(self, monkeypatch):
         # m^2 = 256 exceeds every position's successor count, so theta is
@@ -442,6 +495,35 @@ class TestDecreasingRunGuard:
             out = extract()
             assert out.stats.candidate_sizes[-1] == size
             assert out.stats.lds_lengths[-1] == 1
+
+
+class TestThetaGuard:
+    """At m = 16 and n < 257 the star search reads no theta, so the s-th
+    theta call is step s of the decreasing branch; at each step in turn the
+    next path vertex is dropped from it."""
+
+    def test_a_missing_candidate_raises_at_every_step(self, monkeypatch):
+        ad = anchored_view(gen_halfcircle(64, seed=1))
+        out = extract_plane_path(ad, m_override=16)
+        assert verify_certificate(ad.base, out.path).ok
+        path = path_positions(ad, out)
+        assert out.stats.steps == len(path) - 1 == 6
+        message = "theta missed candidates above the tip"
+        for step in range(out.stats.steps):
+            calls = []
+
+            def dropped(ad, i, step=step):
+                calls.append(i)
+                seq = theta(ad, i)
+                if len(calls) == step + 1:
+                    seq.remove(path[step + 1])
+                return seq
+
+            with monkeypatch.context() as patch:
+                patch.setattr(planepath, "theta", dropped)
+                with pytest.raises(InternalInvariantBroken, match=re.escape(message)):
+                    extract_plane_path(ad, m_override=16)
+            assert calls == path[:step + 1]
 
 
 def explicit_view(n, crossing_edges):
