@@ -10,7 +10,6 @@ from .chromatics import (
     ChiCache,
     PhiValue,
     chi,
-    check_transitive_completion,
     phi_table,
     validate_observation,
 )
@@ -29,7 +28,6 @@ from .drawing import (
     Certificate,
     Drawing,
     cross,
-    edge_at,
     edge_index,
     induced_subdrawing,
     verify_certificate,
@@ -56,7 +54,7 @@ from .oracles import (
     max_pattern_exact,
     numeric_rotation_oracle,
 )
-from .planepath import extract_plane_path, find_plane_k2m2, inside_delta, lis_lds, theta
+from .planepath import extract_plane_path, find_plane_k2m2, theta
 from .ramsey import (
     GameState,
     GameTranscript,
@@ -83,12 +81,10 @@ __all__ = [
     "TWISTED",
     "adversarial_painter",
     "anchored_view",
-    "check_transitive_completion",
     "chi",
     "cross",
     "decode_certificate",
     "decode_drawing",
-    "edge_at",
     "edge_index",
     "embed_tree",
     "encode_certificate",
@@ -103,8 +99,6 @@ __all__ = [
     "gen_twisted",
     "guaranteed_m",
     "induced_subdrawing",
-    "inside_delta",
-    "lis_lds",
     "longest_plane_path_exact",
     "max_pattern_exact",
     "naive_builder",

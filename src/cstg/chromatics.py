@@ -36,8 +36,10 @@ n = 1024, a full phi_table 0.046-0.050 s and 0.90-1.41 s (22.5 MB peak RSS);
 on twisted n = 512 it takes 0.23-0.32 s.  At n = 160 (seed 5) the whole
 ``tables phi`` command, 12,561 rows with the document read and the file
 written, takes 0.022-0.028 s, and ``tables chi`` (657,359 rows, written one
-anchor row at a time by ``_chi_blocks``) 0.074-0.080 s at a 28 MB
-tracemalloc peak.
+anchor row at a time by ``_chi_blocks``) 0.074-0.080 s.  Both tables are
+streamed to their file block by block (``_phi_blocks`` for phi), so
+``tables chi`` there peaks at 2.2 MB under tracemalloc, below the 9.18 MB
+CSV it writes (27.9 MB when its rows were joined into one text first).
 
 Only ``chi()`` and callers outside the package read ``ChiCache.get``; the
 rest reads its two mask readers, which raise ``get``'s error for an invalid
@@ -54,10 +56,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from .drawing import AnchoredDrawing, _kernels, _quadruples_up_to
+from .drawing import AnchoredDrawing, _kernels
 from .errors import InvalidSelection, InvalidTriple, ObservationViolated
 
 VALID_COLORS = ("000", "001", "010", "100")
@@ -334,51 +335,24 @@ def phi_table(ad: AnchoredDrawing, chi_cache: Optional[ChiCache] = None) -> PhiT
     return table
 
 
-@dataclass(frozen=True)
-class TransitivityReport:
-    ok: bool
-    quadruples_checked: int
-    counterexample: Optional[Tuple[int, int, int, int]] = None
-    completion_checked: bool = False
+def _phi_blocks(table: PhiTable) -> Iterator[str]:
+    """The rows "i,j,a,b" of every pair i < j <= n-1, one str per column i.
 
-    def __bool__(self):
-        return self.ok
-
-
-def check_transitive_completion(
-    n: int, cls: Callable[[int, int], int], window: Sequence[int]
-) -> TransitivityReport:
-    """Transitivity of a triple class on a window, plus completion.
-
-    ``cls(p, q)`` is the class as a mask C(p,q): bit r > q is set iff (p,q,r)
-    is in the class, other bits are ignored.  On a drawing's pair masks
-    (``_pair_masks``) the 100 class is R(p,q) without R(q,p) and X(p,q), the
-    001 class X(p,q) without the two R masks.  For every 4-tuple p<q<r<s of
-    the window, (p,q,r) and (q,r,s) must force (p,q,s) and (p,r,s): C(q,r)
-    lies in C(p,q) & C(p,r) for each r in C(p,q).  The report names the
-    first failing 4-tuple in lexicographic order and counts the 4-tuples up
-    to it.  ``completion_checked``: the class is transitive and holds the
-    window's consecutive triples, so it is complete on the window with no
-    scan: by induction on r - p it holds each (p,q,r) through (p,p+1,q) and
-    (p+1,q,r), or (p,p+1,r-1) and (p+1,r-1,r), with p+1 p's window successor.
+    A column not yet built is built when its block is asked for.  Written
+    block by block, a table holds its columns but never its text.  Each
+    block reads the column's value codes at once: a row is "i," and the
+    pieces "j,", "a," and "b\\n", the last two looked up by value code.
     """
-    w = list(window)
-    if any(a >= b for a, b in zip(w, w[1:])):
-        raise InvalidTriple("window must be strictly increasing")
-    if any(not (0 <= v < n) for v in w):
-        raise InvalidTriple("window out of range")
-    inside = sum(1 << v for v in w)
-    above = {v: inside & (-1 << (v + 1)) for v in w}  # the window above v
-    C = {(p, q): cls(p, q) & above[q] for p, q in combinations(w, 2)}
-    for (p, q), pq in C.items():  # pairs in window order
-        for r in _members(pq):
-            bad = C[q, r] & ~(pq & C[p, r])
-            if bad:
-                s = next(_members(bad))
-                checked = _quadruples_up_to(len(w), *map(w.index, (p, q, r, s)))
-                return TransitivityReport(False, checked, counterexample=(p, q, r, s))
-    spanning = len(w) >= 3 and all(C[p, q] >> r & 1 for p, q, r in zip(w, w[1:], w[2:]))
-    return TransitivityReport(True, comb(len(w), 4), completion_checked=spanning)
+    n = table.ad.n
+    js = [f"{j}," for j in range(n)]
+    a_of = [f"{t + 2}," for t in range(n)]
+    b_of = [f"{t + 2}\n" for t in range(n)]
+    for i in range(1, n - 1):
+        head = f"{i},"
+        codes_a, codes_b = table._codes(i)
+        rows = zip(js[i + 1:], map(a_of.__getitem__, codes_a[i + 1:]),
+                   map(b_of.__getitem__, codes_b[i + 1:]))
+        yield head + head.join(map("".join, rows))
 
 
 def _members(mask: int):

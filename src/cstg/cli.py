@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from functools import cache
-from typing import List, Optional
+from itertools import chain
+from typing import Iterable, List, Optional, Union
 
 from . import codec, generators, oracles, svg
-from .chromatics import ChiCache, _chi_blocks, phi_table, validate_observation
+from .chromatics import ChiCache, _chi_blocks, _phi_blocks, phi_table, validate_observation
 from .drawing import CONVEX, MODELS, TWISTED, Certificate, _certified, verify_certificate
 from .errors import (
     BudgetExhausted,
@@ -107,12 +109,32 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: Union[str, Iterable[str]], out: Optional[str]) -> None:
+    """Write a document (a str) or a table (an iterable of str chunks).
+
+    Stdout gets the whole text in one write, chunks joined first, so a table
+    that fails part way prints nothing.  A document goes to ``out`` in one
+    write.  A table's chunks go one by one to the sibling ``<out>.<pid>.tmp``,
+    which replaces ``out`` after the last chunk, so only one chunk is held at
+    a time, ``out`` appears only when complete, and a symlink at ``out`` is
+    replaced, not written through.  On any error the temporary file is
+    removed and ``out`` is left as it was.
+    """
     if out is None:
-        sys.stdout.write(text)
-    else:
+        sys.stdout.write(text if isinstance(text, str) else "".join(text))
+    elif isinstance(text, str):
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    else:
+        tmp = f"{out}.{os.getpid()}.tmp"
+        fh = open(tmp, "w", encoding="utf-8")
+        try:
+            with fh:
+                fh.writelines(text)
+            os.replace(tmp, out)
+        except BaseException:
+            os.remove(tmp)
+            raise
 
 
 def _parse_points(raw: str):
@@ -302,27 +324,11 @@ def _cmd_render(args) -> int:
 def _cmd_tables(args) -> int:
     d = codec.load_drawing(args.drawing)
     ad = generators.anchored_view(d)
-    n = ad.n
-    lines: List[str] = []
     if args.what == "chi":
-        cache = ChiCache(ad)
-        lines.append("# cstg-chi-1\ni,j,k,color\n")
-        lines.extend(_chi_blocks(cache._star, n))
+        chunks = chain(["# cstg-chi-1\ni,j,k,color\n"], _chi_blocks(ChiCache(ad)._star, ad.n))
     else:
-        table = phi_table(ad)
-        lines.append("# cstg-phi-1\ni,j,a,b\n")
-        # the pieces "j,", "a," and "b\n" of a row, a and b by value code
-        js = [f"{j}," for j in range(n)]
-        a_of = [f"{t + 2}," for t in range(n)]
-        b_of = [f"{t + 2}\n" for t in range(n)]
-        # one block of rows "i,j,a,b" per column, its value codes read at once
-        for i in range(1, n - 1):
-            head = f"{i},"
-            codes_a, codes_b = table._codes(i)
-            rows = zip(js[i + 1:], map(a_of.__getitem__, codes_a[i + 1:]),
-                       map(b_of.__getitem__, codes_b[i + 1:]))
-            lines.append(head + head.join(map("".join, rows)))
-    _emit("".join(lines), args.out)
+        chunks = chain(["# cstg-phi-1\ni,j,a,b\n"], _phi_blocks(phi_table(ad)))
+    _emit(chunks, args.out)
     return EXIT_OK
 
 

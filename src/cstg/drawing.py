@@ -81,20 +81,6 @@ def edge_index(i: int, j: int, n: int) -> int:
     return i * n - i * (i + 1) // 2 + (j - i - 1)
 
 
-def edge_at(rank: int, n: int) -> Tuple[int, int]:
-    """Inverse of edge_index."""
-    if rank < 0 or rank >= n * (n - 1) // 2:
-        raise InvalidEdge(f"rank {rank} out of range for n={n}")
-    i = 0
-    # row i holds n-1-i pairs; walking the rows is O(n) per call, so bulk
-    # decoding builds a rank table instead
-    offset = rank
-    while offset >= n - 1 - i:
-        offset -= n - 1 - i
-        i += 1
-    return i, i + 1 + offset
-
-
 def sorted_pair(a, b):
     """The unordered pair {a, b} as (min, max)."""
     return (a, b) if a < b else (b, a)

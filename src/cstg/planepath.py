@@ -37,7 +37,6 @@ from .errors import (
     BudgetExhausted,
     InternalInvariantBroken,
     InvalidSelection,
-    InvalidTriple,
 )
 from .generators import rotation_at
 from .oracles import OracleBudget, longest_plane_path_exact
@@ -53,14 +52,6 @@ def theta(ad: AnchoredDrawing, i: int) -> List[int]:
     rot = rot[cut + 1 :] + rot[:cut]
     pos = {u: p for p, u in enumerate(ad.order, start=1)}
     return [pos[u] for u in rot if pos[u] > i]
-
-
-@dataclass(frozen=True)
-class LisLds:
-    lis_length: int
-    lis_witness: Tuple[int, ...]
-    lds_length: int
-    lds_witness: Tuple[int, ...]
 
 
 def _lis(seq: List[int]) -> Tuple[int, List[int]]:
@@ -94,19 +85,6 @@ def _lis(seq: List[int]) -> Tuple[int, List[int]]:
     return len(tails), out
 
 
-def lis_lds(seq) -> LisLds:
-    """Longest strictly increasing and decreasing subsequences, with witnesses."""
-    seq = list(seq)
-    inc_len, inc_wit = _lis(seq)
-    dec_len, dec_wit = _lis([-x for x in seq])
-    return LisLds(
-        lis_length=inc_len,
-        lis_witness=tuple(inc_wit),
-        lds_length=dec_len,
-        lds_witness=tuple(-x for x in dec_wit),
-    )
-
-
 def find_plane_k2m2(ad: AnchoredDrawing, m: int) -> Optional[Certificate]:
     """Plane star with centers (anchor, v_i) and m^2 leaves, if some theta
     has an increasing run that long; smallest qualifying i wins.
@@ -121,20 +99,6 @@ def find_plane_k2m2(ad: AnchoredDrawing, m: int) -> Optional[Certificate]:
             leaves = [ad.vertex_at(p) for p in witness[:need]]
             return _certified(ad.base, PLANE_BIPARTITE, [ad.v0, ad.vertex_at(i)] + leaves)
     return None
-
-
-def inside_delta(
-    ad: AnchoredDrawing, a: int, b: int, v: int, chi_cache: Optional[ChiCache] = None
-) -> bool:
-    """Is v inside the region bounded by the arcs anchor-a, a-b, b-anchor?
-
-    Decided combinatorially: v is inside exactly when the anchor edge to v
-    must cross a-b, i.e. when the triple colors 001.
-    """
-    if not (1 <= a < b < v <= ad.n - 1):
-        raise InvalidTriple(f"need a < b < v in anchored positions, got ({a},{b},{v})")
-    chi = chi_cache if chi_cache is not None else ChiCache(ad)
-    return bool(_inside(chi, a, b, 1 << v))
 
 
 def _inside(chi: ChiCache, a: int, b: int, vs: int) -> int:

@@ -1,0 +1,112 @@
+"""Checks and views that only the tests read.
+
+They wrap library internals: the transitivity check behind acceptance
+criterion 02, the region test and the subsequence search of the plane path
+pipeline, and the inverse of ``edge_index``.  No CLI path reaches them.
+"""
+
+from dataclasses import dataclass
+from itertools import combinations
+from math import comb
+from typing import Callable, Optional, Sequence, Tuple
+
+from cstg.chromatics import ChiCache, _members
+from cstg.drawing import AnchoredDrawing, _quadruples_up_to
+from cstg.errors import InvalidEdge, InvalidTriple
+from cstg.planepath import _inside, _lis
+
+
+@dataclass(frozen=True)
+class TransitivityReport:
+    ok: bool
+    quadruples_checked: int
+    counterexample: Optional[Tuple[int, int, int, int]] = None
+    completion_checked: bool = False
+
+    def __bool__(self):
+        return self.ok
+
+
+def check_transitive_completion(
+    n: int, cls: Callable[[int, int], int], window: Sequence[int]
+) -> TransitivityReport:
+    """Transitivity of a triple class on a window, plus completion.
+
+    ``cls(p, q)`` is the class as a mask C(p,q): bit r > q is set iff (p,q,r)
+    is in the class, other bits are ignored.  On a drawing's pair masks
+    (``_pair_masks``) the 100 class is R(p,q) without R(q,p) and X(p,q), the
+    001 class X(p,q) without the two R masks.  For every 4-tuple p<q<r<s of
+    the window, (p,q,r) and (q,r,s) must force (p,q,s) and (p,r,s): C(q,r)
+    lies in C(p,q) & C(p,r) for each r in C(p,q).  The report names the
+    first failing 4-tuple in lexicographic order and counts the 4-tuples up
+    to it.  ``completion_checked``: the class is transitive and holds the
+    window's consecutive triples, so it is complete on the window with no
+    scan: by induction on r - p it holds each (p,q,r) through (p,p+1,q) and
+    (p+1,q,r), or (p,p+1,r-1) and (p+1,r-1,r), with p+1 p's window successor.
+    """
+    w = list(window)
+    if any(a >= b for a, b in zip(w, w[1:])):
+        raise InvalidTriple("window must be strictly increasing")
+    if any(not (0 <= v < n) for v in w):
+        raise InvalidTriple("window out of range")
+    inside = sum(1 << v for v in w)
+    above = {v: inside & (-1 << (v + 1)) for v in w}  # the window above v
+    C = {(p, q): cls(p, q) & above[q] for p, q in combinations(w, 2)}
+    for (p, q), pq in C.items():  # pairs in window order
+        for r in _members(pq):
+            bad = C[q, r] & ~(pq & C[p, r])
+            if bad:
+                s = next(_members(bad))
+                checked = _quadruples_up_to(len(w), *map(w.index, (p, q, r, s)))
+                return TransitivityReport(False, checked, counterexample=(p, q, r, s))
+    spanning = len(w) >= 3 and all(C[p, q] >> r & 1 for p, q, r in zip(w, w[1:], w[2:]))
+    return TransitivityReport(True, comb(len(w), 4), completion_checked=spanning)
+
+
+@dataclass(frozen=True)
+class LisLds:
+    lis_length: int
+    lis_witness: Tuple[int, ...]
+    lds_length: int
+    lds_witness: Tuple[int, ...]
+
+
+def lis_lds(seq) -> LisLds:
+    """Longest strictly increasing and decreasing subsequences, with witnesses."""
+    seq = list(seq)
+    inc_len, inc_wit = _lis(seq)
+    dec_len, dec_wit = _lis([-x for x in seq])
+    return LisLds(
+        lis_length=inc_len,
+        lis_witness=tuple(inc_wit),
+        lds_length=dec_len,
+        lds_witness=tuple(-x for x in dec_wit),
+    )
+
+
+def inside_delta(
+    ad: AnchoredDrawing, a: int, b: int, v: int, chi_cache: Optional[ChiCache] = None
+) -> bool:
+    """Is v inside the region bounded by the arcs anchor-a, a-b, b-anchor?
+
+    Decided combinatorially: v is inside exactly when the anchor edge to v
+    must cross a-b, i.e. when the triple colors 001.
+    """
+    if not (1 <= a < b < v <= ad.n - 1):
+        raise InvalidTriple(f"need a < b < v in anchored positions, got ({a},{b},{v})")
+    chi = chi_cache if chi_cache is not None else ChiCache(ad)
+    return bool(_inside(chi, a, b, 1 << v))
+
+
+def edge_at(rank: int, n: int) -> Tuple[int, int]:
+    """Inverse of edge_index."""
+    if rank < 0 or rank >= n * (n - 1) // 2:
+        raise InvalidEdge(f"rank {rank} out of range for n={n}")
+    i = 0
+    # row i holds n-1-i pairs; walking the rows is O(n) per call, so bulk
+    # decoding builds a rank table instead
+    offset = rank
+    while offset >= n - 1 - i:
+        offset -= n - 1 - i
+        i += 1
+    return i, i + 1 + offset

@@ -14,9 +14,10 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from helpers import check_transitive_completion
 from test_chromatics import class_masks, mirrored_twisted_view
 
-from cstg.chromatics import check_transitive_completion, validate_observation
+from cstg.chromatics import validate_observation
 from cstg.cli import dispatch
 from cstg.codec import decode_drawing, encode_drawing
 from cstg.drawing import (

@@ -11,6 +11,7 @@ import tracemalloc
 from typing import Callable, List, Optional, Tuple
 
 import pytest
+from helpers import TransitivityReport, check_transitive_completion
 from test_drawing import MASK_DRAWINGS, crossing_function, random_points
 
 from cstg import chromatics, cli, codec, drawing
@@ -19,10 +20,8 @@ from cstg.chromatics import (
     ChiCache,
     PhiTable,
     PhiValue,
-    TransitivityReport,
     _chi_blocks,
     _pair_masks,
-    check_transitive_completion,
     chi,
     phi_table,
     validate_observation,

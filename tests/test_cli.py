@@ -1,9 +1,11 @@
 """CLI contract: subcommands, exit codes, byte determinism."""
 
+import argparse
 import dataclasses
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 import test_codec
@@ -414,6 +416,81 @@ class TestTablesPhi:
         assert (code, stdout) == (3, "")
         assert err == f"invalid input: ObservationViolated: {info.value}\n"
         assert not out.exists()
+
+
+def traced_peak(*argv):
+    """(exit code, tracemalloc peak in bytes) of one dispatch call."""
+    tracemalloc.start()
+    try:
+        code = dispatch(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, peak
+
+
+class TestTablesStream:
+    """`tables --out` streams its blocks into a temporary file that replaces
+    the target when complete."""
+
+    def test_chi_holds_less_than_its_csv(self, tmp_path, capsys):
+        # half-circle 160 seed 5: a 9.18 MB CSV, written at a 27.9 MB peak
+        # when the whole text was joined before the write
+        path = tmp_path / "hc160.cstg"
+        codec.save_drawing(generators.gen_halfcircle(160, seed=5), str(path))
+        out = tmp_path / "chi.csv"
+        code, peak = traced_peak("tables", "chi", str(path), "--out", str(out))
+        assert code == 0
+        assert peak < out.stat().st_size
+
+    def test_phi_holds_its_columns_not_its_text(self, tmp_path, capsys):
+        # half-circle 384 seed 5: 3.6 MB when the table was built first
+        path = tmp_path / "hc384.cstg"
+        codec.save_drawing(generators.gen_halfcircle(384, seed=5), str(path))
+        out = tmp_path / "phi.csv"
+        code, peak = traced_peak("tables", "phi", str(path), "--out", str(out))
+        assert code == 0
+        assert peak < 2 * 1024 * 1024
+
+    @pytest.mark.parametrize("what", ["chi", "phi"])
+    @pytest.mark.parametrize("name, d", list(violating_documents()))
+    def test_violation_leaves_the_target_as_it_was(self, tmp_path, capsys, what, name, d):
+        path = tmp_path / "bad.cstg"
+        codec.save_drawing(d, str(path))
+        out = tmp_path / f"{what}.csv"
+        out.write_bytes(b"an earlier table\n")
+        code, stdout, _ = run(capsys, "tables", what, str(path), "--out", str(out))
+        assert (code, stdout) == (3, "")
+        assert out.read_bytes() == b"an earlier table\n"
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("what", ["chi", "phi"])
+    @pytest.mark.parametrize("name, d", [
+        ("half-circle 3", generators.gen_halfcircle(3, seed=1)),
+        ("twisted 13", generators.gen_twisted(13)),
+        ("half-circle 40", generators.gen_halfcircle(40, seed=6)),
+        ("horton 16", generators.gen_straightline(generators.gen_horton(4))),
+    ])
+    def test_stdout_equals_the_file(self, tmp_path, capsys, what, name, d):
+        path = tmp_path / "d.cstg"
+        codec.save_drawing(d, str(path))
+        out = tmp_path / f"{what}.csv"
+        assert run(capsys, "tables", what, str(path), "--out", str(out)) == (0, "", "")
+        args = argparse.Namespace(what=what, drawing=str(path), out=None)
+        assert cli._cmd_tables(args) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
+    def test_symlink_target_is_replaced(self, tmp_path, capsys):
+        path = tmp_path / "t9.cstg"
+        codec.save_drawing(generators.gen_twisted(9), str(path))
+        elsewhere = tmp_path / "elsewhere.csv"
+        elsewhere.write_bytes(b"kept\n")
+        out = tmp_path / "phi.csv"
+        out.symlink_to(elsewhere)
+        assert run(capsys, "tables", "phi", str(path), "--out", str(out))[0] == 0
+        assert not out.is_symlink()
+        assert out.read_text().startswith("# cstg-phi-1\n")
+        assert elsewhere.read_bytes() == b"kept\n"
 
 
 class TestRenderOverlay:

@@ -9,6 +9,7 @@ import re
 import time
 
 import pytest
+from helpers import edge_at
 from test_fuzz import random_explicit
 
 from cstg import drawing
@@ -26,7 +27,6 @@ from cstg.drawing import (
     check_plane_edges,
     cross,
     crossing_masks,
-    edge_at,
     edge_index,
     induced_subdrawing,
     orient,

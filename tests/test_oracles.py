@@ -252,7 +252,8 @@ class TestDominance:
 # every field of the result must agree, also on exhausted budgets.
 
 
-def reference_max_pattern(d, kind, budget=None):
+def reference_max_pattern(d, kind, budget=None, record=None):
+    """``record``, a list, gets the best sequence as a tuple before each tick."""
     f = crossing_function(d)
     n = d.n
     want_mid = kind == CONVEX
@@ -290,6 +291,8 @@ def reference_max_pattern(d, kind, budget=None):
         for v in candidates:
             if len(seq) + len(candidates) <= len(best):
                 return True
+            if record is not None:
+                record.append(tuple(best))
             if not clock.tick():
                 return False
             seq.append(v)
@@ -428,12 +431,26 @@ class TestSearchEquivalence:
         "d", [gen_halfcircle(10, seed=2), gen_twisted(9)], ids=["halfcircle 10 seed 2", "twisted 9"]
     )
     def test_every_node_budget_stops_as_the_reference(self, d, kind):
-        nodes = max_pattern_exact(d, kind).nodes
-        for cap in range(1, nodes + 1):
+        # one unbudgeted reference run gives every cap's outcome: a cap stops
+        # the search at tick cap+1, holding the best found before that tick
+        bests = []
+        full = reference_max_pattern(d, kind, record=bests)
+        total = full.nodes
+        assert len(bests) == total
+
+        def expected(cap):
+            if cap >= total:
+                return "done", full
+            best = bests[cap]
+            return "exhausted", OracleResult(len(best), best, cap + 1, False)
+
+        # the derivation against budgeted reference runs
+        for cap in (1, 777, total - 1, total):
             budget = OracleBudget(nodes=cap)
-            assert outcome(max_pattern_exact, d, kind, budget) == outcome(
-                reference_max_pattern, d, kind, budget
-            ), cap
+            assert outcome(reference_max_pattern, d, kind, budget) == expected(cap), cap
+        for cap in range(1, total + 1):
+            budget = OracleBudget(nodes=cap)
+            assert outcome(max_pattern_exact, d, kind, budget) == expected(cap), cap
 
     @pytest.mark.parametrize("name", sorted(SEARCH_DRAWINGS))
     def test_plane_path_search_matches_the_reference(self, name):

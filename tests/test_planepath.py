@@ -6,6 +6,7 @@ import random
 import re
 
 import pytest
+from helpers import inside_delta, lis_lds
 from test_cli import anchored_restriction, violating_documents
 from test_fuzz import random_rotation_views
 
@@ -31,8 +32,6 @@ from cstg.planepath import (
     default_m,
     extract_plane_path,
     find_plane_k2m2,
-    inside_delta,
-    lis_lds,
     theta,
 )
 
