@@ -25,11 +25,11 @@ crossing masks (:func:`cstg.drawing.crossing_masks`) in anchored order, bit
 p for the vertex at position p, so a pair's masks cost what three kernel
 reads cost: O(1) big-int operations for convex, twisted and half-circle
 drawings in any anchored order, one packed big-int half-plane mask per new
-vertex pair for points (its complement is the other side), and two
-windows of the drawing's rank bitsets for explicit drawings (an anchored
-order other than the identity maps each row to positions by byte
-tables).  A single color builds only its pair's masks, and the scans are
-quadratic in mask operations.  Measured on seeded half-circle drawings
+vertex pair for points (its complement is the other side), and one
+window of an edge's stacked rows for explicit drawings (an anchored order
+other than the identity maps each row to positions by byte tables).  A
+single color builds only its pair's masks, and the scans are quadratic in
+mask operations.  Measured on seeded half-circle drawings
 (Python 3.11.7, one process on a shared 2-core machine):
 validate_observation takes 0.032-0.037 s at n = 256 and 0.56-0.81 s at
 n = 1024, a full phi_table 0.046-0.050 s and 0.90-1.41 s (22.5 MB peak RSS);

@@ -118,7 +118,7 @@ def _emit(text: Union[str, Iterable[str]], out: Optional[str]) -> None:
     which replaces ``out`` after the last chunk, so only one chunk is held at
     a time, ``out`` appears only when complete, and a symlink at ``out`` is
     replaced, not written through.  On any error the temporary file is
-    removed and ``out`` is left as it was.
+    removed and ``out`` is left as it was; a file error names ``out``.
     """
     if out is None:
         sys.stdout.write(text if isinstance(text, str) else "".join(text))
@@ -127,14 +127,17 @@ def _emit(text: Union[str, Iterable[str]], out: Optional[str]) -> None:
             fh.write(text)
     else:
         tmp = f"{out}.{os.getpid()}.tmp"
-        fh = open(tmp, "w", encoding="utf-8")
         try:
-            with fh:
-                fh.writelines(text)
-            os.replace(tmp, out)
-        except BaseException:
-            os.remove(tmp)
-            raise
+            fh = open(tmp, "w", encoding="utf-8")
+            try:
+                with fh:
+                    fh.writelines(text)
+                os.replace(tmp, out)
+            except BaseException:
+                os.remove(tmp)
+                raise
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, out) from None
 
 
 def _parse_points(raw: str):
@@ -317,7 +320,7 @@ def _cmd_bench(args) -> int:
 def _cmd_render(args) -> int:
     d = codec.load_drawing(args.drawing)
     overlay = codec.load_certificate(args.overlay) if args.overlay else None
-    svg.render_svg(d, out_path=args.out, overlay=overlay)
+    _emit(svg.render_svg(d, overlay=overlay), args.out)
     return EXIT_OK
 
 

@@ -27,7 +27,8 @@ Every drawing invariant is ``Drawing``'s own check, re-raised here as
 ValidationError with its message.  ``Drawing`` takes an explicit table's
 entry lists as parsed; a repeated entry is looked for only when the table
 holds fewer pairs than the document lists or a later step fails, and is
-named first.  Encoding lists the entries in rank order from the bitsets.
+named first.  Encoding lists the entries in rank order from the stacked
+rows the drawing holds.
 """
 
 from __future__ import annotations
@@ -97,12 +98,12 @@ def encode_drawing(d: Drawing) -> str:
 
 def _crossings_text(d: Drawing) -> str:
     """The table as json writes its sorted entries, read in rank order from
-    the drawing's bitsets."""
+    the drawing's stacked rows."""
     X = d.crossings.bits
     tails = [f"{r}]" for r in range(len(X))]
     # one string per edge, so only one edge's entries are held apart at a time
     rows = (",".join(map(f"[{r1},".__add__, map(tails.__getitem__, later)))
-            for r1, later in _later_partners(X))
+            for r1, later in _later_partners(d.n, X))
     return "[" + ",".join(rows) + "]"
 
 

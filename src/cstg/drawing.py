@@ -19,8 +19,10 @@ table, or builds a kernel over its four vertices and pays O(n) array
 set-up.  Convex or twisted certificates of m vertices cost C(m,3) mask
 tests, not 3*C(m,4) single-pair tests.  Each kernel row is built by a few
 whole-row operations, not a loop over its vertices.  An explicit table is
-held once, as rank bitsets (one int per edge, ``_bit_layout``) that every
-kernel on the drawing shares; ``crossings`` is a set view over them.
+held once, as one int per edge that stacks the edge's kernel rows (row c
+is bits c*n to c*n + n - 1, one window), and every kernel on the drawing
+shares them; ranks (``_rank_grid``) only list the entries in rank order
+for ``crossings``, a set view over the ints.
 
 Every invariant is checked when a ``Drawing`` is built: n, the model and
 its one payload, the size cap, the signs, the point set (distinct int
@@ -187,7 +189,7 @@ class Drawing:
             except (TypeError, ValueError):
                 _refuse_non_pairs(table)  # names the entry; else the error stands
                 raise
-            object.__setattr__(self, "crossings", _Crossings(bits))
+            object.__setattr__(self, "crossings", _Crossings(n, bits))
 
     def rank(self, i: int, j: int) -> int:
         return edge_index(min(i, j), max(i, j), self.n)
@@ -216,8 +218,8 @@ def cross(d: Drawing, e1, e2) -> bool:
     if a in (c, e) or b in (c, e):
         raise NotIndependent(f"edges ({a},{b}) and ({c},{e}) share an endpoint")
     if d.model == "explicit":
-        # one bit of the table's bitsets, no kernel
-        return bool(d.crossings.bits[d.rank(a, b)] >> d.rank(c, e) + 1 & 1)
+        # one bit of edge ab's stacked rows, no kernel
+        return bool(d.crossings.bits[d.rank(a, b)] >> c * d.n + e & 1)
     # bit 3 stands for e
     return bool(crossing_masks(d, (a, b, c, e))(a, b, c) >> 3 & 1)
 
@@ -230,34 +232,33 @@ def _rank_offsets(n: int) -> Tuple[int, ...]:
 
 
 @lru_cache(maxsize=16)
-def _bit_layout(n: int):
-    """(col, s_shift, s_mask, t_shift, t_mask) of an explicit table's rank
-    bitsets over n vertices, one int per edge: bit r + 1 stands for the
-    crossing edge of rank r, and bit C(n,2) + 1 + col[r] for it at its
-    column-major rank (edges ordered by their larger end).  Row c of the
-    edge's kernel is ``x >> s_shift[c] & s_mask[c] | x >> t_shift[c] &
-    t_mask[c]``: the edges (c, w), w > c, then the edges (w, c), w < c.
-    """
-    half = n * (n - 1) // 2 + 1
-    col = [j * (j - 1) // 2 + i for i, j in combinations(range(n), 2)]
-    s_shift = [o + 1 for o in _rank_offsets(n)]
-    s_mask = [(1 << n) - (2 << c) for c in range(n)]
-    t_shift = [half + c * (c - 1) // 2 for c in range(n)]
-    t_mask = [(1 << c) - 1 for c in range(n)]
-    return col, s_shift, s_mask, t_shift, t_mask
+def _rank_grid(n: int):
+    """(edges, rank, upper) for an explicit table over n vertices: the edges
+    in rank order, rank[c * n + w] the rank of edge cw (either order), and
+    the mask of the positions c * n + w, c < w, which in position order list
+    the edges in rank order."""
+    edges = list(combinations(range(n), 2))
+    rank = [0] * (n * n)
+    for r, (c, w) in enumerate(edges):
+        rank[c * n + w] = rank[w * n + c] = r
+    upper = sum((1 << n) - (2 << c) << c * n for c in range(n))
+    return tuple(edges), tuple(rank), upper
 
 
 def _crossing_bits(n: int, entries) -> list:
-    """An explicit table's rank bitsets (``_bit_layout``), from its entries in
-    any order.  An entry that names no independent pair in rank order raises
+    """An explicit table's stacked rows, one int per edge in rank order, from
+    its entries in any order: bits c*n + w and w*n + c of edge ab's int are
+    set when ab crosses edge cw, so row c of its kernel is ``x >> c*n &
+    full``.  An entry that names no independent pair in rank order raises
     ValidationError, which names the smallest such entry."""
-    m = n * (n - 1) // 2
-    col, s_shift, s_mask, t_shift, t_mask = _bit_layout(n)
-    # an edge's bits in both halves, looked up twice per entry; a table with
-    # fewer entries than edges builds only the ranks it names
+    edges = _rank_grid(n)[0]
+    m = len(edges)
+    # an edge's two bits, looked up twice per entry; a table with fewer
+    # entries than edges builds only the ranks it names
     bit = [0] * m
     for r in range(m) if len(entries) >= m else {r for e in entries for r in e if 0 <= r < m}:
-        bit[r] = 2 << r | 1 << m + 1 + col[r]
+        c, w = edges[r]
+        bit[r] = 1 << c * n + w | 1 << w * n + c
     X = [0] * m
     in_order = True
     for r1, r2 in entries:
@@ -267,10 +268,10 @@ def _crossing_bits(n: int, entries) -> list:
         else:
             in_order = False
     # an entry joining edges that share a vertex v is a bit of row v of
-    # either edge's kernel
-    edges = list(combinations(range(n), 2))
-    if not in_order or any(x >> s_shift[v] & s_mask[v] | x >> t_shift[v] & t_mask[v]
-                           for x, e in zip(X, edges) if x for v in e):
+    # either edge's int
+    full = (1 << n) - 1
+    if not in_order or any(x >> a * n & full or x >> b * n & full
+                           for x, (a, b) in zip(X, edges) if x):
         r1, r2 = entry = min(e for e in entries
                              if not 0 <= e[0] < e[1] < m or {*edges[e[0]]} & {*edges[e[1]]})
         if not (0 <= r1 < m and 0 <= r2 < m) or r1 == r2:
@@ -297,34 +298,47 @@ def _refuse_non_pairs(entries) -> None:
 _SELECT = bytes.maketrans(b"01", b"\0\1")
 
 
-def _later_partners(X: list):
-    """Per edge rank r1 of rank bitsets X, in rank order, the ranks r2 > r1
-    of the edges that cross it, in rank order: (r1, iterator of r2)."""
-    m = len(X)
-    for r1, x in enumerate(X):
-        later = x >> r1 + 2 & (1 << m - r1 - 1) - 1  # bit k stands for rank r1 + 1 + k
-        if later:
-            picks = format(later, "b").encode()[::-1].translate(_SELECT)
-            yield r1, compress(range(r1 + 1, m), picks)
+def _later_partners(n: int, X: list):
+    """Per edge rank r1 of the stacked rows X over n vertices, in rank order,
+    the ranks r2 > r1 of the edges that cross it, in rank order: (r1,
+    iterator of r2)."""
+    _, rank, upper = _rank_grid(n)
+    end = 0
+    for a in range(n - 1):
+        # the partners of higher rank of an edge (a, b) sit above the
+        # diagonal in the rows past a (its row a is 0)
+        s = (a + 1) * n
+        past, ranks = upper >> s, rank[s:]
+        start, end = end, end + n - 1 - a
+        for r1 in range(start, end):
+            later = X[r1] >> s & past
+            if later:
+                picks = format(later, "b").encode()[::-1].translate(_SELECT)
+                yield r1, compress(ranks, picks)
 
 
 class _Crossings(Set):
     """An explicit table's crossing rank pairs (r1, r2), r1 < r2, as a
-    read-only set over the rank bitsets ``bits`` it holds and trusts.  It
-    iterates in rank order; set operations with it give frozensets."""
+    read-only set over the stacked rows ``bits`` over n vertices it holds
+    and trusts.  It iterates in rank order; set operations with it give
+    frozensets."""
 
-    __slots__ = ("bits", "_hash")
+    __slots__ = ("n", "bits", "_hash")
 
-    def __init__(self, bits: list):
+    def __init__(self, n: int, bits: list):
+        self.n = n
         self.bits = bits
         self._hash = None
 
     def __contains__(self, pair) -> bool:
         r1, r2 = pair
-        return 0 <= r1 < r2 < len(self.bits) and self.bits[r1] >> r2 + 1 & 1 == 1
+        if not 0 <= r1 < r2 < len(self.bits):
+            return False
+        c, w = _rank_grid(self.n)[0][r2]
+        return self.bits[r1] >> c * self.n + w & 1 == 1
 
     def __iter__(self):
-        rows = _later_partners(self.bits)
+        rows = _later_partners(self.n, self.bits)
         return chain.from_iterable(zip(repeat(r1), later) for r1, later in rows)
 
     def __len__(self) -> int:
@@ -743,9 +757,10 @@ class _Points(_Model):
 
 class _Explicit(_Model):
     """The crossing edge-rank pairs, no geometry, and a rotation or anchor
-    only where stored.  The kernel reads a row of an edge as two windows of
-    the drawing's rank bitsets; any order but the identity moves each row it
-    reads to positions through byte tables built once per kernel."""
+    only where stored.  The kernel reads row c of edge ab as one window,
+    bits c*n to c*n + n - 1, of ab's stacked rows; any order but the
+    identity moves each row it reads to positions through byte tables built
+    once per kernel."""
 
     payload = "crossings"
 
@@ -756,12 +771,10 @@ class _Explicit(_Model):
 
     def kernel(self, d, order, bits, below, dom):
         n, X = d.n, d.crossings.bits
-        off = _rank_offsets(n)
-        _, s_shift, s_mask, t_shift, t_mask = _bit_layout(n)
+        rank, full = _rank_grid(n)[1], (1 << n) - 1
 
         def by_vertex(a, b, c):
-            x = X[off[a] + b if a < b else off[b] + a]
-            return x >> s_shift[c] & s_mask[c] | x >> t_shift[c] & t_mask[c]
+            return X[rank[a * n + b]] >> c * n & full
 
         if list(order) == list(range(n)):
             return by_vertex, None
@@ -822,6 +835,18 @@ def pattern_fit(crossing_mask, kind: str):
     return lambda x, y, v: N(y, v, x) & ~N(x, v, y) & ~N(x, y, v)
 
 
+def _stacked_rows(N, vs: Sequence[int], a: int, b: int) -> int:
+    """The rows N(vs[a], vs[b], vs[c]) of the kernel N over the order vs of
+    k vertices, row c at bit c*k: bits c*k + w and w*k + c are set when edge
+    (vs[a], vs[b]) crosses edge (vs[c], vs[w]).  Rows a and b are 0."""
+    k, va, vb = len(vs), vs[a], vs[b]
+    x = 0
+    for c, vc in enumerate(vs):
+        if c != a and c != b:
+            x |= N(va, vb, vc) << c * k
+    return x
+
+
 def induced_subdrawing(d: Drawing, vs: Sequence[int]) -> Drawing:
     """Restriction of d to the ordered vertex selection vs.
 
@@ -841,19 +866,9 @@ def induced_subdrawing(d: Drawing, vs: Sequence[int]) -> Drawing:
     _check_explicit_n(len(vs))
     back = {v: idx for idx, v in enumerate(vs)}
     m = len(vs)
+    # row c of edge (ia, ib) is N(vs[ia], vs[ib], vs[c]): m^3/2 mask reads
     N = crossing_masks(d, vs)
-    _, s_shift, s_mask, t_shift, t_mask = _bit_layout(m)
-    X = []
-    # row c of edge (ia, ib), N(vs[ia], vs[ib], vs[c]), holds the edges (c, w)
-    # above c and (w, c) below it: m^3/2 mask reads
-    for ia, ib in combinations(range(m), 2):
-        a, b = vs[ia], vs[ib]
-        x = 0
-        for c, vc in enumerate(vs):
-            if c != ia and c != ib:
-                row = N(a, b, vc)
-                x |= (row & s_mask[c]) << s_shift[c] | (row & t_mask[c]) << t_shift[c]
-        X.append(x)
+    X = [_stacked_rows(N, vs, ia, ib) for ia, ib in combinations(range(m), 2)]
 
     rotations = None
     if d.rotations is not None or d.model != "explicit":
@@ -869,7 +884,7 @@ def induced_subdrawing(d: Drawing, vs: Sequence[int]) -> Drawing:
         v0, order = d.anchor
         anchor = (back[v0], tuple(back[u] for u in order if u in back))
 
-    return Drawing(n=m, model="explicit", crossings=_Crossings(X), rotations=rotations,
+    return Drawing(n=m, model="explicit", crossings=_Crossings(m, X), rotations=rotations,
                    anchor=anchor)
 
 

@@ -96,11 +96,6 @@ def rotation_at(d: Drawing, v: int) -> Tuple[int, ...]:
     """
     if d.rotations is not None:
         return d.rotations[v]
-    return _drawn_rotation(d, v)
-
-
-def _drawn_rotation(d: Drawing, v: int) -> Tuple[int, ...]:
-    """The model's drawn rotation at v (an explicit drawing's stored one)."""
     return MODELS[d.model].rotation(d, v)
 
 
@@ -121,7 +116,7 @@ def anchored_order(d: Drawing, v0: int) -> Tuple[int, ...]:
         return tuple(d.anchor[1])
     # the realization's rotation, not a stored copy: anchored_view checks
     # the stored one against this order
-    ccw = _drawn_rotation(d, v0)
+    ccw = MODELS[d.model].rotation(d, v0)
     cut = MODELS[d.model].cut(d, v0, ccw)
     return tuple(reversed(ccw[cut:] + ccw[:cut]))
 

@@ -16,14 +16,15 @@ masks N(ab, c) = {w : edge ab crosses edge cw}
 (:func:`cstg.drawing.crossing_masks`, the kernel certificate checks and
 the colorings use), and is built the first time a sequence holds that
 pair.  A child's mask is the node's mask and one entry of each row.  The
-path search keeps its used edges as a mask over the ranks of the pairs of
-its vertex set, and builds the conflict mask of an edge from one kernel row
-per vertex of that set.  A pattern node is one consistent extension: the
-search walks the set bits of the candidate mask in ascending order and
-stops a node once the sequence plus the popcount of that mask cannot beat
-the best sequence, the colouring-free bound of Carraghan and Pardalos
-(1990) for maximum clique.  A child that this bound would stop at once is
-counted in the node and not called.
+path search keeps its used edges as a mask with bit p*k + q for the edge
+between positions p and q of its k vertices; the conflict mask of an edge
+stacks its kernel rows as an explicit table's int does, so it holds bits
+p*k + q and q*k + p of every edge that crosses it.  A pattern node is one
+consistent extension: the search walks the set bits of the candidate mask
+in ascending order and stops a node once the sequence plus the popcount of
+that mask cannot beat the best sequence, the colouring-free bound of
+Carraghan and Pardalos (1990) for maximum clique.  A child that this bound
+would stop at once is counted in the node and not called.
 The path search's candidate order, node count and bounds are those of the
 plain scan over its edges, so its results, witnesses and exhausted budgets
 do not depend on the masks; it stops at a path through every vertex.
@@ -41,7 +42,7 @@ from .drawing import (
     MODELS,
     TWISTED,
     Drawing,
-    _rank_offsets,
+    _stacked_rows,
     crossing_masks,
     pattern_fit,
 )
@@ -188,25 +189,14 @@ def longest_plane_path_exact(
     if any(not (0 <= v < d.n) for v in verts) or len(set(verts)) != len(verts):
         raise InvalidSelection("bad vertex restriction")
     k = len(verts)
-    # the restricted edges by local rank, so the masks have C(k,2) bits; the
-    # kernel's bit c stands for verts[c], and local rank off[c] + w for c < w
+    # conflict masks and used edges over positions p*k + q in verts
     N = crossing_masks(d, verts)
-    off = _rank_offsets(k)
-    pairs = [(p, q) for p in range(k) for q in range(p + 1, k)]
-    conflicts = {}
+    conflicts = [None] * (k * k)
 
-    def conflicts_of(r: int) -> int:
-        """Mask over local ranks of the restricted edges that cross edge r."""
-        cached = conflicts.get(r)
+    def conflicts_of(p: int, q: int) -> int:
+        cached = conflicts[p * k + q]
         if cached is None:
-            p, q = pairs[r]
-            a, b = verts[p], verts[q]
-            cached = 0
-            for c in range(k - 1):
-                if c != p and c != q:
-                    # the edges (c, w) with w > c, moved to ranks off[c] + w
-                    cached |= N(a, b, verts[c]) >> (c + 1) << (off[c] + c + 1)
-            conflicts[r] = cached
+            cached = conflicts[p * k + q] = conflicts[q * k + p] = _stacked_rows(N, verts, p, q)
         return cached
 
     clock = _Clock(budget)
@@ -228,11 +218,10 @@ def longest_plane_path_exact(
                 continue
             if not clock.tick():
                 return False
-            r = off[p] + q if p < q else off[q] + p
-            if conflicts_of(r) & used_edges:
+            if conflicts_of(p, q) & used_edges:
                 continue
             path.append(w)
-            ok = dfs(path, on | 1 << q, used_edges | 1 << r, q)
+            ok = dfs(path, on | 1 << q, used_edges | 1 << p * k + q, q)
             path.pop()
             if not ok:
                 return False

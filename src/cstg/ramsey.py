@@ -170,11 +170,7 @@ def run_game(
         proposed = list(builder(state, w))
         if state.stage >= 2 and not proposed:
             raise RuleViolation(f"builder created no edge at stage {state.stage}")
-        seen = set()
         for u in proposed:
-            if u in seen:
-                raise RuleViolation(f"builder proposed edge ({u},{w}) twice")
-            seen.add(u)
             if state.total_edges >= budget:
                 raise BudgetExhausted(
                     f"edge budget {budget} exhausted at stage {state.stage}",

@@ -33,9 +33,7 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
-def render_svg(
-    d: Drawing, out_path: Optional[str] = None, overlay: Optional[Certificate] = None
-) -> str:
+def render_svg(d: Drawing, overlay: Optional[Certificate] = None) -> str:
     """Render the drawing (and optional certificate overlay) as SVG text."""
     if overlay is not None:
         _check_certificate_range(d, overlay)
@@ -80,8 +78,4 @@ def render_svg(
             f'font-family="monospace" font-size="12">{v}</text>\n'
         )
     parts.append("</svg>\n")
-    text = "".join(parts)
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    return "".join(parts)

@@ -492,6 +492,27 @@ class TestTablesStream:
         assert out.read_text().startswith("# cstg-phi-1\n")
         assert elsewhere.read_bytes() == b"kept\n"
 
+    def test_missing_directory_names_the_target(self, tmp_path, capsys):
+        path = tmp_path / "t12.cstg"
+        codec.save_drawing(generators.gen_twisted(12), str(path))
+        out = tmp_path / "nodir" / "x.csv"
+        assert run(capsys, "tables", "phi", str(path), "--out", str(out)) == (
+            3, "", f"missing file: [Errno 2] No such file or directory: '{out}'\n"
+        )
+        assert not out.parent.exists()
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_directory_target_is_named_and_left_empty(self, tmp_path, capsys):
+        path = tmp_path / "t12.cstg"
+        codec.save_drawing(generators.gen_twisted(12), str(path))
+        out = tmp_path / "d"
+        out.mkdir()
+        assert run(capsys, "tables", "phi", str(path), "--out", str(out)) == (
+            3, "", f"file error: [Errno 21] Is a directory: '{out}'\n"
+        )
+        assert list(out.iterdir()) == []
+        assert list(tmp_path.rglob("*.tmp")) == []
+
 
 class TestRenderOverlay:
     def test_overlay_strokes_pattern_edges(self, tmp_path, capsys):

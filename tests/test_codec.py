@@ -685,6 +685,15 @@ class TestExplicitTables:
         assert not cross(d, (0, 2), (1, 3))
         assert encode_drawing(d) == text
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_empty_small_table_round_trips(self, n):
+        # two and three vertices have no independent pair at all
+        text = '{"crossings":[],"format":"cstg-1","model":"explicit","n":%d}\n' % n
+        d = decode_drawing(text)
+        assert list(d.crossings) == [] and len(d.crossings) == 0
+        assert encode_drawing(d) == text
+        assert encode_drawing(Drawing(n=n, model="explicit", crossings=())) == text
+
     def test_encoding_equals_the_sorted_list_form(self):
         rng = random.Random(2533)
         for n in (4, 9, 16, 23):

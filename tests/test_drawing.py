@@ -749,6 +749,40 @@ class TestRankBitsets:
                 assert cross(t, e1, e2) is want, (e1, e2)
                 assert cross(t, e2, e1[::-1]) is want, (e1, e2)
 
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_each_edge_stacks_its_kernel_rows(self, model):
+        # row c of the int of edge (a, b) of a restriction to vs is the
+        # source kernel's N(vs[a], vs[b], vs[c]) over vs; rows a and b are 0
+        rng = random.Random(model)
+        d = {
+            "convex": gen_convex(11),
+            "twisted": gen_twisted(11),
+            "halfcircle": gen_halfcircle(11, seed=4),
+            "points": gen_straightline(gen_horton(4)),
+            "explicit": random_explicit(rng, 11, density=0.4),
+        }[model]
+        for k in (2, 3, 5, d.n - 2, d.n):
+            vs = rng.sample(range(d.n), k)
+            bits = induced_subdrawing(d, vs).crossings.bits
+            N = crossing_masks(d, vs)
+            full = (1 << k) - 1
+            for x, (a, b) in zip(bits, itertools.combinations(range(k), 2)):
+                assert x >> k * k == 0
+                rows = [x >> c * k & full for c in range(k)]
+                assert rows[a] == rows[b] == 0, (vs, a, b)
+                for c in set(range(k)) - {a, b}:
+                    assert rows[c] == N(vs[a], vs[b], vs[c]), (vs, a, b, c)
+
+    def test_membership_agrees_with_iteration(self):
+        rng = random.Random(4211)
+        for n in (2, 3, 4, 5, 7, 10):
+            table = random_explicit(rng, n, density=rng.choice([0.1, 0.5, 0.9])).crossings
+            listed = list(table)
+            assert listed == sorted(set(listed))
+            ranks = range(-1, math.comb(n, 2) + 1)
+            for pair in itertools.product(ranks, ranks):
+                assert (pair in table) is (pair in listed), pair
+
     def test_hash_is_a_frozensets_and_computed_once(self, monkeypatch):
         table = random_explicit(random.Random(80), 9, density=0.4).crossings
         want = hash(frozenset(table))

@@ -8,7 +8,6 @@ import random
 
 import pytest
 
-from cstg import generators
 from cstg.chromatics import validate_observation
 from cstg.drawing import (
     CONVEX,
@@ -373,13 +372,14 @@ class TestAnchoredViews:
         # the drawn order reads the drawn rotation by construction, so a
         # drawing that stores neither rotations nor an anchor is not checked
         calls = []
-        drawn = generators._drawn_rotation
+        model = MODELS["halfcircle"]
+        drawn = model.rotation
 
         def counted(d, v):
             calls.append(v)
             return drawn(d, v)
 
-        monkeypatch.setattr(generators, "_drawn_rotation", counted)
+        monkeypatch.setattr(model, "rotation", counted)
         d = gen_halfcircle(96, seed=1)
         assert anchored_view(d).order == anchored_order(d, 0)
         assert calls == [0, 0]  # one for anchored_view, one for anchored_order
