@@ -4,10 +4,12 @@ A drawing is fully described by its crossing relation on independent edge
 pairs.  The relation is either stored explicitly (set of crossing edge-rank
 pairs) or given implicitly by a family rule.  What a model is (its payload,
 crossing kernel, drawn rotation, unbounded-cell anchor and geometry) is
-decided in one class per model, found by name in ``MODELS``.  Optional
-payloads: a rotation system (counterclockwise cyclic order of neighbors
-around each vertex) and an anchor (a vertex certified on the unbounded cell
-together with the clockwise order of the remaining vertices around it).
+decided in one class per model, found by name in ``MODELS``; every reader
+of a rotation or an anchored order asks the model.  Optional payloads: a
+rotation system (counterclockwise cyclic order of neighbors around each
+vertex) and an anchor (a vertex certified on the unbounded cell together
+with the clockwise order of the remaining vertices around it), trusted on
+an explicit drawing and on any other the model's own.
 
 Every crossing question reads one kernel, ``crossing_masks``: N(a, b, c) =
 {w : edge ab crosses edge cw} as a Python int whose bit p stands for the
@@ -27,10 +29,10 @@ for ``crossings``, a set view over the ints.
 Every invariant is checked when a ``Drawing`` is built: n, the model and
 its one payload, the size cap, the signs, the point set (distinct int
 pairs, no collinear triple, found in O(n^2) gcds), rotations and anchor as
-permutations, the anchor as a clockwise reading of a stored rotation at
-v0, and last an explicit table's entries, in one pass in the given order;
-an entry that names no independent pair in rank order raises
-ValidationError.
+permutations that are the model's (the anchor also a clockwise reading of
+a stored rotation at v0), and last an explicit table's entries, in one
+pass in the given order; an entry that names no independent pair in rank
+order raises ValidationError.
 
 Vertices are 0-based everywhere.
 """
@@ -136,8 +138,8 @@ class Drawing:
     ``model`` names an entry of ``MODELS``; of ``crossings``, ``signs`` and
     ``points``, only the field that model takes (its ``payload``) is set.
     ``crossings`` takes any collection of rank pairs and holds a ``_Crossings``
-    view.  ``rotations`` and ``anchor`` are stored payloads (decoded documents
-    or induced drawings); for implicit families the model derives them.
+    view.  Stored ``rotations`` and ``anchor`` (decoded documents, induced
+    drawings) are trusted on an explicit drawing, else must be the model's.
     """
 
     n: int
@@ -159,6 +161,7 @@ class Drawing:
             if getattr(self, field) is not None and field != model.payload:
                 raise InvalidSelection(f"a {self.model} drawing takes no {field}")
         model.check(self)
+        # stored rotations and anchor must be the model's (an explicit model's are the stored)
         rotations = self.rotations
         if rotations is not None:
             if not (type(rotations) is tuple and len(rotations) == n):
@@ -168,6 +171,9 @@ class Drawing:
                     raise InvalidSelection(
                         f"rotation at vertex {v} is not a permutation of the others"
                     )
+                drawn = model.rotation(self, v)
+                if rot is not drawn and not cyclic_equal(rot, drawn):
+                    raise InvalidSelection(f"rotation at vertex {v} is not the drawn one")
         if self.anchor is not None:
             if not (type(self.anchor) is tuple and len(self.anchor) == 2):
                 raise InvalidSelection("anchor must be a pair (v0, order)")
@@ -176,10 +182,14 @@ class Drawing:
                 raise InvalidSelection(f"anchor v0 {v0!r} out of range")
             if not _is_order(order, n, v0):
                 raise InvalidSelection("anchor order is not a permutation of V \\ {v0}")
-            if rotations is not None and not cyclic_equal(order[::-1], rotations[v0]):
+            drawn = model.order(self, v0)
+            rotation = drawn[::-1] if rotations is None else rotations[v0]
+            if not cyclic_equal(order[::-1], rotation):
                 raise InvalidSelection(
                     "anchor order is not a clockwise reading of the rotation at v0"
                 )
+            if order != drawn:
+                raise InvalidSelection(f"anchor order at v0 {v0} is cut at another gap")
         # a view of the same n (a restriction's, or a copy's) is valid as it is
         table = self.crossings
         trusted = type(table) is _Crossings and len(table.bits) == comb(n, 2)
@@ -331,6 +341,13 @@ class _Crossings(Set):
         self._hash = None
 
     def __contains__(self, pair) -> bool:
+        if not (type(pair) is tuple and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int):
+            # as a frozenset of the pairs: only a 2-tuple equal to ints is held
+            try:
+                ints = tuple(map(int, pair)) if isinstance(pair, tuple) else ()
+            except (TypeError, ValueError, OverflowError):
+                return False
+            return len(ints) == 2 and ints == pair and ints in self
         r1, r2 = pair
         if not 0 <= r1 < r2 < len(self.bits):
             return False
@@ -396,9 +413,10 @@ class _Model:
     """What one drawing model decides.  ``payload`` is the ``Drawing`` field it
     takes, and ``check(d)`` checks it; ``kernel`` gives ``_kernels`` its (N,
     star or None); ``rotation(d, v)`` is the drawn ccw rotation at v,
-    ``anchor(d)`` the default vertex on the unbounded cell, and ``cut(d, v0,
+    ``anchor(d)`` the default vertex on the unbounded cell, ``cut(d, v0,
     ccw)`` the position in ccw of the germ after that cell's gap at v0 (else
-    AnchorUnavailable); ``positions(d)`` places the vertices, and ``turn``
+    AnchorUnavailable), and ``order(d, v0)`` the rotation at v0 cut there and
+    read backwards; ``positions(d)`` places the vertices, and ``turn``
     holds the sweeps of a whole arc for ``arc`` and ``germ_sweep`` (None for
     straight edges); ``pattern`` is CONVEX or TWISTED when the whole drawing
     is that pattern.
@@ -413,6 +431,13 @@ class _Model:
 
     def cut(self, d: Drawing, v0: int, ccw: Tuple[int, ...]) -> int:
         return 0
+
+    def order(self, d: Drawing, v0: int) -> Tuple[int, ...]:
+        if not 0 <= v0 < d.n:
+            raise InvalidSelection(f"anchor {v0} out of range")
+        ccw = self.rotation(d, v0)
+        cut = self.cut(d, v0, ccw)
+        return tuple(reversed(ccw[cut:] + ccw[:cut]))
 
 
 class _Convex(_Model):
@@ -809,6 +834,11 @@ class _Explicit(_Model):
     def cut(self, d, v0, ccw):
         raise AnchorUnavailable(f"vertex {v0} is not certified on the unbounded cell")
 
+    def order(self, d, v0):
+        if d.anchor is not None and d.anchor[0] == v0:
+            return d.anchor[1]
+        return super().order(d, v0)
+
     def positions(self, d):
         raise GeometryMissing(f"model {d.model!r} carries no geometry")
 
@@ -851,10 +881,10 @@ def induced_subdrawing(d: Drawing, vs: Sequence[int]) -> Drawing:
     """Restriction of d to the ordered vertex selection vs.
 
     The result is an explicit drawing whose crossing relation is the
-    restriction of d's under the index mapping; rotations and anchor are
-    restricted when the source carries them (erasing vertices preserves the
-    cyclic order of the surviving edge germs, and the unbounded cell only
-    grows).
+    restriction of d's under the index mapping, with the model's rotations
+    (none for an explicit d without them) and d's stored anchor restricted
+    (erasing vertices preserves the cyclic order of the surviving edge
+    germs, and the unbounded cell only grows).
     """
     vs = list(vs)
     if len(vs) < 2:
@@ -873,11 +903,7 @@ def induced_subdrawing(d: Drawing, vs: Sequence[int]) -> Drawing:
     rotations = None
     if d.rotations is not None or d.model != "explicit":
         drawn = MODELS[d.model].rotation
-        rotations = tuple(
-            tuple(back[u] for u in (drawn(d, v) if d.rotations is None else d.rotations[v])
-                  if u in back)
-            for v in vs
-        )
+        rotations = tuple(tuple(back[u] for u in drawn(d, v) if u in back) for v in vs)
 
     anchor = None
     if d.anchor is not None and d.anchor[0] in back:
@@ -931,10 +957,13 @@ class Certificate:
     def __post_init__(self):
         if self.kind not in CERTIFICATE_KINDS:
             raise InvalidCertificate(f"unknown certificate kind {self.kind!r}")
+        if type(self.vertices) is not tuple:
+            raise InvalidCertificate(f"certificate vertices {self.vertices!r} are not a tuple")
+        for v in self.vertices:
+            if type(v) is not int or v < 0:
+                raise InvalidCertificate(f"certificate vertex {v!r} is not a non-negative integer")
         if len(set(self.vertices)) != len(self.vertices):
             raise InvalidCertificate("certificate vertices must be distinct")
-        if any(v < 0 for v in self.vertices):
-            raise InvalidCertificate("certificate vertices must be non-negative")
         minimum = 3 if self.kind == PLANE_BIPARTITE else 1
         if len(self.vertices) < minimum:
             raise InvalidCertificate(

@@ -1,10 +1,10 @@
 """Exact constructors for the drawing families, and their rotations and anchors.
 
 Each family is a model of :mod:`cstg.drawing`, whose class holds its O(1)
-crossing rule, its rotation system read from a concrete realization, and a
-canonical anchor vertex that provably lies on the unbounded cell.  An
-anchored order is the drawn rotation at the anchor cut at the gap facing
-the unbounded cell and read backwards (clockwise).
+crossing rule, its rotation system read from a concrete realization, a
+canonical anchor vertex that provably lies on the unbounded cell, and its
+anchored order (the drawn rotation at the anchor cut at the gap facing the
+unbounded cell, read backwards).  The readers here only ask the model.
 
 The derived rotation rules are validated against the numeric germ-sampling
 oracle, never trusted (see cstg.oracles.numeric_rotation_oracle and the test
@@ -16,8 +16,8 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence, Tuple
 
-from .drawing import MODELS, AnchoredDrawing, Drawing, cyclic_equal
-from .errors import AnchorUnavailable, InvalidSelection, SizeLimit
+from .drawing import MODELS, AnchoredDrawing, Drawing, cyclic_equal  # noqa: F401 (for callers)
+from .errors import InvalidSelection, SizeLimit
 
 
 def gen_convex(n: int) -> Drawing:
@@ -83,19 +83,14 @@ def gen_horton(k: int) -> List[Tuple[int, int]]:
 
 
 def rotations_of(d: Drawing) -> Tuple[Tuple[int, ...], ...]:
-    """Counterclockwise rotation at every vertex (stored or analytic)."""
+    """Counterclockwise rotation at every vertex, as ``rotation_at`` gives it."""
     return tuple(rotation_at(d, v) for v in range(d.n))
 
 
 def rotation_at(d: Drawing, v: int) -> Tuple[int, ...]:
-    """Counterclockwise cyclic order of the other vertices around v.
-
-    Returned as a tuple with a family-specific (documented) starting germ;
-    callers comparing rotations should use cyclic_equal.  Stored rotations
-    come first; an explicit drawing without them has none.
-    """
-    if d.rotations is not None:
-        return d.rotations[v]
+    """Counterclockwise cyclic order of the other vertices around v, the
+    model's from its family-specific (documented) starting germ; compare
+    rotations with cyclic_equal.  An explicit drawing has only stored ones."""
     return MODELS[d.model].rotation(d, v)
 
 
@@ -108,34 +103,14 @@ def canonical_anchor(d: Drawing) -> int:
 
 
 def anchored_order(d: Drawing, v0: int) -> Tuple[int, ...]:
-    """Clockwise order of the remaining vertices around v0: the drawn
-    rotation at v0 cut at the unbounded-cell gap and read backwards."""
-    if not 0 <= v0 < d.n:
-        raise InvalidSelection(f"anchor {v0} out of range")
-    if d.anchor is not None and d.anchor[0] == v0:
-        return tuple(d.anchor[1])
-    # the realization's rotation, not a stored copy: anchored_view checks
-    # the stored one against this order
-    ccw = MODELS[d.model].rotation(d, v0)
-    cut = MODELS[d.model].cut(d, v0, ccw)
-    return tuple(reversed(ccw[cut:] + ccw[:cut]))
+    """Clockwise order of the other vertices around v0, the model's: the drawn
+    rotation at v0 cut at the unbounded-cell gap and read backwards, or an
+    explicit drawing's stored anchor order."""
+    return MODELS[d.model].order(d, v0)
 
 
 def anchored_view(d: Drawing, v0: Optional[int] = None) -> AnchoredDrawing:
-    """Anchored drawing at v0 (family canonical anchor when omitted).
-
-    On the geometric families the order must be a clockwise reading of the
-    rotation at v0, stored or drawn (a drawn order reads the drawn rotation,
-    so only stored rotations or a stored anchor are checked); an explicit
-    drawing's stored anchor was checked against its stored rotations, if
-    any, when it was built.
-    """
+    """Anchored drawing at v0 (family canonical anchor when omitted)."""
     if v0 is None:
         v0 = canonical_anchor(d)
-    order = anchored_order(d, v0)
-    stored = d.rotations is not None or d.anchor is not None
-    if stored and d.model != "explicit" and not cyclic_equal(order[::-1], rotation_at(d, v0)):
-        raise AnchorUnavailable(
-            "anchored order is not a clockwise reading of the rotation at v0"
-        )
-    return AnchoredDrawing(base=d, v0=v0, order=order)
+    return AnchoredDrawing(base=d, v0=v0, order=anchored_order(d, v0))

@@ -112,14 +112,6 @@ class GameTranscript:
             state.add_vertex()
         return state
 
-    def summary(self) -> str:
-        lines = [f"stage={s} edge=({u},{w}) color={c}" for s, u, w, c in self.events]
-        lines.append(
-            f"summary: stages={self.stages} edges={self.total_edges} "
-            f"witness={self.witness} color={self.witness_color}"
-        )
-        return "\n".join(lines)
-
 
 BuilderStrategy = Callable[[GameState, int], Sequence[int]]
 PainterStrategy = Callable[[GameState, Tuple[int, int]], str]

@@ -379,6 +379,18 @@ def assert_reads_as(d, ref):
         assert cross(d, e1, e2) is (pair in ref), pair
 
 
+PROBES = [(1, 4), (1.0, 4.0), (True, 4), (1, 4.0), (4, 1), (1.5, 4), ("1", "4"),
+          (float("nan"), 4), (float("inf"), 4), (1, 2, 3), (1,), (), 5, "ab", None]
+
+
+@pytest.mark.parametrize("probe", PROBES, ids=repr)
+def test_membership_answers_as_the_frozenset(probe):
+    d = Drawing(n=4, model="explicit", crossings=[(1, 4)])
+    ref = frozenset(d.crossings)
+    assert (probe in d.crossings) is (probe in ref)
+    assert ({probe} <= d.crossings) is ({probe} <= ref)
+
+
 class TestInducedSubdrawing:
     def test_twisted_restriction_is_twisted(self):
         # order-preserving restriction of the nesting rule is the nesting rule
@@ -564,6 +576,19 @@ class TestVerifyCertificate:
             Certificate("weird", (0, 1))
         with pytest.raises(InvalidCertificate):
             verify_certificate(gen_convex(4), Certificate(CONVEX, (0, 1, 9)))
+
+    @pytest.mark.parametrize("kind, vertices, bad", [
+        (PLANE_PATH, (0.5, 1), "0.5"),
+        (PLANE_PATH, (True, 2), "True"),
+        (CONVEX, (0.0, 1, 2, 3), "0.0"),
+        (CONVEX, (0, 1, 2, "3"), "'3'"),
+    ])
+    def test_certificate_vertices_are_exact_ints(self, kind, vertices, bad):
+        with pytest.raises(InvalidCertificate) as info:
+            verify_certificate(gen_convex(8), Certificate(kind, vertices))
+        assert str(info.value) == f"certificate vertex {bad} is not a non-negative integer"
+        with pytest.raises(InvalidCertificate, match="are not a tuple"):
+            Certificate(kind, list(range(4)))
 
     def test_small_patterns_trivially_pass(self):
         d = gen_halfcircle(6, seed=0)

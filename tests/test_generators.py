@@ -352,7 +352,7 @@ class TestAnchoredViews:
 
     def test_stored_rotations_do_not_move_the_gap(self):
         # the order is cut from the realization's rotation: a stored rotation
-        # starting at another germ gives the same order, and anchored_view
+        # starting at another germ gives the same order, and the drawing
         # refuses one that is not a cyclic reading of it, in every family
         points = gen_straightline([(0, 0), (9, 1), (4, 8), (3, 3), (7, 3)])
         for d in (gen_convex(6), gen_twisted(6), gen_halfcircle(6, seed=4), points):
@@ -363,10 +363,8 @@ class TestAnchoredViews:
             assert anchored_view(shifted, v0).order == order
             r = rots[v0]
             swapped = rots[:v0] + ((r[1], r[0]) + r[2:],) + rots[v0 + 1:]
-            bad = dataclasses.replace(d, rotations=swapped)
-            assert anchored_order(bad, v0) == order
-            with pytest.raises(AnchorUnavailable, match="not a clockwise reading"):
-                anchored_view(bad, v0)
+            with pytest.raises(InvalidSelection, match=f"rotation at vertex {v0} is not"):
+                dataclasses.replace(d, rotations=swapped)
 
     def test_bare_drawing_draws_the_rotation_at_v0_once(self, monkeypatch):
         # the drawn order reads the drawn rotation by construction, so a
@@ -389,8 +387,8 @@ class TestAnchoredViews:
         assert anchored_view(Drawing(n=4, model="convex", anchor=(0, (3, 2, 1)))).order == (
             3, 2, 1
         )
-        with pytest.raises(AnchorUnavailable, match="not a clockwise reading"):
-            anchored_view(Drawing(n=4, model="convex", anchor=(0, (1, 2, 3))))
+        with pytest.raises(InvalidSelection, match="not a clockwise reading"):
+            Drawing(n=4, model="convex", anchor=(0, (1, 2, 3)))
 
     def test_rotation_missing_for_bare_explicit(self):
         from cstg.drawing import Drawing
