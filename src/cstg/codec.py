@@ -24,21 +24,25 @@ Decoding only parses: shape, fields and integer types fail here with
 ParseError (and the explicit size cap before any crossing entry is read), as
 does any text ``json.loads`` refuses and a key given twice in one object.
 Every drawing invariant is ``Drawing``'s own check, re-raised here as
-ValidationError with its message.  ``Drawing`` takes an explicit table's
-entry lists as parsed; a repeated entry is looked for only when the table
-holds fewer pairs than the document lists or a later step fails, and is
-named first.  Encoding lists the entries in rank order from the stacked
-rows the drawing holds.
+ValidationError with its message.  A crossing table written as encoding
+writes it is parsed as one flat JSON array of its ranks, with no list per
+entry; any other text, an indented document say, takes the general parse,
+whose entry lists are checked and then flattened.  Either way ``Drawing``
+gets the table as one flat run of typed ranks and builds its rows from
+it.  A repeated entry is looked for only when the table holds fewer pairs
+than the document lists or a later step fails, and is named first.
+Encoding lists the entries in rank order from the stacked rows the
+drawing holds.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import chain
 from typing import Tuple
 
-from .drawing import MODELS, Certificate, Drawing, _check_explicit_n, _later_partners
+from .drawing import (MODELS, Certificate, Drawing, _check_explicit_n, _flat_pairs,
+                      _later_partners, _Ranks)
 from .errors import CstgError, InvalidCertificate, ParseError, SizeLimit, ValidationError
 
 FORMAT_TAG = "cstg-1"
@@ -67,6 +71,43 @@ def _parse(text: str):
         raise ParseError("an integer literal has too many digits") from None
     except RecursionError:
         raise ParseError("document nested too deeply") from None
+
+
+_TABLE = '"crossings":[['
+_NO_DIGITS = str.maketrans("", "", "0123456789")
+
+
+def _parse_drawing(text: str):
+    """``_parse(text)``, with a crossing table written as ``encode_drawing``
+    writes it read as one flat JSON array of its ranks into a ``_Ranks``: the
+    text from the first ``"crossings":[[`` to the next ``]]`` must be
+    ``[[r,r],[r,r],...]`` with digits only between the brackets and commas,
+    and the rest of the document, with ``NaN`` in the table's place, must
+    parse with that one ``NaN`` as its top-level ``crossings``.  Any other
+    text takes the general parse, and so fails or succeeds as it would."""
+    at = text.find(_TABLE)
+    end = text.find("]]", at)
+    if at >= 0 and end >= 0:
+        start = at + len(_TABLE)
+        inner = text[start:end]  # r,r],[r,r],[...],[r,r
+        skeleton = inner.translate(_NO_DIGITS)
+        if skeleton == ",],[" * (len(skeleton) // 4) + ",":
+            seen = []
+
+            def constant(name):
+                seen.append(name)
+                return table
+
+            try:
+                table = _Ranks(json.loads("[" + inner.replace("],[", ",") + "]"))
+                doc = json.loads(text[:start - 2] + "NaN" + text[end + 2:],
+                                 object_pairs_hook=_unique_keys, parse_constant=constant)
+            except (ValueError, RecursionError, ParseError):
+                pass
+            else:
+                if len(seen) == 1 and type(doc) is dict and doc.get("crossings") is table:
+                    return doc
+    return _parse(text)
 
 
 def _unique_keys(pairs) -> dict:
@@ -108,7 +149,7 @@ def _crossings_text(d: Drawing) -> str:
 
 
 def decode_drawing(text: str) -> Drawing:
-    doc = _parse(text)
+    doc = _parse_drawing(text)
     if not isinstance(doc, dict):
         raise ParseError("document is not an object")
     if doc.get("format") != FORMAT_TAG:
@@ -146,8 +187,7 @@ def decode_drawing(text: str) -> Drawing:
         raw = doc.get("crossings")
         if raw is None:
             raise ParseError("field 'crossings' missing for explicit model")
-        _check_crossings(raw, n)
-        fields["crossings"] = raw
+        raw = fields["crossings"] = _check_crossings(raw, n)
     try:
         if spec and payload in (None, "crossings") and "params" in doc:
             raise ParseError(f"{model} model takes no 'params'")
@@ -162,36 +202,36 @@ def decode_drawing(text: str) -> Drawing:
         if isinstance(exc, (ParseError, ValidationError, SizeLimit)):
             raise
         raise ValidationError(str(exc)) from exc
-    if payload == "crossings" and len(d.crossings) < len(raw):
+    if payload == "crossings" and len(d.crossings) < len(raw.flat) // 2:
         _refuse_repeats(raw)
     return d
 
 
-def _check_crossings(raw, n: int) -> None:
-    """ParseError unless the table is a list of integer pairs, and SizeLimit
-    past the explicit cap before any entry is read."""
-    if not isinstance(raw, list):
+def _check_crossings(raw, n: int) -> _Ranks:
+    """The table as ``_Ranks``: a recognised table as it is, and a general
+    one once it is a list of integer pairs (else ParseError); SizeLimit past
+    the explicit cap before any entry is read."""
+    if not isinstance(raw, (list, _Ranks)):
         raise ParseError("field 'crossings' must be a list of rank pairs")
     _check_explicit_n(n)  # a huge n fails before its entries are read
-    # one C-level pass per check over a quartic table (type() of a bool is
-    # not int); the loop below only runs to name the first bad entry
-    if not (
-        set(map(type, raw)) <= {list}
-        and set(map(len, raw)) <= {2}
-        and set(map(type, chain.from_iterable(raw))) <= {int}
-    ):
-        for entry in raw:
-            if not (isinstance(entry, list) and len(entry) == 2):
-                raise ParseError(f"crossing entry {entry!r} is not a pair")
-            r1, r2 = entry
-            if type(r1) is not int or type(r2) is not int:
-                raise ParseError(f"field 'crossings': entry {entry!r} is not integer")
+    if type(raw) is _Ranks:
+        return raw
+    ranks = _flat_pairs(raw, {list})
+    if ranks is not None:
+        return _Ranks(ranks)
+    for entry in raw:  # names the first bad entry
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise ParseError(f"crossing entry {entry!r} is not a pair")
+        r1, r2 = entry
+        if type(r1) is not int or type(r2) is not int:
+            raise ParseError(f"field 'crossings': entry {entry!r} is not integer")
 
 
-def _refuse_repeats(raw) -> None:
+def _refuse_repeats(raw: _Ranks) -> None:
     """ParseError naming the first entry the table lists twice, if any."""
-    counts = Counter(map(tuple, raw))
-    if len(counts) < len(raw):
+    it = iter(raw.flat)
+    counts = Counter(zip(it, it))
+    if len(counts) * 2 < len(raw.flat):
         entry = next(e for e, count in counts.items() if count > 1)
         raise ParseError(f"field 'crossings': entry {list(entry)} is repeated")
 

@@ -30,9 +30,10 @@ Every invariant is checked when a ``Drawing`` is built: n, the model and
 its one payload, the size cap, the signs, the point set (distinct int
 pairs, no collinear triple, found in O(n^2) gcds), rotations and anchor as
 permutations that are the model's (the anchor also a clockwise reading of
-a stored rotation at v0), and last an explicit table's entries, in one
-pass in the given order; an entry that names no independent pair in rank
-order raises ValidationError.
+a stored rotation at v0), and last an explicit table's entries (tuples or
+lists of two ints, or the codec's flat run of ranks), in one pass in the
+given order; an entry that names no independent pair in rank order raises
+ValidationError.
 
 Vertices are 0-based everywhere.
 """
@@ -118,8 +119,9 @@ def _norm_edge(e, n: int) -> Tuple[int, int]:
         a, b = e
     except (TypeError, ValueError):
         raise InvalidEdge(f"edge {e!r} is not a vertex pair")
-    a = int(a)
-    b = int(b)
+    for v in (a, b):
+        if type(v) is not int:
+            raise InvalidEdge(f"edge vertex {v!r} is not an integer")
     if a == b or not (0 <= a < n) or not (0 <= b < n):
         raise InvalidEdge(f"edge ({a},{b}) invalid for n={n}")
     return sorted_pair(a, b)
@@ -137,9 +139,10 @@ class Drawing:
 
     ``model`` names an entry of ``MODELS``; of ``crossings``, ``signs`` and
     ``points``, only the field that model takes (its ``payload``) is set.
-    ``crossings`` takes any collection of rank pairs and holds a ``_Crossings``
-    view.  Stored ``rotations`` and ``anchor`` (decoded documents, induced
-    drawings) are trusted on an explicit drawing, else must be the model's.
+    ``crossings`` takes any collection of rank pairs (tuples or lists of two
+    ints) and holds a ``_Crossings`` view.  Stored ``rotations`` and
+    ``anchor`` (decoded documents, induced drawings) are trusted on an
+    explicit drawing, else must be the model's.
     """
 
     n: int
@@ -182,7 +185,10 @@ class Drawing:
                 raise InvalidSelection(f"anchor v0 {v0!r} out of range")
             if not _is_order(order, n, v0):
                 raise InvalidSelection("anchor order is not a permutation of V \\ {v0}")
-            drawn = model.order(self, v0)
+            try:
+                drawn = model.order(self, v0)
+            except AnchorUnavailable as exc:
+                raise AnchorUnavailable(f"stored anchor at v0 {v0}: {exc}") from None
             rotation = drawn[::-1] if rotations is None else rotations[v0]
             if not cyclic_equal(order[::-1], rotation):
                 raise InvalidSelection(
@@ -194,12 +200,8 @@ class Drawing:
         table = self.crossings
         trusted = type(table) is _Crossings and len(table.bits) == comb(n, 2)
         if model.payload == "crossings" and not trusted:
-            try:
-                bits = _crossing_bits(n, table)
-            except (TypeError, ValueError):
-                _refuse_non_pairs(table)  # names the entry; else the error stands
-                raise
-            object.__setattr__(self, "crossings", _Crossings(n, bits))
+            ranks = table.flat if type(table) is _Ranks else _flat_ranks(table)
+            object.__setattr__(self, "crossings", _Crossings(n, _crossing_bits(n, ranks)))
 
     def rank(self, i: int, j: int) -> int:
         return edge_index(min(i, j), max(i, j), self.n)
@@ -255,23 +257,59 @@ def _rank_grid(n: int):
     return tuple(edges), tuple(rank), upper
 
 
-def _crossing_bits(n: int, entries) -> list:
+class _Ranks:
+    """An explicit table as one flat run of ranks r1, r2, r1, r2, ..., each
+    a Python int (the codec proves it), which ``Drawing`` builds as it is."""
+
+    __slots__ = ("flat",)
+
+    def __init__(self, flat: list):
+        self.flat = flat
+
+
+def _flat_pairs(entries, kinds) -> Optional[list]:
+    """The ranks of the entries in one flat list if each entry is of a type
+    in ``kinds``, two long and holds two ints (a bool is not one), else
+    None: one C-level pass per check over a quartic table."""
+    if set(map(type, entries)) <= kinds and set(map(len, entries)) <= {2}:
+        ranks = list(chain.from_iterable(entries))
+        if set(map(type, ranks)) <= {int}:
+            return ranks
+    return None
+
+
+def _flat_ranks(entries) -> list:
+    """The ranks of a hand-built table's entries, one flat run; ValidationError
+    naming a table that is no collection, or its first entry that is not a
+    tuple or list of two integers."""
+    if not isinstance(entries, Collection):
+        raise ValidationError(f"crossings {entries!r} is not a collection of rank pairs")
+    ranks = _flat_pairs(entries, {tuple, list})
+    if ranks is None:
+        entry = next(e for e in entries if _flat_pairs((e,), {tuple, list}) is None)
+        raise ValidationError(f"crossing entry {entry!r} is not a pair of integers")
+    return ranks
+
+
+def _crossing_bits(n: int, ranks: list) -> list:
     """An explicit table's stacked rows, one int per edge in rank order, from
-    its entries in any order: bits c*n + w and w*n + c of edge ab's int are
-    set when ab crosses edge cw, so row c of its kernel is ``x >> c*n &
-    full``.  An entry that names no independent pair in rank order raises
-    ValidationError, which names the smallest such entry."""
+    its entries (r1, r2) in any order, read as pairs of the flat run of ranks
+    ``ranks``: bits c*n + w and w*n + c of edge ab's int are set when ab
+    crosses edge cw, so row c of its kernel is ``x >> c*n & full``.  An entry
+    that names no independent pair in rank order raises ValidationError,
+    which names the smallest such entry."""
     edges = _rank_grid(n)[0]
     m = len(edges)
     # an edge's two bits, looked up twice per entry; a table with fewer
     # entries than edges builds only the ranks it names
     bit = [0] * m
-    for r in range(m) if len(entries) >= m else {r for e in entries for r in e if 0 <= r < m}:
+    for r in range(m) if len(ranks) >= 2 * m else {r for r in ranks if 0 <= r < m}:
         c, w = edges[r]
         bit[r] = 1 << c * n + w | 1 << w * n + c
     X = [0] * m
     in_order = True
-    for r1, r2 in entries:
+    it = iter(ranks)
+    for r1, r2 in zip(it, it):
         if 0 <= r1 < r2 < m:
             X[r1] |= bit[r2]
             X[r2] |= bit[r1]
@@ -282,7 +320,8 @@ def _crossing_bits(n: int, entries) -> list:
     full = (1 << n) - 1
     if not in_order or any(x >> a * n & full or x >> b * n & full
                            for x, (a, b) in zip(X, edges) if x):
-        r1, r2 = entry = min(e for e in entries
+        it = iter(ranks)
+        r1, r2 = entry = min(e for e in zip(it, it)
                              if not 0 <= e[0] < e[1] < m or {*edges[e[0]]} & {*edges[e[1]]})
         if not (0 <= r1 < m and 0 <= r2 < m) or r1 == r2:
             raise ValidationError(f"crossing ranks {list(entry)} out of range for n={n}")
@@ -292,17 +331,6 @@ def _crossing_bits(n: int, entries) -> list:
             f"crossing pair {list(entry)} joins edges ({i},{j}) and ({k},{l}) {why}"
         )
     return X
-
-
-def _refuse_non_pairs(entries) -> None:
-    """ValidationError naming a crossing table that is no collection, or its
-    first entry that is not a pair of integers (as the codec refuses them)."""
-    if not isinstance(entries, Collection):
-        raise ValidationError(f"crossings {entries!r} is not a collection of rank pairs")
-    for entry in entries:
-        if not (isinstance(entry, (tuple, list)) and len(entry) == 2
-                and type(entry[0]) is int and type(entry[1]) is int):
-            raise ValidationError(f"crossing entry {entry!r} is not a pair of integers")
 
 
 _SELECT = bytes.maketrans(b"01", b"\0\1")

@@ -4,11 +4,12 @@ import dataclasses
 import itertools
 import json
 import random
+import re
 
 import pytest
 from test_fuzz import random_explicit
 
-from cstg import drawing
+from cstg import codec, drawing
 from cstg.chromatics import validate_observation
 from cstg.codec import (
     decode_certificate,
@@ -773,3 +774,134 @@ class TestDocumentBoundary:
         # the same key in two different objects is not a repeat
         doc = '{"anchor":{"order":[3,2,1],"v0":0},"format":"cstg-1","model":"convex","n":4}'
         assert decode_drawing(doc).anchor == (0, (3, 2, 1))
+
+
+# -- the crossing table as one flat run of ranks --------------------------------
+#
+# decode_drawing reads a table written as encode_drawing writes it,
+# "crossings":[[r1,r2],...], as one flat JSON array of ranks, and any other
+# text through the general parse.  Each document below decodes the same from
+# its compact text (mostly that route) and from a padded copy (always the
+# general parse): the same Drawing, or the same error.  A JSON syntax error
+# names a position, which the padding moves, so there only the text after
+# the position is compared; on the compact text itself the recognised route
+# must agree with the general parse word for word.
+
+_AT = re.compile(r"^line \d+, column \d+: ")
+
+
+def _outcome(text):
+    try:
+        return decode_drawing(text)
+    except CstgError as exc:
+        return type(exc), str(exc)
+
+
+def _unplaced(outcome):
+    if isinstance(outcome, tuple):
+        return outcome[0], _AT.sub("", outcome[1])
+    return outcome
+
+
+def _with_table(doc, entries) -> str:
+    """The canonical text of doc with its crossing table written from entries,
+    pairs of rank tokens given as text."""
+    table = "[" + ",".join(f"[{a},{b}]" for a, b in entries) + "]"
+    return canonical(dict(doc, crossings="@")).replace('"crossings":"@"',
+                                                       '"crossings":' + table, 1)
+
+
+def _documents(seed):
+    """(id, text, message or None): a seeded set of explicit documents and
+    mutants; message is the exact error of a mutant in the last group."""
+    rng = random.Random(seed)
+    bases = [random_explicit(rng, n, density=rng.choice((0.1, 0.4))) for n in (4, 6, 9)]
+    bases.append(list(corpus())[-1])  # stored rotations and anchor
+    for n in (2, 3, 4):
+        text = '{"crossings":[],"format":"cstg-1","model":"explicit","n":%d}' % n
+        yield f"empty n={n}", text, None
+    for b, d in enumerate(bases):
+        text = encode_drawing(d)
+        doc = json.loads(text)
+        n, edges = d.n, list(itertools.combinations(range(d.n), 2))
+        m = len(edges)
+        entries = [[str(r1), str(r2)] for r1, r2 in doc["crossings"]]
+        yield f"{b} as written", text, None
+        if not entries:
+            continue
+
+        def at_random(entry):
+            out = [list(e) for e in entries]
+            out.insert(rng.randrange(len(out) + 1), entry)
+            return _with_table(doc, out)
+
+        for token in ("01", "-1", "1.0", "1e0", "true", "1" * 5001):
+            out = [list(e) for e in entries]
+            out[rng.randrange(len(out))][rng.randrange(2)] = token
+            yield f"{b} rank {token[:8]}", _with_table(doc, out), None
+        anchor = doc.get("anchor", {"order": list(range(1, n)), "v0": 0})
+        nested = dict(anchor, crossings=doc["crossings"])
+        yield f"{b} nested table", canonical(dict(doc, anchor=nested)), None
+        yield f"{b} NaN n", text.replace('"n":%d' % n, '"n":NaN', 1), None
+        nan_v0 = canonical(dict(doc, anchor=dict(anchor, v0="@"))).replace('"@"', "NaN")
+        yield f"{b} NaN v0", nan_v0, None
+        yield f"{b} repeated n", text.replace('"n":%d' % n, '"n":%d,"n":%d' % (n, n), 1), None
+        table = json.dumps(doc["crossings"], separators=(",", ":"))
+        for first in ("[]", table):
+            yield (f"{b} repeated table {first[:2]}",
+                   text.replace('{"crossings":', '{"crossings":%s,"crossings":' % first, 1), None)
+        table_end = text.index("]]") + 2
+        for cut in (rng.randrange(1, table_end), rng.randrange(table_end, len(text))):
+            yield f"{b} cut at {cut}", text[:cut], None
+        # the last group: today's exact messages
+        r = rng.randrange(m)
+        stray = [str(r), str(m + rng.randrange(5))]
+        yield (f"{b} stray", at_random(stray),
+               f"crossing ranks [{r}, {stray[1]}] out of range for n={n}")
+        r1, r2 = map(int, rng.choice(entries))
+        (i, j), (k, l) = edges[r2], edges[r1]
+        yield (f"{b} reversed", at_random([str(r2), str(r1)]),
+               f"crossing pair [{r2}, {r1}] joins edges ({i},{j}) and ({k},{l}) out of rank order")
+        a = rng.randrange(n - 2)
+        r1, r2 = edges.index((a, a + 1)), edges.index((a, a + 2))
+        yield (f"{b} adjacent", at_random([str(r1), str(r2)]),
+               f"crossing pair [{r1}, {r2}] joins edges ({a},{a + 1}) and ({a},{a + 2}) "
+               "which share a vertex")
+        entry = rng.choice(entries)
+        yield (f"{b} repeated entry", at_random(entry),
+               f"field 'crossings': entry [{entry[0]}, {entry[1]}] is repeated")
+
+
+class TestFlatRanks:
+    @pytest.mark.parametrize("seed", [3, 47, 2711])
+    def test_compact_and_padded_texts_decode_the_same(self, seed, monkeypatch):
+        documents = list(_documents(seed))
+
+        def refuse(*args):
+            raise AssertionError("a decoded table took the hand-built pair check")
+
+        monkeypatch.setattr(drawing, "_flat_ranks", refuse)
+        outcomes = []
+        for name, text, message in documents:
+            padded = text.replace(",", ", ").replace(":", " : ")
+            compact = _outcome(text)
+            outcomes.append(compact)
+            assert _unplaced(_outcome(padded)) == _unplaced(compact), name
+            if message is not None:
+                assert compact == (ParseError if "repeated" in message else ValidationError,
+                                   message), name
+            elif name.endswith("as written"):
+                assert encode_drawing(compact) == text, name
+        # the same compact texts through the general parse alone
+        monkeypatch.setattr(codec, "_parse_drawing", codec._parse)
+        for (name, text, _), compact in zip(documents, outcomes):
+            assert _outcome(text) == compact, name
+
+    def test_a_table_as_written_is_read_as_flat_ranks(self):
+        for d in (induced_subdrawing(gen_twisted(12), range(12)), list(corpus())[-1]):
+            text = encode_drawing(d)
+            assert type(codec._parse_drawing(text)["crossings"]) is drawing._Ranks
+            padded = text.replace("],[", "], [")
+            assert type(codec._parse_drawing(padded)["crossings"]) is list
+            assert decode_drawing(padded) == decode_drawing(text) == d
+

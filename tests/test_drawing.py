@@ -214,6 +214,19 @@ class TestCross:
         with pytest.raises(InvalidEdge):
             cross(d, (2, 2), (0, 1))
 
+    @pytest.mark.parametrize("vertex", [0.5, 0.9, True], ids=["0.5", "0.9", "True"])
+    def test_a_vertex_that_is_no_integer_is_refused(self, vertex):
+        # not truncated to 0 or read as 1: the edge names no vertex pair
+        d = gen_convex(6)
+        message = f"edge vertex {vertex!r} is not an integer"
+        for e1, e2 in (((vertex, 2), (1, 3)), ((0, 2), (4, vertex))):
+            with pytest.raises(InvalidEdge) as info:
+                cross(d, e1, e2)
+            assert str(info.value) == message
+            with pytest.raises(InvalidEdge) as info:
+                check_plane_edges(d, [e1, e2])
+            assert str(info.value) == message
+
     def test_explicit_table_equals_implicit_backend(self):
         drawings = [
             gen_convex(10),
@@ -273,8 +286,14 @@ class TestCross:
             ([(1, 4, 5)], "crossing entry (1, 4, 5) is not a pair of integers"),
             ([("a", 4)], "crossing entry ('a', 4) is not a pair of integers"),
             ([(1.0, 4)], "crossing entry (1.0, 4) is not a pair of integers"),
+            # each of these holds the pair (1, 4) when iterated
+            ([(1, 4), (True, 4)], "crossing entry (True, 4) is not a pair of integers"),
+            ([{1, 4}], "crossing entry {1, 4} is not a pair of integers"),
+            ([{1: 0, 4: 0}], "crossing entry {1: 0, 4: 0} is not a pair of integers"),
+            ([b"\x01\x04"], "crossing entry b'\\x01\\x04' is not a pair of integers"),
         ],
-        ids=["not a collection", "three ranks", "string rank", "float rank"],
+        ids=["not a collection", "three ranks", "string rank", "float rank", "bool rank",
+             "set entry", "dict entry", "bytes entry"],
     )
     def test_explicit_table_of_non_integer_pairs_is_rejected(self, crossings, message):
         with pytest.raises(ValidationError, match=re.escape(message)):

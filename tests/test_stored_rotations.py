@@ -152,3 +152,26 @@ def test_cli_refuses_a_reversed_rotation_at_the_boundary(family, argv, tmp_path,
     err = capsys.readouterr().err
     assert code == 3
     assert err == "invalid input: ValidationError: rotation at vertex 5 is not the drawn one\n"
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(n=6, model="twisted", anchor=(0, (1, 2, 3, 4, 5))),
+     "stored anchor at v0 0: only the outermost spiral vertex is certified on the unbounded cell"),
+    (dict(n=4, model="halfcircle", signs="UUUUUU", anchor=(1, (0, 2, 3))),
+     "stored anchor at v0 1: only the leftmost vertex is certified on the unbounded cell"),
+    (dict(n=4, model="points", points=((0, 0), (4, 0), (0, 4), (1, 1)), anchor=(3, (0, 1, 2))),
+     "stored anchor at v0 3: point 3 is not a hull vertex"),
+], ids=["twisted", "half-circle", "points"])
+def test_an_uncertified_stored_anchor_is_named(kwargs, message):
+    # the model's refusal, said of the stored anchor, at construction and
+    # at decode
+    with pytest.raises(AnchorUnavailable) as info:
+        Drawing(**kwargs)
+    assert str(info.value) == message
+    bare = {key: value for key, value in kwargs.items() if key != "anchor"}
+    doc = json.loads(codec.encode_drawing(Drawing(**bare)))
+    v0, order = kwargs["anchor"]
+    doc["anchor"] = {"order": list(order), "v0": v0}
+    with pytest.raises(ValidationError) as info:
+        codec.decode_drawing(json.dumps(doc))
+    assert str(info.value) == message
