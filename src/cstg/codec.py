@@ -22,7 +22,8 @@ values to convert.
 
 Decoding only parses: shape, fields and integer types fail here with
 ParseError (and the explicit size cap before any crossing entry is read), as
-does any text ``json.loads`` refuses and a key given twice in one object.
+does any text ``json.loads`` refuses, a key given twice in one object and
+a key that its object does not take.
 Every drawing invariant is ``Drawing``'s own check, re-raised here as
 ValidationError with its message.  A crossing table written as encoding
 writes it is parsed as one flat JSON array of its ranks, with no list per
@@ -110,6 +111,12 @@ def _parse_drawing(text: str):
     return _parse(text)
 
 
+def _refuse_unknown(obj: dict, known, where: str = "") -> None:
+    """ParseError naming the keys of obj that are not known, and where obj is."""
+    if set(obj) - known:
+        raise ParseError(f"unknown fields {sorted(set(obj) - known)}{where}")
+
+
 def _unique_keys(pairs) -> dict:
     """One JSON object; a key given twice would be read last-wins."""
     obj = dict(pairs)
@@ -160,16 +167,15 @@ def decode_drawing(text: str) -> Drawing:
     n = doc["n"]
     model = doc["model"]
     _require_ints((n,), "n")
-    known = {"format", "n", "model", "params", "crossings", "rotations", "anchor"}
-    extra = set(doc) - known
-    if extra:
-        raise ParseError(f"unknown fields {sorted(extra)}")
+    _refuse_unknown(doc, {"format", "n", "model", "params", "crossings", "rotations", "anchor"})
 
     # an unknown model reads no payload here, and Drawing names it
     spec = MODELS[model] if isinstance(model, str) and model in MODELS else None
     payload = spec and spec.payload
     params = doc.get("params", {})
     raw = params.get(payload) if isinstance(params, dict) else None
+    if raw is not None and payload != "crossings":  # an explicit model takes no params
+        _refuse_unknown(params, {payload}, " in 'params'")
     fields = {}
     if payload == "signs":
         if not isinstance(raw, str):
@@ -249,6 +255,7 @@ def _decode_rotations(raw, n: int) -> Tuple[Tuple[int, ...], ...]:
 def _decode_anchor(raw) -> Tuple[int, Tuple[int, ...]]:
     if not (isinstance(raw, dict) and "v0" in raw and "order" in raw):
         raise ParseError("field 'anchor' must carry 'v0' and 'order'")
+    _refuse_unknown(raw, {"v0", "order"}, " in 'anchor'")
     order = raw["order"]
     _require_ints((raw["v0"],), "anchor.v0")
     if not isinstance(order, list):
@@ -265,6 +272,7 @@ def decode_certificate(text: str) -> Certificate:
     doc = _parse(text)
     if not isinstance(doc, dict) or "kind" not in doc or "vertices" not in doc:
         raise ParseError("certificate document must carry 'kind' and 'vertices'")
+    _refuse_unknown(doc, {"kind", "vertices"})
     vs = doc["vertices"]
     if not isinstance(vs, list):
         raise ParseError("field 'vertices' must be a list")

@@ -8,26 +8,28 @@ Budgets are mandatory in spirit: searches carry node and time caps and flag
 whether they completed.
 
 The searches test consistency with Python-int masks, the representation
-:mod:`cstg.chromatics` uses.  The pattern search carries, per depth, the
-mask of vertices that extend the current sequence consistently, and the
-rows of the sequence's pairs: the row of a pair (a, b) lists, for every v,
-the ``pattern_fit`` mask of (a, b, v), read from the drawing's crossing
-masks N(ab, c) = {w : edge ab crosses edge cw}
-(:func:`cstg.drawing.crossing_masks`, the kernel certificate checks and
-the colorings use), and is built the first time a sequence holds that
-pair.  A child's mask is the node's mask and one entry of each row.  The
-path search keeps its used edges as a mask with bit p*k + q for the edge
-between positions p and q of its k vertices; the conflict mask of an edge
-stacks its kernel rows as an explicit table's int does, so it holds bits
-p*k + q and q*k + p of every edge that crosses it.  A pattern node is one
-consistent extension: the search walks the set bits of the candidate mask
-in ascending order and stops a node once the sequence plus the popcount of
-that mask cannot beat the best sequence, the colouring-free bound of
-Carraghan and Pardalos (1990) for maximum clique.  A child that this bound
-would stop at once is counted in the node and not called.
-The path search's candidate order, node count and bounds are those of the
-plain scan over its edges, so its results, witnesses and exhausted budgets
-do not depend on the masks; it stops at a path through every vertex.
+:mod:`cstg.chromatics` uses.  The pattern search picks the first vertex of a
+sequence, then the last vertex L, then fills the middle, so it visits one
+sequence per reversal (twisted) or rotation and reflection (convex).  It
+carries, per depth, the mask of vertices that may go next in the middle,
+narrowed for a child by one entry of each of its rows: the pair row of
+each pair (a, b) before L lists, for every v, the w that fit (a, b, v, w),
+and the end row of (a, L) the w that fit (a, v, w, L).  Each row is built
+the first time a sequence needs it, from one table P[x][y][v] = N(x, v, y)
+of the crossing masks N(ab, c) = {w : edge ab crosses edge cw}
+(:func:`cstg.drawing.crossing_masks`, the kernel certificate checks and the
+colorings use).  A pattern node is one choice of a vertex; a node stops
+once the sequence plus the vertices that may still join cannot beat the
+best sequence, the colouring-free bound of Carraghan and Pardalos (1990)
+for maximum clique, and a child that this bound would stop at once is
+counted in the node and not called.  The path search keeps its used edges
+as a mask with bit p*k + q for the edge between positions p and q of its k
+vertices; the conflict mask of an edge stacks its kernel rows as an
+explicit table's int does, so it holds bits p*k + q and q*k + p of every
+edge that crosses it.  Its candidate order, node count and bounds are
+those of the plain scan over its edges, so its results, witnesses and
+exhausted budgets do not depend on the masks; it stops at a path through
+every vertex.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .drawing import (
     Drawing,
     _stacked_rows,
     crossing_masks,
-    pattern_fit,
 )
 from .errors import BudgetExhausted, DegenerateInput, InvalidSelection
 
@@ -102,73 +103,93 @@ def max_pattern_exact(
 ) -> OracleResult:
     """Maximum k and ordered witness whose certificate of the kind verifies.
 
-    Extends ordered sequences one vertex at a time, in ascending order of
-    the vertices that complete no inconsistent 4-tuple; each such extension
-    is one node of the count and of a node budget.  For the convex kind any
-    witness can be cycled so its smallest vertex comes first (interleaving
-    is invariant under rotation of the order), so extensions stay above the
-    first element.  A node stops once its length plus the number of its
-    consistent extensions cannot exceed the best length found, and ``best``
-    changes only on a strict gain, so the witness is the first maximum
-    sequence in that order.
+    A twisted sequence read backwards is twisted, and a convex one stays convex
+    under rotation and reflection, so the search visits one sequence per class:
+    the first vertex v1 ascending, the last vertex L > v1 descending, then the
+    middle in ascending order of the vertices that complete no inconsistent
+    4-tuple; for the convex kind every vertex lies above v1 and the first middle
+    vertex below L.  Each choice is one node of the count and of a node budget.
+    A node stops once its length plus the vertices that may still join cannot
+    beat the best length, and ``best`` changes only on a strict gain, so the
+    witness is the first maximum sequence in that order.
     """
     if kind not in (CONVEX, TWISTED):
         raise InvalidSelection(f"kind must be {CONVEX!r} or {TWISTED!r}")
-    n = d.n
-    want_mid = kind == CONVEX
-    clock = _Clock(budget)
-    best: List[int] = []
-    shape = pattern_fit(crossing_masks(d), kind)
-    # rows[a][b][w]: shape(a, b, w), the row of the pair (a, b), built the
-    # first time a sequence holds a before b; w in {a, b} is never a candidate
-    rows = [[None] * n for _ in range(n)]
+    n, full, convex = d.n, (1 << d.n) - 1, kind == CONVEX
+    clock, N = _Clock(budget), crossing_masks(d)
+    # P[x][y][v] = N(x, v, y) = P[v][y][x], one row per ordered pair; an entry
+    # reads only rows already built, so a row costs at most n kernel calls
+    P = [[None] * n for _ in range(n)]
+    # pairs[a][b][v]: the w that fit (a, b, v, w); ends[a][b][v]: the w that
+    # fit (a, v, w, b); each built the first time a sequence needs it
+    pairs, ends = [[None] * n for _ in range(n)], [[None] * n for _ in range(n)]
+    # fit's masks of (a, b, v) are N(a, v, b), N(b, v, a), N(a, b, v): the middle,
+    # outer and inner pairing of (a, b, v, w) and the inner, middle and outer of
+    # (a, v, w, b); the kind wants the middle (convex) or outer (twisted) alone
+    at_pair, at_end = (0, 1) if convex else (1, 2)
 
-    def row(a: int, b: int) -> List[int]:
-        r = rows[a][b]
-        if r is None:
-            r = rows[a][b] = [0 if w == a or w == b else shape(a, b, w) for w in range(n)]
+    def fit(a: int, b: int, table: List[List[Optional[List[int]]]], i: int) -> List[int]:
+        for x, y in (a, b), (b, a):
+            P[x][y] = P[x][y] or [0 if v == x or v == y else P[v][y][x] if P[v][y] else N(x, v, y)
+                                  for v in range(n)]
+        s = (P[a][b], P[b][a],
+             [0 if v == a or v == b else P[a][v][b] if P[a][v] else N(a, b, v) for v in range(n)])
+        r = table[a][b] = [t & ~(u | w) for t, u, w in zip(s[i], s[i - 1], s[i - 2])]
         return r
 
-    def dfs(seq: List[int], cand: int, fits: List[List[int]]) -> bool:
-        # cand: the unused w (for the convex kind above seq[0]) for which
-        # seq + [w] is consistent; fits: the rows of the pairs of seq
+    best: List[int] = []
+
+    def dfs(seq: List[int], cand: int, free: int, rows: List[List[int]]) -> bool:
+        # seq: v1, the middle so far, L; cand: the next middle vertices to try; free: the
+        # vertices that may still join; rows: the pair rows before L and the end rows of L
         nonlocal best
         if len(seq) > len(best):
             best = seq
-        first = want_mid and not seq  # convex: a sequence from v goes on above v
-        # the whole of cand, not the bits left: a child may still use a
-        # lower candidate that this loop has already visited
-        bound = len(seq) + cand.bit_count()
-        grown = len(seq) + 1  # a child's length
-        rest = cand
-        while rest:
-            if bound <= len(best):
-                return True
+        bound, grown = len(seq) + free.bit_count(), len(seq) + 1
+        head, last, rest = seq[:-1], seq[-1], cand
+        while rest and bound > len(best):
             low = rest & -rest
             rest ^= low
             if not clock.tick():
                 return False
             v = low.bit_length() - 1
-            child = cand & -(low << 1) if first else cand ^ low
-            for r in fits:
+            child = free ^ low
+            for r in rows:
                 child &= r[v]
-            # a child that cannot beat best would return at once: no call (a
-            # longer child beats it, so best is recorded where it was)
+            # a child that cannot beat best would return at once: no call
             if grown + child.bit_count() > len(best):
-                if not dfs(seq + [v], child, fits + [row(u, v) for u in seq]):
+                more = [pairs[u][v] or fit(u, v, pairs, at_pair) for u in head]
+                more.append(ends[v][last] or fit(v, last, ends, at_end))
+                if not dfs(head + [v, last], child, child, rows + more):
                     return False
         return True
 
-    completed = dfs([], (1 << n) - 1, [])
+    def search() -> bool:
+        nonlocal best
+        for v1 in range(n):
+            if len(best) == n:  # the root's bound
+                break
+            if not clock.tick():
+                return False
+            best = best or [v1]
+            free = full & -(2 << v1) if convex else full ^ 1 << v1
+            for last in range(n - 1, v1, -1):
+                if len(best) > free.bit_count():  # the bound of [v1]
+                    break
+                if not clock.tick():
+                    return False
+                middle = free ^ 1 << last
+                first = middle & (1 << last) - 1 if convex else middle
+                if not dfs([v1, last], first, middle, [ends[v1][last] or fit(v1, last, ends, at_end)]):
+                    return False
+        return True
+
+    completed = search()
     dfs = None  # dfs refers to itself: drop that cycle so the rows go now
-    result = OracleResult(
-        size=len(best), witness=tuple(best), nodes=clock.nodes, exact=completed
-    )
+    result = OracleResult(size=len(best), witness=tuple(best), nodes=clock.nodes, exact=completed)
     if not completed:
-        raise BudgetExhausted(
-            f"pattern search budget exhausted after {clock.nodes} nodes",
-            payload=result,
-        )
+        raise BudgetExhausted(f"pattern search budget exhausted after {clock.nodes} nodes",
+                              payload=result)
     return result
 
 

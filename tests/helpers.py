@@ -2,7 +2,9 @@
 
 They wrap library internals: the transitivity check behind acceptance
 criterion 02, the region test and the subsequence search of the plane path
-pipeline, and the inverse of ``edge_index``.  No CLI path reaches them.
+pipeline, and the inverse of ``edge_index``.  ``full_order_max_pattern`` is
+a second pattern search that breaks no symmetry but rotation, the size
+oracle the tests hold ``max_pattern_exact`` to.  No CLI path reaches them.
 """
 
 from dataclasses import dataclass
@@ -11,8 +13,9 @@ from math import comb
 from typing import Callable, Optional, Sequence, Tuple
 
 from cstg.chromatics import ChiCache, _members
-from cstg.drawing import AnchoredDrawing, _quadruples_up_to
+from cstg.drawing import CONVEX, AnchoredDrawing, _quadruples_up_to, crossing_masks, pattern_fit
 from cstg.errors import InvalidEdge, InvalidTriple
+from cstg.oracles import OracleResult
 from cstg.planepath import _inside, _lis
 
 
@@ -110,3 +113,43 @@ def edge_at(rank: int, n: int) -> Tuple[int, int]:
         offset -= n - 1 - i
         i += 1
     return i, i + 1 + offset
+
+
+def full_order_max_pattern(d, kind: str) -> OracleResult:
+    """Maximum pattern of the kind by a search over every vertex order.
+
+    Extends sequences in ascending order of the vertices that complete no
+    inconsistent 4-tuple, the convex kind above its first vertex only, and
+    stops a node once its length plus its consistent extensions cannot beat
+    the best; one node per extension, no budget.  Twisted sequences are met
+    both ways round and convex ones both ways from their smallest vertex.
+    """
+    n = d.n
+    shape = pattern_fit(crossing_masks(d), kind)
+    rows = {}
+    best, nodes = [], 0
+
+    def row(a, b):
+        if (a, b) not in rows:
+            rows[a, b] = [0 if w in (a, b) else shape(a, b, w) for w in range(n)]
+        return rows[a, b]
+
+    def dfs(seq, cand, fits):
+        nonlocal best, nodes
+        if len(seq) > len(best):
+            best = seq
+        first = kind == CONVEX and not seq
+        bound = len(seq) + cand.bit_count()
+        rest = cand
+        while rest and bound > len(best):
+            low = rest & -rest
+            rest ^= low
+            nodes += 1
+            v = low.bit_length() - 1
+            child = cand & -(low << 1) if first else cand ^ low
+            for r in fits:
+                child &= r[v]
+            dfs(seq + [v], child, fits + [row(u, v) for u in seq])
+
+    dfs([], (1 << n) - 1, [])
+    return OracleResult(len(best), tuple(best), nodes, True)

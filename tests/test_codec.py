@@ -759,6 +759,9 @@ BOUNDARY = [
     ("certificate-repeated-kind", decode_certificate,
      '{"kind":"convex","kind":"twisted","vertices":[0,1,2,3]}',
      "field 'kind' is repeated"),
+    ("certificate-unknown-key", decode_certificate,
+     '{"kind":"convex","vertices":[0,1,2,3],"weight":1}',
+     "unknown fields ['weight']"),
 ]
 
 
@@ -774,6 +777,30 @@ class TestDocumentBoundary:
         # the same key in two different objects is not a repeat
         doc = '{"anchor":{"order":[3,2,1],"v0":0},"format":"cstg-1","model":"convex","n":4}'
         assert decode_drawing(doc).anchor == (0, (3, 2, 1))
+
+    @pytest.mark.parametrize("text, where", [
+        ('{"anchor":{"extra":5,"order":[1,2,3],"v0":0},"crossings":[[0,5]],'
+         '"format":"cstg-1","model":"explicit","n":4}', "anchor"),
+        ('{"format":"cstg-1","model":"halfcircle","n":3,"params":{"extra":[1],"signs":"UUU"}}',
+         "params"),
+    ], ids=["anchor", "params"])
+    def test_an_unknown_key_in_a_nested_object_is_a_parse_error(self, text, where,
+                                                                 monkeypatch):
+        # read, such a key would be lost, and encode(decode(x)) != x; the
+        # compact text (a table on the flat route), a padded copy and the
+        # general parse alone all refuse it by name
+        padded = text.replace("],[", "], [").replace(",", ", ")
+        if where == "anchor":
+            assert type(codec._parse_drawing(text)["crossings"]) is drawing._Ranks
+            assert type(codec._parse_drawing(padded)["crossings"]) is list
+        message = f"unknown fields ['extra'] in '{where}'"
+        for route in (codec._parse_drawing, codec._parse):
+            monkeypatch.setattr(codec, "_parse_drawing", route)
+            for doc in (text, padded):
+                with pytest.raises(ParseError) as info:
+                    decode_drawing(doc)
+                assert str(info.value) == message
+        assert decode_drawing(text.replace('"extra":5,', "").replace('"extra":[1],', ""))
 
 
 # -- the crossing table as one flat run of ranks --------------------------------

@@ -278,7 +278,7 @@ class TestHorton:
             pts = gen_horton(k)
             gen_straightline(pts)  # validates pairwise distinct + no collinear
 
-    @pytest.mark.parametrize("k,size,nodes", [(3, 6, 126), (4, 10, 2655)])
+    @pytest.mark.parametrize("k,size,nodes", [(3, 6, 80), (4, 10, 1724)])
     def test_max_convex_subset(self, k, size, nodes):
         # exact search: a Horton set has no empty convex 7-gon, but it does
         # have large subsets in convex position

@@ -57,23 +57,23 @@ EXTRACTIONS = {
 }
 
 # oracle on halfcircle-18-5: exit code, report and witness document (None:
-# an exhausted search writes no witness); the twisted search expands 16,155
+# an exhausted search writes no witness); the twisted search expands 8,087
 # nodes, so the 20,000-node budget finishes with the unbudgeted report
 ORACLES = {
     ("maxconvex",): (
         EXIT_OK,
-        "c76327c939dec695ff1b8ca740b178a55f8e85cd8da3b99117d8e793715c41c0",
+        "a839f04cd06e067121fb14c9bb8fe6933f98763da6b0a318526595c2319a2a8c",
         "bdf96ba4774978e4677bef7ebf5606d1a48ef89a0d8a796734d731680aab2d46",
     ),
     ("maxtwisted", "--budget-nodes", "20000"): (
         EXIT_OK,
-        "0810743b10982ee5d56b5d0135b9130b989f9bd9caaf2f0f04bd10d94589526d",
-        "32ecfe40c5b8a14c5d435356409332064de346b9fdf2b6fd04a7a93929ae74ef",
+        "543a0110e22735b18cdbf5fd3a3f252be9e37aa8f35f21f8c71156c4d5a0adb7",
+        "c12e376211eb45626d781c97f74cdfc837b9969c1d6ebc563acd0ba86868bf43",
     ),
     ("maxtwisted",): (
         EXIT_OK,
-        "0810743b10982ee5d56b5d0135b9130b989f9bd9caaf2f0f04bd10d94589526d",
-        "32ecfe40c5b8a14c5d435356409332064de346b9fdf2b6fd04a7a93929ae74ef",
+        "543a0110e22735b18cdbf5fd3a3f252be9e37aa8f35f21f8c71156c4d5a0adb7",
+        "c12e376211eb45626d781c97f74cdfc837b9969c1d6ebc563acd0ba86868bf43",
     ),
 }
 

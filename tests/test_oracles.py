@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from helpers import full_order_max_pattern
 from test_drawing import crossing_function
 from test_fuzz import random_explicit
 
@@ -110,12 +111,36 @@ class TestMaxPattern:
             assert not info.value.payload.exact
 
 
+    def test_a_budget_stopped_search_reads_few_masks(self, monkeypatch):
+        # rows are built one ordered pair at a time, each entry read once: a
+        # search that a budget stops after 300 nodes on 100 vertices reads
+        # O(n) masks per node, not the n^2 masks of all the rows of a vertex
+        d = gen_halfcircle(100, seed=0)
+        kernel, reads = oracles.crossing_masks, 0
+
+        def counting(d):
+            N = kernel(d)
+
+            def counted(a, b, c):
+                nonlocal reads
+                reads += 1
+                return N(a, b, c)
+
+            return counted
+
+        monkeypatch.setattr(oracles, "crossing_masks", counting)
+        for kind in (CONVEX, TWISTED):
+            reads = 0
+            with pytest.raises(BudgetExhausted):
+                max_pattern_exact(d, kind, OracleBudget(nodes=300))
+            assert 0 < reads <= 2 * d.n * 300, kind
+
     def test_time_budget_ends_at_the_first_clock_reading(self, monkeypatch):
         # the clock is read every 1024 nodes; one that jumps 11 s per
-        # reading ends a 10 s budget there, long before the 10,483 nodes
+        # reading ends a 10 s budget there, long before the 5,250 nodes
         # of the full search
         d = gen_halfcircle(16, seed=0)
-        assert max_pattern_exact(d, TWISTED).nodes == 10483
+        assert max_pattern_exact(d, TWISTED).nodes == 5250
         ticks = itertools.count(0.0, 11.0)
         monkeypatch.setattr(oracles.time, "monotonic", lambda: next(ticks))
         with pytest.raises(BudgetExhausted) as info:
@@ -244,67 +269,62 @@ class TestDominance:
 # -- reference kernels ---------------------------------------------------------
 #
 # The searches without the mask kernels: one crossing-predicate scan over
-# every triple of the sequence per candidate, and frozenset conflict sets
-# for the plane path.  The pattern search lists the unused vertices above
-# the floor that extend the sequence consistently, ticks once per listed
-# vertex and stops a node once the sequence plus the whole list cannot beat
-# the best.  Same candidate order, clock ticks and bounds as the kernels, so
-# every field of the result must agree, also on exhausted budgets.
+# every 4-tuple of the sequence that holds the candidate, and frozenset
+# conflict sets for the plane path.  The pattern search lists the children
+# of a node in the kernel's visiting order (the first vertex ascending, the
+# last descending, then the middle ascending), ticks once per child and
+# stops a node once the sequence plus the vertices that may still join
+# cannot beat the best.  Same visiting order, clock ticks and bounds as the
+# kernels, so every field of the result must agree, also on exhausted
+# budgets.
 
 
 def reference_max_pattern(d, kind, budget=None, record=None):
     """``record``, a list, gets the best sequence as a tuple before each tick."""
     f = crossing_function(d)
     n = d.n
-    want_mid = kind == CONVEX
+    convex = kind == CONVEX
     clock = _Clock(budget)
     best = []
 
-    def consistent(seq, v):
-        L = len(seq)
-        for a in range(L - 2):
-            sa = seq[a]
-            ea_v = sorted_pair(sa, v)
-            for b in range(a + 1, L - 1):
-                sb = seq[b]
-                for c in range(b + 1, L):
-                    sc = seq[c]
-                    mid = f(*sorted_pair(sa, sc), *sorted_pair(sb, v))
-                    if mid != want_mid:
-                        return False
-                    if f(*sorted_pair(sa, sb), *sorted_pair(sc, v)):
-                        return False
-                    if f(*ea_v, *sorted_pair(sb, sc)) == want_mid:
-                        return False
-        return True
+    def shows(a, b, c, e):
+        # in this order, the middle pairing crosses (convex) or the outer
+        # one (twisted), and no other
+        middle = f(*sorted_pair(a, c), *sorted_pair(b, e))
+        outer = f(*sorted_pair(a, e), *sorted_pair(b, c))
+        inner = f(*sorted_pair(a, b), *sorted_pair(c, e))
+        return (middle, outer, inner) == ((True, False, False) if convex else (False, True, False))
 
-    def dfs(seq, used):
+    def children(seq):
+        # the next sequences in visiting order, and how many vertices may join
+        if not seq:
+            return [[v] for v in range(n)], n
+        pool = [w for w in range(n) if w not in seq and (w > seq[0] or not convex)]
+        if len(seq) == 1:
+            return [seq + [w] for w in reversed(pool) if w > seq[0]], len(pool)
+        grown = [seq[:-1] + [w, seq[-1]] for w in pool]
+        grown = [s for s in grown
+                 if all(shows(*q) for q in itertools.combinations(s, 4) if s[-2] in q)]
+        # convex: the first middle vertex lies below the last vertex
+        return [s for s in grown if not convex or len(seq) > 2 or s[1] < s[2]], len(grown)
+
+    def dfs(seq):
         nonlocal best
         if len(seq) > len(best):
             best = list(seq)
-        floor = seq[0] if (want_mid and seq) else -1
-        candidates = [
-            v
-            for v in range(n)
-            if v not in used and v > floor and (len(seq) < 3 or consistent(seq, v))
-        ]
-        for v in candidates:
-            if len(seq) + len(candidates) <= len(best):
+        nexts, free = children(seq)
+        for child in nexts:
+            if len(seq) + free <= len(best):
                 return True
             if record is not None:
                 record.append(tuple(best))
             if not clock.tick():
                 return False
-            seq.append(v)
-            used.add(v)
-            ok = dfs(seq, used)
-            seq.pop()
-            used.remove(v)
-            if not ok:
+            if not dfs(child):
                 return False
         return True
 
-    completed = dfs([], set())
+    completed = dfs([])
     result = OracleResult(len(best), tuple(best), clock.nodes, completed)
     if not completed:
         raise BudgetExhausted("reference search exhausted", payload=result)
@@ -414,6 +434,15 @@ def search_drawings():
 SEARCH_DRAWINGS = dict(search_drawings())
 
 
+def random_tables():
+    """60 random crossing tables on 4 to 11 vertices, each with a budget."""
+    rng = random.Random(404)
+    for _ in range(60):
+        n = rng.randint(4, 11)
+        d = random_explicit(rng, n, density=rng.choice([0.05, 0.2, 0.5]))
+        yield d, rng.choice(BUDGETS)
+
+
 class TestSearchEquivalence:
     @pytest.mark.parametrize("name", sorted(SEARCH_DRAWINGS))
     def test_pattern_search_matches_the_reference(self, name):
@@ -469,11 +498,7 @@ class TestSearchEquivalence:
                 )
 
     def test_random_crossing_data_matches_the_reference(self):
-        rng = random.Random(404)
-        for _ in range(60):
-            n = rng.randint(4, 11)
-            d = random_explicit(rng, n, density=rng.choice([0.05, 0.2, 0.5]))
-            budget = rng.choice(BUDGETS)
+        for d, budget in random_tables():
             for kind in (CONVEX, TWISTED):
                 assert outcome(max_pattern_exact, d, kind, budget) == outcome(
                     reference_max_pattern, d, kind, budget
@@ -481,3 +506,49 @@ class TestSearchEquivalence:
             assert outcome(longest_plane_path_exact, d, budget) == outcome(
                 reference_plane_path, d, budget
             )
+
+
+class TestAgainstTheFullOrderSearch:
+    """The search visits one sequence per reversal (twisted) or rotation and
+    reflection (convex); a search over every order must find the same size."""
+
+    @staticmethod
+    def same_size(d):
+        for kind in (CONVEX, TWISTED):
+            result, full = max_pattern_exact(d, kind), full_order_max_pattern(d, kind)
+            assert (result.size, result.exact) == (full.size, full.exact), kind
+            assert verify_certificate(d, Certificate(kind, result.witness)).ok, kind
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_DRAWINGS))
+    def test_search_drawings(self, name):
+        self.same_size(SEARCH_DRAWINGS[name])
+
+    def test_random_tables(self):
+        for d, _ in random_tables():
+            self.same_size(d)
+
+    @pytest.mark.parametrize("n", range(16, 23))
+    def test_halfcircle(self, n):
+        for seed in range(3):
+            self.same_size(gen_halfcircle(n, seed=seed))
+
+
+def test_certificates_hold_under_the_symmetries_the_search_breaks():
+    # a sequence certifies twisted exactly when its reverse does, and convex
+    # exactly when its reflection (v1, vk, ..., v2) and its rotation do
+    rng = random.Random(35)
+    drawings = [random_explicit(rng, rng.randint(6, 9), density=p) for p in (0.1, 0.3, 0.5, 0.7)]
+    drawings += [gen_convex(9), gen_twisted(9), gen_halfcircle(9, seed=4),
+                 gen_halfcircle(12, seed=1), gen_straightline(gen_horton(3))]
+    certified = {CONVEX: 0, TWISTED: 0}
+    for d in drawings:
+        seqs = [max_pattern_exact(d, kind).witness for kind in (CONVEX, TWISTED)]
+        seqs += [tuple(rng.sample(range(d.n), rng.randint(4, min(d.n, 7)))) for _ in range(150)]
+        for seq in seqs:
+            reflection, rotation = seq[:1] + seq[:0:-1], seq[1:] + seq[:1]
+            for kind, images in ((TWISTED, [seq[::-1]]), (CONVEX, [reflection, rotation])):
+                holds = verify_certificate(d, Certificate(kind, seq)).ok
+                certified[kind] += holds and len(seq) >= 4
+                for image in images:
+                    assert verify_certificate(d, Certificate(kind, image)).ok == holds, (kind, seq)
+    assert min(certified.values()) >= 20, certified
