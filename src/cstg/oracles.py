@@ -19,17 +19,24 @@ the first time a sequence needs it, from one table P[x][y][v] = N(x, v, y)
 of the crossing masks N(ab, c) = {w : edge ab crosses edge cw}
 (:func:`cstg.drawing.crossing_masks`, the kernel certificate checks and the
 colorings use).  A pattern node is one choice of a vertex; a node stops
-once the sequence plus the vertices that may still join cannot beat the
-best sequence, the colouring-free bound of Carraghan and Pardalos (1990)
-for maximum clique, and a child that this bound would stop at once is
-counted in the node and not called.  The path search keeps its used edges
-as a mask with bit p*k + q for the edge between positions p and q of its k
-vertices; the conflict mask of an edge stacks its kernel rows as an
-explicit table's int does, so it holds bits p*k + q and q*k + p of every
-edge that crosses it.  Its candidate order, node count and bounds are
-those of the plain scan over its edges, so its results, witnesses and
-exhausted budgets do not depend on the masks; it stops at a path through
-every vertex.
+once the sequence plus a bound on the vertices that may still join cannot
+beat the best sequence, and a child that this bound would stop at once is
+counted in the node and not called.  The convex bound is their count, as
+in Carraghan and Pardalos (1990) for maximum clique; the twisted bound is
+the number of classes of a greedy colouring of them in the graph of the
+end row of (v1, L), as in MCQ (Tomita and Seki, 2003).  Every two middle
+vertices x, y of a twisted sequence fit (v1, x, y, L), and a twisted end
+row is symmetric, since swapping x and y keeps the outer pairing and swaps
+the middle and inner ones; so the middle is a clique of that graph, and
+no clique has more vertices than a colouring has classes.  A convex end
+row is directed, so the convex kind keeps the count.  The path search
+keeps its used edges as a mask with bit p*k + q for the edge between
+positions p and q of its k vertices; the conflict mask of an edge stacks
+its kernel rows as an explicit table's int does, so it holds bits p*k + q
+and q*k + p of every edge that crosses it.  Its candidate order, node
+count and bounds are those of the plain scan over its edges, so its
+results, witnesses and exhausted budgets do not depend on the masks; it
+stops at a path through every vertex.
 """
 
 from __future__ import annotations
@@ -109,9 +116,12 @@ def max_pattern_exact(
     middle in ascending order of the vertices that complete no inconsistent
     4-tuple; for the convex kind every vertex lies above v1 and the first middle
     vertex below L.  Each choice is one node of the count and of a node budget.
-    A node stops once its length plus the vertices that may still join cannot
-    beat the best length, and ``best`` changes only on a strict gain, so the
-    witness is the first maximum sequence in that order.
+    A node stops once its length plus a bound on the vertices that may still
+    join cannot beat the best length: their count (convex), or the classes of
+    a greedy colouring of them in the symmetric graph of the end row of
+    (v1, L), of which every twisted middle is a clique.  The bound counts no
+    node and ``best`` changes only on a strict gain, so the witness is the
+    first maximum sequence in that order.
     """
     if kind not in (CONVEX, TWISTED):
         raise InvalidSelection(f"kind must be {CONVEX!r} or {TWISTED!r}")
@@ -139,13 +149,29 @@ def max_pattern_exact(
 
     best: List[int] = []
 
-    def dfs(seq: List[int], cand: int, free: int, rows: List[List[int]]) -> bool:
+    def reach(length: int, free: int, row: List[int]) -> int:
+        # length plus a bound on how many of free may all join: convex counts free, twisted
+        # colours it greedily in the graph of row, the end row of (v1, L)
+        if convex:
+            return length + free.bit_count()
+        count = 0
+        while free:
+            count += 1
+            rest = free  # one class: the lowest vertex left, then the lowest not in its row
+            while rest:
+                low = rest & -rest
+                free ^= low
+                rest &= ~(low | row[low.bit_length() - 1])
+        return length + count
+
+    def dfs(seq: List[int], cand: int, free: int, rows: List[List[int]], bound: int) -> bool:
         # seq: v1, the middle so far, L; cand: the next middle vertices to try; free: the
-        # vertices that may still join; rows: the pair rows before L and the end rows of L
+        # vertices that may still join; rows: the end row of (v1, L), the pair rows before
+        # L and the other end rows of L; bound: reach(len(seq), free, rows[0])
         nonlocal best
         if len(seq) > len(best):
             best = seq
-        bound, grown = len(seq) + free.bit_count(), len(seq) + 1
+        grown = len(seq) + 1
         head, last, rest = seq[:-1], seq[-1], cand
         while rest and bound > len(best):
             low = rest & -rest
@@ -157,10 +183,11 @@ def max_pattern_exact(
             for r in rows:
                 child &= r[v]
             # a child that cannot beat best would return at once: no call
-            if grown + child.bit_count() > len(best):
+            reached = reach(grown, child, rows[0])
+            if reached > len(best):
                 more = [pairs[u][v] or fit(u, v, pairs, at_pair) for u in head]
                 more.append(ends[v][last] or fit(v, last, ends, at_end))
-                if not dfs(head + [v, last], child, child, rows + more):
+                if not dfs(head + [v, last], child, child, rows + more, reached):
                     return False
         return True
 
@@ -180,7 +207,9 @@ def max_pattern_exact(
                     return False
                 middle = free ^ 1 << last
                 first = middle & (1 << last) - 1 if convex else middle
-                if not dfs([v1, last], first, middle, [ends[v1][last] or fit(v1, last, ends, at_end)]):
+                row = ends[v1][last] or fit(v1, last, ends, at_end)
+                reached = reach(2, middle, row)
+                if reached > len(best) and not dfs([v1, last], first, middle, [row], reached):
                     return False
         return True
 

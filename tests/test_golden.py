@@ -4,7 +4,8 @@ mask kernel replaced per-triple crossing queries; of oracle witnesses, and
 of an explicit document's round trip, fixed before the oracles' candidate
 masks and the codec's rank table; of oracle reports, whose node counts are
 those of the pattern search that ticks once per consistent extension and
-prunes on the popcount of its candidate mask; of `verify` on C48/T48
+prunes on the popcount of its candidate mask (convex) or on a greedy
+colouring of it (twisted); of `verify` on C48/T48
 certificates, fixed before certificate checks read crossing masks; of
 `render` with and without a certificate overlay, and of the numeric rotation
 oracle, fixed before the arcs were sampled through one parametrisation; of
@@ -57,7 +58,7 @@ EXTRACTIONS = {
 }
 
 # oracle on halfcircle-18-5: exit code, report and witness document (None:
-# an exhausted search writes no witness); the twisted search expands 8,087
+# an exhausted search writes no witness); the twisted search expands 687
 # nodes, so the 20,000-node budget finishes with the unbudgeted report
 ORACLES = {
     ("maxconvex",): (
@@ -67,12 +68,12 @@ ORACLES = {
     ),
     ("maxtwisted", "--budget-nodes", "20000"): (
         EXIT_OK,
-        "543a0110e22735b18cdbf5fd3a3f252be9e37aa8f35f21f8c71156c4d5a0adb7",
+        "7c31e16fe772869496bbf845fcf32fb2c569015f6e58a0b456784e59e47ed954",
         "c12e376211eb45626d781c97f74cdfc837b9969c1d6ebc563acd0ba86868bf43",
     ),
     ("maxtwisted",): (
         EXIT_OK,
-        "543a0110e22735b18cdbf5fd3a3f252be9e37aa8f35f21f8c71156c4d5a0adb7",
+        "7c31e16fe772869496bbf845fcf32fb2c569015f6e58a0b456784e59e47ed954",
         "c12e376211eb45626d781c97f74cdfc837b9969c1d6ebc563acd0ba86868bf43",
     ),
 }

@@ -14,8 +14,10 @@ from cstg.drawing import (
     TWISTED,
     Certificate,
     Drawing,
+    crossing_masks,
     edge_index,
     induced_subdrawing,
+    pattern_fit,
     sorted_pair,
     verify_certificate,
 )
@@ -137,10 +139,10 @@ class TestMaxPattern:
 
     def test_time_budget_ends_at_the_first_clock_reading(self, monkeypatch):
         # the clock is read every 1024 nodes; one that jumps 11 s per
-        # reading ends a 10 s budget there, long before the 5,250 nodes
-        # of the full search
-        d = gen_halfcircle(16, seed=0)
-        assert max_pattern_exact(d, TWISTED).nodes == 5250
+        # reading ends a 10 s budget there, before the 1,800 nodes of the
+        # full search
+        d = gen_halfcircle(24, seed=0)
+        assert max_pattern_exact(d, TWISTED).nodes == 1800
         ticks = itertools.count(0.0, 11.0)
         monkeypatch.setattr(oracles.time, "monotonic", lambda: next(ticks))
         with pytest.raises(BudgetExhausted) as info:
@@ -274,9 +276,10 @@ class TestDominance:
 # of a node in the kernel's visiting order (the first vertex ascending, the
 # last descending, then the middle ascending), ticks once per child and
 # stops a node once the sequence plus the vertices that may still join
-# cannot beat the best.  Same visiting order, clock ticks and bounds as the
-# kernels, so every field of the result must agree, also on exhausted
-# budgets.
+# cannot beat the best; past the first two vertices the twisted kind counts
+# the classes of a greedy colouring of those vertices in their place, from
+# lists.  Same visiting order, clock ticks and bounds as the kernels, so
+# every field of the result must agree, also on exhausted budgets.
 
 
 def reference_max_pattern(d, kind, budget=None, record=None):
@@ -305,8 +308,22 @@ def reference_max_pattern(d, kind, budget=None, record=None):
         grown = [seq[:-1] + [w, seq[-1]] for w in pool]
         grown = [s for s in grown
                  if all(shows(*q) for q in itertools.combinations(s, 4) if s[-2] in q)]
+        free = len(grown) if convex else colours(seq[0], [s[-2] for s in grown], seq[-1])
         # convex: the first middle vertex lies below the last vertex
-        return [s for s in grown if not convex or len(seq) > 2 or s[1] < s[2]], len(grown)
+        return [s for s in grown if not convex or len(seq) > 2 or s[1] < s[2]], free
+
+    def colours(first, cands, last):
+        # the classes of a greedy colouring of cands, ascending, in the graph of the pairs
+        # u, w that show (first, u, w, last): no two of a class may both join
+        classes = 0
+        while cands:
+            members = []
+            for w in cands:
+                if not any(shows(first, u, w, last) for u in members):
+                    members.append(w)
+            cands = [w for w in cands if w not in members]
+            classes += 1
+        return classes
 
     def dfs(seq):
         nonlocal best
@@ -531,6 +548,30 @@ class TestAgainstTheFullOrderSearch:
     def test_halfcircle(self, n):
         for seed in range(3):
             self.same_size(gen_halfcircle(n, seed=seed))
+
+
+def assert_twisted_end_rows_symmetric(d):
+    # the twisted bound colours the graph of the end row of (v1, L): row[v]
+    # holds the w that fit (v1, v, w, L), the outer pairing crossing alone.
+    # Swapping v and w keeps the outer pairing and swaps the other two, so
+    # the row is symmetric on any crossing table, realizable or not, and a
+    # twisted middle is a clique of its graph
+    N, n = crossing_masks(d), d.n
+    fit = pattern_fit(N, TWISTED)
+    for a, b in itertools.permutations(range(n), 2):
+        row = [0 if v in (a, b) else N(a, b, v) & ~(N(b, v, a) | N(a, v, b)) for v in range(n)]
+        for v, w in itertools.permutations(set(range(n)) - {a, b}, 2):
+            assert row[v] >> w & 1 == row[w] >> v & 1 == fit(a, v, w) >> b & 1, (a, v, w, b)
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_DRAWINGS))
+def test_twisted_end_rows_are_symmetric(name):
+    assert_twisted_end_rows_symmetric(SEARCH_DRAWINGS[name])
+
+
+def test_twisted_end_rows_are_symmetric_on_random_tables():
+    for d, _ in random_tables():
+        assert_twisted_end_rows_symmetric(d)
 
 
 def test_certificates_hold_under_the_symmetries_the_search_breaks():
