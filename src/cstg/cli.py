@@ -353,9 +353,6 @@ def dispatch(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BudgetExhausted as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_EXHAUSTED
     except (ParseError,) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_INVALID

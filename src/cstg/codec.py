@@ -208,7 +208,7 @@ def decode_drawing(text: str) -> Drawing:
         if isinstance(exc, (ParseError, ValidationError, SizeLimit)):
             raise
         raise ValidationError(str(exc)) from exc
-    if payload == "crossings" and len(d.crossings) < len(raw.flat) // 2:
+    if payload == "crossings" and sum(map(int.bit_count, d.crossings.bits)) < 2 * len(raw.flat):
         _refuse_repeats(raw)
     return d
 

@@ -23,8 +23,8 @@ tests, not 3*C(m,4) single-pair tests.  Each kernel row is built by a few
 whole-row operations, not a loop over its vertices.  An explicit table is
 held once, as one int per edge that stacks the edge's kernel rows (row c
 is bits c*n to c*n + n - 1, one window), and every kernel on the drawing
-shares them; ranks (``_rank_grid``) only list the entries in rank order
-for ``crossings``, a set view over the ints.
+shares them; ``crossings`` holds only the ints, and ranks (``_rank_grid``)
+serve ``crossing_pairs`` to list the pairs in rank order.
 
 Every invariant is checked when a ``Drawing`` is built: n, the model and
 its one payload, the size cap, the signs, the point set (distinct int
@@ -41,7 +41,7 @@ Vertices are 0-based everywhere.
 from __future__ import annotations
 
 import math
-from collections.abc import Collection, Set
+from collections.abc import Collection
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key, lru_cache
 from itertools import accumulate, chain, combinations, compress, repeat
@@ -140,14 +140,15 @@ class Drawing:
     ``model`` names an entry of ``MODELS``; of ``crossings``, ``signs`` and
     ``points``, only the field that model takes (its ``payload``) is set.
     ``crossings`` takes any collection of rank pairs (tuples or lists of two
-    ints) and holds a ``_Crossings`` view.  Stored ``rotations`` and
+    ints) and holds their stacked rows as a ``_Crossings``, not a set;
+    ``crossing_pairs(d)`` lists the pairs.  Stored ``rotations`` and
     ``anchor`` (decoded documents, induced drawings) are trusted on an
     explicit drawing, else must be the model's.
     """
 
     n: int
     model: str
-    crossings: Optional[Set] = None
+    crossings: Optional[Collection] = None
     signs: Optional[str] = None
     points: Optional[Tuple[Tuple[int, int], ...]] = None
     rotations: Optional[Tuple[Tuple[int, ...], ...]] = None
@@ -196,12 +197,12 @@ class Drawing:
                 )
             if order != drawn:
                 raise InvalidSelection(f"anchor order at v0 {v0} is cut at another gap")
-        # a view of the same n (a restriction's, or a copy's) is valid as it is
+        # rows of the same n (a restriction's, or a copy's) are valid as they are
         table = self.crossings
         trusted = type(table) is _Crossings and len(table.bits) == comb(n, 2)
         if model.payload == "crossings" and not trusted:
             ranks = table.flat if type(table) is _Ranks else _flat_ranks(table)
-            object.__setattr__(self, "crossings", _Crossings(n, _crossing_bits(n, ranks)))
+            object.__setattr__(self, "crossings", _Crossings(_crossing_bits(n, ranks)))
 
     def rank(self, i: int, j: int) -> int:
         return edge_index(min(i, j), max(i, j), self.n)
@@ -355,52 +356,27 @@ def _later_partners(n: int, X: list):
                 yield r1, compress(ranks, picks)
 
 
-class _Crossings(Set):
-    """An explicit table's crossing rank pairs (r1, r2), r1 < r2, as a
-    read-only set over the stacked rows ``bits`` over n vertices it holds
-    and trusts.  It iterates in rank order; set operations with it give
-    frozensets."""
+class _Crossings:
+    """An explicit table as its stacked rows ``bits``, held and trusted; not a
+    set: ``crossing_pairs`` lists its pairs.  Equal when the rows are."""
 
-    __slots__ = ("n", "bits", "_hash")
+    __slots__ = ("bits",)
 
-    def __init__(self, n: int, bits: list):
-        self.n = n
+    def __init__(self, bits: list):
         self.bits = bits
-        self._hash = None
-
-    def __contains__(self, pair) -> bool:
-        if not (type(pair) is tuple and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int):
-            # as a frozenset of the pairs: only a 2-tuple equal to ints is held
-            try:
-                ints = tuple(map(int, pair)) if isinstance(pair, tuple) else ()
-            except (TypeError, ValueError, OverflowError):
-                return False
-            return len(ints) == 2 and ints == pair and ints in self
-        r1, r2 = pair
-        if not 0 <= r1 < r2 < len(self.bits):
-            return False
-        c, w = _rank_grid(self.n)[0][r2]
-        return self.bits[r1] >> c * self.n + w & 1 == 1
-
-    def __iter__(self):
-        rows = _later_partners(self.n, self.bits)
-        return chain.from_iterable(zip(repeat(r1), later) for r1, later in rows)
-
-    def __len__(self) -> int:
-        return sum(map(int.bit_count, self.bits)) // 4  # four bits per pair
 
     def __eq__(self, other):
-        return self.bits == other.bits if type(other) is _Crossings else Set.__eq__(self, other)
+        return self.bits == other.bits if type(other) is _Crossings else NotImplemented
 
     def __hash__(self) -> int:
-        # a frozenset's hash of the same pairs; it walks every pair, so once
-        if self._hash is None:
-            self._hash = Set._hash(self)
-        return self._hash
+        return hash(tuple(self.bits))
 
-    @classmethod
-    def _from_iterable(cls, pairs):
-        return frozenset(pairs)
+
+def crossing_pairs(d: Drawing):
+    """The crossing rank pairs (r1, r2), r1 < r2, of an explicit drawing, in
+    rank order."""
+    rows = _later_partners(d.n, d.crossings.bits)
+    return chain.from_iterable(zip(repeat(r1), later) for r1, later in rows)
 
 
 def crossing_masks(d: Drawing, order: Optional[Iterable[int]] = None):
@@ -938,7 +914,7 @@ def induced_subdrawing(d: Drawing, vs: Sequence[int]) -> Drawing:
         v0, order = d.anchor
         anchor = (back[v0], tuple(back[u] for u in order if u in back))
 
-    return Drawing(n=m, model="explicit", crossings=_Crossings(m, X), rotations=rotations,
+    return Drawing(n=m, model="explicit", crossings=_Crossings(X), rotations=rotations,
                    anchor=anchor)
 
 

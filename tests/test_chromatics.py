@@ -96,6 +96,8 @@ class TestChi:
         report = validate_observation(ad)
         assert not report.ok
         assert report.violation == (1, 2, 3, "011")
+        # a failing report is falsy, so `if validate_observation(ad):` fails
+        assert not report and validate_observation(anchored_view(gen_convex(6)))
 
 
 class TestValidateObservation:

@@ -93,6 +93,56 @@ class TestGenerateVerify:
                          "--frobnicate")
         assert code == 1
 
+    @pytest.mark.parametrize("family, message", [
+        ("points", "points family needs --points"),
+        ("horton", "horton family needs --n (a power of two)"),
+        ("convex", "convex family needs --n"),
+    ])
+    def test_generate_without_its_payload_is_a_usage_error(self, capsys, family, message):
+        code, stdout, err = run(capsys, "generate", "--family", family)
+        assert (code, stdout, err) == (1, "", f"usage error: {message}\n")
+
+    def test_verify_takes_exactly_one_of_a_certificate_and_self(self, tmp_path, capsys):
+        drawing = tmp_path / "c8.cstg"
+        cert = tmp_path / "cert.json"
+        run(capsys, "generate", "--family", "convex", "--n", "8", "--out", str(drawing))
+        cert.write_text('{"kind":"convex","vertices":[0,1,2,3]}\n')
+        want = "usage error: verify takes exactly one of a certificate document and --self\n"
+        for argv in ([str(drawing), str(cert), "--self"], [str(drawing)]):
+            assert run(capsys, "verify", *argv) == (1, "", want), argv
+
+    def test_self_check_reports_a_broken_round_trip(self, tmp_path, monkeypatch, capsys):
+        # the first decode loads the document; the self-check's own decode
+        # gets another drawing back, so the re-encoding differs
+        path = tmp_path / "c8.cstg"
+        run(capsys, "generate", "--family", "convex", "--n", "8", "--out", str(path))
+        real, decoded = codec.decode_drawing, []
+
+        def decode(text):
+            decoded.append(text)
+            return generators.gen_twisted(8) if len(decoded) > 1 else real(text)
+
+        monkeypatch.setattr(codec, "decode_drawing", decode)
+        code, stdout, err = run(capsys, "verify", str(path), "--self")
+        assert (code, stdout, err) == (2, "", "self-check: codec round-trip failed\n")
+        assert len(decoded) == 2
+
+    def test_self_check_reports_a_failing_pattern(self, tmp_path, monkeypatch, capsys):
+        # convex 8 read as a twisted certificate fails, and the failure is named
+        path = tmp_path / "c8.cstg"
+        run(capsys, "generate", "--family", "convex", "--n", "8", "--out", str(path))
+
+        def as_twisted(d, cert):
+            twisted = drawing.Certificate(drawing.TWISTED, cert.vertices)
+            return drawing.verify_certificate(d, twisted)
+
+        monkeypatch.setattr(cli, "verify_certificate", as_twisted)
+        whole = drawing.Certificate("convex", tuple(range(8)))
+        report = as_twisted(generators.gen_convex(8), whole)
+        assert not report.ok
+        code, stdout, err = run(capsys, "verify", str(path), "--self")
+        assert (code, stdout, err) == (2, "", f"self-check: {report.failure}\n")
+
 
 class TestExtract:
     def test_pattern_certificate_round_trip(self, tmp_path, capsys):
@@ -104,6 +154,13 @@ class TestExtract:
         assert code == 0
         assert "outcome: twisted" in stdout
         assert run(capsys, "verify", str(drawing), str(cert))[0] == 0
+
+    def test_explicit_drawing_without_an_anchor_exits_3(self, tmp_path, capsys):
+        bare = tmp_path / "e4.cstg"
+        bare.write_text('{"crossings":[],"format":"cstg-1","model":"explicit","n":4}\n')
+        code, stdout, err = run(capsys, "extract", "pattern", str(bare))
+        assert (code, stdout) == (3, "")
+        assert err == "invalid input: AnchorUnavailable: explicit drawing without a declared anchor\n"
 
     def test_exhausted_exits_4(self, tmp_path, capsys):
         drawing = tmp_path / "t4.cstg"

@@ -15,6 +15,7 @@ from cstg.chromatics import ChiCache
 from cstg.drawing import (
     AnchoredDrawing,
     Drawing,
+    crossing_pairs,
     edge_index,
     induced_subdrawing,
     sorted_pair,
@@ -444,7 +445,7 @@ class TestExtractPlanePath:
             for e1, e2 in itertools.combinations(edges, 2)
             if not set(e1) & set(e2) and not set(e1 + e2) <= late
         }
-        d = dataclasses.replace(ad.base, crossings=ad.base.crossings | extra)
+        d = dataclasses.replace(ad.base, crossings=set(crossing_pairs(ad.base)) | extra)
         ad = AnchoredDrawing(d, ad.v0, ad.order)
         search = oracles.longest_plane_path_exact(d, vertices=range(1, 17), target=99)
         assert search.nodes > 1024
