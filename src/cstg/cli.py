@@ -88,7 +88,6 @@ def _build_parser() -> _Parser:
     orc.add_argument("--out", help="write the witness certificate here")
 
     ben = sub.add_parser("bench", help="batch extraction trials, CSV summary")
-    ben.add_argument("--family", default="halfcircle", choices=["halfcircle"])
     ben.add_argument("--n", type=int, required=True)
     ben.add_argument("--trials", type=int, required=True)
     ben.add_argument("--seed", type=int, default=0, help="base seed")
@@ -310,7 +309,7 @@ def _cmd_bench(args) -> int:
     for trial, row in enumerate(rows):
         seed, outcome, kind, size, stages, edges = row
         lines.append(
-            f"{trial},{seed},{args.family},{args.n},{args.m1},{args.m2},"
+            f"{trial},{seed},halfcircle,{args.n},{args.m1},{args.m2},"
             f"{outcome},{kind},{size},{stages},{edges},{reference}\n"
         )
     _emit("".join(lines), args.out)

@@ -28,12 +28,12 @@ Every drawing invariant is ``Drawing``'s own check, re-raised here as
 ValidationError with its message.  A crossing table written as encoding
 writes it is parsed as one flat JSON array of its ranks, with no list per
 entry; any other text, an indented document say, takes the general parse,
-whose entry lists are checked and then flattened.  Either way ``Drawing``
-gets the table as one flat run of typed ranks and builds its rows from
-it.  A repeated entry is looked for only when the table holds fewer pairs
-than the document lists or a later step fails, and is named first.
-Encoding lists the entries in rank order from the stacked rows the
-drawing holds.
+which flattens its entry lists through a hand-built table's check, raising
+ParseError here.  Either way ``Drawing`` gets the table as one flat run of
+typed ranks and builds its rows from it.  A repeated entry is looked for
+only when the table holds fewer pairs than the document lists or a later
+step fails, and is named first.  Encoding lists the entries in rank order
+from the stacked rows the drawing holds.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import json
 from collections import Counter
 from typing import Tuple
 
-from .drawing import (MODELS, Certificate, Drawing, _check_explicit_n, _flat_pairs,
+from .drawing import (MODELS, Certificate, Drawing, _check_explicit_n, _flat_ranks,
                       _later_partners, _Ranks)
 from .errors import CstgError, InvalidCertificate, ParseError, SizeLimit, ValidationError
 
@@ -215,22 +215,12 @@ def decode_drawing(text: str) -> Drawing:
 
 def _check_crossings(raw, n: int) -> _Ranks:
     """The table as ``_Ranks``: a recognised table as it is, and a general
-    one once it is a list of integer pairs (else ParseError); SizeLimit past
-    the explicit cap before any entry is read."""
+    one once it is a list of integer pairs (else ParseError naming its first
+    bad entry); SizeLimit past the explicit cap before any entry is read."""
     if not isinstance(raw, (list, _Ranks)):
         raise ParseError("field 'crossings' must be a list of rank pairs")
     _check_explicit_n(n)  # a huge n fails before its entries are read
-    if type(raw) is _Ranks:
-        return raw
-    ranks = _flat_pairs(raw, {list})
-    if ranks is not None:
-        return _Ranks(ranks)
-    for entry in raw:  # names the first bad entry
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise ParseError(f"crossing entry {entry!r} is not a pair")
-        r1, r2 = entry
-        if type(r1) is not int or type(r2) is not int:
-            raise ParseError(f"field 'crossings': entry {entry!r} is not integer")
+    return raw if type(raw) is _Ranks else _Ranks(_flat_ranks(raw, ParseError))
 
 
 def _refuse_repeats(raw: _Ranks) -> None:

@@ -201,7 +201,7 @@ class Drawing:
         table = self.crossings
         trusted = type(table) is _Crossings and len(table.bits) == comb(n, 2)
         if model.payload == "crossings" and not trusted:
-            ranks = table.flat if type(table) is _Ranks else _flat_ranks(table)
+            ranks = table.flat if type(table) is _Ranks else _flat_ranks(table, ValidationError)
             object.__setattr__(self, "crossings", _Crossings(_crossing_bits(n, ranks)))
 
     def rank(self, i: int, j: int) -> int:
@@ -268,27 +268,29 @@ class _Ranks:
         self.flat = flat
 
 
-def _flat_pairs(entries, kinds) -> Optional[list]:
-    """The ranks of the entries in one flat list if each entry is of a type
-    in ``kinds``, two long and holds two ints (a bool is not one), else
-    None: one C-level pass per check over a quartic table."""
-    if set(map(type, entries)) <= kinds and set(map(len, entries)) <= {2}:
+def _flat_pairs(entries) -> Optional[list]:
+    """The ranks of the entries in one flat list if each entry is a tuple or
+    list, two long, holding two ints (a bool is not one), else None: one
+    C-level pass per check over a quartic table."""
+    if set(map(type, entries)) <= {tuple, list} and set(map(len, entries)) <= {2}:
         ranks = list(chain.from_iterable(entries))
         if set(map(type, ranks)) <= {int}:
             return ranks
     return None
 
 
-def _flat_ranks(entries) -> list:
-    """The ranks of a hand-built table's entries, one flat run; ValidationError
-    naming a table that is no collection, or its first entry that is not a
+def _flat_ranks(entries, error) -> list:
+    """The ranks of a table's entries, one flat run; ``error`` (ParseError
+    for a document, ValidationError for a hand-built table) naming a table
+    that is no collection by its type, or its first entry that is not a
     tuple or list of two integers."""
     if not isinstance(entries, Collection):
-        raise ValidationError(f"crossings {entries!r} is not a collection of rank pairs")
-    ranks = _flat_pairs(entries, {tuple, list})
+        raise error(f"field 'crossings' of type {type(entries).__name__} is not a "
+                    "collection of rank pairs")
+    ranks = _flat_pairs(entries)
     if ranks is None:
-        entry = next(e for e in entries if _flat_pairs((e,), {tuple, list}) is None)
-        raise ValidationError(f"crossing entry {entry!r} is not a pair of integers")
+        entry = next(e for e in entries if _flat_pairs((e,)) is None)
+        raise error(f"field 'crossings': entry {entry!r} is not a pair of integers")
     return ranks
 
 

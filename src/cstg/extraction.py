@@ -297,11 +297,12 @@ class TreeEmbedding:
 def embed_tree(kind: str, m: int, adjacency: Sequence[Sequence[int]]) -> TreeEmbedding:
     """Plane embedding of a tree into the convex or twisted pattern on m vertices.
 
-    Convex: order the tree by depth-first preorder; any two tree edges are
-    then nested or disjoint as index intervals, never interleaved, so no
-    pair crosses.  Twisted: order by breadth-first layers with children
-    grouped under parents in parent order; intervals are then never strictly
-    nested, which is the only crossing pattern the twisted rule has.
+    The tree is read from vertex 0 through one frontier.  Convex takes it
+    as a stack, for depth-first preorder: any two tree edges are then nested
+    or disjoint as index intervals, never interleaved, so no pair crosses.
+    Twisted takes it as a queue, for breadth-first layers with children
+    grouped under parents in parent order: intervals are then never
+    strictly nested, the only crossing pattern the twisted rule has.
     """
     if kind not in (CONVEX, TWISTED):
         raise InvalidSelection(f"kind must be {CONVEX!r} or {TWISTED!r}")
@@ -321,33 +322,19 @@ def embed_tree(kind: str, m: int, adjacency: Sequence[Sequence[int]]) -> TreeEmb
             if v not in nbrs[u]:
                 raise NotATree(f"adjacency not symmetric at ({v},{u})")
 
+    convex = kind == CONVEX
     parent = {0: None}
     order: List[int] = []
-    if kind == CONVEX:
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            children = [u for u in nbrs[v] if u != parent[v]]
-            for u in children:
-                if u in parent:
-                    raise NotATree("cycle detected")
-                parent[u] = v
-            stack.extend(reversed(children))  # preorder, children ascending
-    else:
-        queue = [0]
-        while queue:
-            nxt: List[int] = []
-            for v in queue:
-                order.append(v)
-                for u in nbrs[v]:
-                    if u == parent[v]:
-                        continue
-                    if u in parent:
-                        raise NotATree("cycle detected")
-                    parent[u] = v
-                    nxt.append(u)
-            queue = nxt
+    frontier = [0]
+    while frontier:
+        v = frontier.pop(-1 if convex else 0)  # a stack, or a queue
+        order.append(v)
+        children = [u for u in nbrs[v] if u != parent[v]]
+        for u in children:
+            if u in parent:
+                raise NotATree("cycle detected")
+            parent[u] = v
+        frontier.extend(children[::-1] if convex else children)
     if len(order) != k:
         raise NotATree("adjacency is not connected")
 

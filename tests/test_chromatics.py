@@ -163,6 +163,18 @@ class TestPhi:
             for i, j in itertools.combinations(range(1, len(keep)), 2):
                 assert sub_table.value(i, j) == table.value(i, j)
 
+    @pytest.mark.parametrize("read, message", [
+        (lambda t: t.column(0), "column 0 invalid for n=6"),
+        (lambda t: t.column(6), "column 6 invalid for n=6"),
+        (lambda t: t.value(3, 3), "pair (3,3) invalid for n=6"),
+        (lambda t: t.value(2, 6), "pair (2,6) invalid for n=6"),
+    ], ids=["column 0", "column n", "pair i = j", "pair j = n"])
+    def test_positions_outside_the_order_are_refused(self, read, message):
+        table = phi_table(anchored_view(gen_convex(6)))
+        with pytest.raises(InvalidTriple) as info:
+            read(table)
+        assert str(info.value) == message
+
 
 # Reference DP: a generic copy of the PhiTable and GameState path DPs that
 # the tests compare against.

@@ -612,6 +612,22 @@ class TestRenderOverlay:
         assert code == 0
         assert run(capsys, "verify", str(out), "--self")[0] == 0
 
+    def test_empty_points_chunks_are_skipped(self, tmp_path, capsys):
+        out = tmp_path / "p.cstg"
+        code, _, _ = run(capsys, "generate", "--family", "points",
+                         "--points", ";0,0; 10,1;;7,9;2,11;", "--out", str(out))
+        assert code == 0
+        assert codec.load_drawing(str(out)).points == ((0, 0), (10, 1), (7, 9), (2, 11))
+
+    def test_main_exits_with_the_dispatch_code(self, tmp_path, monkeypatch, capsys):
+        # the console script's entry point reads sys.argv
+        missing = str(tmp_path / "missing.cstg")
+        monkeypatch.setattr("sys.argv", ["cstg", "verify", missing, "--self"])
+        with pytest.raises(SystemExit) as info:
+            cli.main()
+        assert info.value.code == 3
+        assert capsys.readouterr().err.startswith("missing file: ")
+
     def test_geometry_missing_exits_3(self, tmp_path, capsys):
         bare = tmp_path / "e.cstg"
         bare.write_text('{"crossings":[],"format":"cstg-1","model":"explicit","n":4}\n')
@@ -753,6 +769,15 @@ class TestBench:
                            "--m1", "3", "--m2", "3", "--jobs", "2", "--out", str(out))
         assert code == 1
         assert err == "usage error: unrecognized arguments: --jobs 2\n"
+        assert not out.exists()
+
+    def test_family_is_a_usage_error(self, tmp_path, capsys):
+        # every trial is a half-circle drawing, so there is nothing to choose
+        out = tmp_path / "b.csv"
+        code, _, err = run(capsys, "bench", "--n", "12", "--trials", "3", "--m1", "3",
+                           "--m2", "3", "--family", "halfcircle", "--out", str(out))
+        assert code == 1
+        assert err == "usage error: unrecognized arguments: --family halfcircle\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("n, trials", [("0", "0"), ("12", "-2")])

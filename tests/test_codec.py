@@ -373,7 +373,7 @@ class TestValidation:
             (
                 decode_drawing,
                 '{"crossings":[[1,2,3]],"format":"cstg-1","model":"explicit","n":4}',
-                "crossing entry [1, 2, 3] is not a pair",
+                "field 'crossings': entry [1, 2, 3] is not a pair of integers",
             ),
             (
                 decode_drawing,
@@ -665,7 +665,7 @@ class TestExplicitTables:
         doc = '{"crossings":[[1,4],[true,3]],"format":"cstg-1","model":"explicit","n":4}'
         with pytest.raises(ParseError) as info:
             decode_drawing(doc)
-        assert str(info.value) == "field 'crossings': entry [True, 3] is not integer"
+        assert str(info.value) == "field 'crossings': entry [True, 3] is not a pair of integers"
 
     def test_drawing_invariants_come_before_the_entries(self):
         # vertex 3's rotation repeats 1, and [0, 1] joins edges that share

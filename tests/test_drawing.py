@@ -17,6 +17,7 @@ from cstg.codec import encode_drawing
 from cstg.drawing import (
     CONVEX,
     MODELS,
+    PLANE_BIPARTITE,
     PLANE_PATH,
     TWISTED,
     AnchoredDrawing,
@@ -175,6 +176,29 @@ def segments_cross_float(p1, p2, q1, q2):
     )
 
 
+class TestDrawingFields:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"model": "spiral"}, "unknown model 'spiral'"),
+        ({"model": "convex", "rotations": ((1, 2, 3),)},
+         "rotations must hold one tuple per vertex"),
+        ({"model": "convex", "anchor": (0,)}, "anchor must be a pair (v0, order)"),
+    ], ids=["model", "rotations", "anchor"])
+    def test_malformed_fields_are_refused(self, kwargs, message):
+        with pytest.raises(InvalidSelection) as info:
+            Drawing(n=4, **kwargs)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("a, b, equal", [
+        ((), (), True),
+        ((1, 2, 3), (1, 2), False),
+        ((1, 2, 3), (2, 3, 4), False),
+        ((1, 2, 3), (3, 1, 2), True),
+        ((1, 2, 3), (3, 2, 1), False),
+    ], ids=["empty", "lengths differ", "first missing", "rotated", "reversed"])
+    def test_cyclic_equal(self, a, b, equal):
+        assert drawing.cyclic_equal(a, b) is equal
+
+
 class TestCross:
     def test_convex_4_matches_segment_oracle(self):
         d = gen_convex(4)
@@ -214,6 +238,13 @@ class TestCross:
             cross(d, (0, 5), (1, 2))
         with pytest.raises(InvalidEdge):
             cross(d, (2, 2), (0, 1))
+
+    @pytest.mark.parametrize("edge, named", [((0, 1, 2), "(0, 1, 2)"), (5, "5")],
+                             ids=["three vertices", "an int"])
+    def test_an_edge_that_is_no_pair_is_refused(self, edge, named):
+        with pytest.raises(InvalidEdge) as info:
+            cross(gen_convex(5), edge, (3, 4))
+        assert str(info.value) == f"edge {named} is not a vertex pair"
 
     @pytest.mark.parametrize("vertex", [0.5, 0.9, True], ids=["0.5", "0.9", "True"])
     def test_a_vertex_that_is_no_integer_is_refused(self, vertex):
@@ -283,15 +314,16 @@ class TestCross:
     @pytest.mark.parametrize(
         "crossings, message",
         [
-            (5, "crossings 5 is not a collection of rank pairs"),
-            ([(1, 4, 5)], "crossing entry (1, 4, 5) is not a pair of integers"),
-            ([("a", 4)], "crossing entry ('a', 4) is not a pair of integers"),
-            ([(1.0, 4)], "crossing entry (1.0, 4) is not a pair of integers"),
+            (5, "field 'crossings' of type int is not a collection of rank pairs"),
+            ([(1, 4, 5)], "field 'crossings': entry (1, 4, 5) is not a pair of integers"),
+            ([("a", 4)], "field 'crossings': entry ('a', 4) is not a pair of integers"),
+            ([(1.0, 4)], "field 'crossings': entry (1.0, 4) is not a pair of integers"),
             # each of these holds the pair (1, 4) when iterated
-            ([(1, 4), (True, 4)], "crossing entry (True, 4) is not a pair of integers"),
-            ([{1, 4}], "crossing entry {1, 4} is not a pair of integers"),
-            ([{1: 0, 4: 0}], "crossing entry {1: 0, 4: 0} is not a pair of integers"),
-            ([b"\x01\x04"], "crossing entry b'\\x01\\x04' is not a pair of integers"),
+            ([(1, 4), (True, 4)],
+             "field 'crossings': entry (True, 4) is not a pair of integers"),
+            ([{1, 4}], "field 'crossings': entry {1, 4} is not a pair of integers"),
+            ([{1: 0, 4: 0}], "field 'crossings': entry {1: 0, 4: 0} is not a pair of integers"),
+            ([b"\x01\x04"], "field 'crossings': entry b'\\x01\\x04' is not a pair of integers"),
         ],
         ids=["not a collection", "three ranks", "string rank", "float rank", "bool rank",
              "set entry", "dict entry", "bytes entry"],
@@ -597,6 +629,11 @@ class TestVerifyCertificate:
         with pytest.raises(InvalidCertificate, match="are not a tuple"):
             Certificate(kind, list(range(4)))
 
+    def test_a_star_needs_two_centres_and_a_leaf(self):
+        with pytest.raises(InvalidCertificate) as info:
+            Certificate(PLANE_BIPARTITE, (0, 1))
+        assert str(info.value) == "plane_bipartite certificate needs at least 3 vertices"
+
     def test_small_patterns_trivially_pass(self):
         d = gen_halfcircle(6, seed=0)
         for kind in (CONVEX, TWISTED):
@@ -643,6 +680,12 @@ class TestAnchoredDrawing:
             AnchoredDrawing(base=d, v0=0, order=(1, 2, 3))
         with pytest.raises(InvalidSelection):
             AnchoredDrawing(base=d, v0=0, order=(1, 2, 3, 3))
+
+    @pytest.mark.parametrize("v0", [-1, 5])
+    def test_anchor_must_be_a_vertex(self, v0):
+        with pytest.raises(InvalidSelection) as info:
+            AnchoredDrawing(base=gen_convex(5), v0=v0, order=(1, 2, 3, 4))
+        assert str(info.value) == f"anchor {v0} out of range"
 
     def test_positions(self):
         d = gen_convex(5)
@@ -839,8 +882,11 @@ class TestRankBitsets:
 
     def test_rows_of_another_n_are_refused(self):
         rows = Drawing(n=4, model="explicit", crossings=[(1, 4)]).crossings
-        with pytest.raises(ValidationError, match="is not a collection of rank pairs"):
+        with pytest.raises(ValidationError) as info:
             Drawing(n=5, model="explicit", crossings=rows)
+        message = str(info.value)
+        assert message == "field 'crossings' of type _Crossings is not a collection of rank pairs"
+        assert "0x" not in message
 
 
 # -- collinearity against the cubic scan ----------------------------------------

@@ -12,7 +12,8 @@ from test_cli import anchored_restriction
 from cstg import extraction
 from cstg.chromatics import ChiCache, PhiTable
 from cstg.drawing import CONVEX, TWISTED, Certificate, check_plane_edges, verify_certificate
-from cstg.errors import InternalInvariantBroken, NotATree, ObservationViolated, SizeLimit
+from cstg.errors import (InternalInvariantBroken, InvalidSelection, NotATree, ObservationViolated,
+                         SizeLimit)
 from cstg.extraction import (
     embed_tree,
     extract_pattern,
@@ -383,6 +384,18 @@ class TestThresholds:
         values = [guaranteed_m(2**e) for e in range(2, 400, 37)]
         assert values == sorted(values)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: required_n(1, 4), "pattern targets must be at least 2"),
+        (lambda: required_n(4, 1), "pattern targets must be at least 2"),
+        (lambda: extract_pattern(anchored_view(gen_convex(8)), 4, 1),
+         "pattern targets must be at least 2"),
+        (lambda: guaranteed_m(2), "needs n >= 3"),
+    ], ids=["required_n m1", "required_n m2", "extract_pattern m2", "guaranteed_m n"])
+    def test_targets_and_sizes_below_the_range_are_refused(self, call, message):
+        with pytest.raises(InvalidSelection) as info:
+            call()
+        assert str(info.value) == message
+
 
 def random_tree_adjacency(rng, k):
     adj = [[] for _ in range(k)]
@@ -430,6 +443,31 @@ class TestEmbedTree:
         adj = random_tree_adjacency(random.Random(0), 9)
         with pytest.raises(SizeLimit):
             embed_tree(CONVEX, 8, adj)
+
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(InvalidSelection) as info:
+            embed_tree("plane_path", 8, [[1], [0]])
+        assert str(info.value) == "kind must be 'convex' or 'twisted'"
+
+    @pytest.mark.parametrize("kind", [CONVEX, TWISTED])
+    @pytest.mark.parametrize("m, adjacency, error, message", [
+        (8, [], NotATree, "empty adjacency"),
+        (2, [[1], [0, 2], [1]], SizeLimit, "tree has 3 vertices, pattern only 2"),
+        (8, [[1, 2], [0, 2], [0, 1]], NotATree, "3.0 edges, a tree on 3 vertices has 2"),
+        (8, [[5], [0]], NotATree, "bad neighbor 5 at vertex 0"),
+        (8, [[1], [0, 1], [1]], NotATree, "bad neighbor 1 at vertex 1"),
+        (8, [[1, 2], [0], [1]], NotATree, "adjacency not symmetric at (0,2)"),
+        # k - 1 edges, symmetric: a triangle on 0, 1, 2 with vertex 3 alone
+        (8, [[1, 2], [0, 2], [0, 1], []], NotATree, "cycle detected"),
+        # k - 1 edges, symmetric: the edge 0-1 and a triangle on 2, 3, 4
+        (8, [[1], [0], [3, 4], [2, 4], [2, 3]], NotATree, "adjacency is not connected"),
+    ], ids=["empty", "past m", "edge count", "neighbor out of range", "self-loop",
+            "not symmetric", "cycle", "not connected"])
+    def test_refusals_name_their_reason(self, kind, m, adjacency, error, message):
+        with pytest.raises(error) as info:
+            embed_tree(kind, m, adjacency)
+        assert type(info.value) is error
+        assert str(info.value) == message
 
 
 class TestOracleDominanceSmall:

@@ -21,7 +21,7 @@ from cstg.drawing import (
     sorted_pair,
     verify_certificate,
 )
-from cstg.errors import BudgetExhausted, DegenerateInput
+from cstg.errors import BudgetExhausted, DegenerateInput, InvalidSelection
 from cstg.generators import (
     anchored_view,
     cyclic_equal,
@@ -43,6 +43,11 @@ from cstg.oracles import (
 
 
 class TestMaxPattern:
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(InvalidSelection) as info:
+            max_pattern_exact(gen_convex(6), "plane_path")
+        assert str(info.value) == "kind must be 'convex' or 'twisted'"
+
     def test_whole_drawing_is_its_own_pattern(self):
         assert max_pattern_exact(gen_convex(6), CONVEX).size == 6
         assert max_pattern_exact(gen_twisted(6), TWISTED).size == 6
@@ -152,6 +157,13 @@ class TestMaxPattern:
 
 
 class TestLongestPlanePath:
+    @pytest.mark.parametrize("vertices", [[0, 6], [-1, 2], [1, 2, 1]],
+                             ids=["past n", "negative", "repeated"])
+    def test_a_bad_vertex_restriction_is_refused(self, vertices):
+        with pytest.raises(InvalidSelection) as info:
+            longest_plane_path_exact(gen_convex(6), vertices=vertices)
+        assert str(info.value) == "bad vertex restriction"
+
     @pytest.mark.parametrize(
         "d, budget",
         [
@@ -237,6 +249,21 @@ class TestNumericRotations:
         d = Drawing(n=2, model="points", points=((2**60, 0), (2**60 + 1, 0)))
         with pytest.raises(DegenerateInput, match="duplicate vertex positions"):
             numeric_rotation_oracle(d)
+
+    def test_germs_that_stay_together_are_degenerate(self, monkeypatch):
+        # the germs of 0-1 and 0-2 coincide at every distance: the search
+        # halves it up to its retry cap, then gives up
+        germ = oracles._germ_point
+
+        def merged(model, d, pos, v, u, eps):
+            return germ(model, d, pos, v, 1 if (v, u) == (0, 2) else u, eps)
+
+        monkeypatch.setattr(oracles, "_germ_point", merged)
+        with pytest.raises(DegenerateInput) as info:
+            numeric_rotation_oracle(gen_convex(5))
+        assert str(info.value) == (
+            "germs at vertex 0 remain indistinguishable after 40 retries"
+        )
 
     def test_exact_duplicate_fails_at_construction(self):
         with pytest.raises(DegenerateInput, match=r"duplicate point \(0, 0\)"):

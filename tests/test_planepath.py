@@ -22,6 +22,7 @@ from cstg.drawing import (
     verify_certificate,
 )
 from cstg.errors import (
+    BudgetExhausted,
     InternalInvariantBroken,
     InvalidSelection,
     InvalidTriple,
@@ -130,6 +131,12 @@ class TestTheta:
             th = theta(ad, i)
             assert th == sorted(th)
 
+    @pytest.mark.parametrize("i", [0, 8])
+    def test_positions_outside_the_order_are_refused(self, i):
+        with pytest.raises(InvalidSelection) as info:
+            theta(anchored_view(gen_convex(8)), i)
+        assert str(info.value) == f"position {i} out of range"
+
     def test_rotation_missing(self):
         d = Drawing(n=4, model="explicit", crossings=frozenset(),
                     anchor=(0, (1, 2, 3)))
@@ -145,6 +152,10 @@ class TestLisLds:
         assert r.lds_length == 3
         assert list(r.lds_witness) == [4, 3, 2]
         assert list(r.lis_witness) in ([4, 5], [3, 5], [2, 5])
+
+    def test_empty_sequence(self):
+        r = lis_lds([])
+        assert (r.lis_length, r.lis_witness, r.lds_length, r.lds_witness) == (0, (), 0, ())
 
     def test_sorted_sequences(self):
         r = lis_lds(list(range(1, 8)))
@@ -305,6 +316,9 @@ class TestDefaultM:
         assert default_m(2**16 - 1) == 1
         assert default_m(2**16) == 2
 
+    def test_below_three_vertices_m_is_one(self):
+        assert default_m(2) == 1
+
 
 class TestExtractPlanePath:
     def test_twisted_long_path(self):
@@ -319,6 +333,11 @@ class TestExtractPlanePath:
         out = extract_plane_path(ad)  # default m = 1 at this scale
         assert out.stats.branch == "trivial"
         assert out.vertex_count == 2
+
+    def test_two_vertices_are_refused(self):
+        with pytest.raises(InvalidSelection) as info:
+            extract_plane_path(anchored_view(gen_convex(2)))
+        assert str(info.value) == "plane path extraction needs n >= 3"
 
     def test_three_vertices(self):
         ad = anchored_view(gen_convex(3))
@@ -424,6 +443,28 @@ class TestExtractPlanePath:
             assert out.report_lines() == plain.report_lines() + [
                 f"unused on the decreasing branch: {unused}"
             ]
+
+    def test_an_exhausted_leaf_search_returns_its_partial_path(self, monkeypatch):
+        # half-circle 40 seed 0 at m = 2 takes the increasing branch; three
+        # nodes end the leaf search, which hands back the path it holds
+        stops = []
+        search = planepath.longest_plane_path_exact
+
+        def spy(*args, **kwargs):
+            try:
+                return search(*args, **kwargs)
+            except BudgetExhausted as exc:
+                stops.append(str(exc))
+                raise
+
+        monkeypatch.setattr(planepath, "longest_plane_path_exact", spy)
+        d = gen_halfcircle(40, seed=0)
+        out = extract_plane_path(anchored_view(d), m_override=2, path_target=10,
+                                 budget=oracles.OracleBudget(nodes=3))
+        assert stops == ["path search budget exhausted after 4 nodes"]
+        assert out.stats.branch == "increasing"
+        assert out.path.vertices == (23, 30, 34)
+        assert verify_certificate(d, out.path).ok
 
     def test_reports_vertex_and_edge_counts(self):
         ad = anchored_view(gen_twisted(16))

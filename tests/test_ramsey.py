@@ -10,6 +10,7 @@ from cstg.ramsey import (
     BLUE,
     RED,
     GameState,
+    GameTranscript,
     adversarial_painter,
     naive_builder,
     run_game,
@@ -112,6 +113,31 @@ class TestRules:
     def test_target_below_two_rejected(self):
         with pytest.raises(RuleViolation):
             run_game(1, naive_builder(), adversarial_painter(), budget=5)
+
+    def test_budget_below_one_rejected(self):
+        with pytest.raises(RuleViolation) as info:
+            run_game(3, naive_builder(), adversarial_painter(), budget=0)
+        assert str(info.value) == "edge budget must be positive"
+
+    def test_labels_must_increase(self):
+        state = GameState()
+        state.add_vertex(4)
+        with pytest.raises(RuleViolation) as info:
+            state.add_vertex(4)
+        assert str(info.value) == "vertex labels must strictly increase"
+
+    def test_edges_must_start_at_an_earlier_vertex(self):
+        state = GameState()
+        state.add_vertex()
+        state.add_vertex()
+        with pytest.raises(RuleViolation) as info:
+            state.add_edge(5, 2, RED)
+        assert str(info.value) == "edge endpoint 5 does not exist yet"
+
+    def test_replay_keeps_the_stages_after_the_last_edge(self):
+        # two stages with no edge, as a transcript that stopped there holds
+        state = GameTranscript(target=3, stages=2).replay()
+        assert (state.stage, state.vertices, state.total_edges) == (2, [1, 2], 0)
 
 
 class TestNaiveBuilder:
