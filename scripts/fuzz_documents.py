@@ -1,0 +1,235 @@
+"""Seeded document fuzzer: mutated documents through every reading subcommand.
+
+Builds small drawing and certificate documents with the library's
+generators (convex, twisted, half-circle, points, and the explicit
+restriction of a half-circle drawing to its anchored order, with its
+rotations and a declared anchor), then makes ``--count`` mutants of them.
+A mutant takes one to three edits of the parsed document, each a random
+node of its JSON tree: drop a key or a list member, repeat one (an object
+key is written twice), retype a value, nudge an integer, shorten or lengthen
+a string, reverse, shuffle or cut a list.  Some mutants then have their text
+cut, or one byte replaced by a random one (which may not be UTF-8).
+
+Each mutant runs through ``cli.dispatch`` for every subcommand that reads a
+document of its kind: a drawing through ``verify --self``, ``verify`` with
+a certificate, ``extract pattern``, ``extract planepath``, the three
+oracles, ``render`` and both ``tables``; a certificate through ``verify``
+and ``render --overlay`` on its drawing.  The oracles get ``--budget-nodes
+2000``.  The run fails on any exit code outside {0, 2, 3, 4} and on any
+exception that escapes ``dispatch``, naming the seed, the mutant, its edits
+and the argv.  The mutants of a seed are fixed, so a failure is reproduced
+by the same ``--seed`` and a ``--count`` past the mutant's index.
+
+Every base document has n <= 12, and an edit moves an integer by at most
+one or flips its sign, so n stays at 16 or less.  Implicit documents have
+no size cap yet, and a large n would run unbounded.
+
+    python scripts/fuzz_documents.py --seed 1 --count 200
+
+Standard library only; it exits 1 on a failure and 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import dataclasses
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+import traceback
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from cstg import codec, drawing, generators  # noqa: E402
+from cstg.cli import dispatch  # noqa: E402
+from cstg.planepath import extract_plane_path  # noqa: E402
+
+ALLOWED_EXITS = (0, 2, 3, 4)
+BUDGET = ["--budget-nodes", "2000"]
+RETYPED = ("x", "", 1.5, True, False, None, [], {}, [0, 1], {"n": 3})
+
+
+class Obj(list):
+    """A JSON object as its (key, value) pairs, so a key can be written twice."""
+
+
+def load(text: str):
+    return json.loads(text, object_pairs_hook=lambda pairs: Obj(list(p) for p in pairs))
+
+
+def dump(node) -> str:
+    if isinstance(node, Obj):
+        return "{" + ",".join(f"{json.dumps(k)}:{dump(v)}" for k, v in node) + "}"
+    if isinstance(node, list):
+        return "[" + ",".join(map(dump, node)) + "]"
+    return json.dumps(node)
+
+
+def base_documents():
+    """(name, drawing text, certificate texts) for each base drawing."""
+    hc = generators.gen_halfcircle(10, seed=3)
+    ad = generators.anchored_view(hc)
+    restricted = drawing.induced_subdrawing(hc, (ad.v0,) + ad.order)
+    anchored = dataclasses.replace(restricted, anchor=(0, tuple(range(1, hc.n))))
+    drawings = {
+        "convex 8": generators.gen_convex(8),
+        "twisted 9": generators.gen_twisted(9),
+        "half-circle 10": hc,
+        "points 8": generators.gen_straightline(generators.gen_horton(3)),
+        "explicit anchored 10": anchored,
+    }
+    docs = []
+    for name, d in drawings.items():
+        plane = extract_plane_path(generators.anchored_view(d), m_override=2)
+        certs = [plane.path, drawing.Certificate(drawing.CONVEX, tuple(range(d.n)))]
+        if plane.bipartite is not None:
+            certs.append(plane.bipartite)
+        docs.append((name, codec.encode_drawing(d), [codec.encode_certificate(c) for c in certs]))
+    return docs
+
+
+def nodes(tree, label="doc", parent=None, idx=None):
+    """(label, parent, index, node) for every node of a parsed document, the
+    root first; ``parent[index]`` holds the node (in an ``Obj``, its pair)."""
+    yield label, parent, idx, tree
+    if isinstance(tree, Obj):
+        for i, (key, child) in enumerate(tree):
+            yield from nodes(child, f"{label}.{key}", tree, i)
+    elif isinstance(tree, list):
+        for i, child in enumerate(tree):
+            yield from nodes(child, f"{label}[{i}]", tree, i)
+
+
+def copy(node):
+    return load(dump(node))
+
+
+def mutate(rng: random.Random, tree):
+    """One edit of ``tree``, in place where it can be; (tree, what it did)."""
+    label, parent, idx, node = rng.choice(list(nodes(tree)))
+    hows = ["retype"]
+    if isinstance(node, list) and node:
+        hows += ["drop", "repeat", "reverse", "shuffle", "cut"]
+    if type(node) is int:
+        hows.append("nudge")
+    if isinstance(node, str):
+        hows.append("resize")
+    how = rng.choice(hows)
+    if how in ("retype", "nudge", "resize"):
+        if how == "retype":
+            new = copy(rng.choice([v for v in RETYPED if v != node or type(v) is not type(node)]))
+        elif how == "nudge":
+            new = node + rng.choice((-1, 1)) if rng.random() < 0.8 else -node
+        else:
+            new = node + rng.choice(node or "UL") if rng.random() < 0.5 else node[:-1]
+        if parent is None:
+            tree = new
+        elif isinstance(parent, Obj):
+            parent[idx][1] = new
+        else:
+            parent[idx] = new
+        return tree, f"{how} {label} to {dump(new)}"
+    at = rng.randrange(len(node))
+    if how == "drop":
+        del node[at]
+    elif how == "repeat":  # in an Obj, the key is written twice
+        twin = [node[at][0], copy(node[at][1])] if isinstance(node, Obj) else copy(node[at])
+        node.insert(at, twin)
+    elif how == "reverse":
+        node.reverse()
+    elif how == "shuffle":
+        rng.shuffle(node)
+    else:
+        del node[at:]
+    return tree, f"{how} {label}" + (f" at {at}" if how in ("drop", "repeat", "cut") else "")
+
+
+def mutant(rng: random.Random, text: str):
+    """(bytes, edits) of one mutant of the document ``text``."""
+    tree, edits = load(text), []
+    for _ in range(rng.randint(1, 3)):
+        tree, what = mutate(rng, tree)
+        edits.append(what)
+    data = (dump(tree) + "\n").encode()
+    roll = rng.random()
+    if roll < 0.1:
+        at = rng.randrange(len(data))
+        data = data[:at]
+        edits.append(f"cut the text at byte {at}")
+    elif roll < 0.2:
+        at, byte = rng.randrange(len(data)), rng.randrange(256)
+        data = data[:at] + bytes([byte]) + data[at + 1:]
+        edits.append(f"byte {at} to {byte:#04x}")
+    return data, edits
+
+
+def commands(kind: str, work: str):
+    """The argv lists that read the document at ``work``/doc, of ``kind``
+    "drawing" or "certificate"; the other document is ``work``/other."""
+    doc, other = os.path.join(work, "doc"), os.path.join(work, "other")
+    if kind == "certificate":
+        return [["verify", other, doc],
+                ["render", other, "--overlay", doc, "--out", os.path.join(work, "o.svg")]]
+    return [
+        ["verify", doc, "--self"],
+        ["verify", doc, other],
+        ["extract", "pattern", doc, "--m1", "3", "--m2", "3"],
+        ["extract", "planepath", doc, "--m-override", "2"],
+        ["oracle", "maxconvex", doc, *BUDGET],
+        ["oracle", "maxtwisted", doc, *BUDGET],
+        ["oracle", "planepath", doc, *BUDGET, "--out", os.path.join(work, "w.json")],
+        ["render", doc, "--out", os.path.join(work, "d.svg")],
+        ["tables", "chi", doc, "--out", os.path.join(work, "chi.csv")],
+        ["tables", "phi", doc, "--out", os.path.join(work, "phi.csv")],
+    ]
+
+
+def run(seed: int, count: int, report=print) -> int:
+    """Fuzz ``count`` mutants of seed ``seed``; the number of failures."""
+    docs = base_documents()
+    failures = 0
+    with tempfile.TemporaryDirectory() as work:
+        for index in range(count):
+            rng = random.Random(f"{seed}/{index}")
+            name, drawing_text, cert_texts = rng.choice(docs)
+            cert_text = rng.choice(cert_texts)
+            kind = rng.choice(("drawing", "drawing", "certificate"))
+            data, edits = mutant(rng, drawing_text if kind == "drawing" else cert_text)
+            with open(os.path.join(work, "doc"), "wb") as f:
+                f.write(data)
+            with open(os.path.join(work, "other"), "w", encoding="utf-8") as f:
+                f.write(cert_text if kind == "drawing" else drawing_text)
+            for argv in commands(kind, work):
+                sink = io.StringIO()
+                try:
+                    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                        code = dispatch(argv)
+                except Exception:
+                    code, error = None, traceback.format_exc()
+                if code in ALLOWED_EXITS:
+                    continue
+                failures += 1
+                outcome = f"exit {code}: {sink.getvalue()}" if code is not None else error
+                report(f"seed {seed} mutant {index}: {kind} of {name}, {'; '.join(edits)}\n"
+                       f"  argv: cstg {' '.join(argv)}\n  document: {data[:400]!r}\n"
+                       f"  {outcome}")
+    return failures
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--count", type=int, default=100, help="mutants to run")
+    opts = parser.parse_args(argv)
+    failures = run(opts.seed, opts.count)
+    print(f"fuzz_documents: seed {opts.seed}, {opts.count} mutants, {failures} failures")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,7 +9,6 @@ canonical serialization; a deterministic CLI with SVG rendering.
 from .chromatics import (
     ChiCache,
     PhiValue,
-    chi,
     phi_table,
     validate_observation,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "TWISTED",
     "adversarial_painter",
     "anchored_view",
-    "chi",
     "cross",
     "decode_certificate",
     "decode_drawing",

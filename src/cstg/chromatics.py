@@ -41,8 +41,8 @@ streamed to their file block by block (``_phi_blocks`` for phi), so
 ``tables chi`` there peaks at 2.2 MB under tracemalloc, below the 9.18 MB
 CSV it writes (27.9 MB when its rows were joined into one text first).
 
-Only ``chi()`` and callers outside the package read ``ChiCache.get``; the
-rest reads its two mask readers, which raise ``get``'s error for an invalid
+Only callers outside the package read ``ChiCache.get``; the rest reads
+its two mask readers, which raise ``get``'s error for an invalid
 triple.  Extraction, plane paths and phi witnesses read whole color classes
 from one pair's masks (``ChiCache._pair``).  The scans read the pairs of
 one position with a run of others at once (``ChiCache._star``), and a
@@ -80,29 +80,6 @@ def _clash(ri: int, rj: int, x: int) -> int:
     return (ri & rj) | ((ri | rj) & x)
 
 
-def _pair_masks(ad: AnchoredDrawing):
-    """(pair, star): readers of the crossing masks of anchored positions.
-
-    pair(i, j, ks=0) -> (R(i,j), R(j,i), X(i,j)) for 1 <= i < j <= n-1, bit p
-    for position p, R(i,j) = N(v0, vi, vj) and X(i,j) = N(vi, vj, v0), raises
-    ``ChiCache.get``'s error for the lowest k in ``ks`` with (i, j, k) invalid.
-    star(f, gs) lists, unchecked, the masks of (g, f) for each g < f in gs and
-    those of (f, g), with R(f,g) and R(g,f) swapped, for each g > f.
-    """
-    at = (ad.v0,) + ad.order
-    N, star = _kernels(ad.base, at)
-    v0 = ad.v0
-
-    def pair(i, j, ks=0):
-        vi, vj = at[i], at[j]
-        ri, rj, x = N(v0, vi, vj), N(v0, vj, vi), N(vi, vj, v0)
-        if ks and _clash(ri, rj, x) & ks:
-            raise _violated(i, j, ri, rj, x, ks)
-        return ri, rj, x
-
-    return pair, star
-
-
 def _violated(i: int, j: int, ri: int, rj: int, x: int, ks: int) -> ObservationViolated:
     """The error for the lowest k in ``ks`` with (i, j, k) invalid under (i, j)'s masks."""
     bad = _clash(ri, rj, x) & ks
@@ -110,13 +87,14 @@ def _violated(i: int, j: int, ri: int, rj: int, x: int, ks: int) -> ObservationV
     return ObservationViolated(f"triple {(i, j, k)} colored {_color(ri, rj, x, k)}")
 
 
-def chi(ad: AnchoredDrawing, i: int, j: int, k: int) -> str:
-    """Triple color at anchored positions 1 <= i < j < k <= n-1."""
-    return ChiCache(ad).get(i, j, k)
-
-
 class ChiCache:
     """Triple colors of one anchored drawing, read from anchor-crossing masks.
+
+    ``_pair(i, j, ks=0)`` -> (R(i,j), R(j,i), X(i,j)) for 1 <= i < j <= n-1,
+    bit p for position p, R(i,j) = N(v0, vi, vj) and X(i,j) = N(vi, vj, v0),
+    raises ``get``'s error for the lowest k in ``ks`` with (i, j, k) invalid.
+    ``_star(f, gs)`` lists, unchecked, the masks of (g, f) for each g < f in
+    gs and those of (f, g), with R(f,g) and R(g,f) swapped, for each g > f.
 
     ``get`` memoizes the three masks of each pair (i,j) it is asked about, so
     a color is three bit tests once its pair has been seen.  Single-writer
@@ -127,7 +105,18 @@ class ChiCache:
     def __init__(self, ad: AnchoredDrawing):
         self.ad = ad
         self._n = ad.n
-        self._pair, self._star = _pair_masks(ad)
+        at = (ad.v0,) + ad.order
+        N, self._star = _kernels(ad.base, at)
+        v0 = ad.v0
+
+        def pair(i, j, ks=0):
+            vi, vj = at[i], at[j]
+            ri, rj, x = N(v0, vi, vj), N(v0, vj, vi), N(vi, vj, v0)
+            if ks and _clash(ri, rj, x) & ks:
+                raise _violated(i, j, ri, rj, x, ks)
+            return ri, rj, x
+
+        self._pair = pair
         self._memo = {}  # (i, j) -> (R(i,j), R(j,i), X(i,j))
 
     def get(self, i: int, j: int, k: int) -> str:
@@ -199,7 +188,7 @@ def validate_observation(ad: AnchoredDrawing) -> ObservationReport:
     A triple (i,j,k) is valid iff at most one of the pair (i,j)'s three masks
     holds k, so each pair is one disjointness test above j.
     """
-    star = _pair_masks(ad)[1]
+    star = ChiCache(ad)._star
     n = ad.n
     checked = 0
     for i in range(1, n - 2):

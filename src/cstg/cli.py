@@ -111,16 +111,16 @@ def _build_parser() -> _Parser:
 def _emit(text: Union[str, Iterable[str]], out: Optional[str]) -> None:
     """Write a document (a str) or a table (an iterable of str chunks).
 
-    Stdout gets the whole text in one write, chunks joined first, so a table
-    that fails part way prints nothing.  A document goes to ``out`` in one
-    write.  A table's chunks go one by one to the sibling ``<out>.<pid>.tmp``,
-    which replaces ``out`` after the last chunk, so only one chunk is held at
-    a time, ``out`` appears only when complete, and a symlink at ``out`` is
-    replaced, not written through.  On any error the temporary file is
-    removed and ``out`` is left as it was; a file error names ``out``.
+    Only a document goes to stdout (``tables`` requires ``--out``), as it
+    is.  A document goes to ``out`` in one write.  A table's chunks go one by
+    one to the sibling ``<out>.<pid>.tmp``, which replaces ``out`` after the
+    last chunk, so only one chunk is held at a time, ``out`` appears only
+    when complete, and a symlink at ``out`` is replaced, not written
+    through.  On any error the temporary file is removed and ``out`` is left
+    as it was; a file error names ``out``.
     """
     if out is None:
-        sys.stdout.write(text if isinstance(text, str) else "".join(text))
+        sys.stdout.write(text)
     elif isinstance(text, str):
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -264,34 +264,13 @@ def _cmd_oracle(args) -> int:
             result = oracles.max_pattern_exact(d, kind, budget=budget)
     except BudgetExhausted as exc:
         result = exc.payload
-        for line in result.report_lines():
-            print(line)
-        return EXIT_EXHAUSTED
     for line in result.report_lines():
         print(line)
+    if not result.exact:  # no target is given, so only a budget stops a search
+        return EXIT_EXHAUSTED
     if args.out:
         codec.save_certificate(_certified(d, kind, result.witness), args.out)
     return EXIT_OK
-
-
-def _bench_trial(n, seed, m1, m2):
-    d = generators.gen_halfcircle(n, seed=seed)
-    ad = generators.anchored_view(d)
-    outcome = extract_pattern(ad, m1, m2)  # its certificate is verified
-    if outcome.certificate is not None:
-        kind = outcome.certificate.kind
-        size = len(outcome.certificate.vertices)
-    else:
-        kind = "none"
-        size = 0
-    return (
-        seed,
-        outcome.stats.outcome,
-        kind,
-        size,
-        outcome.stats.stages,
-        outcome.stats.total_edges,
-    )
 
 
 BENCH_HEADER = "# cstg-bench-1\ntrial,seed,family,n,m1,m2,outcome,kind,size,stages,edges_built,ref_ceil_8log2n\n"
@@ -300,19 +279,20 @@ BENCH_HEADER = "# cstg-bench-1\ntrial,seed,family,n,m1,m2,outcome,kind,size,stag
 def _cmd_bench(args) -> int:
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
-    rows = [
-        _bench_trial(args.n, args.seed + t, args.m1, args.m2)
-        for t in range(args.trials)
-    ]
-    reference = math.ceil(8 * math.log2(args.n))
-    lines = [BENCH_HEADER]
-    for trial, row in enumerate(rows):
-        seed, outcome, kind, size, stages, edges = row
-        lines.append(
+    rows = []
+    for trial in range(args.trials):
+        seed = args.seed + trial
+        ad = generators.anchored_view(generators.gen_halfcircle(args.n, seed=seed))
+        outcome = extract_pattern(ad, args.m1, args.m2)  # its certificate is verified
+        cert, stats = outcome.certificate, outcome.stats
+        kind, size = (cert.kind, len(cert.vertices)) if cert is not None else ("none", 0)
+        rows.append(
             f"{trial},{seed},halfcircle,{args.n},{args.m1},{args.m2},"
-            f"{outcome},{kind},{size},{stages},{edges},{reference}\n"
+            f"{stats.outcome},{kind},{size},{stats.stages},{stats.total_edges},"
         )
-    _emit("".join(lines), args.out)
+    # read after the trials, so a bad --n is the drawing's error (exit 3)
+    reference = math.ceil(8 * math.log2(args.n))
+    _emit(BENCH_HEADER + "".join(f"{row}{reference}\n" for row in rows), args.out)
     return EXIT_OK
 
 

@@ -230,10 +230,11 @@ def longest_plane_path_exact(
 ) -> OracleResult:
     """Longest simple path with pairwise non-crossing drawn edges.
 
-    Optionally restricted to a vertex subset; stops early once a path runs
-    through every vertex, which no path can beat (exact, even when it also
-    meets ``target``), and once ``target`` vertices are reached (the result
-    is then flagged as a lower bound).
+    Optionally restricted to a vertex subset.  The search stops at the first
+    path of its stop length: every vertex, which no path can beat, or
+    ``target`` if that is fewer.  The result is exact when the search ran
+    out of paths or found one through every vertex; one that stopped at
+    ``target`` short of every vertex is flagged as a lower bound.
     """
     verts = sorted(vertices) if vertices is not None else list(range(d.n))
     if any(not (0 <= v < d.n) for v in verts) or len(set(verts)) != len(verts):
@@ -251,18 +252,15 @@ def longest_plane_path_exact(
 
     clock = _Clock(budget)
     best: List[int] = []
-    hit_target = False
+    stop = k if target is None else min(k, target)
 
     def dfs(path: List[int], on: int, used_edges: int, p: int) -> bool:
         # p: the position of path[-1] in verts; on: the positions on the path
-        nonlocal best, hit_target
+        nonlocal best
         if len(path) > len(best):
             best = list(path)
-            if len(best) == k:  # no path is longer than all k vertices
+            if len(best) >= stop:
                 return True
-            if target is not None and len(best) >= target:
-                hit_target = True
-                return False
         for q, w in enumerate(verts):
             if on >> q & 1:
                 continue
@@ -275,7 +273,7 @@ def longest_plane_path_exact(
             path.pop()
             if not ok:
                 return False
-            if len(best) == k:
+            if len(best) >= stop:
                 return True
         return True
 
@@ -284,13 +282,12 @@ def longest_plane_path_exact(
         if not clock.tick() or not dfs([start], 1 << p, 0, p):
             completed = False
             break
-        if len(best) == k:
+        if len(best) >= stop:
             break
     dfs = None  # as in max_pattern_exact: free the conflict masks now
-    result = OracleResult(
-        size=len(best), witness=tuple(best), nodes=clock.nodes, exact=completed
-    )
-    if not completed and not hit_target:
+    exact = completed and (len(best) == k or len(best) < stop)
+    result = OracleResult(size=len(best), witness=tuple(best), nodes=clock.nodes, exact=exact)
+    if not completed:
         raise BudgetExhausted(
             f"path search budget exhausted after {clock.nodes} nodes",
             payload=result,

@@ -37,7 +37,7 @@ def check_transitive_completion(
 
     ``cls(p, q)`` is the class as a mask C(p,q): bit r > q is set iff (p,q,r)
     is in the class, other bits are ignored.  On a drawing's pair masks
-    (``_pair_masks``) the 100 class is R(p,q) without R(q,p) and X(p,q), the
+    (``ChiCache._pair``) the 100 class is R(p,q) without R(q,p) and X(p,q), the
     001 class X(p,q) without the two R masks.  For every 4-tuple p<q<r<s of
     the window, (p,q,r) and (q,r,s) must force (p,q,s) and (p,r,s): C(q,r)
     lies in C(p,q) & C(p,r) for each r in C(p,q).  The report names the

@@ -21,8 +21,6 @@ from cstg.chromatics import (
     PhiTable,
     PhiValue,
     _chi_blocks,
-    _pair_masks,
-    chi,
     phi_table,
     validate_observation,
 )
@@ -61,24 +59,24 @@ def mirrored_twisted_view(m):
 class TestChi:
     def test_convex_is_constant_010(self):
         ad = anchored_view(gen_convex(9))
-        assert {chi(ad, i, j, k) for i, j, k in triples(9)} == {"010"}
+        assert {ChiCache(ad).get(i, j, k) for i, j, k in triples(9)} == {"010"}
 
     def test_twisted_is_constant_001(self):
         ad = anchored_view(gen_twisted(9))
-        assert {chi(ad, i, j, k) for i, j, k in triples(9)} == {"001"}
+        assert {ChiCache(ad).get(i, j, k) for i, j, k in triples(9)} == {"001"}
 
     def test_mirrored_twisted_is_constant_100(self):
         ad = mirrored_twisted_view(9)
-        assert {chi(ad, i, j, k) for i, j, k in triples(9)} == {"100"}
+        assert {ChiCache(ad).get(i, j, k) for i, j, k in triples(9)} == {"100"}
 
     def test_bad_positions(self):
         ad = anchored_view(gen_convex(6))
         with pytest.raises(InvalidTriple):
-            chi(ad, 2, 2, 3)
+            ChiCache(ad).get(2, 2, 3)
         with pytest.raises(InvalidTriple):
-            chi(ad, 0, 1, 2)
+            ChiCache(ad).get(0, 1, 2)
         with pytest.raises(InvalidTriple):
-            chi(ad, 1, 2, 6)
+            ChiCache(ad).get(1, 2, 6)
 
     def test_injected_violation_raises(self):
         # crossings chosen so the triple (1,2,3) colors 011
@@ -92,7 +90,7 @@ class TestChi:
         d = Drawing(n=n, model="explicit", crossings=crossings)
         ad = AnchoredDrawing(base=d, v0=0, order=(1, 2, 3))
         with pytest.raises(ObservationViolated):
-            chi(ad, 1, 2, 3)
+            ChiCache(ad).get(1, 2, 3)
         report = validate_observation(ad)
         assert not report.ok
         assert report.violation == (1, 2, 3, "011")
@@ -286,7 +284,7 @@ CLASS_OF_MASKS = {
 def class_masks(ad: AnchoredDrawing, color: str) -> Callable[[int, int], int]:
     """cls(p, q) for check_transitive_completion: the color class of the
     anchored drawing, read from the pair masks."""
-    pair = _pair_masks(ad)[0]
+    pair = ChiCache(ad)._pair
     pick = CLASS_OF_MASKS[color]
     return lambda p, q: pick(*pair(p, q))
 
@@ -700,7 +698,7 @@ class TestKernelEquivalence:
 
     @pytest.mark.parametrize("ad", KERNEL_VIEWS)
     def test_pair_masks_match_the_reference_build(self, ad):
-        kernel, reference = _pair_masks(ad)[0], reference_masks(ad)
+        kernel, reference = ChiCache(ad)._pair, reference_masks(ad)
         for i, j in itertools.combinations(range(1, ad.n), 2):
             assert kernel(i, j) == reference(i, j), (i, j)
 
@@ -719,7 +717,7 @@ class TestKernelEquivalence:
             return orient(p, q, r)
 
         monkeypatch.setattr(drawing, "orient", counting)
-        assert chi(ad, 1, 2, 3) == reference_color(ad)(1, 2, 3)
+        assert ChiCache(ad).get(1, 2, 3) == reference_color(ad)(1, 2, 3)
         assert 0 < calls < ad.n ** 2
 
     def test_random_crossing_data_fails_at_the_reference_triple(self):
@@ -875,7 +873,8 @@ class TestStarReader:
     def assert_star_reads_the_pairs(ad, seed):
         # star(f, gs) holds the masks of (g, f) for g < f, and those of (f, g)
         # with the two R masks swapped for g > f, in the order of gs
-        pair, star = _pair_masks(ad)
+        cache = ChiCache(ad)
+        pair, star = cache._pair, cache._star
         for f in range(1, ad.n):
             gs = [g for g in range(1, ad.n) if g != f]
             random.Random(seed + f).shuffle(gs)

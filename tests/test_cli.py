@@ -1,6 +1,5 @@
 """CLI contract: subcommands, exit codes, byte determinism."""
 
-import argparse
 import dataclasses
 import itertools
 import json
@@ -259,6 +258,15 @@ class TestOracle:
                               "--budget-nodes", "5")
         assert code == 4
         assert "lower bound" in stdout
+        # the report is printed once, and no witness is written
+        witness = tmp_path / "W"
+        code, again, _ = run(capsys, "oracle", "planepath", str(drawing),
+                             "--budget-nodes", "5", "--out", str(witness))
+        assert code == 4
+        assert again == stdout == (
+            "size: 5\nwitness: 0 1 2 3 4\nnodes expanded: 6\nexact: no (lower bound)\n"
+        )
+        assert not witness.exists()
 
     @pytest.mark.parametrize("command", [["oracle", "maxconvex"], ["extract", "planepath"]])
     @pytest.mark.parametrize(
@@ -293,6 +301,14 @@ class TestDeterminism:
             run(capsys, "generate", "--family", "halfcircle", "--n", "24",
                 "--seed", "11", "--out", str(out))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_generate_stdout_equals_the_file(self, tmp_path, capsys):
+        out = tmp_path / "hc.cstg"
+        argv = ["generate", "--family", "halfcircle", "--n", "24", "--seed", "11"]
+        assert run(capsys, *argv, "--out", str(out)) == (0, "", "")
+        code, stdout, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert stdout.encode() == out.read_bytes()
 
     def test_bench_byte_identical_and_row_count(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -528,14 +544,19 @@ class TestTablesStream:
         ("half-circle 40", generators.gen_halfcircle(40, seed=6)),
         ("horton 16", generators.gen_straightline(generators.gen_horton(4))),
     ])
-    def test_stdout_equals_the_file(self, tmp_path, capsys, what, name, d):
+    def test_the_table_goes_only_to_the_file(self, tmp_path, capsys, what, name, d):
+        # _emit writes stdout text as it is, which holds only while no table
+        # reaches stdout
         path = tmp_path / "d.cstg"
         codec.save_drawing(d, str(path))
+        assert run(capsys, "tables", what, str(path)) == (
+            1, "", "usage error: the following arguments are required: --out\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.cstg"]
         out = tmp_path / f"{what}.csv"
         assert run(capsys, "tables", what, str(path), "--out", str(out)) == (0, "", "")
-        args = argparse.Namespace(what=what, drawing=str(path), out=None)
-        assert cli._cmd_tables(args) == 0
-        assert capsys.readouterr().out.encode() == out.read_bytes()
+        reference = reference_chi_table if what == "chi" else reference_phi_table
+        assert_same_lines(out.read_text(), reference(str(path)))
 
     def test_symlink_target_is_replaced(self, tmp_path, capsys):
         path = tmp_path / "t9.cstg"
@@ -778,6 +799,15 @@ class TestBench:
                            "--m2", "3", "--family", "halfcircle", "--out", str(out))
         assert code == 1
         assert err == "usage error: unrecognized arguments: --family halfcircle\n"
+        assert not out.exists()
+
+    def test_n_below_two_is_the_drawing_error(self, tmp_path, capsys):
+        # the trials run before log2(n) is read, so --n 0 is invalid input
+        out = tmp_path / "b.csv"
+        code, stdout, err = run(capsys, "bench", "--n", "0", "--trials", "2",
+                                "--out", str(out))
+        assert (code, stdout) == (3, "")
+        assert err == "invalid input: InvalidSelection: drawing needs an integer n >= 2, got 0\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("n, trials", [("0", "0"), ("12", "-2")])

@@ -3,9 +3,13 @@
 Random explicit drawings are mostly not realizable; the pipelines may
 reject them (observation violation or a broken theory guarantee) but must
 never return an unverified certificate or leak an unrelated exception.
+The document fuzzer in ``scripts/`` holds the CLI to the same on mutated
+documents.
 """
 
+import importlib.util
 import itertools
+import os
 import random
 import xml.etree.ElementTree as ET
 
@@ -85,3 +89,37 @@ class TestSvgWellFormed:
             root = ET.fromstring(render_svg(d))
             assert root.tag.endswith("svg")
             assert len(list(root)) > d.n * (d.n - 1) // 2
+
+
+def load_fuzzer():
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts", "fuzz_documents.py")
+    spec = importlib.util.spec_from_file_location("fuzz_documents", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestDocumentFuzzer:
+    """scripts/fuzz_documents.py: mutated documents through every
+    subcommand that reads one exit 0, 2, 3 or 4, and raise nothing."""
+
+    def test_mutants_exit_cleanly(self):
+        reports = []
+        failures = load_fuzzer().run(seed=0, count=1000, report=reports.append)
+        assert failures == 0, "\n".join(reports)
+
+    def test_a_stray_exit_or_exception_is_named(self, monkeypatch):
+        fuzzer = load_fuzzer()
+        outcomes = iter([1, ValueError("escaped")])
+
+        def dispatch(argv):
+            outcome = next(outcomes, 0)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        monkeypatch.setattr(fuzzer, "dispatch", dispatch)
+        reports = []
+        assert fuzzer.run(seed=5, count=2, report=reports.append) == 2
+        assert reports[0].startswith("seed 5 mutant 0: ") and "exit 1" in reports[0]
+        assert reports[1].startswith("seed 5 mutant 0: ") and "ValueError: escaped" in reports[1]

@@ -10,7 +10,7 @@ certificates, fixed before certificate checks read crossing masks; of
 `render` with and without a certificate overlay, and of the numeric rotation
 oracle, fixed before the arcs were sampled through one parametrisation; of
 the C48/T48 explicit documents, fixed before explicit tables were held as
-rank bitsets."""
+rank bitsets; of a `bench` CSV, fixed before its trials were run inline."""
 
 import hashlib
 
@@ -77,6 +77,9 @@ ORACLES = {
         "c12e376211eb45626d781c97f74cdfc837b9969c1d6ebc563acd0ba86868bf43",
     ),
 }
+
+# bench --n 12 --trials 8 --seed 3 --m1 3 --m2 3: the CSV
+BENCH_CSV = "43a6b1dc2bb0c2b63c23561ce90599229a35fcb50530d47265486177df32c5ab"
 
 # encode(decode(.)) of the explicit restriction of gen_convex(12) to itself
 EXPLICIT_ROUND_TRIP = "233d9c36a2d9336000d0f005133d7f8acda0cfdb58b0db5951a12acfb2384f0d"
@@ -182,6 +185,13 @@ def test_oracle_digest(tmp_path, capsys, argv):
     report = capsys.readouterr().out
     digest = sha256(witness.read_bytes()) if witness.exists() else None
     assert (code, sha256(report.encode()), digest) == ORACLES[argv]
+
+
+def test_bench_digest(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    argv = ["--n", "12", "--trials", "8", "--seed", "3", "--m1", "3", "--m2", "3"]
+    assert dispatch(["bench", *argv, "--out", str(out)]) == EXIT_OK
+    assert sha256(out.read_bytes()) == BENCH_CSV
 
 
 def test_explicit_round_trip_digest():
