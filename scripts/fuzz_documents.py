@@ -15,7 +15,9 @@ document of its kind: a drawing through ``verify --self``, ``verify`` with
 a certificate, ``extract pattern``, ``extract planepath``, the three
 oracles, ``render`` and both ``tables``; a certificate through ``verify``
 and ``render --overlay`` on its drawing.  The oracles get ``--budget-nodes
-2000``.  The run fails on any exit code outside {0, 2, 3, 4} and on any
+2000``.  The run fails on any exit code outside {0, 2, 3, 4}, on any
+``InternalInvariantBroken`` in a command's output (bad input must be
+refused at the boundary, not found by a deep invariant), and on any
 exception that escapes ``dispatch``, naming the seed, the mutant, its edits
 and the argv.  The mutants of a seed are fixed, so a failure is reproduced
 by the same ``--seed`` and a ``--count`` past the mutant's index.
@@ -189,21 +191,28 @@ def commands(kind: str, work: str):
     ]
 
 
+def case(docs, seed: int, index: int):
+    """(base name, kind, mutant bytes, edits, the other document's text) of
+    mutant ``index`` of seed ``seed`` over the base documents ``docs``."""
+    rng = random.Random(f"{seed}/{index}")
+    name, drawing_text, cert_texts = rng.choice(docs)
+    cert_text = rng.choice(cert_texts)
+    kind = rng.choice(("drawing", "drawing", "certificate"))
+    data, edits = mutant(rng, drawing_text if kind == "drawing" else cert_text)
+    return name, kind, data, edits, cert_text if kind == "drawing" else drawing_text
+
+
 def run(seed: int, count: int, report=print) -> int:
     """Fuzz ``count`` mutants of seed ``seed``; the number of failures."""
     docs = base_documents()
     failures = 0
     with tempfile.TemporaryDirectory() as work:
         for index in range(count):
-            rng = random.Random(f"{seed}/{index}")
-            name, drawing_text, cert_texts = rng.choice(docs)
-            cert_text = rng.choice(cert_texts)
-            kind = rng.choice(("drawing", "drawing", "certificate"))
-            data, edits = mutant(rng, drawing_text if kind == "drawing" else cert_text)
+            name, kind, data, edits, other = case(docs, seed, index)
             with open(os.path.join(work, "doc"), "wb") as f:
                 f.write(data)
             with open(os.path.join(work, "other"), "w", encoding="utf-8") as f:
-                f.write(cert_text if kind == "drawing" else drawing_text)
+                f.write(other)
             for argv in commands(kind, work):
                 sink = io.StringIO()
                 try:
@@ -211,7 +220,7 @@ def run(seed: int, count: int, report=print) -> int:
                         code = dispatch(argv)
                 except Exception:
                     code, error = None, traceback.format_exc()
-                if code in ALLOWED_EXITS:
+                if code in ALLOWED_EXITS and "InternalInvariantBroken" not in sink.getvalue():
                     continue
                 failures += 1
                 outcome = f"exit {code}: {sink.getvalue()}" if code is not None else error

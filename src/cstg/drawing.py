@@ -8,8 +8,8 @@ decided in one class per model, found by name in ``MODELS``; every reader
 of a rotation or an anchored order asks the model.  Optional payloads: a
 rotation system (counterclockwise cyclic order of neighbors around each
 vertex) and an anchor (a vertex certified on the unbounded cell together
-with the clockwise order of the remaining vertices around it), trusted on
-an explicit drawing and on any other the model's own.
+with the clockwise order of the remaining vertices around it), on an
+explicit drawing the stored ones and on any other the model's own.
 
 Every crossing question reads one kernel, ``crossing_masks``: N(a, b, c) =
 {w : edge ab crosses edge cw} as a Python int whose bit p stands for the
@@ -30,10 +30,12 @@ Every invariant is checked when a ``Drawing`` is built: n, the model and
 its one payload, the size cap, the signs, the point set (distinct int
 pairs, no collinear triple, found in O(n^2) gcds), rotations and anchor as
 permutations that are the model's (the anchor also a clockwise reading of
-a stored rotation at v0), and last an explicit table's entries (tuples or
+a stored rotation at v0), then an explicit table's entries (tuples or
 lists of two ints, or the codec's flat run of ranks), in one pass in the
 given order; an entry that names no independent pair in rank order raises
-ValidationError.
+ValidationError.  Last, an explicit drawing that stores both rotations and
+an anchor has each rotation checked against its crossings with the anchor
+edges (``_check_anchored_rotations``).
 
 Vertices are 0-based everywhere.
 """
@@ -142,8 +144,8 @@ class Drawing:
     ``crossings`` takes any collection of rank pairs (tuples or lists of two
     ints) and holds their stacked rows as a ``_Crossings``, not a set;
     ``crossing_pairs(d)`` lists the pairs.  Stored ``rotations`` and
-    ``anchor`` (decoded documents, induced drawings) are trusted on an
-    explicit drawing, else must be the model's.
+    ``anchor`` (decoded documents, induced drawings) must be the model's,
+    or on an explicit drawing that stores both, agree with its crossings.
     """
 
     n: int
@@ -203,6 +205,8 @@ class Drawing:
         if model.payload == "crossings" and not trusted:
             ranks = table.flat if type(table) is _Ranks else _flat_ranks(table, ValidationError)
             object.__setattr__(self, "crossings", _Crossings(_crossing_bits(n, ranks)))
+        if model.payload == "crossings" and rotations is not None and self.anchor is not None:
+            _check_anchored_rotations(self)
 
     def rank(self, i: int, j: int) -> int:
         return edge_index(min(i, j), max(i, j), self.n)
@@ -222,6 +226,35 @@ class Drawing:
         # the signs of (w, v) for w < v are column v of the square, those of
         # (v, w) for w > v the tail of its row v
         return square[v::n][:v] + "L" + square[v * n + v + 1:(v + 1) * n]
+
+
+def _check_anchored_rotations(d: Drawing) -> None:
+    """InvalidSelection unless every stored rotation of the anchored explicit
+    drawing d agrees with its crossings with the anchor edges, naming the
+    vertex and the pair of the first disagreement in reading order.  Read
+    from just after the anchor edge, the rotation at position p puts q < r
+    in the order q, r exactly when (edge pr crosses the anchor edge to q,
+    or pq the one to r) == (p lies between q and r).  The first test is
+    symmetric in q and r, and its r are N(vp, vq, v0) | N(v0, vq, vp), so
+    the check is O(n^2) kernel reads."""
+    v0, order = d.anchor
+    at = (v0,) + order
+    N, pos = crossing_masks(d, at), {v: p for p, v in enumerate(at)}
+    for p, vp in enumerate(order, 1):
+        rot = d.rotations[vp]
+        cut = rot.index(v0)
+        read = [pos[u] for u in rot[cut + 1:] + rot[:cut]]
+        left = sum(1 << q for q in read)  # the positions not read yet
+        for i, q in enumerate(read):
+            left ^= 1 << q
+            vq, between = at[q], -2 << p if q < p else (1 << p) - 2  # p between q, r
+            # the r read after q that belong before it: the rule for r > q, and
+            # its negation for r < q
+            bad = left & ((N(vp, vq, v0) | N(v0, vq, vp)) ^ between ^ (1 << q) - 1)
+            if bad:
+                r = next(r for r in read[i + 1:] if bad >> r & 1)
+                raise InvalidSelection(f"rotation at vertex {vp} puts {vq} before {at[r]}, "
+                                       "against its crossings with the anchor edges")
 
 
 def cross(d: Drawing, e1, e2) -> bool:
@@ -303,12 +336,7 @@ def _crossing_bits(n: int, ranks: list) -> list:
     which names the smallest such entry."""
     edges = _rank_grid(n)[0]
     m = len(edges)
-    # an edge's two bits, looked up twice per entry; a table with fewer
-    # entries than edges builds only the ranks it names
-    bit = [0] * m
-    for r in range(m) if len(ranks) >= 2 * m else {r for r in ranks if 0 <= r < m}:
-        c, w = edges[r]
-        bit[r] = 1 << c * n + w | 1 << w * n + c
+    bit = [1 << c * n + w | 1 << w * n + c for c, w in edges]  # an edge's two bits
     X = [0] * m
     in_order = True
     it = iter(ranks)

@@ -60,8 +60,6 @@ def _lis(seq: List[int]) -> Tuple[int, List[int]]:
     Ties in pile choice go to the earliest element, making the recovered
     witness deterministic.
     """
-    if not seq:
-        return 0, []
     tails: List[int] = []  # tails[d] = smallest tail value of an inc. run of length d+1
     tail_idx: List[int] = []
     parent = [-1] * len(seq)
@@ -113,7 +111,6 @@ class PlanePathStats:
     m: int = 0
     candidate_sizes: List[int] = field(default_factory=list)
     lds_lengths: List[int] = field(default_factory=list)
-    unused: List[str] = field(default_factory=list)  # given, not read by the branch
 
     @property
     def steps(self) -> int:
@@ -153,9 +150,6 @@ class PlanePathOutcome:
             lines.append(
                 "lds lengths: " + " ".join(str(s) for s in self.stats.lds_lengths)
             )
-        if self.stats.unused:
-            unused = ", ".join(self.stats.unused)
-            lines.append(f"unused on the {self.stats.branch} branch: {unused}")
         return lines
 
 
@@ -179,9 +173,9 @@ def extract_plane_path(
     With the increasing branch, the returned path comes from a bounded exact
     search among the star leaves (target length configurable, default
     max(2, ceil(m/2))); the star certificate is returned alongside.  Only
-    that branch reads ``path_target`` and ``budget``: given with m <= 1 they
-    raise InvalidSelection, and the decreasing branch names them in its
-    report as unused.
+    that branch reads ``path_target`` and ``budget``: given to the trivial
+    or the decreasing branch they raise InvalidSelection, once the star
+    search has found no star.
     """
     n = ad.n
     if n < 3:
@@ -191,19 +185,18 @@ def extract_plane_path(
     if path_target is not None and path_target < 2:
         raise InvalidSelection(f"path target must be at least 2, got {path_target}")
     m = m_override if m_override is not None else default_m(n)
-    stats = PlanePathStats(m=m)
     chi = chi_cache if chi_cache is not None else ChiCache(ad)
-    given = [name for name, value in (("path target", path_target), ("budget", budget))
-             if value is not None]
 
     star = find_plane_k2m2(ad, m) if m > 1 else None
+    branch = "trivial" if m <= 1 else "decreasing" if star is None else "increasing"
+    given = [name for name, value in (("path target", path_target), ("budget", budget))
+             if value is not None]
+    if star is None and given:
+        raise InvalidSelection(f"{given[0]} unused: m = {m} takes the {branch} branch")
+    stats = PlanePathStats(branch=branch, m=m)
     if m <= 1:
-        if given:
-            raise InvalidSelection(f"{given[0]} unused: m = {m} takes the trivial branch")
-        stats.branch = "trivial"
         path = (ad.vertex_at(1), ad.vertex_at(2))
     elif star is not None:
-        stats.branch = "increasing"
         leaves = list(star.vertices[2:])
         target = path_target if path_target is not None else max(2, math.ceil(m / 2))
         if budget is None:
@@ -216,30 +209,27 @@ def extract_plane_path(
             result = exc.payload
         path = result.witness
     else:
-        stats.branch = "decreasing"
-        stats.unused = given
         path = [1]
-        candidates = list(range(2, n))
+        candidates = (1 << n) - 4  # the positions 2..n-1
         while candidates:
-            stats.candidate_sizes.append(len(candidates))
-            live = set(candidates)
-            th = [p for p in theta(ad, path[-1]) if p in live]
-            if len(th) != len(candidates):
+            size = candidates.bit_count()
+            stats.candidate_sizes.append(size)
+            # negated, so that an increasing run is a decreasing run of theta
+            th = [-p for p in theta(ad, path[-1]) if candidates >> p & 1]
+            if len(th) != size:
                 raise InternalInvariantBroken("theta missed candidates above the tip")
-            _, dec = _lis([-p for p in th])
-            dec = [-p for p in dec]
+            _, dec = _lis(th)
             stats.lds_lengths.append(len(dec))
-            if len(dec) * m * m < len(candidates):
+            if len(dec) * m * m < size:
                 raise InternalInvariantBroken(
                     "decreasing run shorter than |S|/m^2 despite no long increasing run"
                 )
-            u_next = dec[-1]  # least element: the run decreases along theta order
-            rest = sum(1 << p for p in dec[:-1])  # distinct bits: dec less u_next
+            u_next = -dec[-1]  # least element: the run decreases along theta order
+            rest = sum(1 << -p for p in dec[:-1])  # distinct bits: dec less u_next
             inner = _inside(chi, path[-1], u_next, rest)
             outer = rest ^ inner
-            kept = inner if inner.bit_count() >= outer.bit_count() else outer
             path.append(u_next)
-            candidates = sorted(p for p in dec if kept >> p & 1)
+            candidates = inner if inner.bit_count() >= outer.bit_count() else outer
 
         _assert_anchor_edges_clear(ad, chi, path)
         path = [ad.vertex_at(p) for p in path]

@@ -2,7 +2,8 @@
 
 They wrap library internals: the transitivity check behind acceptance
 criterion 02, the region test and the subsequence search of the plane path
-pipeline, and the inverse of ``edge_index``.  ``full_order_max_pattern`` is
+pipeline, the rotation order that the colors of an anchored drawing
+decide, and the inverse of ``edge_index``.  ``full_order_max_pattern`` is
 a second pattern search that breaks no symmetry but rotation, the size
 oracle the tests hold ``max_pattern_exact`` to.  No CLI path reaches them.
 """
@@ -99,6 +100,22 @@ def inside_delta(
         raise InvalidTriple(f"need a < b < v in anchored positions, got ({a},{b},{v})")
     chi = chi_cache if chi_cache is not None else ChiCache(ad)
     return bool(_inside(chi, a, b, 1 << v))
+
+
+def rotation_puts_first(chi: ChiCache, p: int, q: int, r: int) -> bool:
+    """Does the rotation at anchored position p, read counterclockwise from
+    just after the anchor edge, put q before r?  For q < r, exactly when
+    (edge pr crosses the anchor edge to q, or pq the one to r) == (p lies
+    between q and r).  Both crossings are bits of the color of the sorted
+    triple (``ChiCache.get``): the bits other than p's slot, since bit s of
+    the color says that the edge of the other two crosses the anchor edge
+    to the s-th.  No float and no stored rotation is read."""
+    if q > r:
+        return not rotation_puts_first(chi, p, r, q)
+    triple = sorted((p, q, r))
+    color = chi.get(*triple)
+    slot = triple.index(p)
+    return ("1" in color[:slot] + color[slot + 1:]) == (slot == 1)
 
 
 def edge_at(rank: int, n: int) -> Tuple[int, int]:

@@ -169,19 +169,28 @@ class TestExtract:
         assert code == 4
         assert "exhausted" in stdout
 
-    def test_planepath_decreasing_branch_names_unused_flags(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flags, named", [
+        (["--path-target", "40"], "path target"),
+        (["--budget-nodes", "5"], "budget"),
+        (["--budget-seconds", "3"], "budget"),
+        (["--path-target", "40", "--budget-nodes", "5"], "path target"),
+    ])
+    def test_planepath_decreasing_branch_refuses_unused_flags(self, tmp_path, capsys,
+                                                              flags, named):
+        # only the star branch reads them; at m = 16 no star is found
         drawing = tmp_path / "hc64.cstg"
+        path_cert = tmp_path / "path.json"
         run(capsys, "generate", "--family", "halfcircle", "--n", "64",
             "--seed", "1", "--out", str(drawing))
         code, plain, _ = run(capsys, "extract", "planepath", str(drawing),
                              "--m-override", "16")
         assert code == 0 and "branch: decreasing\n" in plain
-        assert "unused" not in plain
-        code, stdout, _ = run(capsys, "extract", "planepath", str(drawing),
-                              "--m-override", "16", "--path-target", "40",
-                              "--budget-nodes", "5")
-        assert code == 0
-        assert stdout == plain + "unused on the decreasing branch: path target, budget\n"
+        code, stdout, err = run(capsys, "extract", "planepath", str(drawing),
+                                "--m-override", "16", *flags, "--out", str(path_cert))
+        assert (code, stdout) == (3, "")
+        assert err == ("invalid input: InvalidSelection: "
+                       f"{named} unused: m = 16 takes the decreasing branch\n")
+        assert not path_cert.exists()
 
     def test_planepath_with_star_output(self, tmp_path, capsys):
         drawing = tmp_path / "hc.cstg"
@@ -358,9 +367,10 @@ def reference_chi_table(path):
     return "".join(lines)
 
 
-def anchored_restriction(d):
-    """The explicit restriction of d to its anchored order, anchor declared."""
-    ad = generators.anchored_view(d)
+def anchored_restriction(d, v0=None):
+    """The explicit restriction of d to its anchored order at v0 (the
+    canonical anchor when omitted), anchor declared."""
+    ad = generators.anchored_view(d, v0)
     x = drawing.induced_subdrawing(d, (ad.v0,) + ad.order)
     return dataclasses.replace(x, anchor=(0, tuple(range(1, d.n))))
 

@@ -283,8 +283,9 @@ class TestValidation:
             decode_drawing(doc)
 
     def test_anchor_cyclic_cut_accepted(self):
+        # edge (0,2) crosses (1,3), as the rotations at 1 and 3 require
         doc = (
-            '{"anchor":{"order":[1,3,2],"v0":0},"crossings":[],'
+            '{"anchor":{"order":[1,3,2],"v0":0},"crossings":[[1,4]],'
             '"format":"cstg-1","model":"explicit","n":4,'
             '"rotations":[[1,2,3],[0,2,3],[0,1,3],[0,1,2]]}'
         )

@@ -11,7 +11,10 @@ import importlib.util
 import itertools
 import os
 import random
+import sys
 import xml.etree.ElementTree as ET
+
+import pytest
 
 from cstg.drawing import AnchoredDrawing, Drawing, verify_certificate
 from cstg.errors import InternalInvariantBroken, ObservationViolated
@@ -34,7 +37,10 @@ def random_explicit(rng, n, density=0.3):
 
 def random_rotation_views(rng, count):
     """Random crossing data on 4 to 9 vertices with random rotations,
-    anchored at 0 in a clockwise reading of the rotation there."""
+    anchored at 0 in a clockwise reading of the rotation there.  A
+    ``Drawing`` refuses rotations that disagree with its crossings with the
+    anchor edges, so each is built with its anchor only and given its
+    rotations afterwards, as data that no constructor accepts."""
     for _ in range(count):
         n = rng.randint(4, 9)
         d = random_explicit(rng, n, density=0.25)
@@ -44,13 +50,8 @@ def random_rotation_views(rng, count):
             rng.shuffle(others)
             rots.append(tuple(others))
         order = tuple(reversed(rots[0]))
-        d = Drawing(
-            n=n,
-            model="explicit",
-            crossings=d.crossings,
-            rotations=tuple(rots),
-            anchor=(0, order),
-        )
+        d = Drawing(n=n, model="explicit", crossings=d.crossings, anchor=(0, order))
+        object.__setattr__(d, "rotations", tuple(rots))
         yield AnchoredDrawing(base=d, v0=0, order=order)
 
 
@@ -101,25 +102,51 @@ def load_fuzzer():
 
 class TestDocumentFuzzer:
     """scripts/fuzz_documents.py: mutated documents through every
-    subcommand that reads one exit 0, 2, 3 or 4, and raise nothing."""
+    subcommand that reads one exit 0, 2, 3 or 4, raise nothing, and never
+    report an InternalInvariantBroken."""
 
     def test_mutants_exit_cleanly(self):
         reports = []
         failures = load_fuzzer().run(seed=0, count=1000, report=reports.append)
         assert failures == 0, "\n".join(reports)
 
-    def test_a_stray_exit_or_exception_is_named(self, monkeypatch):
+    def test_a_stray_exit_exception_or_internal_invariant_is_named(self, monkeypatch):
         fuzzer = load_fuzzer()
-        outcomes = iter([1, ValueError("escaped")])
+        broken = ("invalid input: InternalInvariantBroken: plane_bipartite certificate "
+                  "failed: edges (0, 4) and (1, 7) cross")
+        outcomes = iter([1, ValueError("escaped"), broken])
 
         def dispatch(argv):
             outcome = next(outcomes, 0)
             if isinstance(outcome, Exception):
                 raise outcome
+            if outcome == broken:
+                print(broken, file=sys.stderr)
+                return 3
             return outcome
 
         monkeypatch.setattr(fuzzer, "dispatch", dispatch)
         reports = []
-        assert fuzzer.run(seed=5, count=2, report=reports.append) == 2
+        assert fuzzer.run(seed=5, count=2, report=reports.append) == 3
         assert reports[0].startswith("seed 5 mutant 0: ") and "exit 1" in reports[0]
         assert reports[1].startswith("seed 5 mutant 0: ") and "ValueError: escaped" in reports[1]
+        assert reports[2].startswith("seed 5 mutant 0: ") and f"exit 3: {broken}" in reports[2]
+
+    @pytest.mark.parametrize("seed, index, first, second", [(3, 834, 4, 7), (1, 3299, 7, 9)])
+    @pytest.mark.parametrize("argv", [["verify", "{}", "--self"],
+                                      ["extract", "planepath", "{}", "--m-override", "2"]])
+    def test_a_table_against_its_rotations_is_refused_at_decode(self, tmp_path, capsys, seed,
+                                                                index, first, second, argv):
+        # one crossing rank of the anchored explicit restriction edited: the
+        # star search used to find it first, as a failed certificate
+        fuzzer = load_fuzzer()
+        name, kind, data, _, _ = fuzzer.case(fuzzer.base_documents(), seed, index)
+        assert (name, kind) == ("explicit anchored 10", "drawing")
+        doc = tmp_path / "doc.cstg"
+        doc.write_bytes(data)
+        assert fuzzer.dispatch([str(doc) if arg == "{}" else arg for arg in argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"invalid input: ValidationError: rotation at vertex 1 puts {first} before "
+            f"{second}, against its crossings with the anchor edges\n")

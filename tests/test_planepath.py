@@ -90,20 +90,22 @@ def count_theta_calls(monkeypatch):
 
 class TestTheta:
     def test_worked_example_from_explicit_rotations(self):
-        # rotation at v1 reads (v0, v4, v3, v2, v5) counterclockwise
+        # rotation at v1 reads (v0, v4, v3, v2, v5) counterclockwise; the
+        # table and rotations are those of a half-circle drawing (signs
+        # LLLLLLLLULUULUL) restricted to its anchored order
         n = 6
         rots = [
             (5, 4, 3, 2, 1),  # anchor: clockwise reading is 1,2,3,4,5
             (0, 4, 3, 2, 5),
-            tuple(u for u in range(n) if u != 2),
-            tuple(u for u in range(n) if u != 3),
-            tuple(u for u in range(n) if u != 4),
-            tuple(u for u in range(n) if u != 5),
+            (0, 3, 4, 5, 1),
+            (0, 4, 5, 2, 1),
+            (0, 5, 2, 3, 1),
+            (0, 1, 2, 3, 4),
         ]
         d = Drawing(
             n=n,
             model="explicit",
-            crossings=frozenset(),
+            crossings=[(1, 6), (1, 7), (2, 7), (10, 13)],
             rotations=tuple(rots),
             anchor=(0, (1, 2, 3, 4, 5)),
         )
@@ -152,10 +154,6 @@ class TestLisLds:
         assert r.lds_length == 3
         assert list(r.lds_witness) == [4, 3, 2]
         assert list(r.lis_witness) in ([4, 5], [3, 5], [2, 5])
-
-    def test_empty_sequence(self):
-        r = lis_lds([])
-        assert (r.lis_length, r.lis_witness, r.lds_length, r.lds_witness) == (0, (), 0, ())
 
     def test_sorted_sequences(self):
         r = lis_lds(list(range(1, 8)))
@@ -428,21 +426,19 @@ class TestExtractPlanePath:
         with pytest.raises(InvalidSelection, match=named):
             extract_plane_path(ad, **kwargs)
 
-    def test_decreasing_branch_reports_the_parameters_it_leaves(self):
+    @pytest.mark.parametrize("kwargs, named", [
+        pytest.param({"path_target": 40}, "path target", id="path target"),
+        pytest.param({"budget": oracles.OracleBudget(nodes=5)}, "budget", id="budget"),
+        pytest.param({"path_target": 40, "budget": oracles.OracleBudget(seconds=3.0)},
+                     "path target", id="both"),
+    ])
+    def test_decreasing_branch_refuses_the_parameters_it_leaves(self, kwargs, named):
+        # m = 16 finds no star at n = 64, and only the star branch reads them
         ad = anchored_view(gen_halfcircle(64, seed=1))
-        plain = extract_plane_path(ad, m_override=16)
-        assert plain.stats.branch == "decreasing"
-        for kwargs, unused in (
-            ({"path_target": 40}, "path target"),
-            ({"budget": oracles.OracleBudget(nodes=5)}, "budget"),
-            ({"path_target": 40, "budget": oracles.OracleBudget(seconds=3.0)},
-             "path target, budget"),
-        ):
-            out = extract_plane_path(ad, m_override=16, **kwargs)
-            assert out.path == plain.path
-            assert out.report_lines() == plain.report_lines() + [
-                f"unused on the decreasing branch: {unused}"
-            ]
+        assert extract_plane_path(ad, m_override=16).stats.branch == "decreasing"
+        with pytest.raises(InvalidSelection) as info:
+            extract_plane_path(ad, m_override=16, **kwargs)
+        assert str(info.value) == f"{named} unused: m = 16 takes the decreasing branch"
 
     def test_an_exhausted_leaf_search_returns_its_partial_path(self, monkeypatch):
         # half-circle 40 seed 0 at m = 2 takes the increasing branch; three

@@ -1,16 +1,23 @@
-"""Stored rotations and anchors on geometric drawings: the model is the only
-source of a drawing's rotation system and anchored order, so a stored copy
-must be the model's and is checked once, when the drawing is built."""
+"""Stored rotations and anchors: on a geometric drawing the model is the
+only source of a drawing's rotation system and anchored order, so a stored
+copy must be the model's; on an anchored explicit drawing the rotations
+must agree with the crossings with the anchor edges.  Both are checked
+once, when the drawing is built."""
 
 import dataclasses
 import json
+import random
+from itertools import combinations
 
 import pytest
+from helpers import rotation_puts_first
+from test_cli import anchored_restriction
 
 from cstg import codec
+from cstg.chromatics import ChiCache
 from cstg.cli import dispatch
 from cstg.drawing import Drawing
-from cstg.errors import AnchorUnavailable, InvalidSelection, ValidationError
+from cstg.errors import AnchorUnavailable, DegenerateInput, InvalidSelection, ValidationError
 from cstg.generators import (
     anchored_order,
     anchored_view,
@@ -175,3 +182,91 @@ def test_an_uncertified_stored_anchor_is_named(kwargs, message):
     with pytest.raises(ValidationError) as info:
         codec.decode_drawing(json.dumps(doc))
     assert str(info.value) == message
+
+
+def random_point_sets(count):
+    """``count`` drawings on 6 to 12 random integer points in general position."""
+    rng = random.Random(5)
+    while count:
+        try:
+            d = gen_straightline(rng.sample([(x, y) for x in range(40) for y in range(40)],
+                                            rng.randint(6, 12)))
+        except DegenerateInput:
+            continue
+        count -= 1
+        yield d
+
+
+RULE_FAMILIES = {
+    "convex": [gen_convex(n) for n in range(4, 13)],
+    "twisted": [gen_twisted(n) for n in range(4, 13)],
+    "half-circle": [gen_halfcircle(n, seed=s) for n in (5, 8, 11, 14) for s in range(10)],
+    "points": [gen_straightline(gen_horton(k)) for k in (2, 3, 4)] + list(random_point_sets(20)),
+}
+
+
+def anchored_views(d):
+    """The anchored views of d at every vertex its model certifies."""
+    return [anchored_view(d, v0) for v0 in sorted(certified(d))]
+
+
+def assert_rotations_follow_the_colors(ad):
+    """rotation_at at every vertex of ad reads each pair in the order that
+    the colors give (helpers.rotation_puts_first)."""
+    chi = ChiCache(ad)
+    pos = {u: p for p, u in enumerate((ad.v0,) + ad.order)}
+    for p in range(1, ad.n):
+        rot = rotation_at(ad.base, ad.vertex_at(p))
+        cut = rot.index(ad.v0)
+        read = [pos[u] for u in rot[cut + 1:] + rot[:cut]]
+        for q, r in combinations(read, 2):
+            assert rotation_puts_first(chi, p, q, r), (p, q, r)
+
+
+def mirror(x):
+    """The mirror image of the anchored explicit drawing x: every rotation
+    and the anchored order reversed."""
+    v0, order = x.anchor
+    return Drawing(n=x.n, model="explicit", crossings=x.crossings,
+                   rotations=tuple(rot[::-1] for rot in x.rotations), anchor=(v0, order[::-1]))
+
+
+class TestAnchoredRotationRule:
+    @pytest.mark.parametrize("family", sorted(RULE_FAMILIES))
+    def test_drawn_rotations_follow_the_colors(self, family):
+        for d in RULE_FAMILIES[family]:
+            for ad in anchored_views(d):
+                assert_rotations_follow_the_colors(ad)
+
+    @pytest.mark.parametrize("family", sorted(RULE_FAMILIES))
+    def test_anchored_restrictions_and_their_mirrors_are_accepted(self, family):
+        # each constructs, so the constructor's check agrees, and the rule
+        # holds on the stored rotations read back
+        for d in RULE_FAMILIES[family]:
+            for ad in anchored_views(d):
+                x = anchored_restriction(d, ad.v0)
+                for y in (x, mirror(x)):
+                    assert_rotations_follow_the_colors(anchored_view(y))
+
+    @pytest.mark.parametrize("name, d", [
+        ("half-circle 11 seed 3", gen_halfcircle(11, seed=3)),
+        ("horton 16", gen_straightline(gen_horton(4))),
+    ], ids=["half-circle 11 seed 3", "horton 16"])
+    def test_two_neighbours_swapped_are_named(self, name, d):
+        # swapping two germs that follow each other in the reading after
+        # the anchor edge changes the order of that pair alone
+        x = anchored_restriction(d)
+        rng = random.Random(name)
+        for _ in range(20):
+            v = rng.randrange(1, x.n)
+            rot = x.rotations[v]
+            cut = rot.index(0)
+            read = rot[cut + 1:] + rot[:cut]
+            i = rng.randrange(len(read) - 1)
+            swapped = read[:i] + (read[i + 1], read[i]) + read[i + 2:]
+            rotations = x.rotations[:v] + ((0,) + swapped,) + x.rotations[v + 1:]
+            with pytest.raises(InvalidSelection) as info:
+                dataclasses.replace(x, rotations=rotations)
+            assert str(info.value) == (
+                f"rotation at vertex {v} puts {read[i + 1]} before {read[i]}, "
+                "against its crossings with the anchor edges")
