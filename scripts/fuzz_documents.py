@@ -22,6 +22,11 @@ exception that escapes ``dispatch``, naming the seed, the mutant, its edits
 and the argv.  The mutants of a seed are fixed, so a failure is reproduced
 by the same ``--seed`` and a ``--count`` past the mutant's index.
 
+The codec reads an explicit table a piece of about ``codec._PIECE``
+characters at a time; the run sets it to 16 characters, two or three
+entries, so that the table of every explicit base document spans many
+pieces and each mutant's edits fall in pieces on either side of a cut.
+
 Every base document has n <= 12, and an edit moves an integer by at most
 one or flips its sign, so n stays at 16 or less.  Implicit documents have
 no size cap yet, and a large n would run unbounded.
@@ -43,6 +48,7 @@ import random
 import sys
 import tempfile
 import traceback
+from unittest import mock
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -54,6 +60,7 @@ from cstg.planepath import extract_plane_path  # noqa: E402
 ALLOWED_EXITS = (0, 2, 3, 4)
 BUDGET = ["--budget-nodes", "2000"]
 RETYPED = ("x", "", 1.5, True, False, None, [], {}, [0, 1], {"n": 3})
+SHORT_PIECE = 16  # characters of a crossing table the codec parses at a time
 
 
 class Obj(list):
@@ -206,7 +213,7 @@ def run(seed: int, count: int, report=print) -> int:
     """Fuzz ``count`` mutants of seed ``seed``; the number of failures."""
     docs = base_documents()
     failures = 0
-    with tempfile.TemporaryDirectory() as work:
+    with tempfile.TemporaryDirectory() as work, mock.patch.object(codec, "_PIECE", SHORT_PIECE):
         for index in range(count):
             name, kind, data, edits, other = case(docs, seed, index)
             with open(os.path.join(work, "doc"), "wb") as f:

@@ -26,14 +26,17 @@ does any text ``json.loads`` refuses, a key given twice in one object and
 a key that its object does not take.
 Every drawing invariant is ``Drawing``'s own check, re-raised here as
 ValidationError with its message.  A crossing table written as encoding
-writes it is parsed as one flat JSON array of its ranks, with no list per
-entry; any other text, an indented document say, takes the general parse,
-which flattens its entry lists through a hand-built table's check, raising
-ParseError here.  Either way ``Drawing`` gets the table as one flat run of
-typed ranks and builds its rows from it.  A repeated entry is looked for
-only when the table holds fewer pairs than the document lists or a later
-step fails, and is named first.  Encoding lists the entries in rank order
-from the stacked rows the drawing holds.
+writes it is parsed a piece of about 64 KB at a time, each piece one flat
+JSON array of its ranks with no list per entry, and folded into the
+table's stacked rows before the next piece is read, so only one piece's
+ranks are ever alive; any other text, an indented document say, takes the
+general parse, whose entry lists pass a hand-built table's check, raising
+ParseError here, and are folded in one run.  Either way ``Drawing`` gets
+the folded rows (``_Ranks``) and checks their entries as it would check a
+hand-built table's.  A repeated entry is looked for, reading the entries
+again, only when the table holds fewer pairs than the document lists or
+a later step fails, and is named first.  Encoding lists the entries in
+rank order from the stacked rows the drawing holds.
 """
 
 from __future__ import annotations
@@ -76,39 +79,61 @@ def _parse(text: str):
 
 _TABLE = '"crossings":[['
 _NO_DIGITS = str.maketrans("", "", "0123456789")
+_PIECE = 1 << 16  # about this many characters of table text are parsed at a time
 
 
 def _parse_drawing(text: str):
     """``_parse(text)``, with a crossing table written as ``encode_drawing``
-    writes it read as one flat JSON array of its ranks into a ``_Ranks``: the
-    text from the first ``"crossings":[[`` to the next ``]]`` must be
-    ``[[r,r],[r,r],...]`` with digits only between the brackets and commas,
-    and the rest of the document, with ``NaN`` in the table's place, must
-    parse with that one ``NaN`` as its top-level ``crossings``.  Any other
-    text takes the general parse, and so fails or succeeds as it would."""
+    writes it read into a ``_Ranks`` a piece at a time: the rest of the
+    document, with ``NaN`` in the table's place, must parse with that one
+    ``NaN`` as its top-level ``crossings``, and the text from the first
+    ``"crossings":[[`` to the next ``]]`` must be ``[[r,r],[r,r],...]``
+    with digits only between the brackets and commas.  Each piece of about
+    ``_PIECE`` characters, cut at an entry boundary, is parsed as one flat
+    JSON array of its ranks and folded into the table's rows over the
+    document's n before the next is read.  Any other text takes the general
+    parse, and so fails or succeeds as it would."""
     at = text.find(_TABLE)
     end = text.find("]]", at)
-    if at >= 0 and end >= 0:
-        start = at + len(_TABLE)
-        inner = text[start:end]  # r,r],[r,r],[...],[r,r
-        skeleton = inner.translate(_NO_DIGITS)
-        if skeleton == ",],[" * (len(skeleton) // 4) + ",":
-            seen = []
+    if at < 0 or end < 0:
+        return _parse(text)
+    start = at + len(_TABLE)
+    seen = []
 
-            def constant(name):
-                seen.append(name)
-                return table
+    def constant(name):
+        seen.append(name)
+        return seen  # the table's placeholder, found again by identity
 
-            try:
-                table = _Ranks(json.loads("[" + inner.replace("],[", ",") + "]"))
-                doc = json.loads(text[:start - 2] + "NaN" + text[end + 2:],
-                                 object_pairs_hook=_unique_keys, parse_constant=constant)
-            except (ValueError, RecursionError, ParseError):
-                pass
-            else:
-                if len(seen) == 1 and type(doc) is dict and doc.get("crossings") is table:
-                    return doc
-    return _parse(text)
+    try:
+        doc = json.loads(text[:start - 2] + "NaN" + text[end + 2:],
+                         object_pairs_hook=_unique_keys, parse_constant=constant)
+        if len(seen) != 1 or type(doc) is not dict or doc.get("crossings") is not seen:
+            return _parse(text)
+        table = _Ranks(doc.get("n"), lambda: _runs(text, start, end))
+        for ranks in _runs(text, start, end):
+            table.fold(ranks)
+    except (ValueError, RecursionError, ParseError):
+        return _parse(text)
+    doc["crossings"] = table
+    return doc
+
+
+def _runs(text: str, start: int, end: int):
+    """The ranks of the table text ``text[start:end]``, ``r,r],[...],[r,r``,
+    as one flat list per piece of about ``_PIECE`` characters cut at an
+    entry boundary ``],[``; ValueError at a piece that is not two runs of
+    digits per entry or that ``json.loads`` refuses (a leading zero, an
+    empty rank, a literal past the digit limit)."""
+    while True:
+        cut = text.find("],[", start + _PIECE, end)
+        piece = text[start:end if cut < 0 else cut]
+        skeleton = piece.translate(_NO_DIGITS)
+        if skeleton != ",],[" * (len(skeleton) // 4) + ",":
+            raise ValueError("not a table as encoding writes it")
+        yield json.loads("[" + piece.replace("],[", ",") + "]")
+        if cut < 0:
+            return
+        start = cut + 3
 
 
 def _refuse_unknown(obj: dict, known, where: str = "") -> None:
@@ -208,7 +233,8 @@ def decode_drawing(text: str) -> Drawing:
         if isinstance(exc, (ParseError, ValidationError, SizeLimit)):
             raise
         raise ValidationError(str(exc)) from exc
-    if payload == "crossings" and sum(map(int.bit_count, d.crossings.bits)) < 2 * len(raw.flat):
+    # each entry sets two bits in each of its edges' ints
+    if payload == "crossings" and sum(map(int.bit_count, d.crossings.bits)) < 4 * raw.count:
         _refuse_repeats(raw)
     return d
 
@@ -220,14 +246,13 @@ def _check_crossings(raw, n: int) -> _Ranks:
     if not isinstance(raw, (list, _Ranks)):
         raise ParseError("field 'crossings' must be a list of rank pairs")
     _check_explicit_n(n)  # a huge n fails before its entries are read
-    return raw if type(raw) is _Ranks else _Ranks(_flat_ranks(raw, ParseError))
+    return raw if type(raw) is _Ranks else _Ranks.listed(n, _flat_ranks(raw, ParseError))
 
 
 def _refuse_repeats(raw: _Ranks) -> None:
     """ParseError naming the first entry the table lists twice, if any."""
-    it = iter(raw.flat)
-    counts = Counter(zip(it, it))
-    if len(counts) * 2 < len(raw.flat):
+    counts = Counter(raw.entries())
+    if len(counts) < raw.count:
         entry = next(e for e, count in counts.items() if count > 1)
         raise ParseError(f"field 'crossings': entry {list(entry)} is repeated")
 

@@ -31,11 +31,11 @@ its one payload, the size cap, the signs, the point set (distinct int
 pairs, no collinear triple, found in O(n^2) gcds), rotations and anchor as
 permutations that are the model's (the anchor also a clockwise reading of
 a stored rotation at v0), then an explicit table's entries (tuples or
-lists of two ints, or the codec's flat run of ranks), in one pass in the
-given order; an entry that names no independent pair in rank order raises
-ValidationError.  Last, an explicit drawing that stores both rotations and
-an anchor has each rotation checked against its crossings with the anchor
-edges (``_check_anchored_rotations``).
+lists of two ints, folded in one pass in the given order, or the rows the
+codec folded as it parsed the text); an entry that names no independent
+pair in rank order raises ValidationError.  Last, an explicit drawing that
+stores both rotations and an anchor has each rotation checked against its
+crossings with the anchor edges (``_check_anchored_rotations``).
 
 Vertices are 0-based everywhere.
 """
@@ -203,8 +203,9 @@ class Drawing:
         table = self.crossings
         trusted = type(table) is _Crossings and len(table.bits) == comb(n, 2)
         if model.payload == "crossings" and not trusted:
-            ranks = table.flat if type(table) is _Ranks else _flat_ranks(table, ValidationError)
-            object.__setattr__(self, "crossings", _Crossings(_crossing_bits(n, ranks)))
+            if type(table) is not _Ranks:
+                table = _Ranks.listed(n, _flat_ranks(table, ValidationError))
+            object.__setattr__(self, "crossings", _Crossings(_crossing_bits(n, table)))
         if model.payload == "crossings" and rotations is not None and self.anchor is not None:
             _check_anchored_rotations(self)
 
@@ -292,13 +293,47 @@ def _rank_grid(n: int):
 
 
 class _Ranks:
-    """An explicit table as one flat run of ranks r1, r2, r1, r2, ..., each
-    a Python int (the codec proves it), which ``Drawing`` builds as it is."""
+    """An explicit table as it is read: ``bits``, its stacked rows over n
+    vertices, into which ``fold`` ors each run of ranks r1, r2, r1, r2, ...
+    (Python ints) as soon as the run is parsed; ``in_order``, whether every
+    entry folded was a pair of ranks r1 < r2 in range; ``count``, the
+    entries folded; and ``runs()``, which reads the same runs again, so
+    that ``entries()`` lists the entries in table order for the error
+    paths.  ``Drawing`` checks the rows as they are."""
 
-    __slots__ = ("flat",)
+    __slots__ = ("bits", "in_order", "count", "runs", "_bit")
 
-    def __init__(self, flat: list):
-        self.flat = flat
+    def __init__(self, n, runs):
+        if not (type(n) is int and 2 <= n <= EXPLICIT_N_CAP):
+            n = 0  # no rows: a drawing refuses this n before it reads them
+        edges = _rank_grid(n)[0]
+        self._bit = [1 << c * n + w | 1 << w * n + c for c, w in edges]  # an edge's two bits
+        self.bits = [0] * len(edges)
+        self.in_order, self.count, self.runs = True, 0, runs
+
+    @classmethod
+    def listed(cls, n: int, ranks: list) -> "_Ranks":
+        """A hand-built or generally parsed table, its ranks one flat run."""
+        table = cls(n, lambda: (ranks,))
+        table.fold(ranks)
+        return table
+
+    def fold(self, ranks: list) -> None:
+        X, bit = self.bits, self._bit
+        m = len(X)
+        in_order = True
+        it = iter(ranks)
+        for r1, r2 in zip(it, it):
+            if 0 <= r1 < r2 < m:
+                X[r1] |= bit[r2]
+                X[r2] |= bit[r1]
+            else:
+                in_order = False
+        self.in_order &= in_order
+        self.count += len(ranks) // 2
+
+    def entries(self):
+        return chain.from_iterable(zip(it, it) for it in map(iter, self.runs()))
 
 
 def _flat_pairs(entries) -> Optional[list]:
@@ -327,32 +362,20 @@ def _flat_ranks(entries, error) -> list:
     return ranks
 
 
-def _crossing_bits(n: int, ranks: list) -> list:
-    """An explicit table's stacked rows, one int per edge in rank order, from
-    its entries (r1, r2) in any order, read as pairs of the flat run of ranks
-    ``ranks``: bits c*n + w and w*n + c of edge ab's int are set when ab
-    crosses edge cw, so row c of its kernel is ``x >> c*n & full``.  An entry
-    that names no independent pair in rank order raises ValidationError,
-    which names the smallest such entry."""
+def _crossing_bits(n: int, table: _Ranks) -> list:
+    """The stacked rows of ``table``, an explicit table over n vertices, one
+    int per edge in rank order: bits c*n + w and w*n + c of edge ab's int
+    are set when ab crosses edge cw, so row c of its kernel is ``x >> c*n &
+    full``.  An entry that names no independent pair in rank order raises
+    ValidationError, which names the smallest such entry."""
     edges = _rank_grid(n)[0]
-    m = len(edges)
-    bit = [1 << c * n + w | 1 << w * n + c for c, w in edges]  # an edge's two bits
-    X = [0] * m
-    in_order = True
-    it = iter(ranks)
-    for r1, r2 in zip(it, it):
-        if 0 <= r1 < r2 < m:
-            X[r1] |= bit[r2]
-            X[r2] |= bit[r1]
-        else:
-            in_order = False
+    m, X = len(edges), table.bits
     # an entry joining edges that share a vertex v is a bit of row v of
     # either edge's int
     full = (1 << n) - 1
-    if not in_order or any(x >> a * n & full or x >> b * n & full
-                           for x, (a, b) in zip(X, edges) if x):
-        it = iter(ranks)
-        r1, r2 = entry = min(e for e in zip(it, it)
+    if not table.in_order or any(x >> a * n & full or x >> b * n & full
+                                 for x, (a, b) in zip(X, edges) if x):
+        r1, r2 = entry = min(e for e in table.entries()
                              if not 0 <= e[0] < e[1] < m or {*edges[e[0]]} & {*edges[e[1]]})
         if not (0 <= r1 < m and 0 <= r2 < m) or r1 == r2:
             raise ValidationError(f"crossing ranks {list(entry)} out of range for n={n}")

@@ -1,10 +1,12 @@
 """Canonical serialization: round trips, determinism, validation."""
 
 import dataclasses
+import functools
 import itertools
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 from test_fuzz import random_explicit
@@ -935,3 +937,135 @@ class TestFlatRanks:
             assert type(codec._parse_drawing(padded)["crossings"]) is list
             assert decode_drawing(padded) == decode_drawing(text) == d
 
+
+# -- a table read a piece at a time ---------------------------------------------
+#
+# decode_drawing parses a table as written a piece of about codec._PIECE
+# characters at a time, each cut at an entry boundary "],[", and folds each
+# piece into the rows before it reads the next.  Below the pieces are a few
+# entries long, so every table spans many of them; each expected message is
+# the one the table gives when it is parsed whole.
+
+SHORT_PIECE = 16  # two or three entries of x12, one or two of T48
+
+
+@functools.lru_cache(maxsize=None)
+def _twisted_text(n):
+    """The document of the explicit restriction of twisted n to all its vertices."""
+    return encode_drawing(induced_subdrawing(gen_twisted(n), range(n)))
+
+
+def _with_entries(text, first=None, last=None):
+    """text with the first and the last entry of its table written as given,
+    ranks as text ("62,66")."""
+    table, end = text.index("[[") + 2, text.index("]]")
+    at = text.rindex("],[", 0, end) + 3
+    if last is not None:
+        text = text[:at] + last + text[end:]
+    if first is not None:
+        text = text[:table] + first + text[text.index("],[", table):]
+    return text
+
+
+class TestTablePieces:
+    @pytest.mark.parametrize("n", [12, 48])
+    def test_short_pieces_decode_to_the_same_rows(self, n, monkeypatch):
+        d = induced_subdrawing(gen_twisted(n), range(n))
+        text = _twisted_text(n)
+        monkeypatch.setattr(codec, "_PIECE", SHORT_PIECE)
+        start, end = text.index("[[") + 2, text.index("]]")
+        runs = list(codec._runs(text, start, end))
+        assert len(runs) > len(json.loads(text)["crossings"]) // 4
+        decoded = decode_drawing(text)
+        assert decoded.crossings == d.crossings
+        assert encode_drawing(decoded) == text
+
+    def test_a_cut_at_exactly_the_piece_length(self, monkeypatch):
+        # the first boundary starts exactly _PIECE characters into the table,
+        # so the first piece is the first entry; one character more, and it
+        # takes the second entry too
+        text = _twisted_text(12)
+        start, end = text.index("[[") + 2, text.index("]]")
+        boundary = text.index("],[", start) - start
+        entries = json.loads(text)["crossings"]
+        for piece, first in ((boundary - 1, 1), (boundary, 1), (boundary + 1, 2)):
+            monkeypatch.setattr(codec, "_PIECE", piece)
+            assert next(codec._runs(text, start, end)) == sum(entries[:first], [])
+            assert encode_drawing(decode_drawing(text)) == text
+        for piece in range(1, 40):
+            monkeypatch.setattr(codec, "_PIECE", piece)
+            assert encode_drawing(decode_drawing(text)) == text, piece
+
+    @pytest.mark.parametrize("n, first, last, message", [
+        (48, None, "1124,1128", "crossing ranks [1124, 1128] out of range for n=48"),
+        (12, None, "62,66", "crossing ranks [62, 66] out of range for n=12"),
+        (12, None, "63,62",
+         "crossing pair [63, 62] joins edges (9,10) and (8,11) out of rank order"),
+        (12, None, "0,1",
+         "crossing pair [0, 1] joins edges (0,1) and (0,2) which share a vertex"),
+        # two bad entries, the smaller one in the last piece
+        (12, "60,70", "2,1",
+         "crossing pair [2, 1] joins edges (0,3) and (0,2) which share a vertex"),
+    ], ids=["T48 range", "range", "order", "shared", "two bad"])
+    def test_a_bad_entry_in_the_last_piece_is_named(self, n, first, last, message,
+                                                    monkeypatch):
+        text = _with_entries(_twisted_text(n), first, last)
+        monkeypatch.setattr(codec, "_PIECE", SHORT_PIECE)
+        with pytest.raises(ValidationError) as info:
+            decode_drawing(text)
+        assert str(info.value) == message
+
+    def test_an_entry_repeated_across_pieces_is_named(self, monkeypatch):
+        # the first entry, [2,11], again after the last
+        text = _with_entries(_twisted_text(12), last="62,63],[2,11")
+        monkeypatch.setattr(codec, "_PIECE", SHORT_PIECE)
+        with pytest.raises(ParseError) as info:
+            decode_drawing(text)
+        assert str(info.value) == "field 'crossings': entry [2, 11] is repeated"
+
+    @pytest.mark.parametrize("n, last, message", [
+        (12, "062,63", "line 1, column 3849: Expecting ',' delimiter"),
+        (12, ",63", "line 1, column 3848: Expecting value"),
+        (48, "01124,1125", "line 1, column 1935578: Expecting ',' delimiter"),
+    ], ids=["leading zero", "empty rank", "T48 leading zero"])
+    def test_a_rank_json_refuses_in_the_last_piece_is_a_general_parse_error(
+            self, n, last, message, monkeypatch):
+        text = _with_entries(_twisted_text(n), last=last)
+        monkeypatch.setattr(codec, "_PIECE", SHORT_PIECE)
+        with pytest.raises(ParseError) as info:
+            decode_drawing(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("n, error, message", [
+        (-10 ** 9, ValidationError, "drawing needs an integer n >= 2, got -1000000000"),
+        (10 ** 6, SizeLimit, "explicit backend capped at n=256, got 1000000"),
+    ], ids=["negative", "past the cap"])
+    def test_a_table_over_an_n_no_drawing_takes_folds_no_rows(self, n, error, message):
+        # rows over such an n would not fit in memory; the drawing refuses n
+        # before it reads the table, on either route
+        for table in ("[[0,5]]", "[ [0,5] ]"):
+            text = '{"crossings":%s,"format":"cstg-1","model":"explicit","n":%d}\n' % (table, n)
+            with pytest.raises(error) as info:
+                decode_drawing(text)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("seed", [3, 47])
+    def test_short_pieces_decode_as_one_piece(self, seed, monkeypatch):
+        documents = list(_documents(seed))
+        whole = [_outcome(text) for _, text, _ in documents]
+        monkeypatch.setattr(codec, "_PIECE", SHORT_PIECE)
+        for (name, text, _), outcome in zip(documents, whole):
+            assert _outcome(text) == outcome, name
+
+    def test_decoding_holds_less_than_twice_the_text(self):
+        # the table's ranks are never all alive at once: parsed whole, T48's
+        # 389,160 ints peaked at about 8 times its 1.9 MB of text
+        text = _twisted_text(48)
+        decode_drawing(text)  # the rank grid of n = 48, cached once per process
+        tracemalloc.start()
+        try:
+            decode_drawing(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(text)
