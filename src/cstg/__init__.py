@@ -51,7 +51,6 @@ from .oracles import (
     OracleBudget,
     longest_plane_path_exact,
     max_pattern_exact,
-    numeric_rotation_oracle,
 )
 from .planepath import extract_plane_path, find_plane_k2m2, theta
 from .ramsey import (
@@ -101,7 +100,6 @@ __all__ = [
     "max_pattern_exact",
     "naive_builder",
     "naive_r_bound",
-    "numeric_rotation_oracle",
     "paper_r_bound",
     "phi_table",
     "render_svg",

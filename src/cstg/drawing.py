@@ -473,10 +473,10 @@ class _Model:
     ``anchor(d)`` the default vertex on the unbounded cell, ``cut(d, v0,
     ccw)`` the position in ccw of the germ after that cell's gap at v0 (else
     AnchorUnavailable), and ``order(d, v0)`` the rotation at v0 cut there and
-    read backwards; ``positions(d)`` places the vertices, and ``turn``
-    holds the sweeps of a whole arc for ``arc`` and ``germ_sweep`` (None for
-    straight edges); ``pattern`` is CONVEX or TWISTED when the whole drawing
-    is that pattern.
+    read backwards; ``positions(d)`` places the vertices for rendering, and
+    ``turn`` holds the sweeps of a whole arc for ``arc`` (None for straight
+    edges); ``pattern`` is CONVEX or TWISTED when the whole drawing is that
+    pattern.
     """
 
     payload = None
@@ -578,13 +578,6 @@ class _Twisted(_Model):
             pts.append((rho * math.cos(th), rho * math.sin(th)))
         return pts
 
-    def germ_sweep(self, pos, v, u, eps):
-        # eps over about the length of the arc, from the end at v
-        i, j = sorted_pair(v, u)
-        ri, rj = float(i + 1), float(j + 1)
-        span = abs(rj - ri) + 2 * math.pi * max(ri, rj)
-        return eps / span if v == i else 1.0 - eps / span
-
 
 class _HalfCircle(_Twisted):
     """Vertex v at (v+1, 0), edge e a semicircle above (U) or below (L) by
@@ -684,13 +677,6 @@ class _HalfCircle(_Twisted):
         r = abs(xw - xu) / 2.0
         h = r if d.signs[d.rank(u, w)] == "U" else -r  # (-r) * y is -(r * y) exactly
         return [(c + r * math.cos(th), h * math.sin(th)) for th in sweeps]
-
-    def germ_sweep(self, pos, v, u, eps):
-        # the chord of length eps from v subtends the sweep delta
-        xv, xu = pos[v][0], pos[u][0]
-        r = abs(xu - xv) / 2.0
-        delta = 2.0 * math.asin(min(1.0, eps / (2.0 * r)))
-        return (0.0 + delta) if xv > xu else (math.pi - delta)
 
 
 class _Points(_Model):

@@ -6,9 +6,9 @@ canonical anchor vertex that provably lies on the unbounded cell, and its
 anchored order (the drawn rotation at the anchor cut at the gap facing the
 unbounded cell, read backwards).  The readers here only ask the model.
 
-The derived rotation rules are validated against the numeric germ-sampling
-oracle, never trusted (see cstg.oracles.numeric_rotation_oracle and the test
-suite).
+The derived rotation rules are not trusted: the tests hold them to a
+numeric oracle that samples each drawn arc near its ends
+(``tests/helpers.py``).
 """
 
 from __future__ import annotations

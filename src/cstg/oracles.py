@@ -2,10 +2,21 @@
 
 Ordered branch-and-bound for maximum convex/twisted sub-patterns (weak
 isomorphism permits relabeling, so the search runs over orderings, not just
-subsets), depth-first search for the longest plane path, and a numeric
-germ-sampling oracle that recomputes rotation systems from raw geometry.
-Budgets are mandatory in spirit: searches carry node and time caps and flag
-whether they completed.
+subsets) and depth-first search for the longest plane path.  A budget caps
+a search's nodes and time; without one the search runs to its end.  Every
+result says whether the search completed, and one stopped by its budget
+raises BudgetExhausted with the best sequence it held.  The float
+germ-sampling check of the models' rotation systems is test code
+(``tests/helpers.py``): weak isomorphism reads only which edges cross.
+
+Two answers are known by proof.  C5 and T5 are the two classes of K5 with
+five crossings.  In a half-circle drawing two edges cross only when their
+endpoints interleave on the line, so every crossing of a 5-subset is one of
+C5's in line order, and a 5-subset with five crossings is C5 in line order.
+Five points in general position span 1, 3 or 5 crossings, and 5 exactly
+when they are in convex position, which is C5 again.  So neither family
+holds a T5, and the twisted maximum of such a drawing on n >= 4 vertices
+is 4 when some K4 crosses and 3 otherwise.
 
 The searches test consistency with Python-int masks, the representation
 :mod:`cstg.chromatics` uses.  The pattern search picks the first vertex of a
@@ -41,20 +52,18 @@ stops at a path through every vertex.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .drawing import (
     CONVEX,
-    MODELS,
     TWISTED,
     Drawing,
     _stacked_rows,
     crossing_masks,
 )
-from .errors import BudgetExhausted, DegenerateInput, InvalidSelection
+from .errors import BudgetExhausted, InvalidSelection
 
 
 @dataclass(frozen=True)
@@ -63,10 +72,17 @@ class OracleBudget:
     nodes: Optional[int] = None
 
     def __post_init__(self):
-        if self.seconds is not None and not self.seconds > 0:  # NaN too; inf is no limit
-            raise InvalidSelection("time budget must be positive")
-        if self.nodes is not None and self.nodes <= 0:
-            raise InvalidSelection("node budget must be positive")
+        seconds, nodes = self.seconds, self.nodes
+        if seconds is not None:
+            if isinstance(seconds, bool) or not isinstance(seconds, (int, float)):
+                raise InvalidSelection(f"time budget must be a number, got {seconds!r}")
+            if not seconds > 0:  # NaN too; inf is no limit
+                raise InvalidSelection("time budget must be positive")
+        if nodes is not None:
+            if isinstance(nodes, bool) or not isinstance(nodes, int):
+                raise InvalidSelection(f"node budget must be an integer, got {nodes!r}")
+            if nodes <= 0:
+                raise InvalidSelection("node budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -103,6 +119,18 @@ class _Clock:
         if self.deadline is not None and self.nodes % 1024 == 0:
             return time.monotonic() <= self.deadline
         return True
+
+    def finish(self, search: str, best: List[int], completed: bool,
+               exact: bool = True) -> OracleResult:
+        """The result of a search that ended with ``best``: exact when it
+        completed and ``exact`` holds; BudgetExhausted, carrying it, when
+        the budget stopped the search."""
+        result = OracleResult(size=len(best), witness=tuple(best), nodes=self.nodes,
+                              exact=completed and exact)
+        if not completed:
+            raise BudgetExhausted(f"{search} search budget exhausted after {self.nodes} nodes",
+                                  payload=result)
+        return result
 
 
 def max_pattern_exact(
@@ -215,11 +243,7 @@ def max_pattern_exact(
 
     completed = search()
     dfs = None  # dfs refers to itself: drop that cycle so the rows go now
-    result = OracleResult(size=len(best), witness=tuple(best), nodes=clock.nodes, exact=completed)
-    if not completed:
-        raise BudgetExhausted(f"pattern search budget exhausted after {clock.nodes} nodes",
-                              payload=result)
-    return result
+    return clock.finish("pattern", best, completed)
 
 
 def longest_plane_path_exact(
@@ -285,71 +309,5 @@ def longest_plane_path_exact(
         if len(best) >= stop:
             break
     dfs = None  # as in max_pattern_exact: free the conflict masks now
-    exact = completed and (len(best) == k or len(best) < stop)
-    result = OracleResult(size=len(best), witness=tuple(best), nodes=clock.nodes, exact=exact)
-    if not completed:
-        raise BudgetExhausted(
-            f"path search budget exhausted after {clock.nodes} nodes",
-            payload=result,
-        )
-    return result
+    return clock.finish("path", best, completed, len(best) == k or len(best) < stop)
 
-
-# -- numeric rotation oracle --------------------------------------------------
-
-
-def _germ_point(model, d, pos, v: int, u: int, eps: float) -> Tuple[float, float]:
-    """A point on the drawn arc v-u of d's model at distance about eps from v."""
-    if model.turn is None:  # a straight edge
-        px, py = pos[v]
-        qx, qy = pos[u]
-        norm = math.hypot(qx - px, qy - py)
-        return (px + eps * (qx - px) / norm, py + eps * (qy - py) / norm)
-    return model.arc(d, pos, v, u, [model.germ_sweep(pos, v, u, eps)])[0]
-
-
-_GERM_RETRIES = 40
-
-
-def numeric_rotation_oracle(d: Drawing) -> Tuple[Tuple[int, ...], ...]:
-    """Rotation system recovered by sampling each arc near its endpoints.
-
-    Germs are sorted by angle at a quarter of the closest vertex gap; when
-    two germs are numerically indistinguishable the distance is halved, up
-    to a retry cap, then the input is reported as degenerate.
-    """
-    model = MODELS[d.model]
-    pos = model.positions(d)
-    if len(set(pos)) != len(pos):
-        raise DegenerateInput("duplicate vertex positions")
-    eps = 0.25 * min(
-        math.hypot(ax - bx, ay - by)
-        for idx, (ax, ay) in enumerate(pos)
-        for bx, by in pos[idx + 1 :]
-    )
-    rotations = []
-    for v in range(d.n):
-        scale = eps
-        for _ in range(_GERM_RETRIES):
-            germs = []
-            for u in range(d.n):
-                if u == v:
-                    continue
-                gx, gy = _germ_point(model, d, pos, v, u, scale)
-                ang = math.atan2(gy - pos[v][1], gx - pos[v][0]) % (2 * math.pi)
-                germs.append((ang, u))
-            germs.sort()
-            angles = [a for a, _ in germs]
-            distinct = all(
-                (angles[(idx + 1) % len(angles)] - angles[idx]) % (2 * math.pi) > 1e-9
-                for idx in range(len(angles))
-            )
-            if distinct or len(germs) <= 1:
-                rotations.append(tuple(u for _, u in germs))
-                break
-            scale /= 2.0
-        else:
-            raise DegenerateInput(
-                f"germs at vertex {v} remain indistinguishable after {_GERM_RETRIES} retries"
-            )
-    return tuple(rotations)

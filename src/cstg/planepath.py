@@ -90,6 +90,8 @@ def find_plane_k2m2(ad: AnchoredDrawing, m: int) -> Optional[Certificate]:
     Position i has n-1-i successors, so only positions with at least m^2
     of them are read.
     """
+    if m < 1:
+        raise InvalidSelection(f"m must be at least 1, got {m}")
     need = m * m
     for i in range(1, ad.n - need):
         length, witness = _lis(theta(ad, i))

@@ -5,17 +5,31 @@ criterion 02, the region test and the subsequence search of the plane path
 pipeline, the rotation order that the colors of an anchored drawing
 decide, and the inverse of ``edge_index``.  ``full_order_max_pattern`` is
 a second pattern search that breaks no symmetry but rotation, the size
-oracle the tests hold ``max_pattern_exact`` to.  No CLI path reaches them.
+oracle the tests hold ``max_pattern_exact`` to.  ``numeric_rotation_oracle``
+recomputes a drawing's rotation system from the float geometry its model
+renders, the oracle that acceptance criterion 12 holds the models' rotation
+rules to; ``GERM_SWEEPS`` gives it, per model with positions, the sweep of
+an arc near one end.  No CLI path reaches them.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Callable, Optional, Sequence, Tuple
 
 from cstg.chromatics import ChiCache, _members
-from cstg.drawing import CONVEX, AnchoredDrawing, _quadruples_up_to, crossing_masks, pattern_fit
-from cstg.errors import InvalidEdge, InvalidTriple
+from cstg.drawing import (
+    CONVEX,
+    MODELS,
+    AnchoredDrawing,
+    Drawing,
+    _quadruples_up_to,
+    crossing_masks,
+    pattern_fit,
+    sorted_pair,
+)
+from cstg.errors import DegenerateInput, InvalidEdge, InvalidTriple
 from cstg.oracles import OracleResult
 from cstg.planepath import _inside, _lis
 
@@ -170,3 +184,105 @@ def full_order_max_pattern(d, kind: str) -> OracleResult:
 
     dfs([], (1 << n) - 1, [])
     return OracleResult(len(best), tuple(best), nodes, True)
+
+
+# -- numeric rotation oracle --------------------------------------------------
+
+
+def _twisted_sweep(pos, v, u, eps):
+    # eps over about the length of the arc, from the end at v
+    i, j = sorted_pair(v, u)
+    ri, rj = float(i + 1), float(j + 1)
+    span = abs(rj - ri) + 2 * math.pi * max(ri, rj)
+    return eps / span if v == i else 1.0 - eps / span
+
+
+def _halfcircle_sweep(pos, v, u, eps):
+    # the chord of length eps from v subtends the sweep delta
+    xv, xu = pos[v][0], pos[u][0]
+    r = abs(xu - xv) / 2.0
+    delta = 2.0 * math.asin(min(1.0, eps / (2.0 * r)))
+    return (0.0 + delta) if xv > xu else (math.pi - delta)
+
+
+# Per model with positions, sweep(pos, v, u, eps): the sweep that the model's
+# ``arc`` reads as the point of arc v-u at distance about eps from v; None for
+# a model with straight edges.
+GERM_SWEEPS = {
+    "convex": None,
+    "twisted": _twisted_sweep,
+    "halfcircle": _halfcircle_sweep,
+    "points": None,
+}
+
+# The models whose ``positions`` raise GeometryMissing.
+WITHOUT_GEOMETRY = {"explicit"}
+
+
+def models_without_germ_sweep():
+    """The models of ``MODELS`` that have positions but no ``GERM_SWEEPS``
+    entry, or whose entry does not say what their ``turn`` says: straight
+    edges (None) or arcs."""
+    return sorted(
+        name for name, model in MODELS.items()
+        if name not in WITHOUT_GEOMETRY and hasattr(model, "positions")
+        and (name not in GERM_SWEEPS or (GERM_SWEEPS[name] is None) != (model.turn is None))
+    )
+
+
+def _germ_point(model, d, pos, v: int, u: int, eps: float) -> Tuple[float, float]:
+    """A point on the drawn arc v-u of d's model at distance about eps from v."""
+    sweep = GERM_SWEEPS[d.model]
+    if sweep is None:  # a straight edge
+        px, py = pos[v]
+        qx, qy = pos[u]
+        norm = math.hypot(qx - px, qy - py)
+        return (px + eps * (qx - px) / norm, py + eps * (qy - py) / norm)
+    return model.arc(d, pos, v, u, [sweep(pos, v, u, eps)])[0]
+
+
+_GERM_RETRIES = 40
+
+
+def numeric_rotation_oracle(d: Drawing) -> Tuple[Tuple[int, ...], ...]:
+    """Rotation system recovered by sampling each arc near its endpoints.
+
+    Germs are sorted by angle at a quarter of the closest vertex gap; when
+    two germs are numerically indistinguishable the distance is halved, up
+    to a retry cap, then the input is reported as degenerate.
+    """
+    model = MODELS[d.model]
+    pos = model.positions(d)
+    if len(set(pos)) != len(pos):
+        raise DegenerateInput("duplicate vertex positions")
+    eps = 0.25 * min(
+        math.hypot(ax - bx, ay - by)
+        for idx, (ax, ay) in enumerate(pos)
+        for bx, by in pos[idx + 1 :]
+    )
+    rotations = []
+    for v in range(d.n):
+        scale = eps
+        for _ in range(_GERM_RETRIES):
+            germs = []
+            for u in range(d.n):
+                if u == v:
+                    continue
+                gx, gy = _germ_point(model, d, pos, v, u, scale)
+                ang = math.atan2(gy - pos[v][1], gx - pos[v][0]) % (2 * math.pi)
+                germs.append((ang, u))
+            germs.sort()
+            angles = [a for a, _ in germs]
+            distinct = all(
+                (angles[(idx + 1) % len(angles)] - angles[idx]) % (2 * math.pi) > 1e-9
+                for idx in range(len(angles))
+            )
+            if distinct or len(germs) <= 1:
+                rotations.append(tuple(u for _, u in germs))
+                break
+            scale /= 2.0
+        else:
+            raise DegenerateInput(
+                f"germs at vertex {v} remain indistinguishable after {_GERM_RETRIES} retries"
+            )
+    return tuple(rotations)

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from helpers import check_transitive_completion
+from helpers import check_transitive_completion, numeric_rotation_oracle
 from test_chromatics import class_masks, mirrored_twisted_view
 
 from cstg.chromatics import validate_observation
@@ -40,7 +40,7 @@ from cstg.generators import (
     gen_twisted,
     rotations_of,
 )
-from cstg.oracles import longest_plane_path_exact, max_pattern_exact, numeric_rotation_oracle
+from cstg.oracles import longest_plane_path_exact, max_pattern_exact
 from cstg.planepath import extract_plane_path
 from cstg.ramsey import adversarial_painter, naive_builder, run_game
 

@@ -7,6 +7,7 @@ import math
 import random
 
 import pytest
+from helpers import numeric_rotation_oracle
 
 from cstg.chromatics import validate_observation
 from cstg.drawing import (
@@ -39,7 +40,7 @@ from cstg.generators import (
     rotation_at,
     rotations_of,
 )
-from cstg.oracles import max_pattern_exact, numeric_rotation_oracle
+from cstg.oracles import max_pattern_exact
 
 
 def spiral_cross(radii, e1, e2):

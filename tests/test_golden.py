@@ -15,6 +15,7 @@ rank bitsets; of a `bench` CSV, fixed before its trials were run inline."""
 import hashlib
 
 import pytest
+from helpers import numeric_rotation_oracle
 
 from cstg.cli import EXIT_OK, dispatch
 from cstg.codec import decode_drawing, encode_certificate, encode_drawing
@@ -27,7 +28,6 @@ from cstg.drawing import (
     induced_subdrawing,
 )
 from cstg.generators import gen_convex, gen_halfcircle, gen_twisted
-from cstg.oracles import numeric_rotation_oracle
 
 DRAWINGS = {
     "halfcircle-40-3": ["--family", "halfcircle", "--n", "40", "--seed", "3"],

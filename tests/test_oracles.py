@@ -4,16 +4,19 @@ import itertools
 import random
 
 import pytest
-from helpers import full_order_max_pattern
-from test_drawing import crossing_function
+import helpers
+from helpers import full_order_max_pattern, numeric_rotation_oracle
+from test_drawing import crossing_function, random_points
 from test_fuzz import random_explicit
 
 from cstg import oracles
 from cstg.drawing import (
     CONVEX,
+    MODELS,
     TWISTED,
     Certificate,
     Drawing,
+    cross,
     crossing_masks,
     edge_index,
     induced_subdrawing,
@@ -38,7 +41,6 @@ from cstg.oracles import (
     _Clock,
     longest_plane_path_exact,
     max_pattern_exact,
-    numeric_rotation_oracle,
 )
 
 
@@ -85,6 +87,29 @@ class TestMaxPattern:
         payload = info.value.payload
         assert not payload.exact
         assert payload.size >= 1
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"nodes": 2.5}, "node budget must be an integer, got 2.5"),
+            ({"nodes": True}, "node budget must be an integer, got True"),
+            ({"nodes": "5"}, "node budget must be an integer, got '5'"),
+            ({"seconds": True}, "time budget must be a number, got True"),
+            ({"seconds": "5"}, "time budget must be a number, got '5'"),
+            ({"seconds": float("nan")}, "time budget must be positive"),
+            ({"nodes": 0}, "node budget must be positive"),
+        ],
+    )
+    def test_a_budget_that_is_no_positive_number_is_refused(self, kwargs, message):
+        with pytest.raises(InvalidSelection) as info:
+            OracleBudget(**kwargs)
+        assert str(info.value) == message
+
+    def test_an_int_time_budget_is_a_number(self):
+        d = gen_twisted(8)
+        assert max_pattern_exact(d, CONVEX, OracleBudget(seconds=60, nodes=10**6)) == (
+            max_pattern_exact(d, CONVEX)
+        )
 
     def test_infinite_time_budget_is_no_limit(self):
         # the positivity check must let inf through (NaN is refused)
@@ -253,12 +278,12 @@ class TestNumericRotations:
     def test_germs_that_stay_together_are_degenerate(self, monkeypatch):
         # the germs of 0-1 and 0-2 coincide at every distance: the search
         # halves it up to its retry cap, then gives up
-        germ = oracles._germ_point
+        germ = helpers._germ_point
 
         def merged(model, d, pos, v, u, eps):
             return germ(model, d, pos, v, 1 if (v, u) == (0, 2) else u, eps)
 
-        monkeypatch.setattr(oracles, "_germ_point", merged)
+        monkeypatch.setattr(helpers, "_germ_point", merged)
         with pytest.raises(DegenerateInput) as info:
             numeric_rotation_oracle(gen_convex(5))
         assert str(info.value) == (
@@ -269,6 +294,16 @@ class TestNumericRotations:
         with pytest.raises(DegenerateInput, match=r"duplicate point \(0, 0\)"):
             Drawing(n=2, model="points", points=((0, 0), (0, 0)))
 
+    def test_every_model_with_positions_has_a_germ_sweep(self):
+        assert helpers.models_without_germ_sweep() == []
+
+    def test_a_model_without_its_germ_sweep_is_named(self, monkeypatch):
+        # a new model with positions and no entry, and straight edges given
+        # an arc's sweep
+        monkeypatch.setitem(MODELS, "spiral", MODELS["twisted"])
+        monkeypatch.setitem(helpers.GERM_SWEEPS, "points", helpers.GERM_SWEEPS["twisted"])
+        assert helpers.models_without_germ_sweep() == ["points", "spiral"]
+
     def test_geometry_missing_for_explicit(self):
         from cstg.drawing import Drawing
         from cstg.errors import GeometryMissing
@@ -276,6 +311,36 @@ class TestNumericRotations:
         d = Drawing(n=4, model="explicit", crossings=frozenset())
         with pytest.raises(GeometryMissing):
             numeric_rotation_oracle(d)
+
+
+def no_twisted_five_drawings():
+    for n in (32, 64):
+        for seed in (0, 1):
+            yield f"halfcircle {n} seed {seed}", gen_halfcircle(n, seed=seed)
+    yield "horton 32", gen_straightline(gen_horton(5))
+    for seed in range(3):
+        yield f"points 40 seed {seed}", random_points(random.Random(seed), 40, 1000)
+
+
+class TestNoTwistedFive:
+    # C5 and T5 are the two five-crossing classes of K5, and in half-circle
+    # and straight-line drawings every five-crossing 5-subset is C5, so the
+    # twisted maximum there is 4 once some K4 crosses (the oracles docstring)
+    @pytest.mark.parametrize("name,d", list(no_twisted_five_drawings()))
+    def test_twisted_maximum_is_four(self, name, d):
+        result = max_pattern_exact(d, TWISTED, OracleBudget(nodes=50_000))
+        assert (result.size, result.exact) == (4, True)
+
+    def test_five_crossing_subsets_of_halfcircles_are_convex_in_line_order(self):
+        found = 0
+        for seed in range(20):
+            d = gen_halfcircle(9, seed=seed)
+            for sub in itertools.combinations(range(9), 5):
+                pairs = itertools.combinations(itertools.combinations(sub, 2), 2)
+                if sum(cross(d, e, f) for e, f in pairs if not set(e) & set(f)) == 5:
+                    found += 1
+                    assert verify_certificate(d, Certificate(CONVEX, sub)).ok, (seed, sub)
+        assert found == 148
 
 
 class TestDominance:

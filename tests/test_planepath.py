@@ -219,6 +219,12 @@ class TestFindPlaneStar:
         assert find_plane_k2m2(mirrored_twisted_view(17), 4) is None
         assert calls == []
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_m_below_one_is_refused(self, m):
+        with pytest.raises(InvalidSelection) as info:
+            find_plane_k2m2(anchored_view(gen_convex(8)), m)
+        assert str(info.value) == f"m must be at least 1, got {m}"
+
     def test_m1_always_found(self):
         for d in (gen_convex(5), gen_twisted(5), gen_halfcircle(5, seed=0)):
             cert = find_plane_k2m2(anchored_view(d), 1)
