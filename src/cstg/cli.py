@@ -23,6 +23,7 @@ from .drawing import CONVEX, MODELS, TWISTED, Certificate, _certified, verify_ce
 from .errors import (
     BudgetExhausted,
     CstgError,
+    InvalidSelection,
     ParseError,
 )
 from .extraction import extract_pattern
@@ -56,8 +57,8 @@ def _build_parser() -> _Parser:
         choices=["convex", "twisted", "halfcircle", "points", "horton"],
     )
     gen.add_argument("--n", type=int)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--points", help="integer points as 'x,y;x,y;...'")
+    gen.add_argument("--seed", type=int, help="halfcircle only; default 0")
+    gen.add_argument("--points", help="points only: integer points as 'x,y;x,y;...'")
     gen.add_argument("--out")
 
     ver = sub.add_parser("verify", help="check a certificate against a drawing")
@@ -154,6 +155,14 @@ def _parse_points(raw: str):
 
 
 def _cmd_generate(args) -> int:
+    # a flag the family does not read is refused, not dropped
+    unread = [flag for flag, refused in (
+        ("--n", args.n is not None and args.family == "points"),
+        ("--seed", args.seed is not None and args.family != "halfcircle"),
+        ("--points", args.points is not None and args.family != "points"),
+    ) if refused]
+    if unread:
+        raise UsageError(f"{args.family} family does not read {unread[0]}")
     if args.family == "points":
         if not args.points:
             raise UsageError("points family needs --points")
@@ -173,7 +182,7 @@ def _cmd_generate(args) -> int:
         elif args.family == "twisted":
             d = generators.gen_twisted(args.n)
         else:
-            d = generators.gen_halfcircle(args.n, seed=args.seed)
+            d = generators.gen_halfcircle(args.n, seed=args.seed or 0)
     _emit(codec.encode_drawing(d), args.out)
     return EXIT_OK
 
@@ -243,11 +252,14 @@ def _cmd_extract(args) -> int:
         path_target=args.path_target,
         budget=budget,
     )
+    if args.star_out and outcome.bipartite is None:
+        stats = outcome.stats
+        raise InvalidSelection(f"star out unused: m = {stats.m} takes the {stats.branch} branch")
     for line in outcome.report_lines():
         print(line)
     if args.out:
         codec.save_certificate(outcome.path, args.out)
-    if args.star_out and outcome.bipartite is not None:
+    if args.star_out:
         codec.save_certificate(outcome.bipartite, args.star_out)
     return EXIT_OK
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence, Tuple
 
-from .drawing import MODELS, AnchoredDrawing, Drawing, cyclic_equal  # noqa: F401 (for callers)
+from .drawing import MODELS, AnchoredDrawing, Drawing
 from .errors import InvalidSelection, SizeLimit
 
 
@@ -90,7 +90,7 @@ def rotations_of(d: Drawing) -> Tuple[Tuple[int, ...], ...]:
 def rotation_at(d: Drawing, v: int) -> Tuple[int, ...]:
     """Counterclockwise cyclic order of the other vertices around v, the
     model's from its family-specific (documented) starting germ; compare
-    rotations with cyclic_equal.  An explicit drawing has only stored ones."""
+    rotations with drawing.cyclic_equal.  An explicit drawing has only stored ones."""
     return MODELS[d.model].rotation(d, v)
 
 

@@ -8,17 +8,23 @@ a second pattern search that breaks no symmetry but rotation, the size
 oracle the tests hold ``max_pattern_exact`` to.  ``numeric_rotation_oracle``
 recomputes a drawing's rotation system from the float geometry its model
 renders, the oracle that acceptance criterion 12 holds the models' rotation
-rules to; ``GERM_SWEEPS`` gives it, per model with positions, the sweep of
-an arc near one end.  No CLI path reaches them.
+rules to; it reads the sweep of an arc near one end from the model's entry
+in ``models.REGISTRY``.  No CLI path reaches them.  The rest are checks and
+data that several test modules share.
 """
 
 import math
+import random
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Callable, Optional, Sequence, Tuple
 
+from models import REGISTRY
+
 from cstg.chromatics import ChiCache, _members
+from cstg.cli import dispatch
+from cstg.codec import decode_certificate, decode_drawing
 from cstg.drawing import (
     CONVEX,
     MODELS,
@@ -27,9 +33,9 @@ from cstg.drawing import (
     _quadruples_up_to,
     crossing_masks,
     pattern_fit,
-    sorted_pair,
 )
 from cstg.errors import DegenerateInput, InvalidEdge, InvalidTriple
+from cstg.generators import rotation_at
 from cstg.oracles import OracleResult
 from cstg.planepath import _inside, _lis
 
@@ -132,6 +138,14 @@ def rotation_puts_first(chi: ChiCache, p: int, q: int, r: int) -> bool:
     return ("1" in color[:slot] + color[slot + 1:]) == (slot == 1)
 
 
+def independent_pairs(n):
+    """The pairs of edges of K_n that share no vertex."""
+    edges = list(combinations(range(n), 2))
+    for e1, e2 in combinations(edges, 2):
+        if not set(e1) & set(e2):
+            yield e1, e2
+
+
 def edge_at(rank: int, n: int) -> Tuple[int, int]:
     """Inverse of edge_index."""
     if rank < 0 or rank >= n * (n - 1) // 2:
@@ -189,50 +203,9 @@ def full_order_max_pattern(d, kind: str) -> OracleResult:
 # -- numeric rotation oracle --------------------------------------------------
 
 
-def _twisted_sweep(pos, v, u, eps):
-    # eps over about the length of the arc, from the end at v
-    i, j = sorted_pair(v, u)
-    ri, rj = float(i + 1), float(j + 1)
-    span = abs(rj - ri) + 2 * math.pi * max(ri, rj)
-    return eps / span if v == i else 1.0 - eps / span
-
-
-def _halfcircle_sweep(pos, v, u, eps):
-    # the chord of length eps from v subtends the sweep delta
-    xv, xu = pos[v][0], pos[u][0]
-    r = abs(xu - xv) / 2.0
-    delta = 2.0 * math.asin(min(1.0, eps / (2.0 * r)))
-    return (0.0 + delta) if xv > xu else (math.pi - delta)
-
-
-# Per model with positions, sweep(pos, v, u, eps): the sweep that the model's
-# ``arc`` reads as the point of arc v-u at distance about eps from v; None for
-# a model with straight edges.
-GERM_SWEEPS = {
-    "convex": None,
-    "twisted": _twisted_sweep,
-    "halfcircle": _halfcircle_sweep,
-    "points": None,
-}
-
-# The models whose ``positions`` raise GeometryMissing.
-WITHOUT_GEOMETRY = {"explicit"}
-
-
-def models_without_germ_sweep():
-    """The models of ``MODELS`` that have positions but no ``GERM_SWEEPS``
-    entry, or whose entry does not say what their ``turn`` says: straight
-    edges (None) or arcs."""
-    return sorted(
-        name for name, model in MODELS.items()
-        if name not in WITHOUT_GEOMETRY and hasattr(model, "positions")
-        and (name not in GERM_SWEEPS or (GERM_SWEEPS[name] is None) != (model.turn is None))
-    )
-
-
 def _germ_point(model, d, pos, v: int, u: int, eps: float) -> Tuple[float, float]:
     """A point on the drawn arc v-u of d's model at distance about eps from v."""
-    sweep = GERM_SWEEPS[d.model]
+    sweep = REGISTRY[d.model].germ_sweep
     if sweep is None:  # a straight edge
         px, py = pos[v]
         qx, qy = pos[u]
@@ -286,3 +259,131 @@ def numeric_rotation_oracle(d: Drawing) -> Tuple[Tuple[int, ...], ...]:
                 f"germs at vertex {v} remain indistinguishable after {_GERM_RETRIES} retries"
             )
     return tuple(rotations)
+
+
+# -- shared by several test modules ---------------------------------------------
+
+
+def run(capsys, *argv):
+    code = dispatch(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# a pair's 100 and 001 classes from its masks (R(p,q), R(q,p), X(p,q))
+CLASS_OF_MASKS = {
+    "100": lambda rp, rq, x: rp & ~(rq | x),
+    "001": lambda rp, rq, x: x & ~(rp | rq),
+}
+
+
+def class_masks(ad: AnchoredDrawing, color: str) -> Callable[[int, int], int]:
+    """cls(p, q) for check_transitive_completion: the color class of the
+    anchored drawing, read from the pair masks."""
+    pair = ChiCache(ad)._pair
+    pick = CLASS_OF_MASKS[color]
+    return lambda p, q: pick(*pair(p, q))
+
+
+def assert_rotations_follow_the_colors(ad):
+    """rotation_at at every vertex of ad reads each pair in the order that
+    the colors give (``rotation_puts_first``)."""
+    chi = ChiCache(ad)
+    pos = {u: p for p, u in enumerate((ad.v0,) + ad.order)}
+    for p in range(1, ad.n):
+        rot = rotation_at(ad.base, ad.vertex_at(p))
+        cut = rot.index(ad.v0)
+        read = [pos[u] for u in rot[cut + 1:] + rot[:cut]]
+        for q, r in combinations(read, 2):
+            assert rotation_puts_first(chi, p, q, r), (p, q, r)
+
+
+def assert_star_reads_the_pairs(ad, seed):
+    """star(f, gs) holds the masks of (g, f) for g < f, and those of (f, g)
+    with the two R masks swapped for g > f, in the order of gs: the pair
+    reader's three kernel reads."""
+    cache = ChiCache(ad)
+    pair, star = cache._pair, cache._star
+    for f in range(1, ad.n):
+        gs = [g for g in range(1, ad.n) if g != f]
+        random.Random(seed + f).shuffle(gs)
+        masks = star(f, gs)
+        assert len(masks) == len(gs)
+        for g, got in zip(gs, masks):
+            r_lo, r_hi, x = pair(min(f, g), max(f, g))  # R(lo,hi), R(hi,lo), X
+            assert got == ((r_lo, r_hi, x) if g < f else (r_hi, r_lo, x)), (f, g)
+        assert star(f, []) == []
+
+
+def path_positions(ad, out):
+    """The anchored positions of the path's vertices, in path order."""
+    return [ad.order.index(v) + 1 for v in out.path.vertices]
+
+
+def assert_step_shares(stats):
+    """Each decreasing step keeps at least half its run less the run's end,
+    and, while |S| > m^2, at least |S|/(2m)^2 candidates; the last step keeps
+    none."""
+    m_sq = stats.m * stats.m
+    sizes = stats.candidate_sizes
+    for size, lds, kept in zip(sizes, stats.lds_lengths, sizes[1:] + [0]):
+        assert 2 * kept >= lds - 1
+        assert size <= m_sq or 4 * m_sq * kept >= size
+
+
+def assert_wedges_uniform(ad, out):
+    """Every later path vertex sits on one side of each consecutive wedge."""
+    chi = ChiCache(ad)
+    path = path_positions(ad, out)
+    for t in range(len(path) - 2):
+        later = sum(1 << p for p in path[t + 2:])
+        assert _inside(chi, path[t], path[t + 1], later) in (0, later)
+
+
+def spiral_cross(radii, e1, e2):
+    """Crossing of two spiral arcs, decided from the realization itself.
+
+    Arc {i,j} (i<j) has radius rho(s) = r_i + (r_j - r_i) * s over sweep
+    parameter s in [0,1].  Two arcs meet where their radius difference
+    vanishes; with linear radii that happens at s* = u / (u - v) for
+    u = rho1(0)-rho2(0), v = rho1(1)-rho2(1), and the crossing is interior
+    (0 < s* < 1) exactly when u and v have strictly opposite signs.
+    """
+    i, j = min(e1), max(e1)
+    k, l = min(e2), max(e2)
+    u = radii[i] - radii[k]
+    v = radii[j] - radii[l]
+    return u * v < 0
+
+
+# documents that json.loads cannot read as they stand, or that it would read
+# last-wins: each is a ParseError naming what is wrong
+LONG_INT = "1" * 5001  # past Python's 4,300-digit limit for int("...")
+DEEP = "[" * 200_000 + "]" * 200_000
+
+BOUNDARY = [
+    ("drawing-long-n", decode_drawing,
+     '{"format":"cstg-1","model":"convex","n":%s}' % LONG_INT,
+     "an integer literal has too many digits"),
+    ("drawing-deep-rotations", decode_drawing,
+     '{"format":"cstg-1","model":"convex","n":3,"rotations":%s}' % DEEP,
+     "document nested too deeply"),
+    ("drawing-repeated-n", decode_drawing,
+     '{"format":"cstg-1","model":"convex","n":4,"n":5}',
+     "field 'n' is repeated"),
+    ("drawing-repeated-v0", decode_drawing,
+     '{"anchor":{"order":[3,2,1],"v0":0,"v0":1},"format":"cstg-1","model":"convex","n":4}',
+     "field 'v0' is repeated"),
+    ("certificate-long-vertex", decode_certificate,
+     '{"kind":"convex","vertices":[0,%s]}' % LONG_INT,
+     "an integer literal has too many digits"),
+    ("certificate-deep-vertices", decode_certificate,
+     '{"kind":"convex","vertices":%s}' % DEEP,
+     "document nested too deeply"),
+    ("certificate-repeated-kind", decode_certificate,
+     '{"kind":"convex","kind":"twisted","vertices":[0,1,2,3]}',
+     "field 'kind' is repeated"),
+    ("certificate-unknown-key", decode_certificate,
+     '{"kind":"convex","vertices":[0,1,2,3],"weight":1}',
+     "unknown fields ['weight']"),
+]

@@ -6,16 +6,20 @@ of desk-scale reach, so acceptance rests on exact small-scale laws, oracle
 equivalence, and runtime invariants never firing.
 """
 
-import itertools
 import math
 import random
 import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
-from helpers import check_transitive_completion, numeric_rotation_oracle
-from test_chromatics import class_masks, mirrored_twisted_view
+from helpers import (
+    check_transitive_completion,
+    class_masks,
+    independent_pairs,
+    numeric_rotation_oracle,
+    spiral_cross,
+)
+from models import mirrored_twisted_view
 
 from cstg.chromatics import validate_observation
 from cstg.cli import dispatch
@@ -26,13 +30,13 @@ from cstg.drawing import (
     Certificate,
     check_plane_edges,
     cross,
+    cyclic_equal,
     induced_subdrawing,
     verify_certificate,
 )
 from cstg.extraction import embed_tree, extract_pattern, guaranteed_m, required_n
 from cstg.generators import (
     anchored_view,
-    cyclic_equal,
     gen_convex,
     gen_halfcircle,
     gen_horton,
@@ -158,14 +162,9 @@ def test_criterion_03_generator_ground_truth():
         _twisted_sweep_m200()
         _convex_sweep_n64()
         # scalar library routes on a small size, exhaustively
-        from test_generators import spiral_cross
-
         d = gen_twisted(24)
         radii = tuple(range(1, 25))
-        edges = list(itertools.combinations(range(24), 2))
-        for e1, e2 in itertools.combinations(edges, 2):
-            if set(e1) & set(e2):
-                continue
+        for e1, e2 in independent_pairs(24):
             assert cross(d, e1, e2) == spiral_cross(radii, e1, e2)
 
 

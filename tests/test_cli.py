@@ -1,25 +1,17 @@
 """CLI contract: subcommands, exit codes, byte determinism."""
 
-import dataclasses
 import itertools
 import json
-import random
 import tracemalloc
 
 import pytest
-import test_codec
-from test_fuzz import random_explicit
+from helpers import BOUNDARY, run
+from models import anchored_restriction, violating_documents
 
 from cstg import cli, codec, drawing, generators
-from cstg.chromatics import ChiCache, phi_table, validate_observation
+from cstg.chromatics import ChiCache, phi_table
 from cstg.cli import dispatch
 from cstg.errors import ObservationViolated
-
-
-def run(capsys, *argv):
-    code = dispatch(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 class TestGenerateVerify:
@@ -92,14 +84,20 @@ class TestGenerateVerify:
                          "--frobnicate")
         assert code == 1
 
-    @pytest.mark.parametrize("family, message", [
-        ("points", "points family needs --points"),
-        ("horton", "horton family needs --n (a power of two)"),
-        ("convex", "convex family needs --n"),
-    ])
-    def test_generate_without_its_payload_is_a_usage_error(self, capsys, family, message):
-        code, stdout, err = run(capsys, "generate", "--family", family)
+    # without its payload, or with a flag its family does not read
+    @pytest.mark.parametrize("argv, message", [
+        (["points"], "points family needs --points"),
+        (["horton"], "horton family needs --n (a power of two)"),
+        (["convex"], "convex family needs --n"),
+        (["convex", "--n", "5", "--seed", "3"], "convex family does not read --seed"),
+        (["horton", "--n", "4", "--points", "0,0;1,2"], "horton family does not read --points"),
+        (["points", "--n", "3", "--points", "0,0;1,2;3,1"], "points family does not read --n"),
+    ], ids=["points", "horton", "convex", "seed elsewhere", "points elsewhere", "n with points"])
+    def test_generate_usage_error_writes_nothing(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "d.cstg"
+        code, stdout, err = run(capsys, "generate", "--family", *argv, "--out", str(out))
         assert (code, stdout, err) == (1, "", f"usage error: {message}\n")
+        assert not out.exists()
 
     def test_verify_takes_exactly_one_of_a_certificate_and_self(self, tmp_path, capsys):
         drawing = tmp_path / "c8.cstg"
@@ -191,6 +189,20 @@ class TestExtract:
         assert err == ("invalid input: InvalidSelection: "
                        f"{named} unused: m = 16 takes the decreasing branch\n")
         assert not path_cert.exists()
+
+    @pytest.mark.parametrize("flags, m, branch", [([], 1, "trivial"),
+                                                  (["--m-override", "16"], 16, "decreasing")],
+                             ids=["trivial", "decreasing"])
+    def test_planepath_star_out_without_a_star_exits_3(self, tmp_path, capsys, flags, m, branch):
+        drawing, path_cert, star = (tmp_path / name for name in ("hc64.cstg", "p.json", "s.json"))
+        run(capsys, "generate", "--family", "halfcircle", "--n", "64", "--seed", "1",
+            "--out", str(drawing))
+        code, stdout, err = run(capsys, "extract", "planepath", str(drawing), *flags,
+                                "--out", str(path_cert), "--star-out", str(star))
+        assert (code, stdout) == (3, "")
+        assert err == ("invalid input: InvalidSelection: "
+                       f"star out unused: m = {m} takes the {branch} branch\n")
+        assert not path_cert.exists() and not star.exists()
 
     def test_planepath_with_star_output(self, tmp_path, capsys):
         drawing = tmp_path / "hc.cstg"
@@ -311,6 +323,10 @@ class TestDeterminism:
                 "--seed", "11", "--out", str(out))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_halfcircle_without_a_seed_is_seed_0(self, capsys):
+        argv = ["generate", "--family", "halfcircle", "--n", "12"]
+        assert run(capsys, *argv) == run(capsys, *argv, "--seed", "0")
+
     def test_generate_stdout_equals_the_file(self, tmp_path, capsys):
         out = tmp_path / "hc.cstg"
         argv = ["generate", "--family", "halfcircle", "--n", "24", "--seed", "11"]
@@ -367,14 +383,6 @@ def reference_chi_table(path):
     return "".join(lines)
 
 
-def anchored_restriction(d, v0=None):
-    """The explicit restriction of d to its anchored order at v0 (the
-    canonical anchor when omitted), anchor declared."""
-    ad = generators.anchored_view(d, v0)
-    x = drawing.induced_subdrawing(d, (ad.v0,) + ad.order)
-    return dataclasses.replace(x, anchor=(0, tuple(range(1, d.n))))
-
-
 def assert_same_lines(got, want):
     """got == want as texts, reported by the first differing line and the
     line counts: a diff of two 180,000-line texts takes minutes."""
@@ -383,26 +391,6 @@ def assert_same_lines(got, want):
         assert g == w, f"line {number}: {g!r}, expected {w!r}"
     got_count, want_count = len(got_lines), len(want_lines)
     assert got_count == want_count, f"{got_count} lines, expected {want_count}"
-
-
-def violating_documents():
-    # the n=4 table of test_chromatics' injected violation: (1,2,3) colors 011
-    n = 4
-    crossings = frozenset({
-        drawing.sorted_pair(drawing.edge_index(1, 3, n), drawing.edge_index(0, 2, n)),
-        drawing.sorted_pair(drawing.edge_index(1, 2, n), drawing.edge_index(0, 3, n)),
-    })
-    yield "n=4", drawing.Drawing(n=n, model="explicit", crossings=crossings,
-                                 anchor=(0, (1, 2, 3)))
-    # a random table that violates only after some valid pairs
-    rng = random.Random(7)
-    while True:
-        d = random_explicit(rng, 10, density=0.05)
-        d = dataclasses.replace(d, anchor=(0, tuple(range(1, 10))))
-        report = validate_observation(generators.anchored_view(d))
-        if not report.ok and report.violation[:2] != (1, 2):
-            yield "n=10", d
-            return
 
 
 class TestTablesChi:
@@ -756,8 +744,8 @@ class TestInputErrors:
         assert err == "invalid input: ObservationViolated: triple (1, 2, 3) colored 011\n"
 
     @pytest.mark.parametrize("decode, text, message",
-                             [row[1:] for row in test_codec.BOUNDARY],
-                             ids=[row[0] for row in test_codec.BOUNDARY])
+                             [row[1:] for row in BOUNDARY],
+                             ids=[row[0] for row in BOUNDARY])
     def test_unreadable_document_is_a_parse_error(self, tmp_path, capsys, decode, text,
                                                    message):
         drawing = tmp_path / "c.cstg"

@@ -9,8 +9,8 @@ import re
 import time
 
 import pytest
-from helpers import edge_at
-from test_fuzz import random_explicit
+from helpers import edge_at, independent_pairs
+from models import SAMPLES, crossing_function, random_explicit, reference_collinear
 
 from cstg import drawing
 from cstg.codec import encode_drawing
@@ -24,14 +24,12 @@ from cstg.drawing import (
     Certificate,
     Drawing,
     CertificateReport,
-    _rank_offsets,
     check_plane_edges,
     cross,
     crossing_masks,
     crossing_pairs,
     edge_index,
     induced_subdrawing,
-    orient,
     sorted_pair,
     verify_certificate,
 )
@@ -46,94 +44,19 @@ from cstg.errors import (
     ValidationError,
 )
 from cstg.generators import (
+    anchored_view,
     gen_convex,
     gen_halfcircle,
     gen_horton,
     gen_straightline,
     gen_twisted,
+    rotations_of,
 )
 from cstg.oracles import max_pattern_exact
-
-# -- the crossing predicate: the reference for the crossing-mask kernel ---------
-#
-# One backend per model, answering for one pair of edges at a time.  The
-# library reads crossings only through crossing_masks; the tests here and in
-# test_oracles / test_chromatics compare it against this predicate.
-
-
-def _interleave(i: int, j: int, k: int, l: int) -> bool:
-    # both pairs sorted; strict interleaving of index intervals
-    return (i < k < j < l) or (k < i < l < j)
-
-
-def _nested(i: int, j: int, k: int, l: int) -> bool:
-    # both pairs sorted; one open interval strictly inside the other
-    return (i < k < l < j) or (k < i < j < l)
-
-
-def segments_cross(p1, p2, q1, q2) -> bool:
-    """Proper crossing of segments with no shared endpoints (general position)."""
-    return (
-        orient(p1, p2, q1) * orient(p1, p2, q2) < 0
-        and orient(q1, q2, p1) * orient(q1, q2, p2) < 0
-    )
-
-
-def crossing_function(d: Drawing):
-    """Raw crossing predicate f(i, j, k, l) on sorted, independent pairs.
-
-    No validation; the reference the kernel tests compare against.
-    """
-    if d.model == "convex":
-        return _interleave
-    if d.model == "twisted":
-        return _nested
-    if d.model == "halfcircle":
-        signs = d.signs
-        off = _rank_offsets(d.n)
-
-        def f(i, j, k, l, signs=signs, off=off):
-            if not ((i < k < j < l) or (k < i < l < j)):
-                return False
-            return signs[off[i] + j] == signs[off[k] + l]
-
-        return f
-    if d.model == "points":
-        pts = d.points
-
-        def f(i, j, k, l, pts=pts):
-            return segments_cross(pts[i], pts[j], pts[k], pts[l])
-
-        return f
-    # explicit
-    table = frozenset(crossing_pairs(d))
-    off = _rank_offsets(d.n)
-
-    def f(i, j, k, l, table=table, off=off):
-        r1 = off[i] + j
-        r2 = off[k] + l
-        return ((r1, r2) if r1 < r2 else (r2, r1)) in table
-
-    return f
-
-
-def reference_collinear(points):
-    """The cubic orientation scan Drawing used to run: the message for the
-    first collinear triple in lexicographic order, or None."""
-    for a, b, c in itertools.combinations(range(len(points)), 3):
-        if orient(points[a], points[b], points[c]) == 0:
-            return f"collinear triple ({a},{b},{c})"
-    return None
 
 
 def all_pairs(n):
     return list(itertools.combinations(range(n), 2))
-
-
-def independent_pairs(n):
-    for e1, e2 in itertools.combinations(all_pairs(n), 2):
-        if not set(e1) & set(e2):
-            yield e1, e2
 
 
 def relation(d):
@@ -225,11 +148,6 @@ class TestCross:
         d = Drawing(n=n, model="halfcircle", signs="".join(signs))
         assert cross(d, (1, 3), (2, 4)) is False
 
-    def test_symmetry_in_edge_arguments(self):
-        for d in (gen_convex(7), gen_twisted(7), gen_halfcircle(7, seed=1)):
-            for e1, e2 in independent_pairs(7):
-                assert cross(d, e1, e2) == cross(d, e2, e1)
-
     def test_adjacent_query_is_an_error(self):
         d = gen_convex(5)
         with pytest.raises(NotIndependent):
@@ -275,9 +193,12 @@ class TestCross:
     def test_every_independent_pair_matches_the_reference(self):
         # cross() reads one kernel over its four vertices, or an explicit
         # table; the predicate answers per model, so every backend is
-        # compared on every pair
+        # compared on every pair, both ways round
         rng = random.Random(77)
         drawings = [
+            gen_convex(7),
+            gen_twisted(7),
+            gen_halfcircle(7, seed=1),
             gen_convex(9),
             gen_twisted(9),
             gen_halfcircle(9, seed=5),
@@ -291,6 +212,7 @@ class TestCross:
             for e1, e2 in independent_pairs(d.n):
                 want = f(*e1, *e2)
                 assert cross(d, e1, e2) is want, (d.model, e1, e2)
+                assert cross(d, e2, e1) is want, (d.model, e1, e2)
                 assert cross(d, e2[::-1], e1) is want, (d.model, e1, e2)
 
     # entries that name no independent pair in rank order used to be skipped,
@@ -451,8 +373,6 @@ class TestInducedSubdrawing:
         d = gen_halfcircle(8, seed=3)
         vs = [0, 1, 3, 4, 6]
         sub = induced_subdrawing(d, vs)
-        from cstg.generators import rotations_of
-
         full = rotations_of(d)
         keep = set(vs)
         back = {v: i for i, v in enumerate(vs)}
@@ -462,8 +382,6 @@ class TestInducedSubdrawing:
 
     def test_anchor_restricts_when_kept(self):
         d = gen_halfcircle(8, seed=1)
-        from cstg.generators import anchored_view
-
         ad = anchored_view(d)
         carrier = Drawing(
             n=8,
@@ -584,8 +502,6 @@ class TestVerifyCertificate:
         assert report.ok
 
     def test_plane_bipartite(self):
-        from cstg.drawing import PLANE_BIPARTITE
-
         # half-circle star: center 0 uses upper arcs, center 1 lower arcs;
         # opposite half-planes never cross, same-center edges share a vertex
         n = 6
@@ -598,8 +514,6 @@ class TestVerifyCertificate:
 
     def test_convex_has_no_plane_two_three_star(self):
         # two leaves always land on one arc between the centers and cross
-        from cstg.drawing import PLANE_BIPARTITE
-
         d = gen_convex(8)
         for centers in itertools.combinations(range(8), 2):
             for leaves in itertools.combinations(
@@ -696,89 +610,7 @@ class TestAnchoredDrawing:
         assert position_of(ad, 2) == 0
 
 
-# -- crossing masks against the predicate ---------------------------------------
-
-
-def mask_drawings():
-    for n in (4, 7, 10, 14):
-        yield f"convex {n}", gen_convex(n)
-        yield f"twisted {n}", gen_twisted(n)
-    for seed in range(30):
-        n = 4 + seed % 11
-        yield f"halfcircle {n} seed {seed}", gen_halfcircle(n, seed=seed)
-    horton = gen_horton(4)
-    yield "horton 16", gen_straightline(horton)
-    yield "horton 16 negative", gen_straightline([(x - 1000, y - 999) for x, y in horton])
-    yield "horton 16 mixed signs", gen_straightline([(x - 7, 3 * y - 40) for x, y in horton])
-    yield "horton 16 beyond 2**64", gen_straightline(
-        [(x * 2**66 - 5, y * 2**67 + 2**65) for x, y in horton]
-    )
-    for seed, bound in ((11, 50), (12, 10**12)):
-        yield f"random points seed {seed}", random_points(random.Random(seed), 11, bound)
-    order = list(range(14))
-    random.Random(3).shuffle(order)
-    yield "shuffled restriction", induced_subdrawing(gen_halfcircle(16, seed=8), order)
-    rng = random.Random(505)
-    for t in range(8):
-        yield f"random explicit {t}", random_explicit(
-            rng, rng.randint(4, 11), density=rng.choice([0.05, 0.2, 0.5])
-        )
-
-
-def random_points(rng, n, bound):
-    """n distinct random points in general position, coordinates in [-bound, bound]."""
-    while True:
-        pts = {(rng.randint(-bound, bound), rng.randint(-bound, bound)) for _ in range(n)}
-        if len(pts) == n and reference_collinear(sorted(pts)) is None:
-            return gen_straightline(sorted(pts))
-
-
-MASK_DRAWINGS = dict(mask_drawings())
-
-
-def predicate_masks(d, order):
-    """N(a, b, c) over `order`, bit p for order[p], one predicate call per bit."""
-    f = crossing_function(d)
-    masks = {}
-    for a, b, c in itertools.permutations(order, 3):
-        mask = 0
-        for p, w in enumerate(order):
-            if w not in (a, b, c) and f(*sorted_pair(a, b), *sorted_pair(c, w)):
-                mask |= 1 << p
-        masks[a, b, c] = mask
-    return masks
-
-
-def mask_orders(d, rng):
-    """(name, order): a certificate order, the reversal, a random permutation,
-    and random subsets in random order: of any size, and of no, one and four
-    vertices (cross() builds four-vertex kernels)."""
-    yield "certificate", max_pattern_exact(d, CONVEX).witness
-    yield "reversal", range(d.n - 1, -1, -1)
-    yield "permutation", rng.sample(range(d.n), d.n)
-    yield "subset", rng.sample(range(d.n), rng.randint(3, d.n))
-    yield "empty", ()
-    yield "single", rng.sample(range(d.n), 1)
-    yield "quadruple", rng.sample(range(d.n), 4)
-
-
-class TestCrossingMasks:
-    @pytest.mark.parametrize("name", sorted(MASK_DRAWINGS))
-    def test_every_ordered_triple_matches_the_predicate(self, name):
-        d = MASK_DRAWINGS[name]
-        N = crossing_masks(d)
-        for key, want in predicate_masks(d, range(d.n)).items():
-            assert N(*key) == want, key
-
-    @pytest.mark.parametrize("name", sorted(MASK_DRAWINGS))
-    def test_an_order_restricts_and_relabels_the_masks(self, name):
-        d = MASK_DRAWINGS[name]
-        rng = random.Random(name)
-        for kind, order in mask_orders(d, rng):
-            order = tuple(order)
-            N = crossing_masks(d, order)
-            for key, want in predicate_masks(d, order).items():
-                assert N(*key) == want, (kind, key)
+# -- explicit tables as rank bitsets --------------------------------------------
 
 
 def bitset_sources():
@@ -824,30 +656,6 @@ class TestRankBitsets:
                 want = sorted_pair(t.rank(*e1), t.rank(*e2)) in table
                 assert cross(t, e1, e2) is want, (e1, e2)
                 assert cross(t, e2, e1[::-1]) is want, (e1, e2)
-
-    @pytest.mark.parametrize("model", sorted(MODELS))
-    def test_each_edge_stacks_its_kernel_rows(self, model):
-        # row c of the int of edge (a, b) of a restriction to vs is the
-        # source kernel's N(vs[a], vs[b], vs[c]) over vs; rows a and b are 0
-        rng = random.Random(model)
-        d = {
-            "convex": gen_convex(11),
-            "twisted": gen_twisted(11),
-            "halfcircle": gen_halfcircle(11, seed=4),
-            "points": gen_straightline(gen_horton(4)),
-            "explicit": random_explicit(rng, 11, density=0.4),
-        }[model]
-        for k in (2, 3, 5, d.n - 2, d.n):
-            vs = rng.sample(range(d.n), k)
-            bits = induced_subdrawing(d, vs).crossings.bits
-            N = crossing_masks(d, vs)
-            full = (1 << k) - 1
-            for x, (a, b) in zip(bits, itertools.combinations(range(k), 2)):
-                assert x >> k * k == 0
-                rows = [x >> c * k & full for c in range(k)]
-                assert rows[a] == rows[b] == 0, (vs, a, b)
-                for c in set(range(k)) - {a, b}:
-                    assert rows[c] == N(vs[a], vs[b], vs[c]), (vs, a, b, c)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 10])
     def test_pairs_are_listed_in_rank_order_and_build_the_same_rows(self, n):
@@ -993,9 +801,9 @@ def certificate_orders(d, rng):
 
 
 class TestVerifyEquivalence:
-    @pytest.mark.parametrize("name", sorted(MASK_DRAWINGS))
+    @pytest.mark.parametrize("name", sorted(SAMPLES))
     def test_reports_match_the_reference(self, name):
-        d = MASK_DRAWINGS[name]
+        d = SAMPLES[name]
         rng = random.Random(name)
         verdicts = set()
         for order in certificate_orders(d, rng):

@@ -1,17 +1,15 @@
 """Extraction pipeline, threshold arithmetic, tree embedding."""
 
-import itertools
 import math
 import random
 import re
 
 import pytest
-from test_chromatics import mirrored_twisted_view, random_anchored_views
-from test_cli import anchored_restriction
+from models import anchored_restriction, mirrored_twisted_view, random_anchored_views
 
 from cstg import extraction
-from cstg.chromatics import ChiCache, PhiTable
-from cstg.drawing import CONVEX, TWISTED, Certificate, check_plane_edges, verify_certificate
+from cstg.chromatics import ChiCache, PhiTable, phi_table
+from cstg.drawing import CONVEX, TWISTED, check_plane_edges, verify_certificate
 from cstg.errors import (InternalInvariantBroken, InvalidSelection, NotATree, ObservationViolated,
                          SizeLimit)
 from cstg.extraction import (
@@ -23,6 +21,7 @@ from cstg.extraction import (
     required_n,
 )
 from cstg.generators import anchored_view, gen_convex, gen_halfcircle, gen_twisted
+from cstg.oracles import max_pattern_exact
 from cstg.ramsey import GameState
 
 
@@ -111,8 +110,6 @@ class TestStageStateProperties:
                 assert all(u < first for u in members)
 
     def test_phi_constant_inside_each_class(self):
-        from cstg.chromatics import phi_table
-
         for ad, out in self.runs():
             table = phi_table(ad)
             for key, members in out.stats.class_members.items():
@@ -123,8 +120,6 @@ class TestStageStateProperties:
                         assert (value.a, value.b) == key
 
     def test_built_edges_color_matches_later_members(self):
-        from cstg.chromatics import ChiCache
-
         for ad, out in self.runs():
             cache = ChiCache(ad)
             for key, edges in out.stats.class_edges.items():
@@ -472,8 +467,6 @@ class TestEmbedTree:
 
 class TestOracleDominanceSmall:
     def test_certificate_never_beats_the_oracle(self):
-        from cstg.oracles import max_pattern_exact
-
         for seed in range(10):
             d = gen_halfcircle(11, seed=seed)
             ad = anchored_view(d)

@@ -8,51 +8,20 @@ documents.
 """
 
 import importlib.util
-import itertools
 import os
 import random
 import sys
 import xml.etree.ElementTree as ET
 
 import pytest
+from models import random_explicit, random_rotation_views
 
-from cstg.drawing import AnchoredDrawing, Drawing, verify_certificate
+from cstg.drawing import AnchoredDrawing, verify_certificate
 from cstg.errors import InternalInvariantBroken, ObservationViolated
 from cstg.extraction import extract_pattern
 from cstg.generators import gen_halfcircle, gen_twisted
 from cstg.planepath import extract_plane_path
 from cstg.svg import render_svg
-
-
-def random_explicit(rng, n, density=0.3):
-    edges = list(itertools.combinations(range(n), 2))
-    pairs = set()
-    for r1, r2 in itertools.combinations(range(len(edges)), 2):
-        if set(edges[r1]) & set(edges[r2]):
-            continue
-        if rng.random() < density:
-            pairs.add((r1, r2))
-    return Drawing(n=n, model="explicit", crossings=frozenset(pairs))
-
-
-def random_rotation_views(rng, count):
-    """Random crossing data on 4 to 9 vertices with random rotations,
-    anchored at 0 in a clockwise reading of the rotation there.  A
-    ``Drawing`` refuses rotations that disagree with its crossings with the
-    anchor edges, so each is built with its anchor only and given its
-    rotations afterwards, as data that no constructor accepts."""
-    for _ in range(count):
-        n = rng.randint(4, 9)
-        d = random_explicit(rng, n, density=0.25)
-        rots = []
-        for v in range(n):
-            others = [u for u in range(n) if u != v]
-            rng.shuffle(others)
-            rots.append(tuple(others))
-        order = tuple(reversed(rots[0]))
-        d = Drawing(n=n, model="explicit", crossings=d.crossings, anchor=(0, order))
-        object.__setattr__(d, "rotations", tuple(rots))
-        yield AnchoredDrawing(base=d, v0=0, order=order)
 
 
 class TestFailClosed:

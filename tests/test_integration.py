@@ -4,12 +4,12 @@ internal assertions armed throughout."""
 from collections import Counter
 
 import pytest
-from test_cli import run
-from test_planepath import assert_step_shares, assert_wedges_uniform
+from helpers import assert_step_shares, assert_wedges_uniform, run
+from models import mirrored_twisted_view
 
 from cstg import codec, drawing
 from cstg.chromatics import ChiCache
-from cstg.drawing import CertificateReport, Drawing, induced_subdrawing, verify_certificate
+from cstg.drawing import CertificateReport, verify_certificate
 from cstg.errors import InternalInvariantBroken
 from cstg.extraction import extract_pattern
 from cstg.generators import (
@@ -19,22 +19,8 @@ from cstg.generators import (
     gen_horton,
     gen_straightline,
     gen_twisted,
-    rotations_of,
 )
 from cstg.planepath import extract_plane_path
-
-
-def mirrored_twisted_view(m):
-    base = induced_subdrawing(gen_twisted(m), range(m))
-    rots = tuple(tuple(reversed(r)) for r in rotations_of(gen_twisted(m)))
-    d = Drawing(
-        n=m,
-        model="explicit",
-        crossings=base.crossings,
-        rotations=rots,
-        anchor=(m - 1, tuple(range(m - 1))),
-    )
-    return anchored_view(d)
 
 
 class TestExtractionStress:

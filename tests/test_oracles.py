@@ -3,31 +3,30 @@
 import itertools
 import random
 
-import pytest
 import helpers
+import pytest
 from helpers import full_order_max_pattern, numeric_rotation_oracle
-from test_drawing import crossing_function, random_points
-from test_fuzz import random_explicit
+from models import SAMPLES, crossing_function, halfcircle_seeds, random_explicit, random_points
 
 from cstg import oracles
 from cstg.drawing import (
     CONVEX,
-    MODELS,
     TWISTED,
     Certificate,
     Drawing,
     cross,
     crossing_masks,
+    cyclic_equal,
     edge_index,
     induced_subdrawing,
     pattern_fit,
     sorted_pair,
     verify_certificate,
 )
-from cstg.errors import BudgetExhausted, DegenerateInput, InvalidSelection
+from cstg.errors import BudgetExhausted, DegenerateInput, GeometryMissing, InvalidSelection
+from cstg.extraction import extract_pattern
 from cstg.generators import (
     anchored_view,
-    cyclic_equal,
     gen_convex,
     gen_halfcircle,
     gen_horton,
@@ -42,6 +41,7 @@ from cstg.oracles import (
     longest_plane_path_exact,
     max_pattern_exact,
 )
+from cstg.planepath import extract_plane_path
 
 
 class TestMaxPattern:
@@ -258,15 +258,21 @@ class TestLongestPlanePath:
 class TestNumericRotations:
     def test_agrees_with_analytic_all_families(self):
         drawings = [
+            gen_convex(9),
             gen_convex(11),
+            gen_twisted(9),
             gen_twisted(11),
+            gen_halfcircle(9, seed=0),
+            gen_halfcircle(9, seed=7),
             gen_halfcircle(11, seed=13),
+            *(gen_halfcircle(8, seed=seed) for seed in range(25)),
+            gen_straightline(gen_horton(3)),
             gen_straightline([(0, 0), (7, 2), (5, 9), (-3, 4), (2, -6), (9, -1)]),
         ]
         for d in drawings:
             numeric = numeric_rotation_oracle(d)
-            analytic = rotations_of(d)
-            assert all(cyclic_equal(a, b) for a, b in zip(numeric, analytic))
+            for v, rotation in enumerate(rotations_of(d)):
+                assert cyclic_equal(numeric[v], rotation), (d.model, v)
 
     def test_duplicate_positions_degenerate(self):
         # distinct integer points that round to one float position: the
@@ -294,20 +300,7 @@ class TestNumericRotations:
         with pytest.raises(DegenerateInput, match=r"duplicate point \(0, 0\)"):
             Drawing(n=2, model="points", points=((0, 0), (0, 0)))
 
-    def test_every_model_with_positions_has_a_germ_sweep(self):
-        assert helpers.models_without_germ_sweep() == []
-
-    def test_a_model_without_its_germ_sweep_is_named(self, monkeypatch):
-        # a new model with positions and no entry, and straight edges given
-        # an arc's sweep
-        monkeypatch.setitem(MODELS, "spiral", MODELS["twisted"])
-        monkeypatch.setitem(helpers.GERM_SWEEPS, "points", helpers.GERM_SWEEPS["twisted"])
-        assert helpers.models_without_germ_sweep() == ["points", "spiral"]
-
     def test_geometry_missing_for_explicit(self):
-        from cstg.drawing import Drawing
-        from cstg.errors import GeometryMissing
-
         d = Drawing(n=4, model="explicit", crossings=frozenset())
         with pytest.raises(GeometryMissing):
             numeric_rotation_oracle(d)
@@ -345,9 +338,6 @@ class TestNoTwistedFive:
 
 class TestDominance:
     def test_extraction_below_oracle(self):
-        from cstg.extraction import extract_pattern
-        from cstg.planepath import extract_plane_path
-
         for seed in range(6):
             d = gen_halfcircle(10, seed=seed)
             ad = anchored_view(d)
@@ -531,13 +521,9 @@ def search_drawings():
     for n in range(4, 15):
         yield f"convex {n}", gen_convex(n)
         yield f"twisted {n}", gen_twisted(n)
-    for seed in range(30):
-        n = 4 + seed % 11
-        yield f"halfcircle {n} seed {seed}", gen_halfcircle(n, seed=seed)
-    yield "horton 16", gen_straightline(gen_horton(4))
-    order = list(range(14))
-    random.Random(3).shuffle(order)
-    yield "shuffled restriction", induced_subdrawing(gen_halfcircle(16, seed=8), order)
+    yield from halfcircle_seeds()
+    for name in ("horton 16", "shuffled restriction"):
+        yield name, SAMPLES[name]
 
 
 SEARCH_DRAWINGS = dict(search_drawings())

@@ -6,9 +6,19 @@ import random
 import re
 
 import pytest
-from helpers import inside_delta, lis_lds
-from test_cli import anchored_restriction, violating_documents
-from test_fuzz import random_rotation_views
+from helpers import (
+    assert_step_shares,
+    assert_wedges_uniform,
+    inside_delta,
+    lis_lds,
+    path_positions,
+)
+from models import (
+    anchored_restriction,
+    mirrored_twisted_view,
+    random_rotation_views,
+    violating_documents,
+)
 
 from cstg import oracles, planepath
 from cstg.chromatics import ChiCache
@@ -17,7 +27,6 @@ from cstg.drawing import (
     Drawing,
     crossing_pairs,
     edge_index,
-    induced_subdrawing,
     sorted_pair,
     verify_certificate,
 )
@@ -29,51 +38,13 @@ from cstg.errors import (
     ObservationViolated,
     RotationMissing,
 )
-from cstg.generators import anchored_view, gen_convex, gen_halfcircle, gen_twisted, rotations_of
+from cstg.generators import anchored_view, gen_convex, gen_halfcircle, gen_twisted
 from cstg.planepath import (
     default_m,
     extract_plane_path,
     find_plane_k2m2,
     theta,
 )
-
-
-def mirrored_twisted_view(m):
-    base = induced_subdrawing(gen_twisted(m), range(m))
-    rots = tuple(tuple(reversed(r)) for r in rotations_of(gen_twisted(m)))
-    d = Drawing(
-        n=m,
-        model="explicit",
-        crossings=base.crossings,
-        rotations=rots,
-        anchor=(m - 1, tuple(range(m - 1))),
-    )
-    return anchored_view(d)
-
-
-def path_positions(ad, out):
-    """The anchored positions of the path's vertices, in path order."""
-    return [ad.order.index(v) + 1 for v in out.path.vertices]
-
-
-def assert_step_shares(stats):
-    """Each decreasing step keeps at least half its run less the run's end,
-    and, while |S| > m^2, at least |S|/(2m)^2 candidates; the last step keeps
-    none."""
-    m_sq = stats.m * stats.m
-    sizes = stats.candidate_sizes
-    for size, lds, kept in zip(sizes, stats.lds_lengths, sizes[1:] + [0]):
-        assert 2 * kept >= lds - 1
-        assert size <= m_sq or 4 * m_sq * kept >= size
-
-
-def assert_wedges_uniform(ad, out):
-    """Every later path vertex sits on one side of each consecutive wedge."""
-    chi = ChiCache(ad)
-    path = path_positions(ad, out)
-    for t in range(len(path) - 2):
-        later = sum(1 << p for p in path[t + 2:])
-        assert planepath._inside(chi, path[t], path[t + 1], later) in (0, later)
 
 
 def count_theta_calls(monkeypatch):
