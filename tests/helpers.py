@@ -356,6 +356,16 @@ def spiral_cross(radii, e1, e2):
     return u * v < 0
 
 
+
+def random_tree_adjacency(rng, k):
+    adj = [[] for _ in range(k)]
+    for v in range(1, k):
+        p = rng.randrange(v)
+        adj[v].append(p)
+        adj[p].append(v)
+    return adj
+
+
 # documents that json.loads cannot read as they stand, or that it would read
 # last-wins: each is a ParseError naming what is wrong
 LONG_INT = "1" * 5001  # past Python's 4,300-digit limit for int("...")

@@ -17,6 +17,7 @@ from helpers import (
     class_masks,
     independent_pairs,
     numeric_rotation_oracle,
+    random_tree_adjacency,
     spiral_cross,
 )
 from models import mirrored_twisted_view
@@ -261,11 +262,7 @@ def test_criterion_10_tree_embedding():
         rng = random.Random(2024)
         for _ in range(100):
             k = rng.randint(2, 16)
-            adj = [[] for _ in range(k)]
-            for v in range(1, k):
-                p = rng.randrange(v)
-                adj[v].append(p)
-                adj[p].append(v)
+            adj = random_tree_adjacency(rng, k)
             for kind, gen in ((CONVEX, gen_convex), (TWISTED, gen_twisted)):
                 emb = embed_tree(kind, 16, adj)
                 assert check_plane_edges(gen(16), emb.edges) is None

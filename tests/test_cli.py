@@ -237,10 +237,8 @@ class TestExtract:
             "--seed", "1", "--out", str(drawing))
         code, out, err = run(capsys, "extract", "planepath", str(drawing), *flags,
                              "--out", str(path_cert))
-        assert code == 3
-        assert named in err
-        assert out == ""
-        assert not path_cert.exists()
+        assert (code, out) == (3, "")
+        assert named in err and not path_cert.exists()
 
 
 class TestOracle:
@@ -422,18 +420,6 @@ class TestTablesChi:
         assert run(capsys, "tables", "chi", str(path), "--out", str(out)) == (0, "", "")
         assert_same_lines(out.read_text(), reference_chi_table(str(path)))
 
-    @pytest.mark.parametrize("name, d", list(violating_documents()))
-    def test_violation_exits_3_and_writes_nothing(self, tmp_path, capsys, name, d):
-        path = tmp_path / "bad.cstg"
-        codec.save_drawing(d, str(path))
-        with pytest.raises(ObservationViolated) as info:
-            reference_chi_table(str(path))
-        out = tmp_path / "chi.csv"
-        code, stdout, err = run(capsys, "tables", "chi", str(path), "--out", str(out))
-        assert (code, stdout) == (3, "")
-        assert err == f"invalid input: ObservationViolated: {info.value}\n"
-        assert not out.exists()
-
 
 def reference_phi_table(path):
     """`tables phi` one pair at a time: one PhiTable.value and one line per row."""
@@ -476,18 +462,19 @@ class TestTablesPhi:
         pairs = itertools.combinations(range(1, 300), 2)
         assert rows == [f"{i},{j},2,{i + 1}" for i, j in pairs]
 
-    @pytest.mark.parametrize("name, d", list(violating_documents()))
-    def test_violation_exits_3_and_writes_nothing(self, tmp_path, capsys, name, d):
-        path = tmp_path / "bad.cstg"
-        codec.save_drawing(d, str(path))
-        with pytest.raises(ObservationViolated) as info:
-            reference_phi_table(str(path))
-        out = tmp_path / "phi.csv"
-        code, stdout, err = run(capsys, "tables", "phi", str(path), "--out", str(out))
-        assert (code, stdout) == (3, "")
-        assert err == f"invalid input: ObservationViolated: {info.value}\n"
-        assert not out.exists()
 
+@pytest.mark.parametrize("table", ["chi", "phi"])
+@pytest.mark.parametrize("name, d", list(violating_documents()))
+def test_a_table_of_a_violation_exits_3_and_writes_nothing(tmp_path, capsys, table, name, d):
+    path = tmp_path / "bad.cstg"
+    codec.save_drawing(d, str(path))
+    with pytest.raises(ObservationViolated) as info:
+        {"chi": reference_chi_table, "phi": reference_phi_table}[table](str(path))
+    out = tmp_path / f"{table}.csv"
+    code, stdout, err = run(capsys, "tables", table, str(path), "--out", str(out))
+    assert (code, stdout) == (3, "")
+    assert err == f"invalid input: ObservationViolated: {info.value}\n"
+    assert not out.exists()
 
 def traced_peak(*argv):
     """(exit code, tracemalloc peak in bytes) of one dispatch call."""

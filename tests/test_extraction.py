@@ -5,6 +5,7 @@ import random
 import re
 
 import pytest
+from helpers import random_tree_adjacency
 from models import anchored_restriction, mirrored_twisted_view, random_anchored_views
 
 from cstg import extraction
@@ -390,15 +391,6 @@ class TestThresholds:
         with pytest.raises(InvalidSelection) as info:
             call()
         assert str(info.value) == message
-
-
-def random_tree_adjacency(rng, k):
-    adj = [[] for _ in range(k)]
-    for v in range(1, k):
-        p = rng.randrange(v)
-        adj[v].append(p)
-        adj[p].append(v)
-    return adj
 
 
 class TestEmbedTree:

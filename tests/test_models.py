@@ -1,7 +1,8 @@
 """One battery over every drawing model: each name in ``drawing.MODELS``
 against its entry in ``models.REGISTRY``, so that a model with no entry
-fails, named.  On each small sample of the model: the kernel against the
-reference predicate, the chromatics star against three kernel reads, the
+fails, named.  One case per small sample: the kernel against the
+reference predicate, by vertex and under orders.  One case per model, over
+its small samples: the chromatics star against three kernel reads, the
 rotations at every certified anchor, a restriction's rows, arc ends and
 document bytes; at n >= 256, the kernel on 300 sampled triples.
 """
@@ -24,6 +25,14 @@ from cstg.oracles import max_pattern_exact
 @pytest.fixture(params=sorted(MODELS))
 def entry(request):
     return models.REGISTRY[request.param]  # a KeyError names a model with no entry
+
+
+@pytest.fixture(params=[pytest.param((m, s), id=s or m) for m in sorted(MODELS)
+                        for s in getattr(models.REGISTRY.get(m), "samples", [None])])
+def sample(request):
+    # one case per small sample, and one per model with no entry
+    model, name = request.param
+    return name, models.REGISTRY[model].samples[name]
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))
@@ -63,15 +72,20 @@ def mask_orders(d, rng):
     yield "quadruple", rng.sample(range(d.n), 4)
 
 
-def test_the_kernel_matches_the_predicate(entry):
-    # on every ordered triple, by vertex and under orders that restrict
-    # and relabel the masks
-    for name, d in entry.samples.items():
-        for kind, order in [("vertex", None), *mask_orders(d, random.Random(name))]:
-            N = crossing_masks(d, order)
-            order = range(d.n) if order is None else tuple(order)
-            for key, want in predicate_masks(d, order).items():
-                assert N(*key) == want, (name, kind, key)
+def test_every_ordered_triple_matches_the_predicate(sample):
+    _, d = sample
+    N = crossing_masks(d)
+    for key, want in predicate_masks(d, range(d.n)).items():
+        assert N(*key) == want, key
+
+
+def test_an_order_restricts_and_relabels_the_masks(sample):
+    name, d = sample
+    for kind, order in mask_orders(d, random.Random(name)):
+        order = tuple(order)
+        N = crossing_masks(d, order)
+        for key, want in predicate_masks(d, order).items():
+            assert N(*key) == want, (kind, key)
 
 
 def test_the_kernel_matches_the_predicate_at_large_n(entry):
