@@ -11,7 +11,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Sequence
 
 from cstg.chromatics import validate_observation
 from cstg.drawing import (
@@ -19,6 +19,7 @@ from cstg.drawing import (
     AnchoredDrawing,
     Drawing,
     _rank_offsets,
+    cross,
     edge_index,
     induced_subdrawing,
     orient,
@@ -49,16 +50,23 @@ def random_explicit(rng, n, density=0.3):
     return Drawing(n=n, model="explicit", crossings=frozenset(pairs))
 
 
-def sparse_explicit(rng, n, count):
-    """An explicit drawing of ``count`` random crossing pairs: a table at an
-    n where listing each independent pair, as ``random_explicit`` does,
-    takes too long."""
-    pairs = set()
+@functools.cache
+def sparse_pairs(n, count):
+    """``count`` seeded random pairs of independent edges ((a, b), (c, w)) on
+    n vertices: a table at an n where listing each independent pair, as
+    ``random_explicit`` does, takes too long."""
+    rng, pairs = random.Random(n), set()
     while len(pairs) < count:
         a, b, c, w = rng.sample(range(n), 4)
-        r1, r2 = edge_index(*sorted_pair(a, b), n), edge_index(*sorted_pair(c, w), n)
-        pairs.add(sorted_pair(r1, r2))
-    return Drawing(n=n, model="explicit", crossings=pairs)
+        pairs.add(sorted_pair(sorted_pair(a, b), sorted_pair(c, w)))
+    return sorted(pairs)
+
+
+def explicit_of(n, pairs):
+    """The explicit drawing on n vertices in which exactly the pairs of edges cross."""
+    return Drawing(n=n, model="explicit", crossings=[
+        sorted_pair(edge_index(*e1, n), edge_index(*e2, n)) for e1, e2 in pairs
+    ])
 
 
 def reference_collinear(points):
@@ -215,21 +223,8 @@ def _segments_cross(d):
 
 
 def _listed_pair(d):
-    # the partners of edge r in the table, read one set bit at a time from
-    # its stacked rows, where bit c*n + w is set when r crosses edge cw
-    n, off = d.n, _rank_offsets(d.n)
-
-    @functools.cache
-    def partners(r):
-        found, x = set(), d.crossings.bits[r]
-        while x:
-            low = x & -x
-            x ^= low
-            c, w = divmod(low.bit_length() - 1, n)
-            found.add(off[min(c, w)] + max(c, w))
-        return found
-
-    return lambda i, j, k, l: off[k] + l in partners(off[i] + j)
+    # one bit of the table, read by cross() without a kernel
+    return lambda i, j, k, l: cross(d, (i, j), (k, l))
 
 
 # -- germ sweeps ----------------------------------------------------------------
@@ -260,12 +255,15 @@ def _halfcircle_sweep(pos, v, u, eps):
 @dataclass(frozen=True)
 class Entry:
     """A model's reference crossing predicate, its named samples at small n,
-    a builder of one sample at n >= 256, the vertices it certifies on the
-    unbounded cell, and its germ sweep (None: straight edges or no geometry)."""
+    a builder of one sample at n >= 256 and of pairs of edges ((a, b), (c, w))
+    that cross in it (for a model whose crossings a uniform triple rarely
+    meets), the vertices it certifies on the unbounded cell, and its germ
+    sweep (None: straight edges or no geometry)."""
 
     predicate: Callable[[Drawing], Callable[[int, int, int, int], bool]]
     samples: Dict[str, Drawing]
     large: Callable[[], Drawing]
+    large_crossings: Callable[[], Sequence] = tuple
     certified: Callable[[Drawing], set] = lambda d: {canonical_anchor(d)}
     germ_sweep: Optional[Callable] = None
 
@@ -275,6 +273,15 @@ def _explicit_samples():
     random.Random(3).shuffle(order)
     yield "shuffled restriction", induced_subdrawing(gen_halfcircle(16, seed=8), order)
     yield "anchored restriction", anchored_restriction(gen_halfcircle(12, seed=1))
+    # an identity restriction that stores the drawn rotations and anchor
+    d = gen_halfcircle(6, seed=1)
+    ad = anchored_view(d)
+    yield "halfcircle 6 seed 1 carrier", Drawing(
+        n=6, model="explicit", crossings=induced_subdrawing(d, range(6)).crossings,
+        rotations=rotations_of(d), anchor=(ad.v0, ad.order)
+    )
+    yield "horton 8 restriction", induced_subdrawing(gen_straightline(gen_horton(3)), range(8))
+    yield "empty explicit 8", Drawing(n=8, model="explicit", crossings=frozenset())
     rng = random.Random(505)
     for t in range(8):
         yield f"random explicit {t}", random_explicit(
@@ -293,24 +300,27 @@ def _points_samples():
     )
     for seed, bound in ((11, 50), (12, 10**12)):
         yield f"random points seed {seed}", random_points(random.Random(seed), 11, bound)
+    yield "five points", gen_straightline([(0, 0), (9, 1), (4, 8), (3, 3), (7, 3)])
 
 
 REGISTRY = {
     "convex": Entry(
         predicate=lambda d: _interleave,
-        samples={f"convex {n}": gen_convex(n) for n in (4, 7, 10, 11, 14)},
+        samples={f"convex {n}": gen_convex(n) for n in (4, 6, 7, 8, 10, 11, 14)},
         large=lambda: gen_convex(700),
         certified=lambda d: set(range(d.n)),
     ),
     "twisted": Entry(
         predicate=lambda d: _nested,
-        samples={f"twisted {n}": gen_twisted(n) for n in (4, 7, 10, 11, 14)},
+        samples={f"twisted {n}": gen_twisted(n) for n in (4, 6, 7, 8, 10, 11, 14)},
         large=lambda: gen_twisted(700),
         germ_sweep=_twisted_sweep,
     ),
     "halfcircle": Entry(
         predicate=_same_side_interleave,
-        samples={**dict(halfcircle_seeds()), "halfcircle 11 seed 4": gen_halfcircle(11, seed=4)},
+        samples={**dict(halfcircle_seeds()),
+                 **{f"halfcircle {n} seed {s}": gen_halfcircle(n, seed=s)
+                    for n, s in ((6, 4), (8, 2), (11, 4))}},
         large=lambda: gen_halfcircle(600, seed=6),
         germ_sweep=_halfcircle_sweep,
     ),
@@ -323,7 +333,8 @@ REGISTRY = {
     "explicit": Entry(
         predicate=_listed_pair,
         samples=dict(_explicit_samples()),
-        large=lambda: sparse_explicit(random.Random(256), 256, 10000),
+        large=lambda: explicit_of(256, sparse_pairs(256, 2000)),
+        large_crossings=lambda: sparse_pairs(256, 2000),
         certified=lambda d: set() if d.anchor is None else {d.anchor[0]},
     ),
 }

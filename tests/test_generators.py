@@ -16,7 +16,6 @@ from cstg.drawing import (
     cross,
     cyclic_equal,
     edge_index,
-    induced_subdrawing,
     orient,
     sorted_pair,
 )
@@ -270,25 +269,6 @@ class TestHorton:
 
 
 class TestAnchoredViews:
-    @pytest.mark.parametrize("v0", [-1, 8, 999])
-    def test_an_anchor_out_of_range_is_named(self, v0):
-        # a drawing of each family, and explicit ones with and without
-        # rotations, before any rotation is read
-        points = gen_straightline(gen_horton(3))
-        drawings = [
-            gen_convex(8),
-            gen_twisted(8),
-            gen_halfcircle(8, seed=2),
-            points,
-            induced_subdrawing(points, range(8)),
-            Drawing(n=8, model="explicit", crossings=frozenset()),
-        ]
-        for d in drawings:
-            for call in (anchored_order, anchored_view):
-                with pytest.raises(InvalidSelection) as info:
-                    call(d, v0)
-                assert str(info.value) == f"anchor {v0} out of range", (d.model, call)
-
     def test_observation_holds_for_every_generator(self):
         drawings = [
             gen_convex(32),

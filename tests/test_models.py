@@ -2,9 +2,10 @@
 against its entry in ``models.REGISTRY``, so that a model with no entry
 fails, named.  One case per small sample: the kernel against the
 reference predicate, by vertex and under orders.  One case per model, over
-its small samples: the chromatics star against three kernel reads, the
-rotations at every certified anchor, a restriction's rows, arc ends and
-document bytes; at n >= 256, the kernel on 300 sampled triples.
+its small samples: the chromatics star against three kernel reads, anchors
+out of range, the rotations at every certified anchor, a restriction's
+rows, arc ends and document bytes; at n >= 256, the kernel on sampled
+triples and on triples of listed crossings.
 """
 
 import dataclasses
@@ -18,21 +19,19 @@ from helpers import assert_rotations_follow_the_colors, assert_star_reads_the_pa
 
 from cstg.codec import decode_drawing, encode_drawing
 from cstg.drawing import MODELS, crossing_masks, cyclic_equal, induced_subdrawing, sorted_pair
-from cstg.generators import rotation_at
+from cstg.errors import InvalidSelection
+from cstg.generators import anchored_order, anchored_view, rotation_at, rotations_of
 from cstg.oracles import max_pattern_exact
 
 
-@pytest.fixture(params=sorted(MODELS))
+@pytest.fixture(params=sorted(models.REGISTRY))
 def entry(request):
-    return models.REGISTRY[request.param]  # a KeyError names a model with no entry
+    return models.REGISTRY[request.param]
 
 
-@pytest.fixture(params=[pytest.param((m, s), id=s or m) for m in sorted(MODELS)
-                        for s in getattr(models.REGISTRY.get(m), "samples", [None])])
+@pytest.fixture(params=sorted(models.SAMPLES))
 def sample(request):
-    # one case per small sample, and one per model with no entry
-    model, name = request.param
-    return name, models.REGISTRY[model].samples[name]
+    return request.param, models.SAMPLES[request.param]
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))
@@ -89,26 +88,60 @@ def test_an_order_restricts_and_relabels_the_masks(sample):
 
 
 def test_the_kernel_matches_the_predicate_at_large_n(entry):
-    # each sampled triple's mask against every other vertex
+    # 300 sampled triples, and a triple (a, b, c) for each of up to 300
+    # listed crossing pairs ab, cw, whose mask must show w; each mask
+    # against every other vertex
     d = entry.large()
     assert d.n >= 256
     f = entry.predicate(d)
     rng = random.Random(d.model)
     order = rng.sample(range(d.n), d.n)
+    at = {v: p for p, v in enumerate(order)}
     N = crossing_masks(d, order)
+    triples = [(*rng.sample(range(d.n), 3), None) for _ in range(300)]
+    listed = entry.large_crossings()
+    for pair in rng.sample(listed, min(300, len(listed))):
+        (a, b), (c, w) = (rng.sample(e, 2) for e in rng.sample(pair, 2))
+        triples.append((a, b, c, w))
     crossings = 0
-    for _ in range(300):
-        a, b, c = rng.sample(range(d.n), 3)
+    for a, b, c, w in triples:
         want = predicate_mask(f, order, a, b, c)
         assert N(a, b, c) == want, (a, b, c)
+        assert w is None or want >> at[w] & 1, (a, b, c, w)
         crossings += bin(want).count("1")
-    assert crossings
+    assert crossings >= 100
 
 
 def test_the_star_is_three_kernel_reads(entry):
     for d in entry.samples.values():
         for seed in range(3):
             assert_star_reads_the_pairs(models.shuffled_view(d, seed), seed)
+
+
+def test_an_anchor_out_of_range_is_named(entry):
+    # before any rotation is read, so also where none is stored
+    for name, d in entry.samples.items():
+        for v0 in (-1, d.n, 999):
+            for call in (anchored_order, anchored_view):
+                with pytest.raises(InvalidSelection) as info:
+                    call(d, v0)
+                assert str(info.value) == f"anchor {v0} out of range", (name, call)
+
+
+def test_stored_rotations_do_not_move_the_gap(entry):
+    # the order is cut from the drawn rotation: stored rotations that start
+    # at another germ give the same order, and one that is not a cyclic
+    # reading of the drawn one at v0 is refused (an explicit drawing's
+    # stored rotations are its drawn ones, so its anchor order is named)
+    for name, d in entry.samples.items():
+        for ad in models.anchored_views(d):
+            v0, rots = ad.v0, rotations_of(d)
+            shifted = dataclasses.replace(d, rotations=tuple(r[1:] + r[:1] for r in rots))
+            assert anchored_view(shifted, v0).order == ad.order, name
+            r = rots[v0]
+            swapped = rots[:v0] + ((r[1], r[0]) + r[2:],) + rots[v0 + 1:]
+            with pytest.raises(InvalidSelection, match=f"rotation at (vertex {v0} is not|v0)"):
+                dataclasses.replace(d, rotations=swapped)
 
 
 def test_rotations_follow_the_colors_at_every_certified_anchor(entry):
@@ -153,4 +186,5 @@ def test_documents_round_trip_byte_for_byte(entry):
     for name, d in entry.samples.items():
         text = encode_drawing(d)
         back = decode_drawing(text)
-        assert back == d and encode_drawing(back) == text, name
+        assert back == d, name
+        assert encode_drawing(back) == text, name
