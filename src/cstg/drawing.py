@@ -99,6 +99,16 @@ def _check_explicit_n(n: int) -> None:
         raise SizeLimit(f"explicit backend capped at n={EXPLICIT_N_CAP}, got {n}")
 
 
+def _vertices(vs) -> list:
+    """A vertex selection as a list; a member that is not a Python int (a
+    float, a bool) is refused by name."""
+    vs = list(vs)
+    for v in vs:
+        if type(v) is not int:
+            raise InvalidSelection(f"selection member {v!r} is not an integer")
+    return vs
+
+
 def _is_order(seq, n: int, v: int) -> bool:
     """seq is a tuple of Python ints listing every vertex but v once."""
     return (
@@ -929,7 +939,7 @@ def induced_subdrawing(d: Drawing, vs: Sequence[int]) -> Drawing:
     (erasing vertices preserves the cyclic order of the surviving edge
     germs, and the unbounded cell only grows).
     """
-    vs = list(vs)
+    vs = _vertices(vs)
     if len(vs) < 2:
         raise InvalidSelection("selection needs at least 2 vertices")
     if len(set(vs)) != len(vs):
@@ -972,8 +982,8 @@ class AnchoredDrawing:
 
     def __post_init__(self):
         n = self.base.n
-        if not (0 <= self.v0 < n):
-            raise InvalidSelection(f"anchor {self.v0} out of range")
+        if type(self.v0) is not int or not 0 <= self.v0 < n:
+            raise InvalidSelection(f"anchor {self.v0!r} out of range")
         if not _is_order(self.order, n, self.v0):
             raise InvalidSelection("anchored order is not a permutation of V \\ {v0}")
 

@@ -30,8 +30,8 @@ def gen_twisted(m: int) -> Drawing:
     return Drawing(n=m, model="twisted")
 
 
-def gen_halfcircle(n: int, seed=None) -> Drawing:
-    """Random half-circle drawing; seeded generation is bit-reproducible.
+def gen_halfcircle(n: int, seed=0) -> Drawing:
+    """Random half-circle drawing; generation is bit-reproducible per seed.
 
     A given sign string is ``Drawing(n=n, model="halfcircle", signs=s)``."""
     rng = random.Random(seed)

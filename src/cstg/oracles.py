@@ -61,6 +61,7 @@ from .drawing import (
     TWISTED,
     Drawing,
     _stacked_rows,
+    _vertices,
     crossing_masks,
 )
 from .errors import BudgetExhausted, InvalidSelection
@@ -260,7 +261,7 @@ def longest_plane_path_exact(
     out of paths or found one through every vertex; one that stopped at
     ``target`` short of every vertex is flagged as a lower bound.
     """
-    verts = sorted(vertices) if vertices is not None else list(range(d.n))
+    verts = sorted(_vertices(vertices)) if vertices is not None else list(range(d.n))
     if any(not (0 <= v < d.n) for v in verts) or len(set(verts)) != len(verts):
         raise InvalidSelection("bad vertex restriction")
     k = len(verts)

@@ -15,20 +15,18 @@ from cstg.errors import ObservationViolated
 
 
 class TestGenerateVerify:
-    def test_generate_then_self_verify(self, tmp_path, capsys):
-        out = tmp_path / "t12.cstg"
-        code, _, _ = run(capsys, "generate", "--family", "twisted", "--n", "12",
-                         "--out", str(out))
-        assert code == 0
+    @pytest.mark.parametrize("family", [
+        ["twisted", "--n", "12"],
+        ["twisted", "--n", "20"],
+        ["halfcircle", "--n", "10", "--seed", "3"],
+        ["horton", "--n", "64"],
+    ], ids=["twisted 12", "twisted 20", "half-circle 10", "horton 64"])
+    def test_generate_then_self_verify(self, tmp_path, capsys, family):
+        out = tmp_path / "d.cstg"
+        assert run(capsys, "generate", "--family", *family, "--out", str(out)) == (0, "", "")
         code, stdout, _ = run(capsys, "verify", str(out), "--self")
         assert code == 0
         assert "self-check passed" in stdout
-
-    def test_halfcircle_self_check(self, tmp_path, capsys):
-        out = tmp_path / "hc.cstg"
-        assert run(capsys, "generate", "--family", "halfcircle", "--n", "10",
-                   "--seed", "3", "--out", str(out))[0] == 0
-        assert run(capsys, "verify", str(out), "--self")[0] == 0
 
     def test_horton_needs_power_of_two(self, tmp_path, capsys):
         code, _, err = run(capsys, "generate", "--family", "horton", "--n", "10",
@@ -71,13 +69,19 @@ class TestGenerateVerify:
         assert "rotations" in err
 
     def test_self_check_names_the_violating_triple(self, tmp_path, capsys):
-        # the CI smoke document: an anchored explicit n=4 whose (1,2,3) colors 011
+        # an anchored explicit n=4 whose (1,2,3) colors 011
         bad = tmp_path / "bad4.cstg"
         bad.write_text('{"anchor":{"order":[1,2,3],"v0":0},"crossings":[[1,4],[2,3]],'
                        '"format":"cstg-1","model":"explicit","n":4}\n')
         code, _, err = run(capsys, "verify", str(bad), "--self")
         assert code == 3
         assert err == "self-check: observation violated at (1, 2, 3, '011')\n"
+
+    def test_collinear_points_exit_3_naming_the_triple(self, capsys):
+        code, stdout, err = run(capsys, "generate", "--family", "points",
+                                "--points", "0,0;3,1;2,2;4,4")
+        assert (code, stdout) == (3, "")
+        assert err == "invalid input: DegenerateInput: collinear triple (0,2,3)\n"
 
     def test_unknown_flag_exits_1(self, capsys):
         code, _, _ = run(capsys, "generate", "--family", "convex", "--n", "5",
@@ -180,9 +184,6 @@ class TestExtract:
         path_cert = tmp_path / "path.json"
         run(capsys, "generate", "--family", "halfcircle", "--n", "64",
             "--seed", "1", "--out", str(drawing))
-        code, plain, _ = run(capsys, "extract", "planepath", str(drawing),
-                             "--m-override", "16")
-        assert code == 0 and "branch: decreasing\n" in plain
         code, stdout, err = run(capsys, "extract", "planepath", str(drawing),
                                 "--m-override", "16", *flags, "--out", str(path_cert))
         assert (code, stdout) == (3, "")
@@ -204,17 +205,35 @@ class TestExtract:
                        f"star out unused: m = {m} takes the {branch} branch\n")
         assert not path_cert.exists() and not star.exists()
 
-    def test_planepath_with_star_output(self, tmp_path, capsys):
-        drawing = tmp_path / "hc.cstg"
-        path_cert = tmp_path / "path.json"
-        run(capsys, "generate", "--family", "halfcircle", "--n", "48",
-            "--seed", "0", "--out", str(drawing))
-        code, stdout, _ = run(capsys, "extract", "planepath", str(drawing),
-                              "--m-override", "2", "--path-target", "4",
-                              "--out", str(path_cert), "--star-out",
-                              str(tmp_path / "star.json"))
-        assert code == 0
+    @pytest.mark.parametrize("flags, report", [
+        ([], ["branch: trivial", "m: 1", "path vertices: 2 (edges: 1)"]),
+        (["--m-override", "16"], ["branch: decreasing", "m: 16", "path vertices: 7 (edges: 6)",
+                                  "candidate sizes: 62 18 8 5 3 1", "lds lengths: 19 9 6 4 2 1"]),
+    ], ids=["trivial", "decreasing"])
+    def test_planepath_report(self, tmp_path, capsys, flags, report):
+        # half-circle 64 seed 1: the default m is 1 below n = 2^16, and at
+        # m = 16 the decreasing branch runs to a single candidate
+        drawing, path_cert = tmp_path / "hc64.cstg", tmp_path / "p.json"
+        run(capsys, "generate", "--family", "halfcircle", "--n", "64", "--seed", "1",
+            "--out", str(drawing))
+        code, stdout, err = run(capsys, "extract", "planepath", str(drawing), *flags,
+                                "--out", str(path_cert))
+        assert (code, stdout.splitlines(), err) == (0, report, "")
         assert run(capsys, "verify", str(drawing), str(path_cert))[0] == 0
+
+    @pytest.mark.parametrize("n, seed, flags", [("48", "0", ["--path-target", "4"]),
+                                                ("64", "1", [])],
+                             ids=["half-circle 48", "half-circle 64"])
+    def test_planepath_with_star_output(self, tmp_path, capsys, n, seed, flags):
+        drawing, path_cert, star = (tmp_path / name for name in ("hc.cstg", "p.json", "s.json"))
+        run(capsys, "generate", "--family", "halfcircle", "--n", n,
+            "--seed", seed, "--out", str(drawing))
+        code, stdout, _ = run(capsys, "extract", "planepath", str(drawing),
+                              "--m-override", "2", *flags,
+                              "--out", str(path_cert), "--star-out", str(star))
+        assert code == 0
+        for cert in (path_cert, star):
+            assert run(capsys, "verify", str(drawing), str(cert))[0] == 0
 
     @pytest.mark.parametrize("flags, named", [
         (["--m-override", "0"], "m override must be at least 1, got 0"),
@@ -242,15 +261,62 @@ class TestExtract:
         assert out == ""
         assert not path_cert.exists()
 
+    @pytest.mark.parametrize("pipeline, flags, refused", [
+        ("pattern", ["--m1", "3", "--m2", "3"], ["--budget-nodes", "0"]),
+        ("pattern", ["--m1", "3", "--m2", "3"], ["--budget-nodes", "5"]),
+        ("pattern", ["--m1", "3", "--m2", "3"], ["--budget-seconds", "0"]),
+        ("pattern", ["--m1", "3", "--m2", "3"], ["--budget-seconds", "5"]),
+        ("planepath", [], ["--m1", "3"]),
+    ], ids=["pattern nodes 0", "pattern nodes 5", "pattern seconds 0", "pattern seconds 5",
+            "planepath m1"])
+    def test_a_flag_of_the_other_pipeline_is_a_usage_error(self, tmp_path, capsys, pipeline,
+                                                           flags, refused):
+        # the pattern pipeline takes no budget, and the plane path pipeline no --m1
+        drawing = tmp_path / "hc64.cstg"
+        run(capsys, "generate", "--family", "halfcircle", "--n", "64", "--seed", "1",
+            "--out", str(drawing))
+        assert run(capsys, "extract", pipeline, str(drawing), *flags, *refused) == (
+            1, "", f"usage error: unrecognized arguments: {' '.join(refused)}\n"
+        )
+
 
 class TestOracle:
-    def test_maxconvex_report(self, tmp_path, capsys):
-        drawing = tmp_path / "t8.cstg"
-        run(capsys, "generate", "--family", "twisted", "--n", "8", "--out", str(drawing))
-        code, stdout, _ = run(capsys, "oracle", "maxconvex", str(drawing))
+    @pytest.mark.parametrize("family, argv, size", [
+        (["twisted", "--n", "8"], ["maxconvex"], 4),
+        # the twisted drawing's largest convex pattern has 4 vertices,
+        # proved in about 6,000 nodes
+        (["twisted", "--n", "20"], ["maxconvex", "--budget-nodes", "20000"], 4),
+        (["twisted", "--n", "20"], ["maxtwisted"], 20),
+        # the twisted colouring bound proves that half-circle 64 seed 0 has
+        # no fifth vertex in about 18,000 nodes; the popcount bound needed
+        # 1.4 million
+        (["halfcircle", "--n", "64", "--seed", "0"], ["maxtwisted", "--budget-nodes", "20000"],
+         4),
+    ], ids=["convex in twisted 8", "convex in twisted 20", "twisted in twisted 20",
+            "twisted in half-circle 64"])
+    def test_pattern_report_and_witness(self, tmp_path, capsys, family, argv, size):
+        # the witness is verified before --out is written, and verify passes
+        # it again
+        drawing, witness = tmp_path / "d.cstg", tmp_path / "w.json"
+        run(capsys, "generate", "--family", *family, "--out", str(drawing))
+        code, stdout, _ = run(capsys, "oracle", argv[0], str(drawing), *argv[1:],
+                              "--out", str(witness))
         assert code == 0
-        assert "size: 4" in stdout
-        assert "exact: yes" in stdout
+        lines = stdout.splitlines()
+        assert f"size: {size}" in lines and "exact: yes" in lines
+        assert run(capsys, "verify", str(drawing), str(witness))[0] == 0
+
+    def test_the_node_count_is_the_budget_that_finishes(self, tmp_path, capsys):
+        # half-circle 16 seed 0 has no twisted pattern past its first
+        # 4-vertex one, proved in 405 nodes: a budget of 405 finishes with
+        # the same report, and one of 404 runs out
+        drawing = tmp_path / "hc16.cstg"
+        run(capsys, "generate", "--family", "halfcircle", "--n", "16", "--seed", "0",
+            "--out", str(drawing))
+        full = run(capsys, "oracle", "maxtwisted", str(drawing))
+        assert full == (0, "size: 4\nwitness: 0 1 15 14\nnodes expanded: 405\nexact: yes\n", "")
+        assert run(capsys, "oracle", "maxtwisted", str(drawing), "--budget-nodes", "405") == full
+        assert run(capsys, "oracle", "maxtwisted", str(drawing), "--budget-nodes", "404")[0] == 4
 
     def test_planepath_certificate_verifies(self, tmp_path, capsys):
         drawing, cert = tmp_path / "t12.cstg", tmp_path / "p12.json"
@@ -301,18 +367,6 @@ class TestOracle:
         code, _, err = run(capsys, *command, str(drawing), flag, value)
         assert code == 3
         assert "budget must be positive" in err
-
-    @pytest.mark.parametrize("flag", ["--budget-nodes", "--budget-seconds"])
-    @pytest.mark.parametrize("value", ["0", "5"])
-    def test_extract_pattern_rejects_budget_flags(self, tmp_path, capsys, flag, value):
-        # the pattern pipeline takes no budget; the flag used to be ignored
-        drawing = tmp_path / "t12.cstg"
-        run(capsys, "generate", "--family", "twisted", "--n", "12", "--out", str(drawing))
-        code, out, err = run(capsys, "extract", "pattern", str(drawing),
-                             "--m1", "3", "--m2", "3", flag, value)
-        assert code == 1
-        assert flag in err
-        assert out == ""
 
 
 class TestDeterminism:
@@ -454,15 +508,34 @@ class TestTablesPhi:
         assert run(capsys, "tables", "phi", str(path), "--out", str(out)) == (0, "", "")
         assert_same_lines(out.read_text(), reference_phi_table(str(path)))
 
-    def test_twisted_rows_count_predecessors(self, tmp_path, capsys):
+    @pytest.mark.parametrize("n", [12, 300])
+    def test_twisted_rows_count_predecessors(self, tmp_path, capsys, n):
         # on twisted drawings phi(i,j) = (2, i+1), past one byte at n = 300
-        path = tmp_path / "t300.cstg"
-        codec.save_drawing(generators.gen_twisted(300), str(path))
+        path = tmp_path / "t.cstg"
+        codec.save_drawing(generators.gen_twisted(n), str(path))
         out = tmp_path / "phi.csv"
         assert run(capsys, "tables", "phi", str(path), "--out", str(out))[0] == 0
         rows = out.read_text().splitlines()[2:]
-        pairs = itertools.combinations(range(1, 300), 2)
+        pairs = itertools.combinations(range(1, n), 2)
         assert rows == [f"{i},{j},2,{i + 1}" for i, j in pairs]
+
+
+@pytest.mark.parametrize("name, d", [
+    ("half-circle 16", generators.gen_halfcircle(16, seed=3)),
+    ("horton 32", generators.gen_straightline(generators.gen_horton(5))),
+])
+def test_the_anchored_restriction_has_the_same_tables(tmp_path, capsys, name, d):
+    # the tables read through the model's star equal those read from the
+    # rows of its explicit restriction to its anchored order
+    paths = [tmp_path / "model.cstg", tmp_path / "restriction.cstg"]
+    codec.save_drawing(d, str(paths[0]))
+    codec.save_drawing(anchored_restriction(d), str(paths[1]))
+    assert run(capsys, "verify", str(paths[1]), "--self")[0] == 0
+    for table in ("chi", "phi"):
+        outs = [path.with_suffix(f".{table}.csv") for path in paths]
+        for path, out in zip(paths, outs):
+            assert run(capsys, "tables", table, str(path), "--out", str(out)) == (0, "", "")
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 @pytest.mark.parametrize("table", ["chi", "phi"])
@@ -605,13 +678,17 @@ class TestRenderOverlay:
             assert "InvalidCertificate: certificate vertex out of range for drawing" in err
         assert not out.exists()
 
-    def test_halfcircle_renders_one_arc_per_edge(self, tmp_path, capsys):
-        drawing = tmp_path / "hc.cstg"
-        run(capsys, "generate", "--family", "halfcircle", "--n", "6",
-            "--seed", "1", "--out", str(drawing))
-        out = tmp_path / "hc.svg"
+    @pytest.mark.parametrize("family, edges", [
+        (["halfcircle", "--n", "6", "--seed", "1"], 15),
+        (["halfcircle", "--n", "64", "--seed", "1"], 2016),
+        (["twisted", "--n", "12"], 66),
+    ], ids=["half-circle 6", "half-circle 64", "twisted 12"])
+    def test_renders_one_polyline_per_edge(self, tmp_path, capsys, family, edges):
+        drawing = tmp_path / "d.cstg"
+        run(capsys, "generate", "--family", *family, "--out", str(drawing))
+        out = tmp_path / "d.svg"
         assert run(capsys, "render", str(drawing), "--out", str(out))[0] == 0
-        assert out.read_text().count("<polyline") == 15  # C(6,2) semicircles
+        assert out.read_text().count("<polyline ") == edges  # C(n,2)
 
     def test_points_family_generate(self, tmp_path, capsys):
         out = tmp_path / "p.cstg"

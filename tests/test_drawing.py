@@ -52,7 +52,7 @@ from cstg.generators import (
     gen_twisted,
     rotations_of,
 )
-from cstg.oracles import max_pattern_exact
+from cstg.oracles import longest_plane_path_exact, max_pattern_exact
 
 
 def all_pairs(n):
@@ -474,6 +474,28 @@ class TestInducedSubdrawing:
         with pytest.raises(SizeLimit):
             induced_subdrawing(d, range(257))
         assert time.monotonic() - t0 < 1.0
+
+
+# a member that is no Python int is named where the selection comes in,
+# not met as a TypeError deep in a kernel; a bool is no vertex
+HC8 = gen_halfcircle(8, seed=1)
+
+
+@pytest.mark.parametrize("select, message", [
+    (lambda: induced_subdrawing(HC8, [0, 1.0, 2]), "selection member 1.0 is not an integer"),
+    (lambda: induced_subdrawing(HC8, [0, True, 2]), "selection member True is not an integer"),
+    (lambda: longest_plane_path_exact(HC8, vertices=[0, 1.5, 3]),
+     "selection member 1.5 is not an integer"),
+    (lambda: longest_plane_path_exact(HC8, vertices=[False, 1, 3]),
+     "selection member False is not an integer"),
+    (lambda: AnchoredDrawing(HC8, 0.0, tuple(range(1, 8))), "anchor 0.0 out of range"),
+    (lambda: AnchoredDrawing(HC8, True, (0, *range(2, 8))), "anchor True out of range"),
+], ids=["restriction float", "restriction bool", "path search float", "path search bool",
+        "anchor float", "anchor bool"])
+def test_a_selected_vertex_that_is_no_integer_is_refused(select, message):
+    with pytest.raises(InvalidSelection) as info:
+        select()
+    assert str(info.value) == message
 
 
 class TestVerifyCertificate:

@@ -138,6 +138,8 @@ class TestHalfCircle:
         b = gen_halfcircle(20, seed=42)
         assert a.signs == b.signs
         assert gen_halfcircle(20, seed=43).signs != a.signs
+        # no seed is seed 0, as under the CLI, not a seed from the OS
+        assert gen_halfcircle(20) == gen_halfcircle(20, seed=0)
 
     def test_sign_length_validation(self):
         with pytest.raises(InvalidSigns):
