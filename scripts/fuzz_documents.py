@@ -1,9 +1,11 @@
 """Seeded document fuzzer: mutated documents through every reading subcommand.
 
 Builds small drawing and certificate documents with the library's
-generators (convex, twisted, half-circle, points, and the explicit
-restriction of a half-circle drawing to its anchored order, with its
-rotations and a declared anchor), then makes ``--count`` mutants of them.
+generators (convex, twisted, half-circle, points, the explicit restriction
+of a half-circle drawing to its anchored order, with its rotations and a
+declared anchor, and the explicit restriction of twisted 9 to all its
+vertices, with its rotations and no anchor, the shape of the benchmark's
+C48 and T48 documents), then makes ``--count`` mutants of them.
 A mutant takes one to three edits of the parsed document, each a random
 node of its JSON tree: drop a key or a list member, repeat one (an object
 key is written twice), retype a value, nudge an integer, shorten or lengthen
@@ -85,16 +87,21 @@ def base_documents():
     ad = generators.anchored_view(hc)
     restricted = drawing.induced_subdrawing(hc, (ad.v0,) + ad.order)
     anchored = dataclasses.replace(restricted, anchor=(0, tuple(range(1, hc.n))))
+    twisted = generators.gen_twisted(9)
     drawings = {
         "convex 8": generators.gen_convex(8),
-        "twisted 9": generators.gen_twisted(9),
+        "twisted 9": twisted,
         "half-circle 10": hc,
         "points 8": generators.gen_straightline(generators.gen_horton(3)),
         "explicit anchored 10": anchored,
+        "explicit twisted 9": drawing.induced_subdrawing(twisted, range(twisted.n)),
     }
+    # an unanchored explicit drawing names no anchor: its certificates are
+    # built on the drawing it restricts, whose labels it keeps
+    sources = {"explicit twisted 9": twisted}
     docs = []
     for name, d in drawings.items():
-        plane = extract_plane_path(generators.anchored_view(d), m_override=2)
+        plane = extract_plane_path(generators.anchored_view(sources.get(name, d)), m_override=2)
         certs = [plane.path, drawing.Certificate(drawing.CONVEX, tuple(range(d.n)))]
         if plane.bipartite is not None:
             certs.append(plane.bipartite)

@@ -36,7 +36,9 @@ the folded rows (``_Ranks``) and checks their entries as it would check a
 hand-built table's.  A repeated entry is looked for, reading the entries
 again, only when the table holds fewer pairs than the document lists or
 a later step fails, and is named first.  Encoding lists the entries in
-rank order from the stacked rows the drawing holds.
+rank order from the stacked rows the drawing holds and writes each edge's
+entries with one join over the decimal names of its partners' ranks, so
+no string is built per entry.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from collections import Counter
 from typing import Tuple
 
 from .drawing import (MODELS, Certificate, Drawing, _check_explicit_n, _flat_ranks,
-                      _later_partners, _Ranks)
+                      _later_partners, _rank_grid, _Ranks)
 from .errors import CstgError, InvalidCertificate, ParseError, SizeLimit, ValidationError
 
 FORMAT_TAG = "cstg-1"
@@ -172,11 +174,10 @@ def encode_drawing(d: Drawing) -> str:
 def _crossings_text(d: Drawing) -> str:
     """The table as json writes its sorted entries, read in rank order from
     the drawing's stacked rows."""
-    X = d.crossings.bits
-    tails = [f"{r}]" for r in range(len(X))]
-    # one string per edge, so only one edge's entries are held apart at a time
-    rows = (",".join(map(f"[{r1},".__add__, map(tails.__getitem__, later)))
-            for r1, later in _later_partners(d.n, X))
+    names = list(map(str, _rank_grid(d.n)[1]))
+    # one join per edge over the names of its partners: no string per entry
+    rows = (f"[{r1}," + f"],[{r1},".join(later) + "]"
+            for r1, later in _later_partners(d.n, d.crossings.bits, names))
     return "[" + ",".join(rows) + "]"
 
 

@@ -400,23 +400,24 @@ def _crossing_bits(n: int, table: _Ranks) -> list:
 _SELECT = bytes.maketrans(b"01", b"\0\1")
 
 
-def _later_partners(n: int, X: list):
+def _later_partners(n: int, X: list, labels: Sequence):
     """Per edge rank r1 of the stacked rows X over n vertices, in rank order,
-    the ranks r2 > r1 of the edges that cross it, in rank order: (r1,
-    iterator of r2)."""
-    _, rank, upper = _rank_grid(n)
+    the edges r2 > r1 that cross it, in rank order, each as its label: (r1,
+    iterator of labels).  ``labels[c * n + w]`` stands for the edge cw, c < w:
+    its rank (``_rank_grid(n)[1]``), or anything the caller reads in its place."""
+    upper = _rank_grid(n)[2]
     end = 0
     for a in range(n - 1):
         # the partners of higher rank of an edge (a, b) sit above the
         # diagonal in the rows past a (its row a is 0)
         s = (a + 1) * n
-        past, ranks = upper >> s, rank[s:]
+        past, tail = upper >> s, labels[s:]
         start, end = end, end + n - 1 - a
         for r1 in range(start, end):
             later = X[r1] >> s & past
             if later:
                 picks = format(later, "b").encode()[::-1].translate(_SELECT)
-                yield r1, compress(ranks, picks)
+                yield r1, compress(tail, picks)
 
 
 class _Crossings:
@@ -438,7 +439,7 @@ class _Crossings:
 def crossing_pairs(d: Drawing):
     """The crossing rank pairs (r1, r2), r1 < r2, of an explicit drawing, in
     rank order."""
-    rows = _later_partners(d.n, d.crossings.bits)
+    rows = _later_partners(d.n, d.crossings.bits, _rank_grid(d.n)[1])
     return chain.from_iterable(zip(repeat(r1), later) for r1, later in rows)
 
 

@@ -111,6 +111,9 @@ def extract_pattern(
     Returns an outcome carrying a verified certificate, or an exhausted
     report when the candidate pool empties first (expected at desk scale).
     """
+    for name, value in (("m1", m1), ("m2", m2)):
+        if type(value) is not int:
+            raise InvalidSelection(f"pattern target {name} {value!r} is not an integer")
     if m1 < 2 or m2 < 2:
         raise InvalidSelection("pattern targets must be at least 2")
     chi = chi_cache if chi_cache is not None else ChiCache(ad)

@@ -40,9 +40,10 @@ def gen_halfcircle(n: int, seed=0) -> Drawing:
 
 
 def gen_straightline(points: Sequence[Tuple[int, int]]) -> Drawing:
-    """Complete geometric graph on integer points in general position
-    (``Drawing`` names a duplicate point or a collinear triple)."""
-    pts = tuple((int(x), int(y)) for x, y in points)
+    """Complete geometric graph on integer points in general position, each
+    a tuple of two ints, taken as given (``Drawing`` names a point that is
+    not one, a duplicate point or a collinear triple)."""
+    pts = tuple(points)
     return Drawing(n=len(pts), model="points", points=pts)
 
 

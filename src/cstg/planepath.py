@@ -182,6 +182,9 @@ def extract_plane_path(
     n = ad.n
     if n < 3:
         raise InvalidSelection("plane path extraction needs n >= 3")
+    for name, value in (("m_override", m_override), ("path_target", path_target)):
+        if value is not None and type(value) is not int:
+            raise InvalidSelection(f"{name} {value!r} is not an integer")
     if m_override is not None and m_override < 1:
         raise InvalidSelection(f"m override must be at least 1, got {m_override}")
     if path_target is not None and path_target < 2:

@@ -1005,3 +1005,16 @@ class TestTablePieces:
         finally:
             tracemalloc.stop()
         assert peak < 2 * len(text)
+
+    def test_encoding_holds_less_than_two_and_a_quarter_times_the_text(self):
+        # the edges' row strings and the text they are joined into: about
+        # 2.1 times T48's 1.9 MB of text, with no string alive per entry
+        d = induced_subdrawing(gen_twisted(48), range(48))
+        text = encode_drawing(d)  # the rank grid of n = 48, cached once per process
+        tracemalloc.start()
+        try:
+            assert encode_drawing(d) == text
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * len(text)

@@ -94,12 +94,14 @@ class TestDocumentFuzzer:
                 return 3
             return outcome
 
+        # mutant 0 of seed 6 is a drawing, read by ten commands
+        assert fuzzer.case(fuzzer.base_documents(), 6, 0)[1] == "drawing"
         monkeypatch.setattr(fuzzer, "dispatch", dispatch)
         reports = []
-        assert fuzzer.run(seed=5, count=2, report=reports.append) == 3
-        assert reports[0].startswith("seed 5 mutant 0: ") and "exit 1" in reports[0]
-        assert reports[1].startswith("seed 5 mutant 0: ") and "ValueError: escaped" in reports[1]
-        assert reports[2].startswith("seed 5 mutant 0: ") and f"exit 3: {broken}" in reports[2]
+        assert fuzzer.run(seed=6, count=2, report=reports.append) == 3
+        assert reports[0].startswith("seed 6 mutant 0: ") and "exit 1" in reports[0]
+        assert reports[1].startswith("seed 6 mutant 0: ") and "ValueError: escaped" in reports[1]
+        assert reports[2].startswith("seed 6 mutant 0: ") and f"exit 3: {broken}" in reports[2]
 
     @pytest.mark.parametrize("seed, index, first, second", [(3, 834, 4, 7), (1, 3299, 7, 9)])
     @pytest.mark.parametrize("argv", [["verify", "{}", "--self"],

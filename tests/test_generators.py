@@ -4,6 +4,7 @@ anchors, reproducibility."""
 import itertools
 import math
 import random
+import re
 
 import pytest
 from helpers import independent_pairs, spiral_cross
@@ -200,6 +201,12 @@ class TestStraightLine:
     def test_duplicate_point_rejected(self):
         with pytest.raises(DegenerateInput, match="duplicate"):
             gen_straightline([(0, 0), (1, 2), (0, 0)])
+
+    @pytest.mark.parametrize("point", [(1.5, 2), (True, 2), ("0", 2)])
+    def test_non_integer_point_is_refused_not_moved(self, point):
+        # int() would have moved (1.5, 2) and (True, 2) to (1, 2)
+        with pytest.raises(InvalidSelection, match=rf"point 1 {re.escape(repr(point))} "):
+            gen_straightline([(0, 0), point, (3, 1)])
 
     def test_anchors_exactly_at_hull_vertices(self):
         # reference: a point is on the hull iff it lies in no triangle of
