@@ -16,13 +16,17 @@ Each mutant runs through ``cli.dispatch`` for every subcommand that reads a
 document of its kind: a drawing through ``verify --self``, ``verify`` with
 a certificate, ``extract pattern``, ``extract planepath``, the three
 oracles, ``render`` and both ``tables``; a certificate through ``verify``
-and ``render --overlay`` on its drawing.  The oracles get ``--budget-nodes
-2000``.  The run fails on any exit code outside {0, 2, 3, 4}, on any
-``InternalInvariantBroken`` in a command's output (bad input must be
-refused at the boundary, not found by a deep invariant), and on any
-exception that escapes ``dispatch``, naming the seed, the mutant, its edits
-and the argv.  The mutants of a seed are fixed, so a failure is reproduced
-by the same ``--seed`` and a ``--count`` past the mutant's index.
+and ``render --overlay`` on its drawing.  The integer flags start at
+``--m1 3 --m2 3``, ``--m-override 2`` and, for the oracles, ``--budget-nodes
+2000``; each mutant nudges one of the four as an edit nudges an integer,
+so a count may fall below its floor.  The run fails on any exit code
+outside {0, 2, 3, 4}, on any exit but 3 from a command given a count below
+its floor, on any ``InternalInvariantBroken`` in a command's output (bad
+input must be refused at the boundary, not found by a deep invariant), and
+on any exception that escapes ``dispatch``, naming the seed, the mutant,
+its edits and the argv.  The mutants of a seed are fixed, so a failure is
+reproduced by the same ``--seed`` and a ``--count`` past the mutant's
+index.
 
 The codec reads an explicit table a piece of about ``codec._PIECE``
 characters at a time; the run sets it to 16 characters, two or three
@@ -60,7 +64,8 @@ from cstg.cli import dispatch  # noqa: E402
 from cstg.planepath import extract_plane_path  # noqa: E402
 
 ALLOWED_EXITS = (0, 2, 3, 4)
-BUDGET = ["--budget-nodes", "2000"]
+# each integer flag: its value before the nudge, and the least count it takes
+FLAGS = {"--m1": (3, 2), "--m2": (3, 2), "--m-override": (2, 1), "--budget-nodes": (2000, 1)}
 RETYPED = ("x", "", 1.5, True, False, None, [], {}, [0, 1], {"n": 3})
 SHORT_PIECE = 16  # characters of a crossing table the codec parses at a time
 
@@ -125,6 +130,11 @@ def copy(node):
     return load(dump(node))
 
 
+def nudge(rng: random.Random, value: int) -> int:
+    """value moved by one, or its sign flipped."""
+    return value + rng.choice((-1, 1)) if rng.random() < 0.8 else -value
+
+
 def mutate(rng: random.Random, tree):
     """One edit of ``tree``, in place where it can be; (tree, what it did)."""
     label, parent, idx, node = rng.choice(list(nodes(tree)))
@@ -140,7 +150,7 @@ def mutate(rng: random.Random, tree):
         if how == "retype":
             new = copy(rng.choice([v for v in RETYPED if v != node or type(v) is not type(node)]))
         elif how == "nudge":
-            new = node + rng.choice((-1, 1)) if rng.random() < 0.8 else -node
+            new = nudge(rng, node)
         else:
             new = node + rng.choice(node or "UL") if rng.random() < 0.5 else node[:-1]
         if parent is None:
@@ -184,21 +194,27 @@ def mutant(rng: random.Random, text: str):
     return data, edits
 
 
-def commands(kind: str, work: str):
+def commands(kind: str, work: str, flags):
     """The argv lists that read the document at ``work``/doc, of ``kind``
-    "drawing" or "certificate"; the other document is ``work``/other."""
+    "drawing" or "certificate", with the integer flags ``flags``; the other
+    document is ``work``/other."""
     doc, other = os.path.join(work, "doc"), os.path.join(work, "other")
+    budget = ["--budget-nodes", str(flags["--budget-nodes"])]
+
+    def given(*names):
+        return [arg for name in names for arg in (name, str(flags[name]))]
+
     if kind == "certificate":
         return [["verify", other, doc],
                 ["render", other, "--overlay", doc, "--out", os.path.join(work, "o.svg")]]
     return [
         ["verify", doc, "--self"],
         ["verify", doc, other],
-        ["extract", "pattern", doc, "--m1", "3", "--m2", "3"],
-        ["extract", "planepath", doc, "--m-override", "2"],
-        ["oracle", "maxconvex", doc, *BUDGET],
-        ["oracle", "maxtwisted", doc, *BUDGET],
-        ["oracle", "planepath", doc, *BUDGET, "--out", os.path.join(work, "w.json")],
+        ["extract", "pattern", doc, *given("--m1", "--m2")],
+        ["extract", "planepath", doc, *given("--m-override")],
+        ["oracle", "maxconvex", doc, *budget],
+        ["oracle", "maxtwisted", doc, *budget],
+        ["oracle", "planepath", doc, *budget, "--out", os.path.join(work, "w.json")],
         ["render", doc, "--out", os.path.join(work, "d.svg")],
         ["tables", "chi", doc, "--out", os.path.join(work, "chi.csv")],
         ["tables", "phi", doc, "--out", os.path.join(work, "phi.csv")],
@@ -206,14 +222,19 @@ def commands(kind: str, work: str):
 
 
 def case(docs, seed: int, index: int):
-    """(base name, kind, mutant bytes, edits, the other document's text) of
-    mutant ``index`` of seed ``seed`` over the base documents ``docs``."""
+    """(base name, kind, mutant bytes, edits, the other document's text, the
+    integer flags) of mutant ``index`` of seed ``seed`` over the base
+    documents ``docs``; one flag is nudged."""
     rng = random.Random(f"{seed}/{index}")
     name, drawing_text, cert_texts = rng.choice(docs)
     cert_text = rng.choice(cert_texts)
     kind = rng.choice(("drawing", "drawing", "certificate"))
     data, edits = mutant(rng, drawing_text if kind == "drawing" else cert_text)
-    return name, kind, data, edits, cert_text if kind == "drawing" else drawing_text
+    flags = {flag: value for flag, (value, _) in FLAGS.items()}
+    flag = rng.choice(list(FLAGS))
+    flags[flag] = nudge(rng, flags[flag])
+    other = cert_text if kind == "drawing" else drawing_text
+    return name, kind, data, edits, other, flags
 
 
 def run(seed: int, count: int, report=print) -> int:
@@ -222,19 +243,23 @@ def run(seed: int, count: int, report=print) -> int:
     failures = 0
     with tempfile.TemporaryDirectory() as work, mock.patch.object(codec, "_PIECE", SHORT_PIECE):
         for index in range(count):
-            name, kind, data, edits, other = case(docs, seed, index)
+            name, kind, data, edits, other, flags = case(docs, seed, index)
             with open(os.path.join(work, "doc"), "wb") as f:
                 f.write(data)
             with open(os.path.join(work, "other"), "w", encoding="utf-8") as f:
                 f.write(other)
-            for argv in commands(kind, work):
+            for argv in commands(kind, work, flags):
+                # a count below its floor is refused as invalid input
+                refused = any(flag in argv and value < FLAGS[flag][1]
+                              for flag, value in flags.items())
                 sink = io.StringIO()
                 try:
                     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                         code = dispatch(argv)
                 except Exception:
                     code, error = None, traceback.format_exc()
-                if code in ALLOWED_EXITS and "InternalInvariantBroken" not in sink.getvalue():
+                allowed = (3,) if refused else ALLOWED_EXITS
+                if code in allowed and "InternalInvariantBroken" not in sink.getvalue():
                     continue
                 failures += 1
                 outcome = f"exit {code}: {sink.getvalue()}" if code is not None else error

@@ -120,9 +120,11 @@ class ChiCache:
         self._memo = {}  # (i, j) -> (R(i,j), R(j,i), X(i,j))
 
     def get(self, i: int, j: int, k: int) -> str:
-        masks = self._memo.get((i, j))
+        # (1.0, 2) hashes as (1, 2): the types are tested before the memo
+        ints = type(i) is type(j) is type(k) is int
+        masks = self._memo.get((i, j)) if ints else None
         if masks is None or not j < k < self._n:
-            if not (1 <= i < j < k <= self._n - 1):
+            if not (ints and 1 <= i < j < k <= self._n - 1):
                 raise InvalidTriple(f"positions {(i, j, k)} invalid for n={self._n}")
             masks = self._memo[(i, j)] = self._pair(i, j)
         ri, rj, x = masks
@@ -241,8 +243,8 @@ class PhiTable:
         return self._column_codes[i - 1]
 
     def _fill(self, i: int) -> None:
-        if not 1 <= i <= self.ad.n - 1:
-            raise InvalidTriple(f"column {i} invalid for n={self.ad.n}")
+        if type(i) is not int or not 1 <= i <= self.ad.n - 1:
+            raise InvalidTriple(f"column {i!r} invalid for n={self.ad.n}")
         while len(self._columns) < i:
             self._build(len(self._columns) + 1)
 
@@ -271,7 +273,7 @@ class PhiTable:
         self._column_codes.append((_value_codes(lifts_a, n), _value_codes(lifts_b, n)))
 
     def value(self, i: int, j: int) -> PhiValue:
-        if not (1 <= i < j <= self.ad.n - 1):
+        if not (type(i) is type(j) is int and 1 <= i < j <= self.ad.n - 1):
             raise InvalidTriple(f"pair ({i},{j}) invalid for n={self.ad.n}")
         codes_a, codes_b = self._codes(i)
         return PhiValue(codes_a[j] + 2, codes_b[j] + 2)

@@ -82,8 +82,9 @@ CERTIFICATE_KINDS = (CONVEX, TWISTED, PLANE_PATH, PLANE_BIPARTITE)
 
 
 def edge_index(i: int, j: int, n: int) -> int:
-    """Lexicographic rank of the pair (i, j), 0 <= i < j < n."""
-    if not (0 <= i < j < n):
+    """Lexicographic rank of the pair (i, j) of Python ints, 0 <= i < j < n."""
+    _count(n, "n", 2)
+    if not (type(i) is type(j) is int and 0 <= i < j < n):
         raise InvalidEdge(f"edge ({i},{j}) invalid for n={n}")
     return i * n - i * (i + 1) // 2 + (j - i - 1)
 
@@ -99,13 +100,28 @@ def _check_explicit_n(n: int) -> None:
         raise SizeLimit(f"explicit backend capped at n={EXPLICIT_N_CAP}, got {n}")
 
 
-def _vertices(vs) -> list:
-    """A vertex selection as a list; a member that is not a Python int (a
-    float, a bool) is refused by name."""
-    vs = list(vs)
+def _count(value, name: str, least: int) -> int:
+    """value, a count (a size, a target or a budget), when it is a Python int
+    of at least ``least``, a bool not being one; else InvalidSelection."""
+    if type(value) is not int:
+        raise InvalidSelection(f"{name} {value!r} is not an integer")
+    if value < least:
+        raise InvalidSelection(f"{name} must be at least {least}, got {value}")
+    return value
+
+
+def _vertices(vs, n: int) -> list:
+    """A vertex selection as a list of distinct Python ints in range(n); else
+    InvalidSelection naming the first member that is not one."""
+    vs, seen = list(vs), set()
     for v in vs:
         if type(v) is not int:
             raise InvalidSelection(f"selection member {v!r} is not an integer")
+        if not 0 <= v < n:
+            raise InvalidSelection(f"selection member {v} out of range for n={n}")
+        if v in seen:
+            raise InvalidSelection(f"selection member {v} is repeated")
+        seen.add(v)
     return vs
 
 
@@ -167,9 +183,7 @@ class Drawing:
     anchor: Optional[Tuple[int, Tuple[int, ...]]] = None
 
     def __post_init__(self):
-        n = self.n
-        if type(n) is not int or n < 2:
-            raise InvalidSelection(f"drawing needs an integer n >= 2, got {n!r}")
+        n = _count(self.n, "drawing n", 2)
         if not isinstance(self.model, str) or self.model not in MODELS:
             raise InvalidSelection(f"unknown model {self.model!r}")
         model = MODELS[self.model]
@@ -501,8 +515,8 @@ class _Model:
         return 0
 
     def order(self, d: Drawing, v0: int) -> Tuple[int, ...]:
-        if not 0 <= v0 < d.n:
-            raise InvalidSelection(f"anchor {v0} out of range")
+        if type(v0) is not int or not 0 <= v0 < d.n:
+            raise InvalidSelection(f"anchor {v0!r} out of range")
         ccw = self.rotation(d, v0)
         cut = self.cut(d, v0, ccw)
         return tuple(reversed(ccw[cut:] + ccw[:cut]))
@@ -940,13 +954,9 @@ def induced_subdrawing(d: Drawing, vs: Sequence[int]) -> Drawing:
     (erasing vertices preserves the cyclic order of the surviving edge
     germs, and the unbounded cell only grows).
     """
-    vs = _vertices(vs)
+    vs = _vertices(vs, d.n)
     if len(vs) < 2:
         raise InvalidSelection("selection needs at least 2 vertices")
-    if len(set(vs)) != len(vs):
-        raise InvalidSelection("selection contains duplicates")
-    if any(not (0 <= v < d.n) for v in vs):
-        raise InvalidSelection("selection out of range")
     _check_explicit_n(len(vs))
     back = {v: idx for idx, v in enumerate(vs)}
     m = len(vs)

@@ -18,7 +18,7 @@ class NotIndependent(CstgError):
 
 
 class InvalidSelection(CstgError):
-    """Bad vertex subset (duplicates, out of range, too small)."""
+    """Bad argument: a count, vertex, selection or budget of the wrong type or range."""
 
 
 class AnchorUnavailable(CstgError):
@@ -66,7 +66,7 @@ class InvalidTriple(CstgError):
 
 
 class RuleViolation(CstgError):
-    """Builder broke the online game rules."""
+    """Builder broke the online game rules by an illegal move."""
 
 
 class BudgetExhausted(CstgError):

@@ -32,6 +32,7 @@ from .drawing import (
     AnchoredDrawing,
     Certificate,
     _certified,
+    _count,
 )
 from .errors import InternalInvariantBroken, InvalidSelection, NotATree, SizeLimit
 from .ramsey import GameState
@@ -111,11 +112,8 @@ def extract_pattern(
     Returns an outcome carrying a verified certificate, or an exhausted
     report when the candidate pool empties first (expected at desk scale).
     """
-    for name, value in (("m1", m1), ("m2", m2)):
-        if type(value) is not int:
-            raise InvalidSelection(f"pattern target {name} {value!r} is not an integer")
-    if m1 < 2 or m2 < 2:
-        raise InvalidSelection("pattern targets must be at least 2")
+    _count(m1, "pattern target m1", 2)
+    _count(m2, "pattern target m2", 2)
     chi = chi_cache if chi_cache is not None else ChiCache(ad)
     phi = PhiTable(ad, chi)
     stats = ExtractionStats()
@@ -264,8 +262,8 @@ def required_n(
     m1: int, m2: int, r_bound: Callable[[int], float] = paper_r_bound
 ) -> ThresholdReport:
     """Exponent L such that n > 2^L suffices, plus the closed-form bound."""
-    if m1 < 2 or m2 < 2:
-        raise InvalidSelection("pattern targets must be at least 2")
+    _count(m1, "pattern target m1", 2)
+    _count(m2, "pattern target m2", 2)
     edge_budget = m2 * m2 * r_bound(m1)
     stage_budget = m2 * m2 + edge_budget
     chain = 2.0 * stage_budget * math.log2(m2) + edge_budget + stage_budget
@@ -277,9 +275,7 @@ def required_n(
 
 def guaranteed_m(n: int) -> int:
     """Largest m with 9 m^4 (log2 m)^2 < log2 n (both targets set to m)."""
-    if n < 3:
-        raise InvalidSelection("needs n >= 3")
-    log_n = math.log2(n)
+    log_n = math.log2(_count(n, "n", 3))
     m = 1
     while 9.0 * (m + 1) ** 4 * math.log2(m + 1) ** 2 < log_n:
         m += 1
@@ -309,6 +305,7 @@ def embed_tree(kind: str, m: int, adjacency: Sequence[Sequence[int]]) -> TreeEmb
     """
     if kind not in (CONVEX, TWISTED):
         raise InvalidSelection(f"kind must be {CONVEX!r} or {TWISTED!r}")
+    _count(m, "m", 1)
     k = len(adjacency)
     if k == 0:
         raise NotATree("empty adjacency")

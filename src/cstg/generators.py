@@ -16,8 +16,8 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence, Tuple
 
-from .drawing import MODELS, AnchoredDrawing, Drawing
-from .errors import InvalidSelection, SizeLimit
+from .drawing import MODELS, AnchoredDrawing, Drawing, _count
+from .errors import SizeLimit
 
 
 def gen_convex(n: int) -> Drawing:
@@ -34,6 +34,7 @@ def gen_halfcircle(n: int, seed=0) -> Drawing:
     """Random half-circle drawing; generation is bit-reproducible per seed.
 
     A given sign string is ``Drawing(n=n, model="halfcircle", signs=s)``."""
+    _count(n, "drawing n", 2)
     rng = random.Random(seed)
     signs = "".join("U" if rng.getrandbits(1) else "L" for _ in range(n * (n - 1) // 2))
     return Drawing(n=n, model="halfcircle", signs=signs)
@@ -62,9 +63,7 @@ def gen_horton(k: int) -> List[Tuple[int, int]]:
     through two points of one half misses the other half entirely (which also
     rules out mixed collinear triples).
     """
-    if k < 0:
-        raise InvalidSelection("k must be non-negative")
-    if k > HORTON_K_CAP:
+    if _count(k, "k", 0) > HORTON_K_CAP:
         raise SizeLimit(f"gen_horton capped at k={HORTON_K_CAP}")
     pts = [(0, 0)]
     for _ in range(k):

@@ -60,6 +60,7 @@ from .drawing import (
     CONVEX,
     TWISTED,
     Drawing,
+    _count,
     _stacked_rows,
     _vertices,
     crossing_masks,
@@ -80,10 +81,7 @@ class OracleBudget:
             if not seconds > 0:  # NaN too; inf is no limit
                 raise InvalidSelection("time budget must be positive")
         if nodes is not None:
-            if isinstance(nodes, bool) or not isinstance(nodes, int):
-                raise InvalidSelection(f"node budget must be an integer, got {nodes!r}")
-            if nodes <= 0:
-                raise InvalidSelection("node budget must be positive")
+            _count(nodes, "node budget", 1)
 
 
 @dataclass(frozen=True)
@@ -104,6 +102,8 @@ class OracleResult:
 
 class _Clock:
     def __init__(self, budget: Optional[OracleBudget]):
+        if budget is not None and not isinstance(budget, OracleBudget):
+            raise InvalidSelection(f"budget must be an OracleBudget, got {type(budget).__name__}")
         self.deadline = None
         self.node_cap = None
         if budget is not None:
@@ -261,10 +261,9 @@ def longest_plane_path_exact(
     out of paths or found one through every vertex; one that stopped at
     ``target`` short of every vertex is flagged as a lower bound.
     """
-    verts = sorted(_vertices(vertices)) if vertices is not None else list(range(d.n))
-    if any(not (0 <= v < d.n) for v in verts) or len(set(verts)) != len(verts):
-        raise InvalidSelection("bad vertex restriction")
+    verts = sorted(_vertices(vertices, d.n)) if vertices is not None else list(range(d.n))
     k = len(verts)
+    stop = k if target is None else min(k, _count(target, "target", 1))
     # conflict masks and used edges over positions p*k + q in verts
     N = crossing_masks(d, verts)
     conflicts = [None] * (k * k)
@@ -277,7 +276,6 @@ def longest_plane_path_exact(
 
     clock = _Clock(budget)
     best: List[int] = []
-    stop = k if target is None else min(k, target)
 
     def dfs(path: List[int], on: int, used_edges: int, p: int) -> bool:
         # p: the position of path[-1] in verts; on: the positions on the path

@@ -32,6 +32,7 @@ from .drawing import (
     AnchoredDrawing,
     Certificate,
     _certified,
+    _count,
 )
 from .errors import (
     BudgetExhausted,
@@ -44,8 +45,8 @@ from .oracles import OracleBudget, longest_plane_path_exact
 
 def theta(ad: AnchoredDrawing, i: int) -> List[int]:
     """Successors of position i in ccw edge order after the anchor edge."""
-    if not (1 <= i <= ad.n - 1):
-        raise InvalidSelection(f"position {i} out of range")
+    if type(i) is not int or not 1 <= i <= ad.n - 1:
+        raise InvalidSelection(f"position {i!r} out of range")
     v = ad.vertex_at(i)
     rot = list(rotation_at(ad.base, v))
     cut = rot.index(ad.v0)
@@ -90,9 +91,7 @@ def find_plane_k2m2(ad: AnchoredDrawing, m: int) -> Optional[Certificate]:
     Position i has n-1-i successors, so only positions with at least m^2
     of them are read.
     """
-    if m < 1:
-        raise InvalidSelection(f"m must be at least 1, got {m}")
-    need = m * m
+    need = _count(m, "m", 1) ** 2
     for i in range(1, ad.n - need):
         length, witness = _lis(theta(ad, i))
         if length >= need:
@@ -182,14 +181,9 @@ def extract_plane_path(
     n = ad.n
     if n < 3:
         raise InvalidSelection("plane path extraction needs n >= 3")
-    for name, value in (("m_override", m_override), ("path_target", path_target)):
-        if value is not None and type(value) is not int:
-            raise InvalidSelection(f"{name} {value!r} is not an integer")
-    if m_override is not None and m_override < 1:
-        raise InvalidSelection(f"m override must be at least 1, got {m_override}")
-    if path_target is not None and path_target < 2:
-        raise InvalidSelection(f"path target must be at least 2, got {path_target}")
-    m = m_override if m_override is not None else default_m(n)
+    m = default_m(n) if m_override is None else _count(m_override, "m override", 1)
+    if path_target is not None:
+        _count(path_target, "path target", 2)
     chi = chi_cache if chi_cache is not None else ChiCache(ad)
 
     star = find_plane_k2m2(ad, m) if m > 1 else None

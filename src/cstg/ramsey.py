@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from .drawing import _count
 from .errors import BudgetExhausted, RuleViolation
 
 RED = "red"
@@ -147,13 +148,12 @@ def run_game(
 ) -> GameTranscript:
     """Drive the game until a monochromatic monotone path of m vertices exists.
 
-    Raises RuleViolation on an illegal builder move and BudgetExhausted
-    (carrying the transcript so far) when the edge budget runs out first.
+    Raises InvalidSelection on a bad target or budget, RuleViolation on an
+    illegal builder move and BudgetExhausted (carrying the transcript so
+    far) when the edge budget runs out first.
     """
-    if m < 2:
-        raise RuleViolation(f"target path length must be >= 2, got {m}")
-    if budget < 1:
-        raise RuleViolation("edge budget must be positive")
+    _count(m, "target path length", 2)
+    _count(budget, "edge budget", 1)
     state = GameState()
     transcript = GameTranscript(target=m)
     while True:

@@ -357,16 +357,18 @@ class TestOracle:
 
     @pytest.mark.parametrize("command", [["oracle", "maxconvex"], ["extract", "planepath"]])
     @pytest.mark.parametrize(
-        "flag,value",
-        [("--budget-nodes", "0"), ("--budget-seconds", "0"), ("--budget-seconds", "nan")],
+        "flag,value,message",
+        [("--budget-nodes", "0", "node budget must be at least 1, got 0"),
+         ("--budget-seconds", "0", "time budget must be positive"),
+         ("--budget-seconds", "nan", "time budget must be positive")],
     )
-    def test_zero_budget_exits_3(self, tmp_path, capsys, command, flag, value):
+    def test_zero_budget_exits_3(self, tmp_path, capsys, command, flag, value, message):
         drawing = tmp_path / "hc.cstg"
         run(capsys, "generate", "--family", "halfcircle", "--n", "14",
             "--seed", "0", "--out", str(drawing))
         code, _, err = run(capsys, *command, str(drawing), flag, value)
         assert code == 3
-        assert "budget must be positive" in err
+        assert message in err
 
 
 class TestDeterminism:
@@ -871,7 +873,7 @@ class TestBench:
         code, stdout, err = run(capsys, "bench", "--n", "0", "--trials", "2",
                                 "--out", str(out))
         assert (code, stdout) == (3, "")
-        assert err == "invalid input: InvalidSelection: drawing needs an integer n >= 2, got 0\n"
+        assert err == "invalid input: InvalidSelection: drawing n must be at least 2, got 0\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("n, trials", [("0", "0"), ("12", "-2")])

@@ -489,10 +489,10 @@ INVALID = [
         "n below 2",
         dict(n=1, model="convex"),
         InvalidSelection,
-        "drawing needs an integer n >= 2, got 1",
+        "drawing n must be at least 2, got 1",
         '{"format":"cstg-1","model":"convex","n":1}',
         ValidationError,
-        "drawing needs an integer n >= 2, got 1",
+        "drawing n must be at least 2, got 1",
     ),
     (
         "short sign vector",
@@ -973,7 +973,7 @@ class TestTablePieces:
         assert str(info.value) == message
 
     @pytest.mark.parametrize("n, error, message", [
-        (-10 ** 9, ValidationError, "drawing needs an integer n >= 2, got -1000000000"),
+        (-10 ** 9, ValidationError, "drawing n must be at least 2, got -1000000000"),
         (10 ** 6, SizeLimit, "explicit backend capped at n=256, got 1000000"),
     ], ids=["negative", "past the cap"])
     def test_a_table_over_an_n_no_drawing_takes_folds_no_rows(self, n, error, message):

@@ -1,6 +1,7 @@
 """Core drawing model: ranks, crossing queries, restrictions, certificates."""
 
 import dataclasses
+import inspect
 import itertools
 import json
 import math
@@ -12,7 +13,9 @@ import pytest
 from helpers import edge_at, independent_pairs
 from models import SAMPLES, crossing_function, random_explicit, reference_collinear
 
+import cstg
 from cstg import drawing
+from cstg.chromatics import ChiCache, phi_table
 from cstg.codec import encode_drawing
 from cstg.drawing import (
     CONVEX,
@@ -39,6 +42,7 @@ from cstg.errors import (
     InvalidEdge,
     InvalidSelection,
     InvalidSigns,
+    InvalidTriple,
     NotIndependent,
     SizeLimit,
     ValidationError,
@@ -52,7 +56,10 @@ from cstg.generators import (
     gen_twisted,
     rotations_of,
 )
-from cstg.oracles import longest_plane_path_exact, max_pattern_exact
+from cstg.extraction import embed_tree, extract_pattern, guaranteed_m, required_n
+from cstg.oracles import OracleBudget, longest_plane_path_exact, max_pattern_exact
+from cstg.planepath import extract_plane_path, find_plane_k2m2, theta
+from cstg.ramsey import adversarial_painter, naive_builder, run_game
 
 
 def all_pairs(n):
@@ -476,26 +483,260 @@ class TestInducedSubdrawing:
         assert time.monotonic() - t0 < 1.0
 
 
-# a member that is no Python int is named where the selection comes in,
-# not met as a TypeError deep in a kernel; a bool is no vertex
+# Every count (a size, a target or a budget) is read through drawing._count
+# and every vertex selection through drawing._vertices, and positions,
+# edge endpoints and budget objects are refused by their own checks: a bad
+# argument is named where it comes in, never met as a TypeError deep in a
+# kernel, never truncated, and a bool is neither a count nor a vertex.  Each
+# row is (call, error, message), its id "<callable>.<parameter>: <case>";
+# each count has a bool, a float and a below-range row.
 HC8 = gen_halfcircle(8, seed=1)
+AD8 = anchored_view(HC8)
+GAME = (naive_builder(), adversarial_painter())
 
 
-@pytest.mark.parametrize("select, message", [
-    (lambda: induced_subdrawing(HC8, [0, 1.0, 2]), "selection member 1.0 is not an integer"),
-    (lambda: induced_subdrawing(HC8, [0, True, 2]), "selection member True is not an integer"),
-    (lambda: longest_plane_path_exact(HC8, vertices=[0, 1.5, 3]),
-     "selection member 1.5 is not an integer"),
-    (lambda: longest_plane_path_exact(HC8, vertices=[False, 1, 3]),
-     "selection member False is not an integer"),
-    (lambda: AnchoredDrawing(HC8, 0.0, tuple(range(1, 8))), "anchor 0.0 out of range"),
-    (lambda: AnchoredDrawing(HC8, True, (0, *range(2, 8))), "anchor True out of range"),
-], ids=["restriction float", "restriction bool", "path search float", "path search bool",
-        "anchor float", "anchor bool"])
-def test_a_selected_vertex_that_is_no_integer_is_refused(select, message):
-    with pytest.raises(InvalidSelection) as info:
-        select()
+def refused(target, case, call, error, message):
+    return pytest.param(call, error, message, id=f"{target}: {case}")
+
+
+REFUSALS = [
+    # sizes of drawings and point sets
+    refused("Drawing.n", "bool", lambda: Drawing(n=True, model="convex"),
+            InvalidSelection, "drawing n True is not an integer"),
+    refused("Drawing.n", "float", lambda: Drawing(n=4.0, model="convex"),
+            InvalidSelection, "drawing n 4.0 is not an integer"),
+    refused("Drawing.n", "below", lambda: Drawing(n=1, model="convex"),
+            InvalidSelection, "drawing n must be at least 2, got 1"),
+    refused("gen_convex.n", "bool", lambda: gen_convex(True),
+            InvalidSelection, "drawing n True is not an integer"),
+    refused("gen_convex.n", "float", lambda: gen_convex(5.0),
+            InvalidSelection, "drawing n 5.0 is not an integer"),
+    refused("gen_convex.n", "below", lambda: gen_convex(1),
+            InvalidSelection, "drawing n must be at least 2, got 1"),
+    refused("gen_twisted.m", "bool", lambda: gen_twisted(True),
+            InvalidSelection, "drawing n True is not an integer"),
+    refused("gen_twisted.m", "float", lambda: gen_twisted(5.0),
+            InvalidSelection, "drawing n 5.0 is not an integer"),
+    refused("gen_twisted.m", "below", lambda: gen_twisted(0),
+            InvalidSelection, "drawing n must be at least 2, got 0"),
+    refused("gen_halfcircle.n", "bool", lambda: gen_halfcircle(True),
+            InvalidSelection, "drawing n True is not an integer"),
+    refused("gen_halfcircle.n", "float", lambda: gen_halfcircle(5.0),
+            InvalidSelection, "drawing n 5.0 is not an integer"),
+    refused("gen_halfcircle.n", "below", lambda: gen_halfcircle(-3),
+            InvalidSelection, "drawing n must be at least 2, got -3"),
+    refused("gen_horton.k", "bool", lambda: gen_horton(True),
+            InvalidSelection, "k True is not an integer"),
+    refused("gen_horton.k", "float", lambda: gen_horton(2.0),
+            InvalidSelection, "k 2.0 is not an integer"),
+    refused("gen_horton.k", "below", lambda: gen_horton(-1),
+            InvalidSelection, "k must be at least 0, got -1"),
+    refused("edge_index.n", "bool", lambda: edge_index(0, 1, True),
+            InvalidSelection, "n True is not an integer"),
+    refused("edge_index.n", "float", lambda: edge_index(0, 1, 2.5),
+            InvalidSelection, "n 2.5 is not an integer"),
+    refused("edge_index.n", "below", lambda: edge_index(0, 1, 1),
+            InvalidSelection, "n must be at least 2, got 1"),
+    # targets
+    refused("extract_pattern.m1", "bool", lambda: extract_pattern(AD8, True, 3),
+            InvalidSelection, "pattern target m1 True is not an integer"),
+    refused("extract_pattern.m1", "float", lambda: extract_pattern(AD8, 3.0, 3),
+            InvalidSelection, "pattern target m1 3.0 is not an integer"),
+    refused("extract_pattern.m1", "float below the range", lambda: extract_pattern(AD8, 0.5, 3),
+            InvalidSelection, "pattern target m1 0.5 is not an integer"),
+    refused("extract_pattern.m1", "below", lambda: extract_pattern(AD8, 1, 3),
+            InvalidSelection, "pattern target m1 must be at least 2, got 1"),
+    refused("extract_pattern.m2", "bool", lambda: extract_pattern(AD8, 3, True),
+            InvalidSelection, "pattern target m2 True is not an integer"),
+    refused("extract_pattern.m2", "float", lambda: extract_pattern(AD8, 3, 3.0),
+            InvalidSelection, "pattern target m2 3.0 is not an integer"),
+    refused("extract_pattern.m2", "below",
+            lambda: extract_pattern(anchored_view(gen_convex(8)), 4, 1),
+            InvalidSelection, "pattern target m2 must be at least 2, got 1"),
+    refused("required_n.m1", "bool", lambda: required_n(True, 3),
+            InvalidSelection, "pattern target m1 True is not an integer"),
+    refused("required_n.m1", "float", lambda: required_n(2.5, 3),
+            InvalidSelection, "pattern target m1 2.5 is not an integer"),
+    refused("required_n.m1", "below", lambda: required_n(1, 4),
+            InvalidSelection, "pattern target m1 must be at least 2, got 1"),
+    refused("required_n.m2", "bool", lambda: required_n(3, True),
+            InvalidSelection, "pattern target m2 True is not an integer"),
+    refused("required_n.m2", "float", lambda: required_n(3, 3.0),
+            InvalidSelection, "pattern target m2 3.0 is not an integer"),
+    refused("required_n.m2", "below", lambda: required_n(4, 1),
+            InvalidSelection, "pattern target m2 must be at least 2, got 1"),
+    refused("guaranteed_m.n", "bool", lambda: guaranteed_m(True),
+            InvalidSelection, "n True is not an integer"),
+    refused("guaranteed_m.n", "float", lambda: guaranteed_m(1000.5),
+            InvalidSelection, "n 1000.5 is not an integer"),
+    refused("guaranteed_m.n", "below", lambda: guaranteed_m(2),
+            InvalidSelection, "n must be at least 3, got 2"),
+    refused("embed_tree.m", "bool", lambda: embed_tree(CONVEX, True, [[]]),
+            InvalidSelection, "m True is not an integer"),
+    refused("embed_tree.m", "float", lambda: embed_tree(CONVEX, 5.0, [[]]),
+            InvalidSelection, "m 5.0 is not an integer"),
+    refused("embed_tree.m", "below", lambda: embed_tree(CONVEX, 0, [[]]),
+            InvalidSelection, "m must be at least 1, got 0"),
+    refused("find_plane_k2m2.m", "bool", lambda: find_plane_k2m2(AD8, True),
+            InvalidSelection, "m True is not an integer"),
+    refused("find_plane_k2m2.m", "float", lambda: find_plane_k2m2(AD8, 2.5),
+            InvalidSelection, "m 2.5 is not an integer"),
+    refused("find_plane_k2m2.m", "below", lambda: find_plane_k2m2(AD8, 0),
+            InvalidSelection, "m must be at least 1, got 0"),
+    refused("extract_plane_path.m_override", "bool",
+            lambda: extract_plane_path(AD8, m_override=True),
+            InvalidSelection, "m override True is not an integer"),
+    refused("extract_plane_path.m_override", "float",
+            lambda: extract_plane_path(AD8, m_override=2.0),
+            InvalidSelection, "m override 2.0 is not an integer"),
+    refused("extract_plane_path.m_override", "below",
+            lambda: extract_plane_path(AD8, m_override=0),
+            InvalidSelection, "m override must be at least 1, got 0"),
+    refused("extract_plane_path.path_target", "bool",
+            lambda: extract_plane_path(AD8, path_target=True),
+            InvalidSelection, "path target True is not an integer"),
+    refused("extract_plane_path.path_target", "float",
+            lambda: extract_plane_path(AD8, path_target=4.5),
+            InvalidSelection, "path target 4.5 is not an integer"),
+    refused("extract_plane_path.path_target", "str",
+            lambda: extract_plane_path(AD8, path_target="4"),
+            InvalidSelection, "path target '4' is not an integer"),
+    refused("extract_plane_path.path_target", "below",
+            lambda: extract_plane_path(AD8, m_override=2, path_target=1),
+            InvalidSelection, "path target must be at least 2, got 1"),
+    refused("longest_plane_path_exact.target", "bool",
+            lambda: longest_plane_path_exact(HC8, target=True),
+            InvalidSelection, "target True is not an integer"),
+    refused("longest_plane_path_exact.target", "float",
+            lambda: longest_plane_path_exact(HC8, target=2.0),
+            InvalidSelection, "target 2.0 is not an integer"),
+    refused("longest_plane_path_exact.target", "below",
+            lambda: longest_plane_path_exact(HC8, target=0),
+            InvalidSelection, "target must be at least 1, got 0"),
+    refused("run_game.m", "bool", lambda: run_game(True, *GAME, budget=5),
+            InvalidSelection, "target path length True is not an integer"),
+    refused("run_game.m", "float", lambda: run_game(2.5, *GAME, budget=5),
+            InvalidSelection, "target path length 2.5 is not an integer"),
+    refused("run_game.m", "below", lambda: run_game(1, *GAME, budget=5),
+            InvalidSelection, "target path length must be at least 2, got 1"),
+    # budgets
+    refused("run_game.budget", "bool", lambda: run_game(3, *GAME, budget=True),
+            InvalidSelection, "edge budget True is not an integer"),
+    refused("run_game.budget", "float", lambda: run_game(3, *GAME, budget=5.0),
+            InvalidSelection, "edge budget 5.0 is not an integer"),
+    refused("run_game.budget", "below", lambda: run_game(3, *GAME, budget=0),
+            InvalidSelection, "edge budget must be at least 1, got 0"),
+    refused("OracleBudget.nodes", "bool", lambda: OracleBudget(nodes=True),
+            InvalidSelection, "node budget True is not an integer"),
+    refused("OracleBudget.nodes", "float", lambda: OracleBudget(nodes=2.5),
+            InvalidSelection, "node budget 2.5 is not an integer"),
+    refused("OracleBudget.nodes", "str", lambda: OracleBudget(nodes="5"),
+            InvalidSelection, "node budget '5' is not an integer"),
+    refused("OracleBudget.nodes", "below", lambda: OracleBudget(nodes=0),
+            InvalidSelection, "node budget must be at least 1, got 0"),
+    refused("max_pattern_exact.budget", "int", lambda: max_pattern_exact(HC8, CONVEX, 5),
+            InvalidSelection, "budget must be an OracleBudget, got int"),
+    refused("longest_plane_path_exact.budget", "dict",
+            lambda: longest_plane_path_exact(HC8, budget={"nodes": 5}),
+            InvalidSelection, "budget must be an OracleBudget, got dict"),
+    # vertex selections
+    refused("induced_subdrawing.vs", "float", lambda: induced_subdrawing(HC8, [0, 1.0, 2]),
+            InvalidSelection, "selection member 1.0 is not an integer"),
+    refused("induced_subdrawing.vs", "bool", lambda: induced_subdrawing(HC8, [0, True, 2]),
+            InvalidSelection, "selection member True is not an integer"),
+    refused("induced_subdrawing.vs", "past n", lambda: induced_subdrawing(HC8, [0, 8]),
+            InvalidSelection, "selection member 8 out of range for n=8"),
+    refused("induced_subdrawing.vs", "repeated", lambda: induced_subdrawing(HC8, [3, 1, 3]),
+            InvalidSelection, "selection member 3 is repeated"),
+    refused("longest_plane_path_exact.vertices", "float",
+            lambda: longest_plane_path_exact(HC8, vertices=[0, 1.5, 3]),
+            InvalidSelection, "selection member 1.5 is not an integer"),
+    refused("longest_plane_path_exact.vertices", "bool",
+            lambda: longest_plane_path_exact(HC8, vertices=[False, 1, 3]),
+            InvalidSelection, "selection member False is not an integer"),
+    refused("longest_plane_path_exact.vertices", "past n",
+            lambda: longest_plane_path_exact(gen_convex(6), vertices=[0, 6]),
+            InvalidSelection, "selection member 6 out of range for n=6"),
+    refused("longest_plane_path_exact.vertices", "negative",
+            lambda: longest_plane_path_exact(gen_convex(6), vertices=[-1, 2]),
+            InvalidSelection, "selection member -1 out of range for n=6"),
+    refused("longest_plane_path_exact.vertices", "repeated",
+            lambda: longest_plane_path_exact(gen_convex(6), vertices=[1, 2, 1]),
+            InvalidSelection, "selection member 1 is repeated"),
+    # anchors, positions and edge endpoints
+    refused("AnchoredDrawing.v0", "float", lambda: AnchoredDrawing(HC8, 0.0, tuple(range(1, 8))),
+            InvalidSelection, "anchor 0.0 out of range"),
+    refused("AnchoredDrawing.v0", "bool", lambda: AnchoredDrawing(HC8, True, (0, *range(2, 8))),
+            InvalidSelection, "anchor True out of range"),
+    refused("AnchoredDrawing.v0", "past n", lambda: AnchoredDrawing(HC8, 8, tuple(range(8))),
+            InvalidSelection, "anchor 8 out of range"),
+    refused("anchored_view.v0", "float", lambda: anchored_view(HC8, 0.0),
+            InvalidSelection, "anchor 0.0 out of range"),
+    refused("anchored_view.v0", "bool", lambda: anchored_view(gen_convex(5), True),
+            InvalidSelection, "anchor True out of range"),
+    refused("anchored_view.v0", "negative", lambda: anchored_view(HC8, -1),
+            InvalidSelection, "anchor -1 out of range"),
+    refused("theta.i", "float", lambda: theta(AD8, 1.0),
+            InvalidSelection, "position 1.0 out of range"),
+    refused("theta.i", "bool", lambda: theta(AD8, True),
+            InvalidSelection, "position True out of range"),
+    refused("theta.i", "the anchor", lambda: theta(AD8, 0),
+            InvalidSelection, "position 0 out of range"),
+    refused("edge_index.i", "bool", lambda: edge_index(True, 2, 3),
+            InvalidEdge, "edge (True,2) invalid for n=3"),
+    refused("edge_index.i", "float", lambda: edge_index(1.0, 2, 3),
+            InvalidEdge, "edge (1.0,2) invalid for n=3"),
+    refused("edge_index.i", "negative", lambda: edge_index(-1, 2, 3),
+            InvalidEdge, "edge (-1,2) invalid for n=3"),
+    refused("edge_index.j", "bool", lambda: edge_index(0, True, 3),
+            InvalidEdge, "edge (0,True) invalid for n=3"),
+    refused("edge_index.j", "float", lambda: edge_index(0, 2.0, 3),
+            InvalidEdge, "edge (0,2.0) invalid for n=3"),
+    refused("edge_index.j", "past n", lambda: edge_index(0, 3, 3),
+            InvalidEdge, "edge (0,3) invalid for n=3"),
+    # (1.0, 2) hashes as (1, 2), so a memoized pair must not answer a float
+    refused("ChiCache.get", "float after its pair", lambda: (
+        (cache := ChiCache(AD8)).get(1, 2, 3) and cache.get(1.0, 2, 3)),
+            InvalidTriple, "positions (1.0, 2, 3) invalid for n=8"),
+    refused("ChiCache.get", "bool", lambda: ChiCache(AD8).get(True, 2, 3),
+            InvalidTriple, "positions (True, 2, 3) invalid for n=8"),
+    refused("PhiTable.value", "float", lambda: phi_table(AD8).value(1.0, 3),
+            InvalidTriple, "pair (1.0,3) invalid for n=8"),
+    refused("PhiTable.value", "bool", lambda: phi_table(AD8).value(True, 3),
+            InvalidTriple, "pair (True,3) invalid for n=8"),
+    refused("PhiTable.column", "float", lambda: phi_table(AD8).column(1.0),
+            InvalidTriple, "column 1.0 invalid for n=8"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_a_bad_argument_is_refused_by_name(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
     assert str(info.value) == message
+
+
+# a record holds what was computed and a formula reads any number, so no
+# count of theirs is refused
+UNCHECKED = {
+    "GameTranscript": "a record of a game that run_game has already checked",
+    "PhiValue": "a record of a pair value that PhiTable computes",
+    "paper_r_bound": "a formula of m, required_n's default r_bound",
+    "naive_r_bound": "a formula of m, an r_bound for required_n",
+}
+
+
+def test_every_int_parameter_of_the_api_has_a_refusal_row():
+    rows = {param.id.split(":")[0] for param in REFUSALS}
+    missing = [
+        f"{name}.{param}"
+        for name in sorted(set(cstg.__all__) - set(UNCHECKED))
+        if callable(getattr(cstg, name))
+        for param, spec in inspect.signature(getattr(cstg, name)).parameters.items()
+        if spec.annotation in ("int", "Optional[int]") and f"{name}.{param}" not in rows
+    ]
+    assert missing == []
 
 
 class TestVerifyCertificate:

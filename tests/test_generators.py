@@ -259,11 +259,6 @@ class TestHorton:
         with pytest.raises(SizeLimit):
             gen_horton(13)
 
-    def test_negative_k_is_refused(self):
-        with pytest.raises(InvalidSelection) as info:
-            gen_horton(-1)
-        assert str(info.value) == "k must be non-negative"
-
     def test_general_position_up_to_k10(self):
         for k in range(1, 11):
             pts = gen_horton(k)

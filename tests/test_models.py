@@ -2,8 +2,9 @@
 against its entry in ``models.REGISTRY``, so that a model with no entry
 fails, named.  One case per small sample: the kernel against the
 reference predicate, by vertex and under orders.  One case per model, over
-its small samples: the chromatics star against three kernel reads, anchors
-out of range, the rotations at every certified anchor, a restriction's
+its small samples: the closed-form K4 rule on the rotations against
+cross(), the chromatics star against three kernel reads, anchors out of
+range, the rotations at every certified anchor, a restriction's
 rows, arc ends and document bytes; at n >= 256, the kernel on sampled
 triples and on triples of listed crossings.
 """
@@ -18,7 +19,8 @@ import pytest
 from helpers import assert_rotations_follow_the_colors, assert_star_reads_the_pairs
 
 from cstg.codec import decode_drawing, encode_drawing
-from cstg.drawing import MODELS, crossing_masks, cyclic_equal, induced_subdrawing, sorted_pair
+from cstg.drawing import (MODELS, cross, crossing_masks, cyclic_equal, induced_subdrawing,
+                          sorted_pair)
 from cstg.errors import InvalidSelection
 from cstg.generators import anchored_order, anchored_view, rotation_at, rotations_of
 from cstg.oracles import max_pattern_exact
@@ -110,6 +112,45 @@ def test_the_kernel_matches_the_predicate_at_large_n(entry):
         assert w is None or want >> at[w] & 1, (a, b, c, w)
         crossings += bin(want).count("1")
     assert crossings >= 100
+
+
+# the K4 rule: for four vertices in an order (a, b, c, d), s_x says whether
+# the rotation at x lists the other three in their cyclic order in (a, b,
+# c, d); the sign pattern (s_a, s_b, s_c) names the one pairing that
+# crosses, or none
+PAIRINGS = {"ab|cd": ((0, 1), (2, 3)), "ac|bd": ((0, 2), (1, 3)), "ad|bc": ((0, 3), (1, 2))}
+
+
+def k4_crossing(s):
+    """The pairing of (a, b, c, d) that crosses by the rule, or None."""
+    sa, sb, sc, _ = s
+    if sa == sc != sb:
+        return None
+    if sa != sb and sa != sc:
+        return "ab|cd"
+    return "ac|bd" if sa == sb == sc else "ad|bc"
+
+
+def test_the_rotations_decide_each_k4_by_the_closed_form_rule(entry):
+    # a second reference predicate: every K4 of every sample with rotations,
+    # in a seeded random order, has an even number of true signs, and the
+    # rule's pairing is the one that cross() reports, the other two not
+    checked = 0
+    for name, d in entry.samples.items():
+        if d.model == "explicit" and d.rotations is None:
+            continue
+        rots, rng = rotations_of(d), random.Random(name)
+        for quad in itertools.combinations(range(d.n), 4):
+            quad = rng.sample(quad, 4)
+            s = tuple(cyclic_equal([u for u in rots[x] if u in quad],
+                                   [u for u in quad if u != x]) for x in quad)
+            assert sum(s) % 2 == 0, (name, quad, s)
+            want = k4_crossing(s)
+            for pairing, ((i, j), (k, l)) in PAIRINGS.items():
+                got = cross(d, (quad[i], quad[j]), (quad[k], quad[l]))
+                assert got == (pairing == want), (name, quad, s, pairing)
+            checked += 1
+    assert checked > 0
 
 
 def test_the_star_is_three_kernel_reads(entry):
