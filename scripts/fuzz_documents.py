@@ -19,14 +19,16 @@ oracles, ``render`` and both ``tables``; a certificate through ``verify``
 and ``render --overlay`` on its drawing.  The integer flags start at
 ``--m1 3 --m2 3``, ``--m-override 2`` and, for the oracles, ``--budget-nodes
 2000``; each mutant nudges one of the four as an edit nudges an integer,
-so a count may fall below its floor.  The run fails on any exit code
-outside {0, 2, 3, 4}, on any exit but 3 from a command given a count below
-its floor, on any ``InternalInvariantBroken`` in a command's output (bad
-input must be refused at the boundary, not found by a deep invariant), and
-on any exception that escapes ``dispatch``, naming the seed, the mutant,
-its edits and the argv.  The mutants of a seed are fixed, so a failure is
-reproduced by the same ``--seed`` and a ``--count`` past the mutant's
-index.
+so a count may fall below its floor.  Each command's ``--out`` file is
+removed before it runs.  The run fails on any exit code outside {0, 2, 3,
+4}, on any exit but 3 from a command given a count below its floor, on any
+``InternalInvariantBroken`` in a command's output (bad input must be
+refused at the boundary, not found by a deep invariant), on a non-zero exit
+that leaves its ``--out`` file behind, on a ``*.tmp`` file left in the work
+directory, and on any exception that escapes ``dispatch``, naming the seed,
+the mutant, its edits and the argv.  The mutants of a seed are fixed, so a
+failure is reproduced by the same ``--seed`` and a ``--count`` past the
+mutant's index.
 
 The codec reads an explicit table a piece of about ``codec._PIECE``
 characters at a time; the run sets it to 16 characters, two or three
@@ -252,6 +254,9 @@ def run(seed: int, count: int, report=print) -> int:
                 # a count below its floor is refused as invalid input
                 refused = any(flag in argv and value < FLAGS[flag][1]
                               for flag, value in flags.items())
+                out = argv[argv.index("--out") + 1] if "--out" in argv else None
+                if out is not None and os.path.exists(out):
+                    os.remove(out)
                 sink = io.StringIO()
                 try:
                     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
@@ -259,10 +264,20 @@ def run(seed: int, count: int, report=print) -> int:
                 except Exception:
                     code, error = None, traceback.format_exc()
                 allowed = (3,) if refused else ALLOWED_EXITS
-                if code in allowed and "InternalInvariantBroken" not in sink.getvalue():
+                # a failed command writes nothing, and no command leaves a temporary file
+                written = code != 0 and out is not None and os.path.exists(out)
+                stray = sorted(f for f in os.listdir(work) if f.endswith(".tmp"))
+                for f in stray:
+                    os.remove(os.path.join(work, f))
+                if (code in allowed and "InternalInvariantBroken" not in sink.getvalue()
+                        and not written and not stray):
                     continue
                 failures += 1
                 outcome = f"exit {code}: {sink.getvalue()}" if code is not None else error
+                if written:
+                    outcome += f"\n  left {out} behind"
+                if stray:
+                    outcome += f"\n  left {', '.join(stray)} in the work directory"
                 report(f"seed {seed} mutant {index}: {kind} of {name}, {'; '.join(edits)}\n"
                        f"  argv: cstg {' '.join(argv)}\n  document: {data[:400]!r}\n"
                        f"  {outcome}")

@@ -15,7 +15,7 @@ import os
 import sys
 from functools import cache
 from itertools import chain
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, List, Optional
 
 from . import codec, generators, oracles, svg
 from .chromatics import ChiCache, _chi_blocks, _phi_blocks, phi_table, validate_observation
@@ -109,35 +109,31 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(text: Union[str, Iterable[str]], out: Optional[str]) -> None:
-    """Write a document (a str) or a table (an iterable of str chunks).
+def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
+    """Write an output, an iterable of str chunks (a one-piece document, SVG
+    or CSV is ``[text]``), to stdout when ``out`` is None, else to ``out``.
 
-    Only a document goes to stdout (``tables`` requires ``--out``), as it
-    is.  A document goes to ``out`` in one write.  A table's chunks go one by
-    one to the sibling ``<out>.<pid>.tmp``, which replaces ``out`` after the
-    last chunk, so only one chunk is held at a time, ``out`` appears only
-    when complete, and a symlink at ``out`` is replaced, not written
-    through.  On any error the temporary file is removed and ``out`` is left
-    as it was; a file error names ``out``.
+    The chunks go one by one to the sibling ``<out>.<pid>.tmp``, which
+    replaces ``out`` after the last chunk, so only one chunk is held at a
+    time, ``out`` appears only when complete, and a symlink at ``out`` is
+    replaced, not written through.  On any error the temporary file is
+    removed and ``out`` is left as it was; a file error names ``out``.
     """
     if out is None:
-        sys.stdout.write(text)
-    elif isinstance(text, str):
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        tmp = f"{out}.{os.getpid()}.tmp"
+        sys.stdout.writelines(chunks)
+        return
+    tmp = f"{out}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, "w", encoding="utf-8")
         try:
-            fh = open(tmp, "w", encoding="utf-8")
-            try:
-                with fh:
-                    fh.writelines(text)
-                os.replace(tmp, out)
-            except BaseException:
-                os.remove(tmp)
-                raise
-        except OSError as exc:
-            raise type(exc)(exc.errno, exc.strerror, out) from None
+            with fh:
+                fh.writelines(chunks)
+            os.replace(tmp, out)
+        except BaseException:
+            os.remove(tmp)
+            raise
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, out) from None
 
 
 def _parse_points(raw: str):
@@ -183,7 +179,7 @@ def _cmd_generate(args) -> int:
             d = generators.gen_twisted(args.n)
         else:
             d = generators.gen_halfcircle(args.n, seed=args.seed or 0)
-    _emit(codec.encode_drawing(d), args.out)
+    _emit([codec.encode_drawing(d)], args.out)
     return EXIT_OK
 
 
@@ -243,7 +239,7 @@ def _cmd_extract(args) -> int:
         if outcome.exhausted:
             return EXIT_EXHAUSTED
         if args.out:
-            codec.save_certificate(outcome.certificate, args.out)
+            _emit([codec.encode_certificate(outcome.certificate)], args.out)
         return EXIT_OK
     budget = _budget(args)
     outcome = extract_plane_path(
@@ -258,9 +254,9 @@ def _cmd_extract(args) -> int:
     for line in outcome.report_lines():
         print(line)
     if args.out:
-        codec.save_certificate(outcome.path, args.out)
+        _emit([codec.encode_certificate(outcome.path)], args.out)
     if args.star_out:
-        codec.save_certificate(outcome.bipartite, args.star_out)
+        _emit([codec.encode_certificate(outcome.bipartite)], args.star_out)
     return EXIT_OK
 
 
@@ -281,7 +277,7 @@ def _cmd_oracle(args) -> int:
     if not result.exact:  # no target is given, so only a budget stops a search
         return EXIT_EXHAUSTED
     if args.out:
-        codec.save_certificate(_certified(d, kind, result.witness), args.out)
+        _emit([codec.encode_certificate(_certified(d, kind, result.witness))], args.out)
     return EXIT_OK
 
 
@@ -304,14 +300,14 @@ def _cmd_bench(args) -> int:
         )
     # read after the trials, so a bad --n is the drawing's error (exit 3)
     reference = math.ceil(8 * math.log2(args.n))
-    _emit(BENCH_HEADER + "".join(f"{row}{reference}\n" for row in rows), args.out)
+    _emit([BENCH_HEADER + "".join(f"{row}{reference}\n" for row in rows)], args.out)
     return EXIT_OK
 
 
 def _cmd_render(args) -> int:
     d = codec.load_drawing(args.drawing)
     overlay = codec.load_certificate(args.overlay) if args.overlay else None
-    _emit(svg.render_svg(d, overlay=overlay), args.out)
+    _emit([svg.render_svg(d, overlay=overlay)], args.out)
     return EXIT_OK
 
 

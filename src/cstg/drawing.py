@@ -233,9 +233,6 @@ class Drawing:
         if model.payload == "crossings" and rotations is not None and self.anchor is not None:
             _check_anchored_rotations(self)
 
-    def rank(self, i: int, j: int) -> int:
-        return edge_index(min(i, j), max(i, j), self.n)
-
     @cached_property
     def _sign_square(self) -> str:
         """Half-circle model, built on first use and kept with the drawing: n
@@ -290,7 +287,7 @@ def cross(d: Drawing, e1, e2) -> bool:
         raise NotIndependent(f"edges ({a},{b}) and ({c},{e}) share an endpoint")
     if d.model == "explicit":
         # one bit of edge ab's stacked rows, no kernel
-        return bool(d.crossings.bits[d.rank(a, b)] >> c * d.n + e & 1)
+        return bool(d.crossings.bits[_rank_offsets(d.n)[a] + b] >> c * d.n + e & 1)
     # bit 3 stands for e
     return bool(crossing_masks(d, (a, b, c, e))(a, b, c) >> 3 & 1)
 
@@ -700,7 +697,8 @@ class _HalfCircle(_Twisted):
         xu, xw = pos[u][0], pos[w][0]
         c = (xu + xw) / 2.0
         r = abs(xw - xu) / 2.0
-        h = r if d.signs[d.rank(u, w)] == "U" else -r  # (-r) * y is -(r * y) exactly
+        a, b = sorted_pair(u, w)
+        h = r if d.signs[_rank_offsets(d.n)[a] + b] == "U" else -r  # (-r) * y is -(r * y) exactly
         return [(c + r * math.cos(th), h * math.sin(th)) for th in sweeps]
 
 

@@ -312,15 +312,16 @@ def embed_tree(kind: str, m: int, adjacency: Sequence[Sequence[int]]) -> TreeEmb
     if k > m:
         raise SizeLimit(f"tree has {k} vertices, pattern only {m}")
     nbrs = [sorted(set(row)) for row in adjacency]
-    edge_count = sum(len(row) for row in nbrs)
-    if edge_count != 2 * (k - 1):
-        raise NotATree(f"{edge_count / 2} edges, a tree on {k} vertices has {k - 1}")
     for v, row in enumerate(nbrs):
         for u in row:
             if not (0 <= u < k) or u == v:
                 raise NotATree(f"bad neighbor {u} at vertex {v}")
             if v not in nbrs[u]:
                 raise NotATree(f"adjacency not symmetric at ({v},{u})")
+    # symmetric, so each edge is counted from both ends
+    edge_count = sum(len(row) for row in nbrs)
+    if edge_count != 2 * (k - 1):
+        raise NotATree(f"{edge_count // 2} edges, a tree on {k} vertices has {k - 1}")
 
     convex = kind == CONVEX
     parent = {0: None}

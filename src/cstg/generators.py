@@ -4,7 +4,8 @@ Each family is a model of :mod:`cstg.drawing`, whose class holds its O(1)
 crossing rule, its rotation system read from a concrete realization, a
 canonical anchor vertex that provably lies on the unbounded cell, and its
 anchored order (the drawn rotation at the anchor cut at the gap facing the
-unbounded cell, read backwards).  The readers here only ask the model.
+unbounded cell, read backwards).  The two readers here, ``rotation_at``
+and ``anchored_view``, only ask the model.
 
 The derived rotation rules are not trusted: the tests hold them to a
 numeric oracle that samples each drawn arc near its ends
@@ -79,12 +80,7 @@ def gen_horton(k: int) -> List[Tuple[int, int]]:
     return pts
 
 
-# -- rotation systems -------------------------------------------------------
-
-
-def rotations_of(d: Drawing) -> Tuple[Tuple[int, ...], ...]:
-    """Counterclockwise rotation at every vertex, as ``rotation_at`` gives it."""
-    return tuple(rotation_at(d, v) for v in range(d.n))
+# -- rotation systems and anchors ------------------------------------------
 
 
 def rotation_at(d: Drawing, v: int) -> Tuple[int, ...]:
@@ -94,23 +90,12 @@ def rotation_at(d: Drawing, v: int) -> Tuple[int, ...]:
     return MODELS[d.model].rotation(d, v)
 
 
-# -- anchors ----------------------------------------------------------------
-
-
-def canonical_anchor(d: Drawing) -> int:
-    """Family's default vertex certified on the unbounded cell."""
-    return MODELS[d.model].anchor(d)
-
-
-def anchored_order(d: Drawing, v0: int) -> Tuple[int, ...]:
-    """Clockwise order of the other vertices around v0, the model's: the drawn
-    rotation at v0 cut at the unbounded-cell gap and read backwards, or an
-    explicit drawing's stored anchor order."""
-    return MODELS[d.model].order(d, v0)
-
-
 def anchored_view(d: Drawing, v0: Optional[int] = None) -> AnchoredDrawing:
-    """Anchored drawing at v0 (family canonical anchor when omitted)."""
+    """Anchored drawing at v0, by default the family's canonical anchor on the
+    unbounded cell; its order is the model's clockwise order around v0 (the
+    drawn rotation cut at the unbounded-cell gap and read backwards, or an
+    explicit drawing's stored anchor order)."""
+    model = MODELS[d.model]
     if v0 is None:
-        v0 = canonical_anchor(d)
-    return AnchoredDrawing(base=d, v0=v0, order=anchored_order(d, v0))
+        v0 = model.anchor(d)
+    return AnchoredDrawing(base=d, v0=v0, order=model.order(d, v0))

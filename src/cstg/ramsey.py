@@ -26,9 +26,10 @@ BLUE = "blue"
 class GameState:
     """Vertices in creation order plus colored edges and path DP.
 
-    Vertex labels are arbitrary ints but must be added in strictly
-    increasing order ("monotone" means increasing label along the path,
-    which then coincides with creation order).  For every color the longest
+    Vertex labels are ints from 1 (stages or anchored positions) and must
+    be added in strictly increasing order ("monotone" means increasing label
+    along the path, which then coincides with creation order).  Edge colors
+    are str, at most two per game.  For every color the longest
     monochromatic monotone path ending at each vertex is maintained
     incrementally; edges may only attach to the newest vertex.
     """
@@ -39,22 +40,32 @@ class GameState:
         self.colors = {}  # (u, w) -> color
         self._best_len = {}  # (v, color) -> path length ending at v
         self._parent = {}  # (v, color) -> predecessor vertex or None
+        self._palette: List[str] = []  # the colors used, in order of first use
 
     def add_vertex(self, label: Optional[int] = None) -> int:
         if label is None:
             label = self.vertices[-1] + 1 if self.vertices else 1
+        _count(label, "vertex label", 1)
         if self.vertices and label <= self.vertices[-1]:
             raise RuleViolation("vertex labels must strictly increase")
         self.vertices.append(label)
         return label
 
     def add_edge(self, u: int, w: int, color: str) -> None:
+        if not isinstance(color, str):
+            raise RuleViolation(f"edge color {color!r} is not a str")
+        new = color not in self._palette
+        if new and len(self._palette) == 2:
+            raise RuleViolation(f"edge color {color!r} is a third color, after "
+                                f"{self._palette[0]!r} and {self._palette[1]!r}")
         if not self.vertices or w != self.vertices[-1]:
             raise RuleViolation(f"edge ({u},{w}) is not incident to the newest vertex")
         if u not in set(self.vertices[:-1]):
             raise RuleViolation(f"edge endpoint {u} does not exist yet")
         if (u, w) in self.colors:
             raise RuleViolation(f"edge ({u},{w}) already built")
+        if new:
+            self._palette.append(color)
         self.colors[(u, w)] = color
         self.edges.append((u, w, color))
         ending = self.path_length(u, color) + 1

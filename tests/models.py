@@ -27,16 +27,20 @@ from cstg.drawing import (
 )
 from cstg.generators import (
     anchored_view,
-    canonical_anchor,
     gen_convex,
     gen_halfcircle,
     gen_horton,
     gen_straightline,
     gen_twisted,
-    rotations_of,
+    rotation_at,
 )
 
 # -- builders -------------------------------------------------------------------
+
+
+def rotations_of(d):
+    """Counterclockwise rotation at every vertex, as ``rotation_at`` gives it."""
+    return tuple(rotation_at(d, v) for v in range(d.n))
 
 
 def random_explicit(rng, n, density=0.3):
@@ -264,7 +268,7 @@ class Entry:
     samples: Dict[str, Drawing]
     large: Callable[[], Drawing]
     large_crossings: Callable[[], Sequence] = tuple
-    certified: Callable[[Drawing], set] = lambda d: {canonical_anchor(d)}
+    certified: Callable[[Drawing], set] = lambda d: {anchored_view(d).v0}
     germ_sweep: Optional[Callable] = None
 
 

@@ -20,7 +20,7 @@ from helpers import (
     random_tree_adjacency,
     spiral_cross,
 )
-from models import mirrored_twisted_view
+from models import mirrored_twisted_view, rotations_of
 
 from cstg.chromatics import validate_observation
 from cstg.cli import dispatch
@@ -43,7 +43,6 @@ from cstg.generators import (
     gen_horton,
     gen_straightline,
     gen_twisted,
-    rotations_of,
 )
 from cstg.oracles import longest_plane_path_exact, max_pattern_exact
 from cstg.planepath import extract_plane_path

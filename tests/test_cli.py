@@ -564,9 +564,31 @@ def traced_peak(*argv):
     return code, peak
 
 
+# every command that writes a file, its argv up to the output path; DOC
+# stands for half-circle 16 seed 0, which has a two-center star at m = 2
+WRITERS = {
+    "generate": ["generate", "--family", "twisted", "--n", "9", "--out"],
+    "extract pattern": ["extract", "pattern", "DOC", "--out"],
+    "extract planepath": ["extract", "planepath", "DOC", "--m-override", "2", "--out"],
+    "extract planepath star": ["extract", "planepath", "DOC", "--m-override", "2", "--star-out"],
+    "oracle": ["oracle", "maxconvex", "DOC", "--out"],
+    "bench": ["bench", "--n", "16", "--trials", "2", "--out"],
+    "render": ["render", "DOC", "--out"],
+    "tables chi": ["tables", "chi", "DOC", "--out"],
+    "tables phi": ["tables", "phi", "DOC", "--out"],
+}
+
+
+def writer_argv(tmp_path, name):
+    doc = tmp_path / "hc16.cstg"
+    codec.save_drawing(generators.gen_halfcircle(16, seed=0), str(doc))
+    return [str(doc) if arg == "DOC" else arg for arg in WRITERS[name]]
+
+
 class TestTablesStream:
     """`tables --out` streams its blocks into a temporary file that replaces
-    the target when complete."""
+    the target when complete, and every other `--out` is written the same
+    way."""
 
     def test_chi_holds_less_than_its_csv(self, tmp_path, capsys):
         # half-circle 160 seed 5: a 9.18 MB CSV, written at a 27.9 MB peak
@@ -620,36 +642,33 @@ class TestTablesStream:
         reference = reference_chi_table if what == "chi" else reference_phi_table
         assert_same_lines(out.read_text(), reference(str(path)))
 
-    def test_symlink_target_is_replaced(self, tmp_path, capsys):
-        path = tmp_path / "t9.cstg"
-        codec.save_drawing(generators.gen_twisted(9), str(path))
-        elsewhere = tmp_path / "elsewhere.csv"
+    @pytest.mark.parametrize("name", sorted(WRITERS))
+    def test_symlink_target_is_replaced(self, tmp_path, capsys, name):
+        fresh, out = tmp_path / "fresh", tmp_path / "out"
+        assert run(capsys, *writer_argv(tmp_path, name), str(fresh))[0] == 0
+        elsewhere = tmp_path / "elsewhere"
         elsewhere.write_bytes(b"kept\n")
-        out = tmp_path / "phi.csv"
         out.symlink_to(elsewhere)
-        assert run(capsys, "tables", "phi", str(path), "--out", str(out))[0] == 0
+        assert run(capsys, *writer_argv(tmp_path, name), str(out))[0] == 0
         assert not out.is_symlink()
-        assert out.read_text().startswith("# cstg-phi-1\n")
+        assert out.read_bytes() == fresh.read_bytes()
         assert elsewhere.read_bytes() == b"kept\n"
+        assert list(tmp_path.glob("*.tmp")) == []
 
-    def test_missing_directory_names_the_target(self, tmp_path, capsys):
-        path = tmp_path / "t12.cstg"
-        codec.save_drawing(generators.gen_twisted(12), str(path))
-        out = tmp_path / "nodir" / "x.csv"
-        assert run(capsys, "tables", "phi", str(path), "--out", str(out)) == (
-            3, "", f"missing file: [Errno 2] No such file or directory: '{out}'\n"
-        )
+    @pytest.mark.parametrize("name", sorted(WRITERS))
+    def test_missing_directory_names_the_target(self, tmp_path, capsys, name):
+        out = tmp_path / "nodir" / "x"
+        code, _, err = run(capsys, *writer_argv(tmp_path, name), str(out))
+        assert (code, err) == (3, f"missing file: [Errno 2] No such file or directory: '{out}'\n")
         assert not out.parent.exists()
         assert list(tmp_path.rglob("*.tmp")) == []
 
-    def test_directory_target_is_named_and_left_empty(self, tmp_path, capsys):
-        path = tmp_path / "t12.cstg"
-        codec.save_drawing(generators.gen_twisted(12), str(path))
+    @pytest.mark.parametrize("name", sorted(WRITERS))
+    def test_directory_target_is_named_and_left_empty(self, tmp_path, capsys, name):
         out = tmp_path / "d"
         out.mkdir()
-        assert run(capsys, "tables", "phi", str(path), "--out", str(out)) == (
-            3, "", f"file error: [Errno 21] Is a directory: '{out}'\n"
-        )
+        code, _, err = run(capsys, *writer_argv(tmp_path, name), str(out))
+        assert (code, err) == (3, f"file error: [Errno 21] Is a directory: '{out}'\n")
         assert list(out.iterdir()) == []
         assert list(tmp_path.rglob("*.tmp")) == []
 

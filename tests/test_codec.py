@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 from helpers import BOUNDARY, independent_pairs
-from models import random_explicit
+from models import random_explicit, rotations_of
 
 from cstg import codec, drawing
 from cstg.chromatics import validate_observation
@@ -48,7 +48,6 @@ from cstg.generators import (
     gen_horton,
     gen_straightline,
     gen_twisted,
-    rotations_of,
 )
 
 
@@ -83,6 +82,14 @@ class TestRoundTrip:
     def test_certificate_round_trip(self):
         cert = Certificate(CONVEX, (4, 1, 7, 2))
         assert decode_certificate(encode_certificate(cert)) == cert
+
+    def test_certificate_file_round_trip(self, tmp_path):
+        # the CLI writes through its own writer; the codec's file pair stays
+        # for library callers
+        cert, path = Certificate(CONVEX, (4, 1, 7, 2)), tmp_path / "c.json"
+        codec.save_certificate(cert, str(path))
+        assert path.read_text() == encode_certificate(cert)
+        assert codec.load_certificate(str(path)) == cert
 
 
 class TestGoldenDocuments:

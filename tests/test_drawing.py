@@ -11,7 +11,7 @@ import time
 
 import pytest
 from helpers import edge_at, independent_pairs
-from models import SAMPLES, crossing_function, random_explicit, reference_collinear
+from models import SAMPLES, crossing_function, random_explicit, reference_collinear, rotations_of
 
 import cstg
 from cstg import drawing
@@ -44,6 +44,7 @@ from cstg.errors import (
     InvalidSigns,
     InvalidTriple,
     NotIndependent,
+    RuleViolation,
     SizeLimit,
     ValidationError,
 )
@@ -54,12 +55,11 @@ from cstg.generators import (
     gen_horton,
     gen_straightline,
     gen_twisted,
-    rotations_of,
 )
 from cstg.extraction import embed_tree, extract_pattern, guaranteed_m, required_n
 from cstg.oracles import OracleBudget, longest_plane_path_exact, max_pattern_exact
 from cstg.planepath import extract_plane_path, find_plane_k2m2, theta
-from cstg.ramsey import adversarial_painter, naive_builder, run_game
+from cstg.ramsey import GameState, adversarial_painter, naive_builder, run_game
 
 
 def all_pairs(n):
@@ -350,7 +350,7 @@ def assert_reads_as(d, ref):
     order, and cross() answers as ref on every independent pair."""
     assert list(crossing_pairs(d)) == sorted(ref)
     for e1, e2 in independent_pairs(d.n):
-        pair = sorted_pair(d.rank(*e1), d.rank(*e2))
+        pair = sorted_pair(edge_index(*e1, d.n), edge_index(*e2, d.n))
         assert cross(d, e1, e2) is (pair in ref), pair
 
 
@@ -495,6 +495,15 @@ AD8 = anchored_view(HC8)
 GAME = (naive_builder(), adversarial_painter())
 
 
+def game_with(*colors):
+    """A game whose vertex k + 2 is joined to vertex 1 in colors[k]."""
+    game = GameState()
+    game.add_vertex()
+    for color in colors:
+        game.add_edge(1, game.add_vertex(), color)
+    return game
+
+
 def refused(target, case, call, error, message):
     return pytest.param(call, error, message, id=f"{target}: {case}")
 
@@ -619,6 +628,17 @@ REFUSALS = [
             InvalidSelection, "target path length 2.5 is not an integer"),
     refused("run_game.m", "below", lambda: run_game(1, *GAME, budget=5),
             InvalidSelection, "target path length must be at least 2, got 1"),
+    # a game's vertex labels and colors
+    refused("GameState.add_vertex.label", "bool", lambda: GameState().add_vertex(True),
+            InvalidSelection, "vertex label True is not an integer"),
+    refused("GameState.add_vertex.label", "float", lambda: GameState().add_vertex(1.5),
+            InvalidSelection, "vertex label 1.5 is not an integer"),
+    refused("GameState.add_vertex.label", "below", lambda: GameState().add_vertex(0),
+            InvalidSelection, "vertex label must be at least 1, got 0"),
+    refused("GameState.add_edge.color", "None", lambda: game_with(None),
+            RuleViolation, "edge color None is not a str"),
+    refused("GameState.add_edge.color", "a third", lambda: game_with("purple", "green", "red"),
+            RuleViolation, "edge color 'red' is a third color, after 'purple' and 'green'"),
     # budgets
     refused("run_game.budget", "bool", lambda: run_game(3, *GAME, budget=True),
             InvalidSelection, "edge budget True is not an integer"),
@@ -916,7 +936,7 @@ class TestRankBitsets:
         for t in tables:
             table = frozenset(crossing_pairs(t))
             for e1, e2 in independent_pairs(t.n):
-                want = sorted_pair(t.rank(*e1), t.rank(*e2)) in table
+                want = sorted_pair(edge_index(*e1, t.n), edge_index(*e2, t.n)) in table
                 assert cross(t, e1, e2) is want, (e1, e2)
                 assert cross(t, e2, e1[::-1]) is want, (e1, e2)
 
@@ -930,7 +950,7 @@ class TestRankBitsets:
         listed = list(crossing_pairs(d))
         assert listed == sorted(set(listed))
         assert set(listed) == {
-            sorted_pair(d.rank(*e1), d.rank(*e2))
+            sorted_pair(edge_index(*e1, n), edge_index(*e2, n))
             for e1, e2 in independent_pairs(n) if cross(d, e1, e2)
         }
         again = Drawing(n=n, model="explicit", crossings=listed)

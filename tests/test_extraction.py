@@ -428,16 +428,17 @@ class TestEmbedTree:
     @pytest.mark.parametrize("m, adjacency, error, message", [
         (8, [], NotATree, "empty adjacency"),
         (2, [[1], [0, 2], [1]], SizeLimit, "tree has 3 vertices, pattern only 2"),
-        (8, [[1, 2], [0, 2], [0, 1]], NotATree, "3.0 edges, a tree on 3 vertices has 2"),
+        (8, [[1, 2], [0, 2], [0, 1]], NotATree, "3 edges, a tree on 3 vertices has 2"),
         (8, [[5], [0]], NotATree, "bad neighbor 5 at vertex 0"),
         (8, [[1], [0, 1], [1]], NotATree, "bad neighbor 1 at vertex 1"),
         (8, [[1, 2], [0], [1]], NotATree, "adjacency not symmetric at (0,2)"),
+        (8, [[1], []], NotATree, "adjacency not symmetric at (0,1)"),
         # k - 1 edges, symmetric: a triangle on 0, 1, 2 with vertex 3 alone
         (8, [[1, 2], [0, 2], [0, 1], []], NotATree, "cycle detected"),
         # k - 1 edges, symmetric: the edge 0-1 and a triangle on 2, 3, 4
         (8, [[1], [0], [3, 4], [2, 4], [2, 3]], NotATree, "adjacency is not connected"),
     ], ids=["empty", "past m", "edge count", "neighbor out of range", "self-loop",
-            "not symmetric", "cycle", "not connected"])
+            "not symmetric", "half an edge", "cycle", "not connected"])
     def test_refusals_name_their_reason(self, kind, m, adjacency, error, message):
         with pytest.raises(error) as info:
             embed_tree(kind, m, adjacency)

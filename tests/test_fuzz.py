@@ -103,6 +103,31 @@ class TestDocumentFuzzer:
         assert reports[1].startswith("seed 6 mutant 0: ") and "ValueError: escaped" in reports[1]
         assert reports[2].startswith("seed 6 mutant 0: ") and f"exit 3: {broken}" in reports[2]
 
+    def test_a_failed_write_or_a_stray_temporary_is_named(self, monkeypatch):
+        # of the four commands on mutant 0 of seed 6 that write a file, the
+        # first leaves its --out behind on exit 3 and the second leaves a
+        # temporary file on exit 0, which is named once
+        fuzzer = load_fuzzer()
+        faults = iter(["written", "stray"])
+
+        def dispatch(argv):
+            if "--out" not in argv:
+                return 0
+            out = argv[argv.index("--out") + 1]
+            fault = next(faults, None)
+            if fault == "written":
+                open(out, "w").close()
+                return 3
+            if fault == "stray":
+                open(f"{out}.1.tmp", "w").close()
+            return 0
+
+        monkeypatch.setattr(fuzzer, "dispatch", dispatch)
+        reports = []
+        assert fuzzer.run(seed=6, count=1, report=reports.append) == 2
+        assert reports[0].endswith(f"{os.sep}w.json behind")
+        assert reports[1].endswith("left d.svg.1.tmp in the work directory")
+
     @pytest.mark.parametrize("seed, index, first, second", [(3, 834, 4, 7), (1, 3299, 7, 9)])
     @pytest.mark.parametrize("argv", [["verify", "{}", "--self"],
                                       ["extract", "planepath", "{}", "--m-override", "2"]])

@@ -8,6 +8,7 @@ import re
 
 import pytest
 from helpers import independent_pairs, spiral_cross
+from models import rotations_of
 
 from cstg.chromatics import validate_observation
 from cstg.drawing import (
@@ -29,16 +30,13 @@ from cstg.errors import (
     SizeLimit,
 )
 from cstg.generators import (
-    anchored_order,
     anchored_view,
-    canonical_anchor,
     gen_convex,
     gen_halfcircle,
     gen_horton,
     gen_straightline,
     gen_twisted,
     rotation_at,
-    rotations_of,
 )
 from cstg.oracles import max_pattern_exact
 
@@ -97,9 +95,9 @@ class TestTwisted:
 
     def test_anchor_is_outermost_only(self):
         d = gen_twisted(6)
-        assert canonical_anchor(d) == 5
+        assert anchored_view(d).v0 == 5
         with pytest.raises(AnchorUnavailable):
-            anchored_order(d, 2)
+            anchored_view(d, 2)
 
 
 def circles_intersect_strictly(c1, r1, c2, r2):
@@ -125,7 +123,7 @@ class TestHalfCircle:
             d = gen_halfcircle(7, seed=seed)
             xs = [v + 1.0 for v in range(7)]
             for (a, b), (c, e) in independent_pairs(7):
-                same = d.signs[d.rank(a, b)] == d.signs[d.rank(c, e)]
+                same = d.signs[edge_index(a, b, 7)] == d.signs[edge_index(c, e, 7)]
                 expected = same and circles_intersect_strictly(
                     (xs[a] + xs[b]) / 2,
                     (xs[b] - xs[a]) / 2,
@@ -169,7 +167,7 @@ class TestHalfCircle:
                         + [j for j in lower if j > v][::-1]
                     )
                 lower0 = [j for j in range(1, n) if j not in up(0)]
-                assert anchored_order(d, 0) == tuple(up(0)[::-1] + lower0)
+                assert anchored_view(d, 0).order == tuple(up(0)[::-1] + lower0)
 
     def test_anchored_order_upper_desc_then_lower_asc(self):
         n = 5
@@ -177,9 +175,9 @@ class TestHalfCircle:
         for j in (1, 3):  # edges 0-1 and 0-3 upper, 0-2 and 0-4 lower
             signs[edge_index(0, j, n)] = "U"
         d = Drawing(n=n, model="halfcircle", signs="".join(signs))
-        assert anchored_order(d, 0) == (3, 1, 2, 4)
+        assert anchored_view(d, 0).order == (3, 1, 2, 4)
         with pytest.raises(AnchorUnavailable):
-            anchored_order(d, 1)
+            anchored_view(d, 1)
 
 
 class TestStraightLine:
@@ -232,23 +230,23 @@ class TestStraightLine:
                 )
                 if inside:
                     with pytest.raises(AnchorUnavailable, match=f"point {v} is not a hull vertex"):
-                        anchored_order(d, v)
+                        anchored_view(d, v)
                 else:
                     ad = anchored_view(d, v)
                     assert cyclic_equal(ad.order[::-1], rotation_at(d, v))
 
     def test_two_and_three_points_anchor(self):
-        assert anchored_order(gen_straightline([(0, 0), (1, 0)]), 0) == (1,)
-        assert anchored_order(gen_straightline([(0, 0), (1, 0)]), 1) == (0,)
+        assert anchored_view(gen_straightline([(0, 0), (1, 0)]), 0).order == (1,)
+        assert anchored_view(gen_straightline([(0, 0), (1, 0)]), 1).order == (0,)
         triangle = gen_straightline([(0, 0), (4, 0), (1, 3)])
         # clockwise around each corner, from the outside
-        assert [anchored_order(triangle, v) for v in range(3)] == [(2, 1), (0, 2), (1, 0)]
+        assert [anchored_view(triangle, v).order for v in range(3)] == [(2, 1), (0, 2), (1, 0)]
 
     def test_anchor_must_be_on_hull(self):
         d = gen_straightline([(0, 0), (10, 0), (5, 9), (5, 3)])
-        assert canonical_anchor(d) == 0
+        assert anchored_view(d).v0 == 0
         with pytest.raises(AnchorUnavailable):
-            anchored_order(d, 3)  # interior point
+            anchored_view(d, 3)  # interior point
 
 
 class TestHorton:
@@ -298,8 +296,8 @@ class TestAnchoredViews:
 
         monkeypatch.setattr(model, "rotation", counted)
         d = gen_halfcircle(96, seed=1)
-        assert anchored_view(d).order == anchored_order(d, 0)
-        assert calls == [0, 0]  # one for anchored_view, one for anchored_order
+        assert anchored_view(d).order == anchored_view(d, 0).order
+        assert calls == [0, 0]  # one per view
 
     def test_stored_anchor_is_checked_against_the_drawn_rotation(self):
         # no stored rotations: a stored anchor must still read the drawn one
@@ -315,10 +313,10 @@ class TestAnchoredViews:
             anchored_view(d, 0)
 
     def test_bare_explicit_reports_the_rotation_rule(self):
-        # anchored_order has no rotation rule of its own: rotation_at's
+        # anchored_view has no rotation rule of its own: rotation_at's
         # message, or AnchorUnavailable when rotations exist
         d = Drawing(n=4, model="explicit", crossings=frozenset())
-        for call in (anchored_view, anchored_order, rotation_at):
+        for call in (anchored_view, rotation_at):
             with pytest.raises(RotationMissing) as info:
                 call(d, 0)
             assert str(info.value) == "explicit drawing carries no rotation data"

@@ -5,8 +5,9 @@ reference predicate, by vertex and under orders.  One case per model, over
 its small samples: the closed-form K4 rule on the rotations against
 cross(), the chromatics star against three kernel reads, anchors out of
 range, the rotations at every certified anchor, a restriction's
-rows, arc ends and document bytes; at n >= 256, the kernel on sampled
-triples and on triples of listed crossings.
+rows, arc ends and document bytes, and the exact answers and tables under
+relabellings and restrictions; at n >= 256, the kernel on sampled triples
+and on triples of listed crossings.
 """
 
 import dataclasses
@@ -18,12 +19,14 @@ import models
 import pytest
 from helpers import assert_rotations_follow_the_colors, assert_star_reads_the_pairs
 
-from cstg.codec import decode_drawing, encode_drawing
-from cstg.drawing import (MODELS, cross, crossing_masks, cyclic_equal, induced_subdrawing,
-                          sorted_pair)
+from cstg.cli import dispatch
+from cstg.codec import decode_drawing, encode_drawing, save_drawing
+from cstg.drawing import (CONVEX, MODELS, PLANE_PATH, TWISTED, Certificate, cross,
+                          crossing_masks, cyclic_equal, induced_subdrawing, sorted_pair,
+                          verify_certificate)
 from cstg.errors import InvalidSelection
-from cstg.generators import anchored_order, anchored_view, rotation_at, rotations_of
-from cstg.oracles import max_pattern_exact
+from cstg.generators import anchored_view, rotation_at
+from cstg.oracles import longest_plane_path_exact, max_pattern_exact
 
 
 @pytest.fixture(params=sorted(models.REGISTRY))
@@ -139,7 +142,7 @@ def test_the_rotations_decide_each_k4_by_the_closed_form_rule(entry):
     for name, d in entry.samples.items():
         if d.model == "explicit" and d.rotations is None:
             continue
-        rots, rng = rotations_of(d), random.Random(name)
+        rots, rng = models.rotations_of(d), random.Random(name)
         for quad in itertools.combinations(range(d.n), 4):
             quad = rng.sample(quad, 4)
             s = tuple(cyclic_equal([u for u in rots[x] if u in quad],
@@ -163,10 +166,9 @@ def test_an_anchor_out_of_range_is_named(entry):
     # before any rotation is read, so also where none is stored
     for name, d in entry.samples.items():
         for v0 in (-1, d.n, 999):
-            for call in (anchored_order, anchored_view):
-                with pytest.raises(InvalidSelection) as info:
-                    call(d, v0)
-                assert str(info.value) == f"anchor {v0} out of range", (name, call)
+            with pytest.raises(InvalidSelection) as info:
+                anchored_view(d, v0)
+            assert str(info.value) == f"anchor {v0} out of range", name
 
 
 def test_stored_rotations_do_not_move_the_gap(entry):
@@ -176,7 +178,7 @@ def test_stored_rotations_do_not_move_the_gap(entry):
     # stored rotations are its drawn ones, so its anchor order is named)
     for name, d in entry.samples.items():
         for ad in models.anchored_views(d):
-            v0, rots = ad.v0, rotations_of(d)
+            v0, rots = ad.v0, models.rotations_of(d)
             shifted = dataclasses.replace(d, rotations=tuple(r[1:] + r[:1] for r in rots))
             assert anchored_view(shifted, v0).order == ad.order, name
             r = rots[v0]
@@ -229,3 +231,52 @@ def test_documents_round_trip_byte_for_byte(entry):
         back = decode_drawing(text)
         assert back == d, name
         assert encode_drawing(back) == text, name
+
+
+# -- exact answers and tables under relabelling ---------------------------------
+#
+# every exact answer depends only on which pairs cross, so it does not move
+# under a relabelling and does not grow under a restriction; a pruning rule
+# that reads labels shows here, on every family
+
+
+def exact_answers(d):
+    """(kind, witness) of the convex, twisted and plane-path optima of d."""
+    return [(CONVEX, max_pattern_exact(d, CONVEX).witness),
+            (TWISTED, max_pattern_exact(d, TWISTED).witness),
+            (PLANE_PATH, longest_plane_path_exact(d).witness)]
+
+
+def test_exact_answers_do_not_move_under_relabelling(entry):
+    # three seeded relabellings keep every optimum; a restriction to n - 2
+    # vertices raises none, and its witnesses, mapped through the
+    # selection, are certificates on the drawing
+    for name, d in entry.samples.items():
+        if d.n > 14:
+            continue
+        rng = random.Random(name)
+        sizes = [len(witness) for _, witness in exact_answers(d)]
+        for _ in range(3):
+            relabelled = induced_subdrawing(d, rng.sample(range(d.n), d.n))
+            assert [len(w) for _, w in exact_answers(relabelled)] == sizes, name
+        vs = rng.sample(range(d.n), d.n - 2)
+        for size, (kind, witness) in zip(sizes, exact_answers(induced_subdrawing(d, vs))):
+            assert len(witness) <= size, (name, kind, vs)
+            mapped = Certificate(kind, tuple(vs[v] for v in witness))
+            assert verify_certificate(d, mapped).ok, (name, kind, vs, witness)
+
+
+@pytest.mark.parametrize("what", ["chi", "phi"])
+def test_tables_of_a_view_are_those_of_its_anchored_restriction(entry, tmp_path, what):
+    # `tables` reads the canonical anchored view; the explicit restriction
+    # to it, anchored at 0 in the identity order, writes the same bytes
+    for name, d in entry.samples.items():
+        if not entry.certified(d):
+            continue
+        tables = []
+        for key, source in ("view", d), ("restriction", models.anchored_restriction(d)):
+            doc, out = tmp_path / f"{key}.cstg", tmp_path / f"{key}.csv"
+            save_drawing(source, str(doc))
+            assert dispatch(["tables", what, str(doc), "--out", str(out)]) == 0, (name, key)
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1], name

@@ -6,7 +6,14 @@ import random
 import helpers
 import pytest
 from helpers import full_order_max_pattern, numeric_rotation_oracle
-from models import SAMPLES, crossing_function, halfcircle_seeds, random_explicit, random_points
+from models import (
+    SAMPLES,
+    crossing_function,
+    halfcircle_seeds,
+    random_explicit,
+    random_points,
+    rotations_of,
+)
 
 from cstg import oracles
 from cstg.drawing import (
@@ -32,7 +39,6 @@ from cstg.generators import (
     gen_horton,
     gen_straightline,
     gen_twisted,
-    rotations_of,
 )
 from cstg.oracles import (
     OracleBudget,

@@ -455,7 +455,7 @@ class TestExtractPlanePath:
         late = set(range(12, 17))
         edges = list(itertools.combinations(range(1, 17), 2))
         extra = {
-            sorted_pair(ad.base.rank(*e1), ad.base.rank(*e2))
+            sorted_pair(edge_index(*e1, ad.n), edge_index(*e2, ad.n))
             for e1, e2 in itertools.combinations(edges, 2)
             if not set(e1) & set(e2) and not set(e1 + e2) <= late
         }

@@ -10,23 +10,20 @@ import random
 
 import pytest
 from helpers import assert_rotations_follow_the_colors
-from models import REGISTRY, anchored_restriction, anchored_views
+from models import REGISTRY, anchored_restriction, anchored_views, rotations_of
 
 from cstg import codec
 from cstg.cli import dispatch
 from cstg.drawing import Drawing
 from cstg.errors import AnchorUnavailable, DegenerateInput, InvalidSelection, ValidationError
 from cstg.generators import (
-    anchored_order,
     anchored_view,
-    canonical_anchor,
     gen_convex,
     gen_halfcircle,
     gen_horton,
     gen_straightline,
     gen_twisted,
     rotation_at,
-    rotations_of,
 )
 from cstg.planepath import theta
 
@@ -56,7 +53,7 @@ def reversed_at(d, v):
 
 class TestStoredRotations:
     def test_a_reversed_rotation_is_refused_and_named(self, d):
-        v = 5 if canonical_anchor(d) != 5 else 6
+        v = 5 if anchored_view(d).v0 != 5 else 6
         message = f"rotation at vertex {v} is not the drawn one"
         with pytest.raises(InvalidSelection) as info:
             Drawing(**payload(d), rotations=reversed_at(d, v))
@@ -68,8 +65,8 @@ class TestStoredRotations:
         assert str(info.value) == message
 
     def test_a_stored_anchor_at_another_gap_is_refused(self, d):
-        v0 = canonical_anchor(d)
-        order = anchored_order(d, v0)
+        ad = anchored_view(d)
+        v0, order = ad.v0, ad.order
         with pytest.raises(InvalidSelection, match="cut at another gap"):
             Drawing(**payload(d), anchor=(v0, order[1:] + order[:1]))
 
@@ -78,12 +75,12 @@ class TestStoredRotations:
         for v0 in range(d.n):
             if v0 not in certifies:
                 with pytest.raises(AnchorUnavailable):
-                    anchored_order(d, v0)
+                    anchored_view(d, v0)
                 others = tuple(u for u in range(d.n) if u != v0)
                 with pytest.raises(AnchorUnavailable):
                     Drawing(**payload(d), anchor=(v0, others))
                 continue
-            order = anchored_order(d, v0)
+            order = anchored_view(d, v0).order
             carrier = Drawing(**payload(d), anchor=(v0, order))
             assert anchored_view(carrier, v0).order == order
 
