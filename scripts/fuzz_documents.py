@@ -19,12 +19,16 @@ oracles, ``render`` and both ``tables``; a certificate through ``verify``
 and ``render --overlay`` on its drawing.  The integer flags start at
 ``--m1 3 --m2 3``, ``--m-override 2`` and, for the oracles, ``--budget-nodes
 2000``; each mutant nudges one of the four as an edit nudges an integer,
-so a count may fall below its floor.  Each command's ``--out`` file is
-removed before it runs.  The run fails on any exit code outside {0, 2, 3,
-4}, on any exit but 3 from a command given a count below its floor, on any
-``InternalInvariantBroken`` in a command's output (bad input must be
-refused at the boundary, not found by a deep invariant), on a non-zero exit
-that leaves its ``--out`` file behind, on a ``*.tmp`` file left in the work
+so a count may fall below its floor.  ``extract planepath`` writes its
+path with ``--out``, and its star with ``--star-out`` when the base drawing
+is one whose m = 2 takes the increasing branch (half-circle 10 and its
+anchored restriction), so a failure between the two writes shows.  Each
+command's output files are removed before it runs.  The run fails on any
+exit code outside {0, 2, 3, 4}, on any exit but 3 from a command given a
+count below its floor, on any ``InternalInvariantBroken`` in a command's
+output (bad input must be refused at the boundary, not found by a deep
+invariant), on a non-zero exit that leaves one of its ``--out`` and
+``--star-out`` files behind, on a ``*.tmp`` file left in the work
 directory, and on any exception that escapes ``dispatch``, naming the seed,
 the mutant, its edits and the argv.  The mutants of a seed are fixed, so a
 failure is reproduced by the same ``--seed`` and a ``--count`` past the
@@ -68,6 +72,7 @@ from cstg.planepath import extract_plane_path  # noqa: E402
 ALLOWED_EXITS = (0, 2, 3, 4)
 # each integer flag: its value before the nudge, and the least count it takes
 FLAGS = {"--m1": (3, 2), "--m2": (3, 2), "--m-override": (2, 1), "--budget-nodes": (2000, 1)}
+OUTPUT_FLAGS = ("--out", "--star-out")
 RETYPED = ("x", "", 1.5, True, False, None, [], {}, [0, 1], {"n": 3})
 SHORT_PIECE = 16  # characters of a crossing table the codec parses at a time
 
@@ -89,7 +94,8 @@ def dump(node) -> str:
 
 
 def base_documents():
-    """(name, drawing text, certificate texts) for each base drawing."""
+    """(name, drawing text, certificate texts, whether m = 2 takes the
+    increasing branch, the one with a star) for each base drawing."""
     hc = generators.gen_halfcircle(10, seed=3)
     ad = generators.anchored_view(hc)
     restricted = drawing.induced_subdrawing(hc, (ad.v0,) + ad.order)
@@ -112,7 +118,8 @@ def base_documents():
         certs = [plane.path, drawing.Certificate(drawing.CONVEX, tuple(range(d.n)))]
         if plane.bipartite is not None:
             certs.append(plane.bipartite)
-        docs.append((name, codec.encode_drawing(d), [codec.encode_certificate(c) for c in certs]))
+        docs.append((name, codec.encode_drawing(d), [codec.encode_certificate(c) for c in certs],
+                     plane.bipartite is not None))
     return docs
 
 
@@ -196,12 +203,16 @@ def mutant(rng: random.Random, text: str):
     return data, edits
 
 
-def commands(kind: str, work: str, flags):
+def commands(kind: str, work: str, flags, star: bool):
     """The argv lists that read the document at ``work``/doc, of ``kind``
     "drawing" or "certificate", with the integer flags ``flags``; the other
-    document is ``work``/other."""
+    document is ``work``/other.  ``extract planepath`` writes its path, and
+    its star too when ``star`` says the base drawing has one."""
     doc, other = os.path.join(work, "doc"), os.path.join(work, "other")
     budget = ["--budget-nodes", str(flags["--budget-nodes"])]
+    outs = ["--out", os.path.join(work, "p.json")]
+    if star:
+        outs += ["--star-out", os.path.join(work, "s.json")]
 
     def given(*names):
         return [arg for name in names for arg in (name, str(flags[name]))]
@@ -213,7 +224,7 @@ def commands(kind: str, work: str, flags):
         ["verify", doc, "--self"],
         ["verify", doc, other],
         ["extract", "pattern", doc, *given("--m1", "--m2")],
-        ["extract", "planepath", doc, *given("--m-override")],
+        ["extract", "planepath", doc, *given("--m-override"), *outs],
         ["oracle", "maxconvex", doc, *budget],
         ["oracle", "maxtwisted", doc, *budget],
         ["oracle", "planepath", doc, *budget, "--out", os.path.join(work, "w.json")],
@@ -225,10 +236,10 @@ def commands(kind: str, work: str, flags):
 
 def case(docs, seed: int, index: int):
     """(base name, kind, mutant bytes, edits, the other document's text, the
-    integer flags) of mutant ``index`` of seed ``seed`` over the base
-    documents ``docs``; one flag is nudged."""
+    integer flags, whether the base has a star) of mutant ``index`` of seed
+    ``seed`` over the base documents ``docs``; one flag is nudged."""
     rng = random.Random(f"{seed}/{index}")
-    name, drawing_text, cert_texts = rng.choice(docs)
+    name, drawing_text, cert_texts, star = rng.choice(docs)
     cert_text = rng.choice(cert_texts)
     kind = rng.choice(("drawing", "drawing", "certificate"))
     data, edits = mutant(rng, drawing_text if kind == "drawing" else cert_text)
@@ -236,7 +247,7 @@ def case(docs, seed: int, index: int):
     flag = rng.choice(list(FLAGS))
     flags[flag] = nudge(rng, flags[flag])
     other = cert_text if kind == "drawing" else drawing_text
-    return name, kind, data, edits, other, flags
+    return name, kind, data, edits, other, flags, star
 
 
 def run(seed: int, count: int, report=print) -> int:
@@ -245,18 +256,19 @@ def run(seed: int, count: int, report=print) -> int:
     failures = 0
     with tempfile.TemporaryDirectory() as work, mock.patch.object(codec, "_PIECE", SHORT_PIECE):
         for index in range(count):
-            name, kind, data, edits, other, flags = case(docs, seed, index)
+            name, kind, data, edits, other, flags, star = case(docs, seed, index)
             with open(os.path.join(work, "doc"), "wb") as f:
                 f.write(data)
             with open(os.path.join(work, "other"), "w", encoding="utf-8") as f:
                 f.write(other)
-            for argv in commands(kind, work, flags):
+            for argv in commands(kind, work, flags, star):
                 # a count below its floor is refused as invalid input
                 refused = any(flag in argv and value < FLAGS[flag][1]
                               for flag, value in flags.items())
-                out = argv[argv.index("--out") + 1] if "--out" in argv else None
-                if out is not None and os.path.exists(out):
-                    os.remove(out)
+                outs = [argv[at + 1] for at, arg in enumerate(argv) if arg in OUTPUT_FLAGS]
+                for out in outs:
+                    if os.path.exists(out):
+                        os.remove(out)
                 sink = io.StringIO()
                 try:
                     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
@@ -265,7 +277,7 @@ def run(seed: int, count: int, report=print) -> int:
                     code, error = None, traceback.format_exc()
                 allowed = (3,) if refused else ALLOWED_EXITS
                 # a failed command writes nothing, and no command leaves a temporary file
-                written = code != 0 and out is not None and os.path.exists(out)
+                written = [out for out in outs if code != 0 and os.path.exists(out)]
                 stray = sorted(f for f in os.listdir(work) if f.endswith(".tmp"))
                 for f in stray:
                     os.remove(os.path.join(work, f))
@@ -275,7 +287,7 @@ def run(seed: int, count: int, report=print) -> int:
                 failures += 1
                 outcome = f"exit {code}: {sink.getvalue()}" if code is not None else error
                 if written:
-                    outcome += f"\n  left {out} behind"
+                    outcome += f"\n  left {', '.join(written)} behind"
                 if stray:
                     outcome += f"\n  left {', '.join(stray)} in the work directory"
                 report(f"seed {seed} mutant {index}: {kind} of {name}, {'; '.join(edits)}\n"

@@ -10,9 +10,11 @@ per process and reused by every dispatch call.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
+from contextlib import suppress
 from functools import cache
 from itertools import chain
 from typing import Iterable, List, Optional
@@ -111,29 +113,46 @@ def _build_parser() -> _Parser:
 
 def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
     """Write an output, an iterable of str chunks (a one-piece document, SVG
-    or CSV is ``[text]``), to stdout when ``out`` is None, else to ``out``.
-
-    The chunks go one by one to the sibling ``<out>.<pid>.tmp``, which
-    replaces ``out`` after the last chunk, so only one chunk is held at a
-    time, ``out`` appears only when complete, and a symlink at ``out`` is
-    replaced, not written through.  On any error the temporary file is
-    removed and ``out`` is left as it was; a file error names ``out``.
-    """
+    or CSV is ``[text]``), to stdout when ``out`` is None, else to the file
+    ``out`` through ``_emit_files``."""
     if out is None:
         sys.stdout.writelines(chunks)
-        return
-    tmp = f"{out}.{os.getpid()}.tmp"
+    else:
+        _emit_files([(chunks, out)])
+
+
+def _emit_files(outputs) -> None:
+    """Write each (chunks, out) of ``outputs`` to the file ``out``: all of
+    them or none.
+
+    The chunks go one by one to the sibling ``<out>.<pid>.tmp``, so only one
+    chunk is held at a time.  Only when every temporary file is complete,
+    and no ``out`` is a directory, does each replace its ``out``, so an
+    ``out`` appears only when complete, and a symlink at ``out`` is
+    replaced, not written through.  On any error every temporary file is
+    removed and every ``out`` is left as it was; a file error names the
+    ``out`` it met.
+    """
+    tmps = []
     try:
-        fh = open(tmp, "w", encoding="utf-8")
-        try:
+        for chunks, out in outputs:
+            tmp = f"{out}.{os.getpid()}.tmp"
+            fh = open(tmp, "w", encoding="utf-8")
+            tmps.append(tmp)
             with fh:
                 fh.writelines(chunks)
+        for _, out in outputs:
+            if os.path.isdir(out) and not os.path.islink(out):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+        for tmp, (_, out) in zip(tmps, outputs):
             os.replace(tmp, out)
-        except BaseException:
-            os.remove(tmp)
-            raise
-    except OSError as exc:
-        raise type(exc)(exc.errno, exc.strerror, out) from None
+    except BaseException as exc:
+        for tmp in tmps:
+            with suppress(FileNotFoundError):  # gone once it replaced its out
+                os.remove(tmp)
+        if isinstance(exc, OSError):  # out: the one the failed step was on
+            raise type(exc)(exc.errno, exc.strerror, out) from None
+        raise
 
 
 def _parse_points(raw: str):
@@ -230,6 +249,9 @@ def _budget(args) -> Optional[oracles.OracleBudget]:
 
 
 def _cmd_extract(args) -> int:
+    if args.what == "planepath" and args.out and args.star_out:
+        if os.path.realpath(args.out) == os.path.realpath(args.star_out):
+            raise UsageError("--out and --star-out name the same file")
     d = codec.load_drawing(args.drawing)
     ad = generators.anchored_view(d)
     if args.what == "pattern":
@@ -253,10 +275,8 @@ def _cmd_extract(args) -> int:
         raise InvalidSelection(f"star out unused: m = {stats.m} takes the {stats.branch} branch")
     for line in outcome.report_lines():
         print(line)
-    if args.out:
-        _emit([codec.encode_certificate(outcome.path)], args.out)
-    if args.star_out:
-        _emit([codec.encode_certificate(outcome.bipartite)], args.star_out)
+    outputs = [(outcome.path, args.out), (outcome.bipartite, args.star_out)]
+    _emit_files([([codec.encode_certificate(cert)], out) for cert, out in outputs if out])
     return EXIT_OK
 
 

@@ -495,9 +495,11 @@ class _Model:
     ``anchor(d)`` the default vertex on the unbounded cell, ``cut(d, v0,
     ccw)`` the position in ccw of the germ after that cell's gap at v0 (else
     AnchorUnavailable), and ``order(d, v0)`` the rotation at v0 cut there and
-    read backwards; ``positions(d)`` places the vertices for rendering, and
-    ``turn`` holds the sweeps of a whole arc for ``arc`` (None for straight
-    edges); ``pattern`` is CONVEX or TWISTED when the whole drawing is that
+    read backwards; ``positions(d)`` places the vertices for rendering,
+    ``turn`` is the table the model's ``samples`` makes of the sweeps of a
+    whole arc (None for straight edges), and ``arc(d, pos, u, w, turn)``
+    gives the edge's points at those samples as a column of xs and a tuple
+    of ys; ``pattern`` is CONVEX or TWISTED when the whole drawing is that
     pattern.
     """
 
@@ -507,6 +509,10 @@ class _Model:
 
     def check(self, d: Drawing) -> None:
         pass
+
+    def arc(self, d, pos, u, w, turn):
+        # a straight edge: its two ends
+        return (pos[u][0], pos[w][0]), (pos[u][1], pos[w][1])
 
     def cut(self, d: Drawing, v0: int, ccw: Tuple[int, ...]) -> int:
         return 0
@@ -558,7 +564,15 @@ class _Twisted(_Model):
     turn from its smaller end."""
 
     pattern = TWISTED
-    turn = [t / SAMPLES_PER_TURN for t in range(SAMPLES_PER_TURN + 1)]
+
+    @staticmethod
+    def samples(sweeps):
+        """The sweeps and the cos and sin of their angles, columns that every
+        ``arc`` reads, so each sample's trig is computed once per table."""
+        angles = [2 * math.pi * s for s in sweeps]
+        return tuple(sweeps), tuple(map(math.cos, angles)), tuple(map(math.sin, angles))
+
+    turn = samples([t / SAMPLES_PER_TURN for t in range(SAMPLES_PER_TURN + 1)])
 
     def kernel(self, d, order, bits, below, dom):
         def nested(a, b, c):
@@ -591,14 +605,12 @@ class _Twisted(_Model):
     def positions(self, d):
         return [(v + 1.0, 0.0) for v in range(d.n)]
 
-    def arc(self, d, pos, u, w, sweeps):
+    def arc(self, d, pos, u, w, turn):
         a, b = sorted_pair(u, w)
         ra, rb = float(a + 1), float(b + 1)
-        pts = []
-        for s in sweeps:
-            rho, th = ra + (rb - ra) * s, 2 * math.pi * s
-            pts.append((rho * math.cos(th), rho * math.sin(th)))
-        return pts
+        sweeps, cos, sin = turn
+        rho = [ra + (rb - ra) * s for s in sweeps]
+        return [r * x for r, x in zip(rho, cos)], tuple([r * y for r, y in zip(rho, sin)])
 
 
 class _HalfCircle(_Twisted):
@@ -611,7 +623,13 @@ class _HalfCircle(_Twisted):
 
     payload = "signs"
     pattern = None
-    turn = [math.pi * t / SAMPLES_PER_TURN for t in range(SAMPLES_PER_TURN + 1)]
+
+    @staticmethod
+    def samples(sweeps):
+        """As the spiral's, with each sweep its own angle."""
+        return tuple(sweeps), tuple(map(math.cos, sweeps)), tuple(map(math.sin, sweeps))
+
+    turn = samples([math.pi * t / SAMPLES_PER_TURN for t in range(SAMPLES_PER_TURN + 1)])
 
     def check(self, d):
         n, signs = d.n, d.signs
@@ -693,13 +711,14 @@ class _HalfCircle(_Twisted):
             raise AnchorUnavailable("only the leftmost vertex is certified on the unbounded cell")
         return d._sign_row(0).count("U")  # after the upper germs
 
-    def arc(self, d, pos, u, w, sweeps):
+    def arc(self, d, pos, u, w, turn):
         xu, xw = pos[u][0], pos[w][0]
         c = (xu + xw) / 2.0
         r = abs(xw - xu) / 2.0
         a, b = sorted_pair(u, w)
         h = r if d.signs[_rank_offsets(d.n)[a] + b] == "U" else -r  # (-r) * y is -(r * y) exactly
-        return [(c + r * math.cos(th), h * math.sin(th)) for th in sweeps]
+        _, cos, sin = turn
+        return [c + r * x for x in cos], tuple([h * y for y in sin])
 
 
 class _Points(_Model):

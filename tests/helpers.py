@@ -9,7 +9,9 @@ oracle the tests hold ``max_pattern_exact`` to.  ``numeric_rotation_oracle``
 recomputes a drawing's rotation system from the float geometry its model
 renders, the oracle that acceptance criterion 12 holds the models' rotation
 rules to; it reads the sweep of an arc near one end from the model's entry
-in ``models.REGISTRY``.  No CLI path reaches them.  The rest are checks and
+in ``models.REGISTRY``.  ``reference_render_svg`` is the per-point SVG
+renderer that ``svg.render_svg`` is held to byte for byte.  No CLI path
+reaches them.  The rest are checks and
 data that several test modules share.
 """
 
@@ -29,7 +31,9 @@ from cstg.drawing import (
     CONVEX,
     MODELS,
     AnchoredDrawing,
+    Certificate,
     Drawing,
+    _check_certificate_range,
     _quadruples_up_to,
     crossing_masks,
     pattern_fit,
@@ -38,6 +42,7 @@ from cstg.errors import DegenerateInput, InvalidEdge, InvalidTriple
 from cstg.generators import rotation_at
 from cstg.oracles import OracleResult
 from cstg.planepath import _inside, _lis
+from cstg.svg import CANVAS, MARGIN
 
 
 @dataclass(frozen=True)
@@ -211,7 +216,8 @@ def _germ_point(model, d, pos, v: int, u: int, eps: float) -> Tuple[float, float
         qx, qy = pos[u]
         norm = math.hypot(qx - px, qy - py)
         return (px + eps * (qx - px) / norm, py + eps * (qy - py) / norm)
-    return model.arc(d, pos, v, u, [sweep(pos, v, u, eps)])[0]
+    xs, ys = model.arc(d, pos, v, u, model.samples([sweep(pos, v, u, eps)]))
+    return xs[0], ys[0]
 
 
 _GERM_RETRIES = 40
@@ -259,6 +265,62 @@ def numeric_rotation_oracle(d: Drawing) -> Tuple[Tuple[int, ...], ...]:
                 f"germs at vertex {v} remain indistinguishable after {_GERM_RETRIES} retries"
             )
     return tuple(rotations)
+
+
+# -- per-point SVG reference -----------------------------------------------------
+
+
+def reference_render_svg(d: Drawing, overlay: Optional[Certificate] = None) -> str:
+    """The SVG text of ``svg.render_svg``, one point at a time: each sample
+    of each edge through a transform closure and one two-number format, the
+    renderer before edges were filled from shared y-sequences."""
+    if overlay is not None:
+        _check_certificate_range(d, overlay)
+    model = MODELS[d.model]
+    pos = model.positions(d)
+    polylines = {
+        (i, j): list(zip(*model.arc(d, pos, i, j, model.turn)))
+        for i in range(d.n)
+        for j in range(i + 1, d.n)
+    }
+    xs = [p[0] for line in polylines.values() for p in line]
+    ys = [p[1] for line in polylines.values() for p in line]
+    span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
+    scale = (CANVAS - 2 * MARGIN) / span
+    x0, y0 = min(xs), max(ys)
+
+    def to_svg(p):
+        return (MARGIN + (p[0] - x0) * scale, MARGIN + (y0 - p[1]) * scale)
+
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{CANVAS:.0f}" height="{CANVAS:.0f}" '
+        f'viewBox="0 0 {CANVAS:.0f} {CANVAS:.0f}">\n',
+        f'<rect width="{CANVAS:.0f}" height="{CANVAS:.0f}" fill="white"/>\n',
+    ]
+    points = {
+        e: " ".join(["%.3f,%.3f" % to_svg(p) for p in line]) for e, line in polylines.items()
+    }
+    for pts in points.values():
+        parts.append(
+            f'<polyline points="{pts}" fill="none" stroke="#888888" stroke-width="1"/>\n'
+        )
+    if overlay is not None:
+        for (u, v) in overlay.edges():
+            parts.append(
+                f'<polyline points="{points[(min(u, v), max(u, v))]}" fill="none" '
+                f'stroke="#cc2222" stroke-width="2.5"/>\n'
+            )
+    for v in range(d.n):
+        x, y = to_svg(pos[v])
+        parts.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="4" fill="#222222"/>\n')
+        parts.append(
+            f'<text x="{x + 6:.3f}" y="{y - 6:.3f}" '
+            f'font-family="monospace" font-size="12">{v}</text>\n'
+        )
+    parts.append("</svg>\n")
+    return "".join(parts)
 
 
 # -- shared by several test modules ---------------------------------------------

@@ -235,6 +235,48 @@ class TestExtract:
         for cert in (path_cert, star):
             assert run(capsys, "verify", str(drawing), str(cert))[0] == 0
 
+    @pytest.mark.parametrize("missing", ["--out", "--star-out"])
+    def test_planepath_writes_both_documents_or_neither(self, tmp_path, capsys, missing):
+        # half-circle 16 seed 0 has a two-center star at m = 2; either target
+        # under a missing directory leaves the other as it was
+        drawing = tmp_path / "hc16.cstg"
+        codec.save_drawing(generators.gen_halfcircle(16, seed=0), str(drawing))
+        targets = {"--out": tmp_path / "p.json", "--star-out": tmp_path / "s.json"}
+        targets[missing] = tmp_path / "nodir" / "x.json"
+        for target in targets.values():
+            if target.parent == tmp_path:
+                target.write_bytes(b"earlier\n")
+        code, _, err = run(capsys, "extract", "planepath", str(drawing), "--m-override", "2",
+                           *(arg for flag, t in targets.items() for arg in (flag, str(t))))
+        assert (code, err) == (
+            3, f"missing file: [Errno 2] No such file or directory: '{targets[missing]}'\n")
+        assert [p.read_bytes() for p in tmp_path.glob("*.json")] == [b"earlier\n"]
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_planepath_star_out_on_a_directory_leaves_the_path_unwritten(self, tmp_path, capsys):
+        drawing, path_cert, star = (tmp_path / name for name in ("hc16.cstg", "p.json", "s"))
+        codec.save_drawing(generators.gen_halfcircle(16, seed=0), str(drawing))
+        star.mkdir()
+        code, _, err = run(capsys, "extract", "planepath", str(drawing), "--m-override", "2",
+                           "--out", str(path_cert), "--star-out", str(star))
+        assert (code, err) == (3, f"file error: [Errno 21] Is a directory: '{star}'\n")
+        assert not path_cert.exists() and list(star.iterdir()) == []
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    @pytest.mark.parametrize("star", ["p.json", "./p.json", "sub/../p.json"])
+    def test_planepath_out_and_star_out_on_one_file_is_a_usage_error(self, tmp_path, capsys,
+                                                                     monkeypatch, star):
+        drawing = tmp_path / "hc16.cstg"
+        codec.save_drawing(generators.gen_halfcircle(16, seed=0), str(drawing))
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run(capsys, "extract", "planepath", str(drawing), "--m-override", "2",
+                                "--out", "p.json", "--star-out", star)
+        assert (code, stdout) == (1, "")
+        assert err == "usage error: --out and --star-out name the same file\n"
+        assert not (tmp_path / "p.json").exists()
+        assert list(tmp_path.rglob("*.tmp")) == []
+
     @pytest.mark.parametrize("flags, named", [
         (["--m-override", "0"], "m override must be at least 1, got 0"),
         (["--m-override", "-3"], "m override must be at least 1, got -3"),

@@ -104,29 +104,36 @@ class TestDocumentFuzzer:
         assert reports[2].startswith("seed 6 mutant 0: ") and f"exit 3: {broken}" in reports[2]
 
     def test_a_failed_write_or_a_stray_temporary_is_named(self, monkeypatch):
-        # of the four commands on mutant 0 of seed 6 that write a file, the
-        # first leaves its --out behind on exit 3 and the second leaves a
-        # temporary file on exit 0, which is named once
+        # mutant 0 of seed 14 is a drawing of half-circle 10, which has a
+        # star, so extract planepath writes --out and --star-out; of the five
+        # commands that write a file, the first leaves its star behind on
+        # exit 3 and the second leaves a temporary file on exit 0, which is
+        # named once
         fuzzer = load_fuzzer()
+        assert fuzzer.case(fuzzer.base_documents(), 14, 0)[:2] == ("half-circle 10", "drawing")
         faults = iter(["written", "stray"])
+        seen = []
 
         def dispatch(argv):
-            if "--out" not in argv:
+            outs = [argv[at + 1] for at, arg in enumerate(argv) if arg in fuzzer.OUTPUT_FLAGS]
+            if not outs:
                 return 0
-            out = argv[argv.index("--out") + 1]
+            seen.append(argv[0])
             fault = next(faults, None)
             if fault == "written":
-                open(out, "w").close()
+                open(outs[-1], "w").close()
                 return 3
             if fault == "stray":
-                open(f"{out}.1.tmp", "w").close()
+                open(f"{outs[0]}.1.tmp", "w").close()
             return 0
 
         monkeypatch.setattr(fuzzer, "dispatch", dispatch)
         reports = []
-        assert fuzzer.run(seed=6, count=1, report=reports.append) == 2
-        assert reports[0].endswith(f"{os.sep}w.json behind")
-        assert reports[1].endswith("left d.svg.1.tmp in the work directory")
+        assert fuzzer.run(seed=14, count=1, report=reports.append) == 2
+        assert "--star-out" in reports[0]
+        assert reports[0].endswith(f"{os.sep}s.json behind")
+        assert reports[1].endswith("left w.json.1.tmp in the work directory")
+        assert seen == ["extract", "oracle", "render", "tables", "tables"]
 
     @pytest.mark.parametrize("seed, index, first, second", [(3, 834, 4, 7), (1, 3299, 7, 9)])
     @pytest.mark.parametrize("argv", [["verify", "{}", "--self"],

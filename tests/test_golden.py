@@ -32,8 +32,10 @@ from cstg.generators import gen_convex, gen_halfcircle, gen_twisted
 DRAWINGS = {
     "halfcircle-40-3": ["--family", "halfcircle", "--n", "40", "--seed", "3"],
     "halfcircle-18-5": ["--family", "halfcircle", "--n", "18", "--seed", "5"],
+    "halfcircle-22-5": ["--family", "halfcircle", "--n", "22", "--seed", "5"],
     "horton-32": ["--family", "horton", "--n", "32"],
     "twisted-12": ["--family", "twisted", "--n", "12"],
+    "twisted-16": ["--family", "twisted", "--n", "16"],
     "convex-12": ["--family", "convex", "--n", "12"],
 }
 
@@ -111,17 +113,30 @@ VERIFIES = {
     ),
 }
 
-# render: the SVG digest without an overlay, then with the certificate as one
+# render: the SVG digest without an overlay, then with the certificate as one;
+# half-circle 22 (its plane path at m_override=16) and twisted 16 are the
+# largest renders of the oracle benchmark, fixed before each edge was
+# formatted with one call from shared y-sequences
 RENDERS = {
     "halfcircle-18-5": (
         Certificate(PLANE_PATH, (0, 17, 3, 9, 12)),
         "15434ebaa9922b512e71456cb2c2282cc7c4f113978631cbf5bf660af470fad5",
         "5de50858e83d2fadfb5f982a71a783f7f3f3074acfd719561faae0df39e50066",
     ),
+    "halfcircle-22-5": (
+        Certificate(PLANE_PATH, (21, 19, 17, 12, 7)),
+        "50fc6b2dab4fe487c934b3ad2a961fc793f5460d9dcd7e9560a104f0a4aa51c8",
+        "a03437ff95915961055e239ce81a7830a3390450512926f287b532b878e39bf6",
+    ),
     "twisted-12": (
         Certificate(TWISTED, tuple(range(12))),
         "4f268ddd139dad7591f8872f02ee90cc308ff42259f4c443e0d5ab032abd2657",
         "2af88e004e329bc8d6c59aa3689a3fe9d0b95362e8b9793d92a9de8018d0e891",
+    ),
+    "twisted-16": (
+        Certificate(TWISTED, tuple(range(16))),
+        "0a4ddf48de7ff5d9ff1d9554f286f409fc130f77a0f6b45eb6cf54cdd45fba4a",
+        "4a31982988e8ea2f59763c60cb3c5e31913cc0178418e1d88bcc54fa5d029f12",
     ),
     "convex-12": (
         Certificate(CONVEX, (0, 2, 5, 7, 11)),

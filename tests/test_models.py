@@ -220,7 +220,8 @@ def test_an_arc_swept_over_the_whole_turn_ends_at_its_vertices(entry):
             continue
         pos = model.positions(d)
         for u, w in itertools.combinations(range(d.n), 2):
-            ends = sorted(model.arc(d, pos, u, w, [model.turn[0], model.turn[-1]]))
+            xs, ys = model.arc(d, pos, u, w, model.turn)
+            ends = sorted([(xs[0], ys[0]), (xs[-1], ys[-1])])
             for got, want in zip(ends, sorted([pos[u], pos[w]])):
                 assert math.dist(got, want) < 1e-9, (d.model, d.n, u, w)
 
