@@ -31,13 +31,29 @@ def gen_twisted(m: int) -> Drawing:
     return Drawing(n=m, model="twisted")
 
 
-def gen_halfcircle(n: int, seed=0) -> Drawing:
-    """Random half-circle drawing; generation is bit-reproducible per seed.
+# a 32-bit output's top byte, 0x80-0xFF when its top bit is set, as a sign
+_SIGN = bytes.maketrans(bytes(range(256)), b"L" * 128 + b"U" * 128)
+_SIGN_PIECE = 1 << 16  # signs drawn per getrandbits call
 
+
+def gen_halfcircle(n: int, seed: int = 0) -> Drawing:
+    """Random half-circle drawing, bit-reproducible per seed, an int of at
+    least 0 (seed -s would repeat seed s).
+
+    The sign of the i-th edge in rank order is ``U`` exactly when the top bit
+    of the i-th 32-bit output of ``random.Random(seed)`` is set, the bit
+    ``getrandbits(1)`` returns.  ``getrandbits(32 * k)`` holds the next k
+    outputs, output i in bits 32i to 32i + 31, so the signs are byte 3 of
+    its little-endian words; pieces keep the peak near three sign strings.
     A given sign string is ``Drawing(n=n, model="halfcircle", signs=s)``."""
     _count(n, "drawing n", 2)
-    rng = random.Random(seed)
-    signs = "".join("U" if rng.getrandbits(1) else "L" for _ in range(n * (n - 1) // 2))
+    rng = random.Random(_count(seed, "seed", 0))
+    left, signs = n * (n - 1) // 2, bytearray()
+    while left:
+        k = min(left, _SIGN_PIECE)
+        signs += rng.getrandbits(32 * k).to_bytes(4 * k, "little")[3::4].translate(_SIGN)
+        left -= k
+    signs = signs.decode()  # frees the bytearray before Drawing checks the string
     return Drawing(n=n, model="halfcircle", signs=signs)
 
 

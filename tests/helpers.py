@@ -10,7 +10,9 @@ recomputes a drawing's rotation system from the float geometry its model
 renders, the oracle that acceptance criterion 12 holds the models' rotation
 rules to; it reads the sweep of an arc near one end from the model's entry
 in ``models.REGISTRY``.  ``reference_render_svg`` is the per-point SVG
-renderer that ``svg.render_svg`` is held to byte for byte.  No CLI path
+renderer that ``svg.render_svg`` is held to byte for byte, and
+``reference_halfcircle_signs`` the one-bit-per-call sign draw that
+``gen_halfcircle`` is held to.  No CLI path
 reaches them.  The rest are checks and
 data that several test modules share.
 """
@@ -43,6 +45,13 @@ from cstg.generators import rotation_at
 from cstg.oracles import OracleResult
 from cstg.planepath import _inside, _lis
 from cstg.svg import CANVAS, MARGIN
+
+
+def reference_halfcircle_signs(n: int, seed: int) -> str:
+    """The signs of gen_halfcircle(n, seed), one getrandbits(1) per edge in
+    rank order: the top bit of each 32-bit output of random.Random(seed)."""
+    rng = random.Random(seed)
+    return "".join("U" if rng.getrandbits(1) else "L" for _ in range(comb(n, 2)))
 
 
 @dataclass(frozen=True)

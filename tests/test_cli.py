@@ -425,6 +425,19 @@ class TestDeterminism:
         argv = ["generate", "--family", "halfcircle", "--n", "12"]
         assert run(capsys, *argv) == run(capsys, *argv, "--seed", "0")
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--family", "halfcircle", "--n", "8", "--seed", "-1"],
+        ["bench", "--n", "12", "--trials", "5", "--seed", "-2"],
+    ], ids=["generate", "bench"])
+    def test_a_negative_seed_exits_3_and_writes_nothing(self, tmp_path, capsys, argv):
+        # seed -s would draw what seed s draws, so bench's trials 0 and 4
+        # would report different seeds over one drawing
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (3, "")
+        assert err == f"invalid input: InvalidSelection: seed must be at least 0, got {argv[-1]}\n"
+        assert not out.exists()
+
     def test_generate_stdout_equals_the_file(self, tmp_path, capsys):
         out = tmp_path / "hc.cstg"
         argv = ["generate", "--family", "halfcircle", "--n", "24", "--seed", "11"]

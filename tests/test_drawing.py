@@ -534,6 +534,17 @@ REFUSALS = [
             InvalidSelection, "drawing n 5.0 is not an integer"),
     refused("gen_halfcircle.n", "below", lambda: gen_halfcircle(-3),
             InvalidSelection, "drawing n must be at least 2, got -3"),
+    # a seed from the OS is not reproducible, and -s would repeat s
+    refused("gen_halfcircle.seed", "None", lambda: gen_halfcircle(8, seed=None),
+            InvalidSelection, "seed None is not an integer"),
+    refused("gen_halfcircle.seed", "bool", lambda: gen_halfcircle(8, seed=True),
+            InvalidSelection, "seed True is not an integer"),
+    refused("gen_halfcircle.seed", "float", lambda: gen_halfcircle(8, seed=1.0),
+            InvalidSelection, "seed 1.0 is not an integer"),
+    refused("gen_halfcircle.seed", "str", lambda: gen_halfcircle(8, seed="1"),
+            InvalidSelection, "seed '1' is not an integer"),
+    refused("gen_halfcircle.seed", "negative", lambda: gen_halfcircle(8, seed=-1),
+            InvalidSelection, "seed must be at least 0, got -1"),
     refused("gen_horton.k", "bool", lambda: gen_horton(True),
             InvalidSelection, "k True is not an integer"),
     refused("gen_horton.k", "float", lambda: gen_horton(2.0),

@@ -5,9 +5,10 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
-from helpers import independent_pairs, spiral_cross
+from helpers import independent_pairs, reference_halfcircle_signs, spiral_cross
 from models import rotations_of
 
 from cstg.chromatics import validate_observation
@@ -139,6 +140,22 @@ class TestHalfCircle:
         assert gen_halfcircle(20, seed=43).signs != a.signs
         # no seed is seed 0, as under the CLI, not a seed from the OS
         assert gen_halfcircle(20) == gen_halfcircle(20, seed=0)
+
+    # C(364, 2) = 66,066 signs cross the 2^16-sign piece boundary
+    @pytest.mark.parametrize("seed", [0, 1, 2**40 + 3])
+    @pytest.mark.parametrize("n", [2, 3, 17, 364, 1024])
+    def test_signs_are_the_top_bits_drawn_one_per_call(self, n, seed):
+        assert gen_halfcircle(n, seed).signs == reference_halfcircle_signs(n, seed)
+
+    def test_peak_memory_is_near_three_sign_strings(self):
+        tracemalloc.start()
+        try:
+            d = gen_halfcircle(2048, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(d.signs) == 2_096_128
+        assert peak <= 3.5 * len(d.signs)
 
     def test_sign_length_validation(self):
         with pytest.raises(InvalidSigns):
