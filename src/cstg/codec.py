@@ -33,12 +33,12 @@ ranks are ever alive; any other text, an indented document say, takes the
 general parse, whose entry lists pass a hand-built table's check, raising
 ParseError here, and are folded in one run.  Either way ``Drawing`` gets
 the folded rows (``_Ranks``) and checks their entries as it would check a
-hand-built table's.  A repeated entry is looked for, reading the entries
-again, only when the table holds fewer pairs than the document lists or
-a later step fails, and is named first.  Encoding lists the entries in
-rank order from the stacked rows the drawing holds and writes each edge's
-entries with one join over the decimal names of its partners' ranks, so
-no string is built per entry.
+hand-built table's.  A repeated entry is looked for when the table is read,
+before any later field, reading the entries again only when the rows hold
+fewer bits than its entries would set, and is named first.  Encoding
+lists the entries in rank order from the stacked rows the drawing holds
+and writes each edge's entries with one join over the decimal names of
+its partners' ranks, so no string is built per entry.
 """
 
 from __future__ import annotations
@@ -216,46 +216,39 @@ def decode_drawing(text: str) -> Drawing:
             _require_ints(p, "params.points")
         fields["points"] = tuple((x, y) for x, y in raw)
     elif payload == "crossings":
-        raw = doc.get("crossings")
-        if raw is None:
-            raise ParseError("field 'crossings' missing for explicit model")
-        raw = fields["crossings"] = _check_crossings(raw, n)
+        fields["crossings"] = _read_table(doc.get("crossings"), n)
+    if spec and payload in (None, "crossings") and "params" in doc:
+        raise ParseError(f"{model} model takes no 'params'")
+    if payload != "crossings" and "crossings" in doc:
+        raise ParseError("'crossings' is only valid for the explicit model")
+    rotations = _decode_rotations(doc["rotations"], n) if "rotations" in doc else None
+    anchor = _decode_anchor(doc["anchor"]) if "anchor" in doc else None
     try:
-        if spec and payload in (None, "crossings") and "params" in doc:
-            raise ParseError(f"{model} model takes no 'params'")
-        if payload != "crossings" and "crossings" in doc:
-            raise ParseError("'crossings' is only valid for the explicit model")
-        rotations = _decode_rotations(doc["rotations"], n) if "rotations" in doc else None
-        anchor = _decode_anchor(doc["anchor"]) if "anchor" in doc else None
-        d = Drawing(n=n, model=model, rotations=rotations, anchor=anchor, **fields)
+        return Drawing(n=n, model=model, rotations=rotations, anchor=anchor, **fields)
+    except (ParseError, ValidationError, SizeLimit):
+        raise
     except CstgError as exc:
-        if payload == "crossings":
-            _refuse_repeats(raw)
-        if isinstance(exc, (ParseError, ValidationError, SizeLimit)):
-            raise
         raise ValidationError(str(exc)) from exc
-    # each entry sets two bits in each of its edges' ints
-    if payload == "crossings" and sum(map(int.bit_count, d.crossings.bits)) < 4 * raw.count:
-        _refuse_repeats(raw)
-    return d
 
 
-def _check_crossings(raw, n: int) -> _Ranks:
-    """The table as ``_Ranks``: a recognised table as it is, and a general
-    one once it is a list of integer pairs (else ParseError naming its first
-    bad entry); SizeLimit past the explicit cap before any entry is read."""
+def _read_table(raw, n: int) -> _Ranks:
+    """The table as ``_Ranks`` (a general one once it is a list of integer
+    pairs), else ParseError naming the fault, or SizeLimit past the explicit
+    cap before any entry is read; ParseError names the first entry listed
+    twice, looked for only when the rows hold fewer than four bits per entry:
+    each distinct entry in rank order sets two in each of its edges' ints."""
+    if raw is None:
+        raise ParseError("field 'crossings' missing for explicit model")
     if not isinstance(raw, (list, _Ranks)):
         raise ParseError("field 'crossings' must be a list of rank pairs")
     _check_explicit_n(n)  # a huge n fails before its entries are read
-    return raw if type(raw) is _Ranks else _Ranks.listed(n, _flat_ranks(raw, ParseError))
-
-
-def _refuse_repeats(raw: _Ranks) -> None:
-    """ParseError naming the first entry the table lists twice, if any."""
-    counts = Counter(raw.entries())
-    if len(counts) < raw.count:
-        entry = next(e for e, count in counts.items() if count > 1)
-        raise ParseError(f"field 'crossings': entry {list(entry)} is repeated")
+    table = raw if type(raw) is _Ranks else _Ranks.listed(n, _flat_ranks(raw, ParseError))
+    if sum(map(int.bit_count, table.bits)) < 4 * table.count:
+        counts = Counter(table.entries())
+        if len(counts) < table.count:
+            entry = next(e for e, count in counts.items() if count > 1)
+            raise ParseError(f"field 'crossings': entry {list(entry)} is repeated")
+    return table
 
 
 def _decode_rotations(raw, n: int) -> Tuple[Tuple[int, ...], ...]:

@@ -71,6 +71,7 @@ from .errors import (
 EXPLICIT_N_CAP = 256
 
 SAMPLES_PER_TURN = 96  # points per rendered arc
+_SIGN_PIECE = 1 << 16  # half-circle signs drawn, and checked, a piece at a time
 _BITS = str.maketrans("UL", "10")  # half-circle signs as upper-arc bits
 _TOP = bytes.maketrans(bytes(range(256)), b"0" * 128 + b"1" * 128)  # a byte's top bit
 
@@ -638,9 +639,13 @@ class _HalfCircle(_Twisted):
             raise InvalidSigns(f"sign vector missing, expected C({n},2)={want} symbols")
         if len(signs) != want:
             raise InvalidSigns(f"sign vector length {len(signs)}, expected C({n},2)={want}")
-        # one table-driven pass over the bytes; str.count was ~15x slower at n=160
-        if not signs.isascii() or signs.encode().translate(None, b"UL"):
-            raise InvalidSigns("sign vector must use only U and L")
+        # a table-driven pass over each piece's bytes, never a copy of the whole string
+        for i in range(0, want, _SIGN_PIECE):
+            piece = signs[i:i + _SIGN_PIECE]
+            if not piece.isascii() or piece.encode().translate(None, b"UL"):
+                k = next(k for k, s in enumerate(piece) if s not in "UL")
+                raise InvalidSigns(
+                    f"sign vector must use only U and L, got {piece[k]!r} at rank {i + k}")
 
     def kernel(self, d, order, bits, below, dom):
         # interleaved as in the convex model, with arc cw on the side of arc

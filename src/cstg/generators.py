@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence, Tuple
 
-from .drawing import MODELS, AnchoredDrawing, Drawing, _count
+from .drawing import MODELS, _SIGN_PIECE, AnchoredDrawing, Drawing, _count
 from .errors import SizeLimit
 
 
@@ -33,7 +33,6 @@ def gen_twisted(m: int) -> Drawing:
 
 # a 32-bit output's top byte, 0x80-0xFF when its top bit is set, as a sign
 _SIGN = bytes.maketrans(bytes(range(256)), b"L" * 128 + b"U" * 128)
-_SIGN_PIECE = 1 << 16  # signs drawn per getrandbits call
 
 
 def gen_halfcircle(n: int, seed: int = 0) -> Drawing:
@@ -44,7 +43,7 @@ def gen_halfcircle(n: int, seed: int = 0) -> Drawing:
     of the i-th 32-bit output of ``random.Random(seed)`` is set, the bit
     ``getrandbits(1)`` returns.  ``getrandbits(32 * k)`` holds the next k
     outputs, output i in bits 32i to 32i + 31, so the signs are byte 3 of
-    its little-endian words; pieces keep the peak near three sign strings.
+    its little-endian words; pieces keep the peak near two sign strings.
     A given sign string is ``Drawing(n=n, model="halfcircle", signs=s)``."""
     _count(n, "drawing n", 2)
     rng = random.Random(_count(seed, "seed", 0))

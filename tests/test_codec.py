@@ -493,6 +493,18 @@ INVALID = [
         "anchor order is not a clockwise reading of the rotation at v0",
     ),
     (
+        "anchor order not a permutation",
+        # an explicit drawing's order is the one it stores, so no later
+        # check refuses an order that leaves a vertex out
+        dict(n=4, model="explicit", crossings=[], anchor=(0, (1, 2))),
+        InvalidSelection,
+        "anchor order is not a permutation of V \\ {v0}",
+        '{"anchor":{"order":[1,2],"v0":0},"crossings":[],"format":"cstg-1",'
+        '"model":"explicit","n":4}',
+        ValidationError,
+        "anchor order is not a permutation of V \\ {v0}",
+    ),
+    (
         "n below 2",
         dict(n=1, model="convex"),
         InvalidSelection,
@@ -957,6 +969,21 @@ class TestTablePieces:
         with pytest.raises(ValidationError) as info:
             decode_drawing(text)
         assert str(info.value) == message
+
+    def test_the_table_text_is_parsed_once(self, monkeypatch):
+        # the entries are read again for a repeat only when the rows hold
+        # fewer bits than they would set, so a document that fails for
+        # another reason, an anchor here, has its table read once too
+        text = _twisted_text(48)
+        bad_anchor = text.replace('{"crossings"', '{"anchor":{"order":[0],"v0":48},"crossings"')
+        runs, calls = codec._runs, []
+        monkeypatch.setattr(codec, "_runs", lambda *args: calls.append(args) or runs(*args))
+        decode_drawing(text)
+        assert len(calls) == 1
+        calls.clear()
+        with pytest.raises(ValidationError, match="anchor v0 48 out of range"):
+            decode_drawing(bad_anchor)
+        assert len(calls) == 1
 
     def test_an_entry_repeated_across_pieces_is_named(self, monkeypatch):
         # the first entry, [2,11], again after the last

@@ -306,6 +306,19 @@ class TestCross:
         with pytest.raises(InvalidSigns):
             Drawing(n=4, model="halfcircle", signs="UULLUu")
 
+    @pytest.mark.parametrize("bad", [{2: "x", 3: "é"}, {70_000: "é", 70_001: "x"},
+                                     {79_799: "u"}], ids=["first piece", "second", "last"])
+    def test_the_first_sign_outside_the_alphabet_is_named(self, bad):
+        # C(400, 2) = 79,800 signs, checked in two pieces
+        signs = ["U"] * 79_800
+        for rank, sign in bad.items():
+            signs[rank] = sign
+        rank = min(bad)
+        with pytest.raises(InvalidSigns) as info:
+            Drawing(n=400, model="halfcircle", signs="".join(signs))
+        assert str(info.value) == (
+            f"sign vector must use only U and L, got {bad[rank]!r} at rank {rank}")
+
     def test_halfcircle_signs_missing(self):
         with pytest.raises(InvalidSigns, match="missing"):
             Drawing(n=4, model="halfcircle")

@@ -147,7 +147,7 @@ class TestHalfCircle:
     def test_signs_are_the_top_bits_drawn_one_per_call(self, n, seed):
         assert gen_halfcircle(n, seed).signs == reference_halfcircle_signs(n, seed)
 
-    def test_peak_memory_is_near_three_sign_strings(self):
+    def test_peak_memory_is_under_two_and_a_half_sign_strings(self):
         tracemalloc.start()
         try:
             d = gen_halfcircle(2048, seed=3)
@@ -155,7 +155,18 @@ class TestHalfCircle:
         finally:
             tracemalloc.stop()
         assert len(d.signs) == 2_096_128
-        assert peak <= 3.5 * len(d.signs)
+        assert peak <= 2.5 * len(d.signs)
+
+    def test_checking_a_sign_string_copies_no_whole_string(self):
+        # the signs are checked a piece at a time, never copied whole
+        signs = gen_halfcircle(2048, seed=3).signs
+        tracemalloc.start()
+        try:
+            Drawing(n=2048, model="halfcircle", signs=signs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * len(signs)
 
     def test_sign_length_validation(self):
         with pytest.raises(InvalidSigns):
